@@ -1,10 +1,12 @@
 """Monte Carlo harness: method sweep over uplink power, BER curves,
 fronthaul-load accounting, machine-readable outputs.
 
-All methods at a given block index share the same geometry, channels,
-interferer signal and noise, so curves are paired comparisons. Blocks are
-drawn from per-index RNG streams, which makes every result a pure
-function of (spec, seed) regardless of execution order.
+All methods and all SNR points at a given block index share the same
+geometry, channels, interferer signal and noise, so curves are paired
+comparisons; the payload is redrawn per SNR point from the same block
+stream, so its symbols and noise are shared too. Blocks are drawn from
+per-index RNG streams, which makes every result a pure function of
+(spec, seed) regardless of execution order or of the rest of the grid.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
 
 @dataclass
 class ResultRow:
+    """One (method, SNR point) of the sweep.
+
+    `wall_time_s` is the method's detection time at this SNR point plus
+    its share of the per-block interferer estimation, which runs once per
+    block for all SNR points: the estimation time divided by the number
+    of points. Summed over a method's rows it is the method's total time.
+    """
+
     method: str
     snr_db: float
     ber: float
@@ -149,30 +159,34 @@ class MonteCarloOutcome:
     diagnostics: RunDiagnostics
 
 
-def _augmented_channels(method, block, est, zpsi, cfg, chain, diagnostics):
-    """Per-AP augmented matrices [UE estimates, interferer estimates] for
-    one method; chain-based methods record their fronthaul traffic."""
-    if method == "no_suppression":
-        return est
+def _interferer_channels(method, block, zpsi, cfg, chain, diagnostics):
+    """SNR-invariant part of one method's augmented channels: per-AP
+    interferer channels, or None for a method that uses the UE estimates
+    alone. Chain-based methods record their OoS pass on `chain`."""
     if method == "centralized_genie":
-        return np.concatenate([block.H, block.G], axis=2)
-    if cfg.K_I == 0:
-        return est
+        return block.G
+    if method == "no_suppression" or cfg.K_I == 0:
+        return None
     if method == "local_processing":
-        ghat = np.stack(
+        return np.stack(
             [oos_estimation.local_svd_estimate(zpsi[i], cfg.K_I)[1] for i in range(cfg.L)]
         )
+    diag = oos_estimation.ChainDiagnostics()
+    if method == "seq_procrustes":
+        sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, diag)
+    elif method == "seq_gramian":
+        sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
     else:
-        diag = oos_estimation.ChainDiagnostics()
-        if method == "seq_procrustes":
-            sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, diag)
-        elif method == "seq_gramian":
-            sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        diagnostics.degenerate_rotations += diag.degenerate_rotations
-        ghat = oos_estimation.estimate_oos_channels(zpsi, sbar)
-    return np.concatenate([est, ghat], axis=2)
+        raise ValueError(f"unknown method {method!r}")
+    diagnostics.degenerate_rotations += diag.degenerate_rotations
+    return oos_estimation.estimate_oos_channels(zpsi, sbar)
+
+
+def _augmented_channels(method, block, est, ghat):
+    """Per-AP augmented matrices [UE channels, interferer channels]: the
+    genie knows the true UE channels, every other method uses `est`."""
+    ue = block.H if method == "centralized_genie" else est
+    return ue if ghat is None else np.concatenate([ue, ghat], axis=2)
 
 
 def _detect(detector, batch, aug, cfg, chain):
@@ -186,54 +200,53 @@ def _detect(detector, batch, aug, cfg, chain):
     raise ValueError(f"unknown detector {detector!r}")
 
 
+@dataclass
+class _PointTally:
+    """Running totals of one (SNR point, method) cell of the sweep."""
+
+    errors: int = 0
+    bits: int = 0
+    detect_s: float = 0.0
+
+
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     """Run the full sweep; returns one row per (method, SNR point).
 
-    Per block: one pilot phase and one payload draw shared by all methods;
-    per method: interferer estimation (chain-recorded where applicable)
-    and payload detection. Blocks where a method fails numerically are
-    excluded for that method and counted in the diagnostics.
+    Blocks are the outer loop. Per block, once for all SNR points: the
+    geometry and channel draw, the projected residual (which does not
+    depend on rho), and each method's interferer-channel estimate with
+    its OoS chain pass. Per SNR point: the pilot LS estimate, one payload
+    draw shared by all methods, and each method's detection. A method
+    that fails numerically on a block is excluded there and counted once
+    per SNR point; rows and failures come out in (SNR, block, method)
+    order.
     """
     cfg = spec.cfg
     pilots = build_pilot_book(cfg)
     diagnostics = RunDiagnostics()
-    rows: list[ResultRow] = []
+    points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
+    tallies = [{m: _PointTally() for m in spec.methods} for _ in points]
+    point_failures: list[list] = [[] for _ in points]
+    estimate_s = {m: 0.0 for m in spec.methods}
+    per_link: dict[str, int | None] = {m: None for m in spec.methods}
 
-    for snr_db in spec.snr_grid_db:
-        cfg_pt = replace(cfg, rho=10.0 ** (snr_db / 10.0))
-        errors = {m: 0 for m in spec.methods}
-        bits = {m: 0 for m in spec.methods}
-        elapsed = {m: 0.0 for m in spec.methods}
-        per_link: dict[str, int | None] = {m: None for m in spec.methods}
-
-        for b in range(cfg.trials):
-            geo = build_geometry(cfg_pt, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-            block = draw_block(cfg_pt, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
-            obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg_pt)
-            est = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
-            zpsi = pilot_phase.compute_projected_residual(obs, est, pilots, cfg_pt)
-            batch = uplink.simulate_uplink_rx(
-                block, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM),
-                n_symbols=spec.payload_symbols_per_block,
-            )
-            for method in spec.methods:
-                t0 = time.perf_counter()
-                chain = Chain.for_config(cfg_pt)
-                try:
-                    aug = _augmented_channels(
-                        method, block, est, zpsi, cfg_pt, chain, diagnostics
-                    )
-                    xhat = _detect(spec.detector, batch, aug, cfg_pt, chain)
-                except NumericalFailure as exc:
-                    diagnostics.numerical_failures += 1
-                    diagnostics.failures.append((method, snr_db, b, str(exc)))
-                    continue
-                finally:
-                    elapsed[method] += time.perf_counter() - t0
-                errors[method] += int(
-                    uplink.count_bit_errors(xhat[: cfg.K], batch.x).sum()
+    for b in range(cfg.trials):
+        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
+        block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
+        zpsi = pilot_phase.compute_projected_residual(
+            pilot_phase.pilot_interference(block), pilots
+        )
+        ghats = {}
+        for method in spec.methods:
+            t0 = time.perf_counter()
+            chain = Chain.for_config(cfg)
+            try:
+                ghats[method] = _interferer_channels(
+                    method, block, zpsi, cfg, chain, diagnostics
                 )
-                bits[method] += 2 * cfg.K * batch.x.shape[1]
+            except NumericalFailure as exc:
+                ghats[method] = exc
+            else:
                 link_load = (
                     chain.log.per_link_symbols("oos_forward")
                     if "oos_forward" in chain.log.phases()
@@ -245,22 +258,58 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
                     raise fronthaul.ChainError(
                         f"per-link load changed between blocks for {method}"
                     )
+            finally:
+                estimate_s[method] += time.perf_counter() - t0
 
+        for snr_db, cfg_pt, tally, failures in zip(
+            spec.snr_grid_db, points, tallies, point_failures
+        ):
+            obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg_pt)
+            est = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
+            batch = uplink.simulate_uplink_rx(
+                block, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM),
+                n_symbols=spec.payload_symbols_per_block,
+            )
+            for method in spec.methods:
+                ghat = ghats[method]
+                if isinstance(ghat, NumericalFailure):
+                    diagnostics.numerical_failures += 1
+                    failures.append((method, snr_db, b, str(ghat)))
+                    continue
+                t0 = time.perf_counter()
+                try:
+                    aug = _augmented_channels(method, block, est, ghat)
+                    xhat = _detect(spec.detector, batch, aug, cfg_pt, Chain.for_config(cfg))
+                except NumericalFailure as exc:
+                    diagnostics.numerical_failures += 1
+                    failures.append((method, snr_db, b, str(exc)))
+                    continue
+                finally:
+                    tally[method].detect_s += time.perf_counter() - t0
+                tally[method].errors += int(
+                    uplink.count_bit_errors(xhat[: cfg.K], batch.x).sum()
+                )
+                tally[method].bits += 2 * cfg.K * batch.x.shape[1]
+
+    rows: list[ResultRow] = []
+    for snr_db, tally, failures in zip(spec.snr_grid_db, tallies, point_failures):
+        diagnostics.failures.extend(failures)
         for method in spec.methods:
-            if bits[method] == 0:
+            t = tally[method]
+            if t.bits == 0:
                 diagnostics.failures.append((method, snr_db, -1, "no surviving blocks"))
                 continue
-            lo, hi = uplink.wilson_interval(errors[method], bits[method])
+            lo, hi = uplink.wilson_interval(t.errors, t.bits)
             rows.append(
                 ResultRow(
                     method=method,
                     snr_db=snr_db,
-                    ber=errors[method] / bits[method],
-                    bit_count=bits[method],
+                    ber=t.errors / t.bits,
+                    bit_count=t.bits,
                     ci_low=lo,
                     ci_high=hi,
                     fronthaul_per_link_real_symbols=per_link[method] or 0,
-                    wall_time_s=elapsed[method],
+                    wall_time_s=t.detect_s + estimate_s[method] / len(points),
                     seed=cfg.seed,
                 )
             )

@@ -21,6 +21,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import NumericalFailure
+
 CPU = 0  # node id of the central processor in link records
 
 
@@ -167,7 +169,9 @@ def chain_pass(order, fold, init=None, phase: str = "chain", log: LoadReport | N
     `fold(ap, msg)` receives the incoming message (None at the first AP
     when init is None) and returns the FronthaulMessage forwarded on the
     outgoing link. Every inter-node message is recorded. Returns
-    (final message, list of LinkRecords).
+    (final message, list of LinkRecords). A NumericalFailure raised by a
+    fold propagates with its class and the hop added to its message; any
+    other exception becomes a ChainError naming the hop.
     """
     order = tuple(order)
     if len(set(order)) != len(order) or not order:
@@ -175,12 +179,16 @@ def chain_pass(order, fold, init=None, phase: str = "chain", log: LoadReport | N
     msg = init
     records = []
     for i, ap in enumerate(order):
+        hop = f"AP {ap} (hop {i + 1}/{len(order)})"
         try:
             msg = fold(ap, msg)
         except ChainError:
             raise
+        except NumericalFailure as exc:
+            # keep the class, so callers still count the block as a failure
+            raise type(exc)(f"{exc} (fold at {hop})") from exc
         except Exception as exc:
-            raise ChainError(f"fold failed at AP {ap} (hop {i + 1}/{len(order)})") from exc
+            raise ChainError(f"fold failed at {hop}") from exc
         if not isinstance(msg, FronthaulMessage):
             raise ChainError(f"fold at AP {ap} returned {type(msg).__name__}, not a message")
         receiver = order[i + 1] if i + 1 < len(order) else CPU
@@ -268,7 +276,7 @@ def load_report(method: str, cfg, detector: str = "distributed_zf") -> LoadRepor
     pilots = scenario.build_pilot_book(cfg)
     obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
     est = pilot_phase.ls_channel_estimate(obs, pilots, cfg)
-    zpsi = pilot_phase.compute_projected_residual(obs, est, pilots, cfg)
+    zpsi = pilot_phase.compute_projected_residual(obs, pilots)
 
     chain = Chain.for_config(cfg)
     if cfg.K_I > 0 and method == "seq_procrustes":

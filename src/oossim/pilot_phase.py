@@ -18,6 +18,14 @@ def _pilot_scale(cfg: SystemConfig) -> float:
     return float(np.sqrt(cfg.rho * cfg.tau_p))
 
 
+def pilot_interference(block: BlockRealization) -> np.ndarray:
+    """What each AP receives during the pilot phase besides its users'
+    pilots: G_l S^H + N_l, shape (L, N, tau_p). Independent of rho."""
+    if block.G.shape[2]:
+        return block.G @ herm(block.S) + block.pilot_noise
+    return block.pilot_noise
+
+
 def simulate_pilot_rx(block: BlockRealization, pilots: PilotBook, cfg: SystemConfig) -> np.ndarray:
     """Received pilot matrix per AP: scaled pilots + interference + noise.
 
@@ -29,10 +37,7 @@ def simulate_pilot_rx(block: BlockRealization, pilots: PilotBook, cfg: SystemCon
         raise ValueError("pilot book / block dimensions are inconsistent")
     if block.pilot_noise.shape != (L, N, cfg.tau_p):
         raise ValueError("pilot noise has wrong shape")
-    Y = _pilot_scale(cfg) * (block.H @ herm(pilots.Phi))
-    if block.G.shape[2]:
-        Y = Y + block.G @ herm(block.S)
-    return Y + block.pilot_noise
+    return _pilot_scale(cfg) * (block.H @ herm(pilots.Phi)) + pilot_interference(block)
 
 
 def ls_channel_estimate(obs: np.ndarray, pilots: PilotBook, cfg: SystemConfig) -> np.ndarray:
@@ -40,11 +45,10 @@ def ls_channel_estimate(obs: np.ndarray, pilots: PilotBook, cfg: SystemConfig) -
     return (obs @ pilots.Phi) / _pilot_scale(cfg)
 
 
-def compute_projected_residual(
-    obs: np.ndarray, est: np.ndarray, pilots: PilotBook, cfg: SystemConfig
-) -> np.ndarray:
-    """Residual after removing the estimated pilot contribution, expressed
-    in the complement basis: (Y_l - scale * Hhat_l Phi^H) Psi, shape
-    (L, N, tau_p - K). Algebraically equal to (G_l S^H + N_l) Psi.
+def compute_projected_residual(obs: np.ndarray, pilots: PilotBook) -> np.ndarray:
+    """Received pilot-phase matrix expressed in the pilots' complement basis:
+    obs @ Psi, shape (L, N, tau_p - K). Because Phi^H Psi = 0 the users'
+    pilots drop out, so for Y it equals (G_l S^H + N_l) Psi, the residual
+    that remains after removing the LS-estimated pilot contribution.
     """
-    return (obs - _pilot_scale(cfg) * (est @ herm(pilots.Phi))) @ pilots.Psi
+    return obs @ pilots.Psi

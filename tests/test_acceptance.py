@@ -54,7 +54,7 @@ def pipeline(cfg, seed, noiseless=False):
     pilots = build_pilot_book(cfg)
     obs = simulate_pilot_rx(block, pilots, cfg)
     est = ls_channel_estimate(obs, pilots, cfg)
-    zpsi = compute_projected_residual(obs, est, pilots, cfg)
+    zpsi = compute_projected_residual(obs, pilots)
     return block, pilots, est, zpsi
 
 

@@ -119,7 +119,7 @@ class TestSimulateDownlink:
             block = draw_block(cfg, unit_geometry(cfg), np.random.default_rng(seed))
             obs = simulate_pilot_rx(block, pilots, cfg)
             est = ls_channel_estimate(obs, pilots, cfg)
-            zpsi = compute_projected_residual(obs, est, pilots, cfg)
+            zpsi = compute_projected_residual(obs, pilots)
             from oossim.oos_estimation import centralized_oos_oracle
 
             _, ghat = centralized_oos_oracle(zpsi, cfg.K_I)

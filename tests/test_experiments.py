@@ -1,11 +1,13 @@
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_cfg
+from oossim import experiments, oos_estimation
 from oossim.cli import apply_overrides, main
 from oossim.experiments import (
     CSV_COLUMNS,
@@ -17,6 +19,7 @@ from oossim.experiments import (
     rows_to_csv,
     run_monte_carlo,
 )
+from oossim.numerics import NumericalFailure
 from oossim.scenario import SystemConfig
 
 
@@ -25,6 +28,30 @@ def tiny_spec(**cfg_over):
     return ExperimentSpec(
         cfg=cfg, snr_grid_db=(0.0,), payload_symbols_per_block=10
     )
+
+
+def fail_first_procrustes_fold(monkeypatch):
+    """Make the sweep's first rotate-and-average step (block 0) fail."""
+    original = oos_estimation.rotate_and_average_step
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericalFailure("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oos_estimation, "rotate_and_average_step", flaky)
+
+
+def count_calls(monkeypatch, module, name, calls: Counter):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 class TestSpec:
@@ -112,7 +139,7 @@ class TestRunMonteCarlo:
             block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
             obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
             est = pilot_phase.ls_channel_estimate(obs, pilots, cfg)
-            zpsi = pilot_phase.compute_projected_residual(obs, est, pilots, cfg)
+            zpsi = pilot_phase.compute_projected_residual(obs, pilots)
             batch = uplink.simulate_uplink_rx(
                 block, cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM), 10
             )
@@ -125,6 +152,40 @@ class TestRunMonteCarlo:
                 xhat = uplink.detect_centralized(batch, aug)
                 errs.append(uplink.count_bit_errors(xhat[: cfg.K], batch.x))
             assert np.array_equal(errs[0], errs[1])
+
+    def test_fold_failure_counted_once_per_snr_point(self, monkeypatch):
+        fail_first_procrustes_fold(monkeypatch)
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
+        out = run_monte_carlo(spec)
+        failures = out.diagnostics.failures
+        assert [f[:3] for f in failures] == [
+            ("seq_procrustes", -4.0, 0), ("seq_procrustes", 0.0, 0)
+        ]
+        assert all("injected" in f[3] and "AP" in f[3] for f in failures)
+        assert out.diagnostics.numerical_failures == 2
+        assert len(out.rows) == len(spec.methods) * 2
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row in out.rows:
+            survivors = spec.cfg.trials - (row.method == "seq_procrustes")
+            assert row.bit_count == survivors * per_block
+
+    def test_snr_invariant_work_runs_once_per_block(self, monkeypatch):
+        calls = Counter()
+        count_calls(monkeypatch, experiments, "build_geometry", calls)
+        count_calls(monkeypatch, oos_estimation, "run_gramian_method", calls)
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
+        run_monte_carlo(spec)
+        trials = spec.cfg.trials
+        assert calls == {"build_geometry": trials, "run_gramian_method": trials}
+
+    def test_rows_independent_of_the_rest_of_the_grid(self):
+        def zero_db_csv(grid):
+            rows = run_monte_carlo(replace(tiny_spec(), snr_grid_db=grid)).rows
+            return rows_to_csv([r for r in rows if r.snr_db == 0.0])
+
+        reference = zero_db_csv((0.0,))
+        assert zero_db_csv((-4.0, 0.0)) == reference
+        assert zero_db_csv((0.0, -4.0)) == reference
 
     def test_deterministic_csv(self):
         spec = tiny_spec()
@@ -221,6 +282,15 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "2025" in out and "180" in out
+
+    def test_strict_fails_on_fold_failure(self, tmp_path, monkeypatch):
+        fail_first_procrustes_fold(monkeypatch)
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(tiny_spec().to_dict()))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == 1
+        data = json.loads((tmp_path / "o" / "results.json").read_text())
+        assert data["diagnostics"]["numerical_failures"] == 1
 
     def test_apply_overrides_rejects_garbage(self):
         with pytest.raises(ValueError):

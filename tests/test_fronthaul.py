@@ -26,6 +26,7 @@ from oossim.fronthaul import (
     residual_gramian_message,
     sbar_message,
 )
+from oossim.numerics import DegeneracyError
 from oossim.scenario import SystemConfig
 
 
@@ -92,6 +93,15 @@ class TestChainPass:
             return scalar_message(1.0)
 
         with pytest.raises(ChainError, match="AP 3"):
+            chain_pass((1, 2, 3, 4), fold)
+
+    def test_numerical_failure_keeps_its_class(self):
+        def fold(ap, msg):
+            if ap == 3:
+                raise DegeneracyError("rank deficient")
+            return scalar_message(1.0)
+
+        with pytest.raises(DegeneracyError, match="rank deficient.*AP 3"):
             chain_pass((1, 2, 3, 4), fold)
 
     def test_duplicate_order_rejected(self):

@@ -19,7 +19,6 @@ from oossim.oos_estimation import (
 )
 from oossim.pilot_phase import (
     compute_projected_residual,
-    ls_channel_estimate,
     simulate_pilot_rx,
 )
 from oossim.scenario import build_pilot_book, draw_block
@@ -40,8 +39,7 @@ def noise_free_residuals(cfg, seed=0):
     block.pilot_noise[:] = 0
     pilots = build_pilot_book(cfg)
     obs = simulate_pilot_rx(block, pilots, cfg)
-    est = ls_channel_estimate(obs, pilots, cfg)
-    zpsi = compute_projected_residual(obs, est, pilots, cfg)
+    zpsi = compute_projected_residual(obs, pilots)
     sbar_true = herm(pilots.Psi) @ block.S
     return block, zpsi, sbar_true
 
@@ -188,8 +186,7 @@ class TestGramianMethod:
         block = draw_block(cfg, unit_geometry(cfg), np.random.default_rng(14))
         pilots = build_pilot_book(cfg)
         obs = simulate_pilot_rx(block, pilots, cfg)
-        est = ls_channel_estimate(obs, pilots, cfg)
-        zpsi = compute_projected_residual(obs, est, pilots, cfg)
+        zpsi = compute_projected_residual(obs, pilots)
         chain = Chain.for_config(cfg)
         sbar = run_gramian_method(zpsi, cfg, chain)
         local, _ = local_svd_estimate(zpsi[0], cfg.K_I)
@@ -260,8 +257,7 @@ class TestCentralizedOracle:
         block = draw_block(cfg, unit_geometry(cfg), np.random.default_rng(seed))
         pilots = build_pilot_book(cfg)
         obs = simulate_pilot_rx(block, pilots, cfg)
-        est = ls_channel_estimate(obs, pilots, cfg)
-        zpsi = compute_projected_residual(obs, est, pilots, cfg)
+        zpsi = compute_projected_residual(obs, pilots)
         chain = Chain.for_config(cfg)
         sbar_g = run_gramian_method(zpsi, cfg, chain)
         sbar_c, _ = centralized_oos_oracle(zpsi, cfg.K_I)

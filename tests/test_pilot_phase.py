@@ -94,8 +94,7 @@ class TestProjectedResidual:
     def run_pipeline(self, cfg, block):
         pilots = build_pilot_book(cfg)
         obs = simulate_pilot_rx(block, pilots, cfg)
-        est = ls_channel_estimate(obs, pilots, cfg)
-        return pilots, obs, compute_projected_residual(obs, est, pilots, cfg)
+        return pilots, obs, compute_projected_residual(obs, pilots)
 
     def test_noise_free_equals_projected_interference(self):
         cfg = make_cfg()
