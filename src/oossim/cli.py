@@ -6,11 +6,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .experiments import (
     DETECTORS,
     ExperimentSpec,
+    config_from_dict,
     default_spec,
     emit_report,
     load_table,
@@ -25,13 +25,7 @@ def _parse_value(text: str):
         return text
 
 
-def apply_overrides(spec: ExperimentSpec, overrides) -> ExperimentSpec:
-    """Apply `key=value` overrides; `cfg.` prefixes reach the system config.
-
-    Values are JSON-parsed when possible, e.g. --override cfg.K_I=3 or
-    --override methods='["seq_gramian","centralized_genie"]'.
-    """
-    spec_dict = spec.to_dict()
+def _override(spec_dict: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
@@ -39,33 +33,46 @@ def apply_overrides(spec: ExperimentSpec, overrides) -> ExperimentSpec:
         value = _parse_value(raw)
         key = key.strip()
         if key.startswith("cfg."):
-            spec_dict["cfg"][key[4:]] = value
+            spec_dict.setdefault("cfg", {})[key[4:]] = value
         else:
             spec_dict[key] = value
-    return ExperimentSpec.from_dict(spec_dict)
+    return spec_dict
 
 
-def _build_spec(args) -> ExperimentSpec:
+def apply_overrides(spec: ExperimentSpec, overrides) -> ExperimentSpec:
+    """Apply `key=value` overrides; `cfg.` prefixes reach the system config.
+
+    Values are JSON-parsed when possible, e.g. --override cfg.K_I=3 or
+    --override methods='["seq_gramian","centralized_genie"]'.
+    """
+    return ExperimentSpec.from_dict(_override(spec.to_dict(), overrides))
+
+
+def _spec_dict(args) -> dict:
+    """The spec as plain data: the config file (or the default spec), then
+    --override, --seed, --trials and --out on top."""
     if args.config:
         with open(args.config) as fh:
-            spec = ExperimentSpec.from_dict(json.load(fh))
+            spec_dict = json.load(fh)
     else:
-        spec = default_spec()
-    spec = apply_overrides(spec, args.override)
-    cfg_changes = {}
+        spec_dict = default_spec().to_dict()
+    spec_dict = _override(spec_dict, args.override)
+    cfg = spec_dict.setdefault("cfg", {})
     if args.seed is not None:
-        cfg_changes["seed"] = args.seed
+        cfg["seed"] = args.seed
     if args.trials is not None:
-        cfg_changes["trials"] = args.trials
-    if cfg_changes:
-        spec = replace(spec, cfg=replace(spec.cfg, **cfg_changes))
+        cfg["trials"] = args.trials
     if getattr(args, "out", None):
-        spec = replace(spec, out_dir=args.out)
-    return spec
+        spec_dict["out_dir"] = args.out
+    return spec_dict
 
 
 def _cmd_run(args) -> int:
-    spec = _build_spec(args)
+    try:
+        spec = ExperimentSpec.from_dict(_spec_dict(args))
+    except ValueError as exc:
+        print(f"oossim run: {exc}", file=sys.stderr)
+        return 2
     outcome = run_monte_carlo(spec)
     csv_path, json_path = emit_report(
         outcome.rows, spec, diagnostics=outcome.diagnostics
@@ -90,10 +97,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _build_spec(args)
-    table = load_table(spec.cfg, detector=args.detector)
+    # only the system config matters here, so the spec's methods are not
+    # checked against it: a method undefined under it is listed as such
+    try:
+        cfg = config_from_dict(_spec_dict(args)["cfg"])
+    except ValueError as exc:
+        print(f"oossim report: {exc}", file=sys.stderr)
+        return 2
+    table = load_table(cfg, detector=args.detector)
     print(f"{'method':<20}{'phase':<20}{'real symbols per link':>24}")
     for method, phases in table.items():
+        if phases is None:
+            print(f"{method:<20}{'(undefined for this config)':<20}")
+            continue
         if not phases:
             print(f"{method:<20}{'(no chain traffic)':<20}")
         for phase, load in phases.items():

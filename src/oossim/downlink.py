@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DegeneracyError, herm
+from .numerics import check_invertible, herm
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -24,15 +24,9 @@ class DownlinkResult:
     per_ap_tx_power: np.ndarray  # (L,), mean radiated power per symbol
 
 
-def _check_invertible(gamma: np.ndarray):
-    w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
-    if w[-1] <= 0 or w[0] <= 1e-10 * w[-1]:
-        raise DegeneracyError("channel Gramian is numerically singular")
-
-
 def build_local_precoders(aug: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Per-AP precoders W_l = A_l Gamma^{-1}; stacked they satisfy A^H W = I."""
-    _check_invertible(gamma)
+    check_invertible(gamma)
     return herm(np.linalg.solve(gamma, herm(aug)))
 
 
@@ -43,7 +37,7 @@ def compute_partial_precoded(x_dl: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     broadcast to every AP (2(K+K_I) real symbols per link per symbol
     period) since it does not depend on the AP index.
     """
-    _check_invertible(gamma)
+    check_invertible(gamma)
     x_dl = np.asarray(x_dl, dtype=complex)
     single = x_dl.ndim == 1
     if single:

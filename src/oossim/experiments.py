@@ -7,6 +7,12 @@ comparisons; the payload is redrawn per SNR point from the same block
 stream, so its symbols and noise are shared too. Blocks are drawn from
 per-index RNG streams, which makes every result a pure function of
 (spec, seed) regardless of execution order or of the rest of the grid.
+
+The sweep runs CHUNK_BLOCKS consecutive blocks at a time: each block is
+drawn alone, the draws are stacked along a leading block axis, and every
+stage (estimation, chain pass, detection) runs once per chunk on the
+stack. The batched kernels treat each block as they would alone, so the
+results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,10 +32,12 @@ from .scenario import (
     CHANNEL_STREAM,
     GEOMETRY_STREAM,
     PAYLOAD_STREAM,
+    BlockRealization,
     SystemConfig,
     block_rng,
     build_geometry,
     build_pilot_book,
+    default_ap_order,
     draw_block,
 )
 
@@ -41,6 +49,10 @@ METHODS = (
     "centralized_genie",
 )
 DETECTORS = ("sequential_ls", "distributed_zf", "centralized_zf")
+
+# Blocks stacked into one call of every stage. Larger chunks cut more
+# per-call overhead but hold more blocks in memory at once.
+CHUNK_BLOCKS = 4
 
 CSV_COLUMNS = (
     "method",
@@ -71,6 +83,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
+        for method in self.methods:
+            reason = undefined_reason(method, self.cfg)
+            if reason:
+                raise ValueError(reason)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
         max_payload = self.cfg.tau_c - self.cfg.tau_p
@@ -84,8 +100,11 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
+        """Plain-data form. A default AP order is written as [] so that a
+        changed L derives its own default when the dict is read back."""
         d = asdict(self)
-        d["cfg"]["ap_order"] = list(self.cfg.ap_order)
+        order = self.cfg.ap_order
+        d["cfg"]["ap_order"] = [] if order == default_ap_order(self.cfg.L) else list(order)
         d["snr_grid_db"] = list(self.snr_grid_db)
         d["methods"] = list(self.methods)
         return d
@@ -93,15 +112,30 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
-        cfg_dict = dict(d.pop("cfg", {}))
-        if "ap_order" in cfg_dict and cfg_dict["ap_order"]:
-            cfg_dict["ap_order"] = tuple(cfg_dict["ap_order"])
+        cfg = config_from_dict(d.pop("cfg", {}))
         spec = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
         if "snr_grid_db" in spec:
             spec["snr_grid_db"] = tuple(spec["snr_grid_db"])
         if "methods" in spec:
             spec["methods"] = tuple(spec["methods"])
-        return cls(cfg=SystemConfig(**cfg_dict), **spec)
+        return cls(cfg=cfg, **spec)
+
+
+def config_from_dict(cfg_dict: dict) -> SystemConfig:
+    """SystemConfig from the "cfg" entry of ExperimentSpec.to_dict()."""
+    cfg_dict = dict(cfg_dict)
+    cfg_dict["ap_order"] = tuple(cfg_dict.get("ap_order") or ())
+    return SystemConfig(**cfg_dict)
+
+
+def undefined_reason(method: str, cfg: SystemConfig) -> str | None:
+    """Why `method` has no estimator under `cfg`, or None if it has one."""
+    if method == "local_processing" and cfg.K_I > cfg.N:
+        return (
+            f"local_processing needs K_I <= N (a local residual has at most N "
+            f"directions); got K_I={cfg.K_I}, N={cfg.N}"
+        )
+    return None
 
 
 def default_spec(**overrides) -> ExperimentSpec:
@@ -130,9 +164,11 @@ class ResultRow:
     """One (method, SNR point) of the sweep.
 
     `wall_time_s` is the method's detection time at this SNR point plus
-    its share of the per-block interferer estimation, which runs once per
-    block for all SNR points: the estimation time divided by the number
-    of points. Summed over a method's rows it is the method's total time.
+    its share of the interferer estimation, which runs once per block for
+    all SNR points: the estimation time divided by the number of points.
+    Both are timed per chunk of blocks, so each block is charged an equal
+    share of its chunk's time. Summed over a method's rows it is the
+    method's total time.
     """
 
     method: str
@@ -168,9 +204,7 @@ def _interferer_channels(method, block, zpsi, cfg, chain, diagnostics):
     if method == "no_suppression" or cfg.K_I == 0:
         return None
     if method == "local_processing":
-        return np.stack(
-            [oos_estimation.local_svd_estimate(zpsi[i], cfg.K_I)[1] for i in range(cfg.L)]
-        )
+        return oos_estimation.local_svd_estimate(zpsi, cfg.K_I)[1]
     diag = oos_estimation.ChainDiagnostics()
     if method == "seq_procrustes":
         sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, diag)
@@ -186,7 +220,7 @@ def _augmented_channels(method, block, est, ghat):
     """Per-AP augmented matrices [UE channels, interferer channels]: the
     genie knows the true UE channels, every other method uses `est`."""
     ue = block.H if method == "centralized_genie" else est
-    return ue if ghat is None else np.concatenate([ue, ghat], axis=2)
+    return ue if ghat is None else np.concatenate([ue, ghat], axis=-1)
 
 
 def _detect(detector, batch, aug, cfg, chain):
@@ -200,6 +234,64 @@ def _detect(detector, batch, aug, cfg, chain):
     raise ValueError(f"unknown detector {detector!r}")
 
 
+def _select(stack, blocks):
+    """The blocks `blocks` (an index or a slice of the leading axis) of a
+    record whose arrays are stacked by block, as views."""
+    return type(stack)(**{f.name: getattr(stack, f.name)[blocks] for f in fields(stack)})
+
+
+def _draw_chunk(cfg: SystemConfig, blocks: range) -> BlockRealization:
+    """Draw each block from its own streams, then stack the draws."""
+    drawn = []
+    for b in blocks:
+        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
+        drawn.append(draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM)))
+    return BlockRealization(
+        **{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(BlockRealization)}
+    )
+
+
+def _draw_payload(cfg, chunk, blocks: range, n_symbols: int) -> uplink.UplinkSymbolBatch:
+    """Each block's payload at cfg's uplink power, drawn from the block's
+    own stream and written into one preallocated stack."""
+    stack = uplink.UplinkSymbolBatch(
+        x=np.empty((len(blocks), cfg.K, n_symbols), dtype=complex),
+        s=np.empty((len(blocks), cfg.K_I, n_symbols), dtype=complex),
+        y=np.empty((len(blocks), cfg.L, cfg.N, n_symbols), dtype=complex),
+    )
+    for i, b in enumerate(blocks):
+        one = uplink.simulate_uplink_rx(
+            _select(chunk, i), cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM), n_symbols=n_symbols
+        )
+        stack.x[i], stack.s[i], stack.y[i] = one.x, one.s, one.y
+    return stack
+
+
+def _run_stage(stage, span: slice, diagnostics: RunDiagnostics):
+    """Run `stage(span, counts)` once for the chunk positions in `span`.
+
+    If that raises a NumericalFailure, the stage reruns on each block of
+    the span alone, so a failure is charged to the block that caused it.
+    Returns [(span, result or NumericalFailure)] covering `span` in
+    order. The stage adds its diagnostic counts to `counts`; they reach
+    `diagnostics` unless the call failed on more than one block, in
+    which case the reruns count again.
+    """
+    counts = RunDiagnostics()
+    try:
+        result = stage(span, counts)
+    except NumericalFailure as exc:
+        if span.stop - span.start > 1:
+            return [
+                part
+                for i in range(span.start, span.stop)
+                for part in _run_stage(stage, slice(i, i + 1), diagnostics)
+            ]
+        result = exc
+    diagnostics.degenerate_rotations += counts.degenerate_rotations
+    return [(span, result)]
+
+
 @dataclass
 class _PointTally:
     """Running totals of one (SNR point, method) cell of the sweep."""
@@ -209,90 +301,106 @@ class _PointTally:
     detect_s: float = 0.0
 
 
+class _Sweep:
+    """What a sweep accumulates over its chunks."""
+
+    def __init__(self, spec: ExperimentSpec):
+        self.spec = spec
+        self.tallies = [{m: _PointTally() for m in spec.methods} for _ in spec.snr_grid_db]
+        self.failures = [[] for _ in spec.snr_grid_db]  # per point, in (block, method) order
+        self.estimate_s = {m: 0.0 for m in spec.methods}
+        self.per_link: dict[str, int | None] = {m: None for m in spec.methods}
+        self.diagnostics = RunDiagnostics()
+
+    def record_link_load(self, method: str, chain: Chain):
+        link_load = chain.log.per_link_symbols("oos_forward")
+        if self.per_link[method] is None:
+            self.per_link[method] = link_load
+        elif link_load != self.per_link[method]:
+            raise fronthaul.ChainError(f"per-link load changed between blocks for {method}")
+
+
+def _run_chunk(sweep: _Sweep, pilots, points, blocks: range):
+    """Run every stage of the sweep once on the stacked blocks `blocks`."""
+    spec, cfg = sweep.spec, sweep.spec.cfg
+    chunk = _draw_chunk(cfg, blocks)
+    interference = pilot_phase.pilot_interference(chunk)
+    zpsi = pilot_phase.compute_projected_residual(interference, pilots)
+
+    estimates = {}
+    for method in spec.methods:
+
+        def estimate(s, counts):
+            chain = Chain.for_config(cfg)
+            ghat = _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, chain, counts)
+            sweep.record_link_load(method, chain)
+            return ghat
+
+        t0 = time.perf_counter()
+        estimates[method] = _run_stage(estimate, slice(0, len(blocks)), sweep.diagnostics)
+        sweep.estimate_s[method] += time.perf_counter() - t0
+
+    for snr_db, cfg_pt, tally, failures in zip(
+        spec.snr_grid_db, points, sweep.tallies, sweep.failures
+    ):
+        obs = pilot_phase.simulate_pilot_rx(chunk, pilots, cfg_pt, interference)
+        est = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
+        batch = _draw_payload(cfg_pt, chunk, blocks, spec.payload_symbols_per_block)
+        failed = []  # (block, method index, method, exception)
+        for m, method in enumerate(spec.methods):
+            for span, ghat in estimates[method]:
+                if isinstance(ghat, NumericalFailure):
+                    failed += [(blocks[i], m, method, ghat) for i in range(span.start, span.stop)]
+                    continue
+
+                def detect(s, counts):
+                    own = None if ghat is None else ghat[s.start - span.start : s.stop - span.start]
+                    aug = _augmented_channels(method, _select(chunk, s), est[s], own)
+                    chain = Chain.for_config(cfg)
+                    return _detect(spec.detector, _select(batch, s), aug, cfg_pt, chain)
+
+                t0 = time.perf_counter()
+                detected = _run_stage(detect, span, sweep.diagnostics)
+                tally[method].detect_s += time.perf_counter() - t0
+                for s, xhat in detected:
+                    if isinstance(xhat, NumericalFailure):
+                        failed.append((blocks[s.start], m, method, xhat))
+                        continue
+                    tally[method].errors += int(
+                        uplink.count_bit_errors(xhat[..., : cfg.K, :], batch.x[s]).sum()
+                    )
+                    tally[method].bits += 2 * batch.x[s].size  # 2 bits per QPSK symbol
+        for b, _, method, exc in sorted(failed, key=lambda f: f[:2]):
+            sweep.diagnostics.numerical_failures += 1
+            failures.append((method, snr_db, b, str(exc)))
+
+
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     """Run the full sweep; returns one row per (method, SNR point).
 
-    Blocks are the outer loop. Per block, once for all SNR points: the
-    geometry and channel draw, the projected residual (which does not
-    depend on rho), and each method's interferer-channel estimate with
-    its OoS chain pass. Per SNR point: the pilot LS estimate, one payload
-    draw shared by all methods, and each method's detection. A method
-    that fails numerically on a block is excluded there and counted once
-    per SNR point; rows and failures come out in (SNR, block, method)
-    order.
+    Blocks run in chunks of CHUNK_BLOCKS; every stage runs once per chunk
+    on the blocks stacked along a leading axis, and only one chunk is held
+    at a time. Per chunk, once for all SNR points: each block's geometry
+    and channel draw (from the block's own streams), the projected
+    residual (which does not depend on rho), and each method's
+    interferer-channel estimate with its OoS chain pass. Per SNR point:
+    the pilot LS estimate, each block's payload draw shared by all
+    methods, and each method's detection. A stage that fails numerically
+    on the chunk reruns block by block; a method that fails on a block is
+    excluded there and counted once per SNR point. Rows and failures come
+    out in (SNR, block, method) order, and a chunk's time is split evenly
+    across its blocks (see ResultRow).
     """
     cfg = spec.cfg
     pilots = build_pilot_book(cfg)
-    diagnostics = RunDiagnostics()
     points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
-    tallies = [{m: _PointTally() for m in spec.methods} for _ in points]
-    point_failures: list[list] = [[] for _ in points]
-    estimate_s = {m: 0.0 for m in spec.methods}
-    per_link: dict[str, int | None] = {m: None for m in spec.methods}
+    sweep = _Sweep(spec)
+    for start in range(0, cfg.trials, CHUNK_BLOCKS):
+        _run_chunk(sweep, pilots, points, range(start, min(start + CHUNK_BLOCKS, cfg.trials)))
 
-    for b in range(cfg.trials):
-        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-        block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
-        zpsi = pilot_phase.compute_projected_residual(
-            pilot_phase.pilot_interference(block), pilots
-        )
-        ghats = {}
-        for method in spec.methods:
-            t0 = time.perf_counter()
-            chain = Chain.for_config(cfg)
-            try:
-                ghats[method] = _interferer_channels(
-                    method, block, zpsi, cfg, chain, diagnostics
-                )
-            except NumericalFailure as exc:
-                ghats[method] = exc
-            else:
-                link_load = (
-                    chain.log.per_link_symbols("oos_forward")
-                    if "oos_forward" in chain.log.phases()
-                    else 0
-                )
-                if per_link[method] is None:
-                    per_link[method] = link_load
-                elif link_load != per_link[method]:
-                    raise fronthaul.ChainError(
-                        f"per-link load changed between blocks for {method}"
-                    )
-            finally:
-                estimate_s[method] += time.perf_counter() - t0
-
-        for snr_db, cfg_pt, tally, failures in zip(
-            spec.snr_grid_db, points, tallies, point_failures
-        ):
-            obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg_pt)
-            est = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
-            batch = uplink.simulate_uplink_rx(
-                block, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM),
-                n_symbols=spec.payload_symbols_per_block,
-            )
-            for method in spec.methods:
-                ghat = ghats[method]
-                if isinstance(ghat, NumericalFailure):
-                    diagnostics.numerical_failures += 1
-                    failures.append((method, snr_db, b, str(ghat)))
-                    continue
-                t0 = time.perf_counter()
-                try:
-                    aug = _augmented_channels(method, block, est, ghat)
-                    xhat = _detect(spec.detector, batch, aug, cfg_pt, Chain.for_config(cfg))
-                except NumericalFailure as exc:
-                    diagnostics.numerical_failures += 1
-                    failures.append((method, snr_db, b, str(exc)))
-                    continue
-                finally:
-                    tally[method].detect_s += time.perf_counter() - t0
-                tally[method].errors += int(
-                    uplink.count_bit_errors(xhat[: cfg.K], batch.x).sum()
-                )
-                tally[method].bits += 2 * cfg.K * batch.x.shape[1]
-
+    diagnostics = sweep.diagnostics
     rows: list[ResultRow] = []
-    for snr_db, tally, failures in zip(spec.snr_grid_db, tallies, point_failures):
+    for snr_db, tally, failures in zip(spec.snr_grid_db, sweep.tallies, sweep.failures):
         diagnostics.failures.extend(failures)
         for method in spec.methods:
             t = tally[method]
@@ -308,8 +416,8 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
                     bit_count=t.bits,
                     ci_low=lo,
                     ci_high=hi,
-                    fronthaul_per_link_real_symbols=per_link[method] or 0,
-                    wall_time_s=t.detect_s + estimate_s[method] / len(points),
+                    fronthaul_per_link_real_symbols=sweep.per_link[method] or 0,
+                    wall_time_s=t.detect_s + sweep.estimate_s[method] / len(points),
                     seed=cfg.seed,
                 )
             )
@@ -365,9 +473,13 @@ def emit_report(rows: list[ResultRow], spec: ExperimentSpec, out_dir=None, diagn
 
 
 def load_table(cfg: SystemConfig, detector: str = "distributed_zf", methods=METHODS):
-    """Measured per-link loads by (method, phase); formula-checked."""
+    """Measured per-link loads by (method, phase); formula-checked. A
+    method that is undefined under `cfg` maps to None."""
     table = {}
     for method in methods:
+        if undefined_reason(method, cfg):
+            table[method] = None
+            continue
         report = fronthaul.load_report(method, cfg, detector)
         table[method] = {p: report.per_link_symbols(p) for p in report.phases()}
     return table

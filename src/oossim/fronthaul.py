@@ -8,7 +8,9 @@ the complex upper triangle).
 
 Payload-phase messages (combined uplink vectors, detector states, the
 partially precoded downlink vector) are recorded per symbol period;
-pilot-phase messages are per coherence block.
+pilot-phase messages are per coherence block. A payload may stack several
+blocks along leading axes; its size is read from the trailing axes, so a
+message is still counted per block.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class FronthaulMessage:
 
 def sbar_message(S: np.ndarray) -> FronthaulMessage:
     """Projected-signal estimate: general complex matrix, 2 reals per entry."""
-    return FronthaulMessage(MessageKind.SBAR_ESTIMATE, S, 2 * S.size)
+    rows, cols = S.shape[-2:]
+    return FronthaulMessage(MessageKind.SBAR_ESTIMATE, S, 2 * rows * cols)
 
 
 def residual_gramian_message(M: np.ndarray) -> FronthaulMessage:
@@ -61,7 +64,7 @@ def channel_gramian_message(M: np.ndarray) -> FronthaulMessage:
 
 
 def _hermitian_message(kind: MessageKind, M: np.ndarray) -> FronthaulMessage:
-    n, m = M.shape
+    n, m = M.shape[-2:]
     if n != m:
         raise ValueError("Hermitian payload must be square")
     return FronthaulMessage(kind, M, n * n)
@@ -69,12 +72,12 @@ def _hermitian_message(kind: MessageKind, M: np.ndarray) -> FronthaulMessage:
 
 def combined_uplink_message(ybar: np.ndarray) -> FronthaulMessage:
     """Combined received vector; counted per symbol period (rows, not batch)."""
-    return FronthaulMessage(MessageKind.COMBINED_UPLINK, ybar, 2 * ybar.shape[0])
+    return FronthaulMessage(MessageKind.COMBINED_UPLINK, ybar, 2 * ybar.shape[-2])
 
 
 def detector_state_message(xhat: np.ndarray, C: np.ndarray) -> FronthaulMessage:
     """Estimate plus error covariance; per symbol period: 2m + m^2 reals."""
-    m = C.shape[0]
+    m = C.shape[-1]
     return FronthaulMessage(MessageKind.DETECTOR_STATE, (xhat, C), 2 * m + m * m)
 
 
@@ -286,13 +289,12 @@ def load_report(method: str, cfg, detector: str = "distributed_zf") -> LoadRepor
     else:
         sbar = None
 
-    if method == "no_suppression":
+    if method == "no_suppression" or (method == "local_processing" and cfg.K_I == 0):
         aug = est
     elif method == "centralized_genie":
         aug = np.concatenate([block.H, block.G], axis=2)
     elif method == "local_processing":
-        locals_ = [oos_estimation.local_svd_estimate(zpsi[i], cfg.K_I)[1] for i in range(cfg.L)]
-        aug = np.concatenate([est, np.stack(locals_)], axis=2) if cfg.K_I else est
+        aug = np.concatenate([est, oos_estimation.local_svd_estimate(zpsi, cfg.K_I)[1]], axis=2)
     else:
         ghat = (
             oos_estimation.estimate_oos_channels(zpsi, sbar)

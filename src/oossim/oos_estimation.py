@@ -6,6 +6,10 @@ only up to a unitary rotation. The rotate-and-average pass resolves the
 ambiguity with a Procrustes alignment at each hop; the Gramian pass sums
 residual Gramians along the chain and lets the CPU eigendecompose the
 total, which reproduces the centralized solution exactly.
+
+Every function also takes residuals with a leading block axis,
+(B, L, N, tau_p - K), and then carries a stack of B chain states through
+one pass: each hop's fold runs once for all B blocks.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     Returns (Sbar_local, G_local): the top-K_I right singular vectors
     (orthonormal columns) and the top-K_I left singular vectors scaled by
     the singular values, so G_local @ Sbar_local^H is the optimal rank-K_I
-    approximation of zpsi_l.
+    approximation of zpsi_l. A stack of residuals (every AP of a block, or
+    of several blocks) is factorized in one call.
     """
-    n, r = zpsi_l.shape
+    n, r = zpsi_l.shape[-2:]
     if K_I < 1 or K_I > min(n, r):
         raise ValueError(f"K_I={K_I} must be in 1..min{(n, r)}")
     U, sigma, V = economy_svd(zpsi_l)
-    return V[:, :K_I], U[:, :K_I] * sigma[:K_I]
+    return V[..., :K_I], U[..., :K_I] * sigma[..., None, :K_I]
 
 
 def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
@@ -56,13 +61,13 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
     rotate-and-average method degrade in that regime, while the Gramian
     accumulation (whose rank grows with the AP count) does not.
     """
-    n, r = zpsi_l.shape
+    n, r = zpsi_l.shape[-2:]
     if K_I <= min(n, r):
         return local_svd_estimate(zpsi_l, K_I)[0]
     if K_I > r:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
     _, _, Vh = np.linalg.svd(zpsi_l, full_matrices=True)
-    return _fix_column_phases(Vh.conj().T[:, :K_I])
+    return _fix_column_phases(herm(Vh)[..., :K_I])
 
 
 def procrustes_rotation(
@@ -72,14 +77,16 @@ def procrustes_rotation(
 
     Q = V U^H from the SVD of S_local^H S_prev = U diag(s) V^H. When the
     cross-Gramian is rank deficient the minimizer is not unique; the SVD's
-    deterministic completion is used and the event counted.
+    deterministic completion is used and the event counted, once per
+    degenerate matrix of a stack.
     """
     if S_prev.shape != S_local.shape:
         raise ValueError("estimates must have matching shapes")
     U, sigma, V = economy_svd(herm(S_local) @ S_prev)
-    if diagnostics is not None and sigma.size:
-        if sigma[0] == 0.0 or sigma[-1] <= 1e-12 * sigma[0]:
-            diagnostics.degenerate_rotations += 1
+    if diagnostics is not None and sigma.shape[-1]:
+        top = sigma[..., 0]
+        degenerate = (top == 0.0) | (sigma[..., -1] <= 1e-12 * top)
+        diagnostics.degenerate_rotations += int(np.count_nonzero(degenerate))
     return V @ herm(U)
 
 
@@ -102,13 +109,15 @@ def run_sequential_procrustes(
     zpsi: (L, N, tau_p - K) projected residuals. The first AP in the visit
     order forwards its local SVD estimate; every later AP aligns its own
     local estimate to the incoming one and forwards the average. Returns
-    the (tau_p - K) x K_I estimate delivered to the CPU.
+    the (tau_p - K) x K_I estimate delivered to the CPU. The local
+    estimates of all APs are computed in one call before the pass.
     """
     if cfg.K_I == 0:
-        return np.zeros((cfg.tau_p - cfg.K, 0), dtype=complex)
+        return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
+    locals_ = _local_signal_basis(zpsi, cfg.K_I)
 
     def fold(ap, msg):
-        local = _local_signal_basis(zpsi[ap - 1], cfg.K_I)
+        local = locals_[..., ap - 1, :, :]
         if msg is None:
             return sbar_message(local)
         return sbar_message(rotate_and_average_step(msg.payload, local, diagnostics))
@@ -126,12 +135,12 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     estimate has orthonormal columns.
     """
     if cfg.K_I == 0:
-        return np.zeros((cfg.tau_p - cfg.K, 0), dtype=complex)
+        return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
     r = cfg.tau_p - cfg.K
 
     def fold(ap, msg):
         acc = np.zeros((r, r), dtype=complex) if msg is None else msg.payload
-        z = zpsi[ap - 1]
+        z = zpsi[..., ap - 1, :, :]
         return residual_gramian_message(acc + herm(z) @ z)
 
     final = chain.run("oos_forward", fold)
@@ -144,13 +153,14 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     """Per-AP interferer channel estimates from the shared signal estimate.
 
     Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}; requires Sbar numerically
-    full column rank (smallest singular value > 1e-9 of the largest).
+    full column rank (smallest singular value > 1e-9 of the largest), for
+    each block of a stack.
     """
     sigma = np.linalg.svd(Sbar, compute_uv=False)
-    if sigma.size == 0 or sigma[-1] <= 1e-9 * sigma[0]:
+    if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
         raise DegeneracyError("shared-signal estimate is rank deficient")
     right = Sbar @ np.linalg.inv(herm(Sbar) @ Sbar)
-    return zpsi @ right
+    return zpsi @ right[..., None, :, :]
 
 
 def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):

@@ -69,11 +69,17 @@ class SystemConfig:
         if self.area_side_m <= 0 or self.ue_margin_m < 0 or self.ap_height_m < 0:
             raise ValueError("invalid geometry dimensions")
         if not self.ap_order:
-            object.__setattr__(self, "ap_order", tuple(range(self.L, 0, -1)))
+            object.__setattr__(self, "ap_order", default_ap_order(self.L))
         else:
             object.__setattr__(self, "ap_order", tuple(int(a) for a in self.ap_order))
         if sorted(self.ap_order) != list(range(1, self.L + 1)):
             raise ValueError("ap_order must be a permutation of 1..L")
+
+
+def default_ap_order(L: int) -> tuple[int, ...]:
+    """The visit order used when none is given: L, L-1, ..., 1."""
+    return tuple(range(L, 0, -1))
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -96,7 +102,8 @@ class PilotBook:
 
 @dataclass
 class BlockRealization:
-    """True channels, interferer pilot-phase signal and noise for one block."""
+    """True channels, interferer pilot-phase signal and noise for one block,
+    or for a stack of blocks along a leading axis of every array."""
 
     H: np.ndarray  # (L, N, K)
     G: np.ndarray  # (L, N, K_I)

@@ -6,6 +6,9 @@ estimate all K + K_I entries, and the last K_I are discarded downstream.
 Three detectors are provided: a sequential recursive LS along the chain,
 a distributed zero-forcing (combine locally, solve at the CPU), and the
 centralized zero-forcing baseline on the stacked network-wide matrix.
+Detectors and bit counting also take a leading block axis on every
+array (augmented channels (B, L, N, m), payload (B, L, N, T), symbols
+(B, K, T)) and then handle B blocks in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .fronthaul import (
     combined_uplink_message,
     detector_state_message,
 )
-from .numerics import DegeneracyError, NumericalFailure, herm, pseudo_inverse
+from .numerics import NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -97,23 +100,25 @@ def detect_sequential_ls(
     zero initialization; unit noise variance is assumed throughout.
     Each hop forwards the estimate and the covariance.
     """
-    L, N, m = aug.shape
-    T = batch.y.shape[2]
+    L, N, m = aug.shape[-3:]
+    T = batch.y.shape[-1]
+    eye_N, eye_m = np.eye(N, dtype=complex), np.eye(m, dtype=complex)
 
     def fold(ap, msg):
         if msg is None:
             xhat = np.zeros((m, T), dtype=complex)
-            C = cfg.alpha * np.eye(m, dtype=complex)
+            C = cfg.alpha * eye_m
         else:
             xhat, C = msg.payload
-        A = aug[ap - 1]
-        inner = np.eye(N, dtype=complex) + A @ C @ herm(A)
+        A = aug[..., ap - 1, :, :]
+        AC = A @ C
+        inner = eye_N + AC @ herm(A)
         try:
-            gain = herm(np.linalg.solve(inner, A @ C))
+            gain = herm(np.linalg.solve(inner, AC))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("sequential LS inner solve failed") from exc
-        xhat = xhat + gain @ (batch.y[ap - 1] - A @ xhat)
-        C = (np.eye(m, dtype=complex) - gain @ A) @ C
+        xhat = xhat + gain @ (batch.y[..., ap - 1, :, :] - A @ xhat)
+        C = (eye_m - gain @ A) @ C
         C = 0.5 * (C + herm(C))
         return detector_state_message(xhat, C)
 
@@ -123,11 +128,11 @@ def detect_sequential_ls(
 
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
-    m = aug.shape[2]
+    m = aug.shape[-1]
 
     def fold(ap, msg):
         acc = np.zeros((m, m), dtype=complex) if msg is None else msg.payload
-        A = aug[ap - 1]
+        A = aug[..., ap - 1, :, :]
         return channel_gramian_message(acc + herm(A) @ A)
 
     return chain.run("channel_gramian", fold).payload
@@ -142,15 +147,14 @@ def detect_distributed_zf(
     fictitious-user symbols and are discarded by the caller. Identical to
     the centralized zero-forcing solution whenever gamma is invertible.
     """
-    m = aug.shape[2]
-    T = batch.y.shape[2]
-    w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
-    if w[-1] <= 0 or w[0] <= 1e-10 * w[-1]:
-        raise DegeneracyError("channel Gramian is numerically singular")
+    m = aug.shape[-1]
+    T = batch.y.shape[-1]
+    check_invertible(gamma)
 
     def fold(ap, msg):
         acc = np.zeros((m, T), dtype=complex) if msg is None else msg.payload
-        return combined_uplink_message(acc + herm(aug[ap - 1]) @ batch.y[ap - 1])
+        A = aug[..., ap - 1, :, :]
+        return combined_uplink_message(acc + herm(A) @ batch.y[..., ap - 1, :, :])
 
     ybar = chain.run("uplink_combine", fold).payload
     return np.linalg.solve(gamma, ybar)
@@ -158,9 +162,9 @@ def detect_distributed_zf(
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
     """Zero-forcing baseline on the stacked network-wide channel matrix."""
-    L, N, m = aug.shape
-    A = aug.reshape(L * N, m)
-    y = batch.y.reshape(L * N, -1)
+    *stack, L, N, m = aug.shape
+    A = aug.reshape(*stack, L * N, m)
+    y = batch.y.reshape(*stack, L * N, batch.y.shape[-1])
     return pseudo_inverse(A) @ y
 
 

@@ -2,15 +2,19 @@ import csv
 import json
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cfg
-from oossim import experiments, oos_estimation
+from oossim import experiments, oos_estimation, uplink
 from oossim.cli import apply_overrides, main
 from oossim.experiments import (
     CSV_COLUMNS,
+    DETECTORS,
     ExperimentSpec,
     default_spec,
     emit_report,
@@ -20,7 +24,17 @@ from oossim.experiments import (
     run_monte_carlo,
 )
 from oossim.numerics import NumericalFailure
-from oossim.scenario import SystemConfig
+from oossim.pilot_phase import compute_projected_residual, pilot_interference
+from oossim.scenario import (
+    CHANNEL_STREAM,
+    GEOMETRY_STREAM,
+    PAYLOAD_STREAM,
+    SystemConfig,
+    block_rng,
+    build_geometry,
+    build_pilot_book,
+    draw_block,
+)
 
 
 def tiny_spec(**cfg_over):
@@ -30,18 +44,53 @@ def tiny_spec(**cfg_over):
     )
 
 
-def fail_first_procrustes_fold(monkeypatch):
-    """Make the sweep's first rotate-and-average step (block 0) fail."""
-    original = oos_estimation.rotate_and_average_step
-    calls = []
+def holds(stack, mark) -> bool:
+    """Whether one matrix of `stack` (a matrix or a stack of them) is `mark`."""
+    return bool(np.any(np.all(stack == mark, axis=(-2, -1))))
 
-    def flaky(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
+
+def fail_procrustes_fold(monkeypatch, cfg, block=0):
+    """Make every rotate-and-average step fail whose incoming estimates
+    hold `block`'s: the first AP's local estimate on that block, which
+    the second AP receives."""
+    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
+    drawn = draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
+    zpsi = compute_projected_residual(pilot_interference(drawn), build_pilot_book(cfg))
+    mark = oos_estimation.local_svd_estimate(zpsi[cfg.ap_order[0] - 1], cfg.K_I)[0]
+    original = oos_estimation.rotate_and_average_step
+
+    def flaky(S_prev, S_local, diagnostics=None):
+        if holds(S_prev, mark):
             raise NumericalFailure("injected")
-        return original(*args, **kwargs)
+        return original(S_prev, S_local, diagnostics)
 
     monkeypatch.setattr(oos_estimation, "rotate_and_average_step", flaky)
+
+
+def fail_centralized_detection(monkeypatch, spec, block):
+    """Make centralized ZF fail whenever its payload holds `block`'s."""
+    rng = block_rng(spec.cfg.seed, block, PAYLOAD_STREAM)
+    mark = uplink.draw_qpsk(rng, spec.cfg.K, spec.payload_symbols_per_block)
+    original = uplink.detect_centralized
+
+    def flaky(batch, aug):
+        if holds(batch.x, mark):
+            raise NumericalFailure("injected detection failure")
+        return original(batch, aug)
+
+    monkeypatch.setattr(uplink, "detect_centralized", flaky)
+
+
+def sweep_record(spec):
+    """Everything a sweep reports except wall times."""
+    out = run_monte_carlo(spec)
+    d = out.diagnostics
+    csv_text = rows_to_csv(out.rows) if out.rows else ""
+    return csv_text, d.numerical_failures, d.degenerate_rotations, d.failures
+
+
+def with_trials(spec, trials):
+    return replace(spec, cfg=replace(spec.cfg, trials=trials))
 
 
 def count_calls(monkeypatch, module, name, calls: Counter):
@@ -79,6 +128,19 @@ class TestSpec:
         spec = tiny_spec()
         again = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
+
+    def test_local_processing_needs_K_I_at_most_N(self):
+        with pytest.raises(ValueError, match="K_I <= N"):
+            ExperimentSpec(cfg=SystemConfig(K_I=5))
+        spec = overloaded_interferers_spec()
+        assert "local_processing" not in spec.methods and spec.cfg.K_I > spec.cfg.N
+
+    def test_default_ap_order_follows_an_overridden_L(self):
+        assert apply_overrides(default_spec(), ["cfg.L=6"]).cfg.ap_order == (6, 5, 4, 3, 2, 1)
+        explicit = apply_overrides(default_spec(), ["cfg.L=3", "cfg.ap_order=[1,3,2]"])
+        assert explicit.cfg.ap_order == (1, 3, 2)
+        with pytest.raises(ValueError, match="permutation"):
+            apply_overrides(explicit, ["cfg.L=4"])
 
 
 class TestRunMonteCarlo:
@@ -154,8 +216,8 @@ class TestRunMonteCarlo:
             assert np.array_equal(errs[0], errs[1])
 
     def test_fold_failure_counted_once_per_snr_point(self, monkeypatch):
-        fail_first_procrustes_fold(monkeypatch)
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
+        fail_procrustes_fold(monkeypatch, spec.cfg)
         out = run_monte_carlo(spec)
         failures = out.diagnostics.failures
         assert [f[:3] for f in failures] == [
@@ -173,10 +235,11 @@ class TestRunMonteCarlo:
         calls = Counter()
         count_calls(monkeypatch, experiments, "build_geometry", calls)
         count_calls(monkeypatch, oos_estimation, "run_gramian_method", calls)
-        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
         run_monte_carlo(spec)
         trials = spec.cfg.trials
-        assert calls == {"build_geometry": trials, "run_gramian_method": trials}
+        chunks = -(-trials // experiments.CHUNK_BLOCKS)
+        assert calls == {"build_geometry": trials, "run_gramian_method": chunks}
 
     def test_rows_independent_of_the_rest_of_the_grid(self):
         def zero_db_csv(grid):
@@ -201,6 +264,79 @@ class TestRunMonteCarlo:
         assert spec.cfg.K_I > spec.cfg.N
         rows = {r.method: r for r in run_monte_carlo(spec).rows}
         assert rows["seq_procrustes"].ci_low > rows["seq_gramian"].ci_high
+
+
+class TestChunking:
+    """Blocks run in chunks of CHUNK_BLOCKS; results must not depend on it."""
+
+    CHUNK_SIZES = (1, 4, 7)  # per block, the default, and one chunk of all 7
+
+    def records(self, monkeypatch, spec):
+        out = []
+        for size in self.CHUNK_SIZES:
+            monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
+            out.append(sweep_record(spec))
+        return out
+
+    @pytest.mark.parametrize("detector", ["sequential_ls", "distributed_zf"])
+    @pytest.mark.parametrize("build", [default_spec, overloaded_interferers_spec])
+    def test_results_independent_of_chunk_size(self, monkeypatch, build, detector):
+        spec = with_trials(build(detector=detector, payload_symbols_per_block=40), 7)
+        per_block, *others = self.records(monkeypatch, spec)
+        assert per_block[0]
+        assert all(other == per_block for other in others)
+
+    def test_failures_charged_to_their_block(self, monkeypatch):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=5)
+        fail_centralized_detection(monkeypatch, spec, block=2)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        expected = []
+        for snr in spec.snr_grid_db:
+            expected += [(m, snr, 2) for m in spec.methods] + [("seq_procrustes", snr, 5)]
+        assert [f[:3] for f in failures] == expected
+        assert numerical_failures == len(expected)
+        rows = run_monte_carlo(spec).rows
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row in rows:
+            survivors = spec.cfg.trials - 1 - (row.method == "seq_procrustes")
+            assert row.bit_count == survivors * per_block
+
+
+class TestConfigEdges:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        edge=st.sampled_from(["K_I=0", "L=1", "tau_p=K+K_I", "K_I>N"]),
+        trials=st.integers(1, 9),
+        detector=st.sampled_from(DETECTORS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sweep_never_raises_and_ignores_chunking(self, edge, trials, detector, seed):
+        cfg = dict(L=2, N=2, K=2, K_I=1, tau_p=6, tau_c=16, trials=trials, seed=seed)
+        methods = experiments.METHODS
+        if edge == "K_I=0":
+            cfg["K_I"] = 0
+        elif edge == "L=1":
+            cfg["L"] = 1
+        elif edge == "tau_p=K+K_I":
+            cfg["tau_p"] = cfg["K"] + cfg["K_I"]
+        else:
+            cfg.update(K_I=3, tau_p=5)
+            methods = tuple(m for m in methods if m != "local_processing")
+        spec = ExperimentSpec(
+            cfg=make_cfg(**cfg), snr_grid_db=(-3.0, 6.0), methods=methods,
+            detector=detector, payload_symbols_per_block=8,
+        )
+        chunked = sweep_record(spec)
+        with mock.patch.object(experiments, "CHUNK_BLOCKS", 1):
+            assert sweep_record(spec) == chunked
+        csv_text, numerical_failures, _, failures = chunked
+        rows = len(csv_text.splitlines()) - 1 if csv_text else 0
+        no_survivors = [f for f in failures if f[2] == -1]
+        assert rows + len(no_survivors) == len(methods) * len(spec.snr_grid_db)
+        assert numerical_failures == len(failures) - len(no_survivors)
 
 
 class TestEmitReport:
@@ -230,6 +366,11 @@ class TestEmitReport:
 
 
 class TestLoadTable:
+    def test_undefined_method_listed_not_raised(self):
+        table = load_table(SystemConfig(K_I=5))
+        assert table["local_processing"] is None
+        assert table["seq_gramian"]["oos_forward"] == 2025
+
     def test_covers_all_methods(self):
         cfg = SystemConfig()
         table = load_table(cfg)
@@ -284,13 +425,35 @@ class TestCli:
         assert "2025" in out and "180" in out
 
     def test_strict_fails_on_fold_failure(self, tmp_path, monkeypatch):
-        fail_first_procrustes_fold(monkeypatch)
+        fail_procrustes_fold(monkeypatch, tiny_spec().cfg)
         cfg_path = tmp_path / "spec.json"
         cfg_path.write_text(json.dumps(tiny_spec().to_dict()))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"])
         assert rc == 1
         data = json.loads((tmp_path / "o" / "results.json").read_text())
         assert data["diagnostics"]["numerical_failures"] == 1
+
+    @pytest.mark.parametrize("override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6"])
+    def test_report_on_edge_configs(self, capsys, override):
+        assert main(["report", "--override", override]) == 0
+        out = capsys.readouterr().out
+        assert "seq_gramian" in out
+        assert ("(undefined for this config)" in out) == (override == "cfg.K_I=5")
+
+    def test_run_rejects_an_undefined_method_before_running(self, tmp_path, capsys):
+        rc = main(["run", "--out", str(tmp_path), "--override", "cfg.K_I=5"])
+        assert rc == 2
+        assert "K_I <= N" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_run_with_an_overridden_L(self, tmp_path):
+        rc = main(
+            ["run", "--out", str(tmp_path), "--trials", "2", "--override", "cfg.L=6",
+             "--override", "snr_grid_db=[0.0]", "--override", "payload_symbols_per_block=10"]
+        )
+        assert rc == 0
+        data = json.loads((tmp_path / "results.json").read_text())
+        assert data["spec"]["cfg"]["L"] == 6
 
     def test_apply_overrides_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,14 @@ class TestMessageSizes:
         assert combined_uplink_message(np.zeros((7, 150))).real_symbols == 14
         assert partial_precoded_message(np.zeros((7, 150))).real_symbols == 14
 
+    def test_stacked_payloads_count_per_block(self):
+        # a payload stacked over 4 blocks is sized by its trailing axes
+        assert sbar_message(np.zeros((4, 45, 2), dtype=complex)).real_symbols == 180
+        assert residual_gramian_message(np.zeros((4, 45, 45))).real_symbols == 2025
+        assert combined_uplink_message(np.zeros((4, 7, 150))).real_symbols == 14
+        msg = detector_state_message(np.zeros((4, 7, 10)), np.zeros((4, 7, 7)))
+        assert msg.real_symbols == 2 * 7 + 49
+
     def test_broadcast_preserves_size(self):
         inner = sbar_message(np.zeros((45, 2), dtype=complex))
         wrapped = broadcast_message(inner)
@@ -163,6 +171,10 @@ class TestLoadFormulas:
         cfg = SystemConfig(K_I=0)
         report = load_report("seq_procrustes", cfg)
         assert "oos_forward" not in report.phases()
+
+    def test_local_processing_without_interferers(self):
+        report = load_report("local_processing", SystemConfig(K_I=0))
+        assert report.per_link_symbols("channel_gramian") == 25
 
     def test_detector_loads(self):
         cfg = SystemConfig()

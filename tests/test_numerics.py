@@ -6,6 +6,9 @@ from scipy.linalg import subspace_angles
 
 from conftest import crandn
 from oossim.numerics import (
+    DegeneracyError,
+    _fix_column_phases,
+    check_invertible,
     economy_svd,
     herm,
     hermitian_top_eigvectors,
@@ -147,3 +150,71 @@ class TestPseudoInverse:
         assert np.linalg.norm(P @ M @ P - P) <= 1e-8 * max(1.0, np.linalg.norm(P))
         assert np.linalg.norm(herm(M @ P) - M @ P) <= 1e-8 * scale
         assert np.linalg.norm(herm(P @ M) - P @ M) <= 1e-8 * scale
+
+
+def assert_stack_matches(kernel, stack, *args):
+    """kernel(stack, *args) equals the kernel on each matrix of the stack
+    (and of any stacked argument), bit for bit."""
+    batched = kernel(stack, *args)
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for idx in np.ndindex(stack.shape[:-2]):
+        alone = kernel(stack[idx], *(a[idx] if isinstance(a, np.ndarray) else a for a in args))
+        alone = alone if isinstance(alone, tuple) else (alone,)
+        for got, want in zip(batched, alone, strict=True):
+            assert np.array_equal(got[idx], want)
+
+
+class TestStacks:
+    """Every kernel takes a stack along leading axes and treats each
+    matrix as it would alone."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        m=st.integers(1, 6), n=st.integers(1, 6), batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_svd_phases_and_pseudo_inverse(self, m, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        M = crandn(rng, batch, 2, m, n)
+        M[0, 0] = 0.0  # a zero member keeps its own convention
+        assert_stack_matches(economy_svd, M)
+        assert_stack_matches(pseudo_inverse, M)
+        assert_stack_matches(_fix_column_phases, M)
+        assert_stack_matches(_fix_column_phases, M, crandn(rng, batch, 2, m, n))
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(2, 7), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_top_eigvectors(self, n, batch, seed):
+        B = crandn(np.random.default_rng(seed), batch, n, n)
+        A = herm(B) @ B
+        for k in (1, n):
+            assert_stack_matches(hermitian_top_eigvectors, A, k)
+
+    def test_one_bad_member_fails_the_stack(self, rng):
+        B = crandn(rng, 3, 4, 4)
+        A = herm(B) @ B
+        hermitian_top_eigvectors(A, 2)
+        check_invertible(A)
+        skewed = A.copy()
+        skewed[1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_top_eigvectors(skewed, 2)
+        broken = A.copy()
+        broken[2, 3, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_top_eigvectors(broken, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            economy_svd(broken)
+        singular = A.copy()
+        singular[1] = 0.0
+        with pytest.raises(DegeneracyError):
+            check_invertible(singular)
+
+    def test_hermitian_tolerance_is_per_member(self, rng):
+        # a gap far below the stack's norm but above its own member's fails
+        B = crandn(rng, 2, 3, 3)
+        A = herm(B) @ B
+        A[0] *= 1e12
+        A[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_top_eigvectors(A, 1)

@@ -115,6 +115,13 @@ class TestProcrustesRotation:
         assert diag.degenerate_rotations == 1
         assert np.linalg.norm(herm(Q) @ Q - np.eye(2)) < 1e-10
 
+    def test_degenerate_counted_per_stacked_block(self, rng):
+        diag = ChainDiagnostics()
+        rank_one = np.ones((6, 2), dtype=complex)
+        S = np.stack([rank_one, crandn(rng, 6, 2), rank_one])
+        procrustes_rotation(S, S.copy(), diag)
+        assert diag.degenerate_rotations == 2
+
 
 class TestRotateAndAverage:
     def test_fixed_point(self, rng):
@@ -262,3 +269,33 @@ class TestCentralizedOracle:
         sbar_g = run_gramian_method(zpsi, cfg, chain)
         sbar_c, _ = centralized_oos_oracle(zpsi, cfg.K_I)
         assert np.max(subspace_angles(sbar_g, sbar_c)) < 1e-8
+
+
+class TestStackedBlocks:
+    @pytest.mark.parametrize("K_I", [2, 5])  # 5 > N: local bases from the null space
+    def test_chain_estimators_on_a_stack_match_each_block(self, K_I):
+        cfg = make_cfg(K_I=K_I, tau_p=12, tau_c=40)
+        zpsi = np.stack([noise_free_residuals(cfg, seed)[1] for seed in range(3)])
+        zpsi += 0.1 * crandn(np.random.default_rng(9), *zpsi.shape)
+
+        def estimates(z):
+            diag = ChainDiagnostics()
+            sbar_p = run_sequential_procrustes(z, cfg, Chain.for_config(cfg), diag)
+            sbar_g = run_gramian_method(z, cfg, Chain.for_config(cfg))
+            return sbar_p, sbar_g, estimate_oos_channels(z, sbar_g), diag.degenerate_rotations
+
+        *stacked, degenerate = estimates(zpsi)
+        alone = [estimates(z) for z in zpsi]
+        for b, (*want, _) in enumerate(alone):
+            for got, one in zip(stacked, want, strict=True):
+                assert np.array_equal(got[b], one)
+        assert degenerate == sum(a[-1] for a in alone)
+
+    def test_rank_check_holds_per_block(self, rng):
+        cfg = make_cfg()
+        zpsi = crandn(rng, 2, cfg.L, cfg.N, cfg.tau_p - cfg.K)
+        sbar = np.stack([orthonormal_columns(rng, cfg.tau_p - cfg.K, 2)] * 2)
+        estimate_oos_channels(zpsi, sbar)
+        sbar[1, :, 1] = sbar[1, :, 0]
+        with pytest.raises(DegeneracyError):
+            estimate_oos_channels(zpsi, sbar)

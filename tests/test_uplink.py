@@ -9,6 +9,7 @@ from oossim.numerics import DegeneracyError, herm
 from oossim.scenario import draw_block
 from oossim.uplink import (
     QPSK_POINTS,
+    UplinkSymbolBatch,
     accumulate_channel_gramian,
     count_bit_errors,
     detect_centralized,
@@ -254,3 +255,35 @@ class TestBer:
         k = min(k, n)
         lo, hi = wilson_interval(k, n)
         assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+class TestStackedBlocks:
+    def test_detectors_on_a_stack_match_each_block(self):
+        cfg = make_cfg()
+        drawn = [make_batch(cfg, seed=10 * b) for b in range(3)]
+        aug = np.stack([genie_aug(block) for block, _ in drawn])
+        stack = UplinkSymbolBatch(*(np.stack(a) for a in zip(*((b.x, b.s, b.y) for _, b in drawn))))
+
+        def detections(batch, aug):
+            gamma = accumulate_channel_gramian(aug, Chain.for_config(cfg))
+            return (
+                detect_centralized(batch, aug),
+                detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg)),
+                detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg)).xhat,
+            )
+
+        stacked = detections(stack, aug)
+        for b, (_, batch) in enumerate(drawn):
+            for got, want in zip(stacked, detections(batch, aug[b]), strict=True):
+                assert np.array_equal(got[b], want)
+            errors = count_bit_errors(stacked[0][:, : cfg.K], stack.x)
+            assert np.array_equal(errors[b], count_bit_errors(stacked[0][b, : cfg.K], batch.x))
+
+    def test_one_singular_gramian_fails_the_stack(self):
+        cfg = make_cfg()
+        _, batch = make_batch(cfg)
+        aug = crandn(np.random.default_rng(1), 2, cfg.L, cfg.N, cfg.K + cfg.K_I)
+        aug[1] = 0.0
+        gamma = accumulate_channel_gramian(aug, Chain.for_config(cfg))
+        with pytest.raises(DegeneracyError):
+            detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg))
