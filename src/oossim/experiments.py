@@ -2,17 +2,20 @@
 fronthaul-load accounting, machine-readable outputs.
 
 All methods and all SNR points at a given block index share the same
-geometry, channels, interferer signal and noise, so curves are paired
-comparisons; the payload is redrawn per SNR point from the same block
-stream, so its symbols and noise are shared too. Blocks are drawn from
-per-index RNG streams, which makes every result a pure function of
-(spec, seed) regardless of execution order or of the rest of the grid.
+geometry, channels, interferer signal, payload symbols and noise, so
+curves are paired comparisons: each block's payload is drawn once, and
+only the received signal sqrt(rho) H x + G s + n is formed per SNR
+point. Blocks are drawn from per-index RNG streams, which makes every
+result a pure function of (spec, seed) regardless of execution order or
+of the rest of the grid.
 
 The sweep runs CHUNK_BLOCKS consecutive blocks at a time: each block is
 drawn alone, the draws are stacked along a leading block axis, and every
 stage (estimation, chain pass, detection) runs once per chunk on the
 stack. The batched kernels treat each block as they would alone, so the
-results do not depend on the chunk size.
+results do not depend on the chunk size. The payload stack and the
+received signal live in buffers that the sweep allocates once and
+reuses for every chunk and SNR point.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ CSV_COLUMNS = (
     "seed",
 )
 
+# Keys of a failure record in results.json: (method, SNR, block, reason).
+FAILURE_KEYS = ("method", "snr_db", "block", "reason")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -81,6 +87,9 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods listed more than once: {repeated}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         for method in self.methods:
@@ -167,8 +176,9 @@ class ResultRow:
     its share of the interferer estimation, which runs once per block for
     all SNR points: the estimation time divided by the number of points.
     Both are timed per chunk of blocks, so each block is charged an equal
-    share of its chunk's time. Summed over a method's rows it is the
-    method's total time.
+    share of its chunk's time. The payload draw, shared by all methods
+    and SNR points, is charged to none of them. Summed over a method's
+    rows it is the method's total time.
     """
 
     method: str
@@ -186,7 +196,7 @@ class ResultRow:
 class RunDiagnostics:
     numerical_failures: int = 0
     degenerate_rotations: int = 0
-    failures: list = field(default_factory=list)  # (method, snr_db, block, reason)
+    failures: list = field(default_factory=list)  # tuples in FAILURE_KEYS order
 
 
 @dataclass
@@ -236,8 +246,10 @@ def _detect(detector, batch, aug, cfg, chain):
 
 def _select(stack, blocks):
     """The blocks `blocks` (an index or a slice of the leading axis) of a
-    record whose arrays are stacked by block, as views."""
-    return type(stack)(**{f.name: getattr(stack, f.name)[blocks] for f in fields(stack)})
+    record whose arrays are stacked by block, as views; a None field
+    stays None."""
+    parts = {f.name: getattr(stack, f.name) for f in fields(stack)}
+    return type(stack)(**{k: v if v is None else v[blocks] for k, v in parts.items()})
 
 
 def _draw_chunk(cfg: SystemConfig, blocks: range) -> BlockRealization:
@@ -251,19 +263,20 @@ def _draw_chunk(cfg: SystemConfig, blocks: range) -> BlockRealization:
     )
 
 
-def _draw_payload(cfg, chunk, blocks: range, n_symbols: int) -> uplink.UplinkSymbolBatch:
-    """Each block's payload at cfg's uplink power, drawn from the block's
-    own stream and written into one preallocated stack."""
-    stack = uplink.UplinkSymbolBatch(
-        x=np.empty((len(blocks), cfg.K, n_symbols), dtype=complex),
-        s=np.empty((len(blocks), cfg.K_I, n_symbols), dtype=complex),
-        y=np.empty((len(blocks), cfg.L, cfg.N, n_symbols), dtype=complex),
-    )
+def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkDraw:
+    """Each block's payload, drawn once for all SNR points from the
+    block's own stream, at the first point's power, into the sweep's
+    payload buffers. Returns the buffers' first len(blocks) entries."""
+    cfg, n_symbols = sweep.points[0], sweep.spec.payload_symbols_per_block
+    stack = _select(sweep.payload, slice(0, len(blocks)))
     for i, b in enumerate(blocks):
         one = uplink.simulate_uplink_rx(
             _select(chunk, i), cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM), n_symbols=n_symbols
         )
-        stack.x[i], stack.s[i], stack.y[i] = one.x, one.s, one.y
+        for f in fields(stack):
+            if getattr(stack, f.name) is not None:
+                getattr(stack, f.name)[i] = getattr(one, f.name)
+        del one  # not held while the next block is drawn
     return stack
 
 
@@ -302,10 +315,31 @@ class _PointTally:
 
 
 class _Sweep:
-    """What a sweep accumulates over its chunks."""
+    """What a sweep holds across its chunks: the pilot book, one config
+    per SNR point, the payload buffers, and the running totals."""
 
     def __init__(self, spec: ExperimentSpec):
+        cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
         self.spec = spec
+        self.pilots = build_pilot_book(cfg)
+        self.points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
+        size = min(CHUNK_BLOCKS, cfg.trials)
+
+        def buffer(*shape):
+            return np.empty((size, *shape), dtype=complex)
+
+        # Rows [:B] hold a chunk of B blocks; y holds one SNR point at a
+        # time. The draw comes with the first point's y, so the terms H x,
+        # G s and n are kept only when later points must form their own.
+        later = len(self.points) > 1
+        self.payload = uplink.UplinkDraw(
+            x=buffer(cfg.K, n_symbols),
+            s=buffer(cfg.K_I, n_symbols),
+            y=buffer(cfg.L, cfg.N, n_symbols),
+            hx=buffer(cfg.L, cfg.N, n_symbols) if later else None,
+            gs=buffer(cfg.L, cfg.N, n_symbols) if later and cfg.K_I else None,
+            noise=buffer(cfg.L, cfg.N, n_symbols) if later else None,
+        )
         self.tallies = [{m: _PointTally() for m in spec.methods} for _ in spec.snr_grid_db]
         self.failures = [[] for _ in spec.snr_grid_db]  # per point, in (block, method) order
         self.estimate_s = {m: 0.0 for m in spec.methods}
@@ -319,13 +353,43 @@ class _Sweep:
         elif link_load != self.per_link[method]:
             raise fronthaul.ChainError(f"per-link load changed between blocks for {method}")
 
+    def outcome(self) -> MonteCarloOutcome:
+        """One row per (SNR point, method) with surviving blocks, and the
+        failures in (SNR, block, method) order of the chunks run. Call
+        once, after the last chunk."""
+        spec, diagnostics = self.spec, self.diagnostics
+        rows: list[ResultRow] = []
+        for snr_db, tally, failures in zip(spec.snr_grid_db, self.tallies, self.failures):
+            diagnostics.failures.extend(failures)
+            for method in spec.methods:
+                t = tally[method]
+                if t.bits == 0:
+                    diagnostics.failures.append((method, snr_db, -1, "no surviving blocks"))
+                    continue
+                lo, hi = uplink.wilson_interval(t.errors, t.bits)
+                rows.append(
+                    ResultRow(
+                        method=method,
+                        snr_db=snr_db,
+                        ber=t.errors / t.bits,
+                        bit_count=t.bits,
+                        ci_low=lo,
+                        ci_high=hi,
+                        fronthaul_per_link_real_symbols=self.per_link[method] or 0,
+                        wall_time_s=t.detect_s + self.estimate_s[method] / len(self.points),
+                        seed=spec.cfg.seed,
+                    )
+                )
+        return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
 
-def _run_chunk(sweep: _Sweep, pilots, points, blocks: range):
+
+def _run_chunk(sweep: _Sweep, blocks: range):
     """Run every stage of the sweep once on the stacked blocks `blocks`."""
     spec, cfg = sweep.spec, sweep.spec.cfg
     chunk = _draw_chunk(cfg, blocks)
     interference = pilot_phase.pilot_interference(chunk)
-    zpsi = pilot_phase.compute_projected_residual(interference, pilots)
+    zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
+    payload = _draw_payload(sweep, chunk, blocks)
 
     estimates = {}
     for method in spec.methods:
@@ -340,12 +404,15 @@ def _run_chunk(sweep: _Sweep, pilots, points, blocks: range):
         estimates[method] = _run_stage(estimate, slice(0, len(blocks)), sweep.diagnostics)
         sweep.estimate_s[method] += time.perf_counter() - t0
 
-    for snr_db, cfg_pt, tally, failures in zip(
-        spec.snr_grid_db, points, sweep.tallies, sweep.failures
+    for p, (snr_db, cfg_pt, tally, failures) in enumerate(
+        zip(spec.snr_grid_db, sweep.points, sweep.tallies, sweep.failures)
     ):
-        obs = pilot_phase.simulate_pilot_rx(chunk, pilots, cfg_pt, interference)
-        est = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
-        batch = _draw_payload(cfg_pt, chunk, blocks, spec.payload_symbols_per_block)
+        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
+        est = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
+        # The first point's y came with the draw. A later point's y
+        # overwrites the previous one's, so nothing below outlives its point.
+        if p:
+            uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
         failed = []  # (block, method index, method, exception)
         for m, method in enumerate(spec.methods):
             for span, ghat in estimates[method]:
@@ -357,7 +424,7 @@ def _run_chunk(sweep: _Sweep, pilots, points, blocks: range):
                     own = None if ghat is None else ghat[s.start - span.start : s.stop - span.start]
                     aug = _augmented_channels(method, _select(chunk, s), est[s], own)
                     chain = Chain.for_config(cfg)
-                    return _detect(spec.detector, _select(batch, s), aug, cfg_pt, chain)
+                    return _detect(spec.detector, _select(payload, s), aug, cfg_pt, chain)
 
                 t0 = time.perf_counter()
                 detected = _run_stage(detect, span, sweep.diagnostics)
@@ -367,9 +434,9 @@ def _run_chunk(sweep: _Sweep, pilots, points, blocks: range):
                         failed.append((blocks[s.start], m, method, xhat))
                         continue
                     tally[method].errors += int(
-                        uplink.count_bit_errors(xhat[..., : cfg.K, :], batch.x[s]).sum()
+                        uplink.count_bit_errors(xhat[..., : cfg.K, :], payload.x[s]).sum()
                     )
-                    tally[method].bits += 2 * batch.x[s].size  # 2 bits per QPSK symbol
+                    tally[method].bits += 2 * payload.x[s].size  # 2 bits per QPSK symbol
         for b, _, method, exc in sorted(failed, key=lambda f: f[:2]):
             sweep.diagnostics.numerical_failures += 1
             failures.append((method, snr_db, b, str(exc)))
@@ -380,48 +447,23 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
 
     Blocks run in chunks of CHUNK_BLOCKS; every stage runs once per chunk
     on the blocks stacked along a leading axis, and only one chunk is held
-    at a time. Per chunk, once for all SNR points: each block's geometry
-    and channel draw (from the block's own streams), the projected
-    residual (which does not depend on rho), and each method's
-    interferer-channel estimate with its OoS chain pass. Per SNR point:
-    the pilot LS estimate, each block's payload draw shared by all
-    methods, and each method's detection. A stage that fails numerically
-    on the chunk reruns block by block; a method that fails on a block is
-    excluded there and counted once per SNR point. Rows and failures come
-    out in (SNR, block, method) order, and a chunk's time is split evenly
-    across its blocks (see ResultRow).
+    at a time. Per chunk, once for all SNR points: each block's geometry,
+    channel draw and payload draw (symbols, interferer signal and noise,
+    each from the block's own streams), the projected residual (which
+    does not depend on rho), and each method's interferer-channel
+    estimate with its OoS chain pass. Per SNR point: the pilot LS
+    estimate, the received payload sqrt(rho) H x + G s + n, and each
+    method's detection. A stage that fails numerically on the chunk reruns
+    block by block; a method that fails on a block is excluded there and
+    counted once per SNR point. Rows and failures come out in (SNR, block,
+    method) order, and a chunk's time is split evenly across its blocks
+    (see ResultRow).
     """
-    cfg = spec.cfg
-    pilots = build_pilot_book(cfg)
-    points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
     sweep = _Sweep(spec)
-    for start in range(0, cfg.trials, CHUNK_BLOCKS):
-        _run_chunk(sweep, pilots, points, range(start, min(start + CHUNK_BLOCKS, cfg.trials)))
-
-    diagnostics = sweep.diagnostics
-    rows: list[ResultRow] = []
-    for snr_db, tally, failures in zip(spec.snr_grid_db, sweep.tallies, sweep.failures):
-        diagnostics.failures.extend(failures)
-        for method in spec.methods:
-            t = tally[method]
-            if t.bits == 0:
-                diagnostics.failures.append((method, snr_db, -1, "no surviving blocks"))
-                continue
-            lo, hi = uplink.wilson_interval(t.errors, t.bits)
-            rows.append(
-                ResultRow(
-                    method=method,
-                    snr_db=snr_db,
-                    ber=t.errors / t.bits,
-                    bit_count=t.bits,
-                    ci_low=lo,
-                    ci_high=hi,
-                    fronthaul_per_link_real_symbols=sweep.per_link[method] or 0,
-                    wall_time_s=t.detect_s + sweep.estimate_s[method] / len(points),
-                    seed=cfg.seed,
-                )
-            )
-    return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
+    trials = spec.cfg.trials
+    for start in range(0, trials, CHUNK_BLOCKS):
+        _run_chunk(sweep, range(start, min(start + CHUNK_BLOCKS, trials)))
+    return sweep.outcome()
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -465,7 +507,7 @@ def emit_report(rows: list[ResultRow], spec: ExperimentSpec, out_dir=None, diagn
         payload["diagnostics"] = {
             "numerical_failures": diagnostics.numerical_failures,
             "degenerate_rotations": diagnostics.degenerate_rotations,
-            "failures": diagnostics.failures,
+            "failures": [dict(zip(FAILURE_KEYS, f)) for f in diagnostics.failures],
         }
     json_path = out / "results.json"
     json_path.write_text(json.dumps(payload, indent=2))

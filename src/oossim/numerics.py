@@ -1,11 +1,14 @@
 """Dense complex-matrix kernels shared by every processing stage.
 
 Thin wrappers around LAPACK (through numpy.linalg) that add input
-validation, a deterministic phase convention for singular/eigen vectors,
-and explicit failure types so callers never receive silent garbage.
-Every kernel also takes a stack of matrices along leading axes and gives
-each matrix the result it would get alone, bit for bit, since numpy's
-batched LAPACK calls run the same routine matrix by matrix.
+validation and explicit failure types so callers never receive silent
+garbage. Singular and eigen vectors that callers keep (economy_svd,
+hermitian_top_eigvectors) follow a deterministic phase convention;
+pseudo_inverse uses the SVD without it, because the per-column phase
+cancels in V diag(1/sigma) U^H. Every kernel also takes a stack of
+matrices along leading axes and gives each matrix the result it would
+get alone, bit for bit, since numpy's batched LAPACK calls run the same
+routine matrix by matrix.
 
 All functions are pure; they are safe to call from any number of
 concurrent Monte Carlo workers.
@@ -59,6 +62,17 @@ def _fix_column_phases(U: np.ndarray, companion: np.ndarray | None = None):
     return U * phases
 
 
+def _checked_svd(M, full_matrices: bool = False):
+    """LAPACK SVD (U, sigma, V^H) of a finite matrix or stack, with no
+    phase convention. Raises ValueError on non-finite input and
+    NumericalFailure when LAPACK does not converge."""
+    M = _as_finite_matrix(M, "M")
+    try:
+        return np.linalg.svd(M, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("SVD did not converge") from exc
+
+
 def economy_svd(M: np.ndarray):
     """Economy-size SVD with a deterministic phase convention.
 
@@ -68,11 +82,7 @@ def economy_svd(M: np.ndarray):
     compensating phase applied to the matching column of V. A stack
     (..., m, n) gives stacked factors, each equal to its matrix's own.
     """
-    M = _as_finite_matrix(M, "M")
-    try:
-        U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("SVD did not converge") from exc
+    U, sigma, Vh = _checked_svd(M)
     U, V = _fix_column_phases(U, herm(Vh))
     return U, sigma, V
 
@@ -125,7 +135,7 @@ def pseudo_inverse(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
-    U, sigma, V = economy_svd(M)
+    U, sigma, Vh = _checked_svd(M)
     keep = sigma > rtol * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
-    return (V * inv[..., None, :]) @ herm(U)
+    return (herm(Vh) * inv[..., None, :]) @ herm(U)

@@ -21,6 +21,7 @@ import numpy as np
 from .fronthaul import Chain, broadcast_message, residual_gramian_message, sbar_message
 from .numerics import (
     DegeneracyError,
+    _checked_svd,
     _fix_column_phases,
     economy_svd,
     herm,
@@ -66,7 +67,7 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
         return local_svd_estimate(zpsi_l, K_I)[0]
     if K_I > r:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
-    _, _, Vh = np.linalg.svd(zpsi_l, full_matrices=True)
+    _, _, Vh = _checked_svd(zpsi_l, full_matrices=True)
     return _fix_column_phases(herm(Vh)[..., :K_I])
 
 
@@ -75,19 +76,22 @@ def procrustes_rotation(
 ) -> np.ndarray:
     """Unitary Q minimizing ||S_local Q^H - S_prev||_F.
 
-    Q = V U^H from the SVD of S_local^H S_prev = U diag(s) V^H. When the
-    cross-Gramian is rank deficient the minimizer is not unique; the SVD's
-    deterministic completion is used and the event counted, once per
-    degenerate matrix of a stack.
+    Q = V U^H from the SVD of S_local^H S_prev = U diag(s) V^H
+    (Schoenemann, Psychometrika 1966). A phase on a column of U comes
+    with the same phase on the column of V and cancels in V U^H, so the
+    SVD is used without a phase convention. When the cross-Gramian is
+    rank deficient the minimizer is not unique; LAPACK's deterministic
+    completion is used and the event counted, once per degenerate matrix
+    of a stack.
     """
     if S_prev.shape != S_local.shape:
         raise ValueError("estimates must have matching shapes")
-    U, sigma, V = economy_svd(herm(S_local) @ S_prev)
+    U, sigma, Vh = _checked_svd(herm(S_local) @ S_prev)
     if diagnostics is not None and sigma.shape[-1]:
         top = sigma[..., 0]
         degenerate = (top == 0.0) | (sigma[..., -1] <= 1e-12 * top)
         diagnostics.degenerate_rotations += int(np.count_nonzero(degenerate))
-    return V @ herm(U)
+    return herm(Vh) @ herm(U)
 
 
 def rotate_and_average_step(

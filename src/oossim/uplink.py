@@ -6,6 +6,8 @@ estimate all K + K_I entries, and the last K_I are discarded downstream.
 Three detectors are provided: a sequential recursive LS along the chain,
 a distributed zero-forcing (combine locally, solve at the CPU), and the
 centralized zero-forcing baseline on the stacked network-wide matrix.
+A payload draw keeps the terms H x, G s and n of the received signal, so
+received_signal can form y at any uplink power without drawing again.
 Detectors and bit counting also take a leading block axis on every
 array (augmented channels (B, L, N, m), payload (B, L, N, T), symbols
 (B, K, T)) and then handle B blocks in one call.
@@ -40,6 +42,17 @@ class UplinkSymbolBatch:
 
 
 @dataclass
+class UplinkDraw(UplinkSymbolBatch):
+    """A drawn payload with the terms of y that do not depend on the
+    uplink power, so the same draw can be received at any power
+    (received_signal)."""
+
+    hx: np.ndarray  # (L, N, T) H x
+    gs: np.ndarray | None  # (L, N, T) G s; None without interferers
+    noise: np.ndarray | None  # (L, N, T); None for a noise-free draw
+
+
+@dataclass
 class DetectorState:
     """Sequential estimate and its error covariance after the last hop."""
 
@@ -63,30 +76,43 @@ def draw_qpsk(rng: np.random.Generator, K: int, T: int) -> np.ndarray:
     return ((1 - 2 * b[0]) + 1j * (1 - 2 * b[1])) / np.sqrt(2.0)
 
 
+def received_signal(rho: float, hx, gs=None, noise=None, out=None) -> np.ndarray:
+    """y = sqrt(rho) H x + G s + n from its terms that do not depend on
+    rho, summed in that order; an absent term (None) is skipped. Written
+    into `out` when given. Works elementwise, so on any stack of blocks."""
+    y = np.multiply(np.sqrt(rho), hx, out=out)
+    if gs is not None:
+        y += gs
+    if noise is not None:
+        y += noise
+    return y
+
+
 def simulate_uplink_rx(
     block: BlockRealization,
     cfg: SystemConfig,
     rng: np.random.Generator,
     n_symbols: int | None = None,
     include_noise: bool = True,
-) -> UplinkSymbolBatch:
+) -> UplinkDraw:
     """Received payload per AP: y_l = sqrt(rho) H_l x + G_l s + n_l.
 
     x holds unit-power QPSK (the transmit scaling sqrt(rho) is applied to
     the received signal, so hard decisions stay scale free); interferer
-    symbols are complex Gaussian at their own transmit power.
+    symbols are complex Gaussian at their own transmit power. The draw
+    also keeps the terms H x, G s and n, so it can be received at another
+    power without drawing again.
     """
     T = n_symbols if n_symbols is not None else cfg.tau_c - cfg.tau_p
     if T < 1:
         raise ValueError("need at least one payload symbol")
     x = draw_qpsk(rng, cfg.K, T)
     s = np.sqrt(cfg.oos_snr) * crandn(rng, cfg.K_I, T)
-    y = np.sqrt(cfg.rho) * (block.H @ x)
-    if cfg.K_I:
-        y = y + block.G @ s
-    if include_noise:
-        y = y + crandn(rng, cfg.L, cfg.N, T)
-    return UplinkSymbolBatch(x=x, s=s, y=y)
+    hx = block.H @ x
+    gs = block.G @ s if cfg.K_I else None
+    noise = crandn(rng, cfg.L, cfg.N, T) if include_noise else None
+    y = received_signal(cfg.rho, hx, gs, noise)
+    return UplinkDraw(x=x, s=s, y=y, hx=hx, gs=gs, noise=noise)
 
 
 def detect_sequential_ls(

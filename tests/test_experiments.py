@@ -2,6 +2,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,19 @@ def sweep_record(spec):
     return csv_text, d.numerical_failures, d.degenerate_rotations, d.failures
 
 
+def chunk_records(spec, order):
+    """sweep_record of a sweep whose chunks run in the order `order`
+    gives for their count, the failures as a multiset."""
+    sweep = experiments._Sweep(spec)
+    size, trials = experiments.CHUNK_BLOCKS, spec.cfg.trials
+    chunks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+    for k in order(len(chunks)):
+        experiments._run_chunk(sweep, chunks[k])
+    out = sweep.outcome()
+    d = out.diagnostics
+    return rows_to_csv(out.rows), d.numerical_failures, d.degenerate_rotations, Counter(d.failures)
+
+
 def with_trials(spec, trials):
     return replace(spec, cfg=replace(spec.cfg, trials=trials))
 
@@ -134,6 +148,12 @@ class TestSpec:
             ExperimentSpec(cfg=SystemConfig(K_I=5))
         spec = overloaded_interferers_spec()
         assert "local_processing" not in spec.methods and spec.cfg.K_I > spec.cfg.N
+
+    def test_duplicate_methods_rejected(self):
+        with pytest.raises(ValueError, match=r"more than once: \['seq_gramian'\]"):
+            ExperimentSpec(cfg=make_cfg(), methods=("seq_gramian", "no_suppression", "seq_gramian"))
+        spec = ExperimentSpec(cfg=make_cfg(), snr_grid_db=(0.0, 0.0))
+        assert spec.snr_grid_db == (0.0, 0.0)
 
     def test_default_ap_order_follows_an_overridden_L(self):
         assert apply_overrides(default_spec(), ["cfg.L=6"]).cfg.ap_order == (6, 5, 4, 3, 2, 1)
@@ -235,11 +255,44 @@ class TestRunMonteCarlo:
         calls = Counter()
         count_calls(monkeypatch, experiments, "build_geometry", calls)
         count_calls(monkeypatch, oos_estimation, "run_gramian_method", calls)
+        count_calls(monkeypatch, uplink, "simulate_uplink_rx", calls)
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
         run_monte_carlo(spec)
         trials = spec.cfg.trials
         chunks = -(-trials // experiments.CHUNK_BLOCKS)
-        assert calls == {"build_geometry": trials, "run_gramian_method": chunks}
+        assert calls == {
+            "build_geometry": trials, "run_gramian_method": chunks, "simulate_uplink_rx": trials
+        }
+
+    def test_detection_sees_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
+        # the sweep draws each payload once but receives it at each point
+        # exactly as a draw at that point's power would, bit for bit
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), methods=("centralized_genie",))
+        spec = with_trials(spec, 5)
+        cfg, seen = spec.cfg, []
+        original = uplink.detect_centralized
+
+        def spy(batch, aug):
+            seen.append((batch.x.copy(), batch.y.copy()))
+            return original(batch, aug)
+
+        monkeypatch.setattr(uplink, "detect_centralized", spy)
+        run_monte_carlo(spec)
+        calls = iter(seen)
+        for start in range(0, cfg.trials, experiments.CHUNK_BLOCKS):
+            blocks = range(start, min(start + experiments.CHUNK_BLOCKS, cfg.trials))
+            for snr_db in spec.snr_grid_db:
+                x, y = next(calls)
+                assert len(x) == len(blocks)
+                for i, b in enumerate(blocks):
+                    geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
+                    block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
+                    alone = uplink.simulate_uplink_rx(
+                        block, replace(cfg, rho=10.0 ** (snr_db / 10.0)),
+                        block_rng(cfg.seed, b, PAYLOAD_STREAM), spec.payload_symbols_per_block,
+                    )
+                    assert np.array_equal(x[i], alone.x) and np.array_equal(y[i], alone.y)
+        assert next(calls, None) is None
 
     def test_rows_independent_of_the_rest_of_the_grid(self):
         def zero_db_csv(grid):
@@ -305,6 +358,50 @@ class TestChunking:
             assert row.bit_count == survivors * per_block
 
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_results_independent_of_block_order(self, monkeypatch, size):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=5)
+        fail_centralized_detection(monkeypatch, spec, block=2)
+        monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
+        in_order = chunk_records(spec, range)
+        shuffled = chunk_records(spec, lambda n: np.random.default_rng(size).permutation(n))
+        backwards = chunk_records(spec, lambda n: range(n - 1, -1, -1))
+        assert in_order[1] == 2 * (len(spec.methods) + 1)
+        assert shuffled == in_order and backwards == in_order
+        csv_text, *_ = sweep_record(spec)
+        assert csv_text == in_order[0]
+
+
+class TestBenchmarkReference:
+    """The benchmark's stored reference CSVs (made at the seed commit on
+    seed 0) are reproduced byte for byte. The specs mirror the
+    benchmark's workloads."""
+
+    REFERENCE = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
+    WORKLOADS = {
+        "paper_default": (default_spec, 10),
+        "long_chain_seq_ls": (
+            lambda: default_spec(
+                cfg=SystemConfig(L=16),
+                snr_grid_db=(0.0,),
+                methods=("no_suppression", "seq_procrustes", "seq_gramian"),
+                detector="sequential_ls",
+            ),
+            30,
+        ),
+        "overloaded_dzf": (lambda: overloaded_interferers_spec(detector="distributed_zf"), 15),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_reference_csv_bytes(self, workload):
+        build, trials = self.WORKLOADS[workload]
+        spec = with_trials(build(), trials)
+        assert spec.cfg.seed == 0
+        expected = (self.REFERENCE / f"{workload}.csv").read_text()
+        assert rows_to_csv(run_monte_carlo(spec).rows) == expected
+
+
 class TestConfigEdges:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -363,6 +460,16 @@ class TestEmitReport:
         data = json.loads(json_path.read_text())
         assert data["spec"]["cfg"]["K"] == spec.cfg.K
         assert len(data["rows"]) == len(out.rows)
+
+    def test_failures_written_as_records(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
+        out = run_monte_carlo(spec)
+        _, json_path = emit_report(out.rows, spec, tmp_path, out.diagnostics)
+        (record,) = json.loads(json_path.read_text())["diagnostics"]["failures"]
+        assert record.pop("reason").startswith("injected")
+        assert record == {"method": "seq_procrustes", "snr_db": 0.0, "block": 1}
+        assert out.diagnostics.failures[0][:3] == ("seq_procrustes", 0.0, 1)
 
 
 class TestLoadTable:
@@ -444,6 +551,14 @@ class TestCli:
         rc = main(["run", "--out", str(tmp_path), "--override", "cfg.K_I=5"])
         assert rc == 2
         assert "K_I <= N" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    def test_run_rejects_duplicate_methods_before_running(self, tmp_path, capsys):
+        rc = main(
+            ["run", "--out", str(tmp_path), "--override", 'methods=["seq_gramian","seq_gramian"]']
+        )
+        assert rc == 2
+        assert "seq_gramian" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
     def test_run_with_an_overridden_L(self, tmp_path):

@@ -7,6 +7,7 @@ from scipy.linalg import subspace_angles
 from conftest import crandn
 from oossim.numerics import (
     DegeneracyError,
+    NumericalFailure,
     _fix_column_phases,
     check_invertible,
     economy_svd,
@@ -134,6 +135,23 @@ class TestPseudoInverse:
         P = pseudo_inverse(M)
         assert np.linalg.norm(P - direct) <= 1e-8 * np.linalg.norm(direct)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        m=st.integers(1, 7), n=st.integers(1, 7), batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_phase_fixed_formula(self, m, n, batch, seed):
+        # the SVD's phase cancels in V diag(1/sigma) U^H, so skipping the
+        # convention moves the result by rounding only
+        M = crandn(np.random.default_rng(seed), batch, m, n)
+        M[0] = 0.0
+        U, sigma, V = economy_svd(M)
+        keep = sigma > 1e-12 * sigma[..., :1]
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+        want = (V * inv[..., None, :]) @ herm(U)
+        gap = np.linalg.norm(pseudo_inverse(M) - want, axis=(-2, -1))
+        assert np.all(gap <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+
     def test_rejects_bad_rtol(self):
         with pytest.raises(ValueError):
             pseudo_inverse(np.eye(2), rtol=0.0)
@@ -209,6 +227,20 @@ class TestStacks:
         singular[1] = 0.0
         with pytest.raises(DegeneracyError):
             check_invertible(singular)
+
+    def test_svd_failures_keep_their_types(self, rng, monkeypatch):
+        broken = crandn(rng, 3, 4, 2)
+        broken[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pseudo_inverse(broken)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        for kernel in (economy_svd, pseudo_inverse):
+            with pytest.raises(NumericalFailure, match="SVD did not converge"):
+                kernel(crandn(rng, 3, 4, 2))
 
     def test_hermitian_tolerance_is_per_member(self, rng):
         # a gap far below the stack's norm but above its own member's fails

@@ -6,9 +6,10 @@ from scipy.linalg import subspace_angles
 
 from conftest import crandn, make_cfg, unit_geometry
 from oossim.fronthaul import Chain
-from oossim.numerics import DegeneracyError, herm
+from oossim.numerics import DegeneracyError, NumericalFailure, economy_svd, herm
 from oossim.oos_estimation import (
     ChainDiagnostics,
+    _local_signal_basis,
     centralized_oos_oracle,
     estimate_oos_channels,
     local_svd_estimate,
@@ -97,6 +98,35 @@ class TestProcrustesRotation:
         rng = np.random.default_rng(seed)
         Q = procrustes_rotation(crandn(rng, 8, k), crandn(rng, 8, k))
         assert np.linalg.norm(herm(Q) @ Q - np.eye(k)) < 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(1, 5), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_phase_fixed_formula(self, k, batch, seed):
+        # a column phase of U comes with the same phase on V and cancels in V U^H
+        rng = np.random.default_rng(seed)
+        S_prev, S_local = crandn(rng, batch, 9, k), crandn(rng, batch, 9, k)
+        U, _, V = economy_svd(herm(S_local) @ S_prev)
+        want = V @ herm(U)
+        Q = procrustes_rotation(S_prev, S_local)
+        gap = np.linalg.norm(Q - want, axis=(-2, -1))
+        assert np.all(gap <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))
+        assert np.linalg.norm(herm(Q) @ Q - np.eye(k), axis=(-2, -1)).max() < 1e-12
+
+    def test_svd_failures_keep_their_types(self, rng, monkeypatch):
+        S = crandn(rng, 3, 8, 2)
+        broken = S.copy()
+        broken[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            procrustes_rotation(S, broken)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalFailure):
+            procrustes_rotation(S, S)
+        with pytest.raises(NumericalFailure):  # K_I above the rank bound: full SVD
+            _local_signal_basis(crandn(rng, 4, 2, 9), 3)
 
     def test_beats_random_unitaries(self, rng):
         S_prev = crandn(rng, 10, 3)

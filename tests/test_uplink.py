@@ -17,6 +17,7 @@ from oossim.uplink import (
     detect_sequential_ls,
     draw_qpsk,
     evaluate_ber,
+    received_signal,
     simulate_uplink_rx,
     wilson_interval,
 )
@@ -40,6 +41,25 @@ class TestSimulateUplink:
         dists = np.min(np.abs(x[..., None] - QPSK_POINTS), axis=-1)
         assert np.allclose(dists, 0.0)
         assert np.allclose(np.abs(x), 1.0)
+
+    def test_received_signal_sums_in_a_fixed_order(self, rng):
+        hx, gs, noise = crandn(rng, 3, 2, 4, 9)
+        rho = 0.37
+        want = ((np.sqrt(rho) * hx) + gs) + noise
+        assert np.array_equal(received_signal(rho, hx, gs, noise), want)
+        out = np.empty_like(hx)
+        assert received_signal(rho, hx, gs, noise, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(received_signal(rho, hx), np.sqrt(rho) * hx)
+
+    def test_draw_keeps_the_terms_of_y(self):
+        cfg = make_cfg(rho=2.5)
+        block, batch = make_batch(cfg)
+        assert np.array_equal(batch.hx, block.H @ batch.x)
+        assert np.array_equal(batch.gs, block.G @ batch.s)
+        assert np.array_equal(batch.y, received_signal(cfg.rho, batch.hx, batch.gs, batch.noise))
+        _, clean = make_batch(make_cfg(K_I=0), include_noise=False)
+        assert clean.gs is None and clean.noise is None
 
     def test_noise_free_channel_only(self):
         cfg = make_cfg(K_I=0)
