@@ -16,6 +16,13 @@ stack. The batched kernels treat each block as they would alone, so the
 results do not depend on the chunk size. The payload stack and the
 received signal live in buffers that the sweep allocates once and
 reuses for every chunk and SNR point.
+
+Detection runs once per width group: at each SNR point, the methods
+whose interferer estimates cover the same blocks of the chunk and give
+augmented channels of the same width are detected in one call, on their
+augmented channels stacked along a leading method axis, against the one
+payload that broadcasts along it. The detectors give each method what
+its own call gives, so a method's rows do not depend on the others.
 """
 
 from __future__ import annotations
@@ -176,7 +183,9 @@ class ResultRow:
     its share of the interferer estimation, which runs once per block for
     all SNR points: the estimation time divided by the number of points.
     Both are timed per chunk of blocks, so each block is charged an equal
-    share of its chunk's time. The payload draw, shared by all methods
+    share of its chunk's time. Methods detected in one call (a width
+    group, see run_monte_carlo) split its time evenly, each charged an
+    equal share. The payload draw, shared by all methods
     and SNR points, is charged to none of them. Summed over a method's
     rows it is the method's total time.
     """
@@ -226,11 +235,18 @@ def _interferer_channels(method, block, zpsi, cfg, chain, diagnostics):
     return oos_estimation.estimate_oos_channels(zpsi, sbar)
 
 
-def _augmented_channels(method, block, est, ghat):
-    """Per-AP augmented matrices [UE channels, interferer channels]: the
-    genie knows the true UE channels, every other method uses `est`."""
-    ue = block.H if method == "centralized_genie" else est
-    return ue if ghat is None else np.concatenate([ue, ghat], axis=-1)
+def _augmented_stack(group, H, est, width):
+    """Per-AP augmented matrices [UE channels, interferer channels] of
+    each method in `group` ((method, interferer channels or None) pairs),
+    stacked along a leading method axis: (M, *est.shape[:-1], width). The
+    genie knows the true UE channels `H`, every other method uses `est`."""
+    K = est.shape[-1]
+    aug = np.empty((len(group), *est.shape[:-1], width), dtype=complex)
+    for out, (method, ghat) in zip(aug, group):
+        out[..., :K] = H if method == "centralized_genie" else est
+        if ghat is not None:
+            out[..., K:] = ghat
+    return aug
 
 
 def _detect(detector, batch, aug, cfg, chain):
@@ -280,29 +296,34 @@ def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkDraw:
     return stack
 
 
-def _run_stage(stage, span: slice, diagnostics: RunDiagnostics):
-    """Run `stage(span, counts)` once for the chunk positions in `span`.
+def _run_stage(stage, span: slice, diagnostics: RunDiagnostics, members: tuple):
+    """Run `stage(members, span, counts)` once for the methods `members`
+    and the chunk positions in `span`.
 
-    If that raises a NumericalFailure, the stage reruns on each block of
-    the span alone, so a failure is charged to the block that caused it.
-    Returns [(span, result or NumericalFailure)] covering `span` in
-    order. The stage adds its diagnostic counts to `counts`; they reach
-    `diagnostics` unless the call failed on more than one block, in
-    which case the reruns count again.
+    If that raises a NumericalFailure, the stage reruns on each member
+    alone, and a single member on each block of the span alone, so a
+    failure is charged to the (method, block) that caused it. Returns
+    [(members, span, result or NumericalFailure)] covering `members` in
+    order and, for each, `span` in order. The stage adds its diagnostic
+    counts to `counts`; they reach `diagnostics` unless the call failed
+    on more than one member or block, in which case the reruns count
+    again.
     """
     counts = RunDiagnostics()
     try:
-        result = stage(span, counts)
+        result = stage(members, span, counts)
     except NumericalFailure as exc:
-        if span.stop - span.start > 1:
+        if len(members) > 1:
+            parts = [((member,), span) for member in members]
+        else:
+            parts = [(members, slice(i, i + 1)) for i in range(span.start, span.stop)]
+        if len(parts) > 1:
             return [
-                part
-                for i in range(span.start, span.stop)
-                for part in _run_stage(stage, slice(i, i + 1), diagnostics)
+                part for group, s in parts for part in _run_stage(stage, s, diagnostics, group)
             ]
         result = exc
     diagnostics.degenerate_rotations += counts.degenerate_rotations
-    return [(span, result)]
+    return [(members, span, result)]
 
 
 @dataclass
@@ -391,18 +412,28 @@ def _run_chunk(sweep: _Sweep, blocks: range):
     zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
     payload = _draw_payload(sweep, chunk, blocks)
 
-    estimates = {}
-    for method in spec.methods:
+    def estimate(members, s, counts):
+        (method,) = members
+        chain = Chain.for_config(cfg)
+        ghat = _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, chain, counts)
+        sweep.record_link_load(method, chain)
+        return ghat
 
-        def estimate(s, counts):
-            chain = Chain.for_config(cfg)
-            ghat = _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, chain, counts)
-            sweep.record_link_load(method, chain)
-            return ghat
-
+    # Methods whose estimates cover the same span with the same augmented
+    # width are detected together: group keys (start, stop, width) map to
+    # [(method index, method, interferer channels)] in method order.
+    groups: dict[tuple[int, int, int], list] = {}
+    failed_estimates = []  # (chunk position, method index, method, exception)
+    for m, method in enumerate(spec.methods):
         t0 = time.perf_counter()
-        estimates[method] = _run_stage(estimate, slice(0, len(blocks)), sweep.diagnostics)
+        parts = _run_stage(estimate, slice(0, len(blocks)), sweep.diagnostics, (method,))
         sweep.estimate_s[method] += time.perf_counter() - t0
+        for _, span, ghat in parts:
+            if isinstance(ghat, NumericalFailure):
+                failed_estimates += [(i, m, method, ghat) for i in range(span.start, span.stop)]
+                continue
+            width = cfg.K + (0 if ghat is None else ghat.shape[-1])
+            groups.setdefault((span.start, span.stop, width), []).append((m, method, ghat))
 
     for p, (snr_db, cfg_pt, tally, failures) in enumerate(
         zip(spec.snr_grid_db, sweep.points, sweep.tallies, sweep.failures)
@@ -413,33 +444,33 @@ def _run_chunk(sweep: _Sweep, blocks: range):
         # overwrites the previous one's, so nothing below outlives its point.
         if p:
             uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
-        failed = []  # (block, method index, method, exception)
-        for m, method in enumerate(spec.methods):
-            for span, ghat in estimates[method]:
-                if isinstance(ghat, NumericalFailure):
-                    failed += [(blocks[i], m, method, ghat) for i in range(span.start, span.stop)]
+        failed = list(failed_estimates)
+        for (start, stop, width), group in groups.items():
+
+            def detect(members, s, counts):
+                own = slice(s.start - start, s.stop - start)
+                stack = [(method, None if g is None else g[own]) for _, method, g in members]
+                aug = _augmented_stack(stack, chunk.H[s], est[s], width)
+                chain = Chain.for_config(cfg)
+                return _detect(spec.detector, _select(payload, s), aug, cfg_pt, chain)
+
+            t0 = time.perf_counter()
+            detected = _run_stage(detect, slice(start, stop), sweep.diagnostics, tuple(group))
+            share = (time.perf_counter() - t0) / len(group)
+            for _, method, _ in group:
+                tally[method].detect_s += share
+            for members, s, xhat in detected:
+                if isinstance(xhat, NumericalFailure):
+                    failed += [(s.start, m, method, xhat) for m, method, _ in members]
                     continue
-
-                def detect(s, counts):
-                    own = None if ghat is None else ghat[s.start - span.start : s.stop - span.start]
-                    aug = _augmented_channels(method, _select(chunk, s), est[s], own)
-                    chain = Chain.for_config(cfg)
-                    return _detect(spec.detector, _select(payload, s), aug, cfg_pt, chain)
-
-                t0 = time.perf_counter()
-                detected = _run_stage(detect, span, sweep.diagnostics)
-                tally[method].detect_s += time.perf_counter() - t0
-                for s, xhat in detected:
-                    if isinstance(xhat, NumericalFailure):
-                        failed.append((blocks[s.start], m, method, xhat))
-                        continue
-                    tally[method].errors += int(
-                        uplink.count_bit_errors(xhat[..., : cfg.K, :], payload.x[s]).sum()
-                    )
+                ue = xhat[..., : cfg.K, :]
+                errors = uplink.count_bit_errors(ue, np.broadcast_to(payload.x[s], ue.shape))
+                for (_, method, _), method_errors in zip(members, errors, strict=True):
+                    tally[method].errors += int(method_errors.sum())
                     tally[method].bits += 2 * payload.x[s].size  # 2 bits per QPSK symbol
-        for b, _, method, exc in sorted(failed, key=lambda f: f[:2]):
+        for i, _, method, exc in sorted(failed, key=lambda f: f[:2]):
             sweep.diagnostics.numerical_failures += 1
-            failures.append((method, snr_db, b, str(exc)))
+            failures.append((method, snr_db, blocks[i], str(exc)))
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
@@ -452,12 +483,14 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     each from the block's own streams), the projected residual (which
     does not depend on rho), and each method's interferer-channel
     estimate with its OoS chain pass. Per SNR point: the pilot LS
-    estimate, the received payload sqrt(rho) H x + G s + n, and each
-    method's detection. A stage that fails numerically on the chunk reruns
-    block by block; a method that fails on a block is excluded there and
-    counted once per SNR point. Rows and failures come out in (SNR, block,
-    method) order, and a chunk's time is split evenly across its blocks
-    (see ResultRow).
+    estimate, the received payload sqrt(rho) H x + G s + n, and one
+    detection per width group, i.e. per set of methods whose estimates
+    cover the same blocks with augmented channels of the same width. A
+    stage that fails numerically reruns method by method (for a group),
+    then block by block; a method that fails on a block is excluded there
+    and counted once per SNR point. Rows and failures come out in (SNR,
+    block, method) order, and a call's time is split evenly across its
+    blocks and methods (see ResultRow).
     """
     sweep = _Sweep(spec)
     trials = spec.cfg.trials

@@ -117,8 +117,18 @@ def path_loss_db(distance_m):
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly symmetric complex Gaussian entries with unit variance.
+
+    Draws the real parts, then the imaginary parts, in one call, and
+    scales the result in place: bit for bit the value of
+    (re + 1j * im) / sqrt(2) with re and im drawn in turn, without its
+    full-size temporaries.
+    """
+    parts = rng.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    z /= np.sqrt(2.0)
+    return z
 
 
 def block_rng(seed: int, block_index: int, stream: int) -> np.random.Generator:

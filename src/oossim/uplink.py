@@ -4,13 +4,18 @@ Interferers are treated as extra fictitious users: each AP's augmented
 channel matrix is [UE estimates, interferer estimates], the detectors
 estimate all K + K_I entries, and the last K_I are discarded downstream.
 Three detectors are provided: a sequential recursive LS along the chain,
-a distributed zero-forcing (combine locally, solve at the CPU), and the
-centralized zero-forcing baseline on the stacked network-wide matrix.
+a distributed zero-forcing (combine locally, apply the inverse Gramian
+at the CPU), and the centralized zero-forcing baseline on the stacked
+network-wide matrix.
 A payload draw keeps the terms H x, G s and n of the received signal, so
 received_signal can form y at any uplink power without drawing again.
-Detectors and bit counting also take a leading block axis on every
-array (augmented channels (B, L, N, m), payload (B, L, N, T), symbols
-(B, K, T)) and then handle B blocks in one call.
+Detectors and bit counting also take leading stack axes and then handle
+the whole stack in one call. The augmented channels may carry more of
+them than the payload: channels (M, B, L, N, m) of M methods against a
+payload (B, L, N, T) of B blocks give (M, B, m, T) estimates, each
+equal, bit for bit, to its own method's call, while the payload
+broadcasts and is never copied per method. Bit counting takes the
+symbols broadcast to the estimates' shape (np.broadcast_to).
 """
 
 from __future__ import annotations
@@ -58,16 +63,6 @@ class DetectorState:
 
     xhat: np.ndarray  # (K + K_I, T)
     C: np.ndarray  # (K + K_I, K + K_I), Hermitian PSD
-
-
-@dataclass
-class BerStats:
-    ber: float
-    bit_count: int
-    bit_errors: int
-    ci_low: float
-    ci_high: float
-    per_ue: np.ndarray
 
 
 def draw_qpsk(rng: np.random.Generator, K: int, T: int) -> np.ndarray:
@@ -167,7 +162,8 @@ def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
 def detect_distributed_zf(
     batch: UplinkSymbolBatch, aug: np.ndarray, gamma: np.ndarray, chain: Chain
 ) -> np.ndarray:
-    """Combine locally with A_l^H, accumulate along the chain, solve at the CPU.
+    """Combine locally with A_l^H, accumulate along the chain, and apply
+    gamma's inverse at the CPU.
 
     Returns the (K + K_I, T) estimates; the last K_I rows are the
     fictitious-user symbols and are discarded by the caller. Identical to
@@ -183,14 +179,18 @@ def detect_distributed_zf(
         return combined_uplink_message(acc + herm(A) @ batch.y[..., ap - 1, :, :])
 
     ybar = chain.run("uplink_combine", fold).payload
-    return np.linalg.solve(gamma, ybar)
+    # check_invertible bounds gamma's condition number at 1e10, so its
+    # inverse applied to the T columns of ybar matches an LU solve to
+    # rounding, at a fraction of the cost
+    return np.linalg.inv(gamma) @ ybar
 
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
     """Zero-forcing baseline on the stacked network-wide channel matrix."""
     *stack, L, N, m = aug.shape
+    *y_stack, _, _, T = batch.y.shape
     A = aug.reshape(*stack, L * N, m)
-    y = batch.y.reshape(*stack, L * N, batch.y.shape[-1])
+    y = batch.y.reshape(*y_stack, L * N, T)
     return pseudo_inverse(A) @ y
 
 
@@ -219,27 +219,3 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == n else min(1.0, center + half)
     return lo, hi
-
-
-def evaluate_ber(estimates: np.ndarray, truth: np.ndarray) -> BerStats:
-    """Slice UE estimates to the nearest QPSK point and count bit errors.
-
-    estimates/truth are (K, T); interferer rows must already be excluded.
-    Reports the aggregate BER with a 95% binomial confidence interval and
-    the per-UE BERs.
-    """
-    if estimates.size == 0:
-        raise ValueError("empty symbol stream")
-    per_ue_errors = count_bit_errors(estimates, truth)
-    K, T = estimates.shape
-    bit_count = 2 * K * T
-    total = int(per_ue_errors.sum())
-    lo, hi = wilson_interval(total, bit_count)
-    return BerStats(
-        ber=total / bit_count,
-        bit_count=bit_count,
-        bit_errors=total,
-        ci_low=lo,
-        ci_high=hi,
-        per_ue=per_ue_errors / (2 * T),
-    )

@@ -82,6 +82,24 @@ def fail_centralized_detection(monkeypatch, spec, block):
     monkeypatch.setattr(uplink, "detect_centralized", flaky)
 
 
+def fail_genie_detection(monkeypatch, spec, block):
+    """Make centralized ZF fail whenever its augmented channels hold the
+    genie's on `block` (the true channels of the block's first AP), so
+    only centralized_genie fails there, even inside a stacked group."""
+    cfg = spec.cfg
+    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
+    drawn = draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
+    mark = np.concatenate([drawn.H[0], drawn.G[0]], axis=-1)
+    original = uplink.detect_centralized
+
+    def flaky(batch, aug):
+        if aug.shape[-1] == mark.shape[-1] and holds(aug, mark):
+            raise NumericalFailure("injected genie failure")
+        return original(batch, aug)
+
+    monkeypatch.setattr(uplink, "detect_centralized", flaky)
+
+
 def sweep_record(spec):
     """Everything a sweep reports except wall times."""
     out = run_monte_carlo(spec)
@@ -264,6 +282,35 @@ class TestRunMonteCarlo:
             "build_geometry": trials, "run_gramian_method": chunks, "simulate_uplink_rx": trials
         }
 
+    @pytest.mark.parametrize(
+        ("build", "detector", "name", "groups"),
+        [
+            (default_spec, "centralized_zf", "detect_centralized", 2),
+            (overloaded_interferers_spec, "distributed_zf", "detect_distributed_zf", 1),
+        ],
+    )
+    def test_detection_runs_once_per_width_group(self, monkeypatch, build, detector, name, groups):
+        # no_suppression detects over the K UE columns and every other
+        # method over K + K_I, so the default spec has two width groups;
+        # in the overloaded spec all three methods share one
+        calls = Counter()
+        count_calls(monkeypatch, uplink, name, calls)
+        spec = build(detector=detector, snr_grid_db=(-4.0, 0.0), payload_symbols_per_block=10)
+        spec = with_trials(spec, 7)
+        run_monte_carlo(spec)
+        chunks = -(-spec.cfg.trials // experiments.CHUNK_BLOCKS)
+        assert calls == {name: len(spec.snr_grid_db) * chunks * groups}
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_rows_do_not_depend_on_the_other_methods(self, detector):
+        # a method detected alone and inside a stacked group gets the
+        # same rows, byte for byte
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector=detector), 5)
+        together = run_monte_carlo(spec).rows
+        for method in spec.methods:
+            alone = run_monte_carlo(replace(spec, methods=(method,))).rows
+            assert rows_to_csv(alone) == rows_to_csv([r for r in together if r.method == method])
+
     def test_detection_sees_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
         # the sweep draws each payload once but receives it at each point
         # exactly as a draw at that point's power would, bit for bit
@@ -357,6 +404,19 @@ class TestChunking:
             survivors = spec.cfg.trials - 1 - (row.method == "seq_procrustes")
             assert row.bit_count == survivors * per_block
 
+    def test_failure_in_a_stacked_group_charged_to_its_method(self, monkeypatch):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_genie_detection(monkeypatch, spec, block=2)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        expected = [("centralized_genie", snr, 2) for snr in spec.snr_grid_db]
+        assert [f[:3] for f in failures] == expected
+        assert numerical_failures == len(expected)
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row in run_monte_carlo(spec).rows:
+            survivors = spec.cfg.trials - (row.method == "centralized_genie")
+            assert row.bit_count == survivors * per_block
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_results_independent_of_block_order(self, monkeypatch, size):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oossim.scenario import (
     block_rng,
     build_geometry,
     build_pilot_book,
+    crandn,
     dft_pilot_book,
     draw_block,
     geometry_to_json,
@@ -151,6 +153,29 @@ class TestPilotBook:
             np.linalg.norm(herm(book.Psi) @ book.Psi - np.eye(tau_p - K)) < 1e-12
         )
         assert np.linalg.norm(herm(book.Phi) @ book.Psi) < 1e-12
+
+
+class TestCrandn:
+    @pytest.mark.parametrize("shape", [(16, 4, 150), (16, 4, 50), (4, 4, 150), (3,), (0,), (2, 0, 5)])
+    def test_equals_the_two_call_formula(self, shape):
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):  # consecutive draws keep the stream in step
+            re, im = theirs.standard_normal(shape), theirs.standard_normal(shape)
+            z = crandn(ours, *shape)
+            assert z.shape == shape and z.dtype == complex
+            assert np.array_equal(z, (re + 1j * im) / np.sqrt(2.0))
+
+    def test_no_full_size_temporaries(self):
+        rng = np.random.default_rng(0)
+        crandn(rng, 16, 4, 150)  # warm up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            z = crandn(rng, 16, 4, 150)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * z.nbytes
 
 
 class TestDrawBlock:

@@ -16,7 +16,6 @@ from oossim.uplink import (
     detect_distributed_zf,
     detect_sequential_ls,
     draw_qpsk,
-    evaluate_ber,
     received_signal,
     simulate_uplink_rx,
     wilson_interval,
@@ -237,33 +236,36 @@ class TestCentralized:
 
 
 class TestBer:
+    """Bit scoring as the sweep does it: per-UE counts from
+    count_bit_errors, and a Wilson interval on the totals."""
+
     def test_exact_estimates(self, rng):
         x = draw_qpsk(rng, 3, 100)
-        stats = evaluate_ber(x, x)
-        assert stats.ber == 0.0
-        assert stats.bit_count == 600
+        errors = count_bit_errors(x, x)
+        assert np.array_equal(errors, np.zeros(3, dtype=int))
+        assert wilson_interval(0, 2 * x.size)[0] == 0.0
 
     def test_negated_estimates(self, rng):
         x = draw_qpsk(rng, 3, 100)
-        assert evaluate_ber(-x, x).ber == 1.0
+        assert np.array_equal(count_bit_errors(-x, x), np.full(3, 200))
 
     def test_independent_noise_gives_half(self, rng):
         x = draw_qpsk(rng, 5, 1000)
-        noise = crandn(rng, 5, 1000)
-        stats = evaluate_ber(noise, x)
-        sigma = 0.5 / np.sqrt(stats.bit_count)
-        assert abs(stats.ber - 0.5) < 3 * sigma
+        bits = 2 * x.size
+        ber = count_bit_errors(crandn(rng, 5, 1000), x).sum() / bits
+        assert abs(ber - 0.5) < 3 * 0.5 / np.sqrt(bits)
 
     def test_ci_brackets_ber(self, rng):
         x = draw_qpsk(rng, 2, 500)
-        est = x + 0.5 * crandn(rng, 2, 500)
-        stats = evaluate_ber(est, x)
-        assert stats.ci_low <= stats.ber <= stats.ci_high
-        assert stats.per_ue.shape == (2,)
+        errors = count_bit_errors(x + 0.5 * crandn(rng, 2, 500), x)
+        assert errors.shape == (2,)
+        total, bits = int(errors.sum()), 2 * x.size
+        lo, hi = wilson_interval(total, bits)
+        assert 0.0 < lo <= total / bits <= hi < 1.0
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_ber(np.zeros((0, 0)), np.zeros((0, 0)))
+            wilson_interval(0, 0)
 
     def test_count_requires_matching_shapes(self, rng):
         with pytest.raises(ValueError):
@@ -307,3 +309,45 @@ class TestStackedBlocks:
         gamma = accumulate_channel_gramian(aug, Chain.for_config(cfg))
         with pytest.raises(DegeneracyError):
             detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg))
+
+    def test_method_axis_broadcasts_against_the_payload(self):
+        # augmented channels of M methods (M, B, ...) against one payload
+        # stack (B, ...): each method gets exactly its own call's result
+        cfg = make_cfg()
+        drawn = [make_batch(cfg, seed=10 * b) for b in range(3)]
+        stack = UplinkSymbolBatch(*(np.stack(a) for a in zip(*((b.x, b.s, b.y) for _, b in drawn))))
+        genie = np.stack([genie_aug(block) for block, _ in drawn])
+        noisy = genie + 0.1 * crandn(np.random.default_rng(5), *genie.shape)
+        augs = np.stack([genie, noisy, np.flip(noisy, axis=-1)])
+
+        def detections(aug):
+            gamma = accumulate_channel_gramian(aug, Chain.for_config(cfg))
+            return (
+                detect_centralized(stack, aug),
+                detect_distributed_zf(stack, aug, gamma, Chain.for_config(cfg)),
+                detect_sequential_ls(stack, aug, cfg, Chain.for_config(cfg)).xhat,
+            )
+
+        stacked = detections(augs)
+        for m, aug in enumerate(augs):
+            for got, want in zip(stacked, detections(aug), strict=True):
+                assert got.shape == (len(augs), *want.shape)
+                assert np.array_equal(got[m], want)
+        ue = stacked[0][..., : cfg.K, :]
+        errors = count_bit_errors(ue, np.broadcast_to(stack.x, ue.shape))
+        for m in range(len(augs)):
+            assert np.array_equal(errors[m], count_bit_errors(ue[m], stack.x))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distributed_zf_matches_a_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = make_cfg()
+        aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
+        batch = UplinkSymbolBatch(x=None, s=None, y=crandn(rng, 3, cfg.L, cfg.N, 20))
+        gamma = accumulate_channel_gramian(aug, Chain.for_config(cfg))
+        assert np.linalg.cond(gamma).max() < 1e3
+        xhat = detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg))
+        ybar = (herm(aug) @ batch.y).sum(axis=-3)
+        want = np.linalg.solve(gamma, ybar)
+        gap = np.linalg.norm(xhat - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+        assert gap.max() <= 1e-12
