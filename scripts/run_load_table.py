@@ -26,6 +26,9 @@ def main():
         print(f"  {'method':<20}{'phase':<20}{'per link':>10}")
         for method in METHODS:
             phases = table[method]
+            if phases is None:
+                print(f"  {method:<20}{'(undefined for this config)':<20}")
+                continue
             if not phases:
                 print(f"  {method:<20}{'(no chain traffic)':<20}")
             for phase, load in phases.items():

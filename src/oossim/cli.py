@@ -74,9 +74,15 @@ def _cmd_run(args) -> int:
         print(f"oossim run: {exc}", file=sys.stderr)
         return 2
     outcome = run_monte_carlo(spec)
-    csv_path, json_path = emit_report(
-        outcome.rows, spec, diagnostics=outcome.diagnostics
-    )
+    d = outcome.diagnostics
+    if not outcome.rows:
+        print(
+            f"oossim run: no (method, SNR) point kept a block "
+            f"({d.numerical_failures} numerical failures); nothing written",
+            file=sys.stderr,
+        )
+        return 1
+    csv_path, json_path = emit_report(outcome.rows, spec, diagnostics=d)
     print(f"wrote {csv_path} and {json_path}")
     print(f"{'method':<20}{'snr_db':>8}{'ber':>12}{'per-link':>10}")
     for r in outcome.rows:
@@ -84,7 +90,6 @@ def _cmd_run(args) -> int:
             f"{r.method:<20}{r.snr_db:>8.1f}{r.ber:>12.3e}"
             f"{r.fronthaul_per_link_real_symbols:>10d}"
         )
-    d = outcome.diagnostics
     if d.numerical_failures or d.degenerate_rotations:
         print(
             f"diagnostics: {d.numerical_failures} numerical failures, "

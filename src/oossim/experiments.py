@@ -1,5 +1,10 @@
 """Monte Carlo harness: method sweep over uplink power, BER curves,
-fronthaul-load accounting, machine-readable outputs.
+the fronthaul load ledger, machine-readable outputs.
+
+The method and detector dispatch lives here, once (_interferer_channels,
+_augmented_stack, _detect). The sweep and the load ledger (load_report)
+both run it, so the loads that load_report measures and checks against
+the closed forms (analytic_per_link) are the sweep's own chain passes'.
 
 All methods and all SNR points at a given block index share the same
 geometry, channels, interferer signal, payload symbols and noise, so
@@ -35,14 +40,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import fronthaul, oos_estimation, pilot_phase, uplink
-from .fronthaul import Chain
+from . import oos_estimation, pilot_phase, uplink
+from .fronthaul import Chain, ChainError, LoadReport
 from .numerics import NumericalFailure
 from .scenario import (
     CHANNEL_STREAM,
     GEOMETRY_STREAM,
     PAYLOAD_STREAM,
     BlockRealization,
+    Geometry,
     SystemConfig,
     block_rng,
     build_geometry,
@@ -144,14 +150,96 @@ def config_from_dict(cfg_dict: dict) -> SystemConfig:
     return SystemConfig(**cfg_dict)
 
 
-def undefined_reason(method: str, cfg: SystemConfig) -> str | None:
-    """Why `method` has no estimator under `cfg`, or None if it has one."""
+def undefined_reason(method: str, cfg: SystemConfig, detector: str | None = None) -> str | None:
+    """Why `method` has no estimator under `cfg` or, given `detector`, no
+    detection; None if it has both. A spec is checked without a detector:
+    the sweep counts each block whose detection is undefined as a
+    numerical failure."""
     if method == "local_processing" and cfg.K_I > cfg.N:
         return (
             f"local_processing needs K_I <= N (a local residual has at most N "
             f"directions); got K_I={cfg.K_I}, N={cfg.N}"
         )
+    if detector == "distributed_zf" and cfg.L * cfg.N < _augmented_width(method, cfg):
+        return (
+            f"distributed_zf needs L*N >= K + K_I (K for no_suppression), or the "
+            f"channel Gramian of {method} is singular; got L={cfg.L}, N={cfg.N}"
+        )
     return None
+
+
+def _augmented_width(method: str, cfg: SystemConfig) -> int:
+    """Columns of a method's augmented channels: the K UEs, plus the K_I
+    interferers for every method that suppresses them."""
+    return cfg.K + (0 if method == "no_suppression" else cfg.K_I)
+
+
+def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> dict:
+    """Per-link real-symbol loads by phase, from the closed-form counts.
+
+    Pilot-phase entries are per coherence block; payload-phase entries
+    (uplink_combine, uplink_seq_ls) are per symbol period. Methods without
+    chain traffic contribute no phases.
+    """
+    r = cfg.tau_p - cfg.K
+    m = _augmented_width(method, cfg)
+    phases: dict[str, int] = {}
+    if cfg.K_I > 0:
+        if method == "seq_procrustes":
+            phases["oos_forward"] = 2 * cfg.K_I * r
+            phases["oos_broadcast"] = 2 * cfg.K_I * r
+        elif method == "seq_gramian":
+            phases["oos_forward"] = r * r
+            phases["oos_broadcast"] = 2 * cfg.K_I * r
+    if detector == "distributed_zf":
+        phases["channel_gramian"] = m * m
+        phases["uplink_combine"] = 2 * m
+    elif detector == "sequential_ls":
+        phases["uplink_seq_ls"] = 2 * m + m * m
+    return phases
+
+
+def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> LoadReport:
+    """Measured per-link loads of `method` under `detector`, checked
+    against analytic_per_link (exact equality).
+
+    Runs the sweep's own stages (_interferer_channels, _augmented_stack,
+    _detect) on one synthetic unit-gain block with a one-symbol payload,
+    on a chain that logs every link, and returns that log. Raises
+    ChainError if measurement and formula differ.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}; expected one of {DETECTORS}")
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xF00D)))
+    unit_gains = Geometry(
+        ap_positions=np.zeros((cfg.L, 3)),
+        ue_positions=np.zeros((cfg.K, 3)),
+        oos_positions=np.zeros((cfg.K_I, 3)),
+        beta_ue=np.ones((cfg.L, cfg.K)),
+        beta_oos=np.ones((cfg.L, cfg.K_I)),
+    )
+    block = draw_block(cfg, unit_gains, rng)
+    pilots = build_pilot_book(cfg)
+    obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
+    est = pilot_phase.ls_channel_estimate(obs, pilots, cfg)
+    zpsi = pilot_phase.compute_projected_residual(obs, pilots)
+    chain = Chain.for_config(cfg)
+    ghat = _interferer_channels(method, block, zpsi, cfg, chain, RunDiagnostics())
+    width = cfg.K + (0 if ghat is None else ghat.shape[-1])
+    aug = _augmented_stack([(method, ghat)], block.H, est, width)
+    batch = uplink.simulate_uplink_rx(block, cfg, rng, n_symbols=1)
+    _detect(detector, batch, aug, cfg, chain)
+
+    expected = analytic_per_link(method, cfg, detector)
+    measured = {p: chain.log.per_link_symbols(p) for p in chain.log.phases()}
+    if measured != expected:
+        raise ChainError(
+            f"measured per-link loads {measured} differ from formula {expected} "
+            f"for method={method}, detector={detector}"
+        )
+    return chain.log
 
 
 def default_spec(**overrides) -> ExperimentSpec:
@@ -279,7 +367,7 @@ def _draw_chunk(cfg: SystemConfig, blocks: range) -> BlockRealization:
     )
 
 
-def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkDraw:
+def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkSymbolBatch:
     """Each block's payload, drawn once for all SNR points from the
     block's own stream, at the first point's power, into the sweep's
     payload buffers. Returns the buffers' first len(blocks) entries."""
@@ -337,12 +425,15 @@ class _PointTally:
 
 class _Sweep:
     """What a sweep holds across its chunks: the pilot book, one config
-    per SNR point, the payload buffers, and the running totals."""
+    per SNR point, the chain (unlogged: the loads are checked by
+    load_report, not measured per block), the payload buffers, and the
+    running totals."""
 
     def __init__(self, spec: ExperimentSpec):
         cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
+        self.chain = Chain(tuple(cfg.ap_order), log=None)
         self.points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 
@@ -353,7 +444,7 @@ class _Sweep:
         # time. The draw comes with the first point's y, so the terms H x,
         # G s and n are kept only when later points must form their own.
         later = len(self.points) > 1
-        self.payload = uplink.UplinkDraw(
+        self.payload = uplink.UplinkSymbolBatch(
             x=buffer(cfg.K, n_symbols),
             s=buffer(cfg.K_I, n_symbols),
             y=buffer(cfg.L, cfg.N, n_symbols),
@@ -364,21 +455,17 @@ class _Sweep:
         self.tallies = [{m: _PointTally() for m in spec.methods} for _ in spec.snr_grid_db]
         self.failures = [[] for _ in spec.snr_grid_db]  # per point, in (block, method) order
         self.estimate_s = {m: 0.0 for m in spec.methods}
-        self.per_link: dict[str, int | None] = {m: None for m in spec.methods}
         self.diagnostics = RunDiagnostics()
-
-    def record_link_load(self, method: str, chain: Chain):
-        link_load = chain.log.per_link_symbols("oos_forward")
-        if self.per_link[method] is None:
-            self.per_link[method] = link_load
-        elif link_load != self.per_link[method]:
-            raise fronthaul.ChainError(f"per-link load changed between blocks for {method}")
 
     def outcome(self) -> MonteCarloOutcome:
         """One row per (SNR point, method) with surviving blocks, and the
         failures in (SNR, block, method) order of the chunks run. Call
         once, after the last chunk."""
         spec, diagnostics = self.spec, self.diagnostics
+        loads = {
+            m: analytic_per_link(m, spec.cfg, spec.detector).get("oos_forward", 0)
+            for m in spec.methods
+        }
         rows: list[ResultRow] = []
         for snr_db, tally, failures in zip(spec.snr_grid_db, self.tallies, self.failures):
             diagnostics.failures.extend(failures)
@@ -396,7 +483,7 @@ class _Sweep:
                         bit_count=t.bits,
                         ci_low=lo,
                         ci_high=hi,
-                        fronthaul_per_link_real_symbols=self.per_link[method] or 0,
+                        fronthaul_per_link_real_symbols=loads[method],
                         wall_time_s=t.detect_s + self.estimate_s[method] / len(self.points),
                         seed=spec.cfg.seed,
                     )
@@ -414,10 +501,7 @@ def _run_chunk(sweep: _Sweep, blocks: range):
 
     def estimate(members, s, counts):
         (method,) = members
-        chain = Chain.for_config(cfg)
-        ghat = _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, chain, counts)
-        sweep.record_link_load(method, chain)
-        return ghat
+        return _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, sweep.chain, counts)
 
     # Methods whose estimates cover the same span with the same augmented
     # width are detected together: group keys (start, stop, width) map to
@@ -451,8 +535,7 @@ def _run_chunk(sweep: _Sweep, blocks: range):
                 own = slice(s.start - start, s.stop - start)
                 stack = [(method, None if g is None else g[own]) for _, method, g in members]
                 aug = _augmented_stack(stack, chunk.H[s], est[s], width)
-                chain = Chain.for_config(cfg)
-                return _detect(spec.detector, _select(payload, s), aug, cfg_pt, chain)
+                return _detect(spec.detector, _select(payload, s), aug, cfg_pt, sweep.chain)
 
             t0 = time.perf_counter()
             detected = _run_stage(detect, slice(start, stop), sweep.diagnostics, tuple(group))
@@ -535,6 +618,7 @@ def emit_report(rows: list[ResultRow], spec: ExperimentSpec, out_dir=None, diagn
     payload = {
         "spec": spec.to_dict(),
         "rows": [asdict(r) for r in rows],
+        "fronthaul": load_table(spec.cfg, spec.detector, spec.methods),
     }
     if diagnostics is not None:
         payload["diagnostics"] = {
@@ -549,12 +633,13 @@ def emit_report(rows: list[ResultRow], spec: ExperimentSpec, out_dir=None, diagn
 
 def load_table(cfg: SystemConfig, detector: str = "distributed_zf", methods=METHODS):
     """Measured per-link loads by (method, phase); formula-checked. A
-    method that is undefined under `cfg` maps to None."""
+    method whose estimator or detection is undefined under `cfg` (see
+    undefined_reason) maps to None."""
     table = {}
     for method in methods:
-        if undefined_reason(method, cfg):
+        if undefined_reason(method, cfg, detector):
             table[method] = None
             continue
-        report = fronthaul.load_report(method, cfg, detector)
+        report = load_report(method, cfg, detector)
         table[method] = {p: report.per_link_symbols(p) for p in report.phases()}
     return table

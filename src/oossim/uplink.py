@@ -39,22 +39,16 @@ QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 @dataclass
 class UplinkSymbolBatch:
     """Payload symbols for one block: unit-power QPSK per UE, Gaussian
-    interferer symbols, and the per-AP received vectors."""
+    interferer symbols, and the per-AP received vectors. A drawn payload
+    also keeps the terms of y that do not depend on the uplink power, so
+    the same draw can be received at any power (received_signal)."""
 
     x: np.ndarray  # (K, T) unit QPSK
     s: np.ndarray  # (K_I, T)
     y: np.ndarray  # (L, N, T)
-
-
-@dataclass
-class UplinkDraw(UplinkSymbolBatch):
-    """A drawn payload with the terms of y that do not depend on the
-    uplink power, so the same draw can be received at any power
-    (received_signal)."""
-
-    hx: np.ndarray  # (L, N, T) H x
-    gs: np.ndarray | None  # (L, N, T) G s; None without interferers
-    noise: np.ndarray | None  # (L, N, T); None for a noise-free draw
+    hx: np.ndarray | None = None  # (L, N, T) H x
+    gs: np.ndarray | None = None  # (L, N, T) G s; None without interferers
+    noise: np.ndarray | None = None  # (L, N, T); None for a noise-free draw
 
 
 @dataclass
@@ -89,7 +83,7 @@ def simulate_uplink_rx(
     rng: np.random.Generator,
     n_symbols: int | None = None,
     include_noise: bool = True,
-) -> UplinkDraw:
+) -> UplinkSymbolBatch:
     """Received payload per AP: y_l = sqrt(rho) H_l x + G_l s + n_l.
 
     x holds unit-power QPSK (the transmit scaling sqrt(rho) is applied to
@@ -107,7 +101,7 @@ def simulate_uplink_rx(
     gs = block.G @ s if cfg.K_I else None
     noise = crandn(rng, cfg.L, cfg.N, T) if include_noise else None
     y = received_signal(cfg.rho, hx, gs, noise)
-    return UplinkDraw(x=x, s=s, y=y, hx=hx, gs=gs, noise=noise)
+    return UplinkSymbolBatch(x=x, s=s, y=y, hx=hx, gs=gs, noise=noise)
 
 
 def detect_sequential_ls(

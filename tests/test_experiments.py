@@ -19,6 +19,7 @@ from oossim.experiments import (
     ExperimentSpec,
     default_spec,
     emit_report,
+    load_report,
     load_table,
     overloaded_interferers_spec,
     rows_to_csv,
@@ -216,6 +217,24 @@ class TestRunMonteCarlo:
         assert loads["seq_gramian"] == 2025
         assert loads["no_suppression"] == 0
         assert loads["centralized_genie"] == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            default_spec,
+            lambda: overloaded_interferers_spec(detector="distributed_zf"),
+            lambda: default_spec(cfg=SystemConfig(L=16), detector="sequential_ls"),
+            lambda: default_spec(cfg=SystemConfig(K_I=0), detector="distributed_zf"),
+        ],
+        ids=["default", "overloaded_dzf", "L16_sequential_ls", "K_I0_dzf"],
+    )
+    def test_fronthaul_column_is_the_measured_load(self, build):
+        # the CSV column is a closed form; load_report measures the same
+        # method's chain passes and checks them against it
+        spec = with_trials(build(), 2)
+        for row in run_monte_carlo(spec).rows:
+            report = load_report(row.method, spec.cfg, spec.detector)
+            assert row.fronthaul_per_link_real_symbols == report.per_link_symbols("oos_forward")
 
     def test_gramian_matches_centralized_pipeline_decisions(self):
         # the distributed Gramian pass and the stacked-SVD pipeline give the
@@ -520,6 +539,8 @@ class TestEmitReport:
         data = json.loads(json_path.read_text())
         assert data["spec"]["cfg"]["K"] == spec.cfg.K
         assert len(data["rows"]) == len(out.rows)
+        assert data["fronthaul"] == load_table(spec.cfg, spec.detector, spec.methods)
+        assert data["fronthaul"]["seq_gramian"]["oos_forward"] == (spec.cfg.tau_p - spec.cfg.K) ** 2
 
     def test_failures_written_as_records(self, tmp_path, monkeypatch):
         spec = tiny_spec()
@@ -537,6 +558,17 @@ class TestLoadTable:
         table = load_table(SystemConfig(K_I=5))
         assert table["local_processing"] is None
         assert table["seq_gramian"]["oos_forward"] == 2025
+
+    @pytest.mark.parametrize("L, K_I, defined", [(1, 2, []), (2, 5, ["no_suppression"])])
+    def test_singular_distributed_zf_listed_not_raised(self, L, K_I, defined):
+        # L*N = 4 or 8 antennas leave the channel Gramian of K + K_I = 7 or
+        # 10 augmented columns singular (K = 5 suffice for no_suppression)
+        cfg = SystemConfig(L=L, K_I=K_I)
+        table = load_table(cfg, "distributed_zf")
+        assert [m for m, phases in table.items() if phases is not None] == defined
+        reason = experiments.undefined_reason("seq_gramian", cfg, "distributed_zf")
+        assert "L*N >= K + K_I" in reason
+        assert load_table(cfg, "sequential_ls")["seq_gramian"] is not None
 
     def test_covers_all_methods(self):
         cfg = SystemConfig()
@@ -600,12 +632,25 @@ class TestCli:
         data = json.loads((tmp_path / "o" / "results.json").read_text())
         assert data["diagnostics"]["numerical_failures"] == 1
 
-    @pytest.mark.parametrize("override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6"])
+    @pytest.mark.parametrize("override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6", "cfg.L=1"])
     def test_report_on_edge_configs(self, capsys, override):
         assert main(["report", "--override", override]) == 0
         out = capsys.readouterr().out
         assert "seq_gramian" in out
-        assert ("(undefined for this config)" in out) == (override == "cfg.K_I=5")
+        assert ("(undefined for this config)" in out) == (override in ("cfg.K_I=5", "cfg.L=1"))
+
+    def test_run_without_surviving_rows_exits_1(self, tmp_path, capsys):
+        # one AP of 4 antennas cannot zero-force 5 UEs: every block fails
+        rc = main(
+            ["run", "--out", str(tmp_path), "--trials", "2", "--override", "cfg.L=1",
+             "--override", "detector=distributed_zf"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "60 numerical failures" in err
+        assert not (tmp_path / "results.csv").exists()
+        assert not (tmp_path / "results.json").exists()
 
     def test_run_rejects_an_undefined_method_before_running(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path), "--override", "cfg.K_I=5"])
