@@ -2,9 +2,10 @@
 the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
-_augmented_stack, _detect). The sweep and the load ledger (load_report)
-both run it, so the loads that load_report measures and checks against
-the closed forms (analytic_per_link) are the sweep's own chain passes'.
+_augmented_stack, _channel_side, _apply). The sweep and the load ledger
+(load_report) both run it, so the loads that load_report measures and
+checks against the closed forms (analytic_per_link) are the sweep's own
+chain passes'.
 
 All methods and all SNR points at a given block index share the same
 geometry, channels, interferer signal, payload symbols and noise, so
@@ -22,12 +23,21 @@ results do not depend on the chunk size. The payload stack and the
 received signal live in buffers that the sweep allocates once and
 reuses for every chunk and SNR point.
 
-Detection runs once per width group: at each SNR point, the methods
-whose interferer estimates cover the same blocks of the chunk and give
-augmented channels of the same width are detected in one call, on their
-augmented channels stacked along a leading method axis, against the one
-payload that broadcasts along it. The detectors give each method what
-its own call gives, so a method's rows do not depend on the others.
+Detection is split into a channel side, which needs only the augmented
+channels, and an apply step, which needs the payload (_channel_side,
+_apply). Methods whose interferer estimates cover the same blocks of the
+chunk with augmented channels of the same width form a width group. A
+group's channel side (the zero-forcing filter, or the channel Gramian
+chain pass and its inverse) runs once per chunk for all SNR points, on
+the augmented channels of every (point, block) stacked along one axis;
+the genie's channels do not depend on the point, so its channel side
+runs on the blocks alone, in a call of its own. Each point then applies
+the UE rows of the group's filters to its payload in one call (one more
+for the genie), the methods stacked along a leading axis against the one
+payload that broadcasts along it, so the payload-sized temporaries stay
+one point in size. The kernels give each method and block what its own
+call gives, so a method's rows depend neither on the other methods nor
+on the rest of the SNR grid.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -65,6 +76,12 @@ METHODS = (
     "centralized_genie",
 )
 DETECTORS = ("sequential_ls", "distributed_zf", "centralized_zf")
+
+# The method that knows the true channels; they do not depend on rho.
+GENIE = "centralized_genie"
+# Methods that start from each AP's local rank-K_I factorization of its
+# residual (local_svd_estimate); the sweep factorizes once for both.
+LOCAL_SVD_METHODS = ("local_processing", "seq_procrustes")
 
 # Blocks stacked into one call of every stage. Larger chunks cut more
 # per-call overhead but hold more blocks in memory at once.
@@ -111,6 +128,9 @@ class ExperimentSpec:
                 raise ValueError(reason)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
+        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        for snr_db in self.snr_grid_db:
+            uplink_power(snr_db)
         max_payload = self.cfg.tau_c - self.cfg.tau_p
         if self.payload_symbols_per_block == 0:
             object.__setattr__(self, "payload_symbols_per_block", max_payload)
@@ -118,7 +138,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"payload_symbols_per_block must be in 1..{max_payload}"
             )
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
@@ -141,6 +160,20 @@ class ExperimentSpec:
         if "methods" in spec:
             spec["methods"] = tuple(spec["methods"])
         return cls(cfg=cfg, **spec)
+
+
+def uplink_power(snr_db: float) -> float:
+    """The transmit power rho = 10^(snr_db / 10) of an SNR point; raises
+    ValueError unless the point and its power are finite and positive."""
+    try:
+        rho = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(rho) and rho > 0):
+        raise ValueError(
+            f"SNR point {snr_db} dB gives no finite positive uplink power (got {rho})"
+        )
+    return rho
 
 
 def config_from_dict(cfg_dict: dict) -> SystemConfig:
@@ -204,7 +237,8 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     against analytic_per_link (exact equality).
 
     Runs the sweep's own stages (_interferer_channels, _augmented_stack,
-    _detect) on one synthetic unit-gain block with a one-symbol payload,
+    _channel_side, _apply) on one synthetic unit-gain block with a
+    one-symbol payload,
     on a chain that logs every link, and returns that log. Raises
     ChainError if measurement and formula differ.
     """
@@ -228,9 +262,10 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     chain = Chain.for_config(cfg)
     ghat = _interferer_channels(method, block, zpsi, cfg, chain, RunDiagnostics())
     width = cfg.K + (0 if ghat is None else ghat.shape[-1])
-    aug = _augmented_stack([(method, ghat)], block.H, est, width)
+    aug = _augmented_stack([ghat], block.H if method == GENIE else est, width)
+    channel = _channel_side(detector, aug, cfg, chain)
     batch = uplink.simulate_uplink_rx(block, cfg, rng, n_symbols=1)
-    _detect(detector, batch, aug, cfg, chain)
+    _apply(detector, batch, channel, cfg, chain)
 
     expected = analytic_per_link(method, cfg, detector)
     measured = {p: chain.log.per_link_symbols(p) for p in chain.log.phases()}
@@ -267,15 +302,15 @@ def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
 class ResultRow:
     """One (method, SNR point) of the sweep.
 
-    `wall_time_s` is the method's detection time at this SNR point plus
-    its share of the interferer estimation, which runs once per block for
-    all SNR points: the estimation time divided by the number of points.
-    Both are timed per chunk of blocks, so each block is charged an equal
-    share of its chunk's time. Methods detected in one call (a width
-    group, see run_monte_carlo) split its time evenly, each charged an
-    equal share. The payload draw, shared by all methods
-    and SNR points, is charged to none of them. Summed over a method's
-    rows it is the method's total time.
+    `wall_time_s` is the time of the method's detection apply step at
+    this SNR point plus its share of the work that runs once per chunk for
+    all SNR points: its interferer estimation and its detection channel
+    side, divided by the number of points. All are timed per chunk of
+    blocks, so each block is charged an equal share of its chunk's time.
+    Methods run in one call (the methods sharing the local SVD, or a
+    width group, see run_monte_carlo) split its time evenly. The draws
+    and pilot estimates, shared by all methods, are charged to none of
+    them. Summed over a method's rows it is the method's total time.
     """
 
     method: str
@@ -302,50 +337,67 @@ class MonteCarloOutcome:
     diagnostics: RunDiagnostics
 
 
-def _interferer_channels(method, block, zpsi, cfg, chain, diagnostics):
+def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
     """SNR-invariant part of one method's augmented channels: per-AP
     interferer channels, or None for a method that uses the UE estimates
-    alone. Chain-based methods record their OoS pass on `chain`."""
-    if method == "centralized_genie":
+    alone. Chain-based methods record their OoS pass on `chain` and count
+    degenerate rotations on `counts`. `local`, when given, is
+    local_svd_estimate(zpsi, K_I), which the LOCAL_SVD_METHODS then use
+    instead of factorizing again."""
+    if method == GENIE:
         return block.G
     if method == "no_suppression" or cfg.K_I == 0:
         return None
     if method == "local_processing":
-        return oos_estimation.local_svd_estimate(zpsi, cfg.K_I)[1]
-    diag = oos_estimation.ChainDiagnostics()
+        return (oos_estimation.local_svd_estimate(zpsi, cfg.K_I) if local is None else local)[1]
     if method == "seq_procrustes":
-        sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, diag)
+        bases = None if local is None else local[0]
+        sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, counts, bases)
     elif method == "seq_gramian":
         sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
     else:
         raise ValueError(f"unknown method {method!r}")
-    diagnostics.degenerate_rotations += diag.degenerate_rotations
     return oos_estimation.estimate_oos_channels(zpsi, sbar)
 
 
-def _augmented_stack(group, H, est, width):
-    """Per-AP augmented matrices [UE channels, interferer channels] of
-    each method in `group` ((method, interferer channels or None) pairs),
-    stacked along a leading method axis: (M, *est.shape[:-1], width). The
-    genie knows the true UE channels `H`, every other method uses `est`."""
-    K = est.shape[-1]
-    aug = np.empty((len(group), *est.shape[:-1], width), dtype=complex)
-    for out, (method, ghat) in zip(aug, group):
-        out[..., :K] = H if method == "centralized_genie" else est
+def _augmented_stack(ghats, ue, width):
+    """Per-AP augmented matrices [UE channels `ue`, interferer channels]
+    of each method, given by its interferer channels (or None) in
+    `ghats`, stacked along a leading method axis:
+    (M, *ue.shape[:-1], width)."""
+    K = ue.shape[-1]
+    aug = np.empty((len(ghats), *ue.shape[:-1], width), dtype=complex)
+    for out, ghat in zip(aug, ghats):
+        out[..., :K] = ue
         if ghat is not None:
             out[..., K:] = ghat
     return aug
 
 
-def _detect(detector, batch, aug, cfg, chain):
+def _channel_side(detector, aug, cfg, chain):
+    """What `detector` needs of the augmented channels `aug` (M, ..., L,
+    N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
+    with aug's leading axes. Zero-forcing keeps the UE rows of its filter
+    alone."""
+    K = cfg.K
     if detector == "centralized_zf":
-        return uplink.detect_centralized(batch, aug)
+        return (uplink.zf_filter(aug)[..., :K, :],)
     if detector == "distributed_zf":
         gamma = uplink.accumulate_channel_gramian(aug, chain)
-        return uplink.detect_distributed_zf(batch, aug, gamma, chain)
+        return aug, uplink.inverse_gramian(gamma)[..., :K, :]
     if detector == "sequential_ls":
-        return uplink.detect_sequential_ls(batch, aug, cfg, chain).xhat
+        return (aug,)
     raise ValueError(f"unknown detector {detector!r}")
+
+
+def _apply(detector, batch, channel, cfg, chain):
+    """The K UEs' estimates (..., K, T) from the payload `batch` and the
+    result `channel` of _channel_side."""
+    if detector == "centralized_zf":
+        return uplink.apply_zf_filter(batch, *channel)
+    if detector == "distributed_zf":
+        return uplink.apply_distributed_zf(batch, *channel, chain)
+    return uplink.detect_sequential_ls(batch, *channel, cfg, chain).xhat[..., : cfg.K, :]
 
 
 def _select(stack, blocks):
@@ -386,11 +438,12 @@ def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkSymbolBat
 
 def _run_stage(stage, span: slice, diagnostics: RunDiagnostics, members: tuple):
     """Run `stage(members, span, counts)` once for the methods `members`
-    and the chunk positions in `span`.
+    and the positions in `span`: blocks of the chunk or, for detection's
+    channel side, (SNR point, block) positions of a width group.
 
     If that raises a NumericalFailure, the stage reruns on each member
-    alone, and a single member on each block of the span alone, so a
-    failure is charged to the (method, block) that caused it. Returns
+    alone, and a single member on each position of the span alone, so a
+    failure is charged to the method and position that caused it. Returns
     [(members, span, result or NumericalFailure)] covering `members` in
     order and, for each, `span` in order. The stage adds its diagnostic
     counts to `counts`; they reach `diagnostics` unless the call failed
@@ -420,7 +473,7 @@ class _PointTally:
 
     errors: int = 0
     bits: int = 0
-    detect_s: float = 0.0
+    apply_s: float = 0.0
 
 
 class _Sweep:
@@ -434,7 +487,7 @@ class _Sweep:
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
         self.chain = Chain(tuple(cfg.ap_order), log=None)
-        self.points = [replace(cfg, rho=10.0 ** (snr_db / 10.0)) for snr_db in spec.snr_grid_db]
+        self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 
         def buffer(*shape):
@@ -454,7 +507,8 @@ class _Sweep:
         )
         self.tallies = [{m: _PointTally() for m in spec.methods} for _ in spec.snr_grid_db]
         self.failures = [[] for _ in spec.snr_grid_db]  # per point, in (block, method) order
-        self.estimate_s = {m: 0.0 for m in spec.methods}
+        # per method, the time of its work shared by all SNR points
+        self.shared_s = {m: 0.0 for m in spec.methods}
         self.diagnostics = RunDiagnostics()
 
     def outcome(self) -> MonteCarloOutcome:
@@ -484,11 +538,111 @@ class _Sweep:
                         ci_low=lo,
                         ci_high=hi,
                         fronthaul_per_link_real_symbols=loads[method],
-                        wall_time_s=t.detect_s + self.estimate_s[method] / len(self.points),
+                        wall_time_s=t.apply_s + self.shared_s[method] / len(self.points),
                         seed=spec.cfg.seed,
                     )
                 )
         return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
+
+
+def _estimate_interferers(sweep: _Sweep, chunk, zpsi, n: int):
+    """Each method's interferer channels on the chunk's n blocks. The
+    LOCAL_SVD_METHODS share one local factorization per chunk; a block on
+    which it fails fails for both. Returns (groups, failed): groups maps
+    (start, stop, augmented width) to [(method index, method, interferer
+    channels)] in method order, the methods whose estimates cover the same
+    blocks with the same width; failed lists (block, method index, method,
+    NumericalFailure)."""
+    spec, cfg = sweep.spec, sweep.spec.cfg
+    # the local factorization is defined for 1 <= K_I <= N
+    sharing = [m for m in spec.methods if m in LOCAL_SVD_METHODS and 1 <= cfg.K_I <= cfg.N]
+    no_local = [((), slice(0, n), None)]
+    local_parts = no_local
+    if sharing:
+        t0 = time.perf_counter()
+        local_parts = _run_stage(
+            lambda members, s, counts: oos_estimation.local_svd_estimate(zpsi[s], cfg.K_I),
+            slice(0, n), sweep.diagnostics, ("local SVD",),
+        )
+        for method in sharing:
+            sweep.shared_s[method] += (time.perf_counter() - t0) / len(sharing)
+
+    groups: dict[tuple[int, int, int], list] = {}
+    failed = []
+    for m, method in enumerate(spec.methods):
+        t0 = time.perf_counter()
+        for _, part, local in local_parts if method in sharing else no_local:
+            if isinstance(local, NumericalFailure):
+                failed += [(i, m, method, local) for i in range(part.start, part.stop)]
+                continue
+
+            def estimate(members, s, counts):
+                own = None if local is None else tuple(
+                    x[s.start - part.start : s.stop - part.start] for x in local
+                )
+                block = _select(chunk, s)
+                return _interferer_channels(method, block, zpsi[s], cfg, sweep.chain, counts, own)
+
+            for _, s, ghat in _run_stage(estimate, part, sweep.diagnostics, (method,)):
+                if isinstance(ghat, NumericalFailure):
+                    failed += [(i, m, method, ghat) for i in range(s.start, s.stop)]
+                    continue
+                width = cfg.K + (0 if ghat is None else ghat.shape[-1])
+                groups.setdefault((s.start, s.stop, width), []).append((m, method, ghat))
+        sweep.shared_s[method] += time.perf_counter() - t0
+    return groups, failed
+
+
+def _channel_sides(sweep: _Sweep, chunk, est, key, group):
+    """Detection's channel side for the width group `group` over the
+    blocks start..stop of the chunk (key = (start, stop, width)), for all
+    SNR points: [(members, positions, channel side or NumericalFailure,
+    stride)] with members ((method index, method), ...). A position
+    q = p stride + i is block start + i at point p. The genie's channels
+    do not depend on the point, so its channel side runs once, on the n
+    blocks, with stride 0; the other members run on every (point, block)
+    position, with stride n."""
+    spec, cfg = sweep.spec, sweep.spec.cfg
+    (start, stop, width), n = key, key[1] - key[0]
+    ghats = {m: ghat for m, _, ghat in group}
+
+    def side(ue):  # `ue`: the UE columns at each position
+        def stage(members, s, counts):
+            i = np.arange(s.start, s.stop) % n
+            stack = [None if ghats[m] is None else ghats[m][i] for m, _ in members]
+            aug = _augmented_stack(stack, ue[s], width)
+            return _channel_side(spec.detector, aug, cfg, sweep.chain)
+
+        return stage
+
+    varying = tuple((m, method) for m, method, _ in group if method != GENIE)
+    fixed = tuple((m, method) for m, method, _ in group if method == GENIE)
+    parts = []
+    for members, ue, stride in (
+        (varying, est[:, start:stop].reshape(-1, *est.shape[2:]), n),
+        (fixed, chunk.H[start:stop], 0),
+    ):
+        if not members:
+            continue
+        t0 = time.perf_counter()
+        done = _run_stage(side(ue), slice(0, len(ue)), sweep.diagnostics, members)
+        for _, method in members:
+            sweep.shared_s[method] += (time.perf_counter() - t0) / len(members)
+        parts += [(mem, s, got, stride) for mem, s, got in done]
+    return parts
+
+
+def _at_point(parts, p: int, n: int):
+    """The channel-side parts of a group of n blocks cut to SNR point p:
+    [(members, blocks 0..n of the group, channel side or failure)]."""
+    cut = []
+    for members, s, got, stride in parts:
+        lo, hi = max(s.start, p * stride), min(s.stop, p * stride + n)
+        if lo < hi:
+            if not isinstance(got, NumericalFailure):
+                got = tuple(x[:, lo - s.start : hi - s.start] for x in got)
+            cut.append((members, slice(lo - p * stride, hi - p * stride), got))
+    return cut
 
 
 def _run_chunk(sweep: _Sweep, blocks: range):
@@ -498,59 +652,53 @@ def _run_chunk(sweep: _Sweep, blocks: range):
     interference = pilot_phase.pilot_interference(chunk)
     zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
     payload = _draw_payload(sweep, chunk, blocks)
+    groups, failed_estimates = _estimate_interferers(sweep, chunk, zpsi, len(blocks))
 
-    def estimate(members, s, counts):
-        (method,) = members
-        return _interferer_channels(method, _select(chunk, s), zpsi[s], cfg, sweep.chain, counts)
-
-    # Methods whose estimates cover the same span with the same augmented
-    # width are detected together: group keys (start, stop, width) map to
-    # [(method index, method, interferer channels)] in method order.
-    groups: dict[tuple[int, int, int], list] = {}
-    failed_estimates = []  # (chunk position, method index, method, exception)
-    for m, method in enumerate(spec.methods):
-        t0 = time.perf_counter()
-        parts = _run_stage(estimate, slice(0, len(blocks)), sweep.diagnostics, (method,))
-        sweep.estimate_s[method] += time.perf_counter() - t0
-        for _, span, ghat in parts:
-            if isinstance(ghat, NumericalFailure):
-                failed_estimates += [(i, m, method, ghat) for i in range(span.start, span.stop)]
-                continue
-            width = cfg.K + (0 if ghat is None else ghat.shape[-1])
-            groups.setdefault((span.start, span.stop, width), []).append((m, method, ghat))
+    # pilot LS estimates of every SNR point, (P, B, L, N, K)
+    est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
+    for p, cfg_pt in enumerate(sweep.points):
+        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
+        est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
+    sides = {key: _channel_sides(sweep, chunk, est, key, group) for key, group in groups.items()}
 
     for p, (snr_db, cfg_pt, tally, failures) in enumerate(
         zip(spec.snr_grid_db, sweep.points, sweep.tallies, sweep.failures)
     ):
-        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
-        est = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
         # The first point's y came with the draw. A later point's y
         # overwrites the previous one's, so nothing below outlives its point.
         if p:
             uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
         failed = list(failed_estimates)
-        for (start, stop, width), group in groups.items():
-
-            def detect(members, s, counts):
-                own = slice(s.start - start, s.stop - start)
-                stack = [(method, None if g is None else g[own]) for _, method, g in members]
-                aug = _augmented_stack(stack, chunk.H[s], est[s], width)
-                return _detect(spec.detector, _select(payload, s), aug, cfg_pt, sweep.chain)
-
-            t0 = time.perf_counter()
-            detected = _run_stage(detect, slice(start, stop), sweep.diagnostics, tuple(group))
-            share = (time.perf_counter() - t0) / len(group)
-            for _, method, _ in group:
-                tally[method].detect_s += share
-            for members, s, xhat in detected:
-                if isinstance(xhat, NumericalFailure):
-                    failed += [(s.start, m, method, xhat) for m, method, _ in members]
+        for (start, stop, _), parts in sides.items():
+            for members, b, channel in _at_point(parts, p, stop - start):
+                if isinstance(channel, NumericalFailure):
+                    failed += [
+                        (start + i, m, method, channel)
+                        for i in range(b.start, b.stop)
+                        for m, method in members
+                    ]
                     continue
-                ue = xhat[..., : cfg.K, :]
-                errors = uplink.count_bit_errors(ue, np.broadcast_to(payload.x[s], ue.shape))
-                for (_, method, _), method_errors in zip(members, errors, strict=True):
-                    tally[method].errors += int(method_errors.sum())
-                    tally[method].bits += 2 * payload.x[s].size  # 2 bits per QPSK symbol
+                first = start + b.start
+
+                def apply(sub, s, counts):
+                    rows = slice(None) if sub == members else [members.index(x) for x in sub]
+                    own = slice(s.start - first, s.stop - first)
+                    part = tuple(x[rows, own] for x in channel)
+                    return _apply(spec.detector, _select(payload, s), part, cfg_pt, sweep.chain)
+
+                t0 = time.perf_counter()
+                span = slice(first, start + b.stop)
+                detected = _run_stage(apply, span, sweep.diagnostics, members)
+                for _, method in members:
+                    tally[method].apply_s += (time.perf_counter() - t0) / len(members)
+                for sub, s, ue in detected:
+                    if isinstance(ue, NumericalFailure):
+                        failed += [(s.start, m, method, ue) for m, method in sub]
+                        continue
+                    errors = uplink.count_bit_errors(ue, payload.x[s])
+                    for (_, method), method_errors in zip(sub, errors, strict=True):
+                        tally[method].errors += int(method_errors.sum())
+                        tally[method].bits += 2 * payload.x[s].size  # 2 bits per QPSK symbol
         for i, _, method, exc in sorted(failed, key=lambda f: f[:2]):
             sweep.diagnostics.numerical_failures += 1
             failures.append((method, snr_db, blocks[i], str(exc)))
@@ -564,16 +712,20 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     at a time. Per chunk, once for all SNR points: each block's geometry,
     channel draw and payload draw (symbols, interferer signal and noise,
     each from the block's own streams), the projected residual (which
-    does not depend on rho), and each method's interferer-channel
-    estimate with its OoS chain pass. Per SNR point: the pilot LS
-    estimate, the received payload sqrt(rho) H x + G s + n, and one
-    detection per width group, i.e. per set of methods whose estimates
-    cover the same blocks with augmented channels of the same width. A
-    stage that fails numerically reruns method by method (for a group),
-    then block by block; a method that fails on a block is excluded there
-    and counted once per SNR point. Rows and failures come out in (SNR,
-    block, method) order, and a call's time is split evenly across its
-    blocks and methods (see ResultRow).
+    does not depend on rho), one local SVD of it shared by the methods
+    that start from it, each method's interferer-channel estimate with
+    its OoS chain pass, the pilot LS estimates of every point, and one
+    detection channel side per width group, i.e. per set of methods whose
+    estimates cover the same blocks with augmented channels of the same
+    width, stacked over all points (plus one for the genie, on the blocks
+    alone). Per SNR point: the received payload sqrt(rho) H x + G s + n
+    and one apply step per width group (plus one for the genie). A stage that fails numerically
+    reruns method by method (for a group), then position by position (a
+    block, or a (point, block) of a channel side); a method that fails on
+    a block is excluded there and counted once per SNR point, or once at
+    the point whose channel side failed. Rows and failures come out in
+    (SNR, block, method) order, and a call's time is split evenly across
+    its positions and methods (see ResultRow).
     """
     sweep = _Sweep(spec)
     trials = spec.cfg.trials

@@ -121,7 +121,10 @@ def check_invertible(gamma: np.ndarray):
     """Raise DegeneracyError unless the Hermitian PSD matrix gamma (or every
     matrix of a stack) is numerically invertible: its smallest eigenvalue
     exceeds 1e-10 of its largest, which is positive."""
-    w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
+    try:
+        w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigenvalues of the channel Gramian did not converge") from exc
     if np.any(w[..., -1] <= 0) or np.any(w[..., 0] <= 1e-10 * w[..., -1]):
         raise DegeneracyError("channel Gramian is numerically singular")
 

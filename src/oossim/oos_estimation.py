@@ -10,11 +10,12 @@ total, which reproduces the centralized solution exactly.
 Every function also takes residuals with a leading block axis,
 (B, L, N, tau_p - K), and then carries a stack of B chain states through
 one pass: each hop's fold runs once for all B blocks.
+
+Degenerate rotations are counted on a `diagnostics` object with a
+degenerate_rotations counter (the sweep passes its RunDiagnostics).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +29,6 @@ from .numerics import (
     hermitian_top_eigvectors,
 )
 from .scenario import SystemConfig
-
-
-@dataclass
-class ChainDiagnostics:
-    """Counters for degenerate events the algorithms tolerate but flag."""
-
-    degenerate_rotations: int = 0
 
 
 def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
@@ -72,7 +66,7 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
 
 
 def procrustes_rotation(
-    S_prev: np.ndarray, S_local: np.ndarray, diagnostics: ChainDiagnostics | None = None
+    S_prev: np.ndarray, S_local: np.ndarray, diagnostics=None
 ) -> np.ndarray:
     """Unitary Q minimizing ||S_local Q^H - S_prev||_F.
 
@@ -95,7 +89,7 @@ def procrustes_rotation(
 
 
 def rotate_and_average_step(
-    S_prev: np.ndarray, S_local: np.ndarray, diagnostics: ChainDiagnostics | None = None
+    S_prev: np.ndarray, S_local: np.ndarray, diagnostics=None
 ) -> np.ndarray:
     """Align the local estimate onto the incoming one, then average."""
     Q = procrustes_rotation(S_prev, S_local, diagnostics)
@@ -106,7 +100,8 @@ def run_sequential_procrustes(
     zpsi: np.ndarray,
     cfg: SystemConfig,
     chain: Chain,
-    diagnostics: ChainDiagnostics | None = None,
+    diagnostics=None,
+    local_bases: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rotate-and-average along the AP chain; broadcast the CPU estimate back.
 
@@ -114,11 +109,13 @@ def run_sequential_procrustes(
     order forwards its local SVD estimate; every later AP aligns its own
     local estimate to the incoming one and forwards the average. Returns
     the (tau_p - K) x K_I estimate delivered to the CPU. The local
-    estimates of all APs are computed in one call before the pass.
+    estimates of all APs are computed in one call before the pass, unless
+    `local_bases` holds them already (local_svd_estimate(zpsi, K_I)[0],
+    defined for K_I <= N).
     """
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
-    locals_ = _local_signal_basis(zpsi, cfg.K_I)
+    locals_ = _local_signal_basis(zpsi, cfg.K_I) if local_bases is None else local_bases
 
     def fold(ap, msg):
         local = locals_[..., ap - 1, :, :]

@@ -13,6 +13,7 @@ gains directly can ignore the floor entirely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,11 @@ class SystemConfig:
             )
         if self.tau_c <= self.tau_p:
             raise ValueError("tau_c must exceed tau_p")
-        if self.rho <= 0 or self.oos_snr <= 0 or self.alpha <= 0:
-            raise ValueError("rho, oos_snr and alpha must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.oos_snr, self.alpha)):
+            raise ValueError(
+                f"rho, oos_snr and alpha must be finite and positive; got "
+                f"{self.rho}, {self.oos_snr}, {self.alpha}"
+            )
         if self.area_side_m <= 0 or self.ue_margin_m < 0 or self.ap_height_m < 0:
             raise ValueError("invalid geometry dimensions")
         if not self.ap_order:

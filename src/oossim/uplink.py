@@ -7,6 +7,12 @@ Three detectors are provided: a sequential recursive LS along the chain,
 a distributed zero-forcing (combine locally, apply the inverse Gramian
 at the CPU), and the centralized zero-forcing baseline on the stacked
 network-wide matrix.
+Each zero-forcing detector is the composition of two halves: a channel
+side that needs only the augmented channels (zf_filter, or
+accumulate_channel_gramian then inverse_gramian) and an apply step that
+needs the payload (apply_zf_filter, apply_distributed_zf). A caller that
+receives the same channels at several uplink powers runs the channel
+side once, and may keep only the filter rows of the users it scores.
 A payload draw keeps the terms H x, G s and n of the received signal, so
 received_signal can form y at any uplink power without drawing again.
 Detectors and bit counting also take leading stack axes and then handle
@@ -14,8 +20,8 @@ the whole stack in one call. The augmented channels may carry more of
 them than the payload: channels (M, B, L, N, m) of M methods against a
 payload (B, L, N, T) of B blocks give (M, B, m, T) estimates, each
 equal, bit for bit, to its own method's call, while the payload
-broadcasts and is never copied per method. Bit counting takes the
-symbols broadcast to the estimates' shape (np.broadcast_to).
+broadcasts and is never copied per method. Bit counting likewise takes
+symbols whose shape is the estimates' trailing axes.
 """
 
 from __future__ import annotations
@@ -153,6 +159,32 @@ def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     return chain.run("channel_gramian", fold).payload
 
 
+def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
+    """Channel side of distributed ZF at the CPU: gamma's inverse, after
+    check_invertible. That check bounds gamma's condition number at 1e10,
+    so the inverse applied to the T columns of the combined vector matches
+    an LU solve to rounding, at a fraction of the cost."""
+    check_invertible(gamma)
+    return np.linalg.inv(gamma)
+
+
+def apply_distributed_zf(
+    batch: UplinkSymbolBatch, aug: np.ndarray, gamma_inv: np.ndarray, chain: Chain
+) -> np.ndarray:
+    """Apply step of distributed ZF: combine locally with A_l^H, accumulate
+    along the chain, and apply `gamma_inv` (the rows of inverse_gramian
+    that are wanted) at the CPU."""
+    m = aug.shape[-1]
+    T = batch.y.shape[-1]
+
+    def fold(ap, msg):
+        acc = np.zeros((m, T), dtype=complex) if msg is None else msg.payload
+        A = aug[..., ap - 1, :, :]
+        return combined_uplink_message(acc + herm(A) @ batch.y[..., ap - 1, :, :])
+
+    return gamma_inv @ chain.run("uplink_combine", fold).payload
+
+
 def detect_distributed_zf(
     batch: UplinkSymbolBatch, aug: np.ndarray, gamma: np.ndarray, chain: Chain
 ) -> np.ndarray:
@@ -163,29 +195,26 @@ def detect_distributed_zf(
     fictitious-user symbols and are discarded by the caller. Identical to
     the centralized zero-forcing solution whenever gamma is invertible.
     """
-    m = aug.shape[-1]
-    T = batch.y.shape[-1]
-    check_invertible(gamma)
+    return apply_distributed_zf(batch, aug, inverse_gramian(gamma), chain)
 
-    def fold(ap, msg):
-        acc = np.zeros((m, T), dtype=complex) if msg is None else msg.payload
-        A = aug[..., ap - 1, :, :]
-        return combined_uplink_message(acc + herm(A) @ batch.y[..., ap - 1, :, :])
 
-    ybar = chain.run("uplink_combine", fold).payload
-    # check_invertible bounds gamma's condition number at 1e10, so its
-    # inverse applied to the T columns of ybar matches an LU solve to
-    # rounding, at a fraction of the cost
-    return np.linalg.inv(gamma) @ ybar
+def zf_filter(aug: np.ndarray) -> np.ndarray:
+    """Channel side of centralized ZF: the pseudo-inverse (..., m, L N) of
+    the stacked network-wide channel matrix."""
+    *stack, L, N, m = aug.shape
+    return pseudo_inverse(aug.reshape(*stack, L * N, m))
+
+
+def apply_zf_filter(batch: UplinkSymbolBatch, F: np.ndarray) -> np.ndarray:
+    """Apply step of centralized ZF: the filter rows `F` (..., k, L N)
+    times the stacked received vectors."""
+    *y_stack, L, N, T = batch.y.shape
+    return F @ batch.y.reshape(*y_stack, L * N, T)
 
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
     """Zero-forcing baseline on the stacked network-wide channel matrix."""
-    *stack, L, N, m = aug.shape
-    *y_stack, _, _, T = batch.y.shape
-    A = aug.reshape(*stack, L * N, m)
-    y = batch.y.reshape(*y_stack, L * N, T)
-    return pseudo_inverse(A) @ y
+    return apply_zf_filter(batch, zf_filter(aug))
 
 
 def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -193,13 +222,18 @@ def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
     For Gray QPSK the nearest constellation point is determined by the
     quadrant, so one bit error per wrong real-part sign and one per wrong
-    imaginary-part sign.
+    imaginary-part sign. `truth` has the estimates' shape, or the shape
+    of their trailing axes, and then serves every leading index.
     """
-    if estimates.shape != truth.shape:
+    if truth.ndim > estimates.ndim or estimates.shape[estimates.ndim - truth.ndim :] != truth.shape:
         raise ValueError("estimate/truth shapes differ")
-    re_err = (estimates.real > 0) != (truth.real > 0)
-    im_err = (estimates.imag > 0) != (truth.imag > 0)
-    return (re_err.sum(axis=-1) + im_err.sum(axis=-1)).astype(int)
+    return (_positive_parts(estimates) != _positive_parts(truth)).sum(axis=-1)
+
+
+def _positive_parts(z: np.ndarray) -> np.ndarray:
+    """Whether the real and the imaginary part of each entry is positive,
+    interleaved along the last axis: (..., T) complex -> (..., 2T) bool."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64) > 0
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):

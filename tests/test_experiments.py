@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cfg
+from conftest import crandn, make_cfg
 from oossim import experiments, oos_estimation, uplink
 from oossim.cli import apply_overrides, main
 from oossim.experiments import (
@@ -26,7 +26,13 @@ from oossim.experiments import (
     run_monte_carlo,
 )
 from oossim.numerics import NumericalFailure
-from oossim.pilot_phase import compute_projected_residual, pilot_interference
+from oossim.fronthaul import Chain
+from oossim.pilot_phase import (
+    compute_projected_residual,
+    ls_channel_estimate,
+    pilot_interference,
+    simulate_pilot_rx,
+)
 from oossim.scenario import (
     CHANNEL_STREAM,
     GEOMETRY_STREAM,
@@ -37,6 +43,7 @@ from oossim.scenario import (
     build_pilot_book,
     draw_block,
 )
+from oossim.uplink import UplinkSymbolBatch
 
 
 def tiny_spec(**cfg_over):
@@ -55,9 +62,9 @@ def fail_procrustes_fold(monkeypatch, cfg, block=0):
     """Make every rotate-and-average step fail whose incoming estimates
     hold `block`'s: the first AP's local estimate on that block, which
     the second AP receives."""
-    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
-    drawn = draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
-    zpsi = compute_projected_residual(pilot_interference(drawn), build_pilot_book(cfg))
+    zpsi = compute_projected_residual(
+        pilot_interference(drawn_block(cfg, block)), build_pilot_book(cfg)
+    )
     mark = oos_estimation.local_svd_estimate(zpsi[cfg.ap_order[0] - 1], cfg.K_I)[0]
     original = oos_estimation.rotate_and_average_step
 
@@ -69,36 +76,89 @@ def fail_procrustes_fold(monkeypatch, cfg, block=0):
     monkeypatch.setattr(oos_estimation, "rotate_and_average_step", flaky)
 
 
+def drawn_block(cfg, block):
+    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
+    return draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
+
+
 def fail_centralized_detection(monkeypatch, spec, block):
-    """Make centralized ZF fail whenever its payload holds `block`'s."""
+    """Make centralized ZF's apply step fail whenever its payload holds
+    `block`'s."""
     rng = block_rng(spec.cfg.seed, block, PAYLOAD_STREAM)
     mark = uplink.draw_qpsk(rng, spec.cfg.K, spec.payload_symbols_per_block)
-    original = uplink.detect_centralized
+    original = uplink.apply_zf_filter
 
-    def flaky(batch, aug):
+    def flaky(batch, F):
         if holds(batch.x, mark):
             raise NumericalFailure("injected detection failure")
-        return original(batch, aug)
+        return original(batch, F)
 
-    monkeypatch.setattr(uplink, "detect_centralized", flaky)
+    monkeypatch.setattr(uplink, "apply_zf_filter", flaky)
+
+
+def fail_zf_channel_side(monkeypatch, cfg, mark, columns):
+    """Make centralized ZF's channel side fail whenever its augmented
+    channels of K + K_I columns hold `mark` in their columns `columns`
+    (a slice)."""
+    original = uplink.zf_filter
+
+    def flaky(aug):
+        if aug.shape[-1] == cfg.K + cfg.K_I and holds(aug[..., columns], mark):
+            raise NumericalFailure("injected channel-side failure")
+        return original(aug)
+
+    monkeypatch.setattr(uplink, "zf_filter", flaky)
 
 
 def fail_genie_detection(monkeypatch, spec, block):
-    """Make centralized ZF fail whenever its augmented channels hold the
-    genie's on `block` (the true channels of the block's first AP), so
-    only centralized_genie fails there, even inside a stacked group."""
-    cfg = spec.cfg
-    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
-    drawn = draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
+    """Make centralized ZF's channel side fail whenever its augmented
+    channels hold the genie's on `block` (the true channels of the
+    block's first AP), so only centralized_genie fails there."""
+    drawn = drawn_block(spec.cfg, block)
     mark = np.concatenate([drawn.H[0], drawn.G[0]], axis=-1)
-    original = uplink.detect_centralized
+    fail_zf_channel_side(monkeypatch, spec.cfg, mark, slice(None))
 
-    def flaky(batch, aug):
-        if aug.shape[-1] == mark.shape[-1] and holds(aug, mark):
-            raise NumericalFailure("injected genie failure")
-        return original(batch, aug)
 
-    monkeypatch.setattr(uplink, "detect_centralized", flaky)
+def fail_gramian_detection(monkeypatch, spec, block):
+    """Make centralized ZF's channel side fail whenever its augmented
+    channels hold seq_gramian's interferer estimate of `block` (that of
+    the block's first AP), at any SNR point. seq_gramian shares its
+    channel-side call with the other methods of its width group, so only
+    the reruns can tell it apart."""
+    cfg = spec.cfg
+    zpsi = compute_projected_residual(
+        pilot_interference(drawn_block(cfg, block)), build_pilot_book(cfg)
+    )
+    sbar = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
+    mark = oos_estimation.estimate_oos_channels(zpsi, sbar)[0]
+    fail_zf_channel_side(monkeypatch, cfg, mark, slice(cfg.K, None))
+
+
+def fail_estimates_at(monkeypatch, spec, snr_db, block):
+    """Make centralized ZF's channel side fail whenever its augmented
+    channels hold the first AP's pilot LS estimate of `block` at the SNR
+    point `snr_db` and interferer columns too: every suppressing method
+    but the genie fails on that (point, block) alone."""
+    cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
+    pilots = build_pilot_book(cfg)
+    mark = ls_channel_estimate(simulate_pilot_rx(drawn_block(cfg, block), pilots, cfg), pilots, cfg)
+    fail_zf_channel_side(monkeypatch, cfg, mark[0], slice(None, cfg.K))
+
+
+def fail_local_svd(monkeypatch, cfg, block):
+    """Make the local factorization fail whenever its residuals hold
+    `block`'s."""
+    mark = compute_projected_residual(
+        pilot_interference(drawn_block(cfg, block)), build_pilot_book(cfg)
+    )[0]
+    original = oos_estimation.local_svd_estimate
+
+    def flaky(zpsi, K_I):
+        if holds(zpsi, mark):
+            raise NumericalFailure("injected local SVD failure")
+        return original(zpsi, K_I)
+
+    monkeypatch.setattr(oos_estimation, "local_svd_estimate", flaky)
 
 
 def sweep_record(spec):
@@ -173,6 +233,11 @@ class TestSpec:
             ExperimentSpec(cfg=make_cfg(), methods=("seq_gramian", "no_suppression", "seq_gramian"))
         spec = ExperimentSpec(cfg=make_cfg(), snr_grid_db=(0.0, 0.0))
         assert spec.snr_grid_db == (0.0, 0.0)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0])
+    def test_snr_points_need_a_finite_positive_power(self, snr_db):
+        with pytest.raises(ValueError, match="finite positive uplink power"):
+            ExperimentSpec(cfg=make_cfg(), snr_grid_db=(0.0, snr_db))
 
     def test_default_ap_order_follows_an_overridden_L(self):
         assert apply_overrides(default_spec(), ["cfg.L=6"]).cfg.ap_order == (6, 5, 4, 3, 2, 1)
@@ -292,33 +357,91 @@ class TestRunMonteCarlo:
         calls = Counter()
         count_calls(monkeypatch, experiments, "build_geometry", calls)
         count_calls(monkeypatch, oos_estimation, "run_gramian_method", calls)
+        count_calls(monkeypatch, oos_estimation, "local_svd_estimate", calls)
         count_calls(monkeypatch, uplink, "simulate_uplink_rx", calls)
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
         run_monte_carlo(spec)
         trials = spec.cfg.trials
         chunks = -(-trials // experiments.CHUNK_BLOCKS)
+        # local_processing and seq_procrustes share one local factorization
         assert calls == {
-            "build_geometry": trials, "run_gramian_method": chunks, "simulate_uplink_rx": trials
+            "build_geometry": trials, "run_gramian_method": chunks,
+            "local_svd_estimate": chunks, "simulate_uplink_rx": trials,
         }
 
     @pytest.mark.parametrize(
-        ("build", "detector", "name", "groups"),
+        ("build", "detector", "side", "apply", "groups"),
         [
-            (default_spec, "centralized_zf", "detect_centralized", 2),
-            (overloaded_interferers_spec, "distributed_zf", "detect_distributed_zf", 1),
+            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2),
+            (overloaded_interferers_spec, "distributed_zf", "inverse_gramian",
+             "apply_distributed_zf", 1),
         ],
     )
-    def test_detection_runs_once_per_width_group(self, monkeypatch, build, detector, name, groups):
+    def test_detection_runs_once_per_width_group(
+        self, monkeypatch, build, detector, side, apply, groups
+    ):
         # no_suppression detects over the K UE columns and every other
         # method over K + K_I, so the default spec has two width groups;
-        # in the overloaded spec all three methods share one
-        calls = Counter()
-        count_calls(monkeypatch, uplink, name, calls)
-        spec = build(detector=detector, snr_grid_db=(-4.0, 0.0), payload_symbols_per_block=10)
-        spec = with_trials(spec, 7)
+        # in the overloaded spec all three methods share one. A group's
+        # channel side runs once per chunk whatever the number of SNR
+        # points, and its apply step once per point. The genie, whose
+        # channel side does not depend on the point, has its own calls.
+        for grid in ((0.0,), (-4.0, 0.0, 4.0)):
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                count_calls(patch, uplink, side, calls)
+                count_calls(patch, uplink, apply, calls)
+                spec = build(detector=detector, snr_grid_db=grid, payload_symbols_per_block=10)
+                spec = with_trials(spec, 7)
+                run_monte_carlo(spec)
+            chunks = -(-spec.cfg.trials // experiments.CHUNK_BLOCKS)
+            assert calls == {side: chunks * (groups + 1), apply: len(grid) * chunks * (groups + 1)}
+
+    def test_genie_channel_side_runs_once_per_chunk(self, monkeypatch):
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=("centralized_genie",))
+        spec, shapes = with_trials(spec, 7), []
+        original = uplink.zf_filter
+
+        def spy(aug):
+            shapes.append(aug.shape)
+            return original(aug)
+
+        monkeypatch.setattr(uplink, "zf_filter", spy)
         run_monte_carlo(spec)
-        chunks = -(-spec.cfg.trials // experiments.CHUNK_BLOCKS)
-        assert calls == {name: len(spec.snr_grid_db) * chunks * groups}
+        cfg, size = spec.cfg, experiments.CHUNK_BLOCKS
+        blocks = [min(size, cfg.trials - start) for start in range(0, cfg.trials, size)]
+        assert shapes == [(1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in blocks]
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_ue_row_apply_equals_the_detectors(self, detector):
+        # what the sweep runs: the channel side on channels stacked over
+        # methods and blocks, then the UE rows applied to one payload
+        cfg, rng = make_cfg(), np.random.default_rng(3)
+        aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
+        batch = UplinkSymbolBatch(x=None, s=None, y=crandn(rng, 3, cfg.L, cfg.N, 40))
+        channel = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
+        got = experiments._apply(detector, batch, channel, cfg, Chain.for_config(cfg))
+        if detector == "centralized_zf":
+            want = uplink.detect_centralized(batch, aug)
+        elif detector == "distributed_zf":
+            gamma = uplink.accumulate_channel_gramian(aug, Chain.for_config(cfg))
+            want = uplink.detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg))
+        else:
+            want = uplink.detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg)).xhat
+        assert np.array_equal(got, want[..., : cfg.K, :])
+
+    def test_eigensolver_failure_is_counted_not_raised(self, monkeypatch):
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector="distributed_zf")
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        out = run_monte_carlo(spec)
+        d = out.diagnostics
+        assert out.rows == []
+        assert d.numerical_failures == len(spec.methods) * 2 * spec.cfg.trials
+        assert all("did not converge" in f[3] for f in d.failures if f[2] >= 0)
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_rows_do_not_depend_on_the_other_methods(self, detector):
@@ -336,13 +459,13 @@ class TestRunMonteCarlo:
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), methods=("centralized_genie",))
         spec = with_trials(spec, 5)
         cfg, seen = spec.cfg, []
-        original = uplink.detect_centralized
+        original = uplink.apply_zf_filter
 
-        def spy(batch, aug):
+        def spy(batch, F):
             seen.append((batch.x.copy(), batch.y.copy()))
-            return original(batch, aug)
+            return original(batch, F)
 
-        monkeypatch.setattr(uplink, "detect_centralized", spy)
+        monkeypatch.setattr(uplink, "apply_zf_filter", spy)
         run_monte_carlo(spec)
         calls = iter(seen)
         for start in range(0, cfg.trials, experiments.CHUNK_BLOCKS):
@@ -423,19 +546,61 @@ class TestChunking:
             survivors = spec.cfg.trials - 1 - (row.method == "seq_procrustes")
             assert row.bit_count == survivors * per_block
 
-    def test_failure_in_a_stacked_group_charged_to_its_method(self, monkeypatch):
-        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
-        fail_genie_detection(monkeypatch, spec, block=2)
+    def assert_charged_to(self, monkeypatch, spec, method, block):
+        """The sweep of `spec` fails for `method` on `block` at every SNR
+        point and nowhere else, whatever the chunk size."""
         first, *others = self.records(monkeypatch, spec)
         assert all(other == first for other in others)
         _, numerical_failures, _, failures = first
-        expected = [("centralized_genie", snr, 2) for snr in spec.snr_grid_db]
+        expected = [(method, snr, block) for snr in spec.snr_grid_db]
         assert [f[:3] for f in failures] == expected
         assert numerical_failures == len(expected)
         per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
         for row in run_monte_carlo(spec).rows:
-            survivors = spec.cfg.trials - (row.method == "centralized_genie")
+            survivors = spec.cfg.trials - (row.method == method)
             assert row.bit_count == survivors * per_block
+
+    def test_failure_in_a_stacked_group_charged_to_its_method(self, monkeypatch):
+        # local_processing, seq_procrustes and seq_gramian share one
+        # channel-side call; the failure must reach seq_gramian alone
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_gramian_detection(monkeypatch, spec, block=2)
+        self.assert_charged_to(monkeypatch, spec, "seq_gramian", 2)
+
+    def test_genie_channel_side_failure_charged_at_every_point(self, monkeypatch):
+        # the genie's channel side runs once per chunk, for all points
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_genie_detection(monkeypatch, spec, block=2)
+        self.assert_charged_to(monkeypatch, spec, "centralized_genie", 2)
+
+    def test_channel_side_failure_charged_to_its_point_and_block(self, monkeypatch):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 3.0)), 7)
+        clean = run_monte_carlo(spec).rows
+        fail_estimates_at(monkeypatch, spec, 0.0, block=5)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        suppressing = [m for m in spec.methods if m not in ("no_suppression", "centralized_genie")]
+        assert [f[:3] for f in failures] == [(m, 0.0, 5) for m in suppressing]
+        assert numerical_failures == len(suppressing)
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
+            if row.snr_db == 0.0 and row.method in suppressing:
+                assert row.bit_count == want.bit_count - per_block
+            else:
+                assert rows_to_csv([row]) == rows_to_csv([want])
+
+    def test_local_svd_failure_charged_to_both_methods(self, monkeypatch):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        fail_local_svd(monkeypatch, spec.cfg, block=2)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        expected = [
+            (m, snr, 2) for snr in spec.snr_grid_db for m in ("local_processing", "seq_procrustes")
+        ]
+        assert [f[:3] for f in failures] == expected
+        assert numerical_failures == len(expected)
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_results_independent_of_block_order(self, monkeypatch, size):
@@ -674,6 +839,23 @@ class TestCli:
         assert rc == 0
         data = json.loads((tmp_path / "results.json").read_text())
         assert data["spec"]["cfg"]["L"] == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--override", "snr_grid_db=[NaN]"],
+            ["run", "--override", "snr_grid_db=[-Infinity]"],
+            ["run", "--override", "snr_grid_db=[4000.0]"],
+            ["run", "--override", "cfg.alpha=NaN"],
+            ["report", "--override", "cfg.rho=NaN"],
+            ["report", "--override", "cfg.oos_snr=Infinity"],
+        ],
+    )
+    def test_non_finite_powers_rejected_in_one_line(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "finite" in err
+        assert not any(tmp_path.iterdir())
 
     def test_apply_overrides_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -242,6 +242,15 @@ class TestStacks:
             with pytest.raises(NumericalFailure, match="SVD did not converge"):
                 kernel(crandn(rng, 3, 4, 2))
 
+    def test_eigensolver_failure_in_check_invertible_is_numerical(self, rng, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        B = crandn(rng, 3, 4, 4)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            check_invertible(herm(B) @ B)
+
     def test_hermitian_tolerance_is_per_member(self, rng):
         # a gap far below the stack's norm but above its own member's fails
         B = crandn(rng, 2, 3, 3)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from conftest import crandn, make_cfg, unit_geometry
+from oossim.experiments import RunDiagnostics
 from oossim.fronthaul import Chain
 from oossim.numerics import DegeneracyError, NumericalFailure, economy_svd, herm
 from oossim.oos_estimation import (
-    ChainDiagnostics,
     _local_signal_basis,
     centralized_oos_oracle,
     estimate_oos_channels,
@@ -138,7 +138,7 @@ class TestProcrustesRotation:
             assert best <= np.linalg.norm(S_local @ herm(R) - S_prev) + 1e-12
 
     def test_degenerate_cross_gramian_counted(self):
-        diag = ChainDiagnostics()
+        diag = RunDiagnostics()
         S_local = np.ones((6, 2), dtype=complex)  # rank one
         S_prev = np.ones((6, 2), dtype=complex)
         Q = procrustes_rotation(S_prev, S_local, diag)
@@ -146,7 +146,7 @@ class TestProcrustesRotation:
         assert np.linalg.norm(herm(Q) @ Q - np.eye(2)) < 1e-10
 
     def test_degenerate_counted_per_stacked_block(self, rng):
-        diag = ChainDiagnostics()
+        diag = RunDiagnostics()
         rank_one = np.ones((6, 2), dtype=complex)
         S = np.stack([rank_one, crandn(rng, 6, 2), rank_one])
         procrustes_rotation(S, S.copy(), diag)
@@ -164,7 +164,7 @@ class TestRotateAndAverage:
         assert np.allclose(rotate_and_average_step(S, rotated), S, atol=1e-9)
 
     def test_zero_previous_estimate(self, rng):
-        diag = ChainDiagnostics()
+        diag = RunDiagnostics()
         S_local = crandn(rng, 8, 2)
         out = rotate_and_average_step(np.zeros((8, 2), dtype=complex), S_local, diag)
         assert diag.degenerate_rotations == 1
@@ -187,6 +187,15 @@ class TestSequentialProcrustes:
         chain = Chain.for_config(cfg)
         sbar = run_sequential_procrustes(zpsi, cfg, chain)
         assert np.max(subspace_angles(sbar, sbar_true)) < 1e-8
+
+    def test_given_local_bases_give_its_own_estimate(self, rng):
+        cfg = make_cfg(L=4, ap_order=(4, 3, 2, 1))
+        _, zpsi, _ = noise_free_residuals(cfg, seed=3)
+        zpsi = zpsi + 0.1 * crandn(rng, *zpsi.shape)
+        own = run_sequential_procrustes(zpsi, cfg, Chain.for_config(cfg))
+        bases = local_svd_estimate(zpsi, cfg.K_I)[0]
+        given = run_sequential_procrustes(zpsi, cfg, Chain.for_config(cfg), local_bases=bases)
+        assert np.array_equal(given, own)
 
     def test_reference_per_link_load(self):
         cfg = make_cfg(L=4, ap_order=(4, 3, 2, 1), K=5, K_I=2, tau_p=50, tau_c=200)
@@ -309,7 +318,7 @@ class TestStackedBlocks:
         zpsi += 0.1 * crandn(np.random.default_rng(9), *zpsi.shape)
 
         def estimates(z):
-            diag = ChainDiagnostics()
+            diag = RunDiagnostics()
             sbar_p = run_sequential_procrustes(z, cfg, Chain.for_config(cfg), diag)
             sbar_g = run_gramian_method(z, cfg, Chain.for_config(cfg))
             return sbar_p, sbar_g, estimate_oos_channels(z, sbar_g), diag.degenerate_rotations

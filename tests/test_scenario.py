@@ -48,6 +48,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_cfg(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["rho", "oos_snr", "alpha"])
+    def test_finite_scalars(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_cfg(**{field: value})
+
     def test_noise_floor_scales_gains(self, rng):
         base = build_geometry(SystemConfig(noise_floor_dbw=0.0), np.random.default_rng(3))
         scaled = build_geometry(SystemConfig(noise_floor_dbw=-10.0), np.random.default_rng(3))

@@ -11,14 +11,18 @@ from oossim.uplink import (
     QPSK_POINTS,
     UplinkSymbolBatch,
     accumulate_channel_gramian,
+    apply_distributed_zf,
+    apply_zf_filter,
     count_bit_errors,
     detect_centralized,
     detect_distributed_zf,
     detect_sequential_ls,
     draw_qpsk,
+    inverse_gramian,
     received_signal,
     simulate_uplink_rx,
     wilson_interval,
+    zf_filter,
 )
 
 
@@ -271,6 +275,18 @@ class TestBer:
         with pytest.raises(ValueError):
             count_bit_errors(crandn(rng, 2, 3), crandn(rng, 3, 2))
 
+    def test_truth_of_the_trailing_shape_serves_every_leading_index(self, rng):
+        estimates = crandn(rng, 3, 4, 5, 7)
+        x = draw_qpsk(rng, 5, 7 * 4).reshape(5, 4, 7).swapaxes(0, 1)
+        want = count_bit_errors(estimates, np.broadcast_to(x, estimates.shape))
+        assert np.array_equal(count_bit_errors(estimates, x), want)
+        assert np.array_equal(count_bit_errors(estimates, x[-1]), count_bit_errors(
+            estimates, np.broadcast_to(x[-1], estimates.shape)
+        ))
+        for wrong in (x[:3], x[..., :6], x[None, None], x[:, None]):
+            with pytest.raises(ValueError, match="shapes differ"):
+                count_bit_errors(estimates, wrong)
+
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(0, 50), n=st.integers(1, 50))
     def test_wilson_interval_sane(self, k, n):
@@ -337,6 +353,24 @@ class TestStackedBlocks:
         errors = count_bit_errors(ue, np.broadcast_to(stack.x, ue.shape))
         for m in range(len(augs)):
             assert np.array_equal(errors[m], count_bit_errors(ue[m], stack.x))
+
+    def test_ue_rows_of_the_halves_match_the_detectors(self):
+        # the channel side on channels stacked over methods and blocks,
+        # then the UE rows applied to one payload stack, give the UE rows
+        # of each detector bit for bit (payload size as in the sweep)
+        cfg = make_cfg()
+        drawn = [make_batch(cfg, seed=10 * b, n_symbols=150) for b in range(4)]
+        stack = UplinkSymbolBatch(*(np.stack(a) for a in zip(*((b.x, b.s, b.y) for _, b in drawn))))
+        genie = np.stack([genie_aug(block) for block, _ in drawn])
+        augs = np.stack([genie, genie + 0.1 * crandn(np.random.default_rng(5), *genie.shape)])
+        K = cfg.K
+        gamma = accumulate_channel_gramian(augs, Chain.for_config(cfg))
+        got = apply_zf_filter(stack, zf_filter(augs)[..., :K, :])
+        assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
+        gamma_inv = inverse_gramian(gamma)[..., :K, :]
+        got = apply_distributed_zf(stack, augs, gamma_inv, Chain.for_config(cfg))
+        want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_distributed_zf_matches_a_solve(self, seed):
