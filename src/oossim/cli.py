@@ -25,7 +25,16 @@ def _parse_value(text: str):
         return text
 
 
+def _cfg_of(spec_dict: dict) -> dict:
+    cfg = spec_dict.setdefault("cfg", {})
+    if not isinstance(cfg, dict):
+        raise ValueError(f"cfg must be a JSON object; got {cfg!r}")
+    return cfg
+
+
 def _override(spec_dict: dict, overrides) -> dict:
+    if not isinstance(spec_dict, dict):
+        raise ValueError(f"the spec must be a JSON object; got {spec_dict!r}")
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
@@ -33,7 +42,7 @@ def _override(spec_dict: dict, overrides) -> dict:
         value = _parse_value(raw)
         key = key.strip()
         if key.startswith("cfg."):
-            spec_dict.setdefault("cfg", {})[key[4:]] = value
+            _cfg_of(spec_dict)[key[4:]] = value
         else:
             spec_dict[key] = value
     return spec_dict
@@ -57,7 +66,7 @@ def _spec_dict(args) -> dict:
     else:
         spec_dict = default_spec().to_dict()
     spec_dict = _override(spec_dict, args.override)
-    cfg = spec_dict.setdefault("cfg", {})
+    cfg = _cfg_of(spec_dict)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.trials is not None:
@@ -70,7 +79,7 @@ def _spec_dict(args) -> dict:
 def _cmd_run(args) -> int:
     try:
         spec = ExperimentSpec.from_dict(_spec_dict(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"oossim run: {exc}", file=sys.stderr)
         return 2
     outcome = run_monte_carlo(spec)
@@ -106,7 +115,7 @@ def _cmd_report(args) -> int:
     # checked against it: a method undefined under it is listed as such
     try:
         cfg = config_from_dict(_spec_dict(args)["cfg"])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"oossim report: {exc}", file=sys.stderr)
         return 2
     table = load_table(cfg, detector=args.detector)

@@ -46,6 +46,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -64,6 +65,8 @@ from .scenario import (
     block_rng,
     build_geometry,
     build_pilot_book,
+    check_integer,
+    check_real,
     default_ap_order,
     draw_block,
 )
@@ -112,6 +115,14 @@ class ExperimentSpec:
     out_dir: str = "results"
 
     def __post_init__(self):
+        check_integer("payload_symbols_per_block", self.payload_symbols_per_block)
+        for name in ("snr_grid_db", "methods"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
+        for snr_db in self.snr_grid_db:
+            check_real("snr_grid_db entry", snr_db)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path; got {self.out_dir!r}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -155,10 +166,6 @@ class ExperimentSpec:
         d = dict(d)
         cfg = config_from_dict(d.pop("cfg", {}))
         spec = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if "snr_grid_db" in spec:
-            spec["snr_grid_db"] = tuple(spec["snr_grid_db"])
-        if "methods" in spec:
-            spec["methods"] = tuple(spec["methods"])
         return cls(cfg=cfg, **spec)
 
 
@@ -178,8 +185,9 @@ def uplink_power(snr_db: float) -> float:
 
 def config_from_dict(cfg_dict: dict) -> SystemConfig:
     """SystemConfig from the "cfg" entry of ExperimentSpec.to_dict()."""
-    cfg_dict = dict(cfg_dict)
-    cfg_dict["ap_order"] = tuple(cfg_dict.get("ap_order") or ())
+    unknown = sorted(set(cfg_dict) - set(SystemConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown config fields {unknown}")
     return SystemConfig(**cfg_dict)
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import dft
 
 DEFAULT_NOISE_FLOOR_DBW = -124.0
 
@@ -54,11 +54,14 @@ class SystemConfig:
     noise_floor_dbw: float = DEFAULT_NOISE_FLOOR_DBW
 
     def __post_init__(self):
+        for name, check in _TYPED_FIELDS:
+            check(name, getattr(self, name))
         for name in ("L", "N", "K", "tau_p", "tau_c", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.K_I < 0:
-            raise ValueError("K_I must be nonnegative")
+        for name in ("K_I", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.tau_p < self.K + self.K_I:
             raise ValueError(
                 f"tau_p={self.tau_p} must be at least K + K_I = {self.K + self.K_I}"
@@ -70,14 +73,43 @@ class SystemConfig:
                 f"rho, oos_snr and alpha must be finite and positive; got "
                 f"{self.rho}, {self.oos_snr}, {self.alpha}"
             )
+        geometry = (self.area_side_m, self.ue_margin_m, self.ap_height_m, self.noise_floor_dbw)
+        if not all(map(math.isfinite, geometry)):
+            raise ValueError("geometry dimensions and noise_floor_dbw must be finite")
         if self.area_side_m <= 0 or self.ue_margin_m < 0 or self.ap_height_m < 0:
             raise ValueError("invalid geometry dimensions")
         if not self.ap_order:
             object.__setattr__(self, "ap_order", default_ap_order(self.L))
         else:
+            if not isinstance(self.ap_order, (tuple, list)):
+                raise ValueError(f"ap_order must be a list of AP ids; got {self.ap_order!r}")
+            for a in self.ap_order:
+                check_integer("ap_order entry", a)
             object.__setattr__(self, "ap_order", tuple(int(a) for a in self.ap_order))
         if sorted(self.ap_order) != list(range(1, self.L + 1)):
             raise ValueError("ap_order must be a permutation of 1..L")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer (a bool is not)."""
+    # int (float) first, so the common case skips the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real number; got {value!r}")
+
+
+# (field, check) by annotation, a string under postponed evaluation; the
+# sweep builds a config per SNR point, so the list is made once
+_TYPED_FIELDS = tuple(
+    (f.name, {"int": check_integer, "float": check_real}[f.type])
+    for f in fields(SystemConfig)
+    if f.type in ("int", "float")
+)
 
 
 def default_ap_order(L: int) -> tuple[int, ...]:
@@ -209,7 +241,11 @@ def dft_pilot_book(tau_p: int, K: int) -> PilotBook:
         raise ValueError("tau_p must be positive")
     if K < 0 or K > tau_p:
         raise ValueError("K must satisfy 0 <= K <= tau_p")
-    F = dft(tau_p, scale="sqrtn")
+    # The unitary DFT as scipy.linalg.dft(tau_p, scale="sqrtn") builds it,
+    # op for op, so the pilots keep their bits without importing scipy.
+    omegas = np.exp(-2j * np.pi * np.arange(tau_p) / tau_p).reshape(-1, 1)
+    F = omegas ** np.arange(tau_p)
+    F /= math.sqrt(tau_p)
     return PilotBook(Phi=F[:, :K].copy(), Psi=F[:, K:].copy())
 
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg
+import oossim
 from oossim import experiments, oos_estimation, uplink
 from oossim.cli import apply_overrides, main
 from oossim.experiments import (
@@ -238,6 +243,24 @@ class TestSpec:
     def test_snr_points_need_a_finite_positive_power(self, snr_db):
         with pytest.raises(ValueError, match="finite positive uplink power"):
             ExperimentSpec(cfg=make_cfg(), snr_grid_db=(0.0, snr_db))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("payload_symbols_per_block", 10.0),
+            ("snr_grid_db", 0.0),
+            ("snr_grid_db", (True,)),
+            ("methods", "seq_gramian"),
+            ("out_dir", 5),
+        ],
+    )
+    def test_malformed_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(cfg=make_cfg(), **{field: value})
+
+    def test_unknown_config_fields_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown config fields \['foo'\]"):
+            ExperimentSpec.from_dict({"cfg": {"foo": 1}})
 
     def test_default_ap_order_follows_an_overridden_L(self):
         assert apply_overrides(default_spec(), ["cfg.L=6"]).cfg.ap_order == (6, 5, 4, 3, 2, 1)
@@ -857,6 +880,37 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "finite" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--override", "cfg.rho=abc"],
+            ["report", "--override", "cfg.L=two"],
+            ["report", "--override", "cfg.L=2.5"],
+            ["report", "--override", "cfg.alpha=[1]"],
+            ["report", "--override", "cfg.trials=true"],
+            ["run", "--override", "payload_symbols_per_block=abc"],
+            ["run", "--override", "snr_grid_db=5"],
+            ["run", "--override", "methods=5"],
+            ["run", "--override", "cfg=5"],
+        ],
+    )
+    def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        field = argv[-1].partition("=")[0].removeprefix("cfg.")
+        assert len(err.splitlines()) == 1 and field in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"cfg": 5}', "{", None])
+    def test_malformed_config_file_rejected_in_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_apply_overrides_rejects_garbage(self):
         with pytest.raises(ValueError):
             apply_overrides(tiny_spec(), ["notanassignment"])
@@ -870,3 +924,27 @@ class TestCli:
         assert rc == 0
         data = json.loads((tmp_path / "results.json").read_text())
         assert all(r["seed"] == 123 for r in data["rows"])
+
+
+class TestImport:
+    def test_no_scipy_on_the_run_path(self):
+        # scipy is a test-only dependency: importing the package, one sweep
+        # and a load report must run without it
+        script = textwrap.dedent(
+            """
+            import sys
+            import oossim, oossim.cli
+            from dataclasses import replace
+            from oossim.experiments import default_spec, load_report, run_monte_carlo
+            spec = default_spec()
+            run_monte_carlo(replace(spec, cfg=replace(spec.cfg, trials=1)))
+            load_report("seq_gramian", spec.cfg)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = str(Path(oossim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cfg, unit_geometry
@@ -53,6 +54,28 @@ class TestSystemConfig:
     def test_finite_scalars(self, field, value):
         with pytest.raises(ValueError, match="finite and positive"):
             make_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("L", 2.5, "L must be an integer"),
+            ("trials", True, "trials must be an integer"),
+            ("seed", -1, "seed must be nonnegative"),
+            ("rho", "abc", "rho must be a real number"),
+            ("oos_snr", False, "oos_snr must be a real number"),
+            ("area_side_m", float("nan"), "must be finite"),
+            ("noise_floor_dbw", float("inf"), "must be finite"),
+            ("ap_order", 5, "ap_order must be a list"),
+            ("ap_order", (1.5, 2, 3), "ap_order entry must be an integer"),
+        ],
+    )
+    def test_malformed_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_cfg(**{field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = make_cfg(L=np.int64(3), rho=np.float64(2.0), ap_order=(1, np.int64(3), 2))
+        assert cfg.ap_order == (1, 3, 2)
 
     def test_noise_floor_scales_gains(self, rng):
         base = build_geometry(SystemConfig(noise_floor_dbw=0.0), np.random.default_rng(3))
@@ -150,10 +173,19 @@ class TestPilotBook:
 
     @settings(max_examples=25, deadline=None)
     @given(tau_p=st.integers(2, 32), K=st.integers(0, 16))
+    @example(tau_p=50, K=5)
+    @example(tau_p=1, K=1)
+    @example(tau_p=200, K=5)
     def test_orthonormality_invariants(self, tau_p, K):
         if K > tau_p:
             K = tau_p
         book = dft_pilot_book(tau_p, K)
+        # scipy is the reference only: the pilots keep their old values
+        ref = scipy.linalg.dft(tau_p, scale="sqrtn")
+        for ours, theirs in ((book.Phi, ref[:, :K]), (book.Psi, ref[:, K:])):
+            assert np.array_equal(
+                ours.view(np.float64), np.ascontiguousarray(theirs).view(np.float64)
+            )
         assert np.linalg.norm(herm(book.Phi) @ book.Phi - np.eye(K)) < 1e-12
         assert (
             np.linalg.norm(herm(book.Psi) @ book.Psi - np.eye(tau_p - K)) < 1e-12
