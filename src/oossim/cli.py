@@ -59,7 +59,8 @@ def apply_overrides(spec: ExperimentSpec, overrides) -> ExperimentSpec:
 
 def _spec_dict(args) -> dict:
     """The spec as plain data: the config file (or the default spec), then
-    --override, --seed, --trials and --out on top."""
+    --override and, where the command has them, --seed, --trials and --out
+    on top."""
     if args.config:
         with open(args.config) as fh:
             spec_dict = json.load(fh)
@@ -67,10 +68,9 @@ def _spec_dict(args) -> dict:
         spec_dict = default_spec().to_dict()
     spec_dict = _override(spec_dict, args.override)
     cfg = _cfg_of(spec_dict)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.trials is not None:
-        cfg["trials"] = args.trials
+    for name in ("seed", "trials"):
+        if getattr(args, name, None) is not None:
+            cfg[name] = getattr(args, name)
     if getattr(args, "out", None):
         spec_dict["out_dir"] = args.out
     return spec_dict
@@ -166,8 +166,6 @@ def main(argv=None) -> int:
     rep_p.add_argument("--config", help="JSON experiment spec")
     rep_p.add_argument("--override", action="append", metavar="KEY=VALUE")
     rep_p.add_argument("--out", help="also write load_table.json here")
-    rep_p.add_argument("--seed", type=int)
-    rep_p.add_argument("--trials", type=int)
     rep_p.add_argument(
         "--detector", default="distributed_zf", choices=DETECTORS,
         help="detector whose chain passes are included",

@@ -25,19 +25,24 @@ reuses for every chunk and SNR point.
 
 Detection is split into a channel side, which needs only the augmented
 channels, and an apply step, which needs the payload (_channel_side,
-_apply). Methods whose interferer estimates cover the same blocks of the
-chunk with augmented channels of the same width form a width group. A
-group's channel side (the zero-forcing filter, or the channel Gramian
-chain pass and its inverse) runs once per chunk for all SNR points, on
-the augmented channels of every (point, block) stacked along one axis;
-the genie's channels do not depend on the point, so its channel side
-runs on the blocks alone, in a call of its own. Each point then applies
-the UE rows of the group's filters to its payload in one call (one more
-for the genie), the methods stacked along a leading axis against the one
-payload that broadcasts along it, so the payload-sized temporaries stay
-one point in size. The kernels give each method and block what its own
+_apply). Methods whose augmented channels have the same width form a
+width group. A group's channel side (the zero-forcing filter, or the
+channel Gramian chain pass and its inverse) runs once per chunk for all
+SNR points, on the augmented channels of every (point, block) stacked
+along one axis; the genie's channels do not depend on the point, so its
+channel side runs on the blocks alone, in a call of its own. Each point
+then applies the UE rows of the group's filters to its payload in one
+call (one more for the genie), the methods stacked along a leading axis
+against the one payload that broadcasts along it, so the payload-sized
+temporaries stay one point in size. The kernels give each method and block what its own
 call gives, so a method's rows depend neither on the other methods nor
 on the rest of the SNR grid.
+
+A chunk has one failure path. It runs stacked, with no failure handling
+(_estimate, then _detect); if any stage raises NumericalFailure, what the
+chunk did is dropped and each (method, block) of it reruns alone through
+the same two helpers, so a failure is charged to the method, block and,
+for detection, SNR point that caused it.
 """
 
 from __future__ import annotations
@@ -164,9 +169,10 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
-        cfg = config_from_dict(d.pop("cfg", {}))
-        spec = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(cfg=cfg, **spec)
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown spec fields {unknown}")
+        return cls(cfg=config_from_dict(d.pop("cfg", {})), **d)
 
 
 def uplink_power(snr_db: float) -> float:
@@ -318,7 +324,8 @@ class ResultRow:
     Methods run in one call (the methods sharing the local SVD, or a
     width group, see run_monte_carlo) split its time evenly. The draws
     and pilot estimates, shared by all methods, are charged to none of
-    them. Summed over a method's rows it is the method's total time.
+    them. In a chunk that failed, only the reruns' time is charged.
+    Summed over a method's rows it is the method's total time.
     """
 
     method: str
@@ -444,44 +451,30 @@ def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkSymbolBat
     return stack
 
 
-def _run_stage(stage, span: slice, diagnostics: RunDiagnostics, members: tuple):
-    """Run `stage(members, span, counts)` once for the methods `members`
-    and the positions in `span`: blocks of the chunk or, for detection's
-    channel side, (SNR point, block) positions of a width group.
+class _Totals:
+    """What the sweep adds up, for the whole run or for one chunk: bit
+    errors, bits and apply time per (SNR point, method index); per
+    method, the time of its work shared by all points; the failures per
+    point; and the degenerate rotations, which the estimators count
+    here."""
 
-    If that raises a NumericalFailure, the stage reruns on each member
-    alone, and a single member on each position of the span alone, so a
-    failure is charged to the method and position that caused it. Returns
-    [(members, span, result or NumericalFailure)] covering `members` in
-    order and, for each, `span` in order. The stage adds its diagnostic
-    counts to `counts`; they reach `diagnostics` unless the call failed
-    on more than one member or block, in which case the reruns count
-    again.
-    """
-    counts = RunDiagnostics()
-    try:
-        result = stage(members, span, counts)
-    except NumericalFailure as exc:
-        if len(members) > 1:
-            parts = [((member,), span) for member in members]
-        else:
-            parts = [(members, slice(i, i + 1)) for i in range(span.start, span.stop)]
-        if len(parts) > 1:
-            return [
-                part for group, s in parts for part in _run_stage(stage, s, diagnostics, group)
-            ]
-        result = exc
-    diagnostics.degenerate_rotations += counts.degenerate_rotations
-    return [(members, span, result)]
+    def __init__(self, spec: ExperimentSpec):
+        shape = (len(spec.snr_grid_db), len(spec.methods))
+        self.errors = np.zeros(shape, dtype=np.int64)
+        self.bits = np.zeros(shape, dtype=np.int64)
+        self.apply_s = np.zeros(shape)
+        self.shared_s = np.zeros(len(spec.methods))
+        self.failures = [[] for _ in spec.snr_grid_db]  # FAILURE_KEYS tuples
+        self.degenerate_rotations = 0
 
-
-@dataclass
-class _PointTally:
-    """Running totals of one (SNR point, method) cell of the sweep."""
-
-    errors: int = 0
-    bits: int = 0
-    apply_s: float = 0.0
+    def add(self, other: _Totals):
+        self.errors += other.errors
+        self.bits += other.bits
+        self.apply_s += other.apply_s
+        self.shared_s += other.shared_s
+        for mine, theirs in zip(self.failures, other.failures):
+            mine += theirs
+        self.degenerate_rotations += other.degenerate_rotations
 
 
 class _Sweep:
@@ -502,8 +495,8 @@ class _Sweep:
             return np.empty((size, *shape), dtype=complex)
 
         # Rows [:B] hold a chunk of B blocks; y holds one SNR point at a
-        # time. The draw comes with the first point's y, so the terms H x,
-        # G s and n are kept only when later points must form their own.
+        # time. On a grid of one point y comes with the draw; otherwise
+        # the terms H x, G s and n are kept and each point forms its own.
         later = len(self.points) > 1
         self.payload = uplink.UplinkSymbolBatch(
             x=buffer(cfg.K, n_symbols),
@@ -513,203 +506,150 @@ class _Sweep:
             gs=buffer(cfg.L, cfg.N, n_symbols) if later and cfg.K_I else None,
             noise=buffer(cfg.L, cfg.N, n_symbols) if later else None,
         )
-        self.tallies = [{m: _PointTally() for m in spec.methods} for _ in spec.snr_grid_db]
-        self.failures = [[] for _ in spec.snr_grid_db]  # per point, in (block, method) order
-        # per method, the time of its work shared by all SNR points
-        self.shared_s = {m: 0.0 for m in spec.methods}
-        self.diagnostics = RunDiagnostics()
+        self.totals = _Totals(spec)
 
     def outcome(self) -> MonteCarloOutcome:
         """One row per (SNR point, method) with surviving blocks, and the
-        failures in (SNR, block, method) order of the chunks run. Call
-        once, after the last chunk."""
-        spec, diagnostics = self.spec, self.diagnostics
-        loads = {
-            m: analytic_per_link(m, spec.cfg, spec.detector).get("oos_forward", 0)
+        failures in (SNR, block, method) order of the chunks run."""
+        spec, totals = self.spec, self.totals
+        diagnostics = RunDiagnostics(
+            numerical_failures=sum(map(len, totals.failures)),
+            degenerate_rotations=totals.degenerate_rotations,
+        )
+        loads = [
+            analytic_per_link(m, spec.cfg, spec.detector).get("oos_forward", 0)
             for m in spec.methods
-        }
+        ]
         rows: list[ResultRow] = []
-        for snr_db, tally, failures in zip(spec.snr_grid_db, self.tallies, self.failures):
-            diagnostics.failures.extend(failures)
-            for method in spec.methods:
-                t = tally[method]
-                if t.bits == 0:
+        for p, snr_db in enumerate(spec.snr_grid_db):
+            diagnostics.failures.extend(totals.failures[p])
+            for m, method in enumerate(spec.methods):
+                errors, bits = int(totals.errors[p, m]), int(totals.bits[p, m])
+                if bits == 0:
                     diagnostics.failures.append((method, snr_db, -1, "no surviving blocks"))
                     continue
-                lo, hi = uplink.wilson_interval(t.errors, t.bits)
+                lo, hi = uplink.wilson_interval(errors, bits)
+                shared_s = totals.shared_s[m] / len(self.points)
                 rows.append(
                     ResultRow(
                         method=method,
                         snr_db=snr_db,
-                        ber=t.errors / t.bits,
-                        bit_count=t.bits,
+                        ber=errors / bits,
+                        bit_count=bits,
                         ci_low=lo,
                         ci_high=hi,
-                        fronthaul_per_link_real_symbols=loads[method],
-                        wall_time_s=t.apply_s + self.shared_s[method] / len(self.points),
+                        fronthaul_per_link_real_symbols=loads[m],
+                        wall_time_s=float(totals.apply_s[p, m] + shared_s),
                         seed=spec.cfg.seed,
                     )
                 )
         return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
 
 
-def _estimate_interferers(sweep: _Sweep, chunk, zpsi, n: int):
-    """Each method's interferer channels on the chunk's n blocks. The
-    LOCAL_SVD_METHODS share one local factorization per chunk; a block on
-    which it fails fails for both. Returns (groups, failed): groups maps
-    (start, stop, augmented width) to [(method index, method, interferer
-    channels)] in method order, the methods whose estimates cover the same
-    blocks with the same width; failed lists (block, method index, method,
-    NumericalFailure)."""
+def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
+    """The interferer channels of the methods `methods` (indices into
+    spec.methods) on the blocks of `chunk`, in that order. The
+    LOCAL_SVD_METHODS among them share one local factorization."""
     spec, cfg = sweep.spec, sweep.spec.cfg
     # the local factorization is defined for 1 <= K_I <= N
-    sharing = [m for m in spec.methods if m in LOCAL_SVD_METHODS and 1 <= cfg.K_I <= cfg.N]
-    no_local = [((), slice(0, n), None)]
-    local_parts = no_local
+    sharing = [m for m in methods if spec.methods[m] in LOCAL_SVD_METHODS and 1 <= cfg.K_I <= cfg.N]
+    local, t0 = None, time.perf_counter()
     if sharing:
+        local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)
+        totals.shared_s[sharing] += (time.perf_counter() - t0) / len(sharing)
+    ghats = []
+    for m in methods:
         t0 = time.perf_counter()
-        local_parts = _run_stage(
-            lambda members, s, counts: oos_estimation.local_svd_estimate(zpsi[s], cfg.K_I),
-            slice(0, n), sweep.diagnostics, ("local SVD",),
-        )
-        for method in sharing:
-            sweep.shared_s[method] += (time.perf_counter() - t0) / len(sharing)
+        method = spec.methods[m]
+        ghats.append(_interferer_channels(method, chunk, zpsi, cfg, sweep.chain, totals, local))
+        totals.shared_s[m] += time.perf_counter() - t0
+    return ghats
 
-    groups: dict[tuple[int, int, int], list] = {}
-    failed = []
-    for m, method in enumerate(spec.methods):
-        t0 = time.perf_counter()
-        for _, part, local in local_parts if method in sharing else no_local:
-            if isinstance(local, NumericalFailure):
-                failed += [(i, m, method, local) for i in range(part.start, part.stop)]
+
+def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: _Totals):
+    """Detect the methods `methods` (indices into spec.methods), with
+    interferer channels `ghats`, on the n blocks of `chunk` at the SNR
+    points `points`, and add their bit errors to `totals`. est holds the
+    pilot LS estimates (len(points), n, L, N, K) of those points.
+
+    Methods whose augmented channels have the same width form a group,
+    whose channel side runs once, on every (point, block) position
+    stacked along one axis; the genie's channels do not depend on the
+    point, so its channel side runs on the blocks alone. Per point, each
+    channel-side call gets one apply call."""
+    spec, cfg, n = sweep.spec, sweep.spec.cfg, len(chunk.H)
+    ghat_of = dict(zip(methods, ghats))
+    groups: dict[int, list] = {}
+    for m, ghat in ghat_of.items():
+        groups.setdefault(cfg.K + (0 if ghat is None else ghat.shape[-1]), []).append(m)
+    sides = []  # (method indices, rows of points, channel side)
+    for width, group in groups.items():
+        for genie, ue in ((False, est), (True, chunk.H[None])):
+            members = [m for m in group if (spec.methods[m] == GENIE) == genie]
+            if not members:
                 continue
+            t0 = time.perf_counter()
+            aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
+            aug = aug.reshape(len(members), len(ue) * n, *aug.shape[3:])
+            side = _channel_side(spec.detector, aug, cfg, sweep.chain)
+            totals.shared_s[members] += (time.perf_counter() - t0) / len(members)
+            sides.append((members, len(ue), side))
 
-            def estimate(members, s, counts):
-                own = None if local is None else tuple(
-                    x[s.start - part.start : s.stop - part.start] for x in local
-                )
-                block = _select(chunk, s)
-                return _interferer_channels(method, block, zpsi[s], cfg, sweep.chain, counts, own)
-
-            for _, s, ghat in _run_stage(estimate, part, sweep.diagnostics, (method,)):
-                if isinstance(ghat, NumericalFailure):
-                    failed += [(i, m, method, ghat) for i in range(s.start, s.stop)]
-                    continue
-                width = cfg.K + (0 if ghat is None else ghat.shape[-1])
-                groups.setdefault((s.start, s.stop, width), []).append((m, method, ghat))
-        sweep.shared_s[method] += time.perf_counter() - t0
-    return groups, failed
-
-
-def _channel_sides(sweep: _Sweep, chunk, est, key, group):
-    """Detection's channel side for the width group `group` over the
-    blocks start..stop of the chunk (key = (start, stop, width)), for all
-    SNR points: [(members, positions, channel side or NumericalFailure,
-    stride)] with members ((method index, method), ...). A position
-    q = p stride + i is block start + i at point p. The genie's channels
-    do not depend on the point, so its channel side runs once, on the n
-    blocks, with stride 0; the other members run on every (point, block)
-    position, with stride n."""
-    spec, cfg = sweep.spec, sweep.spec.cfg
-    (start, stop, width), n = key, key[1] - key[0]
-    ghats = {m: ghat for m, _, ghat in group}
-
-    def side(ue):  # `ue`: the UE columns at each position
-        def stage(members, s, counts):
-            i = np.arange(s.start, s.stop) % n
-            stack = [None if ghats[m] is None else ghats[m][i] for m, _ in members]
-            aug = _augmented_stack(stack, ue[s], width)
-            return _channel_side(spec.detector, aug, cfg, sweep.chain)
-
-        return stage
-
-    varying = tuple((m, method) for m, method, _ in group if method != GENIE)
-    fixed = tuple((m, method) for m, method, _ in group if method == GENIE)
-    parts = []
-    for members, ue, stride in (
-        (varying, est[:, start:stop].reshape(-1, *est.shape[2:]), n),
-        (fixed, chunk.H[start:stop], 0),
-    ):
-        if not members:
-            continue
-        t0 = time.perf_counter()
-        done = _run_stage(side(ue), slice(0, len(ue)), sweep.diagnostics, members)
-        for _, method in members:
-            sweep.shared_s[method] += (time.perf_counter() - t0) / len(members)
-        parts += [(mem, s, got, stride) for mem, s, got in done]
-    return parts
-
-
-def _at_point(parts, p: int, n: int):
-    """The channel-side parts of a group of n blocks cut to SNR point p:
-    [(members, blocks 0..n of the group, channel side or failure)]."""
-    cut = []
-    for members, s, got, stride in parts:
-        lo, hi = max(s.start, p * stride), min(s.stop, p * stride + n)
-        if lo < hi:
-            if not isinstance(got, NumericalFailure):
-                got = tuple(x[:, lo - s.start : hi - s.start] for x in got)
-            cut.append((members, slice(lo - p * stride, hi - p * stride), got))
-    return cut
+    for j, p in enumerate(points):
+        cfg_pt = sweep.points[p]
+        if payload.hx is not None:  # the buffer may hold another point's y
+            uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
+        for members, count, side in sides:
+            q = min(j, count - 1)  # the genie's one channel side serves every point
+            channel = tuple(x[:, q * n : (q + 1) * n] for x in side)
+            t0 = time.perf_counter()
+            ue = _apply(spec.detector, payload, channel, cfg_pt, sweep.chain)
+            totals.apply_s[p, members] += (time.perf_counter() - t0) / len(members)
+            errors = uplink.count_bit_errors(ue, payload.x)
+            totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)
+            totals.bits[p, members] += 2 * payload.x.size  # 2 bits per QPSK symbol
 
 
 def _run_chunk(sweep: _Sweep, blocks: range):
-    """Run every stage of the sweep once on the stacked blocks `blocks`."""
+    """Run the sweep on the blocks `blocks`, stacked. If a stage fails
+    numerically, drop what the chunk did and rerun each (method, block)
+    alone: a failed estimation is charged at every SNR point, a failed
+    detection at its point."""
     spec, cfg = sweep.spec, sweep.spec.cfg
     chunk = _draw_chunk(cfg, blocks)
     interference = pilot_phase.pilot_interference(chunk)
     zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
     payload = _draw_payload(sweep, chunk, blocks)
-    groups, failed_estimates = _estimate_interferers(sweep, chunk, zpsi, len(blocks))
-
     # pilot LS estimates of every SNR point, (P, B, L, N, K)
     est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
     for p, cfg_pt in enumerate(sweep.points):
         obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
         est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
-    sides = {key: _channel_sides(sweep, chunk, est, key, group) for key, group in groups.items()}
-
-    for p, (snr_db, cfg_pt, tally, failures) in enumerate(
-        zip(spec.snr_grid_db, sweep.points, sweep.tallies, sweep.failures)
-    ):
-        # The first point's y came with the draw. A later point's y
-        # overwrites the previous one's, so nothing below outlives its point.
-        if p:
-            uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
-        failed = list(failed_estimates)
-        for (start, stop, _), parts in sides.items():
-            for members, b, channel in _at_point(parts, p, stop - start):
-                if isinstance(channel, NumericalFailure):
-                    failed += [
-                        (start + i, m, method, channel)
-                        for i in range(b.start, b.stop)
-                        for m, method in members
-                    ]
-                    continue
-                first = start + b.start
-
-                def apply(sub, s, counts):
-                    rows = slice(None) if sub == members else [members.index(x) for x in sub]
-                    own = slice(s.start - first, s.stop - first)
-                    part = tuple(x[rows, own] for x in channel)
-                    return _apply(spec.detector, _select(payload, s), part, cfg_pt, sweep.chain)
-
-                t0 = time.perf_counter()
-                span = slice(first, start + b.stop)
-                detected = _run_stage(apply, span, sweep.diagnostics, members)
-                for _, method in members:
-                    tally[method].apply_s += (time.perf_counter() - t0) / len(members)
-                for sub, s, ue in detected:
-                    if isinstance(ue, NumericalFailure):
-                        failed += [(s.start, m, method, ue) for m, method in sub]
-                        continue
-                    errors = uplink.count_bit_errors(ue, payload.x[s])
-                    for (_, method), method_errors in zip(sub, errors, strict=True):
-                        tally[method].errors += int(method_errors.sum())
-                        tally[method].bits += 2 * payload.x[s].size  # 2 bits per QPSK symbol
-        for i, _, method, exc in sorted(failed, key=lambda f: f[:2]):
-            sweep.diagnostics.numerical_failures += 1
-            failures.append((method, snr_db, blocks[i], str(exc)))
+    methods, points = range(len(spec.methods)), range(len(sweep.points))
+    try:
+        totals = _Totals(spec)
+        ghats = _estimate(sweep, chunk, zpsi, methods, totals)
+        _detect(sweep, chunk, est, payload, methods, ghats, points, totals)
+    except NumericalFailure:
+        totals = _Totals(spec)
+        for i in range(len(blocks)):
+            one = slice(i, i + 1)
+            block, batch = _select(chunk, one), _select(payload, one)
+            for m in methods:
+                failed = []
+                try:
+                    ghats = _estimate(sweep, block, zpsi[one], [m], totals)
+                except NumericalFailure as exc:
+                    failed = [(p, exc) for p in points]
+                for p in () if failed else points:
+                    try:
+                        _detect(sweep, block, est[p : p + 1, one], batch, [m], ghats, [p], totals)
+                    except NumericalFailure as exc:
+                        failed.append((p, exc))
+                for p, exc in failed:
+                    failure = (spec.methods[m], spec.snr_grid_db[p], blocks[i], str(exc))
+                    totals.failures[p].append(failure)
+    sweep.totals.add(totals)
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
@@ -720,20 +660,21 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     at a time. Per chunk, once for all SNR points: each block's geometry,
     channel draw and payload draw (symbols, interferer signal and noise,
     each from the block's own streams), the projected residual (which
-    does not depend on rho), one local SVD of it shared by the methods
-    that start from it, each method's interferer-channel estimate with
-    its OoS chain pass, the pilot LS estimates of every point, and one
-    detection channel side per width group, i.e. per set of methods whose
-    estimates cover the same blocks with augmented channels of the same
-    width, stacked over all points (plus one for the genie, on the blocks
-    alone). Per SNR point: the received payload sqrt(rho) H x + G s + n
-    and one apply step per width group (plus one for the genie). A stage that fails numerically
-    reruns method by method (for a group), then position by position (a
-    block, or a (point, block) of a channel side); a method that fails on
-    a block is excluded there and counted once per SNR point, or once at
-    the point whose channel side failed. Rows and failures come out in
-    (SNR, block, method) order, and a call's time is split evenly across
-    its positions and methods (see ResultRow).
+    does not depend on rho), the pilot LS estimates of every point, one
+    local SVD of the residual shared by the methods that start from it,
+    each method's interferer-channel estimate with its OoS chain pass,
+    and one detection channel side per width group, i.e. per set of
+    methods whose augmented channels have the same width, stacked over
+    all points (plus one for the genie, on the blocks alone). Per SNR
+    point: the received payload sqrt(rho) H x + G s + n and one apply
+    step per channel side.
+
+    If any stage of a chunk fails numerically, the chunk's results are
+    dropped and each (method, block) of it reruns alone: a method that
+    fails on a block is excluded there and counted once per SNR point,
+    or once at the point whose detection failed. Rows and failures come
+    out in (SNR, block, method) order, and a call's time is split evenly
+    across its methods (see ResultRow).
     """
     sweep = _Sweep(spec)
     trials = spec.cfg.trials

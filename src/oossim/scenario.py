@@ -12,7 +12,6 @@ gains directly can ignore the floor entirely.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -263,21 +262,3 @@ def draw_block(cfg: SystemConfig, geo: Geometry, rng: np.random.Generator) -> Bl
     S = np.sqrt(cfg.oos_snr) * crandn(rng, cfg.tau_p, cfg.K_I)
     pilot_noise = crandn(rng, cfg.L, cfg.N, cfg.tau_p)
     return BlockRealization(H=H, G=G, S=S, pilot_noise=pilot_noise)
-
-
-def geometry_to_json(geo: Geometry) -> str:
-    """Positions in meters and gains (over noise) in dB, for plotting."""
-
-    def db(x):
-        return (10.0 * np.log10(x)).tolist()
-
-    return json.dumps(
-        {
-            "ap_positions_m": geo.ap_positions.tolist(),
-            "ue_positions_m": geo.ue_positions.tolist(),
-            "oos_positions_m": geo.oos_positions.tolist(),
-            "beta_ue_db": db(geo.beta_ue),
-            "beta_oos_db": db(geo.beta_oos) if geo.beta_oos.size else [],
-        },
-        indent=2,
-    )

@@ -551,8 +551,10 @@ class TestChunking:
         assert per_block[0]
         assert all(other == per_block for other in others)
 
-    def test_failures_charged_to_their_block(self, monkeypatch):
-        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+    # on a one-point grid the sweep keeps no H x, G s and n terms
+    @pytest.mark.parametrize("grid", [(-4.0, 0.0), (0.0,)])
+    def test_failures_charged_to_their_block(self, monkeypatch, grid):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=grid), 7)
         fail_procrustes_fold(monkeypatch, spec.cfg, block=5)
         fail_centralized_detection(monkeypatch, spec, block=2)
         first, *others = self.records(monkeypatch, spec)
@@ -609,6 +611,37 @@ class TestChunking:
         per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
         for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
             if row.snr_db == 0.0 and row.method in suppressing:
+                assert row.bit_count == want.bit_count - per_block
+            else:
+                assert rows_to_csv([row]) == rows_to_csv([want])
+
+    def test_apply_failure_at_the_last_point_leaves_the_others_alone(self, monkeypatch):
+        # the rerun of the failed chunk must receive every point's payload
+        # afresh, the first included, although the failed stacked attempt
+        # left the last point's y in the buffer
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 3.0)), 7)
+        clean = run_monte_carlo(spec).rows
+        cfg = replace(spec.cfg, rho=experiments.uplink_power(3.0))
+        rng = block_rng(cfg.seed, 2, PAYLOAD_STREAM)
+        mark = uplink.simulate_uplink_rx(
+            drawn_block(cfg, 2), cfg, rng, spec.payload_symbols_per_block
+        ).y[0]
+        original = uplink.apply_zf_filter
+
+        def flaky(batch, F):
+            if holds(batch.y, mark):
+                raise NumericalFailure("injected apply failure")
+            return original(batch, F)
+
+        monkeypatch.setattr(uplink, "apply_zf_filter", flaky)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        assert [f[:3] for f in failures] == [(m, 3.0, 2) for m in spec.methods]
+        assert numerical_failures == len(spec.methods)
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
+            if row.snr_db == 3.0:
                 assert row.bit_count == want.bit_count - per_block
             else:
                 assert rows_to_csv([row]) == rows_to_csv([want])
@@ -892,6 +925,8 @@ class TestCli:
             ["run", "--override", "snr_grid_db=5"],
             ["run", "--override", "methods=5"],
             ["run", "--override", "cfg=5"],
+            ["run", "--override", "snr_grid=[0]"],
+            ["run", "--override", 'method=["seq_gramian"]'],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,6 @@ from oossim.scenario import (
     crandn,
     dft_pilot_book,
     draw_block,
-    geometry_to_json,
     path_loss_db,
 )
 
@@ -145,15 +143,6 @@ class TestGeometry:
         g2 = build_geometry(cfg, np.random.default_rng(11))
         assert np.array_equal(g1.ue_positions, g2.ue_positions)
         assert np.array_equal(g1.beta_ue, g2.beta_ue)
-
-    def test_json_dump(self, rng):
-        geo = build_geometry(SystemConfig(), rng)
-        data = json.loads(geometry_to_json(geo))
-        assert len(data["ap_positions_m"]) == 4
-        assert np.allclose(
-            data["beta_ue_db"], 10 * np.log10(geo.beta_ue)
-        )
-
 
 class TestPilotBook:
     def test_reference_shapes(self):
