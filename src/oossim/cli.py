@@ -10,6 +10,7 @@ import sys
 from .experiments import (
     DETECTORS,
     ExperimentSpec,
+    check_fields,
     config_from_dict,
     default_spec,
     emit_report,
@@ -33,6 +34,9 @@ def _cfg_of(spec_dict: dict) -> dict:
 
 
 def _override(spec_dict: dict, overrides) -> dict:
+    """Apply `key=value` overrides; `cfg.` prefixes reach the system config.
+    Values are JSON-parsed when possible, e.g. --override cfg.K_I=3 or
+    --override methods='["seq_gramian","centralized_genie"]'."""
     if not isinstance(spec_dict, dict):
         raise ValueError(f"the spec must be a JSON object; got {spec_dict!r}")
     for item in overrides or []:
@@ -46,15 +50,6 @@ def _override(spec_dict: dict, overrides) -> dict:
         else:
             spec_dict[key] = value
     return spec_dict
-
-
-def apply_overrides(spec: ExperimentSpec, overrides) -> ExperimentSpec:
-    """Apply `key=value` overrides; `cfg.` prefixes reach the system config.
-
-    Values are JSON-parsed when possible, e.g. --override cfg.K_I=3 or
-    --override methods='["seq_gramian","centralized_genie"]'.
-    """
-    return ExperimentSpec.from_dict(_override(spec.to_dict(), overrides))
 
 
 def _spec_dict(args) -> dict:
@@ -114,7 +109,9 @@ def _cmd_report(args) -> int:
     # only the system config matters here, so the spec's methods are not
     # checked against it: a method undefined under it is listed as such
     try:
-        cfg = config_from_dict(_spec_dict(args)["cfg"])
+        spec_dict = _spec_dict(args)
+        check_fields("spec", spec_dict, ExperimentSpec)
+        cfg = config_from_dict(spec_dict["cfg"])
     except (ValueError, OSError) as exc:
         print(f"oossim report: {exc}", file=sys.stderr)
         return 2

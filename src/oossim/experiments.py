@@ -168,11 +168,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        check_fields("spec", d, cls)
         d = dict(d)
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown spec fields {unknown}")
         return cls(cfg=config_from_dict(d.pop("cfg", {})), **d)
+
+
+def check_fields(kind: str, d: dict, cls) -> None:
+    """Raise ValueError naming the keys of `d` that are no field of the
+    dataclass `cls` (`kind` names it in the message)."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {kind} fields {unknown}")
 
 
 def uplink_power(snr_db: float) -> float:
@@ -191,9 +197,7 @@ def uplink_power(snr_db: float) -> float:
 
 def config_from_dict(cfg_dict: dict) -> SystemConfig:
     """SystemConfig from the "cfg" entry of ExperimentSpec.to_dict()."""
-    unknown = sorted(set(cfg_dict) - set(SystemConfig.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"unknown config fields {unknown}")
+    check_fields("config", cfg_dict, SystemConfig)
     return SystemConfig(**cfg_dict)
 
 
@@ -500,7 +504,7 @@ class _Sweep:
         later = len(self.points) > 1
         self.payload = uplink.UplinkSymbolBatch(
             x=buffer(cfg.K, n_symbols),
-            s=buffer(cfg.K_I, n_symbols),
+            s=None,  # detection reads x and y (or its terms) only
             y=buffer(cfg.L, cfg.N, n_symbols),
             hx=buffer(cfg.L, cfg.N, n_symbols) if later else None,
             gs=buffer(cfg.L, cfg.N, n_symbols) if later and cfg.K_I else None,

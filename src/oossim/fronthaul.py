@@ -6,12 +6,15 @@ symbol counts, not timing. One real symbol is one real scalar; a complex
 scalar costs 2; a Hermitian n x n matrix costs n^2 (real diagonal plus
 the complex upper triangle).
 
-Payload-phase messages (combined uplink vectors, detector states) are
-recorded per symbol period; pilot-phase messages are per coherence
-block. A payload may stack several blocks along leading axes; its size is
-read from the trailing axes, so a message is still counted per block.
+A hop forwards a plain payload (an array, or a tuple of arrays), and each
+pass sizes every payload it carries with one size rule (matrix_symbols,
+hermitian_symbols, vector_symbols, state_symbols). Payload-phase loads
+(combined uplink vectors, detector states) are per symbol period;
+pilot-phase loads are per coherence block. A payload may stack several
+blocks along leading axes; each rule reads the trailing axes, so a load
+is still counted per block.
 
-This module is transport and message sizes only; it knows no method or
+This module is transport and size rules only; it knows no method or
 detector. The load ledger (load_report, analytic_per_link) lives in
 experiments, beside the method dispatch it runs, and is re-exported here.
 """
@@ -19,9 +22,6 @@ experiments, beside the method dispatch it runs, and is re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-
-import numpy as np
 
 from .numerics import NumericalFailure
 
@@ -32,57 +32,30 @@ class ChainError(RuntimeError):
     """A fold step failed at a specific hop."""
 
 
-class MessageKind(str, Enum):
-    SBAR_ESTIMATE = "sbar_estimate"
-    RESIDUAL_GRAMIAN = "residual_gramian"
-    CHANNEL_GRAMIAN = "channel_gramian"
-    COMBINED_UPLINK = "combined_uplink"
-    DETECTOR_STATE = "detector_state"
-    BROADCAST = "broadcast"
+def matrix_symbols(M) -> int:
+    """General complex matrix: 2 reals per entry."""
+    rows, cols = M.shape[-2:]
+    return 2 * rows * cols
 
 
-@dataclass(frozen=True)
-class FronthaulMessage:
-    kind: MessageKind
-    payload: object
-    real_symbols: int
-
-
-def sbar_message(S: np.ndarray) -> FronthaulMessage:
-    """Projected-signal estimate: general complex matrix, 2 reals per entry."""
-    rows, cols = S.shape[-2:]
-    return FronthaulMessage(MessageKind.SBAR_ESTIMATE, S, 2 * rows * cols)
-
-
-def residual_gramian_message(M: np.ndarray) -> FronthaulMessage:
-    return _hermitian_message(MessageKind.RESIDUAL_GRAMIAN, M)
-
-
-def channel_gramian_message(M: np.ndarray) -> FronthaulMessage:
-    return _hermitian_message(MessageKind.CHANNEL_GRAMIAN, M)
-
-
-def _hermitian_message(kind: MessageKind, M: np.ndarray) -> FronthaulMessage:
+def hermitian_symbols(M) -> int:
+    """Hermitian n x n matrix: n^2 reals."""
     n, m = M.shape[-2:]
     if n != m:
         raise ValueError("Hermitian payload must be square")
-    return FronthaulMessage(kind, M, n * n)
+    return n * n
 
 
-def combined_uplink_message(ybar: np.ndarray) -> FronthaulMessage:
-    """Combined received vector; counted per symbol period (rows, not batch)."""
-    return FronthaulMessage(MessageKind.COMBINED_UPLINK, ybar, 2 * ybar.shape[-2])
+def vector_symbols(v) -> int:
+    """Combined received vectors (rows, T): counted per symbol period, so
+    2 reals per row whatever T is."""
+    return 2 * v.shape[-2]
 
 
-def detector_state_message(xhat: np.ndarray, C: np.ndarray) -> FronthaulMessage:
-    """Estimate plus error covariance; per symbol period: 2m + m^2 reals."""
-    m = C.shape[-1]
-    return FronthaulMessage(MessageKind.DETECTOR_STATE, (xhat, C), 2 * m + m * m)
-
-
-def broadcast_message(inner: FronthaulMessage) -> FronthaulMessage:
-    """Wrap a payload for the CPU -> APs direction; size is unchanged."""
-    return FronthaulMessage(MessageKind.BROADCAST, inner.payload, inner.real_symbols)
+def state_symbols(state) -> int:
+    """Estimate plus error covariance (xhat, C); per symbol period: 2m + m^2 reals."""
+    m = state[1].shape[-1]
+    return 2 * m + m * m
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,6 @@ class LinkRecord:
     phase: str
     sender: int  # 1-based AP id, or CPU (0)
     receiver: int
-    kind: str
     real_symbols: int
 
 
@@ -121,25 +93,27 @@ class LoadReport:
         return values.pop()
 
 
-def chain_pass(order, fold, init=None, phase: str = "chain", log: LoadReport | None = None):
+def chain_pass(order, fold, size, init=None, phase: str = "chain", log: LoadReport | None = None):
     """Fold along the chain; the last AP in `order` delivers to the CPU.
 
-    `fold(ap, msg)` receives the incoming message (None at the first AP
-    when init is None) and returns the FronthaulMessage forwarded on the
-    outgoing link. Every inter-node message is recorded. Returns
-    (final message, list of LinkRecords). A NumericalFailure raised by a
-    fold propagates with its class and the hop added to its message; any
-    other exception becomes a ChainError naming the hop.
+    `fold(ap, payload)` receives the incoming payload (`init` at the first
+    AP) and returns the payload forwarded on the outgoing link, which
+    `size(payload)` counts in real symbols. Every inter-node link is
+    recorded. Returns (final payload, list of LinkRecords). A
+    NumericalFailure raised by a fold propagates with its class and the
+    hop added to its message; any other exception, from the fold or from
+    sizing its payload, becomes a ChainError naming the hop.
     """
     order = tuple(order)
     if len(set(order)) != len(order) or not order:
         raise ValueError("order must be a nonempty sequence of distinct AP ids")
-    msg = init
+    payload = init
     records = []
     for i, ap in enumerate(order):
         hop = f"AP {ap} (hop {i + 1}/{len(order)})"
         try:
-            msg = fold(ap, msg)
+            payload = fold(ap, payload)
+            real_symbols = size(payload)
         except ChainError:
             raise
         except NumericalFailure as exc:
@@ -147,21 +121,20 @@ def chain_pass(order, fold, init=None, phase: str = "chain", log: LoadReport | N
             raise type(exc)(f"{exc} (fold at {hop})") from exc
         except Exception as exc:
             raise ChainError(f"fold failed at {hop}") from exc
-        if not isinstance(msg, FronthaulMessage):
-            raise ChainError(f"fold at AP {ap} returned {type(msg).__name__}, not a message")
         receiver = order[i + 1] if i + 1 < len(order) else CPU
-        records.append(LinkRecord(phase, ap, receiver, msg.kind.value, msg.real_symbols))
+        records.append(LinkRecord(phase, ap, receiver, real_symbols))
     if log is not None:
         log.records.extend(records)
-    return msg, records
+    return payload, records
 
 
-def broadcast_pass(order, message: FronthaulMessage, phase: str, log: LoadReport | None = None):
-    """CPU sends `message` back along the chain; every link carries it once."""
+def broadcast_pass(order, real_symbols: int, phase: str, log: LoadReport | None = None):
+    """CPU sends a payload of `real_symbols` back along the chain; every
+    link carries it once."""
     records = []
     sender = CPU
     for ap in reversed(tuple(order)):
-        records.append(LinkRecord(phase, sender, ap, message.kind.value, message.real_symbols))
+        records.append(LinkRecord(phase, sender, ap, real_symbols))
         sender = ap
     if log is not None:
         log.records.extend(records)
@@ -180,12 +153,12 @@ class Chain:
     def for_config(cls, cfg) -> "Chain":
         return cls(order=tuple(cfg.ap_order))
 
-    def run(self, phase: str, fold, init=None) -> FronthaulMessage:
-        msg, _ = chain_pass(self.order, fold, init, phase, self.log)
-        return msg
+    def run(self, phase: str, fold, size, init=None):
+        payload, _ = chain_pass(self.order, fold, size, init, phase, self.log)
+        return payload
 
-    def broadcast(self, phase: str, message: FronthaulMessage):
-        return broadcast_pass(self.order, message, phase, self.log)
+    def broadcast(self, phase: str, real_symbols: int):
+        return broadcast_pass(self.order, real_symbols, phase, self.log)
 
 
 def __getattr__(name: str):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fronthaul import Chain, broadcast_message, residual_gramian_message, sbar_message
+from .fronthaul import Chain, hermitian_symbols, matrix_symbols
 from .numerics import (
     DegeneracyError,
     _checked_svd,
@@ -117,15 +117,13 @@ def run_sequential_procrustes(
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
     locals_ = _local_signal_basis(zpsi, cfg.K_I) if local_bases is None else local_bases
 
-    def fold(ap, msg):
+    def fold(ap, S):
         local = locals_[..., ap - 1, :, :]
-        if msg is None:
-            return sbar_message(local)
-        return sbar_message(rotate_and_average_step(msg.payload, local, diagnostics))
+        return local if S is None else rotate_and_average_step(S, local, diagnostics)
 
-    final = chain.run("oos_forward", fold)
-    chain.broadcast("oos_broadcast", broadcast_message(final))
-    return final.payload
+    final = chain.run("oos_forward", fold, matrix_symbols)
+    chain.broadcast("oos_broadcast", matrix_symbols(final))
+    return final
 
 
 def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.ndarray:
@@ -137,16 +135,14 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     """
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
-    r = cfg.tau_p - cfg.K
 
-    def fold(ap, msg):
-        acc = np.zeros((r, r), dtype=complex) if msg is None else msg.payload
+    def fold(ap, acc):
         z = zpsi[..., ap - 1, :, :]
-        return residual_gramian_message(acc + herm(z) @ z)
+        return acc + herm(z) @ z
 
-    final = chain.run("oos_forward", fold)
-    vectors, _ = hermitian_top_eigvectors(final.payload, cfg.K_I)
-    chain.broadcast("oos_broadcast", broadcast_message(sbar_message(vectors)))
+    total = chain.run("oos_forward", fold, hermitian_symbols, init=0)
+    vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
+    chain.broadcast("oos_broadcast", matrix_symbols(vectors))
     return vectors
 
 

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fronthaul import (
-    Chain,
-    channel_gramian_message,
-    combined_uplink_message,
-    detector_state_message,
-)
+from .fronthaul import Chain, hermitian_symbols, state_symbols, vector_symbols
 from .numerics import NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
@@ -50,7 +45,7 @@ class UplinkSymbolBatch:
     the same draw can be received at any power (received_signal)."""
 
     x: np.ndarray  # (K, T) unit QPSK
-    s: np.ndarray  # (K_I, T)
+    s: np.ndarray | None  # (K_I, T); None where nothing reads it
     y: np.ndarray  # (L, N, T)
     hx: np.ndarray | None = None  # (L, N, T) H x
     gs: np.ndarray | None = None  # (L, N, T) G s; None without interferers
@@ -125,12 +120,12 @@ def detect_sequential_ls(
     T = batch.y.shape[-1]
     eye_N, eye_m = np.eye(N, dtype=complex), np.eye(m, dtype=complex)
 
-    def fold(ap, msg):
-        if msg is None:
+    def fold(ap, state):
+        if state is None:
             xhat = np.zeros((m, T), dtype=complex)
             C = cfg.alpha * eye_m
         else:
-            xhat, C = msg.payload
+            xhat, C = state
         A = aug[..., ap - 1, :, :]
         AC = A @ C
         inner = eye_N + AC @ herm(A)
@@ -141,22 +136,18 @@ def detect_sequential_ls(
         xhat = xhat + gain @ (batch.y[..., ap - 1, :, :] - A @ xhat)
         C = (eye_m - gain @ A) @ C
         C = 0.5 * (C + herm(C))
-        return detector_state_message(xhat, C)
+        return xhat, C
 
-    final = chain.run("uplink_seq_ls", fold)
-    return DetectorState(*final.payload)
+    return DetectorState(*chain.run("uplink_seq_ls", fold, state_symbols))
 
 
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
-    m = aug.shape[-1]
-
-    def fold(ap, msg):
-        acc = np.zeros((m, m), dtype=complex) if msg is None else msg.payload
+    def fold(ap, acc):
         A = aug[..., ap - 1, :, :]
-        return channel_gramian_message(acc + herm(A) @ A)
+        return acc + herm(A) @ A
 
-    return chain.run("channel_gramian", fold).payload
+    return chain.run("channel_gramian", fold, hermitian_symbols, init=0)
 
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
@@ -174,15 +165,11 @@ def apply_distributed_zf(
     """Apply step of distributed ZF: combine locally with A_l^H, accumulate
     along the chain, and apply `gamma_inv` (the rows of inverse_gramian
     that are wanted) at the CPU."""
-    m = aug.shape[-1]
-    T = batch.y.shape[-1]
-
-    def fold(ap, msg):
-        acc = np.zeros((m, T), dtype=complex) if msg is None else msg.payload
+    def fold(ap, acc):
         A = aug[..., ap - 1, :, :]
-        return combined_uplink_message(acc + herm(A) @ batch.y[..., ap - 1, :, :])
+        return acc + herm(A) @ batch.y[..., ap - 1, :, :]
 
-    return gamma_inv @ chain.run("uplink_combine", fold).payload
+    return gamma_inv @ chain.run("uplink_combine", fold, vector_symbols, init=0)
 
 
 def detect_distributed_zf(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import crandn, make_cfg
 import oossim
 from oossim import experiments, oos_estimation, uplink
-from oossim.cli import apply_overrides, main
+from oossim.cli import main
 from oossim.experiments import (
     CSV_COLUMNS,
     DETECTORS,
@@ -263,11 +263,16 @@ class TestSpec:
             ExperimentSpec.from_dict({"cfg": {"foo": 1}})
 
     def test_default_ap_order_follows_an_overridden_L(self):
-        assert apply_overrides(default_spec(), ["cfg.L=6"]).cfg.ap_order == (6, 5, 4, 3, 2, 1)
-        explicit = apply_overrides(default_spec(), ["cfg.L=3", "cfg.ap_order=[1,3,2]"])
+        def with_L(spec, L, **cfg):
+            d = spec.to_dict()
+            d["cfg"].update(L=L, **cfg)
+            return ExperimentSpec.from_dict(d)
+
+        assert with_L(default_spec(), 6).cfg.ap_order == (6, 5, 4, 3, 2, 1)
+        explicit = with_L(default_spec(), 3, ap_order=[1, 3, 2])
         assert explicit.cfg.ap_order == (1, 3, 2)
         with pytest.raises(ValueError, match="permutation"):
-            apply_overrides(explicit, ["cfg.L=4"])
+            with_L(explicit, 4)
 
 
 class TestRunMonteCarlo:
@@ -927,6 +932,9 @@ class TestCli:
             ["run", "--override", "cfg=5"],
             ["run", "--override", "snr_grid=[0]"],
             ["run", "--override", 'method=["seq_gramian"]'],
+            ["run", "--override", "notanassignment"],
+            ["report", "--override", 'method=["seq_gramian"]'],
+            ["report", "--override", "detectr=x"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
@@ -945,10 +953,6 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
-
-    def test_apply_overrides_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            apply_overrides(tiny_spec(), ["notanassignment"])
 
     def test_seed_propagates_to_rows(self, tmp_path):
         rc = main(

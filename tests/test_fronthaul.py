@@ -12,126 +12,114 @@ from oossim.fronthaul import (
     CPU,
     Chain,
     ChainError,
-    FronthaulMessage,
-    MessageKind,
     analytic_per_link,
-    broadcast_message,
     broadcast_pass,
     chain_pass,
-    channel_gramian_message,
-    combined_uplink_message,
-    detector_state_message,
+    hermitian_symbols,
     load_report,
-    residual_gramian_message,
-    sbar_message,
+    matrix_symbols,
+    state_symbols,
+    vector_symbols,
 )
 from oossim.numerics import DegeneracyError
 from oossim.scenario import SystemConfig
 
 
-def scalar_message(value):
-    return FronthaulMessage(MessageKind.COMBINED_UPLINK, np.array([[value]]), 2)
+def scalar(value):
+    return np.array([[value]])
 
 
 class TestMessageSizes:
     def test_general_matrix_costs_two_per_entry(self, rng):
         S = np.zeros((45, 2), dtype=complex)
-        assert sbar_message(S).real_symbols == 180
+        assert matrix_symbols(S) == 180
 
     def test_hermitian_costs_n_squared(self):
-        assert residual_gramian_message(np.zeros((45, 45))).real_symbols == 2025
-        assert channel_gramian_message(np.zeros((7, 7))).real_symbols == 49
+        assert hermitian_symbols(np.zeros((45, 45))) == 2025
+        assert hermitian_symbols(np.zeros((7, 7))) == 49
         with pytest.raises(ValueError):
-            residual_gramian_message(np.zeros((3, 4)))
+            hermitian_symbols(np.zeros((3, 4)))
 
     def test_detector_state_cost(self):
-        msg = detector_state_message(np.zeros((7, 10)), np.zeros((7, 7)))
-        assert msg.real_symbols == 2 * 7 + 49
+        assert state_symbols((np.zeros((7, 10)), np.zeros((7, 7)))) == 2 * 7 + 49
 
     def test_per_symbol_vectors(self):
-        assert combined_uplink_message(np.zeros((7, 150))).real_symbols == 14
+        assert vector_symbols(np.zeros((7, 150))) == 14
 
     def test_stacked_payloads_count_per_block(self):
         # a payload stacked over 4 blocks is sized by its trailing axes
-        assert sbar_message(np.zeros((4, 45, 2), dtype=complex)).real_symbols == 180
-        assert residual_gramian_message(np.zeros((4, 45, 45))).real_symbols == 2025
-        assert combined_uplink_message(np.zeros((4, 7, 150))).real_symbols == 14
-        msg = detector_state_message(np.zeros((4, 7, 10)), np.zeros((4, 7, 7)))
-        assert msg.real_symbols == 2 * 7 + 49
-
-    def test_broadcast_preserves_size(self):
-        inner = sbar_message(np.zeros((45, 2), dtype=complex))
-        wrapped = broadcast_message(inner)
-        assert wrapped.real_symbols == inner.real_symbols
-        assert wrapped.kind is MessageKind.BROADCAST
+        assert matrix_symbols(np.zeros((4, 45, 2), dtype=complex)) == 180
+        assert hermitian_symbols(np.zeros((4, 45, 45))) == 2025
+        assert vector_symbols(np.zeros((4, 7, 150))) == 14
+        assert state_symbols((np.zeros((4, 7, 10)), np.zeros((4, 7, 7)))) == 2 * 7 + 49
 
 
 class TestChainPass:
     def test_identity_fold(self):
-        init = scalar_message(3.0)
-        final, records = chain_pass((1, 2, 3), lambda ap, msg: msg, init)
+        init = scalar(3.0)
+        final, records = chain_pass((1, 2, 3), lambda ap, x: x, matrix_symbols, init)
         assert final is init
         assert [r.real_symbols for r in records] == [2, 2, 2]
         assert records[-1].receiver == CPU
 
     def test_summation_fold(self):
-        def fold(ap, msg):
-            total = ap if msg is None else msg.payload[0, 0] + ap
-            return scalar_message(total)
-
-        final, _ = chain_pass((1, 2, 3, 4), fold)
-        assert final.payload[0, 0] == 10
+        final, _ = chain_pass((1, 2, 3, 4), lambda ap, acc: acc + scalar(ap), matrix_symbols, 0)
+        assert final[0, 0] == 10
 
     def test_gramian_fold_per_link_load(self):
         r = 45
-
-        def fold(ap, msg):
-            acc = np.zeros((r, r)) if msg is None else msg.payload
-            return residual_gramian_message(acc + np.eye(r))
-
-        _, records = chain_pass((1, 2, 3, 4), fold)
+        _, records = chain_pass((1, 2, 3, 4), lambda ap, acc: acc + np.eye(r), hermitian_symbols, 0)
         assert all(rec.real_symbols == 2025 for rec in records)
 
     def test_fold_failure_names_hop(self):
-        def fold(ap, msg):
+        def fold(ap, x):
             if ap == 3:
                 raise RuntimeError("boom")
-            return scalar_message(1.0)
+            return scalar(1.0)
 
         with pytest.raises(ChainError, match="AP 3"):
-            chain_pass((1, 2, 3, 4), fold)
+            chain_pass((1, 2, 3, 4), fold, matrix_symbols)
+
+    def test_unsized_payload_names_hop(self):
+        # a payload its pass's size rule rejects fails at the hop that sent it
+        def fold(ap, x):
+            return np.zeros((3, 4)) if ap == 2 else np.zeros((3, 3))
+
+        with pytest.raises(ChainError, match="AP 2"):
+            chain_pass((1, 2, 3), fold, hermitian_symbols)
 
     def test_numerical_failure_keeps_its_class(self):
-        def fold(ap, msg):
+        def fold(ap, x):
             if ap == 3:
                 raise DegeneracyError("rank deficient")
-            return scalar_message(1.0)
+            return scalar(1.0)
 
         with pytest.raises(DegeneracyError, match="rank deficient.*AP 3"):
-            chain_pass((1, 2, 3, 4), fold)
+            chain_pass((1, 2, 3, 4), fold, matrix_symbols)
 
     def test_duplicate_order_rejected(self):
         with pytest.raises(ValueError):
-            chain_pass((1, 1, 2), lambda ap, msg: scalar_message(0.0))
+            chain_pass((1, 1, 2), lambda ap, x: scalar(0.0), matrix_symbols)
 
     def test_link_sequence(self):
-        _, records = chain_pass((4, 3, 2, 1), lambda ap, msg: scalar_message(0.0))
+        _, records = chain_pass((4, 3, 2, 1), lambda ap, x: scalar(0.0), matrix_symbols)
         assert [(r.sender, r.receiver) for r in records] == [
             (4, 3), (3, 2), (2, 1), (1, CPU)
         ]
 
     def test_broadcast_covers_links_in_reverse(self):
-        records = broadcast_pass((4, 3, 2, 1), scalar_message(0.0), "bc")
+        records = broadcast_pass((4, 3, 2, 1), 7, "bc")
         assert [(r.sender, r.receiver) for r in records] == [
             (CPU, 1), (1, 2), (2, 3), (3, 4)
         ]
+        assert [r.real_symbols for r in records] == [7] * 4
 
 
 class TestLoadReportAggregation:
     def build(self):
         chain = Chain(order=(2, 1))
-        chain.run("p", lambda ap, msg: scalar_message(ap))
-        chain.broadcast("b", scalar_message(0.0))
+        chain.run("p", lambda ap, x: scalar(ap), matrix_symbols)
+        chain.broadcast("b", 2)
         return chain.log
 
     def test_phase_listing_and_totals(self):
@@ -141,7 +129,7 @@ class TestLoadReportAggregation:
     def test_per_link_uniformity_check(self):
         log = self.build()
         assert log.per_link_symbols("p") == 2
-        log.records.append(log.records[0]._replace() if False else log.records[0])
+        log.records.append(log.records[0])
         # duplicated record doubles one link -> no longer uniform
         with pytest.raises(ValueError):
             log.per_link_symbols("p")
