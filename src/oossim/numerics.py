@@ -62,13 +62,13 @@ def _fix_column_phases(U: np.ndarray, companion: np.ndarray | None = None):
     return U * phases
 
 
-def _checked_svd(M, full_matrices: bool = False):
+def _checked_svd(M, full_matrices: bool = False, compute_uv: bool = True):
     """LAPACK SVD (U, sigma, V^H) of a finite matrix or stack, with no
-    phase convention. Raises ValueError on non-finite input and
-    NumericalFailure when LAPACK does not converge."""
+    phase convention; sigma alone without compute_uv. Raises ValueError on
+    non-finite input and NumericalFailure when LAPACK does not converge."""
     M = _as_finite_matrix(M, "M")
     try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("SVD did not converge") from exc
 

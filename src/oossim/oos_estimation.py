@@ -151,9 +151,10 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
 
     Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}; requires Sbar numerically
     full column rank (smallest singular value > 1e-9 of the largest), for
-    each block of a stack.
+    each block of a stack. An SVD that does not converge is a
+    NumericalFailure, like a rank-deficient Sbar.
     """
-    sigma = np.linalg.svd(Sbar, compute_uv=False)
+    sigma = _checked_svd(Sbar, compute_uv=False)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
         raise DegeneracyError("shared-signal estimate is rank deficient")
     right = Sbar @ np.linalg.inv(herm(Sbar) @ Sbar)

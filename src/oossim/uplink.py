@@ -13,6 +13,10 @@ accumulate_channel_gramian then inverse_gramian) and an apply step that
 needs the payload (apply_zf_filter, apply_distributed_zf). A caller that
 receives the same channels at several uplink powers runs the channel
 side once, and may keep only the filter rows of the users it scores.
+Centralized ZF's channel side takes the pseudo-inverse through one
+Householder QR of the whole stack, and falls back to the SVD
+pseudo-inverse matrix by matrix, where R leaves the rank in doubt
+(zf_filter).
 A payload draw keeps the terms H x, G s and n of the received signal, so
 received_signal can form y at any uplink power without drawing again.
 Detectors and bit counting also take leading stack axes and then handle
@@ -26,6 +30,7 @@ symbols whose shape is the estimates' trailing axes.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,9 @@ import numpy as np
 from .fronthaul import Chain, hermitian_symbols, state_symbols, vector_symbols
 from .numerics import NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
+
+# zf_filter screens its QR route with the tolerance of the SVD route
+_RTOL = inspect.signature(pseudo_inverse).parameters["rtol"].default
 
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -187,9 +195,42 @@ def detect_distributed_zf(
 
 def zf_filter(aug: np.ndarray) -> np.ndarray:
     """Channel side of centralized ZF: the pseudo-inverse (..., m, L N) of
-    the stacked network-wide channel matrix."""
+    the stacked network-wide channel matrix A (..., L N, m).
+
+    A tall A goes through one Householder QR of the whole stack, A = Q R,
+    and gets F = R^{-1} Q^H, which is A's pseudo-inverse when A has full
+    column rank. Each matrix is screened with pseudo_inverse's own rtol,
+    on bounds that R gives for A's singular values:
+      - min|r_ii| <= rtol max|r_ii| means the SVD would drop a singular
+        value, since sigma_min <= min|r_ii| and sigma_max >= max|r_ii|;
+      - ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all, since
+        cond(A) = cond(R) <= ||R||_F ||R^{-1}||_F, and both routes give
+        the same A^+ to rounding.
+    Every matrix that does not pass the second test gets pseudo_inverse of
+    its own matrix in its own slot, so each member of a stack gets what it
+    would get alone, bit for bit. A wide A (L N < m) goes to
+    pseudo_inverse whole.
+    """
     *stack, L, N, m = aug.shape
-    return pseudo_inverse(aug.reshape(*stack, L * N, m))
+    A = aug.reshape(*stack, L * N, m)
+    if L * N < m:
+        return pseudo_inverse(A)
+    try:
+        Q, R = np.linalg.qr(A)
+        pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+        # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
+        singular = ~(pivots.min(axis=-1) > _RTOL * pivots.max(axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a singular R is swapped for I so that inv never sees it
+            R_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m), R))
+            cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("QR pseudo-inverse failed") from exc
+    F = R_inv @ herm(Q)
+    doubt = singular | ~(cond_bound * _RTOL < 1)
+    if doubt.any():
+        F[doubt] = pseudo_inverse(A[doubt])
+    return F
 
 
 def apply_zf_filter(batch: UplinkSymbolBatch, F: np.ndarray) -> np.ndarray:

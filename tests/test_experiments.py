@@ -276,6 +276,18 @@ class TestSpec:
 
 
 class TestRunMonteCarlo:
+    def test_centralized_zf_takes_the_qr_route(self, monkeypatch):
+        # every channel side of a default sweep passes zf_filter's screen,
+        # so a silent fall back to the SVD route would show here only
+        calls = Counter()
+        count_calls(monkeypatch, uplink, "pseudo_inverse", calls)
+        run_monte_carlo(with_trials(default_spec(), 5))
+        assert calls["pseudo_inverse"] == 0
+        # with L N = 4 below every augmented width the SVD route is the only one
+        methods = ("no_suppression", "seq_gramian", "centralized_genie")
+        run_monte_carlo(with_trials(default_spec(cfg=SystemConfig(L=1), methods=methods), 2))
+        assert calls["pseudo_inverse"] > 0
+
     def test_row_grid_arithmetic(self):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
         out = run_monte_carlo(spec)
@@ -676,6 +688,38 @@ class TestChunking:
         assert shuffled == in_order and backwards == in_order
         csv_text, *_ = sweep_record(spec)
         assert csv_text == in_order[0]
+
+
+    def test_rank_screen_svd_failure_charged_to_its_method_and_block(self, monkeypatch):
+        # the SVD of estimate_oos_channels' rank screen does not converge on
+        # seq_gramian's estimate of block 1: the sweep goes on, and only
+        # seq_gramian loses that block
+        spec = with_trials(default_spec(methods=("seq_gramian", "no_suppression")), 3)
+        clean = run_monte_carlo(spec).rows
+        cfg = spec.cfg
+        zpsi = compute_projected_residual(
+            pilot_interference(drawn_block(cfg, 1)), build_pilot_book(cfg)
+        )
+        mark = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
+        original = np.linalg.svd
+
+        def flaky(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv and holds(a, mark):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        first, *others = self.records(monkeypatch, spec)
+        assert all(other == first for other in others)
+        _, numerical_failures, _, failures = first
+        assert [f[:3] for f in failures] == [("seq_gramian", snr, 1) for snr in spec.snr_grid_db]
+        assert numerical_failures == len(spec.snr_grid_db)
+        per_block = 2 * cfg.K * spec.payload_symbols_per_block
+        for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
+            if row.method == "seq_gramian":
+                assert row.bit_count == want.bit_count - per_block
+            else:
+                assert rows_to_csv([row]) == rows_to_csv([want])
 
 
 class TestBenchmarkReference:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from conftest import crandn
+import oossim
 from oossim.numerics import (
     DegeneracyError,
     NumericalFailure,
@@ -259,3 +263,83 @@ class TestStacks:
         A[1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_top_eigvectors(A, 1)
+
+
+class TestLapackCalls:
+    """Outside numerics, a LAPACK call that can raise LinAlgError sits in
+    a try that catches it, so it reaches the sweep as NumericalFailure.
+    The calls below run on a matrix that an earlier check in the same
+    function has shown to be well conditioned, so LAPACK cannot fail."""
+
+    SCREENED = {
+        ("downlink", "build_local_precoders", "solve"): "after check_invertible(gamma)",
+        ("downlink", "compute_partial_precoded", "solve"): "after check_invertible(gamma)",
+        ("uplink", "inverse_gramian", "inv"): "after check_invertible(gamma)",
+        ("oos_estimation", "estimate_oos_channels", "inv"): "after the rank screen of Sbar",
+    }
+    LAPACK = ("svd", "eig", "solve", "inv", "qr", "cholesky", "lstsq")
+
+    @staticmethod
+    def catches_linalg_error(handler: ast.ExceptHandler) -> bool:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(
+            t is None or getattr(t, "attr", getattr(t, "id", None)) == "LinAlgError"
+            for t in types
+        )
+
+    def unguarded_calls(self, tree: ast.Module):
+        """(top-level function, routine) of each np.linalg call in `tree`
+        that no enclosing try of its own function guards."""
+        found = set()
+
+        def visit(node, function, guarded):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                function, guarded = function or getattr(node, "name", "<lambda>"), False
+            if isinstance(node, ast.Try) and any(map(self.catches_linalg_error, node.handlers)):
+                for child in node.body:
+                    visit(child, function, True)
+                for child in node.handlers + node.orelse + node.finalbody:
+                    visit(child, function, guarded)
+                return
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and getattr(func.value, "attr", None) == "linalg"
+                and func.attr.startswith(self.LAPACK)
+                and not guarded
+            ):
+                found.add((function, func.attr))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, guarded)
+
+        visit(tree, None, False)
+        return found
+
+    def test_unguarded_calls_are_the_screened_ones(self):
+        package = Path(oossim.__file__).parent
+        found = {
+            (path.stem, *call)
+            for path in sorted(package.glob("*.py"))
+            if path.name != "numerics.py"
+            for call in self.unguarded_calls(ast.parse(path.read_text()))
+        }
+        assert found == set(self.SCREENED)
+
+    def test_a_try_without_the_right_handler_does_not_guard(self):
+        tree = ast.parse(
+            "def f(a):\n"
+            "    try:\n"
+            "        np.linalg.qr(a)\n"
+            "    except ValueError:\n"
+            "        np.linalg.svd(a)\n"
+            "    try:\n"
+            "        def g():\n"
+            "            return np.linalg.eigh(a)\n"
+            "        np.linalg.inv(a)\n"
+            "    except (ValueError, np.linalg.LinAlgError):\n"
+            "        np.linalg.solve(a, a)\n"
+        )
+        assert self.unguarded_calls(tree) == {
+            ("f", "qr"), ("f", "svd"), ("f", "eigh"), ("f", "solve")
+        }

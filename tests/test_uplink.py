@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg, unit_geometry
+from oossim import uplink
 from oossim.fronthaul import Chain
-from oossim.numerics import DegeneracyError, herm
+from oossim.numerics import DegeneracyError, NumericalFailure, herm, pseudo_inverse
 from oossim.scenario import draw_block
 from oossim.uplink import (
     QPSK_POINTS,
@@ -237,6 +238,81 @@ class TestCentralized:
         block, batch = make_batch(cfg, seed=15, include_noise=False)
         xhat = detect_centralized(batch, genie_aug(block))
         assert np.allclose(xhat[: cfg.K], np.sqrt(cfg.rho) * batch.x, atol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(1, 4),
+        N=st.integers(1, 4),
+        m=st.integers(1, 8),
+        members=st.integers(1, 4),
+        decades=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_qr_route_matches_the_pseudo_inverse(self, L, N, m, members, decades, seed):
+        # the QR route and the SVD route agree to within kappa * eps, also
+        # on ill-conditioned matrices (columns scaled over `decades`)
+        m = min(m, L * N)
+        rng = np.random.default_rng(seed)
+        aug = crandn(rng, members, L, N, m) * np.logspace(0, -decades, m)
+        F = zf_filter(aug)
+        A = aug.reshape(members, L * N, m)
+        want = pseudo_inverse(A)
+        gap = np.linalg.norm(F - want, axis=(-2, -1))
+        kappa = np.linalg.cond(A)
+        eps = np.finfo(float).eps
+        assert np.all(gap <= 64 * kappa * eps * np.linalg.norm(want, axis=(-2, -1)))
+
+    def test_each_member_of_a_mixed_stack_gets_its_own_filter(self, rng):
+        # a zero member and one with a duplicated column sit beside
+        # full-rank members; none may move another to the other route
+        aug = crandn(rng, 5, 4, 4, 7)
+        aug[1] = 0.0
+        aug[3, :, :, 2] = aug[3, :, :, 5]
+        F = zf_filter(aug)
+        for i in range(len(aug)):
+            assert np.array_equal(F[i], zf_filter(aug[i]))
+        for i in (1, 3):
+            assert np.array_equal(F[i], pseudo_inverse(aug[i].reshape(16, 7)))
+        assert np.allclose(F[0] @ aug[0].reshape(16, 7), np.eye(7), atol=1e-12)
+
+    def test_wide_matrix_is_the_pseudo_inverse(self, rng):
+        # L N = 4 < m = 7: the SVD route, bit for bit
+        aug = crandn(rng, 3, 1, 4, 7)
+        assert np.array_equal(zf_filter(aug), pseudo_inverse(aug.reshape(3, 4, 7)))
+
+    def test_singular_values_beyond_rtol_take_the_pseudo_inverse(self, rng, monkeypatch):
+        # full rank, but sigma_min / sigma_max = 1e-13 is below rtol, so
+        # the SVD drops sigma_min, and the QR route must not keep it
+        U, _ = np.linalg.qr(crandn(rng, 16, 7))
+        V, _ = np.linalg.qr(crandn(rng, 7, 7))
+        A = (U * np.logspace(0, -13, 7)) @ herm(V)
+        aug = np.stack([crandn(rng, 4, 4, 7), A.reshape(4, 4, 7)])
+        seen = []
+
+        def spy(M, *args, **kwargs):
+            seen.append(M.copy())
+            return pseudo_inverse(M, *args, **kwargs)
+
+        monkeypatch.setattr(uplink, "pseudo_inverse", spy)
+        F = zf_filter(aug)
+        assert len(seen) == 1 and np.array_equal(seen[0], A[None])
+        assert np.array_equal(F[1], pseudo_inverse(A))
+        assert np.array_equal(F[0], zf_filter(aug[0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channels_rejected(self, rng, bad):
+        aug = crandn(rng, 2, 4, 4, 7)
+        aug[1, 2, 0, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            zf_filter(aug)
+
+    def test_inverse_failure_is_numerical(self, rng, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NumericalFailure):
+            zf_filter(crandn(rng, 2, 4, 4, 7))
 
 
 class TestBer:
