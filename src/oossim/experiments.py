@@ -26,13 +26,13 @@ reuses for every chunk and SNR point.
 Detection is split into a channel side, which needs only the augmented
 channels, and an apply step, which needs the payload (_channel_side,
 _apply). Methods whose augmented channels have the same width form a
-width group. A group's channel side (the zero-forcing filter, or the
-channel Gramian chain pass and its inverse) runs once per chunk for all
-SNR points, on the augmented channels of every (point, block) stacked
-along one axis; the genie's channels do not depend on the point, so its
-channel side runs on the blocks alone, in a call of its own. Each point
-then applies the UE rows of the group's filters to its payload in one
-call (one more for the genie), the methods stacked along a leading axis
+width group. A group's channel side (the zero-forcing filter, the channel
+Gramian pass and its inverse, or the sequential-LS covariance pass) runs
+once per chunk for all SNR points, on the augmented channels of every
+(point, block) stacked along one axis; the genie's channels do not
+depend on the point, so its channel side runs on the blocks alone, in a
+call of its own. Each point then applies it to its payload in one call
+(one more for the genie), the methods stacked along a leading axis
 against the one payload that broadcasts along it, so the payload-sized
 temporaries stay one point in size. The kernels give each method and block what its own
 call gives, so a method's rows depend neither on the other methods nor
@@ -228,9 +228,9 @@ def _augmented_width(method: str, cfg: SystemConfig) -> int:
 def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> dict:
     """Per-link real-symbol loads by phase, from the closed-form counts.
 
-    Pilot-phase entries are per coherence block; payload-phase entries
-    (uplink_combine, uplink_seq_ls) are per symbol period. Methods without
-    chain traffic contribute no phases.
+    Pilot-phase and channel-side entries are per coherence block; payload
+    entries (uplink_combine, uplink_seq_ls) are per symbol period. Methods
+    without chain traffic contribute no phases.
     """
     r = cfg.tau_p - cfg.K
     m = _augmented_width(method, cfg)
@@ -246,7 +246,8 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
         phases["channel_gramian"] = m * m
         phases["uplink_combine"] = 2 * m
     elif detector == "sequential_ls":
-        phases["uplink_seq_ls"] = 2 * m + m * m
+        phases["seq_ls_covariance"] = m * m
+        phases["uplink_seq_ls"] = 2 * m
     return phases
 
 
@@ -397,7 +398,7 @@ def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
     with aug's leading axes. Zero-forcing keeps the UE rows of its filter
-    alone."""
+    alone; the sequential-LS gains keep all rows."""
     K = cfg.K
     if detector == "centralized_zf":
         return (uplink.zf_filter(aug)[..., :K, :],)
@@ -405,7 +406,7 @@ def _channel_side(detector, aug, cfg, chain):
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         return aug, uplink.inverse_gramian(gamma)[..., :K, :]
     if detector == "sequential_ls":
-        return (aug,)
+        return aug, uplink.sequential_ls_gains(aug, cfg, chain)
     raise ValueError(f"unknown detector {detector!r}")
 
 
@@ -416,7 +417,7 @@ def _apply(detector, batch, channel, cfg, chain):
         return uplink.apply_zf_filter(batch, *channel)
     if detector == "distributed_zf":
         return uplink.apply_distributed_zf(batch, *channel, chain)
-    return uplink.detect_sequential_ls(batch, *channel, cfg, chain).xhat[..., : cfg.K, :]
+    return uplink.apply_sequential_ls(batch, *channel, chain)[..., : cfg.K, :]
 
 
 def _select(stack, blocks):

@@ -8,9 +8,10 @@ the complex upper triangle).
 
 A hop forwards a plain payload (an array, or a tuple of arrays), and each
 pass sizes every payload it carries with one size rule (matrix_symbols,
-hermitian_symbols, vector_symbols, state_symbols). Payload-phase loads
-(combined uplink vectors, detector states) are per symbol period;
-pilot-phase loads are per coherence block. A payload may stack several
+hermitian_symbols, vector_symbols). Payload-phase loads (combined uplink
+vectors, sequential estimates) are per symbol period; the other loads
+(pilot phase, channel Gramians, error covariances) are per coherence
+block. A payload may stack several
 blocks along leading axes; each rule reads the trailing axes, so a load
 is still counted per block.
 
@@ -50,12 +51,6 @@ def vector_symbols(v) -> int:
     """Combined received vectors (rows, T): counted per symbol period, so
     2 reals per row whatever T is."""
     return 2 * v.shape[-2]
-
-
-def state_symbols(state) -> int:
-    """Estimate plus error covariance (xhat, C); per symbol period: 2m + m^2 reals."""
-    m = state[1].shape[-1]
-    return 2 * m + m * m
 
 
 @dataclass(frozen=True)

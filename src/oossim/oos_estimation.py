@@ -152,12 +152,14 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}; requires Sbar numerically
     full column rank (smallest singular value > 1e-9 of the largest), for
     each block of a stack. An SVD that does not converge is a
-    NumericalFailure, like a rank-deficient Sbar.
+    NumericalFailure, like a rank-deficient Sbar. The right factor is
+    Q R^{-H} from Sbar = Q R, which keeps Sbar's condition number.
     """
     sigma = _checked_svd(Sbar, compute_uv=False)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
         raise DegeneracyError("shared-signal estimate is rank deficient")
-    right = Sbar @ np.linalg.inv(herm(Sbar) @ Sbar)
+    Q, R = np.linalg.qr(Sbar)
+    right = Q @ np.linalg.inv(herm(R))
     return zpsi @ right[..., None, :, :]
 
 

@@ -7,12 +7,13 @@ Three detectors are provided: a sequential recursive LS along the chain,
 a distributed zero-forcing (combine locally, apply the inverse Gramian
 at the CPU), and the centralized zero-forcing baseline on the stacked
 network-wide matrix.
-Each zero-forcing detector is the composition of two halves: a channel
-side that needs only the augmented channels (zf_filter, or
-accumulate_channel_gramian then inverse_gramian) and an apply step that
-needs the payload (apply_zf_filter, apply_distributed_zf). A caller that
-receives the same channels at several uplink powers runs the channel
-side once, and may keep only the filter rows of the users it scores.
+Each detector is the composition of two halves: a channel side that
+needs only the augmented channels (zf_filter; accumulate_channel_gramian
+then inverse_gramian; sequential_ls_gains) and an apply step that needs
+the payload (apply_zf_filter, apply_distributed_zf, apply_sequential_ls).
+A caller that receives the same channels at several uplink powers runs
+the channel side once, and may keep only the zero-forcing filter rows of
+the users it scores.
 Centralized ZF's channel side takes the pseudo-inverse through one
 Householder QR of the whole stack, and falls back to the SVD
 pseudo-inverse matrix by matrix, where R leaves the rank in doubt
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fronthaul import Chain, hermitian_symbols, state_symbols, vector_symbols
+from .fronthaul import Chain, hermitian_symbols, vector_symbols
 from .numerics import NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
@@ -62,10 +63,9 @@ class UplinkSymbolBatch:
 
 @dataclass
 class DetectorState:
-    """Sequential estimate and its error covariance after the last hop."""
+    """Sequential estimate after the last hop."""
 
     xhat: np.ndarray  # (K + K_I, T)
-    C: np.ndarray  # (K + K_I, K + K_I), Hermitian PSD
 
 
 def draw_qpsk(rng: np.random.Generator, K: int, T: int) -> np.ndarray:
@@ -113,40 +113,57 @@ def simulate_uplink_rx(
     return UplinkSymbolBatch(x=x, s=s, y=y, hx=hx, gs=gs, noise=noise)
 
 
-def detect_sequential_ls(
-    batch: UplinkSymbolBatch, aug: np.ndarray, cfg: SystemConfig, chain: Chain
-) -> DetectorState:
-    """Recursive LS along the chain, starting from a diffuse prior.
-
-    At each AP: gain T_l = C A_l^H (I + A_l C A_l^H)^{-1}, innovation
-    update of the estimate, covariance contraction C <- (I - T_l A_l) C.
-    The prior covariance alpha*I keeps the estimator unbiased toward the
-    zero initialization; unit noise variance is assumed throughout.
-    Each hop forwards the estimate and the covariance.
-    """
+def sequential_ls_gains(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.ndarray:
+    """Channel side of sequential LS, the covariance pass: from C = alpha*I,
+    each AP forms T_l = C A_l^H (I + A_l C A_l^H)^{-1} (unit noise), sets
+    C <- (I - T_l A_l) C and forwards C, once per block. Returns the gains
+    (..., L, m, N) by AP id - 1, all m rows: the interferer rows feed back."""
     L, N, m = aug.shape[-3:]
-    T = batch.y.shape[-1]
     eye_N, eye_m = np.eye(N, dtype=complex), np.eye(m, dtype=complex)
+    aug_h = herm(aug)
+    # laid out as herm leaves each gain: the estimates' bits depend on it
+    gains = np.swapaxes(np.empty((*aug.shape[:-3], L, N, m), dtype=complex), -1, -2)
 
-    def fold(ap, state):
-        if state is None:
-            xhat = np.zeros((m, T), dtype=complex)
-            C = cfg.alpha * eye_m
-        else:
-            xhat, C = state
+    def fold(ap, C):
         A = aug[..., ap - 1, :, :]
         AC = A @ C
-        inner = eye_N + AC @ herm(A)
+        inner = eye_N + AC @ aug_h[..., ap - 1, :, :]
         try:
             gain = herm(np.linalg.solve(inner, AC))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("sequential LS inner solve failed") from exc
-        xhat = xhat + gain @ (batch.y[..., ap - 1, :, :] - A @ xhat)
+        gains[..., ap - 1, :, :] = gain
         C = (eye_m - gain @ A) @ C
-        C = 0.5 * (C + herm(C))
-        return xhat, C
+        return 0.5 * (C + herm(C))
 
-    return DetectorState(*chain.run("uplink_seq_ls", fold, state_symbols))
+    chain.run("seq_ls_covariance", fold, hermitian_symbols, init=cfg.alpha * eye_m)
+    return gains
+
+
+def apply_sequential_ls(
+    batch: UplinkSymbolBatch, aug: np.ndarray, gains: np.ndarray, chain: Chain
+) -> np.ndarray:
+    """Apply step of sequential LS, the estimate pass: xhat <- xhat +
+    T_l (y_l - A_l xhat) from xhat = 0, so T_l y_l at the first AP; each
+    hop forwards xhat, once per symbol period. Returns (..., m, T)."""
+    def fold(ap, xhat):
+        gain, y = gains[..., ap - 1, :, :], batch.y[..., ap - 1, :, :]
+        if xhat is None:
+            return gain @ y
+        r = aug[..., ap - 1, :, :] @ xhat
+        xhat += gain @ np.subtract(y, r, out=r)  # in place: each hop's xhat is its own
+        return xhat
+
+    return chain.run("uplink_seq_ls", fold, vector_symbols)
+
+
+def detect_sequential_ls(
+    batch: UplinkSymbolBatch, aug: np.ndarray, cfg: SystemConfig, chain: Chain
+) -> DetectorState:
+    """Recursive LS along the chain, the covariance pass then the estimate
+    pass; the prior alpha*I keeps it unbiased toward the zero start."""
+    gains = sequential_ls_gains(aug, cfg, chain)
+    return DetectorState(apply_sequential_ls(batch, aug, gains, chain))
 
 
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -148,6 +149,29 @@ def fail_estimates_at(monkeypatch, spec, snr_db, block):
     pilots = build_pilot_book(cfg)
     mark = ls_channel_estimate(simulate_pilot_rx(drawn_block(cfg, block), pilots, cfg), pilots, cfg)
     fail_zf_channel_side(monkeypatch, cfg, mark[0], slice(None, cfg.K))
+
+
+def fail_sequential_ls_solve(monkeypatch, spec, snr_db, block):
+    """Make the sequential-LS inner solve fail whenever its augmented
+    channels hold seq_gramian's on `block` at the SNR point `snr_db`
+    (those of the first AP in the chain, whose solve takes A C = alpha A
+    from the prior C = alpha I), so only seq_gramian fails there."""
+    cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
+    drawn, pilots = drawn_block(cfg, block), build_pilot_book(cfg)
+    est = ls_channel_estimate(simulate_pilot_rx(drawn, pilots, cfg), pilots, cfg)
+    zpsi = compute_projected_residual(pilot_interference(drawn), pilots)
+    sbar = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
+    ghat = oos_estimation.estimate_oos_channels(zpsi, sbar)
+    first = cfg.ap_order[0] - 1
+    mark = cfg.alpha * np.concatenate([est[first], ghat[first]], axis=-1)
+    original = np.linalg.solve
+
+    def flaky(a, b):
+        if b.shape[-2:] == mark.shape and holds(b, mark):
+            raise np.linalg.LinAlgError("injected")
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
 
 
 def fail_local_svd(monkeypatch, cfg, block):
@@ -415,6 +439,7 @@ class TestRunMonteCarlo:
             (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2),
             (overloaded_interferers_spec, "distributed_zf", "inverse_gramian",
              "apply_distributed_zf", 1),
+            (default_spec, "sequential_ls", "sequential_ls_gains", "apply_sequential_ls", 2),
         ],
     )
     def test_detection_runs_once_per_width_group(
@@ -663,6 +688,27 @@ class TestChunking:
             else:
                 assert rows_to_csv([row]) == rows_to_csv([want])
 
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_sequential_ls_solve_failure_charged_to_its_point_and_block(self, monkeypatch, size):
+        # the covariance pass runs once per chunk on every (point, block)
+        # stacked; its failure must reach seq_gramian at 0 dB on block 5 alone
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 3.0), detector="sequential_ls")
+        spec = with_trials(spec, 7)
+        monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
+        clean = run_monte_carlo(spec).rows
+        fail_sequential_ls_solve(monkeypatch, spec, 0.0, block=5)
+        out = run_monte_carlo(spec)
+        failures = out.diagnostics.failures
+        assert [f[:3] for f in failures] == [("seq_gramian", 0.0, 5)]
+        assert "inner solve failed" in failures[0][3]
+        assert out.diagnostics.numerical_failures == 1
+        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        for row, want in zip(out.rows, clean, strict=True):
+            if (row.method, row.snr_db) == ("seq_gramian", 0.0):
+                assert row.bit_count == want.bit_count - per_block
+            else:
+                assert rows_to_csv([row]) == rows_to_csv([want])
+
     def test_local_svd_failure_charged_to_both_methods(self, monkeypatch):
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
         fail_local_svd(monkeypatch, spec.cfg, block=2)
@@ -720,6 +766,27 @@ class TestChunking:
                 assert row.bit_count == want.bit_count - per_block
             else:
                 assert rows_to_csv([row]) == rows_to_csv([want])
+
+
+class TestDispatch:
+    """The sweep and load_report run detectors only through their two
+    halves (_channel_side, _apply), never through a whole detector."""
+
+    def test_no_whole_detector_calls(self):
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        names = [
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "uplink"
+        ] + [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("uplink")
+            for alias in node.names
+        ]
+        assert "apply_sequential_ls" in names
+        assert [n for n in names if n.startswith("detect_")] == []
 
 
 class TestBenchmarkReference:

@@ -18,7 +18,6 @@ from oossim.fronthaul import (
     hermitian_symbols,
     load_report,
     matrix_symbols,
-    state_symbols,
     vector_symbols,
 )
 from oossim.numerics import DegeneracyError
@@ -40,9 +39,6 @@ class TestMessageSizes:
         with pytest.raises(ValueError):
             hermitian_symbols(np.zeros((3, 4)))
 
-    def test_detector_state_cost(self):
-        assert state_symbols((np.zeros((7, 10)), np.zeros((7, 7)))) == 2 * 7 + 49
-
     def test_per_symbol_vectors(self):
         assert vector_symbols(np.zeros((7, 150))) == 14
 
@@ -51,7 +47,6 @@ class TestMessageSizes:
         assert matrix_symbols(np.zeros((4, 45, 2), dtype=complex)) == 180
         assert hermitian_symbols(np.zeros((4, 45, 45))) == 2025
         assert vector_symbols(np.zeros((4, 7, 150))) == 14
-        assert state_symbols((np.zeros((4, 7, 10)), np.zeros((4, 7, 7)))) == 2 * 7 + 49
 
 
 class TestChainPass:
@@ -157,8 +152,10 @@ class TestLoadFormulas:
         report = load_report("seq_procrustes", cfg, detector="distributed_zf")
         assert report.per_link_symbols("channel_gramian") == 49
         assert report.per_link_symbols("uplink_combine") == 14
+        # the covariance once per block (m^2), the estimate per symbol (2m)
         report = load_report("no_suppression", cfg, detector="sequential_ls")
-        assert report.per_link_symbols("uplink_seq_ls") == 2 * 5 + 25
+        assert report.per_link_symbols("seq_ls_covariance") == 25
+        assert report.per_link_symbols("uplink_seq_ls") == 2 * 5
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -179,7 +176,8 @@ class TestLoadFormulas:
         assert table == {
             "oos_forward": 180,
             "oos_broadcast": 180,
-            "uplink_seq_ls": 2 * 7 + 49,
+            "seq_ls_covariance": 49,
+            "uplink_seq_ls": 2 * 7,
         }
 
 

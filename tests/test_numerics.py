@@ -275,6 +275,7 @@ class TestLapackCalls:
         ("downlink", "build_local_precoders", "solve"): "after check_invertible(gamma)",
         ("downlink", "compute_partial_precoded", "solve"): "after check_invertible(gamma)",
         ("uplink", "inverse_gramian", "inv"): "after check_invertible(gamma)",
+        ("oos_estimation", "estimate_oos_channels", "qr"): "Householder QR of the finite Sbar",
         ("oos_estimation", "estimate_oos_channels", "inv"): "after the rank screen of Sbar",
     }
     LAPACK = ("svd", "eig", "solve", "inv", "qr", "cholesky", "lstsq")

@@ -272,6 +272,17 @@ class TestChannelRecovery:
             estimate_oos_channels(zpsi, sbar), zpsi @ sbar, atol=1e-10
         )
 
+    @pytest.mark.parametrize("r", [1e-4, 1e-6, 1e-8, 3e-9])
+    def test_ill_conditioned_estimate_matches_the_pseudo_inverse(self, rng, r):
+        # singular values (1, r) pass the 1e-9 rank screen, so the channels
+        # must be Z (Sbar^+)^H to rounding; inverting the Gramian Sbar^H Sbar
+        # (condition number 1/r^2) misses by up to 100% at r = 1e-8
+        sbar = orthonormal_columns(rng, 45, 2) * np.array([1.0, r]) @ random_unitary(rng, 2)
+        zpsi = crandn(rng, 4, 4, 45)
+        want = zpsi @ herm(np.linalg.pinv(sbar))
+        gap = np.linalg.norm(estimate_oos_channels(zpsi, sbar) - want) / np.linalg.norm(want)
+        assert gap <= 1e-12
+
     def test_rank_deficient_estimate_rejected(self):
         zpsi = np.zeros((2, 3, 6), dtype=complex)
         bad = np.ones((6, 2), dtype=complex)

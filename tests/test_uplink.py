@@ -13,6 +13,7 @@ from oossim.uplink import (
     UplinkSymbolBatch,
     accumulate_channel_gramian,
     apply_distributed_zf,
+    apply_sequential_ls,
     apply_zf_filter,
     count_bit_errors,
     detect_centralized,
@@ -21,6 +22,7 @@ from oossim.uplink import (
     draw_qpsk,
     inverse_gramian,
     received_signal,
+    sequential_ls_gains,
     simulate_uplink_rx,
     wilson_interval,
     zf_filter,
@@ -146,7 +148,10 @@ class TestSequentialLs:
         chain = Chain.for_config(cfg)
         detect_sequential_ls(batch, genie_aug(block), cfg, chain)
         m = cfg.K + cfg.K_I
-        assert chain.log.per_link_symbols("uplink_seq_ls") == 2 * m + m * m
+        # the covariance once per block, the estimate once per symbol
+        assert chain.log.phases() == ["seq_ls_covariance", "uplink_seq_ls"]
+        assert chain.log.per_link_symbols("seq_ls_covariance") == m * m
+        assert chain.log.per_link_symbols("uplink_seq_ls") == 2 * m
 
 
 class TestChannelGramian:
@@ -447,6 +452,14 @@ class TestStackedBlocks:
         got = apply_distributed_zf(stack, augs, gamma_inv, Chain.for_config(cfg))
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
+        # sequential LS keeps all rows of its gains; each member of the
+        # (M, B) stack gets its own one-block detector call's UE rows
+        gains = sequential_ls_gains(augs, cfg, Chain.for_config(cfg))
+        got = apply_sequential_ls(stack, augs, gains, Chain.for_config(cfg))[..., :K, :]
+        for m, aug in enumerate(augs):
+            for b, (_, batch) in enumerate(drawn):
+                alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
+                assert np.array_equal(got[m, b], alone.xhat[:K])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_distributed_zf_matches_a_solve(self, seed):
