@@ -280,11 +280,11 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     zpsi = pilot_phase.compute_projected_residual(obs, pilots)
     chain = Chain.for_config(cfg)
     ghat = _interferer_channels(method, block, zpsi, cfg, chain, RunDiagnostics())
-    width = cfg.K + (0 if ghat is None else ghat.shape[-1])
-    aug = _augmented_stack([ghat], block.H if method == GENIE else est, width)
+    ue = block.H if method == GENIE else est
+    aug = _augmented_stack([ghat], ue, _augmented_width(method, cfg))
     channel = _channel_side(detector, aug, cfg, chain)
     batch = uplink.simulate_uplink_rx(block, cfg, rng, n_symbols=1)
-    _apply(detector, batch, channel, cfg, chain)
+    _apply(detector, batch.y, channel, cfg, chain)
 
     expected = analytic_per_link(method, cfg, detector)
     measured = {p: chain.log.per_link_symbols(p) for p in chain.log.phases()}
@@ -410,14 +410,14 @@ def _channel_side(detector, aug, cfg, chain):
     raise ValueError(f"unknown detector {detector!r}")
 
 
-def _apply(detector, batch, channel, cfg, chain):
-    """The K UEs' estimates (..., K, T) from the payload `batch` and the
-    result `channel` of _channel_side."""
+def _apply(detector, y, channel, cfg, chain):
+    """The K UEs' estimates (..., K, T) from the received vectors `y` and
+    the result `channel` of _channel_side."""
     if detector == "centralized_zf":
-        return uplink.apply_zf_filter(batch, *channel)
+        return uplink.apply_zf_filter(y, *channel)
     if detector == "distributed_zf":
-        return uplink.apply_distributed_zf(batch, *channel, chain)
-    return uplink.apply_sequential_ls(batch, *channel, chain)[..., : cfg.K, :]
+        return uplink.apply_distributed_zf(y, *channel, chain)
+    return uplink.apply_sequential_ls(y, *channel, chain)[..., : cfg.K, :]
 
 
 def _select(stack, blocks):
@@ -492,7 +492,7 @@ class _Sweep:
         cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
-        self.chain = Chain(tuple(cfg.ap_order), log=None)
+        self.chain = Chain(cfg.ap_order, log=None)
         self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 
@@ -585,8 +585,8 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
     spec, cfg, n = sweep.spec, sweep.spec.cfg, len(chunk.H)
     ghat_of = dict(zip(methods, ghats))
     groups: dict[int, list] = {}
-    for m, ghat in ghat_of.items():
-        groups.setdefault(cfg.K + (0 if ghat is None else ghat.shape[-1]), []).append(m)
+    for m in methods:
+        groups.setdefault(_augmented_width(spec.methods[m], cfg), []).append(m)
     sides = []  # (method indices, rows of points, channel side)
     for width, group in groups.items():
         for genie, ue in ((False, est), (True, chunk.H[None])):
@@ -608,7 +608,7 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
             q = min(j, count - 1)  # the genie's one channel side serves every point
             channel = tuple(x[:, q * n : (q + 1) * n] for x in side)
             t0 = time.perf_counter()
-            ue = _apply(spec.detector, payload, channel, cfg_pt, sweep.chain)
+            ue = _apply(spec.detector, payload.y, channel, cfg_pt, sweep.chain)
             totals.apply_s[p, members] += (time.perf_counter() - t0) / len(members)
             errors = uplink.count_bit_errors(ue, payload.x)
             totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)

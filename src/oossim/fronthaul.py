@@ -6,14 +6,18 @@ symbol counts, not timing. One real symbol is one real scalar; a complex
 scalar costs 2; a Hermitian n x n matrix costs n^2 (real diagonal plus
 the complex upper triangle).
 
-A hop forwards a plain payload (an array, or a tuple of arrays), and each
-pass sizes every payload it carries with one size rule (matrix_symbols,
-hermitian_symbols, vector_symbols). Payload-phase loads (combined uplink
-vectors, sequential estimates) are per symbol period; the other loads
-(pilot phase, channel Gramians, error covariances) are per coherence
-block. A payload may stack several
-blocks along leading axes; each rule reads the trailing axes, so a load
-is still counted per block.
+Chain is the one transport: Chain.run folds along the visit order and
+Chain.broadcast sends the CPU's result back. The fold of a pass receives,
+at each AP, that AP's slot of the per-AP arrays the pass carries, so
+this module is the only one that maps an AP id to an array index. A hop
+forwards a plain payload (an array, or a tuple of arrays), and a logging
+chain sizes every payload of a pass with one size rule (matrix_symbols,
+hermitian_symbols, vector_symbols); an unlogged chain (log=None) does no
+accounting at all. Payload-phase loads (combined uplink vectors,
+sequential estimates) are per symbol period; the other loads (pilot
+phase, channel Gramians, error covariances) are per coherence block. A
+payload may stack several blocks along leading axes; each rule reads the
+trailing axes, so a load is still counted per block.
 
 This module is transport and size rules only; it knows no method or
 detector. The load ledger (load_report, analytic_per_link) lives in
@@ -88,72 +92,60 @@ class LoadReport:
         return values.pop()
 
 
-def chain_pass(order, fold, size, init=None, phase: str = "chain", log: LoadReport | None = None):
-    """Fold along the chain; the last AP in `order` delivers to the CPU.
-
-    `fold(ap, payload)` receives the incoming payload (`init` at the first
-    AP) and returns the payload forwarded on the outgoing link, which
-    `size(payload)` counts in real symbols. Every inter-node link is
-    recorded. Returns (final payload, list of LinkRecords). A
-    NumericalFailure raised by a fold propagates with its class and the
-    hop added to its message; any other exception, from the fold or from
-    sizing its payload, becomes a ChainError naming the hop.
-    """
-    order = tuple(order)
-    if len(set(order)) != len(order) or not order:
-        raise ValueError("order must be a nonempty sequence of distinct AP ids")
-    payload = init
-    records = []
-    for i, ap in enumerate(order):
-        hop = f"AP {ap} (hop {i + 1}/{len(order)})"
-        try:
-            payload = fold(ap, payload)
-            real_symbols = size(payload)
-        except ChainError:
-            raise
-        except NumericalFailure as exc:
-            # keep the class, so callers still count the block as a failure
-            raise type(exc)(f"{exc} (fold at {hop})") from exc
-        except Exception as exc:
-            raise ChainError(f"fold failed at {hop}") from exc
-        receiver = order[i + 1] if i + 1 < len(order) else CPU
-        records.append(LinkRecord(phase, ap, receiver, real_symbols))
-    if log is not None:
-        log.records.extend(records)
-    return payload, records
-
-
-def broadcast_pass(order, real_symbols: int, phase: str, log: LoadReport | None = None):
-    """CPU sends a payload of `real_symbols` back along the chain; every
-    link carries it once."""
-    records = []
-    sender = CPU
-    for ap in reversed(tuple(order)):
-        records.append(LinkRecord(phase, sender, ap, real_symbols))
-        sender = ap
-    if log is not None:
-        log.records.extend(records)
-    return records
-
-
 @dataclass
 class Chain:
-    """AP visit order plus the accumulated load log for one processing run;
-    with log=None the passes are run but not logged."""
+    """AP visit order plus the load log of one processing run; with log=None
+    the passes run with no accounting (no payload sized, no link recorded)."""
 
     order: tuple[int, ...]
     log: LoadReport | None = field(default_factory=LoadReport)
 
+    def __post_init__(self):
+        self.order = tuple(self.order)
+        if not self.order or len(set(self.order)) != len(self.order):
+            raise ValueError("order must be a nonempty sequence of distinct AP ids")
+
     @classmethod
     def for_config(cls, cfg) -> "Chain":
-        return cls(order=tuple(cfg.ap_order))
+        return cls(cfg.ap_order)
 
-    def run(self, phase: str, fold, size, init=None):
-        payload, _ = chain_pass(self.order, fold, size, init, phase, self.log)
+    def run(self, phase: str, fold, size, init=None, *per_ap):
+        """Fold along the chain and return what the last AP delivers to the CPU.
+
+        At AP `ap`, `fold(payload, *views)` gets the incoming payload (`init`
+        at the first AP) and the AP's slot x[..., ap - 1, :, :] of each array
+        in `per_ap`, and returns the payload it forwards. A logging chain
+        sizes that with `size` and records the pass's links once it succeeds.
+        A NumericalFailure from a fold keeps its class and gains the hop; any
+        other exception, from the fold or from sizing, becomes a ChainError
+        naming the hop.
+        """
+        payload, sizes = init, []
+        for i, ap in enumerate(self.order):
+            try:
+                payload = fold(payload, *(x[..., ap - 1, :, :] for x in per_ap))
+                if self.log is not None:
+                    sizes.append(size(payload))
+            except ChainError:
+                raise
+            except Exception as exc:
+                hop = f"AP {ap} (hop {i + 1}/{len(self.order)})"
+                if isinstance(exc, NumericalFailure):
+                    # keep the class, so callers still count the block as a failure
+                    raise type(exc)(f"{exc} (fold at {hop})") from exc
+                raise ChainError(f"fold failed at {hop}") from exc
+        if self.log is not None:
+            links = zip(self.order, self.order[1:] + (CPU,), sizes)
+            self.log.records.extend(LinkRecord(phase, *link) for link in links)
         return payload
 
-    def broadcast(self, phase: str, real_symbols: int):
-        return broadcast_pass(self.order, real_symbols, phase, self.log)
+    def broadcast(self, phase: str, payload, size):
+        """The CPU sends `payload` back along the chain; every link carries
+        it once, counted by `size` as in run."""
+        if self.log is not None:
+            n, receivers = size(payload), self.order[::-1]
+            links = zip((CPU, *receivers), receivers)
+            self.log.records.extend(LinkRecord(phase, *link, n) for link in links)
 
 
 def __getattr__(name: str):

@@ -19,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 
+PINV_RTOL = 1e-12  # pseudo_inverse's relative cutoff, for small well-scaled matrices
+
+
 class NumericalFailure(RuntimeError):
     """An iterative SVD/eigen routine failed to converge."""
 
@@ -129,16 +132,13 @@ def check_invertible(gamma: np.ndarray):
         raise DegeneracyError("channel Gramian is numerically singular")
 
 
-def pseudo_inverse(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below rtol * sigma_max are treated as exactly zero.
-    The default rtol suits the small, well-scaled matrices used here. A
-    stack (..., m, n) gives the (..., n, m) pseudoinverses.
+    Singular values at or below PINV_RTOL * sigma_max are treated as
+    exactly zero. A stack (..., m, n) gives the (..., n, m) pseudoinverses.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
     U, sigma, Vh = _checked_svd(M)
-    keep = sigma > rtol * sigma[..., :1]
+    keep = sigma > PINV_RTOL * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
     return (herm(Vh) * inv[..., None, :]) @ herm(U)

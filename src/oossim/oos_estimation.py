@@ -117,12 +117,11 @@ def run_sequential_procrustes(
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
     locals_ = _local_signal_basis(zpsi, cfg.K_I) if local_bases is None else local_bases
 
-    def fold(ap, S):
-        local = locals_[..., ap - 1, :, :]
+    def fold(S, local):
         return local if S is None else rotate_and_average_step(S, local, diagnostics)
 
-    final = chain.run("oos_forward", fold, matrix_symbols)
-    chain.broadcast("oos_broadcast", matrix_symbols(final))
+    final = chain.run("oos_forward", fold, matrix_symbols, None, locals_)
+    chain.broadcast("oos_broadcast", final, matrix_symbols)
     return final
 
 
@@ -136,13 +135,9 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
 
-    def fold(ap, acc):
-        z = zpsi[..., ap - 1, :, :]
-        return acc + herm(z) @ z
-
-    total = chain.run("oos_forward", fold, hermitian_symbols, init=0)
+    total = chain.run("oos_forward", lambda acc, z: acc + herm(z) @ z, hermitian_symbols, 0, zpsi)
     vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
-    chain.broadcast("oos_broadcast", matrix_symbols(vectors))
+    chain.broadcast("oos_broadcast", vectors, matrix_symbols)
     return vectors
 
 

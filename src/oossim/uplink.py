@@ -31,17 +31,13 @@ symbols whose shape is the estimates' trailing axes.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fronthaul import Chain, hermitian_symbols, vector_symbols
-from .numerics import NumericalFailure, check_invertible, herm, pseudo_inverse
+from .numerics import PINV_RTOL, NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
-
-# zf_filter screens its QR route with the tolerance of the SVD route
-_RTOL = inspect.signature(pseudo_inverse).parameters["rtol"].default
 
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -120,41 +116,40 @@ def sequential_ls_gains(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     (..., L, m, N) by AP id - 1, all m rows: the interferer rows feed back."""
     L, N, m = aug.shape[-3:]
     eye_N, eye_m = np.eye(N, dtype=complex), np.eye(m, dtype=complex)
-    aug_h = herm(aug)
     # laid out as herm leaves each gain: the estimates' bits depend on it
     gains = np.swapaxes(np.empty((*aug.shape[:-3], L, N, m), dtype=complex), -1, -2)
 
-    def fold(ap, C):
-        A = aug[..., ap - 1, :, :]
+    def fold(C, A, A_h, out):
         AC = A @ C
-        inner = eye_N + AC @ aug_h[..., ap - 1, :, :]
+        inner = eye_N + AC @ A_h
         try:
             gain = herm(np.linalg.solve(inner, AC))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("sequential LS inner solve failed") from exc
-        gains[..., ap - 1, :, :] = gain
+        out[...] = gain
         C = (eye_m - gain @ A) @ C
         return 0.5 * (C + herm(C))
 
-    chain.run("seq_ls_covariance", fold, hermitian_symbols, init=cfg.alpha * eye_m)
+    init = cfg.alpha * eye_m
+    chain.run("seq_ls_covariance", fold, hermitian_symbols, init, aug, herm(aug), gains)
     return gains
 
 
 def apply_sequential_ls(
-    batch: UplinkSymbolBatch, aug: np.ndarray, gains: np.ndarray, chain: Chain
+    y: np.ndarray, aug: np.ndarray, gains: np.ndarray, chain: Chain
 ) -> np.ndarray:
-    """Apply step of sequential LS, the estimate pass: xhat <- xhat +
-    T_l (y_l - A_l xhat) from xhat = 0, so T_l y_l at the first AP; each
-    hop forwards xhat, once per symbol period. Returns (..., m, T)."""
-    def fold(ap, xhat):
-        gain, y = gains[..., ap - 1, :, :], batch.y[..., ap - 1, :, :]
+    """Apply step of sequential LS, the estimate pass on the received
+    vectors y (..., L, N, T): xhat <- xhat + T_l (y_l - A_l xhat) from
+    xhat = 0, so T_l y_l at the first AP; each hop forwards xhat, once per
+    symbol period. Returns (..., m, T)."""
+    def fold(xhat, gain, y_l, A):
         if xhat is None:
-            return gain @ y
-        r = aug[..., ap - 1, :, :] @ xhat
-        xhat += gain @ np.subtract(y, r, out=r)  # in place: each hop's xhat is its own
+            return gain @ y_l
+        r = A @ xhat
+        xhat += gain @ np.subtract(y_l, r, out=r)  # in place: each hop's xhat is its own
         return xhat
 
-    return chain.run("uplink_seq_ls", fold, vector_symbols)
+    return chain.run("uplink_seq_ls", fold, vector_symbols, None, gains, y, aug)
 
 
 def detect_sequential_ls(
@@ -163,16 +158,15 @@ def detect_sequential_ls(
     """Recursive LS along the chain, the covariance pass then the estimate
     pass; the prior alpha*I keeps it unbiased toward the zero start."""
     gains = sequential_ls_gains(aug, cfg, chain)
-    return DetectorState(apply_sequential_ls(batch, aug, gains, chain))
+    return DetectorState(apply_sequential_ls(batch.y, aug, gains, chain))
 
 
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
-    def fold(ap, acc):
-        A = aug[..., ap - 1, :, :]
+    def fold(acc, A):
         return acc + herm(A) @ A
 
-    return chain.run("channel_gramian", fold, hermitian_symbols, init=0)
+    return chain.run("channel_gramian", fold, hermitian_symbols, 0, aug)
 
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
@@ -185,16 +179,15 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
 
 
 def apply_distributed_zf(
-    batch: UplinkSymbolBatch, aug: np.ndarray, gamma_inv: np.ndarray, chain: Chain
+    y: np.ndarray, aug: np.ndarray, gamma_inv: np.ndarray, chain: Chain
 ) -> np.ndarray:
-    """Apply step of distributed ZF: combine locally with A_l^H, accumulate
-    along the chain, and apply `gamma_inv` (the rows of inverse_gramian
-    that are wanted) at the CPU."""
-    def fold(ap, acc):
-        A = aug[..., ap - 1, :, :]
-        return acc + herm(A) @ batch.y[..., ap - 1, :, :]
+    """Apply step of distributed ZF on the received vectors y (..., L, N,
+    T): combine locally with A_l^H, accumulate along the chain, and apply
+    `gamma_inv` (the rows of inverse_gramian that are wanted) at the CPU."""
+    def fold(acc, A, y_l):
+        return acc + herm(A) @ y_l
 
-    return gamma_inv @ chain.run("uplink_combine", fold, vector_symbols, init=0)
+    return gamma_inv @ chain.run("uplink_combine", fold, vector_symbols, 0, aug, y)
 
 
 def detect_distributed_zf(
@@ -207,7 +200,7 @@ def detect_distributed_zf(
     fictitious-user symbols and are discarded by the caller. Identical to
     the centralized zero-forcing solution whenever gamma is invertible.
     """
-    return apply_distributed_zf(batch, aug, inverse_gramian(gamma), chain)
+    return apply_distributed_zf(batch.y, aug, inverse_gramian(gamma), chain)
 
 
 def zf_filter(aug: np.ndarray) -> np.ndarray:
@@ -216,8 +209,8 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
 
     A tall A goes through one Householder QR of the whole stack, A = Q R,
     and gets F = R^{-1} Q^H, which is A's pseudo-inverse when A has full
-    column rank. Each matrix is screened with pseudo_inverse's own rtol,
-    on bounds that R gives for A's singular values:
+    column rank. Each matrix is screened with pseudo_inverse's tolerance
+    rtol = PINV_RTOL, on bounds that R gives for A's singular values:
       - min|r_ii| <= rtol max|r_ii| means the SVD would drop a singular
         value, since sigma_min <= min|r_ii| and sigma_max >= max|r_ii|;
       - ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all, since
@@ -236,7 +229,7 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
         Q, R = np.linalg.qr(A)
         pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
         # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
-        singular = ~(pivots.min(axis=-1) > _RTOL * pivots.max(axis=-1))
+        singular = ~(pivots.min(axis=-1) > PINV_RTOL * pivots.max(axis=-1))
         with np.errstate(over="ignore", invalid="ignore"):
             # a singular R is swapped for I so that inv never sees it
             R_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m), R))
@@ -244,22 +237,22 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("QR pseudo-inverse failed") from exc
     F = R_inv @ herm(Q)
-    doubt = singular | ~(cond_bound * _RTOL < 1)
+    doubt = singular | ~(cond_bound * PINV_RTOL < 1)
     if doubt.any():
         F[doubt] = pseudo_inverse(A[doubt])
     return F
 
 
-def apply_zf_filter(batch: UplinkSymbolBatch, F: np.ndarray) -> np.ndarray:
+def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Apply step of centralized ZF: the filter rows `F` (..., k, L N)
-    times the stacked received vectors."""
-    *y_stack, L, N, T = batch.y.shape
-    return F @ batch.y.reshape(*y_stack, L * N, T)
+    times the received vectors y (..., L, N, T), stacked."""
+    *y_stack, L, N, T = y.shape
+    return F @ y.reshape(*y_stack, L * N, T)
 
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
     """Zero-forcing baseline on the stacked network-wide channel matrix."""
-    return apply_zf_filter(batch, zf_filter(aug))
+    return apply_zf_filter(batch.y, zf_filter(aug))
 
 
 def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:

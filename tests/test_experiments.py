@@ -88,16 +88,20 @@ def drawn_block(cfg, block):
 
 
 def fail_centralized_detection(monkeypatch, spec, block):
-    """Make centralized ZF's apply step fail whenever its payload holds
-    `block`'s."""
-    rng = block_rng(spec.cfg.seed, block, PAYLOAD_STREAM)
-    mark = uplink.draw_qpsk(rng, spec.cfg.K, spec.payload_symbols_per_block)
+    """Make centralized ZF's apply step fail whenever its received vectors
+    hold `block`'s (those of the block's first AP) at any SNR point."""
+    marks = []
+    for snr_db in spec.snr_grid_db:
+        cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
+        rng = block_rng(cfg.seed, block, PAYLOAD_STREAM)
+        n_symbols = spec.payload_symbols_per_block
+        marks.append(uplink.simulate_uplink_rx(drawn_block(cfg, block), cfg, rng, n_symbols).y[0])
     original = uplink.apply_zf_filter
 
-    def flaky(batch, F):
-        if holds(batch.x, mark):
+    def flaky(y, F):
+        if any(holds(y, mark) for mark in marks):
             raise NumericalFailure("injected detection failure")
-        return original(batch, F)
+        return original(y, F)
 
     monkeypatch.setattr(uplink, "apply_zf_filter", flaky)
 
@@ -485,7 +489,7 @@ class TestRunMonteCarlo:
         aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
         batch = UplinkSymbolBatch(x=None, s=None, y=crandn(rng, 3, cfg.L, cfg.N, 40))
         channel = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
-        got = experiments._apply(detector, batch, channel, cfg, Chain.for_config(cfg))
+        got = experiments._apply(detector, batch.y, channel, cfg, Chain.for_config(cfg))
         if detector == "centralized_zf":
             want = uplink.detect_centralized(batch, aug)
         elif detector == "distributed_zf":
@@ -523,16 +527,22 @@ class TestRunMonteCarlo:
         # exactly as a draw at that point's power would, bit for bit
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), methods=("centralized_genie",))
         spec = with_trials(spec, 5)
-        cfg, seen = spec.cfg, []
-        original = uplink.apply_zf_filter
+        cfg, seen, truths = spec.cfg, [], []
+        apply, count = uplink.apply_zf_filter, uplink.count_bit_errors
 
-        def spy(batch, F):
-            seen.append((batch.x.copy(), batch.y.copy()))
-            return original(batch, F)
+        def spy(y, F):
+            seen.append(y.copy())
+            return apply(y, F)
+
+        def truth_spy(estimates, truth):
+            truths.append(truth.copy())
+            return count(estimates, truth)
 
         monkeypatch.setattr(uplink, "apply_zf_filter", spy)
+        monkeypatch.setattr(uplink, "count_bit_errors", truth_spy)
         run_monte_carlo(spec)
-        calls = iter(seen)
+        assert len(truths) == len(seen)
+        calls = zip(truths, seen)
         for start in range(0, cfg.trials, experiments.CHUNK_BLOCKS):
             blocks = range(start, min(start + experiments.CHUNK_BLOCKS, cfg.trials))
             for snr_db in spec.snr_grid_db:
@@ -670,10 +680,10 @@ class TestChunking:
         ).y[0]
         original = uplink.apply_zf_filter
 
-        def flaky(batch, F):
-            if holds(batch.y, mark):
+        def flaky(y, F):
+            if holds(y, mark):
                 raise NumericalFailure("injected apply failure")
-            return original(batch, F)
+            return original(y, F)
 
         monkeypatch.setattr(uplink, "apply_zf_filter", flaky)
         first, *others = self.records(monkeypatch, spec)

@@ -6,26 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cfg
-from oossim import experiments, fronthaul
+from conftest import crandn, make_cfg
+from oossim import experiments, fronthaul, oos_estimation, uplink
 from oossim.fronthaul import (
     CPU,
     Chain,
     ChainError,
     analytic_per_link,
-    broadcast_pass,
-    chain_pass,
     hermitian_symbols,
     load_report,
     matrix_symbols,
     vector_symbols,
 )
-from oossim.numerics import DegeneracyError
+from oossim.numerics import DegeneracyError, herm, hermitian_top_eigvectors
 from oossim.scenario import SystemConfig
 
 
 def scalar(value):
     return np.array([[value]])
+
+
+# a per-AP array for chains of up to 4 APs: AP ap's slot is scalar(ap)
+AP_IDS = np.arange(1.0, 5.0).reshape(4, 1, 1)
 
 
 class TestMessageSizes:
@@ -52,69 +54,170 @@ class TestMessageSizes:
 class TestChainPass:
     def test_identity_fold(self):
         init = scalar(3.0)
-        final, records = chain_pass((1, 2, 3), lambda ap, x: x, matrix_symbols, init)
-        assert final is init
+        chain = Chain((1, 2, 3))
+        assert chain.run("p", lambda x: x, matrix_symbols, init) is init
+        records = chain.log.records
         assert [r.real_symbols for r in records] == [2, 2, 2]
         assert records[-1].receiver == CPU
 
     def test_summation_fold(self):
-        final, _ = chain_pass((1, 2, 3, 4), lambda ap, acc: acc + scalar(ap), matrix_symbols, 0)
+        final = Chain((1, 2, 3, 4)).run("p", lambda acc, v: acc + v, matrix_symbols, 0, AP_IDS)
         assert final[0, 0] == 10
 
     def test_gramian_fold_per_link_load(self):
         r = 45
-        _, records = chain_pass((1, 2, 3, 4), lambda ap, acc: acc + np.eye(r), hermitian_symbols, 0)
-        assert all(rec.real_symbols == 2025 for rec in records)
+        chain = Chain((1, 2, 3, 4))
+        chain.run("p", lambda acc: acc + np.eye(r), hermitian_symbols, 0)
+        assert all(rec.real_symbols == 2025 for rec in chain.log.records)
 
     def test_fold_failure_names_hop(self):
-        def fold(ap, x):
-            if ap == 3:
+        def fold(x, v):
+            if v[0, 0] == 3:
                 raise RuntimeError("boom")
             return scalar(1.0)
 
+        chain = Chain((1, 2, 3, 4))
         with pytest.raises(ChainError, match="AP 3"):
-            chain_pass((1, 2, 3, 4), fold, matrix_symbols)
+            chain.run("p", fold, matrix_symbols, None, AP_IDS)
+        assert chain.log.records == []  # a failed pass logs none of its links
 
     def test_unsized_payload_names_hop(self):
         # a payload its pass's size rule rejects fails at the hop that sent it
-        def fold(ap, x):
-            return np.zeros((3, 4)) if ap == 2 else np.zeros((3, 3))
+        def fold(x, v):
+            return np.zeros((3, 4)) if v[0, 0] == 2 else np.zeros((3, 3))
 
         with pytest.raises(ChainError, match="AP 2"):
-            chain_pass((1, 2, 3), fold, hermitian_symbols)
+            Chain((1, 2, 3)).run("p", fold, hermitian_symbols, None, AP_IDS)
 
     def test_numerical_failure_keeps_its_class(self):
-        def fold(ap, x):
-            if ap == 3:
+        def fold(x, v):
+            if v[0, 0] == 3:
                 raise DegeneracyError("rank deficient")
             return scalar(1.0)
 
         with pytest.raises(DegeneracyError, match="rank deficient.*AP 3"):
-            chain_pass((1, 2, 3, 4), fold, matrix_symbols)
+            Chain((1, 2, 3, 4)).run("p", fold, matrix_symbols, None, AP_IDS)
 
     def test_duplicate_order_rejected(self):
-        with pytest.raises(ValueError):
-            chain_pass((1, 1, 2), lambda ap, x: scalar(0.0), matrix_symbols)
+        # checked once, when the chain is built
+        for order in ((1, 1, 2), ()):
+            with pytest.raises(ValueError):
+                Chain(order)
+        assert Chain([3, 1], log=None).order == (3, 1)
 
     def test_link_sequence(self):
-        _, records = chain_pass((4, 3, 2, 1), lambda ap, x: scalar(0.0), matrix_symbols)
-        assert [(r.sender, r.receiver) for r in records] == [
+        chain = Chain((4, 3, 2, 1))
+        chain.run("p", lambda x: scalar(0.0), matrix_symbols)
+        assert [(r.sender, r.receiver) for r in chain.log.records] == [
             (4, 3), (3, 2), (2, 1), (1, CPU)
         ]
 
     def test_broadcast_covers_links_in_reverse(self):
-        records = broadcast_pass((4, 3, 2, 1), 7, "bc")
+        chain = Chain((4, 3, 2, 1))
+        chain.broadcast("bc", np.zeros((7, 1)), vector_symbols)
+        records = chain.log.records
         assert [(r.sender, r.receiver) for r in records] == [
             (CPU, 1), (1, 2), (2, 3), (3, 4)
         ]
-        assert [r.real_symbols for r in records] == [7] * 4
+        assert [r.real_symbols for r in records] == [14] * 4
+        assert {r.phase for r in records} == {"bc"}
+
+    def test_unlogged_chain_does_no_accounting(self, monkeypatch):
+        def size(payload):
+            raise AssertionError("an unlogged chain sized a payload")
+
+        def no_record(*args):
+            raise AssertionError("an unlogged chain made a link record")
+
+        monkeypatch.setattr(fronthaul, "LinkRecord", no_record)
+        chain = Chain((2, 1, 3), log=None)
+        assert chain.run("p", lambda acc, v: acc + v, size, 0, AP_IDS)[0, 0] == 6
+        chain.broadcast("bc", scalar(1.0), size)
+        assert chain.log is None
+
+        def fold(x, v):
+            if v[0, 0] == 1:
+                raise RuntimeError("boom")
+            return scalar(1.0)
+
+        with pytest.raises(ChainError, match=r"AP 1 \(hop 2/3\)"):
+            chain.run("p", fold, size, None, AP_IDS)
+
+        def degenerate(x, v):
+            if v[0, 0] == 1:
+                raise DegeneracyError("rank deficient")
+            return x
+
+        with pytest.raises(DegeneracyError, match=r"AP 1 \(hop 2/3\)"):
+            chain.run("p", degenerate, size, None, AP_IDS)
+
+    def test_each_fold_gets_its_own_aps_slots(self):
+        # per-AP arrays with leading stack axes; AP `ap` sees slot ap - 1
+        # of each, in visit order, whatever the order
+        order = (2, 4, 1, 3)
+        first = np.arange(3 * 4 * 2 * 2).reshape(3, 4, 2, 2)
+        second = -first
+        seen = []
+
+        def fold(payload, a, b):
+            seen.append((a, b))
+            return payload
+
+        Chain(order, log=None).run("p", fold, matrix_symbols, None, first, second)
+        for ap, (a, b) in zip(order, seen, strict=True):
+            assert np.array_equal(a, first[:, ap - 1]) and np.array_equal(b, second[:, ap - 1])
+
+
+class TestPerApSlots:
+    """Each pipeline fold gets its own AP's slot of every per-AP array,
+    under a visit order that is not the AP numbering."""
+
+    ORDER = (2, 4, 1, 3)
+
+    def test_detection_folds(self):
+        rng = np.random.default_rng(5)
+        cfg = make_cfg(L=4, ap_order=self.ORDER)
+        N, m, T = cfg.N, cfg.K + cfg.K_I, 6
+        aug, y = crandn(rng, 2, cfg.L, N, m), crandn(rng, 2, cfg.L, N, T)
+        # the recursions written out in visit order
+        C, xhat, gains = cfg.alpha * np.eye(m), np.zeros((2, m, T)), {}
+        for ap in self.ORDER:
+            A = aug[:, ap - 1]
+            gains[ap] = herm(np.linalg.solve(np.eye(N) + A @ C @ herm(A), A @ C))
+            xhat = xhat + gains[ap] @ (y[:, ap - 1] - A @ xhat)
+            C = (np.eye(m) - gains[ap] @ A) @ C
+            C = 0.5 * (C + herm(C))
+        chain = Chain.for_config(cfg)
+        gamma = sum(herm(aug[:, ap - 1]) @ aug[:, ap - 1] for ap in self.ORDER)
+        assert np.allclose(uplink.accumulate_channel_gramian(aug, chain), gamma)
+        combined = sum(herm(aug[:, ap - 1]) @ y[:, ap - 1] for ap in self.ORDER)
+        assert np.allclose(uplink.apply_distributed_zf(y, aug, np.eye(m), chain), combined)
+        got = uplink.sequential_ls_gains(aug, cfg, chain)
+        for ap in self.ORDER:
+            assert np.allclose(got[:, ap - 1], gains[ap])
+        assert np.allclose(uplink.apply_sequential_ls(y, aug, got, chain), xhat)
+
+    def test_interferer_folds(self):
+        rng = np.random.default_rng(6)
+        cfg = make_cfg(L=4, ap_order=self.ORDER)
+        zpsi = crandn(rng, 2, cfg.L, cfg.N, cfg.tau_p - cfg.K)
+        chain = Chain.for_config(cfg)
+        total = sum(herm(zpsi[:, ap - 1]) @ zpsi[:, ap - 1] for ap in self.ORDER)
+        want = hermitian_top_eigvectors(total, cfg.K_I)[0]
+        assert np.allclose(oos_estimation.run_gramian_method(zpsi, cfg, chain), want)
+        local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)[0]
+        S = local[:, self.ORDER[0] - 1]
+        for ap in self.ORDER[1:]:
+            S = oos_estimation.rotate_and_average_step(S, local[:, ap - 1])
+        got = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, local_bases=local)
+        assert np.allclose(got, S)
 
 
 class TestLoadReportAggregation:
     def build(self):
         chain = Chain(order=(2, 1))
-        chain.run("p", lambda ap, x: scalar(ap), matrix_symbols)
-        chain.broadcast("b", 2)
+        chain.run("p", lambda x, v: v, matrix_symbols, None, AP_IDS)
+        chain.broadcast("b", scalar(0.0), matrix_symbols)
         return chain.log
 
     def test_phase_listing_and_totals(self):
@@ -215,6 +318,21 @@ class TestLayering:
                 elif isinstance(node, ast.Import):
                     assert not any(a.name.startswith("oossim") for a in node.names)
         assert package_imports == [(None, "numerics"), ("__getattr__", "experiments")]
+
+    def test_only_the_transport_maps_an_ap_to_its_slot(self):
+        def slot_arithmetic(path):
+            return [
+                node.lineno
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and getattr(node.left, "id", None) == "ap"
+                and getattr(node.right, "value", None) == 1
+            ]
+
+        package = Path(fronthaul.__file__).parent
+        found = {path.name: slot_arithmetic(path) for path in package.glob("*.py")}
+        assert found.pop("fronthaul.py")
+        assert {name: lines for name, lines in found.items() if lines} == {}
 
     def test_ledger_is_re_exported(self):
         assert fronthaul.load_report is experiments.load_report

@@ -446,16 +446,16 @@ class TestStackedBlocks:
         augs = np.stack([genie, genie + 0.1 * crandn(np.random.default_rng(5), *genie.shape)])
         K = cfg.K
         gamma = accumulate_channel_gramian(augs, Chain.for_config(cfg))
-        got = apply_zf_filter(stack, zf_filter(augs)[..., :K, :])
+        got = apply_zf_filter(stack.y, zf_filter(augs)[..., :K, :])
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
-        got = apply_distributed_zf(stack, augs, gamma_inv, Chain.for_config(cfg))
+        got = apply_distributed_zf(stack.y, augs, gamma_inv, Chain.for_config(cfg))
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
         # sequential LS keeps all rows of its gains; each member of the
         # (M, B) stack gets its own one-block detector call's UE rows
         gains = sequential_ls_gains(augs, cfg, Chain.for_config(cfg))
-        got = apply_sequential_ls(stack, augs, gains, Chain.for_config(cfg))[..., :K, :]
+        got = apply_sequential_ls(stack.y, augs, gains, Chain.for_config(cfg))[..., :K, :]
         for m, aug in enumerate(augs):
             for b, (_, batch) in enumerate(drawn):
                 alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
