@@ -59,7 +59,7 @@ import numpy as np
 
 from . import oos_estimation, pilot_phase, uplink
 from .fronthaul import Chain, ChainError, LoadReport
-from .numerics import NumericalFailure
+from .numerics import NumericalFailure, herm
 from .scenario import (
     CHANNEL_STREAM,
     GEOMETRY_STREAM,
@@ -398,13 +398,14 @@ def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
     with aug's leading axes. Zero-forcing keeps the UE rows of its filter
-    alone; the sequential-LS gains keep all rows."""
+    alone; distributed ZF also carries herm(aug), conjugated here once
+    for every SNR point; the sequential-LS gains keep all rows."""
     K = cfg.K
     if detector == "centralized_zf":
         return (uplink.zf_filter(aug)[..., :K, :],)
     if detector == "distributed_zf":
         gamma = uplink.accumulate_channel_gramian(aug, chain)
-        return aug, uplink.inverse_gramian(gamma)[..., :K, :]
+        return herm(aug), uplink.inverse_gramian(gamma)[..., :K, :]
     if detector == "sequential_ls":
         return aug, uplink.sequential_ls_gains(aug, cfg, chain)
     raise ValueError(f"unknown detector {detector!r}")

@@ -10,14 +10,16 @@ Chain is the one transport: Chain.run folds along the visit order and
 Chain.broadcast sends the CPU's result back. The fold of a pass receives,
 at each AP, that AP's slot of the per-AP arrays the pass carries, so
 this module is the only one that maps an AP id to an array index. A hop
-forwards a plain payload (an array, or a tuple of arrays), and a logging
-chain sizes every payload of a pass with one size rule (matrix_symbols,
-hermitian_symbols, vector_symbols); an unlogged chain (log=None) does no
-accounting at all. Payload-phase loads (combined uplink vectors,
-sequential estimates) are per symbol period; the other loads (pilot
-phase, channel Gramians, error covariances) are per coherence block. A
-payload may stack several blocks along leading axes; each rule reads the
-trailing axes, so a load is still counted per block.
+forwards a plain payload (an array, or a tuple of arrays); a chain sum
+starts from the first AP's term and adds each later one in place
+(add_and_forward). A logging chain sizes every payload of a pass with
+one size rule (matrix_symbols, hermitian_symbols, vector_symbols); an
+unlogged chain (log=None) does no accounting at all. Payload-phase
+loads (combined uplink vectors, sequential estimates) are per symbol
+period; the other loads (pilot phase, channel Gramians, error
+covariances) are per coherence block. A payload may stack several blocks
+along leading axes; each rule reads the trailing axes, so a load is
+still counted per block.
 
 This module is transport and size rules only; it knows no method or
 detector. The load ledger (load_report, analytic_per_link) lives in
@@ -55,6 +57,17 @@ def vector_symbols(v) -> int:
     """Combined received vectors (rows, T): counted per symbol period, so
     2 reals per row whatever T is."""
     return 2 * v.shape[-2]
+
+
+def add_and_forward(acc, term):
+    """Fold step of a chain sum: the first AP's term starts the sum (acc is
+    None) and every later term is added in place: the sum 0 + t1 + t2 + ...
+    in visit order, entry for entry, without a new array per hop. The
+    first term must be a fresh array, since later hops write into it."""
+    if acc is None:
+        return term
+    acc += term
+    return acc
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fronthaul import Chain, hermitian_symbols, matrix_symbols
+from .fronthaul import Chain, add_and_forward, hermitian_symbols, matrix_symbols
 from .numerics import (
     DegeneracyError,
     _checked_svd,
@@ -43,8 +43,10 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     n, r = zpsi_l.shape[-2:]
     if K_I < 1 or K_I > min(n, r):
         raise ValueError(f"K_I={K_I} must be in 1..min{(n, r)}")
-    U, sigma, V = economy_svd(zpsi_l)
-    return V[..., :K_I], U[..., :K_I] * sigma[..., None, :K_I]
+    U, sigma, Vh = _checked_svd(zpsi_l)
+    # economy_svd's phase convention, on the kept columns only
+    U, V = _fix_column_phases(U[..., :K_I], herm(Vh[..., :K_I, :]))
+    return V, U * sigma[..., None, :K_I]
 
 
 def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
@@ -62,7 +64,7 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
     if K_I > r:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
     _, _, Vh = _checked_svd(zpsi_l, full_matrices=True)
-    return _fix_column_phases(herm(Vh)[..., :K_I])
+    return _fix_column_phases(herm(Vh[..., :K_I, :]))
 
 
 def procrustes_rotation(
@@ -135,7 +137,10 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
 
-    total = chain.run("oos_forward", lambda acc, z: acc + herm(z) @ z, hermitian_symbols, 0, zpsi)
+    def fold(acc, z):
+        return add_and_forward(acc, herm(z) @ z)
+
+    total = chain.run("oos_forward", fold, hermitian_symbols, None, zpsi)
     vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
     chain.broadcast("oos_broadcast", vectors, matrix_symbols)
     return vectors

@@ -13,7 +13,10 @@ then inverse_gramian; sequential_ls_gains) and an apply step that needs
 the payload (apply_zf_filter, apply_distributed_zf, apply_sequential_ls).
 A caller that receives the same channels at several uplink powers runs
 the channel side once, and may keep only the zero-forcing filter rows of
-the users it scores.
+the users it scores. Distributed ZF's channel side also carries A^H, so
+its combine conjugates nothing per hop or per power.
+Chain sums (the channel Gramian, the combined vector) start from the
+first AP's term and add each later one in place (add_and_forward).
 Centralized ZF's channel side takes the pseudo-inverse through one
 Householder QR of the whole stack, and falls back to the SVD
 pseudo-inverse matrix by matrix, where R leaves the rank in doubt
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fronthaul import Chain, hermitian_symbols, vector_symbols
+from .fronthaul import Chain, add_and_forward, hermitian_symbols, vector_symbols
 from .numerics import PINV_RTOL, NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
@@ -164,9 +167,9 @@ def detect_sequential_ls(
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
     def fold(acc, A):
-        return acc + herm(A) @ A
+        return add_and_forward(acc, herm(A) @ A)
 
-    return chain.run("channel_gramian", fold, hermitian_symbols, 0, aug)
+    return chain.run("channel_gramian", fold, hermitian_symbols, None, aug)
 
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
@@ -179,15 +182,17 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
 
 
 def apply_distributed_zf(
-    y: np.ndarray, aug: np.ndarray, gamma_inv: np.ndarray, chain: Chain
+    y: np.ndarray, aug_h: np.ndarray, gamma_inv: np.ndarray, chain: Chain
 ) -> np.ndarray:
     """Apply step of distributed ZF on the received vectors y (..., L, N,
     T): combine locally with A_l^H, accumulate along the chain, and apply
-    `gamma_inv` (the rows of inverse_gramian that are wanted) at the CPU."""
-    def fold(acc, A, y_l):
-        return acc + herm(A) @ y_l
+    `gamma_inv` (the rows of inverse_gramian that are wanted) at the CPU.
+    aug_h = herm(aug) (..., L, m, N) is part of the channel side, so a
+    caller that applies it at several uplink powers conjugates once."""
+    def fold(acc, A_h, y_l):
+        return add_and_forward(acc, A_h @ y_l)
 
-    return gamma_inv @ chain.run("uplink_combine", fold, vector_symbols, 0, aug, y)
+    return gamma_inv @ chain.run("uplink_combine", fold, vector_symbols, None, aug_h, y)
 
 
 def detect_distributed_zf(
@@ -200,7 +205,7 @@ def detect_distributed_zf(
     fictitious-user symbols and are discarded by the caller. Identical to
     the centralized zero-forcing solution whenever gamma is invertible.
     """
-    return apply_distributed_zf(batch.y, aug, inverse_gramian(gamma), chain)
+    return apply_distributed_zf(batch.y, herm(aug), inverse_gramian(gamma), chain)
 
 
 def zf_filter(aug: np.ndarray) -> np.ndarray:

@@ -188,10 +188,12 @@ class TestPerApSlots:
             C = (np.eye(m) - gains[ap] @ A) @ C
             C = 0.5 * (C + herm(C))
         chain = Chain.for_config(cfg)
+        # chain sums equal the visit-order sum bit for bit
         gamma = sum(herm(aug[:, ap - 1]) @ aug[:, ap - 1] for ap in self.ORDER)
-        assert np.allclose(uplink.accumulate_channel_gramian(aug, chain), gamma)
+        assert np.array_equal(uplink.accumulate_channel_gramian(aug, chain), gamma)
         combined = sum(herm(aug[:, ap - 1]) @ y[:, ap - 1] for ap in self.ORDER)
-        assert np.allclose(uplink.apply_distributed_zf(y, aug, np.eye(m), chain), combined)
+        got = uplink.apply_distributed_zf(y, herm(aug), np.eye(m), chain)
+        assert np.array_equal(got, combined)
         got = uplink.sequential_ls_gains(aug, cfg, chain)
         for ap in self.ORDER:
             assert np.allclose(got[:, ap - 1], gains[ap])
@@ -204,13 +206,50 @@ class TestPerApSlots:
         chain = Chain.for_config(cfg)
         total = sum(herm(zpsi[:, ap - 1]) @ zpsi[:, ap - 1] for ap in self.ORDER)
         want = hermitian_top_eigvectors(total, cfg.K_I)[0]
-        assert np.allclose(oos_estimation.run_gramian_method(zpsi, cfg, chain), want)
+        assert np.array_equal(oos_estimation.run_gramian_method(zpsi, cfg, chain), want)
         local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)[0]
         S = local[:, self.ORDER[0] - 1]
         for ap in self.ORDER[1:]:
             S = oos_estimation.rotate_and_average_step(S, local[:, ap - 1])
         got = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, local_bases=local)
         assert np.allclose(got, S)
+
+
+class TestChainSums:
+    """Chain sums add in place into the first AP's term, which is a fresh
+    array, so no pass writes into what the caller passed in."""
+
+    def test_add_and_forward(self):
+        first = np.array([1.0, -2.0])
+        acc = fronthaul.add_and_forward(None, first)
+        assert acc is first
+        assert fronthaul.add_and_forward(acc, np.array([0.5, 0.5])) is first
+        assert np.array_equal(first, [1.5, -1.5])
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_no_pass_writes_into_its_inputs(self, L):
+        rng = np.random.default_rng(8)
+        cfg = make_cfg(L=L, N=8, ap_order=tuple(range(L, 0, -1)))
+        m = cfg.K + cfg.K_I
+        aug, y = crandn(rng, 2, L, cfg.N, m), crandn(rng, 2, L, cfg.N, 5)
+        zpsi = crandn(rng, 2, L, cfg.N, cfg.tau_p - cfg.K)
+        aug_h = herm(aug)
+        inputs = (aug, aug_h, y, zpsi)
+        copies = [x.copy() for x in inputs]
+        chain = Chain.for_config(cfg)
+        gamma = uplink.accumulate_channel_gramian(aug, chain)
+        gamma_copy = gamma.copy()
+        combined = uplink.apply_distributed_zf(y, aug_h, np.eye(m), chain)
+        xhat = uplink.detect_distributed_zf(uplink.UplinkSymbolBatch(None, None, y), aug, gamma, chain)
+        sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
+        for x, copy in zip(inputs, copies, strict=True):
+            assert np.array_equal(x, copy)
+        assert np.array_equal(gamma, gamma_copy)
+        for out in (gamma, combined, xhat, sbar):
+            assert not any(np.shares_memory(out, x) for x in inputs)
+        # a second pass leaves the first one's sum alone
+        uplink.accumulate_channel_gramian(aug, chain)
+        assert np.array_equal(gamma, gamma_copy)
 
 
 class TestLoadReportAggregation:

@@ -7,7 +7,13 @@ from scipy.linalg import subspace_angles
 from conftest import crandn, make_cfg, unit_geometry
 from oossim.experiments import RunDiagnostics
 from oossim.fronthaul import Chain
-from oossim.numerics import DegeneracyError, NumericalFailure, economy_svd, herm
+from oossim.numerics import (
+    DegeneracyError,
+    NumericalFailure,
+    _fix_column_phases,
+    economy_svd,
+    herm,
+)
 from oossim.oos_estimation import (
     _local_signal_basis,
     centralized_oos_oracle,
@@ -52,6 +58,19 @@ class TestLocalSvdEstimate:
         zpsi = G @ herm(sbar)
         sbar_hat, g_hat = local_svd_estimate(zpsi, 2)
         assert np.linalg.norm(g_hat @ herm(sbar_hat) - zpsi) < 1e-10
+
+    @pytest.mark.parametrize("K_I", [1, 2, 4])
+    def test_is_the_sliced_economy_svd(self, rng, K_I):
+        # the phases are fixed on the kept columns only, with the bits
+        # economy_svd gives them, on a stack and on each member alone
+        zpsi = crandn(rng, 3, 4, 4, 9)
+        U, sigma, V = economy_svd(zpsi)
+        sbar, g = local_svd_estimate(zpsi, K_I)
+        assert np.array_equal(sbar, V[..., :K_I])
+        assert np.array_equal(g, U[..., :K_I] * sigma[..., None, :K_I])
+        for b in np.ndindex(zpsi.shape[:2]):
+            alone = local_svd_estimate(zpsi[b], K_I)
+            assert np.array_equal(alone[0], sbar[b]) and np.array_equal(alone[1], g[b])
 
     def test_zero_residual(self):
         sbar_hat, g_hat = local_svd_estimate(np.zeros((4, 8)), 2)
@@ -170,6 +189,17 @@ class TestRotateAndAverage:
         assert diag.degenerate_rotations == 1
         # output is half the (arbitrarily but deterministically rotated) local estimate
         assert np.linalg.norm(out) == pytest.approx(0.5 * np.linalg.norm(S_local), rel=1e-12)
+
+
+class TestLocalSignalBasis:
+    @pytest.mark.parametrize("K_I", [5, 9])  # above N = 4: null-space completion
+    def test_is_the_phase_fixed_full_svd_basis(self, rng, K_I):
+        zpsi = crandn(rng, 2, 3, 4, 9)
+        got = _local_signal_basis(zpsi, K_I)
+        want = _fix_column_phases(herm(np.linalg.svd(zpsi, full_matrices=True)[2])[..., :K_I])
+        assert np.array_equal(got, want)
+        for b in np.ndindex(zpsi.shape[:2]):
+            assert np.array_equal(_local_signal_basis(zpsi[b], K_I), want[b])
 
 
 class TestSequentialProcrustes:

@@ -449,7 +449,7 @@ class TestStackedBlocks:
         got = apply_zf_filter(stack.y, zf_filter(augs)[..., :K, :])
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
-        got = apply_distributed_zf(stack.y, augs, gamma_inv, Chain.for_config(cfg))
+        got = apply_distributed_zf(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg))
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
         # sequential LS keeps all rows of its gains; each member of the
