@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import (
     DETECTORS,
@@ -74,6 +75,8 @@ def _spec_dict(args) -> dict:
 def _cmd_run(args) -> int:
     try:
         spec = ExperimentSpec.from_dict(_spec_dict(args))
+        # an unwritable output directory fails here, before the sweep
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"oossim run: {exc}", file=sys.stderr)
         return 2
@@ -126,8 +129,6 @@ def _cmd_report(args) -> int:
         for phase, load in phases.items():
             print(f"{method:<20}{phase:<20}{load:>24d}")
     if getattr(args, "out", None):
-        from pathlib import Path
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "load_table.json"

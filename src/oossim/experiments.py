@@ -15,12 +15,12 @@ point. Blocks are drawn from per-index RNG streams, which makes every
 result a pure function of (spec, seed) regardless of execution order or
 of the rest of the grid.
 
-The sweep runs CHUNK_BLOCKS consecutive blocks at a time: each block is
-drawn alone, the draws are stacked along a leading block axis, and every
-stage (estimation, chain pass, detection) runs once per chunk on the
-stack. The batched kernels treat each block as they would alone, so the
-results do not depend on the chunk size. The payload stack and the
-received signal live in buffers that the sweep allocates once and
+The sweep runs CHUNK_BLOCKS consecutive blocks at a time: _draw draws
+each block alone and stacks the draws along a leading block axis, and
+every stage (estimation, chain pass, detection) runs once per chunk on
+the stack. The batched kernels treat each block as they would alone, so
+the results do not depend on the chunk size. The payload terms and the
+received signal live in plain arrays that the sweep allocates once and
 reuses for every chunk and SNR point.
 
 Detection is split into a channel side, which needs only the augmented
@@ -28,21 +28,24 @@ channels, and an apply step, which needs the payload (_channel_side,
 _apply). Methods whose augmented channels have the same width form a
 width group. A group's channel side (the zero-forcing filter, the channel
 Gramian pass and its inverse, or the sequential-LS covariance pass) runs
-once per chunk for all SNR points, on the augmented channels of every
-(point, block) stacked along one axis; the genie's channels do not
-depend on the point, so its channel side runs on the blocks alone, in a
-call of its own. Each point then applies it to its payload in one call
-(one more for the genie), the methods stacked along a leading axis
-against the one payload that broadcasts along it, so the payload-sized
-temporaries stay one point in size. The kernels give each method and block what its own
+once per chunk for all SNR points, on the augmented channels stacked
+along a point and a block axis; the genie's channels do not depend on
+the point, so its channel side runs on the blocks alone, in a call of
+its own. Each point then applies it to its payload in one call (one more
+for the genie), the methods stacked along a leading axis against the one
+payload that broadcasts along it, so the payload-sized temporaries stay
+one point in size. The kernels give each method and block what its own
 call gives, so a method's rows depend neither on the other methods nor
 on the rest of the SNR grid.
 
 A chunk has one failure path. It runs stacked, with no failure handling
 (_estimate, then _detect); if any stage raises NumericalFailure, what the
-chunk did is dropped and each (method, block) of it reruns alone through
-the same two helpers, so a failure is charged to the method, block and,
-for detection, SNR point that caused it.
+chunk did is dropped, each block of it is drawn again by _draw as a
+chunk of its own, and each of its methods reruns alone through the same
+two helpers, so a failure is charged to the method, block and, for
+detection, SNR point that caused it. Since each block comes from its own
+streams and every kernel treats a block of a stack as it would alone,
+the redrawn block is the one the chunk held, bit for bit.
 """
 
 from __future__ import annotations
@@ -157,11 +160,14 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
-        """Plain-data form. A default AP order is written as [] so that a
-        changed L derives its own default when the dict is read back."""
+        """Plain-data form. A default AP order is written as [] and a
+        default payload length as 0, so that a changed L, tau_c or tau_p
+        derives its own default when the dict is read back."""
         d = asdict(self)
-        order = self.cfg.ap_order
-        d["cfg"]["ap_order"] = [] if order == default_ap_order(self.cfg.L) else list(order)
+        cfg, order = self.cfg, self.cfg.ap_order
+        d["cfg"]["ap_order"] = [] if order == default_ap_order(cfg.L) else list(order)
+        if self.payload_symbols_per_block == cfg.tau_c - cfg.tau_p:
+            d["payload_symbols_per_block"] = 0
         d["snr_grid_db"] = list(self.snr_grid_db)
         d["methods"] = list(self.methods)
         return d
@@ -421,42 +427,6 @@ def _apply(detector, y, channel, cfg, chain):
     return uplink.apply_sequential_ls(y, *channel, chain)[..., : cfg.K, :]
 
 
-def _select(stack, blocks):
-    """The blocks `blocks` (an index or a slice of the leading axis) of a
-    record whose arrays are stacked by block, as views; a None field
-    stays None."""
-    parts = {f.name: getattr(stack, f.name) for f in fields(stack)}
-    return type(stack)(**{k: v if v is None else v[blocks] for k, v in parts.items()})
-
-
-def _draw_chunk(cfg: SystemConfig, blocks: range) -> BlockRealization:
-    """Draw each block from its own streams, then stack the draws."""
-    drawn = []
-    for b in blocks:
-        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-        drawn.append(draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM)))
-    return BlockRealization(
-        **{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(BlockRealization)}
-    )
-
-
-def _draw_payload(sweep: _Sweep, chunk, blocks: range) -> uplink.UplinkSymbolBatch:
-    """Each block's payload, drawn once for all SNR points from the
-    block's own stream, at the first point's power, into the sweep's
-    payload buffers. Returns the buffers' first len(blocks) entries."""
-    cfg, n_symbols = sweep.points[0], sweep.spec.payload_symbols_per_block
-    stack = _select(sweep.payload, slice(0, len(blocks)))
-    for i, b in enumerate(blocks):
-        one = uplink.simulate_uplink_rx(
-            _select(chunk, i), cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM), n_symbols=n_symbols
-        )
-        for f in fields(stack):
-            if getattr(stack, f.name) is not None:
-                getattr(stack, f.name)[i] = getattr(one, f.name)
-        del one  # not held while the next block is drawn
-    return stack
-
-
 class _Totals:
     """What the sweep adds up, for the whole run or for one chunk: bit
     errors, bits and apply time per (SNR point, method index); per
@@ -486,8 +456,9 @@ class _Totals:
 class _Sweep:
     """What a sweep holds across its chunks: the pilot book, one config
     per SNR point, the chain (unlogged: the loads are checked by
-    load_report, not measured per block), the payload buffers, and the
-    running totals."""
+    load_report, not measured per block), the payload buffers by term,
+    which every chunk and every rerun of a failed chunk's blocks draws
+    into, and the running totals."""
 
     def __init__(self, spec: ExperimentSpec):
         cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
@@ -497,21 +468,17 @@ class _Sweep:
         self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 
-        def buffer(*shape):
-            return np.empty((size, *shape), dtype=complex)
-
-        # Rows [:B] hold a chunk of B blocks; y holds one SNR point at a
-        # time. On a grid of one point y comes with the draw; otherwise
-        # the terms H x, G s and n are kept and each point forms its own.
-        later = len(self.points) > 1
-        self.payload = uplink.UplinkSymbolBatch(
-            x=buffer(cfg.K, n_symbols),
-            s=None,  # detection reads x and y (or its terms) only
-            y=buffer(cfg.L, cfg.N, n_symbols),
-            hx=buffer(cfg.L, cfg.N, n_symbols) if later else None,
-            gs=buffer(cfg.L, cfg.N, n_symbols) if later and cfg.K_I else None,
-            noise=buffer(cfg.L, cfg.N, n_symbols) if later else None,
-        )
+        # Rows [:B] hold a chunk of B blocks, by payload term; y holds one
+        # SNR point at a time. On a grid of one point y comes with the
+        # draw; otherwise the terms H x, G s (with interferers) and n are
+        # kept and each point forms its own y.
+        rx = (cfg.L, cfg.N, n_symbols)
+        shapes = {"x": (cfg.K, n_symbols), "y": rx}
+        if len(self.points) > 1:
+            shapes.update(hx=rx, noise=rx)
+            if cfg.K_I:
+                shapes["gs"] = rx
+        self.payload = {t: np.empty((size, *shape), dtype=complex) for t, shape in shapes.items()}
         self.totals = _Totals(spec)
 
     def outcome(self) -> MonteCarloOutcome:
@@ -552,6 +519,36 @@ class _Sweep:
         return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
 
 
+def _draw(sweep: _Sweep, blocks: range):
+    """Draw the blocks `blocks`, each from its own streams, and stack them
+    along a leading block axis. Returns the realization, its projected
+    residual (which does not depend on rho), the pilot LS estimates of
+    every SNR point (P, B, L, N, K), and the payload: each block's, drawn
+    once for all points at the first point's power into the first B rows
+    of the sweep's payload buffers, by term."""
+    cfg, n_symbols = sweep.spec.cfg, sweep.spec.payload_symbols_per_block
+    payload = {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
+    drawn = []
+    for i, b in enumerate(blocks):
+        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
+        drawn.append(draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM)))
+        rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
+        one = uplink.simulate_uplink_rx(drawn[-1], sweep.points[0], rng, n_symbols)
+        for term, buf in payload.items():
+            buf[i] = getattr(one, term)
+        del one  # not held while the next block is drawn
+    chunk = BlockRealization(
+        **{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(BlockRealization)}
+    )
+    interference = pilot_phase.pilot_interference(chunk)
+    zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
+    est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
+    for p, cfg_pt in enumerate(sweep.points):
+        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
+        est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
+    return chunk, zpsi, est, payload
+
+
 def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
     """The interferer channels of the methods `methods` (indices into
     spec.methods) on the blocks of `chunk`, in that order. The
@@ -574,86 +571,78 @@ def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
 
 def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: _Totals):
     """Detect the methods `methods` (indices into spec.methods), with
-    interferer channels `ghats`, on the n blocks of `chunk` at the SNR
+    interferer channels `ghats`, on the blocks of `chunk` at the SNR
     points `points`, and add their bit errors to `totals`. est holds the
-    pilot LS estimates (len(points), n, L, N, K) of those points.
+    pilot LS estimates (len(points), B, L, N, K) of those points, payload
+    the blocks' payload by term.
 
     Methods whose augmented channels have the same width form a group,
-    whose channel side runs once, on every (point, block) position
-    stacked along one axis; the genie's channels do not depend on the
-    point, so its channel side runs on the blocks alone. Per point, each
-    channel-side call gets one apply call."""
-    spec, cfg, n = sweep.spec, sweep.spec.cfg, len(chunk.H)
+    whose channel side runs once, on every (point, block) position; the
+    genie's channels do not depend on the point, so its channel side runs
+    on the blocks alone, in a group of its own. Per point, each group
+    gets one apply call."""
+    spec, cfg = sweep.spec, sweep.spec.cfg
     ghat_of = dict(zip(methods, ghats))
-    groups: dict[int, list] = {}
+    groups: dict[tuple, list] = {}
     for m in methods:
-        groups.setdefault(_augmented_width(spec.methods[m], cfg), []).append(m)
+        method = spec.methods[m]
+        groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
     sides = []  # (method indices, rows of points, channel side)
-    for width, group in groups.items():
-        for genie, ue in ((False, est), (True, chunk.H[None])):
-            members = [m for m in group if (spec.methods[m] == GENIE) == genie]
-            if not members:
-                continue
-            t0 = time.perf_counter()
-            aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
-            aug = aug.reshape(len(members), len(ue) * n, *aug.shape[3:])
-            side = _channel_side(spec.detector, aug, cfg, sweep.chain)
-            totals.shared_s[members] += (time.perf_counter() - t0) / len(members)
-            sides.append((members, len(ue), side))
+    for (width, genie), members in groups.items():
+        t0 = time.perf_counter()
+        ue = chunk.H[None] if genie else est
+        aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
+        side = _channel_side(spec.detector, aug, cfg, sweep.chain)
+        totals.shared_s[members] += (time.perf_counter() - t0) / len(members)
+        sides.append((members, len(ue), side))
 
+    x, y = payload["x"], payload["y"]
     for j, p in enumerate(points):
         cfg_pt = sweep.points[p]
-        if payload.hx is not None:  # the buffer may hold another point's y
-            uplink.received_signal(cfg_pt.rho, payload.hx, payload.gs, payload.noise, out=payload.y)
+        if "hx" in payload:  # the buffer may hold another point's y
+            terms = payload["hx"], payload.get("gs"), payload["noise"]
+            uplink.received_signal(cfg_pt.rho, *terms, out=y)
         for members, count, side in sides:
-            q = min(j, count - 1)  # the genie's one channel side serves every point
-            channel = tuple(x[:, q * n : (q + 1) * n] for x in side)
+            # the genie's one channel side serves every point
+            channel = tuple(part[:, min(j, count - 1)] for part in side)
             t0 = time.perf_counter()
-            ue = _apply(spec.detector, payload.y, channel, cfg_pt, sweep.chain)
+            ue = _apply(spec.detector, y, channel, cfg_pt, sweep.chain)
             totals.apply_s[p, members] += (time.perf_counter() - t0) / len(members)
-            errors = uplink.count_bit_errors(ue, payload.x)
+            errors = uplink.count_bit_errors(ue, x)
             totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)
-            totals.bits[p, members] += 2 * payload.x.size  # 2 bits per QPSK symbol
+            totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
 
 
 def _run_chunk(sweep: _Sweep, blocks: range):
     """Run the sweep on the blocks `blocks`, stacked. If a stage fails
-    numerically, drop what the chunk did and rerun each (method, block)
-    alone: a failed estimation is charged at every SNR point, a failed
-    detection at its point."""
-    spec, cfg = sweep.spec, sweep.spec.cfg
-    chunk = _draw_chunk(cfg, blocks)
-    interference = pilot_phase.pilot_interference(chunk)
-    zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
-    payload = _draw_payload(sweep, chunk, blocks)
-    # pilot LS estimates of every SNR point, (P, B, L, N, K)
-    est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
-    for p, cfg_pt in enumerate(sweep.points):
-        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
-        est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
+    numerically, drop what the chunk did, draw each block again as a
+    chunk of its own, and rerun each of its methods alone: a failed
+    estimation is charged at every SNR point, a failed detection at its
+    point."""
+    spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
+    chunk, zpsi, est, payload = _draw(sweep, blocks)
     try:
         totals = _Totals(spec)
         ghats = _estimate(sweep, chunk, zpsi, methods, totals)
         _detect(sweep, chunk, est, payload, methods, ghats, points, totals)
     except NumericalFailure:
         totals = _Totals(spec)
-        for i in range(len(blocks)):
-            one = slice(i, i + 1)
-            block, batch = _select(chunk, one), _select(payload, one)
+        for b in blocks:
+            chunk, zpsi, est, payload = _draw(sweep, range(b, b + 1))
             for m in methods:
                 failed = []
                 try:
-                    ghats = _estimate(sweep, block, zpsi[one], [m], totals)
+                    ghats = _estimate(sweep, chunk, zpsi, [m], totals)
                 except NumericalFailure as exc:
                     failed = [(p, exc) for p in points]
                 for p in () if failed else points:
                     try:
-                        _detect(sweep, block, est[p : p + 1, one], batch, [m], ghats, [p], totals)
+                        _detect(sweep, chunk, est[p : p + 1], payload, [m], ghats, [p], totals)
                     except NumericalFailure as exc:
                         failed.append((p, exc))
                 for p, exc in failed:
-                    failure = (spec.methods[m], spec.snr_grid_db[p], blocks[i], str(exc))
+                    failure = (spec.methods[m], spec.snr_grid_db[p], b, str(exc))
                     totals.failures[p].append(failure)
     sweep.totals.add(totals)
 
@@ -676,11 +665,12 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
     step per channel side.
 
     If any stage of a chunk fails numerically, the chunk's results are
-    dropped and each (method, block) of it reruns alone: a method that
-    fails on a block is excluded there and counted once per SNR point,
-    or once at the point whose detection failed. Rows and failures come
-    out in (SNR, block, method) order, and a call's time is split evenly
-    across its methods (see ResultRow).
+    dropped, each block of it is drawn again as a chunk of its own, and
+    each (method, block) reruns alone: a method that fails on a block is
+    excluded there and counted once per SNR point, or once at the point
+    whose detection failed. Rows and failures come out in (SNR, block,
+    method) order, and a call's time is split evenly across its methods
+    (see ResultRow).
     """
     sweep = _Sweep(spec)
     trials = spec.cfg.trials

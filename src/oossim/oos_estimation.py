@@ -12,7 +12,8 @@ Every function also takes residuals with a leading block axis,
 one pass: each hop's fold runs once for all B blocks.
 
 Degenerate rotations are counted on a `diagnostics` object with a
-degenerate_rotations counter (the sweep passes its RunDiagnostics).
+degenerate_rotations counter (the sweep passes its per-chunk totals,
+load_report a RunDiagnostics).
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg
 import oossim
-from oossim import experiments, oos_estimation, uplink
+from oossim import cli, experiments, oos_estimation, uplink
 from oossim.cli import main
 from oossim.experiments import (
     CSV_COLUMNS,
     DETECTORS,
+    GENIE,
     ExperimentSpec,
     default_spec,
     emit_report,
@@ -302,6 +303,19 @@ class TestSpec:
         with pytest.raises(ValueError, match="permutation"):
             with_L(explicit, 4)
 
+    def test_default_payload_follows_overridden_block_lengths(self):
+        def with_cfg(spec, **cfg):
+            d = spec.to_dict()
+            d["cfg"].update(cfg)
+            return ExperimentSpec.from_dict(d)
+
+        assert default_spec().to_dict()["payload_symbols_per_block"] == 0
+        assert with_cfg(default_spec(), tau_c=100).payload_symbols_per_block == 50
+        assert with_cfg(default_spec(), tau_p=60).payload_symbols_per_block == 140
+        explicit = default_spec(payload_symbols_per_block=40)
+        assert explicit.to_dict()["payload_symbols_per_block"] == 40
+        assert with_cfg(explicit, tau_c=100).payload_symbols_per_block == 40
+
 
 class TestRunMonteCarlo:
     def test_centralized_zf_takes_the_qr_route(self, monkeypatch):
@@ -479,7 +493,7 @@ class TestRunMonteCarlo:
         run_monte_carlo(spec)
         cfg, size = spec.cfg, experiments.CHUNK_BLOCKS
         blocks = [min(size, cfg.trials - start) for start in range(0, cfg.trials, size)]
-        assert shapes == [(1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in blocks]
+        assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in blocks]
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
@@ -522,11 +536,11 @@ class TestRunMonteCarlo:
             alone = run_monte_carlo(replace(spec, methods=(method,))).rows
             assert rows_to_csv(alone) == rows_to_csv([r for r in together if r.method == method])
 
-    def test_detection_sees_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
-        # the sweep draws each payload once but receives it at each point
-        # exactly as a draw at that point's power would, bit for bit
-        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), methods=("centralized_genie",))
-        spec = with_trials(spec, 5)
+    def assert_payloads_seen(self, monkeypatch, spec, expected):
+        """Run `spec` and check that centralized ZF's apply calls see, in
+        order, the payloads of the (blocks, SNR point) pairs `expected`,
+        each block's as simulate_uplink_rx draws it alone at that point's
+        power, bit for bit."""
         cfg, seen, truths = spec.cfg, [], []
         apply, count = uplink.apply_zf_filter, uplink.count_bit_errors
 
@@ -541,22 +555,42 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(uplink, "apply_zf_filter", spy)
         monkeypatch.setattr(uplink, "count_bit_errors", truth_spy)
         run_monte_carlo(spec)
-        assert len(truths) == len(seen)
-        calls = zip(truths, seen)
-        for start in range(0, cfg.trials, experiments.CHUNK_BLOCKS):
-            blocks = range(start, min(start + experiments.CHUNK_BLOCKS, cfg.trials))
-            for snr_db in spec.snr_grid_db:
-                x, y = next(calls)
-                assert len(x) == len(blocks)
-                for i, b in enumerate(blocks):
-                    geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-                    block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
-                    alone = uplink.simulate_uplink_rx(
-                        block, replace(cfg, rho=10.0 ** (snr_db / 10.0)),
-                        block_rng(cfg.seed, b, PAYLOAD_STREAM), spec.payload_symbols_per_block,
-                    )
-                    assert np.array_equal(x[i], alone.x) and np.array_equal(y[i], alone.y)
-        assert next(calls, None) is None
+        assert len(truths) == len(seen) == len(expected)
+        for x, y, (blocks, snr_db) in zip(truths, seen, expected):
+            assert len(x) == len(y) == len(blocks)
+            for i, b in enumerate(blocks):
+                alone = uplink.simulate_uplink_rx(
+                    drawn_block(cfg, b), replace(cfg, rho=10.0 ** (snr_db / 10.0)),
+                    block_rng(cfg.seed, b, PAYLOAD_STREAM), spec.payload_symbols_per_block,
+                )
+                assert np.array_equal(x[i], alone.x) and np.array_equal(y[i], alone.y)
+
+    def test_detection_sees_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
+        # the sweep draws each payload once but receives it at each point
+        # exactly as a draw at that point's power would, bit for bit
+        grid, size = (-4.0, 0.0), experiments.CHUNK_BLOCKS
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=grid, methods=(GENIE,)), 5)
+        trials = spec.cfg.trials
+        expected = [
+            (range(start, min(start + size, trials)), snr_db)
+            for start in range(0, trials, size) for snr_db in grid
+        ]
+        self.assert_payloads_seen(monkeypatch, spec, expected)
+
+    def test_reruns_see_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
+        # so do the reruns of a failed chunk, which draw each block again:
+        # in one chunk, seq_procrustes fails on block 1, so every block
+        # reruns alone, each method at each point
+        grid, methods = (-4.0, 0.0), ("seq_procrustes", GENIE)
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=grid, methods=methods), 3)
+        assert spec.cfg.trials <= experiments.CHUNK_BLOCKS
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
+        expected = [
+            (range(b, b + 1), snr_db)
+            for b in range(spec.cfg.trials) for m in methods for snr_db in grid
+            if (m, b) != ("seq_procrustes", 1)
+        ]
+        self.assert_payloads_seen(monkeypatch, spec, expected)
 
     def test_rows_independent_of_the_rest_of_the_grid(self):
         def zero_db_csv(grid):
@@ -1074,6 +1108,28 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, payload", [("cfg.tau_c=100", 50), ("cfg.tau_p=60", 140)])
+    def test_run_with_overridden_block_lengths(self, tmp_path, override, payload):
+        # the default payload length follows tau_c - tau_p
+        rc = main(
+            ["run", "--out", str(tmp_path), "--trials", "1", "--override", override,
+             "--override", "snr_grid_db=[0.0]", "--override", 'methods=["no_suppression"]']
+        )
+        assert rc == 0
+        (row,) = json.loads((tmp_path / "results.json").read_text())["rows"]
+        assert row["bit_count"] == 2 * SystemConfig().K * payload
+
+    def test_unwritable_out_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        count_calls(monkeypatch, cli, "run_monte_carlo", calls)
+        occupied = tmp_path / "file"
+        occupied.write_text("")
+        for out in (occupied, occupied / "sub"):
+            assert main(["run", "--out", str(out), "--trials", "1"]) == 2
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1 and err.startswith("oossim run:")
+        assert calls == {}
 
     def test_seed_propagates_to_rows(self, tmp_path):
         rc = main(
