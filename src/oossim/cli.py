@@ -72,11 +72,17 @@ def _spec_dict(args) -> dict:
     return spec_dict
 
 
+def _out_dir(path) -> Path:
+    """Make the output directory `path`; the commands do so before any work."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_run(args) -> int:
     try:
         spec = ExperimentSpec.from_dict(_spec_dict(args))
-        # an unwritable output directory fails here, before the sweep
-        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
+        _out_dir(spec.out_dir)
     except (ValueError, OSError) as exc:
         print(f"oossim run: {exc}", file=sys.stderr)
         return 2
@@ -89,7 +95,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 1
-    csv_path, json_path = emit_report(outcome.rows, spec, diagnostics=d)
+    csv_path, json_path = emit_report(outcome, spec)
     print(f"wrote {csv_path} and {json_path}")
     print(f"{'method':<20}{'snr_db':>8}{'ber':>12}{'per-link':>10}")
     for r in outcome.rows:
@@ -115,6 +121,7 @@ def _cmd_report(args) -> int:
         spec_dict = _spec_dict(args)
         check_fields("spec", spec_dict, ExperimentSpec)
         cfg = config_from_dict(spec_dict["cfg"])
+        out = _out_dir(args.out) if args.out else None
     except (ValueError, OSError) as exc:
         print(f"oossim report: {exc}", file=sys.stderr)
         return 2
@@ -128,9 +135,7 @@ def _cmd_report(args) -> int:
             print(f"{method:<20}{'(no chain traffic)':<20}")
         for phase, load in phases.items():
             print(f"{method:<20}{phase:<20}{load:>24d}")
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / "load_table.json"
         path.write_text(json.dumps(table, indent=2))
         print(f"wrote {path}")

@@ -3,8 +3,9 @@
 The centralized ZF precoder factors into per-AP pieces A_l Gamma^{-1}, and
 the Gamma^{-1}-weighted symbol vector q is AP independent, so the CPU can
 compute q once, append zeros for the interferer directions, and broadcast
-it; each AP then transmits A_l q. No power normalization is applied; the
-per-AP radiated power is reported so the unnormalized ZF cost is visible.
+it (2(K + K_I) real symbols per link per symbol period); each AP then
+transmits A_l q. No power normalization is applied; the per-AP radiated
+power is reported so the unnormalized ZF cost is visible.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ def build_local_precoders(aug: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def compute_partial_precoded(x_dl: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """CPU-side q = Gamma^{-1} [x_dl; 0]: zeros in the interferer directions.
 
-    x_dl is (K,) or (K, T); the zero padding is sized from gamma. q is
-    broadcast to every AP (2(K+K_I) real symbols per link per symbol
-    period) since it does not depend on the AP index.
+    x_dl is (K,) or (K, T); the zero padding is sized from gamma.
     """
     check_invertible(gamma)
     x_dl = np.asarray(x_dl, dtype=complex)

@@ -3,49 +3,29 @@ the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
 _augmented_stack, _channel_side, _apply). The sweep and the load ledger
-(load_report) both run it, so the loads that load_report measures and
-checks against the closed forms (analytic_per_link) are the sweep's own
-chain passes'.
+(load_report) both run it, so the loads that load_report checks against
+the closed forms (analytic_per_link) are those of the sweep's own passes.
 
-All methods and all SNR points at a given block index share the same
-geometry, channels, interferer signal, payload symbols and noise, so
-curves are paired comparisons: each block's payload is drawn once, and
-only the received signal sqrt(rho) H x + G s + n is formed per SNR
-point. Blocks are drawn from per-index RNG streams, which makes every
-result a pure function of (spec, seed) regardless of execution order or
-of the rest of the grid.
+All methods and SNR points at a block index share its draws, so curves
+are paired comparisons. Each block is drawn from its own RNG streams, so
+every result is a pure function of (spec, seed), whatever the execution
+order or the rest of the grid.
 
-The sweep runs CHUNK_BLOCKS consecutive blocks at a time: _draw draws
-each block alone and stacks the draws along a leading block axis, and
-every stage (estimation, chain pass, detection) runs once per chunk on
-the stack. The batched kernels treat each block as they would alone, so
-the results do not depend on the chunk size. The payload terms and the
-received signal live in plain arrays that the sweep allocates once and
-reuses for every chunk and SNR point.
+The sweep runs CHUNK_BLOCKS blocks at a time (_run_chunk), every stage
+once per chunk on the blocks stacked along a leading axis; the batched
+kernels treat each block as they would alone. Everything but the
+received signal sqrt(rho) H x + G s + n and the detection apply step
+runs once for all SNR points, the detection channel side included: one
+call per width group (methods whose augmented channels have the same
+width), stacked over the points, and one for the genie, whose channels
+do not depend on the point. Per point, each channel side is applied in
+one call, the methods stacked against the one payload.
 
-Detection is split into a channel side, which needs only the augmented
-channels, and an apply step, which needs the payload (_channel_side,
-_apply). Methods whose augmented channels have the same width form a
-width group. A group's channel side (the zero-forcing filter, the channel
-Gramian pass and its inverse, or the sequential-LS covariance pass) runs
-once per chunk for all SNR points, on the augmented channels stacked
-along a point and a block axis; the genie's channels do not depend on
-the point, so its channel side runs on the blocks alone, in a call of
-its own. Each point then applies it to its payload in one call (one more
-for the genie), the methods stacked along a leading axis against the one
-payload that broadcasts along it, so the payload-sized temporaries stay
-one point in size. The kernels give each method and block what its own
-call gives, so a method's rows depend neither on the other methods nor
-on the rest of the SNR grid.
-
-A chunk has one failure path. It runs stacked, with no failure handling
-(_estimate, then _detect); if any stage raises NumericalFailure, what the
-chunk did is dropped, each block of it is drawn again by _draw as a
-chunk of its own, and each of its methods reruns alone through the same
-two helpers, so a failure is charged to the method, block and, for
-detection, SNR point that caused it. Since each block comes from its own
-streams and every kernel treats a block of a stack as it would alone,
-the redrawn block is the one the chunk held, bit for bit.
+If a stage of a chunk raises NumericalFailure, what the chunk did is
+dropped; each block is drawn again alone (the same bits, by the two
+rules above) and each method reruns alone, so a failure is charged to
+the method, block and, for detection, SNR point that caused it.
+_Totals describes the stage trace.
 """
 
 from __future__ import annotations
@@ -56,6 +36,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -129,8 +110,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
         for snr_db in self.snr_grid_db:
             check_real("snr_grid_db entry", snr_db)
+            uplink_power(snr_db)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path; got {self.out_dir!r}")
+        object.__setattr__(self, "out_dir", os.fspath(self.out_dir))  # as results.json writes it
         if not self.methods:
             raise ValueError("methods must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -148,8 +131,6 @@ class ExperimentSpec:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        for snr_db in self.snr_grid_db:
-            uplink_power(snr_db)
         max_payload = self.cfg.tau_c - self.cfg.tau_p
         if self.payload_symbols_per_block == 0:
             object.__setattr__(self, "payload_symbols_per_block", max_payload)
@@ -232,12 +213,9 @@ def _augmented_width(method: str, cfg: SystemConfig) -> int:
 
 
 def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> dict:
-    """Per-link real-symbol loads by phase, from the closed-form counts.
-
-    Pilot-phase and channel-side entries are per coherence block; payload
-    entries (uplink_combine, uplink_seq_ls) are per symbol period. Methods
-    without chain traffic contribute no phases.
-    """
+    """Per-link real-symbol loads by phase, from the closed-form counts
+    (per block or per symbol period, as fronthaul says). Methods without
+    chain traffic contribute no phases."""
     r = cfg.tau_p - cfg.K
     m = _augmented_width(method, cfg)
     phases: dict[str, int] = {}
@@ -258,15 +236,10 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
 
 
 def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> LoadReport:
-    """Measured per-link loads of `method` under `detector`, checked
-    against analytic_per_link (exact equality).
-
-    Runs the sweep's own stages (_interferer_channels, _augmented_stack,
-    _channel_side, _apply) on one synthetic unit-gain block with a
-    one-symbol payload,
-    on a chain that logs every link, and returns that log. Raises
-    ChainError if measurement and formula differ.
-    """
+    """Measured per-link loads of `method` under `detector`: the log of
+    the sweep's own stages on one synthetic unit-gain block with a
+    one-symbol payload, on a chain that logs every link. Raises
+    ChainError unless it equals analytic_per_link exactly."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if detector not in DETECTORS:
@@ -309,13 +282,10 @@ def default_spec(**overrides) -> ExperimentSpec:
 
 
 def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
-    """Variant with more interferers than antennas per AP (K_I > N).
-
-    Per-AP residuals then expose fewer directions than there are
-    interferers, so the rotate-and-average method loses ground to the
-    Gramian accumulation, whose rank grows with the AP count. The local
-    method is omitted: its estimator is undefined in this regime.
-    """
+    """Variant with more interferers than antennas per AP (K_I > N), where
+    rotate-and-average loses ground to the Gramian pass (see
+    oos_estimation._local_signal_basis). The local method is omitted: its
+    estimator is undefined in this regime."""
     overrides.setdefault("cfg", SystemConfig(K_I=5))
     overrides.setdefault(
         "methods", ("seq_procrustes", "seq_gramian", "centralized_genie")
@@ -325,19 +295,10 @@ def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """One (method, SNR point) of the sweep.
-
-    `wall_time_s` is the time of the method's detection apply step at
-    this SNR point plus its share of the work that runs once per chunk for
-    all SNR points: its interferer estimation and its detection channel
-    side, divided by the number of points. All are timed per chunk of
-    blocks, so each block is charged an equal share of its chunk's time.
-    Methods run in one call (the methods sharing the local SVD, or a
-    width group, see run_monte_carlo) split its time evenly. The draws
-    and pilot estimates, shared by all methods, are charged to none of
-    them. In a chunk that failed, only the reruns' time is charged.
-    Summed over a method's rows it is the method's total time.
-    """
+    """One (method, SNR point) of the sweep. `wall_time_s` is its share of
+    the stage trace (MonteCarloOutcome.stages): the method's own stage
+    estimate.<method> plus an equal share per method of every other
+    stage, split in equal shares per SNR point."""
 
     method: str
     snr_db: float
@@ -361,15 +322,14 @@ class RunDiagnostics:
 class MonteCarloOutcome:
     rows: list[ResultRow]
     diagnostics: RunDiagnostics
+    stages: dict  # stage name -> {"seconds": float, "calls": int}, see _Totals
 
 
 def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
     """SNR-invariant part of one method's augmented channels: per-AP
     interferer channels, or None for a method that uses the UE estimates
-    alone. Chain-based methods record their OoS pass on `chain` and count
-    degenerate rotations on `counts`. `local`, when given, is
-    local_svd_estimate(zpsi, K_I), which the LOCAL_SVD_METHODS then use
-    instead of factorizing again."""
+    alone. Degenerate rotations are counted on `counts`. `local`, when
+    given, is local_svd_estimate(zpsi, K_I) for the LOCAL_SVD_METHODS."""
     if method == GENIE:
         return block.G
     if method == "no_suppression" or cfg.K_I == 0:
@@ -388,9 +348,8 @@ def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
 
 def _augmented_stack(ghats, ue, width):
     """Per-AP augmented matrices [UE channels `ue`, interferer channels]
-    of each method, given by its interferer channels (or None) in
-    `ghats`, stacked along a leading method axis:
-    (M, *ue.shape[:-1], width)."""
+    of each method, from its entry (or None) in `ghats`, stacked along a
+    leading method axis: (M, *ue.shape[:-1], width)."""
     K = ue.shape[-1]
     aug = np.empty((len(ghats), *ue.shape[:-1], width), dtype=complex)
     for out, ghat in zip(aug, ghats):
@@ -429,36 +388,47 @@ def _apply(detector, y, channel, cfg, chain):
 
 class _Totals:
     """What the sweep adds up, for the whole run or for one chunk: bit
-    errors, bits and apply time per (SNR point, method index); per
-    method, the time of its work shared by all points; the failures per
-    point; and the degenerate rotations, which the estimators count
-    here."""
+    errors and bits per (SNR point, method index), the failures per
+    point, the degenerate rotations (the estimators count them here) and
+    the stage trace: seconds and calls per stage name.
+
+    Each stage boundary calls lap, which charges the time since the last
+    lap to the stage that just ended (a stage that raises is charged to
+    the next one): draw, pilot, estimate.local_svd, estimate.<method>,
+    channel_side.<detector>, apply.<detector> (forming each point's
+    received signal too) and score."""
 
     def __init__(self, spec: ExperimentSpec):
         shape = (len(spec.snr_grid_db), len(spec.methods))
         self.errors = np.zeros(shape, dtype=np.int64)
         self.bits = np.zeros(shape, dtype=np.int64)
-        self.apply_s = np.zeros(shape)
-        self.shared_s = np.zeros(len(spec.methods))
         self.failures = [[] for _ in spec.snr_grid_db]  # FAILURE_KEYS tuples
         self.degenerate_rotations = 0
+        self.seconds, self.calls = Counter(), Counter()
+        self.lap()
+
+    def lap(self, stage: str | None = None):
+        """Charge the time since the last lap to `stage`; no stage restarts the clock."""
+        now = time.perf_counter()
+        if stage is not None:
+            self.seconds[stage] += now - self.clock
+            self.calls[stage] += 1
+        self.clock = now
 
     def add(self, other: _Totals):
         self.errors += other.errors
         self.bits += other.bits
-        self.apply_s += other.apply_s
-        self.shared_s += other.shared_s
         for mine, theirs in zip(self.failures, other.failures):
             mine += theirs
         self.degenerate_rotations += other.degenerate_rotations
+        self.seconds.update(other.seconds)
+        self.calls.update(other.calls)
 
 
 class _Sweep:
     """What a sweep holds across its chunks: the pilot book, one config
-    per SNR point, the chain (unlogged: the loads are checked by
-    load_report, not measured per block), the payload buffers by term,
-    which every chunk and every rerun of a failed chunk's blocks draws
-    into, and the running totals."""
+    per SNR point, the chain (unlogged: load_report checks the loads),
+    the payload buffers by term and the running totals."""
 
     def __init__(self, spec: ExperimentSpec):
         cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
@@ -468,8 +438,8 @@ class _Sweep:
         self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 
-        # Rows [:B] hold a chunk of B blocks, by payload term; y holds one
-        # SNR point at a time. On a grid of one point y comes with the
+        # Rows [:B] hold a chunk of B blocks (or one rerun block); y holds
+        # one SNR point at a time. On a grid of one point y comes with the
         # draw; otherwise the terms H x, G s (with interferers) and n are
         # kept and each point forms its own y.
         rx = (cfg.L, cfg.N, n_symbols)
@@ -485,6 +455,8 @@ class _Sweep:
         """One row per (SNR point, method) with surviving blocks, and the
         failures in (SNR, block, method) order of the chunks run."""
         spec, totals = self.spec, self.totals
+        own = {m: totals.seconds[f"estimate.{m}"] for m in spec.methods}
+        shared = (sum(totals.seconds.values()) - sum(own.values())) / len(spec.methods)
         diagnostics = RunDiagnostics(
             numerical_failures=sum(map(len, totals.failures)),
             degenerate_rotations=totals.degenerate_rotations,
@@ -502,7 +474,6 @@ class _Sweep:
                     diagnostics.failures.append((method, snr_db, -1, "no surviving blocks"))
                     continue
                 lo, hi = uplink.wilson_interval(errors, bits)
-                shared_s = totals.shared_s[m] / len(self.points)
                 rows.append(
                     ResultRow(
                         method=method,
@@ -512,20 +483,21 @@ class _Sweep:
                         ci_low=lo,
                         ci_high=hi,
                         fronthaul_per_link_real_symbols=loads[m],
-                        wall_time_s=float(totals.apply_s[p, m] + shared_s),
+                        wall_time_s=(own[method] + shared) / len(self.points),
                         seed=spec.cfg.seed,
                     )
                 )
-        return MonteCarloOutcome(rows=rows, diagnostics=diagnostics)
+        stages = {
+            s: {"seconds": seconds, "calls": totals.calls[s]} for s, seconds in totals.seconds.items()
+        }
+        return MonteCarloOutcome(rows=rows, diagnostics=diagnostics, stages=stages)
 
 
-def _draw(sweep: _Sweep, blocks: range):
-    """Draw the blocks `blocks`, each from its own streams, and stack them
-    along a leading block axis. Returns the realization, its projected
-    residual (which does not depend on rho), the pilot LS estimates of
-    every SNR point (P, B, L, N, K), and the payload: each block's, drawn
-    once for all points at the first point's power into the first B rows
-    of the sweep's payload buffers, by term."""
+def _draw(sweep: _Sweep, blocks: range, totals: _Totals):
+    """Draw the blocks `blocks`, stacked. Returns the realization, its
+    projected residual, the pilot LS estimates of every SNR point
+    (P, B, L, N, K), and the payload by term, drawn once for all points
+    at the first point's power into the sweep's buffers."""
     cfg, n_symbols = sweep.spec.cfg, sweep.spec.payload_symbols_per_block
     payload = {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
     drawn = []
@@ -540,48 +512,40 @@ def _draw(sweep: _Sweep, blocks: range):
     chunk = BlockRealization(
         **{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(BlockRealization)}
     )
+    totals.lap("draw")
     interference = pilot_phase.pilot_interference(chunk)
     zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
     est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
     for p, cfg_pt in enumerate(sweep.points):
         obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
         est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
+    totals.lap("pilot")
     return chunk, zpsi, est, payload
 
 
 def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
     """The interferer channels of the methods `methods` (indices into
-    spec.methods) on the blocks of `chunk`, in that order. The
-    LOCAL_SVD_METHODS among them share one local factorization."""
+    spec.methods) on the blocks of `chunk`, in that order."""
     spec, cfg = sweep.spec, sweep.spec.cfg
+    local = None
     # the local factorization is defined for 1 <= K_I <= N
-    sharing = [m for m in methods if spec.methods[m] in LOCAL_SVD_METHODS and 1 <= cfg.K_I <= cfg.N]
-    local, t0 = None, time.perf_counter()
-    if sharing:
+    if 1 <= cfg.K_I <= cfg.N and any(spec.methods[m] in LOCAL_SVD_METHODS for m in methods):
         local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)
-        totals.shared_s[sharing] += (time.perf_counter() - t0) / len(sharing)
+        totals.lap("estimate.local_svd")
     ghats = []
     for m in methods:
-        t0 = time.perf_counter()
         method = spec.methods[m]
         ghats.append(_interferer_channels(method, chunk, zpsi, cfg, sweep.chain, totals, local))
-        totals.shared_s[m] += time.perf_counter() - t0
+        totals.lap(f"estimate.{method}")
     return ghats
 
 
 def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: _Totals):
     """Detect the methods `methods` (indices into spec.methods), with
     interferer channels `ghats`, on the blocks of `chunk` at the SNR
-    points `points`, and add their bit errors to `totals`. est holds the
-    pilot LS estimates (len(points), B, L, N, K) of those points, payload
-    the blocks' payload by term.
-
-    Methods whose augmented channels have the same width form a group,
-    whose channel side runs once, on every (point, block) position; the
-    genie's channels do not depend on the point, so its channel side runs
-    on the blocks alone, in a group of its own. Per point, each group
-    gets one apply call."""
-    spec, cfg = sweep.spec, sweep.spec.cfg
+    points `points` (whose pilot LS estimates `est` holds), and add their
+    bit errors to `totals`, one channel side per width group."""
+    spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
     ghat_of = dict(zip(methods, ghats))
     groups: dict[tuple, list] = {}
     for m in methods:
@@ -589,12 +553,10 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
         groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
     sides = []  # (method indices, rows of points, channel side)
     for (width, genie), members in groups.items():
-        t0 = time.perf_counter()
         ue = chunk.H[None] if genie else est
         aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
-        side = _channel_side(spec.detector, aug, cfg, sweep.chain)
-        totals.shared_s[members] += (time.perf_counter() - t0) / len(members)
-        sides.append((members, len(ue), side))
+        sides.append((members, len(ue), _channel_side(detector, aug, cfg, sweep.chain)))
+        totals.lap(f"channel_side.{detector}")
 
     x, y = payload["x"], payload["y"]
     for j, p in enumerate(points):
@@ -603,33 +565,28 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
             terms = payload["hx"], payload.get("gs"), payload["noise"]
             uplink.received_signal(cfg_pt.rho, *terms, out=y)
         for members, count, side in sides:
-            # the genie's one channel side serves every point
             channel = tuple(part[:, min(j, count - 1)] for part in side)
-            t0 = time.perf_counter()
-            ue = _apply(spec.detector, y, channel, cfg_pt, sweep.chain)
-            totals.apply_s[p, members] += (time.perf_counter() - t0) / len(members)
+            ue = _apply(detector, y, channel, cfg_pt, sweep.chain)
+            totals.lap(f"apply.{detector}")
             errors = uplink.count_bit_errors(ue, x)
             totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)
             totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
+            totals.lap("score")
 
 
 def _run_chunk(sweep: _Sweep, blocks: range):
-    """Run the sweep on the blocks `blocks`, stacked. If a stage fails
-    numerically, drop what the chunk did, draw each block again as a
-    chunk of its own, and rerun each of its methods alone: a failed
-    estimation is charged at every SNR point, a failed detection at its
-    point."""
+    """Run the sweep on the blocks `blocks` (see the module docstring)."""
     spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
-    chunk, zpsi, est, payload = _draw(sweep, blocks)
+    totals = _Totals(spec)
+    chunk, zpsi, est, payload = _draw(sweep, blocks, totals)
     try:
-        totals = _Totals(spec)
         ghats = _estimate(sweep, chunk, zpsi, methods, totals)
         _detect(sweep, chunk, est, payload, methods, ghats, points, totals)
     except NumericalFailure:
         totals = _Totals(spec)
         for b in blocks:
-            chunk, zpsi, est, payload = _draw(sweep, range(b, b + 1))
+            chunk, zpsi, est, payload = _draw(sweep, range(b, b + 1), totals)
             for m in methods:
                 failed = []
                 try:
@@ -648,30 +605,9 @@ def _run_chunk(sweep: _Sweep, blocks: range):
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
-    """Run the full sweep; returns one row per (method, SNR point).
-
-    Blocks run in chunks of CHUNK_BLOCKS; every stage runs once per chunk
-    on the blocks stacked along a leading axis, and only one chunk is held
-    at a time. Per chunk, once for all SNR points: each block's geometry,
-    channel draw and payload draw (symbols, interferer signal and noise,
-    each from the block's own streams), the projected residual (which
-    does not depend on rho), the pilot LS estimates of every point, one
-    local SVD of the residual shared by the methods that start from it,
-    each method's interferer-channel estimate with its OoS chain pass,
-    and one detection channel side per width group, i.e. per set of
-    methods whose augmented channels have the same width, stacked over
-    all points (plus one for the genie, on the blocks alone). Per SNR
-    point: the received payload sqrt(rho) H x + G s + n and one apply
-    step per channel side.
-
-    If any stage of a chunk fails numerically, the chunk's results are
-    dropped, each block of it is drawn again as a chunk of its own, and
-    each (method, block) reruns alone: a method that fails on a block is
-    excluded there and counted once per SNR point, or once at the point
-    whose detection failed. Rows and failures come out in (SNR, block,
-    method) order, and a call's time is split evenly across its methods
-    (see ResultRow).
-    """
+    """Run the full sweep, one chunk at a time (see the module docstring).
+    Returns one row per (method, SNR point) with surviving blocks, the
+    failures in (SNR, block, method) order and the stage trace."""
     sweep = _Sweep(spec)
     trials = spec.cfg.trials
     for start in range(0, trials, CHUNK_BLOCKS):
@@ -687,51 +623,37 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow(
-            [
-                r.method,
-                repr(float(r.snr_db)),
-                repr(float(r.ber)),
-                r.bit_count,
-                repr(float(r.ci_low)),
-                repr(float(r.ci_high)),
-                r.fronthaul_per_link_real_symbols,
-                r.seed,
-            ]
-        )
+        values = (getattr(r, column) for column in CSV_COLUMNS)
+        writer.writerow(repr(float(v)) if isinstance(v, float) else v for v in values)
     return buf.getvalue()
 
 
-def emit_report(rows: list[ResultRow], spec: ExperimentSpec, out_dir=None, diagnostics=None):
-    """Write results.csv and results.json (spec embedded); returns the paths."""
+def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
+    """Write results.csv and results.json (spec embedded) to spec.out_dir;
+    returns the paths. Raises ValueError, before writing anything, if
+    there are no rows."""
     from pathlib import Path
 
-    if not rows:
-        raise ValueError("no rows to report")
-    out = Path(out_dir if out_dir is not None else spec.out_dir)
+    csv_text, d = rows_to_csv(outcome.rows), outcome.diagnostics
+    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    csv_path.write_text(rows_to_csv(rows))
+    csv_path.write_text(csv_text)
     payload = {
         "spec": spec.to_dict(),
-        "rows": [asdict(r) for r in rows],
+        "rows": [asdict(r) for r in outcome.rows],
         "fronthaul": load_table(spec.cfg, spec.detector, spec.methods),
+        "diagnostics": {**asdict(d), "failures": [dict(zip(FAILURE_KEYS, f)) for f in d.failures]},
+        "stages": outcome.stages,
     }
-    if diagnostics is not None:
-        payload["diagnostics"] = {
-            "numerical_failures": diagnostics.numerical_failures,
-            "degenerate_rotations": diagnostics.degenerate_rotations,
-            "failures": [dict(zip(FAILURE_KEYS, f)) for f in diagnostics.failures],
-        }
     json_path = out / "results.json"
     json_path.write_text(json.dumps(payload, indent=2))
     return csv_path, json_path
 
 
 def load_table(cfg: SystemConfig, detector: str = "distributed_zf", methods=METHODS):
-    """Measured per-link loads by (method, phase); formula-checked. A
-    method whose estimator or detection is undefined under `cfg` (see
-    undefined_reason) maps to None."""
+    """Measured per-link loads by (method, phase), formula-checked; None for
+    a method whose estimator or detection is undefined (undefined_reason)."""
     table = {}
     for method in methods:
         if undefined_reason(method, cfg, detector):

@@ -4,26 +4,16 @@ The chain is an in-process fold over the AP visit order with
 instrumentation, not a network stack: the claims being checked are about
 symbol counts, not timing. One real symbol is one real scalar; a complex
 scalar costs 2; a Hermitian n x n matrix costs n^2 (real diagonal plus
-the complex upper triangle).
+the complex upper triangle). Payload-phase loads (combined uplink
+vectors, sequential estimates) are per symbol period; the other loads
+(pilot phase, channel Gramians, error covariances) are per coherence
+block. A payload may stack several blocks along leading axes; each size
+rule reads the trailing axes, so a load is still counted per block.
 
-Chain is the one transport: Chain.run folds along the visit order and
-Chain.broadcast sends the CPU's result back. The fold of a pass receives,
-at each AP, that AP's slot of the per-AP arrays the pass carries, so
-this module is the only one that maps an AP id to an array index. A hop
-forwards a plain payload (an array, or a tuple of arrays); a chain sum
-starts from the first AP's term and adds each later one in place
-(add_and_forward). A logging chain sizes every payload of a pass with
-one size rule (matrix_symbols, hermitian_symbols, vector_symbols); an
-unlogged chain (log=None) does no accounting at all. Payload-phase
-loads (combined uplink vectors, sequential estimates) are per symbol
-period; the other loads (pilot phase, channel Gramians, error
-covariances) are per coherence block. A payload may stack several blocks
-along leading axes; each rule reads the trailing axes, so a load is
-still counted per block.
-
-This module is transport and size rules only; it knows no method or
-detector. The load ledger (load_report, analytic_per_link) lives in
-experiments, beside the method dispatch it runs, and is re-exported here.
+Chain is the one transport, and this module the only one that maps an
+AP id to an array index. It knows no method or detector: the load ledger
+(load_report, analytic_per_link) lives in experiments and is
+re-exported here.
 """
 
 from __future__ import annotations

@@ -2,16 +2,11 @@
 
 Thin wrappers around LAPACK (through numpy.linalg) that add input
 validation and explicit failure types so callers never receive silent
-garbage. Singular and eigen vectors that callers keep (economy_svd,
-hermitian_top_eigvectors) follow a deterministic phase convention;
-pseudo_inverse uses the SVD without it, because the per-column phase
-cancels in V diag(1/sigma) U^H. Every kernel also takes a stack of
-matrices along leading axes and gives each matrix the result it would
-get alone, bit for bit, since numpy's batched LAPACK calls run the same
-routine matrix by matrix.
-
-All functions are pure; they are safe to call from any number of
-concurrent Monte Carlo workers.
+garbage. Kept singular and eigen vectors follow _fix_column_phases; a
+product in which the phase cancels (pseudo_inverse, procrustes_rotation)
+uses the SVD without it. Every kernel also takes a stack of matrices
+along leading axes and gives each matrix the result it would get alone,
+bit for bit, since numpy's batched LAPACK runs matrix by matrix.
 """
 
 from __future__ import annotations
@@ -51,8 +46,7 @@ def _fix_column_phases(U: np.ndarray, companion: np.ndarray | None = None):
     The same per-column phase is applied to the matching column of
     `companion`, which keeps any product U @ diag(s) @ companion^H unchanged.
     All-zero columns are left untouched, so the convention is deterministic
-    for every input. Leading axes are a stack: each matrix gets its own
-    phases.
+    for every input.
     """
     if U.shape[-2] == 0 or U.shape[-1] == 0:
         return (U, companion) if companion is not None else U
@@ -80,10 +74,7 @@ def economy_svd(M: np.ndarray):
     """Economy-size SVD with a deterministic phase convention.
 
     Returns (U, sigma, V) with U: m x r, sigma: length r nonincreasing,
-    V: n x r, r = min(m, n), such that M = U @ diag(sigma) @ V^H. In each
-    column of U the largest-magnitude entry is real nonnegative, with the
-    compensating phase applied to the matching column of V. A stack
-    (..., m, n) gives stacked factors, each equal to its matrix's own.
+    V: n x r, r = min(m, n), such that M = U @ diag(sigma) @ V^H.
     """
     U, sigma, Vh = _checked_svd(M)
     U, V = _fix_column_phases(U, herm(Vh))
@@ -93,11 +84,9 @@ def economy_svd(M: np.ndarray):
 def hermitian_top_eigvectors(A: np.ndarray, k: int):
     """Top-k eigenpairs of a Hermitian matrix, eigenvalues nonincreasing.
 
-    A must be Hermitian to a relative Frobenius tolerance of 1e-9; it is
-    symmetrized as (A + A^H)/2 before decomposition. Eigenvector columns
-    follow the same phase convention as economy_svd. A stack (..., n, n)
-    gives (..., n, k) vectors and (..., k) values; the tolerance holds for
-    each matrix against its own norm.
+    A must be Hermitian to a relative Frobenius tolerance of 1e-9, each
+    matrix of a stack against its own norm; it is symmetrized as
+    (A + A^H)/2 before decomposition.
     """
     A = _as_finite_matrix(A, "A")
     n, m = A.shape[-2:]
@@ -136,7 +125,7 @@ def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values at or below PINV_RTOL * sigma_max are treated as
-    exactly zero. A stack (..., m, n) gives the (..., n, m) pseudoinverses.
+    exactly zero.
     """
     U, sigma, Vh = _checked_svd(M)
     keep = sigma > PINV_RTOL * sigma[..., :1]

@@ -3,17 +3,15 @@
 Every AP sees the same interferer signal through a different channel, so
 the per-AP SVD estimates of its coordinates in the complement basis agree
 only up to a unitary rotation. The rotate-and-average pass resolves the
-ambiguity with a Procrustes alignment at each hop; the Gramian pass sums
-residual Gramians along the chain and lets the CPU eigendecompose the
-total, which reproduces the centralized solution exactly.
+ambiguity at each hop: the first AP forwards its local estimate, and each
+later AP aligns its own to the incoming one (procrustes_rotation) and
+forwards the average. The Gramian pass sums residual Gramians along the
+chain and lets the CPU eigendecompose the total, which reproduces
+centralized_oos_oracle up to a unitary rotation of the columns.
 
-Every function also takes residuals with a leading block axis,
-(B, L, N, tau_p - K), and then carries a stack of B chain states through
-one pass: each hop's fold runs once for all B blocks.
-
-Degenerate rotations are counted on a `diagnostics` object with a
-degenerate_rotations counter (the sweep passes its per-chunk totals,
-load_report a RunDiagnostics).
+Every function also takes a stack of residuals along leading axes,
+(B, L, N, tau_p - K), and a chain pass then carries B chain states:
+each hop's fold runs once for all B blocks.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     Returns (Sbar_local, G_local): the top-K_I right singular vectors
     (orthonormal columns) and the top-K_I left singular vectors scaled by
     the singular values, so G_local @ Sbar_local^H is the optimal rank-K_I
-    approximation of zpsi_l. A stack of residuals (every AP of a block, or
-    of several blocks) is factorized in one call.
+    approximation of zpsi_l.
     """
     n, r = zpsi_l.shape[-2:]
     if K_I < 1 or K_I > min(n, r):
@@ -74,12 +71,10 @@ def procrustes_rotation(
     """Unitary Q minimizing ||S_local Q^H - S_prev||_F.
 
     Q = V U^H from the SVD of S_local^H S_prev = U diag(s) V^H
-    (Schoenemann, Psychometrika 1966). A phase on a column of U comes
-    with the same phase on the column of V and cancels in V U^H, so the
-    SVD is used without a phase convention. When the cross-Gramian is
-    rank deficient the minimizer is not unique; LAPACK's deterministic
-    completion is used and the event counted, once per degenerate matrix
-    of a stack.
+    (Schoenemann, Psychometrika 1966), whose column phases cancel. When
+    the cross-Gramian is rank deficient the minimizer is not unique;
+    LAPACK's deterministic completion is used and the event counted on
+    `diagnostics`, once per degenerate matrix of a stack.
     """
     if S_prev.shape != S_local.shape:
         raise ValueError("estimates must have matching shapes")
@@ -108,13 +103,9 @@ def run_sequential_procrustes(
 ) -> np.ndarray:
     """Rotate-and-average along the AP chain; broadcast the CPU estimate back.
 
-    zpsi: (L, N, tau_p - K) projected residuals. The first AP in the visit
-    order forwards its local SVD estimate; every later AP aligns its own
-    local estimate to the incoming one and forwards the average. Returns
-    the (tau_p - K) x K_I estimate delivered to the CPU. The local
-    estimates of all APs are computed in one call before the pass, unless
-    `local_bases` holds them already (local_svd_estimate(zpsi, K_I)[0],
-    defined for K_I <= N).
+    Returns the (tau_p - K) x K_I estimate delivered to the CPU.
+    `local_bases`, when given, holds the local estimates
+    (local_svd_estimate(zpsi, K_I)[0], defined for K_I <= N).
     """
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
@@ -150,11 +141,10 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
 def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     """Per-AP interferer channel estimates from the shared signal estimate.
 
-    Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}; requires Sbar numerically
-    full column rank (smallest singular value > 1e-9 of the largest), for
-    each block of a stack. An SVD that does not converge is a
-    NumericalFailure, like a rank-deficient Sbar. The right factor is
-    Q R^{-H} from Sbar = Q R, which keeps Sbar's condition number.
+    Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}, with the right factor formed
+    as Q R^{-H} from Sbar = Q R, which keeps Sbar's condition number. A
+    Sbar that is not numerically full column rank (smallest singular
+    value <= 1e-9 of the largest) is a NumericalFailure.
     """
     sigma = _checked_svd(Sbar, compute_uv=False)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
@@ -167,8 +157,7 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
 def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):
     """Reference solution: best rank-K_I factorization of the stacked residuals.
 
-    Returns (Sbar, Ghat) with Ghat shaped (L, N, K_I). The distributed
-    Gramian pass must match this up to a unitary rotation of the columns.
+    Returns (Sbar, Ghat) with Ghat shaped (L, N, K_I).
     """
     L, N, r = zpsi.shape
     if K_I == 0:

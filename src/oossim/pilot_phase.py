@@ -1,10 +1,7 @@
-"""Pilot-phase synthesis, local LS channel estimation, projected residuals.
-
-The projected residual removes everything the pilots explain, leaving per
-AP a low-dimensional matrix that contains only OoS interference plus
-noise; its column space in the complement basis is what the distributed
-estimators operate on. A block realization may carry a leading block axis
-on every array; each function then works block by block.
+"""Pilot-phase synthesis, local LS channel estimation, and the projected
+residuals whose column space the distributed estimators operate on. A
+block realization may carry a leading block axis on every array; each
+function then works block by block.
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ def simulate_pilot_rx(
 
     Returns Y with shape (L, N, tau_p), Y_l = sqrt(snr*tau_p) H_l Phi^H
     + G_l S^H + N_l. `interference`, when given, is the block's
-    pilot_interference(block), which does not depend on rho, so a sweep
-    over rho computes it once.
+    pilot_interference(block), which a sweep over rho computes once.
     """
     L, N, K = block.H.shape[-3:]
     if pilots.Phi.shape != (cfg.tau_p, K) or block.S.shape[-2] != cfg.tau_p:

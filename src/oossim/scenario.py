@@ -6,8 +6,7 @@ curves). Large-scale gains are expressed relative to the thermal noise
 floor `noise_floor_dbw`, whose default (-124 dBW = -174 dBm/Hz over
 20 MHz with a 7 dB noise figure) is the value conventionally paired with
 this path-loss model; build_geometry folds the floor into the gains so
-everything downstream works against unit noise. Synthetic tests that set
-gains directly can ignore the floor entirely.
+everything downstream works against unit noise.
 """
 
 from __future__ import annotations
@@ -204,8 +203,7 @@ def build_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
     APs sit at height ap_height_m, equally spaced along the square
     perimeter; UEs and OoS sources are dropped uniformly (same rule for
     both) in the concentric square inset by ue_margin_m, at ground level.
-    Path loss uses the 3-D distance, so the AP height keeps d > 0; the
-    stored gains are path loss divided by the configured noise floor.
+    Path loss uses the 3-D distance, so the AP height keeps d > 0.
     """
     side = cfg.area_side_m
     if side - 2.0 * cfg.ue_margin_m <= 0:
@@ -253,9 +251,8 @@ def draw_block(cfg: SystemConfig, geo: Geometry, rng: np.random.Generator) -> Bl
 
     Channel columns have per-entry variance equal to the corresponding
     large-scale gain; interferer pilot symbols are i.i.d. complex Gaussian
-    with per-symbol power oos_snr; noise entries are unit variance. Draw
-    order (H, G, S, noise) is fixed so outputs are a deterministic
-    function of the generator state.
+    with per-symbol power oos_snr; noise entries are unit variance. They
+    are drawn in the fixed order H, G, S, noise.
     """
     H = crandn(rng, cfg.L, cfg.N, cfg.K) * np.sqrt(geo.beta_ue)[:, None, :]
     G = crandn(rng, cfg.L, cfg.N, cfg.K_I) * np.sqrt(geo.beta_oos)[:, None, :]

@@ -3,33 +3,15 @@
 Interferers are treated as extra fictitious users: each AP's augmented
 channel matrix is [UE estimates, interferer estimates], the detectors
 estimate all K + K_I entries, and the last K_I are discarded downstream.
-Three detectors are provided: a sequential recursive LS along the chain,
-a distributed zero-forcing (combine locally, apply the inverse Gramian
-at the CPU), and the centralized zero-forcing baseline on the stacked
-network-wide matrix.
-Each detector is the composition of two halves: a channel side that
-needs only the augmented channels (zf_filter; accumulate_channel_gramian
-then inverse_gramian; sequential_ls_gains) and an apply step that needs
-the payload (apply_zf_filter, apply_distributed_zf, apply_sequential_ls).
-A caller that receives the same channels at several uplink powers runs
-the channel side once, and may keep only the zero-forcing filter rows of
-the users it scores. Distributed ZF's channel side also carries A^H, so
-its combine conjugates nothing per hop or per power.
-Chain sums (the channel Gramian, the combined vector) start from the
-first AP's term and add each later one in place (add_and_forward).
-Centralized ZF's channel side takes the pseudo-inverse through one
-Householder QR of the whole stack, and falls back to the SVD
-pseudo-inverse matrix by matrix, where R leaves the rank in doubt
-(zf_filter).
-A payload draw keeps the terms H x, G s and n of the received signal, so
-received_signal can form y at any uplink power without drawing again.
-Detectors and bit counting also take leading stack axes and then handle
-the whole stack in one call. The augmented channels may carry more of
-them than the payload: channels (M, B, L, N, m) of M methods against a
-payload (B, L, N, T) of B blocks give (M, B, m, T) estimates, each
-equal, bit for bit, to its own method's call, while the payload
-broadcasts and is never copied per method. Bit counting likewise takes
-symbols whose shape is the estimates' trailing axes.
+The three detectors (sequential LS, distributed ZF, centralized ZF) are
+each a channel side, which needs only the augmented channels, and an
+apply step, which needs the payload; each detect_* composes the two.
+
+Every function here takes leading stack axes, and the augmented channels
+may carry more of them than the payload: channels (M, B, L, N, m) of M
+methods against a payload (B, L, N, T) of B blocks give (M, B, m, T)
+estimates, each bit for bit its own method's call, while the payload
+broadcasts and is never copied per method.
 """
 
 from __future__ import annotations
@@ -48,9 +30,8 @@ QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 @dataclass
 class UplinkSymbolBatch:
     """Payload symbols for one block: unit-power QPSK per UE, Gaussian
-    interferer symbols, and the per-AP received vectors. A drawn payload
-    also keeps the terms of y that do not depend on the uplink power, so
-    the same draw can be received at any power (received_signal)."""
+    interferer symbols, the per-AP received vectors and the terms of y
+    that do not depend on the uplink power (see simulate_uplink_rx)."""
 
     x: np.ndarray  # (K, T) unit QPSK
     s: np.ndarray | None  # (K_I, T); None where nothing reads it
@@ -76,7 +57,7 @@ def draw_qpsk(rng: np.random.Generator, K: int, T: int) -> np.ndarray:
 def received_signal(rho: float, hx, gs=None, noise=None, out=None) -> np.ndarray:
     """y = sqrt(rho) H x + G s + n from its terms that do not depend on
     rho, summed in that order; an absent term (None) is skipped. Written
-    into `out` when given. Works elementwise, so on any stack of blocks."""
+    into `out` when given."""
     y = np.multiply(np.sqrt(rho), hx, out=out)
     if gs is not None:
         y += gs
@@ -97,8 +78,7 @@ def simulate_uplink_rx(
     x holds unit-power QPSK (the transmit scaling sqrt(rho) is applied to
     the received signal, so hard decisions stay scale free); interferer
     symbols are complex Gaussian at their own transmit power. The draw
-    also keeps the terms H x, G s and n, so it can be received at another
-    power without drawing again.
+    also keeps the terms H x, G s and n (see received_signal).
     """
     T = n_symbols if n_symbols is not None else cfg.tau_c - cfg.tau_p
     if T < 1:
@@ -174,9 +154,8 @@ def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     """Channel side of distributed ZF at the CPU: gamma's inverse, after
-    check_invertible. That check bounds gamma's condition number at 1e10,
-    so the inverse applied to the T columns of the combined vector matches
-    an LU solve to rounding, at a fraction of the cost."""
+    check_invertible. With gamma's condition number bounded there, the
+    inverse matches an LU solve to rounding, at a fraction of the cost."""
     check_invertible(gamma)
     return np.linalg.inv(gamma)
 
@@ -187,8 +166,7 @@ def apply_distributed_zf(
     """Apply step of distributed ZF on the received vectors y (..., L, N,
     T): combine locally with A_l^H, accumulate along the chain, and apply
     `gamma_inv` (the rows of inverse_gramian that are wanted) at the CPU.
-    aug_h = herm(aug) (..., L, m, N) is part of the channel side, so a
-    caller that applies it at several uplink powers conjugates once."""
+    aug_h = herm(aug) (..., L, m, N) comes from the channel side."""
     def fold(acc, A_h, y_l):
         return add_and_forward(acc, A_h @ y_l)
 
@@ -198,13 +176,9 @@ def apply_distributed_zf(
 def detect_distributed_zf(
     batch: UplinkSymbolBatch, aug: np.ndarray, gamma: np.ndarray, chain: Chain
 ) -> np.ndarray:
-    """Combine locally with A_l^H, accumulate along the chain, and apply
-    gamma's inverse at the CPU.
-
-    Returns the (K + K_I, T) estimates; the last K_I rows are the
-    fictitious-user symbols and are discarded by the caller. Identical to
-    the centralized zero-forcing solution whenever gamma is invertible.
-    """
+    """Distributed ZF, inverse_gramian then apply_distributed_zf: the
+    (K + K_I, T) estimates, identical to the centralized zero-forcing
+    solution whenever gamma is invertible."""
     return apply_distributed_zf(batch.y, herm(aug), inverse_gramian(gamma), chain)
 
 
@@ -213,17 +187,14 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
     the stacked network-wide channel matrix A (..., L N, m).
 
     A tall A goes through one Householder QR of the whole stack, A = Q R,
-    and gets F = R^{-1} Q^H, which is A's pseudo-inverse when A has full
-    column rank. Each matrix is screened with pseudo_inverse's tolerance
-    rtol = PINV_RTOL, on bounds that R gives for A's singular values:
-      - min|r_ii| <= rtol max|r_ii| means the SVD would drop a singular
-        value, since sigma_min <= min|r_ii| and sigma_max >= max|r_ii|;
-      - ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all, since
-        cond(A) = cond(R) <= ||R||_F ||R^{-1}||_F, and both routes give
-        the same A^+ to rounding.
-    Every matrix that does not pass the second test gets pseudo_inverse of
-    its own matrix in its own slot, so each member of a stack gets what it
-    would get alone, bit for bit. A wide A (L N < m) goes to
+    and gets F = R^{-1} Q^H, its pseudo-inverse at full column rank. Each
+    matrix is screened with pseudo_inverse's rtol = PINV_RTOL on bounds
+    that R gives for A's singular values: min|r_ii| <= rtol max|r_ii|
+    means the SVD would drop one (sigma_min <= min|r_ii| <= max|r_ii| <=
+    sigma_max), and ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all
+    (cond(A) <= ||R||_F ||R^{-1}||_F), so both routes agree to rounding.
+    A matrix that fails the second test gets pseudo_inverse in its own
+    slot, bit for bit what it gets alone. A wide A (L N < m) goes to
     pseudo_inverse whole.
     """
     *stack, L, N, m = aug.shape

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,8 @@ from oossim.experiments import (
     DETECTORS,
     GENIE,
     ExperimentSpec,
+    MonteCarloOutcome,
+    RunDiagnostics,
     default_spec,
     emit_report,
     load_report,
@@ -833,6 +836,68 @@ class TestDispatch:
         assert [n for n in names if n.startswith("detect_")] == []
 
 
+class TestStageTrace:
+    """The sweep's one timing record: seconds and calls per stage, fed by
+    _Totals.lap, from which each row's wall time is derived."""
+
+    @staticmethod
+    def documented(spec):
+        methods = [f"estimate.{m}" for m in spec.methods]
+        return {"draw", "pilot", "estimate.local_svd", "score", *methods,
+                f"channel_side.{spec.detector}", f"apply.{spec.detector}"}
+
+    def test_stages_cover_the_sweep_wall_time(self):
+        spec = with_trials(default_spec(), 24)
+        run_monte_carlo(spec)  # warm up
+        start = time.perf_counter()
+        out = run_monte_carlo(spec)
+        wall = time.perf_counter() - start
+        traced = sum(stage["seconds"] for stage in out.stages.values())
+        assert abs(traced - wall) <= 0.05 * wall
+        # every (method, point) kept its blocks, so the rows share out the whole trace
+        assert sum(r.wall_time_s for r in out.rows) == pytest.approx(traced, rel=1e-12)
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_stage_names_are_the_documented_ones(self, detector):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector=detector), 5)
+        stages = run_monte_carlo(spec).stages
+        assert set(stages) == self.documented(spec)
+        assert all(stage["calls"] > 0 and stage["seconds"] >= 0 for stage in stages.values())
+
+    def test_a_failed_chunk_charges_its_reruns_only(self, monkeypatch):
+        spec = with_trials(tiny_spec(), 10)  # chunks 0-3, 4-7, 8-9
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
+        out = run_monte_carlo(spec)
+        assert out.diagnostics.numerical_failures == 1
+        assert set(out.stages) <= self.documented(spec)
+        # two chunks drawn once each, and the failed chunk's four blocks alone
+        assert out.stages["draw"]["calls"] == 2 + 4
+        assert out.stages["pilot"]["calls"] == 2 + 4
+        per_block = len(spec.methods) * len(spec.snr_grid_db)
+        assert out.stages["score"]["calls"] == 2 * 3 + 4 * per_block - 1
+
+    def test_results_json_carries_the_trace(self, tmp_path):
+        spec = replace(tiny_spec(), out_dir=tmp_path)
+        out = run_monte_carlo(spec)
+        _, json_path = emit_report(out, spec)
+        assert json.loads(json_path.read_text())["stages"] == out.stages
+
+    def test_perf_counter_only_in_the_lap(self):
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        laps = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "lap"
+        ]
+        inside = {id(n) for lap in laps for n in ast.walk(lap)}
+        clocks = [  # time.perf_counter, or the bare name however imported
+            node for node in ast.walk(tree)
+            if "perf_counter" in (getattr(node, "attr", None), getattr(node, "id", None))
+            or isinstance(node, ast.ImportFrom) and any(a.name == "perf_counter" for a in node.names)
+        ]
+        assert len(laps) == 1 and clocks
+        assert [n.lineno for n in clocks if id(n) not in inside] == []
+
+
 class TestBenchmarkReference:
     """The benchmark's stored reference CSVs (made at the seed commit on
     seed 0) are reproduced byte for byte. The specs mirror the
@@ -899,12 +964,12 @@ class TestConfigEdges:
 class TestEmitReport:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([], tiny_spec(), tmp_path)
+            emit_report(MonteCarloOutcome([], RunDiagnostics(), {}), replace(tiny_spec(), out_dir=tmp_path))
 
     def test_csv_round_trip(self, tmp_path):
-        spec = tiny_spec()
+        spec = replace(tiny_spec(), out_dir=tmp_path)
         out = run_monte_carlo(spec)
-        csv_path, json_path = emit_report(out.rows, spec, tmp_path, out.diagnostics)
+        csv_path, json_path = emit_report(out, spec)
         with open(csv_path) as fh:
             parsed = list(csv.DictReader(fh))
         assert tuple(parsed[0].keys()) == CSV_COLUMNS
@@ -924,10 +989,10 @@ class TestEmitReport:
         assert data["fronthaul"]["seq_gramian"]["oos_forward"] == (spec.cfg.tau_p - spec.cfg.K) ** 2
 
     def test_failures_written_as_records(self, tmp_path, monkeypatch):
-        spec = tiny_spec()
+        spec = replace(tiny_spec(), out_dir=tmp_path)
         fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
         out = run_monte_carlo(spec)
-        _, json_path = emit_report(out.rows, spec, tmp_path, out.diagnostics)
+        _, json_path = emit_report(out, spec)
         (record,) = json.loads(json_path.read_text())["diagnostics"]["failures"]
         assert record.pop("reason").startswith("injected")
         assert record == {"method": "seq_procrustes", "snr_db": 0.0, "block": 1}
@@ -1129,6 +1194,19 @@ class TestCli:
             assert main(["run", "--out", str(out), "--trials", "1"]) == 2
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1 and err.startswith("oossim run:")
+        assert calls == {}
+
+    def test_unwritable_report_out_rejected_before_the_table(self, tmp_path, capsys, monkeypatch):
+        calls = Counter()
+        count_calls(monkeypatch, cli, "load_table", calls)
+        occupied = tmp_path / "file"
+        occupied.write_text("")
+        for out in (occupied, occupied / "sub"):
+            assert main(["report", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert len(err.splitlines()) == 1 and err.startswith("oossim report:")
+            assert captured.out == ""
         assert calls == {}
 
     def test_seed_propagates_to_rows(self, tmp_path):
