@@ -54,7 +54,6 @@ from .scenario import (
     block_rng,
     build_geometry,
     build_pilot_book,
-    check_integer,
     check_real,
     default_ap_order,
     draw_block,
@@ -100,17 +99,17 @@ class ExperimentSpec:
     snr_grid_db: tuple[float, ...] = (-10.0, -8.0, -6.0, -4.0, -2.0, 0.0)
     methods: tuple[str, ...] = METHODS
     detector: str = "centralized_zf"
-    payload_symbols_per_block: int = 0  # 0 -> tau_c - tau_p
     out_dir: str = "results"
 
     def __post_init__(self):
-        check_integer("payload_symbols_per_block", self.payload_symbols_per_block)
         for name in ("snr_grid_db", "methods"):
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
         for snr_db in self.snr_grid_db:
             check_real("snr_grid_db entry", snr_db)
             uplink_power(snr_db)
+        if self.cfg.rho != 1.0:
+            raise ValueError(f"cfg.rho={self.cfg.rho} must be 1.0: snr_grid_db sets the uplink power")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path; got {self.out_dir!r}")
         object.__setattr__(self, "out_dir", os.fspath(self.out_dir))  # as results.json writes it
@@ -131,24 +130,14 @@ class ExperimentSpec:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        max_payload = self.cfg.tau_c - self.cfg.tau_p
-        if self.payload_symbols_per_block == 0:
-            object.__setattr__(self, "payload_symbols_per_block", max_payload)
-        if not 1 <= self.payload_symbols_per_block <= max_payload:
-            raise ValueError(
-                f"payload_symbols_per_block must be in 1..{max_payload}"
-            )
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_dict(self) -> dict:
-        """Plain-data form. A default AP order is written as [] and a
-        default payload length as 0, so that a changed L, tau_c or tau_p
-        derives its own default when the dict is read back."""
+        """Plain-data form. A default AP order is written as [], so that a
+        changed L derives its own default when the dict is read back."""
         d = asdict(self)
         cfg, order = self.cfg, self.cfg.ap_order
         d["cfg"]["ap_order"] = [] if order == default_ap_order(cfg.L) else list(order)
-        if self.payload_symbols_per_block == cfg.tau_c - cfg.tau_p:
-            d["payload_symbols_per_block"] = 0
         d["snr_grid_db"] = list(self.snr_grid_db)
         d["methods"] = list(self.methods)
         return d
@@ -431,7 +420,7 @@ class _Sweep:
     the payload buffers by term and the running totals."""
 
     def __init__(self, spec: ExperimentSpec):
-        cfg, n_symbols = spec.cfg, spec.payload_symbols_per_block
+        cfg, n_symbols = spec.cfg, spec.cfg.tau_c - spec.cfg.tau_p
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
         self.chain = Chain(cfg.ap_order, log=None)
@@ -498,14 +487,14 @@ def _draw(sweep: _Sweep, blocks: range, totals: _Totals):
     projected residual, the pilot LS estimates of every SNR point
     (P, B, L, N, K), and the payload by term, drawn once for all points
     at the first point's power into the sweep's buffers."""
-    cfg, n_symbols = sweep.spec.cfg, sweep.spec.payload_symbols_per_block
+    cfg = sweep.spec.cfg
     payload = {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
     drawn = []
     for i, b in enumerate(blocks):
         geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
         drawn.append(draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM)))
         rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
-        one = uplink.simulate_uplink_rx(drawn[-1], sweep.points[0], rng, n_symbols)
+        one = uplink.simulate_uplink_rx(drawn[-1], sweep.points[0], rng)
         for term, buf in payload.items():
             buf[i] = getattr(one, term)
         del one  # not held while the next block is drawn

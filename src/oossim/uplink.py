@@ -24,8 +24,6 @@ from .fronthaul import Chain, add_and_forward, hermitian_symbols, vector_symbols
 from .numerics import PINV_RTOL, NumericalFailure, check_invertible, herm, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
-QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-
 
 @dataclass
 class UplinkSymbolBatch:

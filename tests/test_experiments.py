@@ -57,10 +57,15 @@ from oossim.uplink import UplinkSymbolBatch
 
 
 def tiny_spec(**cfg_over):
-    cfg = make_cfg(trials=3, **cfg_over)
-    return ExperimentSpec(
-        cfg=cfg, snr_grid_db=(0.0,), payload_symbols_per_block=10
-    )
+    """Three blocks at 0 dB, each with 10 payload symbols (tau_c = tau_p + 10)."""
+    cfg_over.setdefault("tau_p", 10)
+    cfg = make_cfg(trials=3, tau_c=cfg_over["tau_p"] + 10, **cfg_over)
+    return ExperimentSpec(cfg=cfg, snr_grid_db=(0.0,))
+
+
+def with_payload(spec, n_symbols):
+    """`spec` with `n_symbols` payload symbols per block: tau_c = tau_p + n_symbols."""
+    return replace(spec, cfg=replace(spec.cfg, tau_c=spec.cfg.tau_p + n_symbols))
 
 
 def holds(stack, mark) -> bool:
@@ -98,8 +103,7 @@ def fail_centralized_detection(monkeypatch, spec, block):
     for snr_db in spec.snr_grid_db:
         cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
         rng = block_rng(cfg.seed, block, PAYLOAD_STREAM)
-        n_symbols = spec.payload_symbols_per_block
-        marks.append(uplink.simulate_uplink_rx(drawn_block(cfg, block), cfg, rng, n_symbols).y[0])
+        marks.append(uplink.simulate_uplink_rx(drawn_block(cfg, block), cfg, rng).y[0])
     original = uplink.apply_zf_filter
 
     def flaky(y, F):
@@ -242,17 +246,12 @@ class TestSpec:
         assert cfg.oos_snr == pytest.approx(10 ** (-0.3))
         assert spec.snr_grid_db == (-10.0, -8.0, -6.0, -4.0, -2.0, 0.0)
         assert len(spec.methods) == 5
-        assert spec.payload_symbols_per_block == 150
 
     def test_methods_validated(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=make_cfg(), methods=())
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=make_cfg(), methods=("wizardry",))
-
-    def test_payload_budget(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(cfg=make_cfg(tau_p=10, tau_c=20), payload_symbols_per_block=11)
 
     def test_round_trips_through_dict(self):
         spec = tiny_spec()
@@ -279,7 +278,7 @@ class TestSpec:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("payload_symbols_per_block", 10.0),
+            ("cfg", make_cfg(rho=5.0)),  # snr_grid_db sets the uplink power
             ("snr_grid_db", 0.0),
             ("snr_grid_db", (True,)),
             ("methods", "seq_gramian"),
@@ -288,7 +287,7 @@ class TestSpec:
     )
     def test_malformed_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ExperimentSpec(cfg=make_cfg(), **{field: value})
+            ExperimentSpec(**{"cfg": make_cfg(), field: value})
 
     def test_unknown_config_fields_rejected(self):
         with pytest.raises(ValueError, match=r"unknown config fields \['foo'\]"):
@@ -306,19 +305,6 @@ class TestSpec:
         with pytest.raises(ValueError, match="permutation"):
             with_L(explicit, 4)
 
-    def test_default_payload_follows_overridden_block_lengths(self):
-        def with_cfg(spec, **cfg):
-            d = spec.to_dict()
-            d["cfg"].update(cfg)
-            return ExperimentSpec.from_dict(d)
-
-        assert default_spec().to_dict()["payload_symbols_per_block"] == 0
-        assert with_cfg(default_spec(), tau_c=100).payload_symbols_per_block == 50
-        assert with_cfg(default_spec(), tau_p=60).payload_symbols_per_block == 140
-        explicit = default_spec(payload_symbols_per_block=40)
-        assert explicit.to_dict()["payload_symbols_per_block"] == 40
-        assert with_cfg(explicit, tau_c=100).payload_symbols_per_block == 40
-
 
 class TestRunMonteCarlo:
     def test_centralized_zf_takes_the_qr_route(self, monkeypatch):
@@ -333,6 +319,16 @@ class TestRunMonteCarlo:
         run_monte_carlo(with_trials(default_spec(cfg=SystemConfig(L=1), methods=methods), 2))
         assert calls["pseudo_inverse"] > 0
 
+    @pytest.mark.parametrize("tau_c", [15, 60])
+    def test_payload_follows_tau_c(self, tau_c):
+        # tiny_spec has tau_c = 20; a replaced tau_c sizes every block's payload
+        spec = tiny_spec()
+        cfg = replace(spec.cfg, tau_c=tau_c)
+        rows = run_monte_carlo(replace(spec, cfg=cfg)).rows
+        assert rows and all(
+            row.bit_count == 2 * cfg.K * (tau_c - cfg.tau_p) * cfg.trials for row in rows
+        )
+
     def test_row_grid_arithmetic(self):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0))
         out = run_monte_carlo(spec)
@@ -341,10 +337,9 @@ class TestRunMonteCarlo:
     def test_genie_noise_vanishing_gives_zero_ber(self):
         # crank the uplink power so noise is negligible
         spec = ExperimentSpec(
-            cfg=make_cfg(trials=2, noise_floor_dbw=-124.0),
+            cfg=make_cfg(trials=2, noise_floor_dbw=-124.0, tau_c=20),
             snr_grid_db=(60.0,),
             methods=("centralized_genie",),
-            payload_symbols_per_block=10,
         )
         out = run_monte_carlo(spec)
         assert out.rows[0].ber == 0.0
@@ -360,7 +355,7 @@ class TestRunMonteCarlo:
         assert ber_all[("seq_gramian", 0.0)] == ber_one.ber
 
     def test_fronthaul_column(self):
-        spec = tiny_spec(K=5, K_I=2, tau_p=50, tau_c=100, L=4, ap_order=(4, 3, 2, 1))
+        spec = tiny_spec(K=5, K_I=2, tau_p=50, L=4, ap_order=(4, 3, 2, 1))
         out = run_monte_carlo(spec)
         loads = {r.method: r.fronthaul_per_link_real_symbols for r in out.rows}
         assert loads["seq_procrustes"] == 180
@@ -433,7 +428,7 @@ class TestRunMonteCarlo:
         assert all("injected" in f[3] and "AP" in f[3] for f in failures)
         assert out.diagnostics.numerical_failures == 2
         assert len(out.rows) == len(spec.methods) * 2
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row in out.rows:
             survivors = spec.cfg.trials - (row.method == "seq_procrustes")
             assert row.bit_count == survivors * per_block
@@ -477,8 +472,7 @@ class TestRunMonteCarlo:
             with monkeypatch.context() as patch:
                 count_calls(patch, uplink, side, calls)
                 count_calls(patch, uplink, apply, calls)
-                spec = build(detector=detector, snr_grid_db=grid, payload_symbols_per_block=10)
-                spec = with_trials(spec, 7)
+                spec = with_trials(with_payload(build(detector=detector, snr_grid_db=grid), 10), 7)
                 run_monte_carlo(spec)
             chunks = -(-spec.cfg.trials // experiments.CHUNK_BLOCKS)
             assert calls == {side: chunks * (groups + 1), apply: len(grid) * chunks * (groups + 1)}
@@ -564,7 +558,7 @@ class TestRunMonteCarlo:
             for i, b in enumerate(blocks):
                 alone = uplink.simulate_uplink_rx(
                     drawn_block(cfg, b), replace(cfg, rho=10.0 ** (snr_db / 10.0)),
-                    block_rng(cfg.seed, b, PAYLOAD_STREAM), spec.payload_symbols_per_block,
+                    block_rng(cfg.seed, b, PAYLOAD_STREAM),
                 )
                 assert np.array_equal(x[i], alone.x) and np.array_equal(y[i], alone.y)
 
@@ -635,7 +629,7 @@ class TestChunking:
     @pytest.mark.parametrize("detector", ["sequential_ls", "distributed_zf"])
     @pytest.mark.parametrize("build", [default_spec, overloaded_interferers_spec])
     def test_results_independent_of_chunk_size(self, monkeypatch, build, detector):
-        spec = with_trials(build(detector=detector, payload_symbols_per_block=40), 7)
+        spec = with_trials(with_payload(build(detector=detector), 40), 7)
         per_block, *others = self.records(monkeypatch, spec)
         assert per_block[0]
         assert all(other == per_block for other in others)
@@ -655,7 +649,7 @@ class TestChunking:
         assert [f[:3] for f in failures] == expected
         assert numerical_failures == len(expected)
         rows = run_monte_carlo(spec).rows
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row in rows:
             survivors = spec.cfg.trials - 1 - (row.method == "seq_procrustes")
             assert row.bit_count == survivors * per_block
@@ -669,7 +663,7 @@ class TestChunking:
         expected = [(method, snr, block) for snr in spec.snr_grid_db]
         assert [f[:3] for f in failures] == expected
         assert numerical_failures == len(expected)
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row in run_monte_carlo(spec).rows:
             survivors = spec.cfg.trials - (row.method == method)
             assert row.bit_count == survivors * per_block
@@ -697,7 +691,7 @@ class TestChunking:
         suppressing = [m for m in spec.methods if m not in ("no_suppression", "centralized_genie")]
         assert [f[:3] for f in failures] == [(m, 0.0, 5) for m in suppressing]
         assert numerical_failures == len(suppressing)
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
             if row.snr_db == 0.0 and row.method in suppressing:
                 assert row.bit_count == want.bit_count - per_block
@@ -712,9 +706,7 @@ class TestChunking:
         clean = run_monte_carlo(spec).rows
         cfg = replace(spec.cfg, rho=experiments.uplink_power(3.0))
         rng = block_rng(cfg.seed, 2, PAYLOAD_STREAM)
-        mark = uplink.simulate_uplink_rx(
-            drawn_block(cfg, 2), cfg, rng, spec.payload_symbols_per_block
-        ).y[0]
+        mark = uplink.simulate_uplink_rx(drawn_block(cfg, 2), cfg, rng).y[0]
         original = uplink.apply_zf_filter
 
         def flaky(y, F):
@@ -728,7 +720,7 @@ class TestChunking:
         _, numerical_failures, _, failures = first
         assert [f[:3] for f in failures] == [(m, 3.0, 2) for m in spec.methods]
         assert numerical_failures == len(spec.methods)
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
             if row.snr_db == 3.0:
                 assert row.bit_count == want.bit_count - per_block
@@ -749,7 +741,7 @@ class TestChunking:
         assert [f[:3] for f in failures] == [("seq_gramian", 0.0, 5)]
         assert "inner solve failed" in failures[0][3]
         assert out.diagnostics.numerical_failures == 1
-        per_block = 2 * spec.cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row, want in zip(out.rows, clean, strict=True):
             if (row.method, row.snr_db) == ("seq_gramian", 0.0):
                 assert row.bit_count == want.bit_count - per_block
@@ -807,7 +799,7 @@ class TestChunking:
         _, numerical_failures, _, failures = first
         assert [f[:3] for f in failures] == [("seq_gramian", snr, 1) for snr in spec.snr_grid_db]
         assert numerical_failures == len(spec.snr_grid_db)
-        per_block = 2 * cfg.K * spec.payload_symbols_per_block
+        per_block = 2 * cfg.K * (cfg.tau_c - cfg.tau_p)
         for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
             if row.method == "seq_gramian":
                 assert row.bit_count == want.bit_count - per_block
@@ -936,7 +928,7 @@ class TestConfigEdges:
         seed=st.integers(0, 2**16),
     )
     def test_sweep_never_raises_and_ignores_chunking(self, edge, trials, detector, seed):
-        cfg = dict(L=2, N=2, K=2, K_I=1, tau_p=6, tau_c=16, trials=trials, seed=seed)
+        cfg = dict(L=2, N=2, K=2, K_I=1, tau_p=6, trials=trials, seed=seed)
         methods = experiments.METHODS
         if edge == "K_I=0":
             cfg["K_I"] = 0
@@ -948,9 +940,9 @@ class TestConfigEdges:
             cfg.update(K_I=3, tau_p=5)
             methods = tuple(m for m in methods if m != "local_processing")
         spec = ExperimentSpec(
-            cfg=make_cfg(**cfg), snr_grid_db=(-3.0, 6.0), methods=methods,
-            detector=detector, payload_symbols_per_block=8,
+            cfg=make_cfg(**cfg), snr_grid_db=(-3.0, 6.0), methods=methods, detector=detector
         )
+        spec = with_payload(spec, 8)
         chunked = sweep_record(spec)
         with mock.patch.object(experiments, "CHUNK_BLOCKS", 1):
             assert sweep_record(spec) == chunked
@@ -1035,9 +1027,8 @@ class TestCli:
                 "--trials", "2",
                 "--seed", "5",
                 "--override", "snr_grid_db=[0.0]",
-                "--override", "payload_symbols_per_block=10",
                 "--override", "cfg.tau_p=10",
-                "--override", "cfg.tau_c=30",
+                "--override", "cfg.tau_c=20",
                 "--override", "cfg.K=3",
                 "--override", "cfg.K_I=2",
                 "--override", "cfg.L=3",
@@ -1115,7 +1106,7 @@ class TestCli:
     def test_run_with_an_overridden_L(self, tmp_path):
         rc = main(
             ["run", "--out", str(tmp_path), "--trials", "2", "--override", "cfg.L=6",
-             "--override", "snr_grid_db=[0.0]", "--override", "payload_symbols_per_block=10"]
+             "--override", "snr_grid_db=[0.0]", "--override", "cfg.tau_c=60"]
         )
         assert rc == 0
         data = json.loads((tmp_path / "results.json").read_text())
@@ -1146,7 +1137,7 @@ class TestCli:
             ["report", "--override", "cfg.L=2.5"],
             ["report", "--override", "cfg.alpha=[1]"],
             ["report", "--override", "cfg.trials=true"],
-            ["run", "--override", "payload_symbols_per_block=abc"],
+            ["run", "--override", "payload_symbols_per_block=10"],
             ["run", "--override", "snr_grid_db=5"],
             ["run", "--override", "methods=5"],
             ["run", "--override", "cfg=5"],
@@ -1155,6 +1146,7 @@ class TestCli:
             ["run", "--override", "notanassignment"],
             ["report", "--override", 'method=["seq_gramian"]'],
             ["report", "--override", "detectr=x"],
+            ["run", "--override", "cfg.rho=5"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
@@ -1176,7 +1168,7 @@ class TestCli:
 
     @pytest.mark.parametrize("override, payload", [("cfg.tau_c=100", 50), ("cfg.tau_p=60", 140)])
     def test_run_with_overridden_block_lengths(self, tmp_path, override, payload):
-        # the default payload length follows tau_c - tau_p
+        # a block carries tau_c - tau_p payload symbols
         rc = main(
             ["run", "--out", str(tmp_path), "--trials", "1", "--override", override,
              "--override", "snr_grid_db=[0.0]", "--override", 'methods=["no_suppression"]']

@@ -9,7 +9,6 @@ from oossim.fronthaul import Chain
 from oossim.numerics import DegeneracyError, NumericalFailure, herm, pseudo_inverse
 from oossim.scenario import draw_block
 from oossim.uplink import (
-    QPSK_POINTS,
     UplinkSymbolBatch,
     accumulate_channel_gramian,
     apply_distributed_zf,
@@ -44,7 +43,8 @@ def genie_aug(block):
 class TestSimulateUplink:
     def test_qpsk_constellation(self, rng):
         x = draw_qpsk(rng, 4, 50)
-        dists = np.min(np.abs(x[..., None] - QPSK_POINTS), axis=-1)
+        points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+        dists = np.min(np.abs(x[..., None] - points), axis=-1)
         assert np.allclose(dists, 0.0)
         assert np.allclose(np.abs(x), 1.0)
 
