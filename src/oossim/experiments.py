@@ -252,7 +252,7 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     aug = _augmented_stack([ghat], ue, _augmented_width(method, cfg))
     channel = _channel_side(detector, aug, cfg, chain)
     batch = uplink.simulate_uplink_rx(block, cfg, rng, n_symbols=1)
-    _apply(detector, batch.y, channel, cfg, chain)
+    _apply(detector, batch.y, channel, chain)
 
     expected = analytic_per_link(method, cfg, detector)
     measured = {p: chain.log.per_link_symbols(p) for p in chain.log.phases()}
@@ -351,9 +351,9 @@ def _augmented_stack(ghats, ue, width):
 def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
-    with aug's leading axes. Zero-forcing keeps the UE rows of its filter
-    alone; distributed ZF also carries herm(aug), conjugated here once
-    for every SNR point; the sequential-LS gains keep all rows."""
+    with aug's leading axes. Each keeps the UE rows of its filter, Gramian
+    inverse or error covariance alone; the two chain detectors also carry
+    herm(aug), conjugated here once for every SNR point."""
     K = cfg.K
     if detector == "centralized_zf":
         return (uplink.zf_filter(aug)[..., :K, :],)
@@ -361,18 +361,18 @@ def _channel_side(detector, aug, cfg, chain):
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         return herm(aug), uplink.inverse_gramian(gamma)[..., :K, :]
     if detector == "sequential_ls":
-        return aug, uplink.sequential_ls_gains(aug, cfg, chain)
+        return herm(aug), uplink.sequential_ls_covariance(aug, cfg, chain)[..., :K, :]
     raise ValueError(f"unknown detector {detector!r}")
 
 
-def _apply(detector, y, channel, cfg, chain):
+def _apply(detector, y, channel, chain):
     """The K UEs' estimates (..., K, T) from the received vectors `y` and
     the result `channel` of _channel_side."""
     if detector == "centralized_zf":
         return uplink.apply_zf_filter(y, *channel)
     if detector == "distributed_zf":
         return uplink.apply_distributed_zf(y, *channel, chain)
-    return uplink.apply_sequential_ls(y, *channel, chain)[..., : cfg.K, :]
+    return uplink.apply_sequential_ls(y, *channel, chain)
 
 
 class _Totals:
@@ -549,13 +549,12 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
 
     x, y = payload["x"], payload["y"]
     for j, p in enumerate(points):
-        cfg_pt = sweep.points[p]
         if "hx" in payload:  # the buffer may hold another point's y
             terms = payload["hx"], payload.get("gs"), payload["noise"]
-            uplink.received_signal(cfg_pt.rho, *terms, out=y)
+            uplink.received_signal(sweep.points[p].rho, *terms, out=y)
         for members, count, side in sides:
             channel = tuple(part[:, min(j, count - 1)] for part in side)
-            ue = _apply(detector, y, channel, cfg_pt, sweep.chain)
+            ue = _apply(detector, y, channel, sweep.chain)
             totals.lap(f"apply.{detector}")
             errors = uplink.count_bit_errors(ue, x)
             totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)

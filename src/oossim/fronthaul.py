@@ -5,8 +5,8 @@ instrumentation, not a network stack: the claims being checked are about
 symbol counts, not timing. One real symbol is one real scalar; a complex
 scalar costs 2; a Hermitian n x n matrix costs n^2 (real diagonal plus
 the complex upper triangle). Payload-phase loads (combined uplink
-vectors, sequential estimates) are per symbol period; the other loads
-(pilot phase, channel Gramians, error covariances) are per coherence
+vectors) are per symbol period; the other loads
+(pilot phase, channel Gramians, information matrices) are per coherence
 block. A payload may stack several blocks along leading axes; each size
 rule reads the trailing axes, so a load is still counted per block.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numerics import NumericalFailure
+from .numerics import NumericalFailure, herm
 
 CPU = 0  # node id of the central processor in link records
 
@@ -58,6 +58,11 @@ def add_and_forward(acc, term):
         return term
     acc += term
     return acc
+
+
+def add_gramian(acc, A):
+    """add_and_forward of the Gramian A^H A of an AP's slot A."""
+    return add_and_forward(acc, herm(A) @ A)
 
 
 @dataclass(frozen=True)

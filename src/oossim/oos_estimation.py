@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fronthaul import Chain, add_and_forward, hermitian_symbols, matrix_symbols
+from .fronthaul import Chain, add_gramian, hermitian_symbols, matrix_symbols
 from .numerics import (
     DegeneracyError,
     _checked_svd,
@@ -76,6 +76,13 @@ def procrustes_rotation(
     LAPACK's deterministic completion is used and the event counted on
     `diagnostics`, once per degenerate matrix of a stack.
     """
+    U, Vh = _procrustes_factors(S_prev, S_local, diagnostics)
+    return herm(Vh) @ herm(U)
+
+
+def _procrustes_factors(S_prev, S_local, diagnostics):
+    """The SVD factors U, V^H of S_local^H S_prev, Q = V U^H, with the
+    degenerate rotations counted (see procrustes_rotation)."""
     if S_prev.shape != S_local.shape:
         raise ValueError("estimates must have matching shapes")
     U, sigma, Vh = _checked_svd(herm(S_local) @ S_prev)
@@ -83,15 +90,16 @@ def procrustes_rotation(
         top = sigma[..., 0]
         degenerate = (top == 0.0) | (sigma[..., -1] <= 1e-12 * top)
         diagnostics.degenerate_rotations += int(np.count_nonzero(degenerate))
-    return herm(Vh) @ herm(U)
+    return U, Vh
 
 
 def rotate_and_average_step(
     S_prev: np.ndarray, S_local: np.ndarray, diagnostics=None
 ) -> np.ndarray:
-    """Align the local estimate onto the incoming one, then average."""
-    Q = procrustes_rotation(S_prev, S_local, diagnostics)
-    return 0.5 * (S_prev + S_local @ herm(Q))
+    """Align the local estimate onto the incoming one, S_local Q^H with
+    Q^H = U V^H straight from the factors, then average."""
+    U, Vh = _procrustes_factors(S_prev, S_local, diagnostics)
+    return 0.5 * (S_prev + S_local @ (U @ Vh))
 
 
 def run_sequential_procrustes(
@@ -129,10 +137,7 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     if cfg.K_I == 0:
         return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
 
-    def fold(acc, z):
-        return add_and_forward(acc, herm(z) @ z)
-
-    total = chain.run("oos_forward", fold, hermitian_symbols, None, zpsi)
+    total = chain.run("oos_forward", add_gramian, hermitian_symbols, None, zpsi)
     vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
     chain.broadcast("oos_broadcast", vectors, matrix_symbols)
     return vectors

@@ -35,7 +35,7 @@ from oossim.experiments import (
     rows_to_csv,
     run_monte_carlo,
 )
-from oossim.numerics import NumericalFailure
+from oossim.numerics import NumericalFailure, herm
 from oossim.fronthaul import Chain
 from oossim.pilot_phase import (
     compute_projected_residual,
@@ -164,26 +164,27 @@ def fail_estimates_at(monkeypatch, spec, snr_db, block):
 
 
 def fail_sequential_ls_solve(monkeypatch, spec, snr_db, block):
-    """Make the sequential-LS inner solve fail whenever its augmented
-    channels hold seq_gramian's on `block` at the SNR point `snr_db`
-    (those of the first AP in the chain, whose solve takes A C = alpha A
-    from the prior C = alpha I), so only seq_gramian fails there."""
+    """Make the sequential-LS inverse at the CPU fail whenever it takes
+    the information matrix J = I/alpha + sum of A_l^H A_l (in visit
+    order) of seq_gramian's augmented channels on `block` at the SNR point
+    `snr_db`, so only seq_gramian fails there."""
     cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
     drawn, pilots = drawn_block(cfg, block), build_pilot_book(cfg)
     est = ls_channel_estimate(simulate_pilot_rx(drawn, pilots, cfg), pilots, cfg)
     zpsi = compute_projected_residual(pilot_interference(drawn), pilots)
     sbar = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
-    ghat = oos_estimation.estimate_oos_channels(zpsi, sbar)
-    first = cfg.ap_order[0] - 1
-    mark = cfg.alpha * np.concatenate([est[first], ghat[first]], axis=-1)
-    original = np.linalg.solve
+    aug = np.concatenate([est, oos_estimation.estimate_oos_channels(zpsi, sbar)], axis=-1)
+    mark = np.eye(aug.shape[-1], dtype=complex) / cfg.alpha
+    for ap in cfg.ap_order:
+        mark = mark + herm(aug[ap - 1]) @ aug[ap - 1]
+    original = np.linalg.inv
 
-    def flaky(a, b):
-        if b.shape[-2:] == mark.shape and holds(b, mark):
+    def flaky(a):
+        if a.shape[-2:] == mark.shape and holds(a, mark):
             raise np.linalg.LinAlgError("injected")
-        return original(a, b)
+        return original(a)
 
-    monkeypatch.setattr(np.linalg, "solve", flaky)
+    monkeypatch.setattr(np.linalg, "inv", flaky)
 
 
 def fail_local_svd(monkeypatch, cfg, block):
@@ -455,7 +456,7 @@ class TestRunMonteCarlo:
             (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2),
             (overloaded_interferers_spec, "distributed_zf", "inverse_gramian",
              "apply_distributed_zf", 1),
-            (default_spec, "sequential_ls", "sequential_ls_gains", "apply_sequential_ls", 2),
+            (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_sequential_ls", 2),
         ],
     )
     def test_detection_runs_once_per_width_group(
@@ -500,7 +501,7 @@ class TestRunMonteCarlo:
         aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
         batch = UplinkSymbolBatch(x=None, s=None, y=crandn(rng, 3, cfg.L, cfg.N, 40))
         channel = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
-        got = experiments._apply(detector, batch.y, channel, cfg, Chain.for_config(cfg))
+        got = experiments._apply(detector, batch.y, channel, Chain.for_config(cfg))
         if detector == "centralized_zf":
             want = uplink.detect_centralized(batch, aug)
         elif detector == "distributed_zf":
@@ -739,7 +740,7 @@ class TestChunking:
         out = run_monte_carlo(spec)
         failures = out.diagnostics.failures
         assert [f[:3] for f in failures] == [("seq_gramian", 0.0, 5)]
-        assert "inner solve failed" in failures[0][3]
+        assert "information matrix is singular" in failures[0][3]
         assert out.diagnostics.numerical_failures == 1
         per_block = 2 * spec.cfg.K * (spec.cfg.tau_c - spec.cfg.tau_p)
         for row, want in zip(out.rows, clean, strict=True):

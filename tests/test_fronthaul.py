@@ -179,13 +179,14 @@ class TestPerApSlots:
         cfg = make_cfg(L=4, ap_order=self.ORDER)
         N, m, T = cfg.N, cfg.K + cfg.K_I, 6
         aug, y = crandn(rng, 2, cfg.L, N, m), crandn(rng, 2, cfg.L, N, T)
-        # the recursions written out in visit order
-        C, xhat, gains = cfg.alpha * np.eye(m), np.zeros((2, m, T)), {}
+        # the recursions written out in visit order: the Kalman form of
+        # sequential LS, whose final C and estimate the information form gives
+        C, xhat = cfg.alpha * np.eye(m), np.zeros((2, m, T))
         for ap in self.ORDER:
             A = aug[:, ap - 1]
-            gains[ap] = herm(np.linalg.solve(np.eye(N) + A @ C @ herm(A), A @ C))
-            xhat = xhat + gains[ap] @ (y[:, ap - 1] - A @ xhat)
-            C = (np.eye(m) - gains[ap] @ A) @ C
+            gain = herm(np.linalg.solve(np.eye(N) + A @ C @ herm(A), A @ C))
+            xhat = xhat + gain @ (y[:, ap - 1] - A @ xhat)
+            C = (np.eye(m) - gain @ A) @ C
             C = 0.5 * (C + herm(C))
         chain = Chain.for_config(cfg)
         # chain sums equal the visit-order sum bit for bit
@@ -194,10 +195,9 @@ class TestPerApSlots:
         combined = sum(herm(aug[:, ap - 1]) @ y[:, ap - 1] for ap in self.ORDER)
         got = uplink.apply_distributed_zf(y, herm(aug), np.eye(m), chain)
         assert np.array_equal(got, combined)
-        got = uplink.sequential_ls_gains(aug, cfg, chain)
-        for ap in self.ORDER:
-            assert np.allclose(got[:, ap - 1], gains[ap])
-        assert np.allclose(uplink.apply_sequential_ls(y, aug, got, chain), xhat)
+        got = uplink.sequential_ls_covariance(aug, cfg, chain)
+        assert np.allclose(got, C)
+        assert np.allclose(uplink.apply_sequential_ls(y, herm(aug), got, chain), xhat)
 
     def test_interferer_folds(self):
         rng = np.random.default_rng(6)

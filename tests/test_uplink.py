@@ -7,7 +7,7 @@ from conftest import crandn, make_cfg, unit_geometry
 from oossim import uplink
 from oossim.fronthaul import Chain
 from oossim.numerics import DegeneracyError, NumericalFailure, herm, pseudo_inverse
-from oossim.scenario import draw_block
+from oossim.scenario import SystemConfig, build_geometry, draw_block
 from oossim.uplink import (
     UplinkSymbolBatch,
     accumulate_channel_gramian,
@@ -21,7 +21,7 @@ from oossim.uplink import (
     draw_qpsk,
     inverse_gramian,
     received_signal,
-    sequential_ls_gains,
+    sequential_ls_covariance,
     simulate_uplink_rx,
     wilson_interval,
     zf_filter,
@@ -139,8 +139,31 @@ class TestSequentialLs:
             assert w.min() > -1e-8 * max(1.0, w.max())
             traces.append(float(np.trace(C).real))
         assert all(t2 <= t1 + 1e-9 for t1, t2 in zip(traces, traces[1:]))
+        assert np.allclose(sequential_ls_covariance(aug, cfg, Chain.for_config(cfg)), C)
         state = detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg))
         assert np.allclose(state.xhat, xhat)
+
+    @pytest.mark.parametrize(
+        ("L", "alpha", "bound"),
+        # L N = 8 >= K + K_I = 7: J is as well conditioned as A^H A at any alpha.
+        # L N = 4 < K + K_I: cond(J) grows with alpha (sequential_ls_covariance
+        # states the trade-off), about 6e-8 at the default alpha = 1e6.
+        [(2, 1e2, 1e-10), (2, 1e6, 1e-10), (2, 1e8, 1e-10), (2, 1e10, 1e-10), (1, 1e6, 1e-6)],
+    )
+    def test_matches_the_stacked_ridge_solution(self, L, alpha, bound):
+        # lstsq of [A; I/sqrt(alpha)] against [y; 0], on drawn geometries
+        for seed in range(5):
+            cfg = SystemConfig(L=L, alpha=alpha, seed=seed)
+            rng = np.random.default_rng(seed)
+            block = draw_block(cfg, build_geometry(cfg, rng), rng)
+            batch = simulate_uplink_rx(block, cfg, rng, 30)
+            aug = genie_aug(block)
+            xhat = detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg)).xhat
+            m = aug.shape[-1]
+            stacked = np.concatenate([aug.reshape(L * cfg.N, m), np.eye(m) / np.sqrt(alpha)])
+            rhs = np.concatenate([batch.y.reshape(L * cfg.N, -1), np.zeros((m, 30))])
+            want = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+            assert np.linalg.norm(xhat - want) <= bound * np.linalg.norm(want)
 
     def test_message_cost_per_hop(self):
         cfg = make_cfg()
@@ -452,10 +475,10 @@ class TestStackedBlocks:
         got = apply_distributed_zf(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg))
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
-        # sequential LS keeps all rows of its gains; each member of the
-        # (M, B) stack gets its own one-block detector call's UE rows
-        gains = sequential_ls_gains(augs, cfg, Chain.for_config(cfg))
-        got = apply_sequential_ls(stack.y, augs, gains, Chain.for_config(cfg))[..., :K, :]
+        # so does sequential LS with the UE rows of its covariance; each
+        # member of the (M, B) stack gets its own one-block call's UE rows
+        cov = sequential_ls_covariance(augs, cfg, Chain.for_config(cfg))[..., :K, :]
+        got = apply_sequential_ls(stack.y, herm(augs), cov, Chain.for_config(cfg))
         for m, aug in enumerate(augs):
             for b, (_, batch) in enumerate(drawn):
                 alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
