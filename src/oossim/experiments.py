@@ -13,13 +13,16 @@ order or the rest of the grid.
 
 The sweep runs CHUNK_BLOCKS blocks at a time (_run_chunk), every stage
 once per chunk on the blocks stacked along a leading axis; the batched
-kernels treat each block as they would alone. Everything but the
-received signal sqrt(rho) H x + G s + n and the detection apply step
-runs once for all SNR points, the detection channel side included: one
-call per width group (methods whose augmented channels have the same
-width), stacked over the points, and one for the genie, whose channels
-do not depend on the point. Per point, each channel side is applied in
-one call, the methods stacked against the one payload.
+kernels treat each block as they would alone. So does the draw: one
+call each for the geometry and the channels, one generator per block
+(scenario), and each block's payload into the sweep's buffers (_Sweep).
+Everything but the received signal sqrt(rho) H x + G s + n and the
+detection apply step runs once for all SNR points, the detection
+channel side included: one call per width group (methods whose
+augmented channels have the same width), stacked over the points, and
+one for the genie, whose channels do not depend on the point. Per
+point, each channel side is applied in one call, the methods stacked
+against the one payload.
 
 If a stage of a chunk raises NumericalFailure, what the chunk did is
 dropped; each block is drawn again alone (the same bits, by the two
@@ -37,7 +40,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -234,13 +237,8 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}; expected one of {DETECTORS}")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xF00D)))
-    unit_gains = Geometry(
-        ap_positions=np.zeros((cfg.L, 3)),
-        ue_positions=np.zeros((cfg.K, 3)),
-        oos_positions=np.zeros((cfg.K_I, 3)),
-        beta_ue=np.ones((cfg.L, cfg.K)),
-        beta_oos=np.ones((cfg.L, cfg.K_I)),
-    )
+    positions = (np.zeros((n, 3)) for n in (cfg.L, cfg.K, cfg.K_I))
+    unit_gains = Geometry(*positions, np.ones((cfg.L, cfg.K)), np.ones((cfg.L, cfg.K_I)))
     block = draw_block(cfg, unit_gains, rng)
     pilots = build_pilot_book(cfg)
     obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
@@ -417,7 +415,7 @@ class _Totals:
 class _Sweep:
     """What a sweep holds across its chunks: the pilot book, one config
     per SNR point, the chain (unlogged: load_report checks the loads),
-    the payload buffers by term and the running totals."""
+    the payload buffers by term, their rows per block and the totals."""
 
     def __init__(self, spec: ExperimentSpec):
         cfg, n_symbols = spec.cfg, spec.cfg.tau_c - spec.cfg.tau_p
@@ -429,8 +427,8 @@ class _Sweep:
 
         # Rows [:B] hold a chunk of B blocks (or one rerun block); y holds
         # one SNR point at a time. On a grid of one point y comes with the
-        # draw; otherwise the terms H x, G s (with interferers) and n are
-        # kept and each point forms its own y.
+        # draw (G s and n pass through one scratch); otherwise the terms
+        # H x, G s and n are kept and each point forms its own y.
         rx = (cfg.L, cfg.N, n_symbols)
         shapes = {"x": (cfg.K, n_symbols), "y": rx}
         if len(self.points) > 1:
@@ -438,6 +436,14 @@ class _Sweep:
             if cfg.K_I:
                 shapes["gs"] = rx
         self.payload = {t: np.empty((size, *shape), dtype=complex) for t, shape in shapes.items()}
+        s = np.empty((cfg.K_I, n_symbols), dtype=complex)
+        scratch = np.empty(rx, dtype=complex) if len(self.points) == 1 else None
+        self.rows = []
+        for i in range(size):
+            row = {t: buf[i] for t, buf in self.payload.items()}
+            if scratch is not None:
+                row.update(hx=row["y"], gs=scratch, noise=scratch)
+            self.rows.append(uplink.UplinkSymbolBatch(s=s, **row))
         self.totals = _Totals(spec)
 
     def outcome(self) -> MonteCarloOutcome:
@@ -488,19 +494,12 @@ def _draw(sweep: _Sweep, blocks: range, totals: _Totals):
     (P, B, L, N, K), and the payload by term, drawn once for all points
     at the first point's power into the sweep's buffers."""
     cfg = sweep.spec.cfg
-    payload = {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
-    drawn = []
+    geo = build_geometry(cfg, [block_rng(cfg.seed, b, GEOMETRY_STREAM) for b in blocks])
+    chunk = draw_block(cfg, geo, [block_rng(cfg.seed, b, CHANNEL_STREAM) for b in blocks])
     for i, b in enumerate(blocks):
-        geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-        drawn.append(draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM)))
+        block = BlockRealization(chunk.H[i], chunk.G[i], chunk.S[i], chunk.pilot_noise[i])
         rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
-        one = uplink.simulate_uplink_rx(drawn[-1], sweep.points[0], rng)
-        for term, buf in payload.items():
-            buf[i] = getattr(one, term)
-        del one  # not held while the next block is drawn
-    chunk = BlockRealization(
-        **{f.name: np.stack([getattr(d, f.name) for d in drawn]) for f in fields(BlockRealization)}
-    )
+        uplink.simulate_uplink_rx(block, sweep.points[0], rng, out=sweep.rows[i])
     totals.lap("draw")
     interference = pilot_phase.pilot_interference(chunk)
     zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
@@ -509,7 +508,7 @@ def _draw(sweep: _Sweep, blocks: range, totals: _Totals):
         obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
         est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
     totals.lap("pilot")
-    return chunk, zpsi, est, payload
+    return chunk, zpsi, est, {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
 
 
 def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):

@@ -1,7 +1,6 @@
 """Pilot-phase synthesis, local LS channel estimation, and the projected
-residuals whose column space the distributed estimators operate on. A
-block realization may carry a leading block axis on every array; each
-function then works block by block.
+residuals whose column space the distributed estimators operate on, block
+by block on a stacked realization (see scenario).
 """
 
 from __future__ import annotations

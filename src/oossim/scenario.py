@@ -7,6 +7,13 @@ floor `noise_floor_dbw`, whose default (-124 dBW = -174 dBm/Hz over
 20 MHz with a 7 dB noise figure) is the value conventionally paired with
 this path-loss model; build_geometry folds the floor into the gains so
 everything downstream works against unit noise.
+
+A Geometry or BlockRealization may carry a leading block axis on every
+array but ap_positions: build_geometry and draw_block draw such a stack
+from one generator per block, each block's rows bit for bit as its
+generator alone draws them. Each generator draws in a fixed order:
+geometry, UE then interferer positions; channels, H, G, S, pilot noise;
+payload (uplink.simulate_uplink_rx), QPSK bits, s, noise.
 """
 
 from __future__ import annotations
@@ -74,8 +81,8 @@ class SystemConfig:
         geometry = (self.area_side_m, self.ue_margin_m, self.ap_height_m, self.noise_floor_dbw)
         if not all(map(math.isfinite, geometry)):
             raise ValueError("geometry dimensions and noise_floor_dbw must be finite")
-        if self.area_side_m <= 0 or self.ue_margin_m < 0 or self.ap_height_m < 0:
-            raise ValueError("invalid geometry dimensions")
+        if not (self.ap_height_m >= 0 and 0 <= self.ue_margin_m < self.area_side_m / 2):
+            raise ValueError("need ap_height_m >= 0 and 0 <= ue_margin_m < area_side_m / 2")
         if not self.ap_order:
             object.__setattr__(self, "ap_order", default_ap_order(self.L))
         else:
@@ -136,8 +143,7 @@ class PilotBook:
 
 @dataclass
 class BlockRealization:
-    """True channels, interferer pilot-phase signal and noise for one block,
-    or for a stack of blocks along a leading axis of every array."""
+    """True channels, interferer pilot-phase signal and noise for one block."""
 
     H: np.ndarray  # (L, N, K)
     G: np.ndarray  # (L, N, K_I)
@@ -150,19 +156,28 @@ def path_loss_db(distance_m):
     return -30.5 - 36.7 * np.log10(distance_m)
 
 
-def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
+def crandn(rng, *shape, out=None) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with unit variance.
 
-    Draws the real parts, then the imaginary parts, in one call, and
-    scales the result in place: bit for bit the value of
-    (re + 1j * im) / sqrt(2) with re and im drawn in turn, without its
-    full-size temporaries.
+    Each generator draws the real parts, then the imaginary parts, into a
+    float (2, *shape) buffer, and the result is scaled in place: bit for
+    bit (re + 1j * im) / sqrt(2) with re and im drawn in turn. `out`, when
+    given, is filled and sets the shape; `rng` may then be one generator
+    per row of it.
     """
-    parts = rng.standard_normal((2, *shape))
-    z = np.empty(shape, dtype=complex)
-    z.real, z.imag = parts
+    z = np.empty(shape, dtype=complex) if out is None else out
+    rngs, rows = ((rng,), z[None]) if isinstance(rng, np.random.Generator) else (rng, z)
+    parts = np.empty((len(rows), 2, *rows.shape[1:]))
+    for r, row in zip(rngs, parts):
+        r.standard_normal(out=row)
+    rows.real, rows.imag = parts[:, 0], parts[:, 1]
     z /= np.sqrt(2.0)
     return z
+
+
+def _generators(rng):
+    """(one generator per block, whether they draw a stack): a lone one draws one block."""
+    return ((rng,), False) if isinstance(rng, np.random.Generator) else (tuple(rng), True)
 
 
 def block_rng(seed: int, block_index: int, stream: int) -> np.random.Generator:
@@ -173,57 +188,39 @@ def block_rng(seed: int, block_index: int, stream: int) -> np.random.Generator:
 def _perimeter_points(side: float, L: int) -> np.ndarray:
     """L equally spaced points along the square border, starting at (0, 0)
     and walking counterclockwise."""
-    arc = np.arange(L) * (4.0 * side / L)
-    pts = np.empty((L, 2))
-    for i, s in enumerate(arc):
-        edge, t = divmod(s, side)
-        if edge == 0:
-            pts[i] = (t, 0.0)
-        elif edge == 1:
-            pts[i] = (side, t)
-        elif edge == 2:
-            pts[i] = (side - t, side)
-        else:
-            pts[i] = (0.0, side - t)
-    return pts
+    edge, t = np.divmod(np.arange(L) * (4.0 * side / L), side)
+    edge = edge.astype(int)  # 0 to 3: bottom, right, top, left
+    x = np.choose(edge, [t, side, side - t, 0.0])
+    return np.stack([x, np.choose(edge, [0.0, t, side, side - t])], axis=-1)
 
 
-def _gains(ap_positions, node_positions, noise_floor_dbw: float) -> np.ndarray:
-    if node_positions.shape[0] == 0:
-        return np.zeros((ap_positions.shape[0], 0))
-    d = np.linalg.norm(ap_positions[:, None, :] - node_positions[None, :, :], axis=2)
-    if np.any(d <= 0):
-        raise ValueError("AP and node coincide; path-loss model needs d > 0")
-    return 10.0 ** ((path_loss_db(d) - noise_floor_dbw) / 10.0)
-
-
-def build_geometry(cfg: SystemConfig, rng: np.random.Generator) -> Geometry:
+def build_geometry(cfg: SystemConfig, rng) -> Geometry:
     """Place APs on the area border, UEs and interferers uniformly inside.
 
     APs sit at height ap_height_m, equally spaced along the square
     perimeter; UEs and OoS sources are dropped uniformly (same rule for
     both) in the concentric square inset by ue_margin_m, at ground level.
-    Path loss uses the 3-D distance, so the AP height keeps d > 0.
+    Path loss uses the 3-D distance, so the AP height keeps d > 0. `rng`
+    is a generator, or a sequence of them for a stack (module docstring).
     """
-    side = cfg.area_side_m
-    if side - 2.0 * cfg.ue_margin_m <= 0:
-        raise ValueError("ue_margin_m leaves no placement area")
-    ap_xy = _perimeter_points(side, cfg.L)
-    ap_positions = np.column_stack([ap_xy, np.full(cfg.L, cfg.ap_height_m)])
-
+    rngs, stacked = _generators(rng)
+    side, K, L = cfg.area_side_m, cfg.K, cfg.L
+    ap_positions = np.column_stack([_perimeter_points(side, L), np.full(L, cfg.ap_height_m)])
+    # uniform(lo, hi) is lo + (hi - lo) * random(), op for op
     lo, hi = cfg.ue_margin_m, side - cfg.ue_margin_m
-    ue_xy = rng.uniform(lo, hi, size=(cfg.K, 2))
-    oos_xy = rng.uniform(lo, hi, size=(cfg.K_I, 2))
-    ue_positions = np.column_stack([ue_xy, np.zeros(cfg.K)])
-    oos_positions = np.column_stack([oos_xy, np.zeros(cfg.K_I)])
-
-    return Geometry(
-        ap_positions=ap_positions,
-        ue_positions=ue_positions,
-        oos_positions=oos_positions,
-        beta_ue=_gains(ap_positions, ue_positions, cfg.noise_floor_dbw),
-        beta_oos=_gains(ap_positions, oos_positions, cfg.noise_floor_dbw),
-    )
+    xy = np.empty((len(rngs), K + cfg.K_I, 2))
+    for r, row in zip(rngs, xy):
+        r.random(out=row)
+    nodes = np.zeros((len(rngs), K + cfg.K_I, 3))
+    np.add(xy * (hi - lo), lo, out=nodes[..., :2])
+    d = np.linalg.norm(ap_positions[:, None, :] - nodes[:, None, :, :], axis=-1)
+    if np.any(d <= 0):
+        raise ValueError("AP and node coincide; path-loss model needs d > 0")
+    gains = 10.0 ** ((path_loss_db(d) - cfg.noise_floor_dbw) / 10.0)
+    if not stacked:
+        nodes, gains = nodes[0], gains[0]
+    ue, oos = nodes[..., :K, :], nodes[..., K:, :]
+    return Geometry(ap_positions, ue, oos, beta_ue=gains[..., :K], beta_oos=gains[..., K:])
 
 
 def build_pilot_book(cfg: SystemConfig) -> PilotBook:
@@ -246,16 +243,19 @@ def dft_pilot_book(tau_p: int, K: int) -> PilotBook:
     return PilotBook(Phi=F[:, :K].copy(), Psi=F[:, K:].copy())
 
 
-def draw_block(cfg: SystemConfig, geo: Geometry, rng: np.random.Generator) -> BlockRealization:
-    """One coherence block of Rayleigh channels, OoS signal and pilot noise.
+def draw_block(cfg: SystemConfig, geo: Geometry, rng) -> BlockRealization:
+    """One coherence block of Rayleigh channels, OoS signal and pilot noise,
+    or a stack of them from a sequence of generators and a stacked `geo`.
 
     Channel columns have per-entry variance equal to the corresponding
     large-scale gain; interferer pilot symbols are i.i.d. complex Gaussian
-    with per-symbol power oos_snr; noise entries are unit variance. They
-    are drawn in the fixed order H, G, S, noise.
+    with per-symbol power oos_snr; noise entries are unit variance.
     """
-    H = crandn(rng, cfg.L, cfg.N, cfg.K) * np.sqrt(geo.beta_ue)[:, None, :]
-    G = crandn(rng, cfg.L, cfg.N, cfg.K_I) * np.sqrt(geo.beta_oos)[:, None, :]
-    S = np.sqrt(cfg.oos_snr) * crandn(rng, cfg.tau_p, cfg.K_I)
-    pilot_noise = crandn(rng, cfg.L, cfg.N, cfg.tau_p)
-    return BlockRealization(H=H, G=G, S=S, pilot_noise=pilot_noise)
+    rngs, stacked = _generators(rng)
+    B, L, N = len(rngs), cfg.L, cfg.N
+    shapes = ((L, N, cfg.K), (L, N, cfg.K_I), (cfg.tau_p, cfg.K_I), (L, N, cfg.tau_p))
+    H, G, S, pilot_noise = (crandn(rngs, out=np.empty((B, *sh), dtype=complex)) for sh in shapes)
+    H *= np.sqrt(geo.beta_ue)[..., None, :]
+    G *= np.sqrt(geo.beta_oos)[..., None, :]
+    S *= np.sqrt(cfg.oos_snr)
+    return BlockRealization(*(a if stacked else a[0] for a in (H, G, S, pilot_noise)))

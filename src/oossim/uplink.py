@@ -46,10 +46,13 @@ class DetectorState:
     xhat: np.ndarray  # (K + K_I, T)
 
 
-def draw_qpsk(rng: np.random.Generator, K: int, T: int) -> np.ndarray:
+def draw_qpsk(rng: np.random.Generator, K: int, T: int, out=None) -> np.ndarray:
     """Gray-mapped unit-power QPSK: bits (b1, b0) -> ((1-2b1) + i(1-2b0))/sqrt(2)."""
     b = rng.integers(0, 2, size=(2, K, T))
-    return ((1 - 2 * b[0]) + 1j * (1 - 2 * b[1])) / np.sqrt(2.0)
+    x = np.empty((K, T), dtype=complex) if out is None else out
+    x.real, x.imag = 1 - 2 * b
+    x /= np.sqrt(2.0)
+    return x
 
 
 def received_signal(rho: float, hx, gs=None, noise=None, out=None) -> np.ndarray:
@@ -70,24 +73,38 @@ def simulate_uplink_rx(
     rng: np.random.Generator,
     n_symbols: int | None = None,
     include_noise: bool = True,
+    *,
+    out: UplinkSymbolBatch | None = None,
 ) -> UplinkSymbolBatch:
     """Received payload per AP: y_l = sqrt(rho) H_l x + G_l s + n_l.
 
     x holds unit-power QPSK (the transmit scaling sqrt(rho) is applied to
     the received signal, so hard decisions stay scale free); interferer
     symbols are complex Gaussian at their own transmit power. The draw
-    also keeps the terms H x, G s and n (see received_signal).
+    keeps the terms H x, G s and n (see received_signal), in `out`'s
+    arrays when given (which set the payload length). y is summed as each
+    term is formed, so hx may be y itself and gs and noise one scratch.
     """
-    T = n_symbols if n_symbols is not None else cfg.tau_c - cfg.tau_p
-    if T < 1:
-        raise ValueError("need at least one payload symbol")
-    x = draw_qpsk(rng, cfg.K, T)
-    s = np.sqrt(cfg.oos_snr) * crandn(rng, cfg.K_I, T)
-    hx = block.H @ x
-    gs = block.G @ s if cfg.K_I else None
-    noise = crandn(rng, cfg.L, cfg.N, T) if include_noise else None
-    y = received_signal(cfg.rho, hx, gs, noise)
-    return UplinkSymbolBatch(x=x, s=s, y=y, hx=hx, gs=gs, noise=noise)
+    if out is None:
+        T = n_symbols if n_symbols is not None else cfg.tau_c - cfg.tau_p
+        if T < 1:
+            raise ValueError("need at least one payload symbol")
+        y, hx, gs, noise = np.empty((4, cfg.L, cfg.N, T), dtype=complex)
+        x, s = np.empty((cfg.K, T), dtype=complex), np.empty((cfg.K_I, T), dtype=complex)
+        gs, noise = gs if cfg.K_I else None, noise if include_noise else None
+        out = UplinkSymbolBatch(x, s, y, hx, gs, noise)
+    draw_qpsk(rng, cfg.K, out.x.shape[-1], out=out.x)
+    crandn(rng, out=out.s)
+    out.s *= np.sqrt(cfg.oos_snr)
+    np.matmul(block.H, out.x, out=out.hx)
+    received_signal(cfg.rho, out.hx, out=out.y)
+    if cfg.K_I:
+        np.matmul(block.G, out.s, out=out.gs)
+        out.y += out.gs
+    if include_noise:
+        crandn(rng, out=out.noise)
+        out.y += out.noise
+    return out
 
 
 def _combine_fold(acc, A_h, y_l):

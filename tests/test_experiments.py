@@ -444,11 +444,29 @@ class TestRunMonteCarlo:
         run_monte_carlo(spec)
         trials = spec.cfg.trials
         chunks = -(-trials // experiments.CHUNK_BLOCKS)
-        # local_processing and seq_procrustes share one local factorization
+        # local_processing and seq_procrustes share one local factorization;
+        # a chunk's geometry is drawn in one stacked call, its payload per block
         assert calls == {
-            "build_geometry": trials, "run_gramian_method": chunks,
+            "build_geometry": chunks, "run_gramian_method": chunks,
             "local_svd_estimate": chunks, "simulate_uplink_rx": trials,
         }
+
+    def test_geometry_is_drawn_before_anything_else(self, monkeypatch):
+        # the benchmark's setup_s probe patches experiments.build_geometry
+        # and stops the sweep at its first call, before any other draw
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        calls = Counter()
+        monkeypatch.setattr(experiments, "build_geometry", reached)
+        count_calls(monkeypatch, experiments, "draw_block", calls)
+        count_calls(monkeypatch, uplink, "simulate_uplink_rx", calls)
+        with pytest.raises(Reached):
+            run_monte_carlo(tiny_spec())
+        assert not calls
 
     @pytest.mark.parametrize(
         ("build", "detector", "side", "apply", "groups"),
@@ -634,6 +652,36 @@ class TestChunking:
         per_block, *others = self.records(monkeypatch, spec)
         assert per_block[0]
         assert all(other == per_block for other in others)
+
+    @pytest.mark.parametrize("grid", [(-4.0, 0.0), (0.0,)], ids=["two_points", "one_point"])
+    @pytest.mark.parametrize(
+        ("N", "K_I"), [(4, 0), (4, 2), (4, 5), (1, 2)], ids=["K_I0", "K_I2", "K_I5", "N1"]
+    )
+    def test_stacked_draw_equals_single_block_draws(self, grid, N, K_I):
+        # the golden hashes catch changed decisions, not rounding: a chunk's
+        # raw draw must equal its blocks drawn alone, bit for bit (K_I > N
+        # in the last two cases)
+        size = experiments.CHUNK_BLOCKS
+        cfg = make_cfg(L=5, N=N, K_I=K_I, trials=size, noise_floor_dbw=-124.0)
+        spec = ExperimentSpec(cfg=cfg, snr_grid_db=grid, methods=(GENIE,))
+        sweep = experiments._Sweep(spec)
+        chunk, _, _, payload = experiments._draw(sweep, range(size), experiments._Totals(spec))
+        # on a one-point grid the sweep keeps y; otherwise the terms of y
+        kept = {"x", "y"} if len(grid) == 1 else {"x", "hx", "noise"} | ({"gs"} if K_I else set())
+        assert kept <= set(payload)
+        for b in range(size):
+            geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
+            alone = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
+            batch = uplink.simulate_uplink_rx(
+                alone, sweep.points[0], block_rng(cfg.seed, b, PAYLOAD_STREAM)
+            )
+            for name in ("H", "G", "S", "pilot_noise"):
+                assert np.array_equal(getattr(chunk, name)[b], getattr(alone, name)), name
+            for term in kept:
+                assert np.array_equal(payload[term][b], getattr(batch, term)), term
+            # and a block's y is its terms summed, each product formed per AP
+            terms = alone.H @ batch.x, alone.G @ batch.s if K_I else None, batch.noise
+            assert np.array_equal(batch.y, uplink.received_signal(sweep.points[0].rho, *terms))
 
     # on a one-point grid the sweep keeps no H x, G s and n terms
     @pytest.mark.parametrize("grid", [(-4.0, 0.0), (0.0,)])
@@ -1148,6 +1196,7 @@ class TestCli:
             ["report", "--override", 'method=["seq_gramian"]'],
             ["report", "--override", "detectr=x"],
             ["run", "--override", "cfg.rho=5"],
+            ["run", "--override", "cfg.ue_margin_m=250"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):

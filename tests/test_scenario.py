@@ -127,10 +127,9 @@ class TestGeometry:
             assert np.all(pos[:, :2] <= cfg.area_side_m - cfg.ue_margin_m)
             assert np.allclose(pos[:, 2], 0.0)
 
-    def test_degenerate_area_rejected(self, rng):
-        cfg = SystemConfig(area_side_m=10.0, ue_margin_m=5.0)
-        with pytest.raises(ValueError):
-            build_geometry(cfg, rng)
+    def test_degenerate_area_rejected(self):
+        with pytest.raises(ValueError, match="ue_margin_m < area_side_m / 2"):
+            SystemConfig(area_side_m=10.0, ue_margin_m=5.0)
 
     def test_beta_decreases_with_distance(self):
         d = np.linspace(5, 700, 50)
