@@ -116,9 +116,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     # only the system config matters here, so the spec's methods are not
-    # checked against it: a method undefined under it is listed as such
+    # checked against it: a method undefined under it is listed as such;
+    # an override of any other spec field would be ignored, so it is refused
     try:
         spec_dict = _spec_dict(args)
+        for key in (item.partition("=")[0].strip() for item in args.override or []):
+            if not key.startswith("cfg."):
+                raise ValueError(f"only cfg.* overrides apply, not {key!r} (use --detector)")
         check_fields("spec", spec_dict, ExperimentSpec)
         cfg = config_from_dict(spec_dict["cfg"])
         out = _out_dir(args.out) if args.out else None

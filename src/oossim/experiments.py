@@ -218,12 +218,10 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
         elif method == "seq_gramian":
             phases["oos_forward"] = r * r
             phases["oos_broadcast"] = 2 * cfg.K_I * r
-    if detector == "distributed_zf":
-        phases["channel_gramian"] = m * m
-        phases["uplink_combine"] = 2 * m
-    elif detector == "sequential_ls":
-        phases["seq_ls_covariance"] = m * m
-        phases["uplink_seq_ls"] = 2 * m
+    if detector in uplink.CHAIN_PHASES:
+        per_block, per_symbol = uplink.CHAIN_PHASES[detector]
+        phases[per_block] = m * m
+        phases[per_symbol] = 2 * m
     return phases
 
 
@@ -368,9 +366,7 @@ def _apply(detector, y, channel, chain):
     the result `channel` of _channel_side."""
     if detector == "centralized_zf":
         return uplink.apply_zf_filter(y, *channel)
-    if detector == "distributed_zf":
-        return uplink.apply_distributed_zf(y, *channel, chain)
-    return uplink.apply_sequential_ls(y, *channel, chain)
+    return uplink.apply_chain(y, *channel, chain, detector)
 
 
 class _Totals:

@@ -115,8 +115,6 @@ def run_sequential_procrustes(
     `local_bases`, when given, holds the local estimates
     (local_svd_estimate(zpsi, K_I)[0], defined for K_I <= N).
     """
-    if cfg.K_I == 0:
-        return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
     locals_ = _local_signal_basis(zpsi, cfg.K_I) if local_bases is None else local_bases
 
     def fold(S, local):
@@ -134,9 +132,6 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     load is independent of the number of interferers. The returned
     estimate has orthonormal columns.
     """
-    if cfg.K_I == 0:
-        return np.zeros(zpsi.shape[:-3] + (cfg.tau_p - cfg.K, 0), dtype=complex)
-
     total = chain.run("oos_forward", add_gramian, hermitian_symbols, None, zpsi)
     vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
     chain.broadcast("oos_broadcast", vectors, matrix_symbols)

@@ -5,7 +5,10 @@ channel matrix is [UE estimates, interferer estimates], the detectors
 estimate all K + K_I entries, and the last K_I are discarded downstream.
 The three detectors (sequential LS, distributed ZF, centralized ZF) are
 each a channel side, which needs only the augmented channels, and an
-apply step, which needs the payload; each detect_* composes the two.
+apply step, which needs the payload; each detect_* composes the two. The
+two chain detectors share the Gramian fold and the apply step apply_chain:
+sequential LS starts its Gramian sum from the prior I/alpha, distributed
+ZF from the first AP's term and screens it with check_invertible.
 
 Every function here takes leading stack axes, and the augmented channels
 may carry more of them than the payload: channels (M, B, L, N, m) of M
@@ -107,9 +110,12 @@ def simulate_uplink_rx(
     return out
 
 
-def _combine_fold(acc, A_h, y_l):
-    """Chain-sum fold of the locally combined received vectors A_l^H y_l."""
-    return add_and_forward(acc, A_h @ y_l)
+# Chain phases of the two chain detectors: (channel side, once per block;
+# apply step, once per symbol period).
+CHAIN_PHASES = {
+    "distributed_zf": ("channel_gramian", "uplink_combine"),
+    "sequential_ls": ("seq_ls_covariance", "uplink_seq_ls"),
+}
 
 
 def sequential_ls_covariance(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.ndarray:
@@ -129,35 +135,16 @@ def sequential_ls_covariance(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -
     m = aug.shape[-1]
     J = np.zeros((*aug.shape[:-3], m, m), dtype=complex)
     J[..., range(m), range(m)] = 1 / cfg.alpha
-    J = chain.run("seq_ls_covariance", add_gramian, hermitian_symbols, J, aug)
+    J = chain.run(CHAIN_PHASES["sequential_ls"][0], add_gramian, hermitian_symbols, J, aug)
     try:
         return np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("sequential LS information matrix is singular") from exc
 
 
-def apply_sequential_ls(
-    y: np.ndarray, aug_h: np.ndarray, cov: np.ndarray, chain: Chain
-) -> np.ndarray:
-    """Apply step of sequential LS, the estimate pass on the received
-    vectors y (..., L, N, T): the chain sum of A_l^H y_l that distributed
-    ZF runs, once per symbol period, and at the CPU `cov` (the rows of
-    sequential_ls_covariance that are wanted). aug_h = herm(aug)."""
-    return cov @ chain.run("uplink_seq_ls", _combine_fold, vector_symbols, None, aug_h, y)
-
-
-def detect_sequential_ls(
-    batch: UplinkSymbolBatch, aug: np.ndarray, cfg: SystemConfig, chain: Chain
-) -> DetectorState:
-    """Recursive LS along the chain, the covariance pass then the estimate
-    pass; the prior I/alpha keeps J invertible for any channels."""
-    cov = sequential_ls_covariance(aug, cfg, chain)
-    return DetectorState(apply_sequential_ls(batch.y, herm(aug), cov, chain))
-
-
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
-    return chain.run("channel_gramian", add_gramian, hermitian_symbols, None, aug)
+    return chain.run(CHAIN_PHASES["distributed_zf"][0], add_gramian, hermitian_symbols, None, aug)
 
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
@@ -168,23 +155,38 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     return np.linalg.inv(gamma)
 
 
-def apply_distributed_zf(
-    y: np.ndarray, aug_h: np.ndarray, gamma_inv: np.ndarray, chain: Chain
+def _combine_fold(acc, A_h, y_l):
+    """Chain-sum fold of the locally combined received vectors A_l^H y_l."""
+    return add_and_forward(acc, A_h @ y_l)
+
+
+def apply_chain(
+    y: np.ndarray, aug_h: np.ndarray, rows: np.ndarray, chain: Chain, detector: str
 ) -> np.ndarray:
-    """Apply step of distributed ZF on the received vectors y (..., L, N,
-    T): combine locally with A_l^H, accumulate along the chain, and apply
-    `gamma_inv` (the rows of inverse_gramian that are wanted) at the CPU.
-    aug_h = herm(aug) (..., L, m, N) comes from the channel side."""
-    return gamma_inv @ chain.run("uplink_combine", _combine_fold, vector_symbols, None, aug_h, y)
+    """Apply step of both chain detectors on the received vectors y (...,
+    L, N, T): each AP combines locally with A_l^H, the chain sums the
+    results once per symbol period, and the CPU applies `rows` (the rows
+    wanted of inverse_gramian or sequential_ls_covariance). aug_h =
+    herm(aug) (..., L, m, N) comes from the channel side."""
+    return rows @ chain.run(CHAIN_PHASES[detector][1], _combine_fold, vector_symbols, None, aug_h, y)
+
+
+def detect_sequential_ls(
+    batch: UplinkSymbolBatch, aug: np.ndarray, cfg: SystemConfig, chain: Chain
+) -> DetectorState:
+    """Recursive LS along the chain, the covariance pass then the estimate
+    pass; the prior I/alpha keeps J invertible for any channels."""
+    cov = sequential_ls_covariance(aug, cfg, chain)
+    return DetectorState(apply_chain(batch.y, herm(aug), cov, chain, "sequential_ls"))
 
 
 def detect_distributed_zf(
     batch: UplinkSymbolBatch, aug: np.ndarray, gamma: np.ndarray, chain: Chain
 ) -> np.ndarray:
-    """Distributed ZF, inverse_gramian then apply_distributed_zf: the
-    (K + K_I, T) estimates, identical to the centralized zero-forcing
-    solution whenever gamma is invertible."""
-    return apply_distributed_zf(batch.y, herm(aug), inverse_gramian(gamma), chain)
+    """Distributed ZF, inverse_gramian then apply_chain: the (K + K_I, T)
+    estimates, identical to the centralized zero-forcing solution whenever
+    gamma is invertible."""
+    return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
 
 
 def zf_filter(aug: np.ndarray) -> np.ndarray:

@@ -472,9 +472,8 @@ class TestRunMonteCarlo:
         ("build", "detector", "side", "apply", "groups"),
         [
             (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2),
-            (overloaded_interferers_spec, "distributed_zf", "inverse_gramian",
-             "apply_distributed_zf", 1),
-            (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_sequential_ls", 2),
+            (overloaded_interferers_spec, "distributed_zf", "inverse_gramian", "apply_chain", 1),
+            (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_chain", 2),
         ],
     )
     def test_detection_runs_once_per_width_group(
@@ -873,7 +872,7 @@ class TestDispatch:
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("uplink")
             for alias in node.names
         ]
-        assert "apply_sequential_ls" in names
+        assert "apply_chain" in names
         assert [n for n in names if n.startswith("detect_")] == []
 
 
@@ -1108,6 +1107,15 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "2025" in out and "180" in out
+
+    @pytest.mark.parametrize("override", ["detector=sequential_ls", "detector=bogus", "methods=5"])
+    def test_report_rejects_spec_level_overrides(self, tmp_path, capsys, override):
+        # report reads only the system config; the detector is --detector
+        assert main(["report", "--override", override, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert len(err.splitlines()) == 1 and "--detector" in err and "Traceback" not in err
+        assert captured.out == "" and not any(tmp_path.iterdir())
 
     def test_strict_fails_on_fold_failure(self, tmp_path, monkeypatch):
         fail_procrustes_fold(monkeypatch, tiny_spec().cfg)

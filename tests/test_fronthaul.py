@@ -193,11 +193,11 @@ class TestPerApSlots:
         gamma = sum(herm(aug[:, ap - 1]) @ aug[:, ap - 1] for ap in self.ORDER)
         assert np.array_equal(uplink.accumulate_channel_gramian(aug, chain), gamma)
         combined = sum(herm(aug[:, ap - 1]) @ y[:, ap - 1] for ap in self.ORDER)
-        got = uplink.apply_distributed_zf(y, herm(aug), np.eye(m), chain)
+        got = uplink.apply_chain(y, herm(aug), np.eye(m), chain, "distributed_zf")
         assert np.array_equal(got, combined)
         got = uplink.sequential_ls_covariance(aug, cfg, chain)
         assert np.allclose(got, C)
-        assert np.allclose(uplink.apply_sequential_ls(y, herm(aug), got, chain), xhat)
+        assert np.allclose(uplink.apply_chain(y, herm(aug), got, chain, "sequential_ls"), xhat)
 
     def test_interferer_folds(self):
         rng = np.random.default_rng(6)
@@ -239,7 +239,7 @@ class TestChainSums:
         chain = Chain.for_config(cfg)
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         gamma_copy = gamma.copy()
-        combined = uplink.apply_distributed_zf(y, aug_h, np.eye(m), chain)
+        combined = uplink.apply_chain(y, aug_h, np.eye(m), chain, "distributed_zf")
         xhat = uplink.detect_distributed_zf(uplink.UplinkSymbolBatch(None, None, y), aug, gamma, chain)
         sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
         for x, copy in zip(inputs, copies, strict=True):

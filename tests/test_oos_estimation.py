@@ -237,14 +237,6 @@ class TestSequentialProcrustes:
         # forward pass: one message per link, L links total
         assert len(chain.log.link_totals("oos_forward")) == cfg.L
 
-    def test_no_interferers_short_circuit(self):
-        cfg = make_cfg(K_I=0)
-        zpsi = np.zeros((cfg.L, cfg.N, cfg.tau_p - cfg.K))
-        chain = Chain.for_config(cfg)
-        sbar = run_sequential_procrustes(zpsi, cfg, chain)
-        assert sbar.shape == (cfg.tau_p - cfg.K, 0)
-        assert chain.log.records == []
-
 
 class TestGramianMethod:
     def test_accumulation_matches_central_gramian(self):

@@ -11,8 +11,7 @@ from oossim.scenario import SystemConfig, build_geometry, draw_block
 from oossim.uplink import (
     UplinkSymbolBatch,
     accumulate_channel_gramian,
-    apply_distributed_zf,
-    apply_sequential_ls,
+    apply_chain,
     apply_zf_filter,
     count_bit_errors,
     detect_centralized,
@@ -165,17 +164,6 @@ class TestSequentialLs:
             want = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
             assert np.linalg.norm(xhat - want) <= bound * np.linalg.norm(want)
 
-    def test_message_cost_per_hop(self):
-        cfg = make_cfg()
-        block, batch = make_batch(cfg, seed=7)
-        chain = Chain.for_config(cfg)
-        detect_sequential_ls(batch, genie_aug(block), cfg, chain)
-        m = cfg.K + cfg.K_I
-        # the covariance once per block, the estimate once per symbol
-        assert chain.log.phases() == ["seq_ls_covariance", "uplink_seq_ls"]
-        assert chain.log.per_link_symbols("seq_ls_covariance") == m * m
-        assert chain.log.per_link_symbols("uplink_seq_ls") == 2 * m
-
 
 class TestChannelGramian:
     def test_single_ap(self, rng):
@@ -238,14 +226,24 @@ class TestDistributedZf:
         with pytest.raises(DegeneracyError):
             detect_distributed_zf(batch, aug, gamma, chain)
 
-    def test_message_cost_per_hop(self):
+
+class TestChainDetectors:
+    @pytest.mark.parametrize("detector", list(uplink.CHAIN_PHASES))
+    def test_message_cost_per_hop(self, detector):
         cfg = make_cfg()
         block, batch = make_batch(cfg, seed=13)
         aug = genie_aug(block)
         chain = Chain.for_config(cfg)
-        gamma = accumulate_channel_gramian(aug, chain)
-        detect_distributed_zf(batch, aug, gamma, chain)
-        assert chain.log.per_link_symbols("uplink_combine") == 2 * (cfg.K + cfg.K_I)
+        if detector == "sequential_ls":
+            detect_sequential_ls(batch, aug, cfg, chain)
+        else:
+            detect_distributed_zf(batch, aug, accumulate_channel_gramian(aug, chain), chain)
+        m = cfg.K + cfg.K_I
+        # the Gramian sum once per block, the combined vectors once per symbol
+        per_block, per_symbol = uplink.CHAIN_PHASES[detector]
+        assert chain.log.phases() == [per_block, per_symbol]
+        assert chain.log.per_link_symbols(per_block) == m * m
+        assert chain.log.per_link_symbols(per_symbol) == 2 * m
 
 
 class TestCentralized:
@@ -472,13 +470,13 @@ class TestStackedBlocks:
         got = apply_zf_filter(stack.y, zf_filter(augs)[..., :K, :])
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
-        got = apply_distributed_zf(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg))
+        got = apply_chain(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg), "distributed_zf")
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
         # so does sequential LS with the UE rows of its covariance; each
         # member of the (M, B) stack gets its own one-block call's UE rows
         cov = sequential_ls_covariance(augs, cfg, Chain.for_config(cfg))[..., :K, :]
-        got = apply_sequential_ls(stack.y, herm(augs), cov, Chain.for_config(cfg))
+        got = apply_chain(stack.y, herm(augs), cov, Chain.for_config(cfg), "sequential_ls")
         for m, aug in enumerate(augs):
             for b, (_, batch) in enumerate(drawn):
                 alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
