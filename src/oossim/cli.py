@@ -125,11 +125,17 @@ def _cmd_report(args) -> int:
                 raise ValueError(f"only cfg.* overrides apply, not {key!r} (use --detector)")
         check_fields("spec", spec_dict, ExperimentSpec)
         cfg = config_from_dict(spec_dict["cfg"])
+        # the spec file's detector, as `oossim run` takes it, unless given
+        detector = args.detector or (
+            spec_dict.get("detector", ExperimentSpec.detector) if args.config else "distributed_zf"
+        )
+        if detector not in DETECTORS:
+            raise ValueError(f"unknown detector {detector!r}; expected one of {DETECTORS}")
         out = _out_dir(args.out) if args.out else None
     except (ValueError, OSError) as exc:
         print(f"oossim report: {exc}", file=sys.stderr)
         return 2
-    table = load_table(cfg, detector=args.detector)
+    table = load_table(cfg, detector=detector)
     print(f"{'method':<20}{'phase':<20}{'real symbols per link':>24}")
     for method, phases in table.items():
         if phases is None:
@@ -174,8 +180,9 @@ def main(argv=None) -> int:
     rep_p.add_argument("--override", action="append", metavar="KEY=VALUE")
     rep_p.add_argument("--out", help="also write load_table.json here")
     rep_p.add_argument(
-        "--detector", default="distributed_zf", choices=DETECTORS,
-        help="detector whose chain passes are included",
+        "--detector", choices=DETECTORS,
+        help="detector whose chain passes are included (default: the --config "
+        "spec's detector, else distributed_zf)",
     )
     rep_p.set_defaults(func=_cmd_report)
 

@@ -324,11 +324,11 @@ def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
     if method == "seq_procrustes":
         bases = None if local is None else local[0]
         sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, counts, bases)
-    elif method == "seq_gramian":
-        sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return oos_estimation.estimate_oos_channels(zpsi, sbar)
+        return oos_estimation.estimate_oos_channels(zpsi, sbar)
+    if method == "seq_gramian":
+        # orthonormal columns: Sbar (Sbar^H Sbar)^{-1} is Sbar itself
+        return zpsi @ oos_estimation.run_gramian_method(zpsi, cfg, chain)[..., None, :, :]
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _augmented_stack(ghats, ue, width):

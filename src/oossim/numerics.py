@@ -2,11 +2,12 @@
 
 Thin wrappers around LAPACK (through numpy.linalg) that add input
 validation and explicit failure types so callers never receive silent
-garbage. Kept singular and eigen vectors follow _fix_column_phases; a
-product in which the phase cancels (pseudo_inverse, procrustes_rotation)
-uses the SVD without it. Every kernel also takes a stack of matrices
-along leading axes and gives each matrix the result it would get alone,
-bit for bit, since numpy's batched LAPACK runs matrix by matrix.
+garbage. Kept singular and eigen vectors follow _fix_column_phases,
+top_singular_triplets' on either of its routes; a product in which the
+phase cancels (pseudo_inverse, procrustes_rotation) uses the SVD without
+it. Every kernel also takes a stack of matrices along leading axes and
+gives each matrix the result it would get alone, bit for bit, since
+numpy's batched LAPACK runs matrix by matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 
 
 PINV_RTOL = 1e-12  # pseudo_inverse's relative cutoff, for small well-scaled matrices
+# top_singular_triplets' screen on the Gramian route: the k-th eigenvalue of
+# M M^H must exceed this fraction of the largest (sigma_k > 1e-4 sigma_1)
+GRAM_RTOL = 1e-8
 
 
 class NumericalFailure(RuntimeError):
@@ -78,6 +82,37 @@ def economy_svd(M: np.ndarray):
     """
     U, sigma, Vh = _checked_svd(M)
     U, V = _fix_column_phases(U, herm(Vh))
+    return U, sigma, V
+
+
+def top_singular_triplets(M: np.ndarray, k: int):
+    """The top-k triplets of economy_svd: (U, sigma, V) with U: m x k,
+    sigma: length k nonincreasing, V: n x k, in economy_svd's phase
+    convention, so U @ diag(sigma) @ V^H is the best rank-k approximation.
+
+    A wide or square M (m <= n) takes the cross-product route (Golub & Van
+    Loan, Matrix Computations, 4th ed., section 8.6): the top-k eigenpairs
+    (w, U) of the m x m Gramian M M^H by hermitian_top_eigvectors,
+    sigma = sqrt(w) and V = M^H U / sigma. The Gramian squares the condition number, so
+    sigma_j is off by about eps w_1 / w_j relative, and the kept subspace
+    and the product by about eps w_1 / (w_k - w_{k+1}). Each matrix whose
+    w_k is not above GRAM_RTOL w_1, which bounds the first error by about
+    eps / GRAM_RTOL = 2.2e-8, takes the LAPACK SVD instead, in its own
+    slot of the stack: a zero or rank-deficient member gets economy_svd's
+    bits and leaves its neighbours theirs. A tall M takes the SVD.
+    """
+    M = _as_finite_matrix(M, "M")
+    m, n = M.shape[-2:]
+    if int(k) != k or not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k!r} must be in 1..min{(m, n)}")
+    if m > n:
+        return tuple(x[..., :k] for x in economy_svd(M))
+    U, w = hermitian_top_eigvectors(M @ herm(M), k)
+    doubt = ~(w[..., -1] > GRAM_RTOL * w[..., 0])
+    sigma = np.sqrt(np.where(doubt[..., None], 1.0, w))
+    V = herm(M) @ U / sigma[..., None, :]
+    if doubt.any():
+        U[doubt], sigma[doubt], V[doubt] = (x[..., :k] for x in economy_svd(M[doubt]))
     return U, sigma, V
 
 

@@ -26,6 +26,7 @@ from .numerics import (
     economy_svd,
     herm,
     hermitian_top_eigvectors,
+    top_singular_triplets,
 )
 from .scenario import SystemConfig
 
@@ -36,15 +37,12 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     Returns (Sbar_local, G_local): the top-K_I right singular vectors
     (orthonormal columns) and the top-K_I left singular vectors scaled by
     the singular values, so G_local @ Sbar_local^H is the optimal rank-K_I
-    approximation of zpsi_l.
+    approximation of zpsi_l. They come from top_singular_triplets, through
+    the N x N Gramian zpsi_l zpsi_l^H for N <= tau_p - K; its docstring
+    gives that route's screen and error bound.
     """
-    n, r = zpsi_l.shape[-2:]
-    if K_I < 1 or K_I > min(n, r):
-        raise ValueError(f"K_I={K_I} must be in 1..min{(n, r)}")
-    U, sigma, Vh = _checked_svd(zpsi_l)
-    # economy_svd's phase convention, on the kept columns only
-    U, V = _fix_column_phases(U[..., :K_I], herm(Vh[..., :K_I, :]))
-    return V, U * sigma[..., None, :K_I]
+    U, sigma, V = top_singular_triplets(zpsi_l, K_I)
+    return V, U * sigma[..., None, :]
 
 
 def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
@@ -144,7 +142,9 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}, with the right factor formed
     as Q R^{-H} from Sbar = Q R, which keeps Sbar's condition number. A
     Sbar that is not numerically full column rank (smallest singular
-    value <= 1e-9 of the largest) is a NumericalFailure.
+    value <= 1e-9 of the largest) is a NumericalFailure. The sweep calls
+    it for seq_procrustes only: run_gramian_method's Sbar has orthonormal
+    columns, so its channels are Z_l Psi Sbar.
     """
     sigma = _checked_svd(Sbar, compute_uv=False)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):

@@ -144,12 +144,17 @@ def fail_gramian_detection(monkeypatch, spec, block):
     channel-side call with the other methods of its width group, so only
     the reruns can tell it apart."""
     cfg = spec.cfg
-    zpsi = compute_projected_residual(
-        pilot_interference(drawn_block(cfg, block)), build_pilot_book(cfg)
-    )
-    sbar = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
-    mark = oos_estimation.estimate_oos_channels(zpsi, sbar)[0]
+    drawn = drawn_block(cfg, block)
+    zpsi = compute_projected_residual(pilot_interference(drawn), build_pilot_book(cfg))
+    mark = gramian_channels(drawn, zpsi, cfg)[0]
     fail_zf_channel_side(monkeypatch, cfg, mark, slice(cfg.K, None))
+
+
+def gramian_channels(drawn, zpsi, cfg):
+    """seq_gramian's interferer channels of the block `drawn`, by the
+    sweep's own dispatch."""
+    chain, counts = Chain.for_config(cfg), RunDiagnostics()
+    return experiments._interferer_channels("seq_gramian", drawn, zpsi, cfg, chain, counts)
 
 
 def fail_estimates_at(monkeypatch, spec, snr_db, block):
@@ -172,8 +177,7 @@ def fail_sequential_ls_solve(monkeypatch, spec, snr_db, block):
     drawn, pilots = drawn_block(cfg, block), build_pilot_book(cfg)
     est = ls_channel_estimate(simulate_pilot_rx(drawn, pilots, cfg), pilots, cfg)
     zpsi = compute_projected_residual(pilot_interference(drawn), pilots)
-    sbar = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
-    aug = np.concatenate([est, oos_estimation.estimate_oos_channels(zpsi, sbar)], axis=-1)
+    aug = np.concatenate([est, gramian_channels(drawn, zpsi, cfg)], axis=-1)
     mark = np.eye(aug.shape[-1], dtype=complex) / cfg.alpha
     for ap in cfg.ap_order:
         mark = mark + herm(aug[ap - 1]) @ aug[ap - 1]
@@ -825,15 +829,15 @@ class TestChunking:
 
     def test_rank_screen_svd_failure_charged_to_its_method_and_block(self, monkeypatch):
         # the SVD of estimate_oos_channels' rank screen does not converge on
-        # seq_gramian's estimate of block 1: the sweep goes on, and only
-        # seq_gramian loses that block
-        spec = with_trials(default_spec(methods=("seq_gramian", "no_suppression")), 3)
+        # seq_procrustes' estimate of block 1: the sweep goes on, and only
+        # seq_procrustes loses that block
+        spec = with_trials(default_spec(methods=("seq_procrustes", "no_suppression")), 3)
         clean = run_monte_carlo(spec).rows
         cfg = spec.cfg
         zpsi = compute_projected_residual(
             pilot_interference(drawn_block(cfg, 1)), build_pilot_book(cfg)
         )
-        mark = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
+        mark = oos_estimation.run_sequential_procrustes(zpsi, cfg, Chain.for_config(cfg))
         original = np.linalg.svd
 
         def flaky(a, *args, compute_uv=True, **kwargs):
@@ -845,11 +849,13 @@ class TestChunking:
         first, *others = self.records(monkeypatch, spec)
         assert all(other == first for other in others)
         _, numerical_failures, _, failures = first
-        assert [f[:3] for f in failures] == [("seq_gramian", snr, 1) for snr in spec.snr_grid_db]
+        assert [f[:3] for f in failures] == [
+            ("seq_procrustes", snr, 1) for snr in spec.snr_grid_db
+        ]
         assert numerical_failures == len(spec.snr_grid_db)
         per_block = 2 * cfg.K * (cfg.tau_c - cfg.tau_p)
         for row, want in zip(run_monte_carlo(spec).rows, clean, strict=True):
-            if row.method == "seq_gramian":
+            if row.method == "seq_procrustes":
                 assert row.bit_count == want.bit_count - per_block
             else:
                 assert rows_to_csv([row]) == rows_to_csv([want])
@@ -1116,6 +1122,22 @@ class TestCli:
         err = captured.err.strip()
         assert len(err.splitlines()) == 1 and "--detector" in err and "Traceback" not in err
         assert captured.out == "" and not any(tmp_path.iterdir())
+
+    def test_report_takes_the_spec_files_detector(self, tmp_path, capsys):
+        # as `oossim run` would; an explicit --detector still wins
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(default_spec(detector="sequential_ls").to_dict()))
+        assert main(["report", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "seq_ls_covariance" in out and "uplink_seq_ls" in out
+        assert "channel_gramian" not in out and "uplink_combine" not in out
+        assert main(["report", "--config", str(path), "--detector", "distributed_zf"]) == 0
+        out = capsys.readouterr().out
+        assert "channel_gramian" in out and "seq_ls_covariance" not in out
+        path.write_text(json.dumps({**default_spec().to_dict(), "detector": "bogus"}))
+        assert main(["report", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown detector 'bogus'" in captured.err
 
     def test_strict_fails_on_fold_failure(self, tmp_path, monkeypatch):
         fail_procrustes_fold(monkeypatch, tiny_spec().cfg)

@@ -18,6 +18,7 @@ from oossim.numerics import (
     herm,
     hermitian_top_eigvectors,
     pseudo_inverse,
+    top_singular_triplets,
 )
 
 
@@ -66,6 +67,24 @@ class TestEconomySvd:
         assert np.linalg.norm(U @ np.diag(s) @ herm(V) - M) <= 1e-10 * max(
             1.0, np.linalg.norm(M)
         )
+
+
+class TestTopSingularTriplets:
+    """The Gramian route's accuracy and its per-matrix fallback are tested
+    through oos_estimation.local_svd_estimate."""
+
+    def test_tall_matrices_take_the_sliced_economy_svd(self, rng):
+        M = crandn(rng, 3, 6, 4)
+        U, sigma, V = economy_svd(M)
+        for k in (1, 4):
+            got = top_singular_triplets(M, k)
+            for a, b in zip(got, (U[..., :k], sigma[..., :k], V[..., :k]), strict=True):
+                assert np.array_equal(a, b)
+
+    def test_rejects_k_out_of_range(self, rng):
+        for k in (0, 3, 1.5):
+            with pytest.raises(ValueError):
+                top_singular_triplets(crandn(rng, 2, 5), k)
 
 
 class TestHermitianTopEigvectors:
@@ -199,6 +218,8 @@ class TestStacks:
         assert_stack_matches(pseudo_inverse, M)
         assert_stack_matches(_fix_column_phases, M)
         assert_stack_matches(_fix_column_phases, M, crandn(rng, batch, 2, m, n))
+        for k in range(1, min(m, n) + 1):
+            assert_stack_matches(top_singular_triplets, M, k)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 7), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -238,9 +259,12 @@ class TestStacks:
             raise np.linalg.LinAlgError("injected")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        for kernel in (economy_svd, pseudo_inverse):
+        for kernel in (economy_svd, pseudo_inverse, lambda M: top_singular_triplets(M, 1)):
             with pytest.raises(NumericalFailure, match="SVD did not converge"):
                 kernel(crandn(rng, 3, 4, 2))
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
+            top_singular_triplets(crandn(rng, 3, 2, 4), 1)
 
     def test_eigensolver_failure_in_check_invertible_is_numerical(self, rng, monkeypatch):
         def no_convergence(*args, **kwargs):
