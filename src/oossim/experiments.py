@@ -46,7 +46,7 @@ import numpy as np
 
 from . import oos_estimation, pilot_phase, uplink
 from .fronthaul import Chain, ChainError, LoadReport
-from .numerics import NumericalFailure, herm
+from .numerics import NumericalFailure, herm, shared_matmul
 from .scenario import (
     CHANNEL_STREAM,
     GEOMETRY_STREAM,
@@ -327,7 +327,7 @@ def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
         return oos_estimation.estimate_oos_channels(zpsi, sbar)
     if method == "seq_gramian":
         # orthonormal columns: Sbar (Sbar^H Sbar)^{-1} is Sbar itself
-        return zpsi @ oos_estimation.run_gramian_method(zpsi, cfg, chain)[..., None, :, :]
+        return shared_matmul(zpsi, oos_estimation.run_gramian_method(zpsi, cfg, chain))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -613,15 +613,12 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
     """Write results.csv and results.json (spec embedded) to spec.out_dir;
-    returns the paths. Raises ValueError, before writing anything, if
-    there are no rows."""
+    returns the paths. Both are built before either is written, so an
+    error (no rows: ValueError; a load check: ChainError) leaves the
+    directory as it was."""
     from pathlib import Path
 
     csv_text, d = rows_to_csv(outcome.rows), outcome.diagnostics
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    csv_path.write_text(csv_text)
     payload = {
         "spec": spec.to_dict(),
         "rows": [asdict(r) for r in outcome.rows],
@@ -629,8 +626,12 @@ def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
         "diagnostics": {**asdict(d), "failures": [dict(zip(FAILURE_KEYS, f)) for f in d.failures]},
         "stages": outcome.stages,
     }
-    json_path = out / "results.json"
-    json_path.write_text(json.dumps(payload, indent=2))
+    json_text = json.dumps(payload, indent=2)
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out / "results.csv", out / "results.json"
+    csv_path.write_text(csv_text)
+    json_path.write_text(json_text)
     return csv_path, json_path
 
 

@@ -8,6 +8,15 @@ phase cancels (pseudo_inverse, procrustes_rotation) uses the SVD without
 it. Every kernel also takes a stack of matrices along leading axes and
 gives each matrix the result it would get alone, bit for bit, since
 numpy's batched LAPACK runs matrix by matrix.
+
+Two kernels take a cheaper route than the textbook call, screen each
+matrix on its own error bound, and send a matrix that fails the screen
+to the textbook call in its own slot of the stack:
+
+- top_singular_triplets: a wide M through the eigenpairs of M M^H
+  (GRAM_RTOL);
+- hermitian_top_eigvectors with `rank`: Rayleigh-Ritz on the range of
+  A's first `rank` columns (RANGE_RTOL).
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ PINV_RTOL = 1e-12  # pseudo_inverse's relative cutoff, for small well-scaled mat
 # top_singular_triplets' screen on the Gramian route: the k-th eigenvalue of
 # M M^H must exceed this fraction of the largest (sigma_k > 1e-4 sigma_1)
 GRAM_RTOL = 1e-8
+# hermitian_top_eigvectors' screen on its rank-bounded route: the range
+# residual ||A - (A Q) Q^H||_F must stay below this fraction of ||A||_F
+RANGE_RTOL = 1e-12
 
 
 class NumericalFailure(RuntimeError):
@@ -32,6 +44,16 @@ class DegeneracyError(NumericalFailure):
 def herm(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose (works on batched arrays, last two axes)."""
     return np.conj(np.swapaxes(M, -1, -2))
+
+
+def shared_matmul(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X @ R[..., None, :, :]: the matrices along X's axis -3 (the APs)
+    share the right factor R, so their rows are stacked into one product
+    per matrix of R. With two or more rows per matrix every row gets the
+    bits of its own matrix's product; a one-row matrix alone is a
+    vector-matrix product, which may round differently."""
+    *lead, L, m, n = X.shape
+    return (X.reshape(*lead, L * m, n) @ R).reshape(*lead, L, m, R.shape[-1])
 
 
 def _as_finite_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -116,12 +138,26 @@ def top_singular_triplets(M: np.ndarray, k: int):
     return U, sigma, V
 
 
-def hermitian_top_eigvectors(A: np.ndarray, k: int):
+def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     """Top-k eigenpairs of a Hermitian matrix, eigenvalues nonincreasing.
 
     A must be Hermitian to a relative Frobenius tolerance of 1e-9, each
     matrix of a stack against its own norm; it is symmetrized as
     (A + A^H)/2 before decomposition.
+
+    `rank`, when given, bounds the rank of A. With k <= rank < n the
+    eigenpairs come from the range by Rayleigh-Ritz (Golub & Van Loan,
+    Matrix Computations, 4th ed., sections 8.1 and 8.6): Q is the thin
+    Householder QR of A's first `rank` columns, U the eigenvectors of
+    the rank x rank compression Q^H A Q, and the vectors are Q U. A
+    matrix whose range residual E = A - (A Q) Q^H is not below
+    RANGE_RTOL ||A||_F (a zero matrix too) takes the full n x n eigh in
+    its own slot of the stack, so its neighbours keep their bits. A
+    passing matrix is within 2 ||E|| of its compression
+    Q Q^H A Q Q^H, so by Davis-Kahan its top-k subspace is off by about
+    2 RANGE_RTOL ||A|| / (w_k - w_{k+1}) and each eigenvalue by at most
+    2 RANGE_RTOL ||A||. Without `rank`, or outside that range, A takes
+    the full eigh.
     """
     A = _as_finite_matrix(A, "A")
     n, m = A.shape[-2:]
@@ -131,17 +167,39 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > n:
         raise ValueError(f"k={k} exceeds matrix dimension {n}")
+    if rank is not None and (int(rank) != rank or rank < 1):
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    norm = np.linalg.norm(A, axis=(-2, -1))
     gap = np.linalg.norm(A - herm(A), axis=(-2, -1))
-    if np.any(gap > 1e-9 * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))):
+    if np.any(gap > 1e-9 * np.maximum(1.0, norm)):
         raise ValueError("matrix is not Hermitian within tolerance")
     A = 0.5 * (A + herm(A))
+    if rank is None or not k <= rank < n:
+        vectors, w = _top_eigenpairs(A, k)
+        return _fix_column_phases(vectors), w
+    try:
+        Q = np.linalg.qr(A[..., :rank])[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("QR of the matrix's range did not converge") from exc
+    AQ = A @ Q
+    residual = np.linalg.norm(A - AQ @ herm(Q), axis=(-2, -1))
+    doubt = ~(residual < RANGE_RTOL * norm)
+    U, w = _top_eigenpairs(herm(Q) @ AQ, k)
+    vectors = Q @ U
+    if doubt.any():
+        vectors[doubt], w[doubt] = _top_eigenpairs(A[doubt], k)
+    return _fix_column_phases(vectors), w
+
+
+def _top_eigenpairs(A: np.ndarray, k: int):
+    """Top-k eigenpairs of A (LAPACK eigh reads its lower triangle), with
+    no phase convention."""
     try:
         w, v = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigendecomposition did not converge") from exc
     order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
-    vectors = _fix_column_phases(np.take_along_axis(v, order[..., None, :], axis=-1))
-    return vectors, np.take_along_axis(w, order, axis=-1)
+    return np.take_along_axis(v, order[..., None, :], axis=-1), np.take_along_axis(w, order, axis=-1)
 
 
 def check_invertible(gamma: np.ndarray):

@@ -26,6 +26,7 @@ from .numerics import (
     economy_svd,
     herm,
     hermitian_top_eigvectors,
+    shared_matmul,
     top_singular_triplets,
 )
 from .scenario import SystemConfig
@@ -127,11 +128,14 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     """Add-and-forward residual Gramians; CPU keeps the dominant eigenvectors.
 
     Per-link payload is the full (tau_p - K)^2 Hermitian Gramian, so the
-    load is independent of the number of interferers. The returned
-    estimate has orthonormal columns.
+    load is independent of the number of interferers. The total adds L
+    Gramians of rank at most N, so the CPU eigensolves it in its
+    L N-dimensional range (hermitian_top_eigvectors' `rank`) when
+    L N < tau_p - K. The returned estimate has orthonormal columns.
     """
+    L, N = zpsi.shape[-3:-1]
     total = chain.run("oos_forward", add_gramian, hermitian_symbols, None, zpsi)
-    vectors, _ = hermitian_top_eigvectors(total, cfg.K_I)
+    vectors, _ = hermitian_top_eigvectors(total, cfg.K_I, rank=L * N)
     chain.broadcast("oos_broadcast", vectors, matrix_symbols)
     return vectors
 
@@ -151,7 +155,7 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
         raise DegeneracyError("shared-signal estimate is rank deficient")
     Q, R = np.linalg.qr(Sbar)
     right = Q @ np.linalg.inv(herm(R))
-    return zpsi @ right[..., None, :, :]
+    return shared_matmul(zpsi, right)
 
 
 def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):

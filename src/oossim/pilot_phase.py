@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import herm
+from .numerics import herm, shared_matmul
 from .scenario import BlockRealization, PilotBook, SystemConfig
 
 
@@ -19,7 +19,7 @@ def pilot_interference(block: BlockRealization) -> np.ndarray:
     """What each AP receives during the pilot phase besides its users'
     pilots: G_l S^H + N_l, shape (L, N, tau_p). Independent of rho."""
     if block.G.shape[-1]:
-        return block.G @ herm(block.S)[..., None, :, :] + block.pilot_noise
+        return shared_matmul(block.G, herm(block.S)) + block.pilot_noise
     return block.pilot_noise
 
 
@@ -42,12 +42,12 @@ def simulate_pilot_rx(
         raise ValueError("pilot noise has wrong shape")
     if interference is None:
         interference = pilot_interference(block)
-    return _pilot_scale(cfg) * (block.H @ herm(pilots.Phi)) + interference
+    return _pilot_scale(cfg) * shared_matmul(block.H, herm(pilots.Phi)) + interference
 
 
 def ls_channel_estimate(obs: np.ndarray, pilots: PilotBook, cfg: SystemConfig) -> np.ndarray:
     """Local least-squares channel estimate per AP: Hhat_l = Y_l Phi / scale."""
-    return (obs @ pilots.Phi) / _pilot_scale(cfg)
+    return shared_matmul(obs, pilots.Phi) / _pilot_scale(cfg)
 
 
 def compute_projected_residual(obs: np.ndarray, pilots: PilotBook) -> np.ndarray:
@@ -56,4 +56,4 @@ def compute_projected_residual(obs: np.ndarray, pilots: PilotBook) -> np.ndarray
     pilots drop out, so for Y it equals (G_l S^H + N_l) Psi, the residual
     that remains after removing the LS-estimated pilot contribution.
     """
-    return obs @ pilots.Psi
+    return shared_matmul(obs, pilots.Psi)

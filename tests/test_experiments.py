@@ -36,7 +36,7 @@ from oossim.experiments import (
     run_monte_carlo,
 )
 from oossim.numerics import NumericalFailure, herm
-from oossim.fronthaul import Chain
+from oossim.fronthaul import Chain, ChainError
 from oossim.pilot_phase import (
     compute_projected_residual,
     ls_channel_estimate,
@@ -454,6 +454,25 @@ class TestRunMonteCarlo:
             "build_geometry": chunks, "run_gramian_method": chunks,
             "local_svd_estimate": chunks, "simulate_uplink_rx": trials,
         }
+
+    def test_gramian_method_eigensolves_in_its_range(self, monkeypatch):
+        # the CPU total adds L Gramians of rank N: with L N < tau_p - K no
+        # eigensolve is wider than L N; at L = 16 (L N = 64) it is the full one
+        widths = Counter()
+        original = np.linalg.eigh
+
+        def spy(A, *args, **kwargs):
+            widths[A.shape[-1]] += 1
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        spec = with_trials(default_spec(), 2)
+        cfg = spec.cfg
+        run_monte_carlo(spec)
+        assert widths[cfg.L * cfg.N] > 0 and max(widths) <= cfg.L * cfg.N < cfg.tau_p - cfg.K
+        widths.clear()
+        run_monte_carlo(replace(spec, cfg=replace(cfg, L=16, ap_order=()), methods=("seq_gramian",)))
+        assert widths[cfg.tau_p - cfg.K] > 0
 
     def test_geometry_is_drawn_before_anything_else(self, monkeypatch):
         # the benchmark's setup_s probe patches experiments.build_geometry
@@ -1033,6 +1052,21 @@ class TestEmitReport:
         assert len(data["rows"]) == len(out.rows)
         assert data["fronthaul"] == load_table(spec.cfg, spec.detector, spec.methods)
         assert data["fronthaul"]["seq_gramian"]["oos_forward"] == (spec.cfg.tau_p - spec.cfg.K) ** 2
+
+    def test_a_failed_load_check_leaves_both_files(self, tmp_path, monkeypatch):
+        spec = replace(tiny_spec(), out_dir=tmp_path)
+        emit_report(run_monte_carlo(spec), spec)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert set(before) == {"results.csv", "results.json"}
+
+        def broken(*args, **kwargs):
+            raise ChainError("injected")
+
+        monkeypatch.setattr(experiments, "load_table", broken)
+        other = replace(spec, cfg=replace(spec.cfg, seed=1))  # other rows
+        with pytest.raises(ChainError, match="injected"):
+            emit_report(run_monte_carlo(other), other)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_failures_written_as_records(self, tmp_path, monkeypatch):
         spec = replace(tiny_spec(), out_dir=tmp_path)

@@ -10,6 +10,7 @@ from scipy.linalg import subspace_angles
 from conftest import crandn
 import oossim
 from oossim.numerics import (
+    RANGE_RTOL,
     DegeneracyError,
     NumericalFailure,
     _fix_column_phases,
@@ -18,6 +19,7 @@ from oossim.numerics import (
     herm,
     hermitian_top_eigvectors,
     pseudo_inverse,
+    shared_matmul,
     top_singular_triplets,
 )
 
@@ -139,6 +141,79 @@ class TestHermitianTopEigvectors:
         assert np.max(angles) < 1e-8
 
 
+def gramian_sum(rng, batch, rank, r):
+    """A stack of `batch` sums of residual Gramians Z^H Z, each of rank
+    `rank` in dimension r, like the Gramian method's CPU total."""
+    Z = crandn(rng, batch, rank, r)
+    return herm(Z) @ Z
+
+
+class TestRankBoundedRoute:
+    """hermitian_top_eigvectors(A, k, rank): Rayleigh-Ritz on the range
+    of A's first `rank` columns, the full eigh for a matrix that fails
+    the range screen."""
+
+    R = 21
+
+    @pytest.mark.parametrize("rank", range(1, 17))
+    def test_agrees_with_the_full_eigh_within_the_bound(self, rank):
+        rng = np.random.default_rng(rank)
+        A = gramian_sum(rng, 3, rank, self.R) * np.array([1e-6, 1.0, 1e6])[:, None, None]
+        for k in sorted({1, min(rank, 5), rank}):
+            vectors, w = hermitian_top_eigvectors(A, k, rank=rank)
+            full_vectors, full_w = hermitian_top_eigvectors(A, k + 1)
+            norm = np.linalg.norm(A, axis=(-2, -1))
+            gap = full_w[:, k - 1] - full_w[:, k]
+            bound = 2 * RANGE_RTOL * norm / gap
+            projector = vectors @ herm(vectors) - full_vectors[..., :k] @ herm(full_vectors[..., :k])
+            assert np.all(np.linalg.norm(projector, 2, axis=(-2, -1)) <= bound)
+            assert np.all(np.abs(w - full_w[:, :k]) <= 2 * RANGE_RTOL * norm[:, None])
+            assert np.linalg.norm(herm(vectors) @ vectors - np.eye(k), axis=(-2, -1)).max() < 1e-13
+            pivots = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[:, None], -2)
+            assert np.allclose(pivots.imag, 0.0, atol=1e-12) and np.all(pivots.real >= 0)
+
+    def test_a_member_outside_the_screen_takes_the_full_eigh(self, rng):
+        rank, k = 4, 2
+        Z = crandn(rng, 4, rank, self.R)
+        Z[1, :, :rank] = 0.0  # the first `rank` columns of A[1] are zero
+        Z[2] = 0.0
+        A = herm(Z) @ Z
+        vectors, w = hermitian_top_eigvectors(A, k, rank=rank)
+        for i, screened in enumerate((False, True, True, False)):
+            alone = hermitian_top_eigvectors(A[i], k, rank=None if screened else rank)
+            assert np.array_equal(vectors[i], alone[0]) and np.array_equal(w[i], alone[1])
+        # a passing member does take the range route
+        assert not np.array_equal(vectors[0], hermitian_top_eigvectors(A[0], k)[0])
+
+    def test_outside_its_range_the_route_is_the_full_eigh(self, rng):
+        A = gramian_sum(rng, 2, 3, 6)
+        for k, rank in ((4, 3), (2, 6), (2, 7), (6, 40)):
+            got = hermitian_top_eigvectors(A, k, rank=rank)
+            for a, b in zip(got, hermitian_top_eigvectors(A, k), strict=True):
+                assert np.array_equal(a, b)
+
+    def test_rejects_bad_input(self, rng):
+        A = gramian_sum(rng, 2, 3, 6)
+        for rank in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="rank"):
+                hermitian_top_eigvectors(A, 1, rank=rank)
+        A[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_top_eigvectors(A, 1, rank=3)
+
+
+class TestSharedMatmul:
+    def test_equals_the_per_matrix_product(self, rng):
+        X = crandn(rng, 3, 5, 4, 7)
+        for R in (crandn(rng, 7, 6), crandn(rng, 3, 7, 2)):
+            want = X @ (R[:, None] if R.ndim == 3 else R)
+            assert np.array_equal(shared_matmul(X, R), want)
+            assert np.array_equal(shared_matmul(X[0], R[0] if R.ndim == 3 else R), want[0])
+        # one row per matrix: a vector-matrix product alone, rounding apart
+        X1, R = crandn(rng, 5, 1, 7), crandn(rng, 7, 6)
+        assert np.allclose(shared_matmul(X1, R), X1 @ R, rtol=1e-14, atol=0)
+
+
 class TestPseudoInverse:
     def test_identity(self):
         assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
@@ -224,10 +299,15 @@ class TestStacks:
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 7), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_hermitian_top_eigvectors(self, n, batch, seed):
-        B = crandn(np.random.default_rng(seed), batch, n, n)
+        rng = np.random.default_rng(seed)
+        B = crandn(rng, batch, n, n)
         A = herm(B) @ B
         for k in (1, n):
             assert_stack_matches(hermitian_top_eigvectors, A, k)
+        rank = int(rng.integers(1, n))
+        low = gramian_sum(rng, batch, rank, n)
+        low[0] = 0.0  # a member that fails the range screen
+        assert_stack_matches(lambda M, j: hermitian_top_eigvectors(M, j, rank=rank), low, 1)
 
     def test_one_bad_member_fails_the_stack(self, rng):
         B = crandn(rng, 3, 4, 4)
@@ -262,9 +342,16 @@ class TestStacks:
         for kernel in (economy_svd, pseudo_inverse, lambda M: top_singular_triplets(M, 1)):
             with pytest.raises(NumericalFailure, match="SVD did not converge"):
                 kernel(crandn(rng, 3, 4, 2))
+        low_rank = gramian_sum(rng, 3, 2, 6)
+        monkeypatch.setattr(np.linalg, "qr", no_convergence)
+        with pytest.raises(NumericalFailure, match="QR of the matrix's range did not converge"):
+            hermitian_top_eigvectors(low_rank, 1, rank=2)
+        monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
             top_singular_triplets(crandn(rng, 3, 2, 4), 1)
+        with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
+            hermitian_top_eigvectors(low_rank, 1, rank=2)
 
     def test_eigensolver_failure_in_check_invertible_is_numerical(self, rng, monkeypatch):
         def no_convergence(*args, **kwargs):
