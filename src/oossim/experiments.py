@@ -2,9 +2,9 @@
 the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
-_augmented_stack, _channel_side, _apply). The sweep and the load ledger
-(load_report) both run it, so the loads that load_report checks against
-the closed forms (analytic_per_link) are those of the sweep's own passes.
+_augmented_stack, _channel_side, _apply). load_report runs the sweep on
+one block, so the loads that it checks against the closed forms
+(analytic_per_link) are those of the sweep's own passes.
 
 All methods and SNR points at a block index share its draws, so curves
 are paired comparisons. Each block is drawn from its own RNG streams, so
@@ -52,7 +52,6 @@ from .scenario import (
     GEOMETRY_STREAM,
     PAYLOAD_STREAM,
     BlockRealization,
-    Geometry,
     SystemConfig,
     block_rng,
     build_geometry,
@@ -227,28 +226,19 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
 
 def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> LoadReport:
     """Measured per-link loads of `method` under `detector`: the log of
-    the sweep's own stages on one synthetic unit-gain block with a
-    one-symbol payload, on a chain that logs every link. Raises
-    ChainError unless it equals analytic_per_link exactly."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}; expected one of {DETECTORS}")
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xF00D)))
-    positions = (np.zeros((n, 3)) for n in (cfg.L, cfg.K, cfg.K_I))
-    unit_gains = Geometry(*positions, np.ones((cfg.L, cfg.K)), np.ones((cfg.L, cfg.K_I)))
-    block = draw_block(cfg, unit_gains, rng)
-    pilots = build_pilot_book(cfg)
-    obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
-    est = pilot_phase.ls_channel_estimate(obs, pilots, cfg)
-    zpsi = pilot_phase.compute_projected_residual(obs, pilots)
+    the sweep run on one block (_run_chunk), on a chain that logs every
+    link. Raises NumericalFailure if the block fails, and ChainError
+    unless the log equals analytic_per_link exactly."""
+    one_block = replace(cfg, rho=1.0, trials=1)
+    spec = ExperimentSpec(one_block, snr_grid_db=(0.0,), methods=(method,), detector=detector)
     chain = Chain.for_config(cfg)
-    ghat = _interferer_channels(method, block, zpsi, cfg, chain, RunDiagnostics())
-    ue = block.H if method == GENIE else est
-    aug = _augmented_stack([ghat], ue, _augmented_width(method, cfg))
-    channel = _channel_side(detector, aug, cfg, chain)
-    batch = uplink.simulate_uplink_rx(block, cfg, rng, n_symbols=1)
-    _apply(detector, batch.y, channel, chain)
+    sweep = _Sweep(spec, chain)
+    # a block no sweep of cfg scores: a failure that a run counted is not
+    # raised again when the run's report replays the ledger
+    _run_chunk(sweep, range(cfg.trials, cfg.trials + 1))
+    failures = sweep.totals.failures[0]
+    if failures:
+        raise NumericalFailure(failures[0][-1])
 
     expected = analytic_per_link(method, cfg, detector)
     measured = {p: chain.log.per_link_symbols(p) for p in chain.log.phases()}
@@ -313,14 +303,15 @@ class MonteCarloOutcome:
 def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
     """SNR-invariant part of one method's augmented channels: per-AP
     interferer channels, or None for a method that uses the UE estimates
-    alone. Degenerate rotations are counted on `counts`. `local`, when
-    given, is local_svd_estimate(zpsi, K_I) for the LOCAL_SVD_METHODS."""
+    alone. Degenerate rotations are counted on `counts`. `local` is
+    local_svd_estimate(zpsi, K_I) for the LOCAL_SVD_METHODS, or None where
+    that is undefined (K_I > N) or no such method runs."""
     if method == GENIE:
         return block.G
     if method == "no_suppression" or cfg.K_I == 0:
         return None
     if method == "local_processing":
-        return (oos_estimation.local_svd_estimate(zpsi, cfg.K_I) if local is None else local)[1]
+        return local[1]
     if method == "seq_procrustes":
         bases = None if local is None else local[0]
         sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, counts, bases)
@@ -410,14 +401,15 @@ class _Totals:
 
 class _Sweep:
     """What a sweep holds across its chunks: the pilot book, one config
-    per SNR point, the chain (unlogged: load_report checks the loads),
-    the payload buffers by term, their rows per block and the totals."""
+    per SNR point, the chain (unlogged unless load_report passes a
+    logging one), the payload buffers by term, their rows per block and
+    the totals."""
 
-    def __init__(self, spec: ExperimentSpec):
+    def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         cfg, n_symbols = spec.cfg, spec.cfg.tau_c - spec.cfg.tau_p
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
-        self.chain = Chain(cfg.ap_order, log=None)
+        self.chain = Chain(cfg.ap_order, log=None) if chain is None else chain
         self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
         size = min(CHUNK_BLOCKS, cfg.trials)
 

@@ -881,8 +881,9 @@ class TestChunking:
 
 
 class TestDispatch:
-    """The sweep and load_report run detectors only through their two
-    halves (_channel_side, _apply), never through a whole detector."""
+    """The sweep runs detectors only through their two halves
+    (_channel_side, _apply), never through a whole detector; load_report
+    runs the sweep itself."""
 
     def test_no_whole_detector_calls(self):
         tree = ast.parse(Path(experiments.__file__).read_text())
@@ -899,6 +900,30 @@ class TestDispatch:
         ]
         assert "apply_chain" in names
         assert [n for n in names if n.startswith("detect_")] == []
+
+    def test_load_report_runs_the_sweeps_chunk_path(self, monkeypatch):
+        calls, run_chunk = [], experiments._run_chunk
+
+        def spy(sweep, blocks):
+            calls.append((sweep, blocks))
+            return run_chunk(sweep, blocks)
+
+        monkeypatch.setattr(experiments, "_run_chunk", spy)
+        cfg = SystemConfig()
+        report = load_report("seq_gramian", cfg)
+        [(sweep, blocks)] = calls
+        assert len(blocks) == 1 and blocks[0] not in range(cfg.trials)
+        assert sweep.chain.log is not None
+        assert report is sweep.chain.log
+
+    def test_load_report_failure_raises_numerical_failure(self, monkeypatch):
+        # the partial log of a failed block is no load mismatch (ChainError)
+        def fail(*args, **kwargs):
+            raise NumericalFailure("injected")
+
+        monkeypatch.setattr(oos_estimation, "rotate_and_average_step", fail)
+        with pytest.raises(NumericalFailure):
+            load_report("seq_procrustes", SystemConfig())
 
 
 class TestStageTrace:
@@ -1182,7 +1207,9 @@ class TestCli:
         data = json.loads((tmp_path / "o" / "results.json").read_text())
         assert data["diagnostics"]["numerical_failures"] == 1
 
-    @pytest.mark.parametrize("override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6", "cfg.L=1"])
+    @pytest.mark.parametrize(
+        "override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6", "cfg.L=1", "cfg.rho=2.0"]
+    )
     def test_report_on_edge_configs(self, capsys, override):
         assert main(["report", "--override", override]) == 0
         out = capsys.readouterr().out
