@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_invertible, herm
+from .numerics import herm, inverse_gramian
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -27,8 +27,7 @@ class DownlinkResult:
 
 def build_local_precoders(aug: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Per-AP precoders W_l = A_l Gamma^{-1}; stacked they satisfy A^H W = I."""
-    check_invertible(gamma)
-    return herm(np.linalg.solve(gamma, herm(aug)))
+    return aug @ inverse_gramian(gamma)
 
 
 def compute_partial_precoded(x_dl: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -36,13 +35,12 @@ def compute_partial_precoded(x_dl: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     x_dl is (K,) or (K, T); the zero padding is sized from gamma.
     """
-    check_invertible(gamma)
     x_dl = np.asarray(x_dl, dtype=complex)
     single = x_dl.ndim == 1
     if single:
         x_dl = x_dl[:, None]
     pad = np.zeros((gamma.shape[0] - x_dl.shape[0], x_dl.shape[1]), dtype=complex)
-    q = np.linalg.solve(gamma, np.concatenate([x_dl, pad], axis=0))
+    q = inverse_gramian(gamma) @ np.concatenate([x_dl, pad], axis=0)
     return q[:, 0] if single else q
 
 

@@ -270,10 +270,7 @@ def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """One (method, SNR point) of the sweep. `wall_time_s` is its share of
-    the stage trace (MonteCarloOutcome.stages): the method's own stage
-    estimate.<method> plus an equal share per method of every other
-    stage, split in equal shares per SNR point."""
+    """One (method, SNR point) of the sweep."""
 
     method: str
     snr_db: float
@@ -282,7 +279,6 @@ class ResultRow:
     ci_low: float
     ci_high: float
     fronthaul_per_link_real_symbols: int
-    wall_time_s: float
     seed: int
 
 
@@ -420,9 +416,7 @@ class _Sweep:
         rx = (cfg.L, cfg.N, n_symbols)
         shapes = {"x": (cfg.K, n_symbols), "y": rx}
         if len(self.points) > 1:
-            shapes.update(hx=rx, noise=rx)
-            if cfg.K_I:
-                shapes["gs"] = rx
+            shapes.update(hx=rx, gs=rx, noise=rx)
         self.payload = {t: np.empty((size, *shape), dtype=complex) for t, shape in shapes.items()}
         s = np.empty((cfg.K_I, n_symbols), dtype=complex)
         scratch = np.empty(rx, dtype=complex) if len(self.points) == 1 else None
@@ -438,8 +432,6 @@ class _Sweep:
         """One row per (SNR point, method) with surviving blocks, and the
         failures in (SNR, block, method) order of the chunks run."""
         spec, totals = self.spec, self.totals
-        own = {m: totals.seconds[f"estimate.{m}"] for m in spec.methods}
-        shared = (sum(totals.seconds.values()) - sum(own.values())) / len(spec.methods)
         diagnostics = RunDiagnostics(
             numerical_failures=sum(map(len, totals.failures)),
             degenerate_rotations=totals.degenerate_rotations,
@@ -466,7 +458,6 @@ class _Sweep:
                         ci_low=lo,
                         ci_high=hi,
                         fronthaul_per_link_real_symbols=loads[m],
-                        wall_time_s=(own[method] + shared) / len(self.points),
                         seed=spec.cfg.seed,
                     )
                 )
@@ -537,7 +528,7 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
     x, y = payload["x"], payload["y"]
     for j, p in enumerate(points):
         if "hx" in payload:  # the buffer may hold another point's y
-            terms = payload["hx"], payload.get("gs"), payload["noise"]
+            terms = payload["hx"], payload["gs"], payload["noise"]
             uplink.received_signal(sweep.points[p].rho, *terms, out=y)
         for members, count, side in sides:
             channel = tuple(part[:, min(j, count - 1)] for part in side)

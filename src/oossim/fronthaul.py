@@ -134,8 +134,6 @@ class Chain:
                 payload = fold(payload, *(x[..., ap - 1, :, :] for x in per_ap))
                 if self.log is not None:
                     sizes.append(size(payload))
-            except ChainError:
-                raise
             except Exception as exc:
                 hop = f"AP {ap} (hop {i + 1}/{len(self.order)})"
                 if isinstance(exc, NumericalFailure):

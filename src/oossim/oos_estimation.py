@@ -144,18 +144,17 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     """Per-AP interferer channel estimates from the shared signal estimate.
 
     Ghat_l = Z_l Psi Sbar (Sbar^H Sbar)^{-1}, with the right factor formed
-    as Q R^{-H} from Sbar = Q R, which keeps Sbar's condition number. A
-    Sbar that is not numerically full column rank (smallest singular
-    value <= 1e-9 of the largest) is a NumericalFailure. The sweep calls
-    it for seq_procrustes only: run_gramian_method's Sbar has orthonormal
-    columns, so its channels are Z_l Psi Sbar.
+    as U Sigma^{-1} V^H from the SVD Sbar = U Sigma V^H (Golub & Van Loan,
+    4th ed., section 5.5), which keeps Sbar's condition number. The same
+    SVD screens Sbar: one not numerically full column rank (smallest
+    singular value <= 1e-9 of the largest) is a NumericalFailure. The
+    sweep calls it for seq_procrustes only: run_gramian_method's Sbar has
+    orthonormal columns, so its channels are Z_l Psi Sbar.
     """
-    sigma = _checked_svd(Sbar, compute_uv=False)
+    U, sigma, Vh = _checked_svd(Sbar)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
         raise DegeneracyError("shared-signal estimate is rank deficient")
-    Q, R = np.linalg.qr(Sbar)
-    right = Q @ np.linalg.inv(herm(R))
-    return shared_matmul(zpsi, right)
+    return shared_matmul(zpsi, (U / sigma[..., None, :]) @ Vh)
 
 
 def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):
@@ -164,8 +163,6 @@ def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):
     Returns (Sbar, Ghat) with Ghat shaped (L, N, K_I).
     """
     L, N, r = zpsi.shape
-    if K_I == 0:
-        return np.zeros((r, 0), dtype=complex), np.zeros((L, N, 0), dtype=complex)
     if K_I > min(L * N, r):
         raise ValueError(f"K_I={K_I} exceeds the stacked matrix rank bound")
     stacked = zpsi.reshape(L * N, r)

@@ -18,9 +18,7 @@ def _pilot_scale(cfg: SystemConfig) -> float:
 def pilot_interference(block: BlockRealization) -> np.ndarray:
     """What each AP receives during the pilot phase besides its users'
     pilots: G_l S^H + N_l, shape (L, N, tau_p). Independent of rho."""
-    if block.G.shape[-1]:
-        return shared_matmul(block.G, herm(block.S)) + block.pilot_noise
-    return block.pilot_noise
+    return shared_matmul(block.G, herm(block.S)) + block.pilot_noise
 
 
 def simulate_pilot_rx(

@@ -25,6 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 DEFAULT_NOISE_FLOOR_DBW = -124.0
+# Ceiling on the largest large-scale gain over noise, in dB (see SystemConfig)
+MAX_GAIN_DB = 1200.0
 
 # Sub-stream tags for per-block reproducible RNGs.
 GEOMETRY_STREAM = 0
@@ -39,6 +41,12 @@ class SystemConfig:
     AP ids are 1-based; `ap_order` is the order in which accumulation
     passes visit the APs (the last entry is the AP adjacent to the CPU).
     The default visits L, L-1, ..., 1; broadcasts run in reverse.
+
+    The largest gain over noise, path_loss_db at the nearest AP-node
+    distance hypot(ap_height_m, ue_margin_m) minus noise_floor_dbw, must
+    not exceed MAX_GAIN_DB (1200 dB), so that channel entries stay below
+    about 1e60 and the Gramians the estimators form stay finite. At a
+    distance of 0, build_geometry's coincidence check applies instead.
     """
 
     L: int = 4
@@ -83,6 +91,13 @@ class SystemConfig:
             raise ValueError("geometry dimensions and noise_floor_dbw must be finite")
         if not (self.ap_height_m >= 0 and 0 <= self.ue_margin_m < self.area_side_m / 2):
             raise ValueError("need ap_height_m >= 0 and 0 <= ue_margin_m < area_side_m / 2")
+        nearest = math.hypot(self.ap_height_m, self.ue_margin_m)
+        gain_db = path_loss_db(nearest) - self.noise_floor_dbw if nearest else -math.inf
+        if gain_db > MAX_GAIN_DB:
+            raise ValueError(
+                f"noise_floor_dbw={self.noise_floor_dbw} gives {gain_db:.2f} dB over noise "
+                f"at the nearest AP-node distance, {nearest:g} m; at most {MAX_GAIN_DB:g} dB"
+            )
         if not self.ap_order:
             object.__setattr__(self, "ap_order", default_ap_order(self.L))
         else:

@@ -8,7 +8,7 @@ each a channel side, which needs only the augmented channels, and an
 apply step, which needs the payload; each detect_* composes the two. The
 two chain detectors share the Gramian fold and the apply step apply_chain:
 sequential LS starts its Gramian sum from the prior I/alpha, distributed
-ZF from the first AP's term and screens it with check_invertible.
+ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 
 Every function here takes leading stack axes, and the augmented channels
 may carry more of them than the payload: channels (M, B, L, N, m) of M
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fronthaul import Chain, add_and_forward, add_gramian, hermitian_symbols, vector_symbols
-from .numerics import PINV_RTOL, NumericalFailure, check_invertible, herm, pseudo_inverse
+from .numerics import PINV_RTOL, NumericalFailure, herm, inverse_gramian, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -38,7 +38,7 @@ class UplinkSymbolBatch:
     s: np.ndarray | None  # (K_I, T); None where nothing reads it
     y: np.ndarray  # (L, N, T)
     hx: np.ndarray | None = None  # (L, N, T) H x
-    gs: np.ndarray | None = None  # (L, N, T) G s; None without interferers
+    gs: np.ndarray | None = None  # (L, N, T) G s
     noise: np.ndarray | None = None  # (L, N, T); None for a noise-free draw
 
 
@@ -94,16 +94,15 @@ def simulate_uplink_rx(
             raise ValueError("need at least one payload symbol")
         y, hx, gs, noise = np.empty((4, cfg.L, cfg.N, T), dtype=complex)
         x, s = np.empty((cfg.K, T), dtype=complex), np.empty((cfg.K_I, T), dtype=complex)
-        gs, noise = gs if cfg.K_I else None, noise if include_noise else None
+        noise = noise if include_noise else None
         out = UplinkSymbolBatch(x, s, y, hx, gs, noise)
     draw_qpsk(rng, cfg.K, out.x.shape[-1], out=out.x)
     crandn(rng, out=out.s)
     out.s *= np.sqrt(cfg.oos_snr)
     np.matmul(block.H, out.x, out=out.hx)
     received_signal(cfg.rho, out.hx, out=out.y)
-    if cfg.K_I:
-        np.matmul(block.G, out.s, out=out.gs)
-        out.y += out.gs
+    np.matmul(block.G, out.s, out=out.gs)
+    out.y += out.gs
     if include_noise:
         crandn(rng, out=out.noise)
         out.y += out.noise
@@ -145,14 +144,6 @@ def sequential_ls_covariance(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
     """Add-and-forward the per-AP channel Gramians; returns their sum."""
     return chain.run(CHAIN_PHASES["distributed_zf"][0], add_gramian, hermitian_symbols, None, aug)
-
-
-def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
-    """Channel side of distributed ZF at the CPU: gamma's inverse, after
-    check_invertible. With gamma's condition number bounded there, the
-    inverse matches an LU solve to rounding, at a fraction of the cost."""
-    check_invertible(gamma)
-    return np.linalg.inv(gamma)
 
 
 def _combine_fold(acc, A_h, y_l):

@@ -847,9 +847,9 @@ class TestChunking:
 
 
     def test_rank_screen_svd_failure_charged_to_its_method_and_block(self, monkeypatch):
-        # the SVD of estimate_oos_channels' rank screen does not converge on
-        # seq_procrustes' estimate of block 1: the sweep goes on, and only
-        # seq_procrustes loses that block
+        # the SVD of estimate_oos_channels (its rank screen and its
+        # pseudo-inverse) does not converge on seq_procrustes' estimate of
+        # block 1: the sweep goes on, and only seq_procrustes loses that block
         spec = with_trials(default_spec(methods=("seq_procrustes", "no_suppression")), 3)
         clean = run_monte_carlo(spec).rows
         cfg = spec.cfg
@@ -859,10 +859,11 @@ class TestChunking:
         mark = oos_estimation.run_sequential_procrustes(zpsi, cfg, Chain.for_config(cfg))
         original = np.linalg.svd
 
-        def flaky(a, *args, compute_uv=True, **kwargs):
-            if not compute_uv and holds(a, mark):
+        def flaky(a, *args, **kwargs):
+            # the Procrustes cross-Gramians are K_I x K_I, so match the shape first
+            if a.shape[-2:] == mark.shape and holds(a, mark):
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return original(a, *args, compute_uv=compute_uv, **kwargs)
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", flaky)
         first, *others = self.records(monkeypatch, spec)
@@ -928,7 +929,7 @@ class TestDispatch:
 
 class TestStageTrace:
     """The sweep's one timing record: seconds and calls per stage, fed by
-    _Totals.lap, from which each row's wall time is derived."""
+    _Totals.lap."""
 
     @staticmethod
     def documented(spec):
@@ -944,8 +945,6 @@ class TestStageTrace:
         wall = time.perf_counter() - start
         traced = sum(stage["seconds"] for stage in out.stages.values())
         assert abs(traced - wall) <= 0.05 * wall
-        # every (method, point) kept its blocks, so the rows share out the whole trace
-        assert sum(r.wall_time_s for r in out.rows) == pytest.approx(traced, rel=1e-12)
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_stage_names_are_the_documented_ones(self, detector):
@@ -1267,6 +1266,16 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "finite" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_noise_floor_beyond_the_gain_ceiling_rejected_in_one_line(
+        self, tmp_path, capsys, command
+    ):
+        argv = [command, "--override", "cfg.noise_floor_dbw=-4000", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "noise_floor_dbw" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -14,10 +14,10 @@ from oossim.numerics import (
     DegeneracyError,
     NumericalFailure,
     _fix_column_phases,
-    check_invertible,
     economy_svd,
     herm,
     hermitian_top_eigvectors,
+    inverse_gramian,
     pseudo_inverse,
     shared_matmul,
     top_singular_triplets,
@@ -313,7 +313,7 @@ class TestStacks:
         B = crandn(rng, 3, 4, 4)
         A = herm(B) @ B
         hermitian_top_eigvectors(A, 2)
-        check_invertible(A)
+        inverse_gramian(A)
         skewed = A.copy()
         skewed[1, 0, 1] += 1e-3
         with pytest.raises(ValueError, match="Hermitian"):
@@ -327,7 +327,7 @@ class TestStacks:
         singular = A.copy()
         singular[1] = 0.0
         with pytest.raises(DegeneracyError):
-            check_invertible(singular)
+            inverse_gramian(singular)
 
     def test_svd_failures_keep_their_types(self, rng, monkeypatch):
         broken = crandn(rng, 3, 4, 2)
@@ -353,14 +353,27 @@ class TestStacks:
         with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
             hermitian_top_eigvectors(low_rank, 1, rank=2)
 
-    def test_eigensolver_failure_in_check_invertible_is_numerical(self, rng, monkeypatch):
+    def test_inverse_gramian_is_the_screened_inverse(self, rng):
+        B = crandn(rng, 2, 3, 6, 4)
+        gamma = herm(B) @ B
+        assert np.array_equal(inverse_gramian(gamma), np.linalg.inv(gamma))
+        assert_stack_matches(inverse_gramian, gamma)
+        gamma[1, 2] = herm(B[1, 2, :1]) @ B[1, 2, :1]  # rank one: one singular member
+        with pytest.raises(DegeneracyError, match="numerically singular"):
+            inverse_gramian(gamma)
+
+    def test_eigensolver_failure_in_inverse_gramian_is_numerical(self, rng, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
         B = crandn(rng, 3, 4, 4)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         with pytest.raises(NumericalFailure, match="did not converge"):
-            check_invertible(herm(B) @ B)
+            inverse_gramian(herm(B) @ B)
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "inv", no_convergence)
+        with pytest.raises(NumericalFailure, match="inverse failed"):
+            inverse_gramian(herm(B) @ B)
 
     def test_hermitian_tolerance_is_per_member(self, rng):
         # a gap far below the stack's norm but above its own member's fails
@@ -373,18 +386,9 @@ class TestStacks:
 
 
 class TestLapackCalls:
-    """Outside numerics, a LAPACK call that can raise LinAlgError sits in
-    a try that catches it, so it reaches the sweep as NumericalFailure.
-    The calls below run on a matrix that an earlier check in the same
-    function has shown to be well conditioned, so LAPACK cannot fail."""
+    """Outside numerics, every LAPACK call that can raise LinAlgError sits
+    in a try that catches it, so it reaches the sweep as NumericalFailure."""
 
-    SCREENED = {
-        ("downlink", "build_local_precoders", "solve"): "after check_invertible(gamma)",
-        ("downlink", "compute_partial_precoded", "solve"): "after check_invertible(gamma)",
-        ("uplink", "inverse_gramian", "inv"): "after check_invertible(gamma)",
-        ("oos_estimation", "estimate_oos_channels", "qr"): "Householder QR of the finite Sbar",
-        ("oos_estimation", "estimate_oos_channels", "inv"): "after the rank screen of Sbar",
-    }
     LAPACK = ("svd", "eig", "solve", "inv", "qr", "cholesky", "lstsq")
 
     @staticmethod
@@ -424,7 +428,7 @@ class TestLapackCalls:
         visit(tree, None, False)
         return found
 
-    def test_unguarded_calls_are_the_screened_ones(self):
+    def test_no_unguarded_calls_outside_numerics(self):
         package = Path(oossim.__file__).parent
         found = {
             (path.stem, *call)
@@ -432,7 +436,7 @@ class TestLapackCalls:
             if path.name != "numerics.py"
             for call in self.unguarded_calls(ast.parse(path.read_text()))
         }
-        assert found == set(self.SCREENED)
+        assert found == set()
 
     def test_a_try_without_the_right_handler_does_not_guard(self):
         tree = ast.parse(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_cfg, unit_geometry
 from oossim.numerics import herm
 from oossim.scenario import (
+    MAX_GAIN_DB,
     SystemConfig,
     block_rng,
     build_geometry,
@@ -74,6 +76,18 @@ class TestSystemConfig:
     def test_numpy_scalars_are_numbers(self):
         cfg = make_cfg(L=np.int64(3), rho=np.float64(2.0), ap_order=(1, np.int64(3), 2))
         assert cfg.ap_order == (1, 3, 2)
+
+    def test_noise_floor_bounds_the_largest_gain(self):
+        # 1631 dB over noise at the nearest AP-node distance of the defaults
+        with pytest.raises(ValueError, match="noise_floor_dbw"):
+            SystemConfig(noise_floor_dbw=-1700.0)
+        ceiling = float(path_loss_db(math.hypot(5.0, 10.0))) - MAX_GAIN_DB
+        for floor in (ceiling, -124.0, 0.0):
+            assert SystemConfig(noise_floor_dbw=floor).noise_floor_dbw == floor
+        with pytest.raises(ValueError, match="noise_floor_dbw"):
+            SystemConfig(noise_floor_dbw=ceiling - 1e-9)
+        # at distance 0 build_geometry's coincidence check applies instead
+        SystemConfig(ap_height_m=0.0, ue_margin_m=0.0, noise_floor_dbw=-1700.0)
 
     def test_noise_floor_scales_gains(self, rng):
         base = build_geometry(SystemConfig(noise_floor_dbw=0.0), np.random.default_rng(3))

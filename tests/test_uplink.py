@@ -63,8 +63,10 @@ class TestSimulateUplink:
         assert np.array_equal(batch.hx, block.H @ batch.x)
         assert np.array_equal(batch.gs, block.G @ batch.s)
         assert np.array_equal(batch.y, received_signal(cfg.rho, batch.hx, batch.gs, batch.noise))
-        _, clean = make_batch(make_cfg(K_I=0), include_noise=False)
-        assert clean.gs is None and clean.noise is None
+        cfg = make_cfg(K_I=0)
+        _, clean = make_batch(cfg, include_noise=False)
+        assert clean.gs.shape == (cfg.L, cfg.N, 20) and not np.any(clean.gs)
+        assert clean.noise is None
 
     def test_noise_free_channel_only(self):
         cfg = make_cfg(K_I=0)
