@@ -11,14 +11,17 @@ numpy's batched LAPACK runs matrix by matrix. The channel Gramian's
 invertibility screen and its inverse are one kernel, inverse_gramian,
 which distributed ZF and the downlink precoders share.
 
-Two kernels take a cheaper route than the textbook call, screen each
+Two kernels take cheaper routes than the textbook call, screen each
 matrix on its own error bound, and send a matrix that fails the screen
 to the textbook call in its own slot of the stack:
 
 - top_singular_triplets: a wide M through the eigenpairs of M M^H
   (GRAM_RTOL);
-- hermitian_top_eigvectors with `rank`: Rayleigh-Ritz on the range of
-  A's first `rank` columns (RANGE_RTOL).
+- hermitian_top_eigvectors with `rank` < n: Rayleigh-Ritz on the range
+  of A's first `rank` columns (RANGE_RTOL);
+- hermitian_top_eigvectors with `rank` >= n: orthogonal iteration on A^2
+  and Rayleigh-Ritz, screened by the Davis-Kahan bound (SUBSPACE_STEPS,
+  SUBSPACE_RTOL).
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ GRAM_RTOL = 1e-8
 # hermitian_top_eigvectors' screen on its rank-bounded route: the range
 # residual ||A - (A Q) Q^H||_F must stay below this fraction of ||A||_F
 RANGE_RTOL = 1e-12
+# hermitian_top_eigvectors' route for rank >= n: orthogonal iteration runs
+# SUBSPACE_STEPS steps on A^2, and a matrix passes its screen when its
+# top-k subspace is off by less than SUBSPACE_RTOL (Davis-Kahan)
+SUBSPACE_STEPS = 4
+SUBSPACE_RTOL = 1e-10
 
 
 class NumericalFailure(RuntimeError):
@@ -158,8 +166,21 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     passing matrix is within 2 ||E|| of its compression
     Q Q^H A Q Q^H, so by Davis-Kahan its top-k subspace is off by about
     2 RANGE_RTOL ||A|| / (w_k - w_{k+1}) and each eigenvalue by at most
-    2 RANGE_RTOL ||A||. Without `rank`, or outside that range, A takes
-    the full eigh.
+    2 RANGE_RTOL ||A||.
+
+    With rank >= n, A (scaled by its largest entry) takes orthogonal
+    iteration with a Rayleigh-Ritz step (Golub & Van Loan, section
+    8.2.4): from its k columns of largest diagonal, SUBSPACE_STEPS steps
+    X = A^2 qr(X).Q, then Q = qr(X).Q, U the eigenvectors of Q^H A Q and
+    V = Q U with Ritz values w. With P = I - V V^H, ||P A P||_F bounds w_{k+1} by
+    Courant-Fischer; it comes from ||A||_F^2 - 2 ||A V||_F^2 + sum w^2
+    plus a rounding guard of 4 n eps ||A||_F^2. A matrix passes when
+    gap = w_k - ||P A P||_F > 0 and ||A V - V diag(w)||_F <
+    SUBSPACE_RTOL gap: by the Davis-Kahan sin theta theorem its top-k
+    subspace is then off by less than SUBSPACE_RTOL, and each Ritz value
+    is within rounding of its eigenvalue. A matrix that fails (a zero
+    one, or one with w_k = w_{k+1}) takes the full eigh in its own slot
+    of the stack. Without `rank`, or with rank < k, A takes the full eigh.
     """
     A = _as_finite_matrix(A, "A")
     n, m = A.shape[-2:]
@@ -176,13 +197,12 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     if np.any(gap > 1e-9 * np.maximum(1.0, norm)):
         raise ValueError("matrix is not Hermitian within tolerance")
     A = 0.5 * (A + herm(A))
-    if rank is None or not k <= rank < n:
+    if rank is None or rank < k:
         vectors, w = _top_eigenpairs(A, k)
         return _fix_column_phases(vectors), w
-    try:
-        Q = np.linalg.qr(A[..., :rank])[0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("QR of the matrix's range did not converge") from exc
+    if rank >= n:
+        return _subspace_iteration(A, k)
+    Q = _orthonormal_basis(A[..., :rank], "the matrix's range")
     AQ = A @ Q
     residual = np.linalg.norm(A - AQ @ herm(Q), axis=(-2, -1))
     doubt = ~(residual < RANGE_RTOL * norm)
@@ -191,6 +211,43 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     if doubt.any():
         vectors[doubt], w[doubt] = _top_eigenpairs(A[doubt], k)
     return _fix_column_phases(vectors), w
+
+
+def _subspace_iteration(A: np.ndarray, k: int):
+    """hermitian_top_eigvectors' route for `rank` >= n (see there), on
+    S = A / max|A_ij|, so that no product overflows and the scale, a
+    maximum, is the same bits in a stack and alone."""
+    n = A.shape[-1]
+    scale = np.abs(A).max(axis=(-2, -1))
+    S = A / np.where(scale > 0, scale, 1.0)[..., None, None]
+    S2 = S @ S
+    start = np.argsort(-S.diagonal(axis1=-2, axis2=-1).real, axis=-1, kind="stable")[..., :k]
+    X = np.take_along_axis(S, start[..., None, :], axis=-1)
+    for _ in range(SUBSPACE_STEPS):
+        X = S2 @ _orthonormal_basis(X, "the iterated subspace")
+    Q = _orthonormal_basis(X, "the iterated subspace")
+    SQ = S @ Q
+    U, w = _top_eigenpairs(herm(Q) @ SQ, k)
+    vectors, SV = Q @ U, SQ @ U
+    residual = np.linalg.norm(SV - vectors * w[..., None, :], axis=(-2, -1))
+    # ||P S P||_F^2 = ||S||_F^2 - 2 ||S V||_F^2 + sum w^2, P = I - V V^H,
+    # bounds w_{k+1} by Courant-Fischer; the guard covers its cancellation
+    square = np.linalg.norm(S, axis=(-2, -1)) ** 2
+    rest = square - 2 * np.linalg.norm(SV, axis=(-2, -1)) ** 2 + np.sum(w * w, axis=-1)
+    gap = w[..., -1] - np.sqrt(np.maximum(rest + 4 * n * np.finfo(float).eps * square, 0.0))
+    doubt = ~(residual < SUBSPACE_RTOL * gap)  # so gap > 0 too
+    w = w * scale[..., None]
+    if doubt.any():
+        vectors[doubt], w[doubt] = _top_eigenpairs(A[doubt], k)
+    return _fix_column_phases(vectors), w
+
+
+def _orthonormal_basis(X: np.ndarray, what: str) -> np.ndarray:
+    """Q of the thin Householder QR of X (of every matrix of a stack)."""
+    try:
+        return np.linalg.qr(X)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"QR of {what} did not converge") from exc
 
 
 def _top_eigenpairs(A: np.ndarray, k: int):

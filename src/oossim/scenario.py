@@ -42,11 +42,12 @@ class SystemConfig:
     passes visit the APs (the last entry is the AP adjacent to the CPU).
     The default visits L, L-1, ..., 1; broadcasts run in reverse.
 
-    The largest gain over noise, path_loss_db at the nearest AP-node
-    distance hypot(ap_height_m, ue_margin_m) minus noise_floor_dbw, must
-    not exceed MAX_GAIN_DB (1200 dB), so that channel entries stay below
-    about 1e60 and the Gramians the estimators form stay finite. At a
-    distance of 0, build_geometry's coincidence check applies instead.
+    Every AP-node distance is at least hypot(ap_height_m, ue_margin_m),
+    which must be positive: at distance 0 the path-loss gain has no bound.
+    The largest gain over noise, path_loss_db at that distance minus
+    noise_floor_dbw, must not exceed MAX_GAIN_DB (1200 dB), so that
+    channel entries stay below about 1e60 and the Gramians the estimators
+    form stay finite.
     """
 
     L: int = 4
@@ -92,7 +93,12 @@ class SystemConfig:
         if not (self.ap_height_m >= 0 and 0 <= self.ue_margin_m < self.area_side_m / 2):
             raise ValueError("need ap_height_m >= 0 and 0 <= ue_margin_m < area_side_m / 2")
         nearest = math.hypot(self.ap_height_m, self.ue_margin_m)
-        gain_db = path_loss_db(nearest) - self.noise_floor_dbw if nearest else -math.inf
+        if nearest == 0:
+            raise ValueError(
+                "ap_height_m and ue_margin_m are both 0: a node may sit at an AP, "
+                "where the path-loss gain has no bound"
+            )
+        gain_db = path_loss_db(nearest) - self.noise_floor_dbw
         if gain_db > MAX_GAIN_DB:
             raise ValueError(
                 f"noise_floor_dbw={self.noise_floor_dbw} gives {gain_db:.2f} dB over noise "
@@ -215,8 +221,9 @@ def build_geometry(cfg: SystemConfig, rng) -> Geometry:
     APs sit at height ap_height_m, equally spaced along the square
     perimeter; UEs and OoS sources are dropped uniformly (same rule for
     both) in the concentric square inset by ue_margin_m, at ground level.
-    Path loss uses the 3-D distance, so the AP height keeps d > 0. `rng`
-    is a generator, or a sequence of them for a stack (module docstring).
+    Path loss uses the 3-D distance, at least hypot(ap_height_m,
+    ue_margin_m) > 0 (SystemConfig). `rng` is a generator, or a sequence
+    of them for a stack (module docstring).
     """
     rngs, stacked = _generators(rng)
     side, K, L = cfg.area_side_m, cfg.K, cfg.L
@@ -229,8 +236,6 @@ def build_geometry(cfg: SystemConfig, rng) -> Geometry:
     nodes = np.zeros((len(rngs), K + cfg.K_I, 3))
     np.add(xy * (hi - lo), lo, out=nodes[..., :2])
     d = np.linalg.norm(ap_positions[:, None, :] - nodes[:, None, :, :], axis=-1)
-    if np.any(d <= 0):
-        raise ValueError("AP and node coincide; path-loss model needs d > 0")
     gains = 10.0 ** ((path_loss_db(d) - cfg.noise_floor_dbw) / 10.0)
     if not stacked:
         nodes, gains = nodes[0], gains[0]

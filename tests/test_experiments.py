@@ -457,7 +457,9 @@ class TestRunMonteCarlo:
 
     def test_gramian_method_eigensolves_in_its_range(self, monkeypatch):
         # the CPU total adds L Gramians of rank N: with L N < tau_p - K no
-        # eigensolve is wider than L N; at L = 16 (L N = 64) it is the full one
+        # eigensolve is wider than L N. At L = 16 (L N = 64) the subspace
+        # route eigensolves K_I x K_I matrices, and a total that fails its
+        # screen would add a full one; with seed 0 every total passes
         widths = Counter()
         original = np.linalg.eigh
 
@@ -471,8 +473,9 @@ class TestRunMonteCarlo:
         run_monte_carlo(spec)
         assert widths[cfg.L * cfg.N] > 0 and max(widths) <= cfg.L * cfg.N < cfg.tau_p - cfg.K
         widths.clear()
+        assert cfg.seed == 0
         run_monte_carlo(replace(spec, cfg=replace(cfg, L=16, ap_order=()), methods=("seq_gramian",)))
-        assert widths[cfg.tau_p - cfg.K] > 0
+        assert set(widths) == {cfg.K_I}
 
     def test_geometry_is_drawn_before_anything_else(self, monkeypatch):
         # the benchmark's setup_s probe patches experiments.build_geometry
@@ -1276,6 +1279,14 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "noise_floor_dbw" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_zero_nearest_distance_rejected_in_one_line(self, tmp_path, capsys):
+        zero = ["--override", "cfg.ap_height_m=0", "--override", "cfg.ue_margin_m=0"]
+        floor = ["--override", "cfg.noise_floor_dbw=-3200", "--trials", "4"]
+        assert main(["run", *zero, *floor, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "ap_height_m and ue_margin_m" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from conftest import crandn
 import oossim
 from oossim.numerics import (
     RANGE_RTOL,
+    SUBSPACE_RTOL,
     DegeneracyError,
     NumericalFailure,
     _fix_column_phases,
@@ -141,11 +142,21 @@ class TestHermitianTopEigvectors:
         assert np.max(angles) < 1e-8
 
 
-def gramian_sum(rng, batch, rank, r):
+def gramian_sum(rng, batch, rank, r, spikes=0):
     """A stack of `batch` sums of residual Gramians Z^H Z, each of rank
-    `rank` in dimension r, like the Gramian method's CPU total."""
+    `rank` in dimension r, like the Gramian method's CPU total. With
+    `spikes`, Z also carries that many strong interferer directions, as
+    on a long chain, which open a wide gap after the `spikes`-th
+    eigenvalue."""
     Z = crandn(rng, batch, rank, r)
+    if spikes:
+        Z += 2 * crandn(rng, batch, rank, spikes) @ crandn(rng, batch, spikes, r)
     return herm(Z) @ Z
+
+
+def assert_phase_convention(vectors):
+    pivots = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :], -2)
+    assert np.allclose(pivots.imag, 0.0, atol=1e-12) and np.all(pivots.real >= 0)
 
 
 class TestRankBoundedRoute:
@@ -169,8 +180,7 @@ class TestRankBoundedRoute:
             assert np.all(np.linalg.norm(projector, 2, axis=(-2, -1)) <= bound)
             assert np.all(np.abs(w - full_w[:, :k]) <= 2 * RANGE_RTOL * norm[:, None])
             assert np.linalg.norm(herm(vectors) @ vectors - np.eye(k), axis=(-2, -1)).max() < 1e-13
-            pivots = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=-2)[:, None], -2)
-            assert np.allclose(pivots.imag, 0.0, atol=1e-12) and np.all(pivots.real >= 0)
+            assert_phase_convention(vectors)
 
     def test_a_member_outside_the_screen_takes_the_full_eigh(self, rng):
         rank, k = 4, 2
@@ -185,9 +195,10 @@ class TestRankBoundedRoute:
         # a passing member does take the range route
         assert not np.array_equal(vectors[0], hermitian_top_eigvectors(A[0], k)[0])
 
-    def test_outside_its_range_the_route_is_the_full_eigh(self, rng):
+    def test_below_k_the_route_is_the_full_eigh(self, rng):
+        # rank >= n is TestSubspaceRoute's
         A = gramian_sum(rng, 2, 3, 6)
-        for k, rank in ((4, 3), (2, 6), (2, 7), (6, 40)):
+        for k, rank in ((4, 3), (2, 1)):
             got = hermitian_top_eigvectors(A, k, rank=rank)
             for a, b in zip(got, hermitian_top_eigvectors(A, k), strict=True):
                 assert np.array_equal(a, b)
@@ -200,6 +211,57 @@ class TestRankBoundedRoute:
         A[1, 2, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_top_eigvectors(A, 1, rank=3)
+
+
+class TestSubspaceRoute:
+    """hermitian_top_eigvectors(A, k, rank) with rank >= n: orthogonal
+    iteration and Rayleigh-Ritz, the full eigh for a matrix that fails
+    the Davis-Kahan screen."""
+
+    @pytest.mark.parametrize("r, rank", [(21, 40), (45, 64)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_agrees_with_the_full_eigh_within_the_bound(self, r, rank, k):
+        rng = np.random.default_rng(k)
+        A = gramian_sum(rng, 3, rank, r, spikes=k) * np.array([1e-6, 1.0, 1e6])[:, None, None]
+        vectors, w = hermitian_top_eigvectors(A, k, rank=rank)
+        full_vectors, full_w = hermitian_top_eigvectors(A, k + 1)
+        ratio = full_w[:, k] / full_w[:, k - 1]
+        full_vectors, full_w = full_vectors[..., :k], full_w[:, :k]
+        projector = vectors @ herm(vectors) - full_vectors @ herm(full_vectors)
+        assert np.all(np.linalg.norm(projector, 2, axis=(-2, -1)) <= SUBSPACE_RTOL)
+        norm = np.linalg.norm(A, axis=(-2, -1))
+        assert np.all(np.abs(w - full_w) <= r * np.finfo(float).eps * norm[:, None])
+        assert np.linalg.norm(herm(vectors) @ vectors - np.eye(k), axis=(-2, -1)).max() < 1e-13
+        assert_phase_convention(vectors)
+        # a member with a gap like a long chain's (w_{k+1} / w_k at most
+        # 0.05) passes the screen, so it does not have the full eigh's bits
+        routed = ~np.array(list(map(np.array_equal, vectors, full_vectors)))
+        assert np.all(routed | (ratio > 0.05)) and routed.sum() >= 2
+
+    def test_a_member_outside_the_screen_takes_the_full_eigh(self, rng):
+        r, k = 21, 2
+        A = gramian_sum(rng, 5, 40, r, spikes=k)
+        A[1] = 0.0
+        U = np.linalg.qr(crandn(rng, r, r))[0]
+        A[2] = (U * np.r_[4.0, 2.0, 2.0, np.linspace(1.0, 0.1, r - 3)]) @ herm(U)  # w_k == w_{k+1}
+        # the iteration finds the largest |w|, here negative: not the top k
+        A[3] = (U * np.r_[4.0, 3.0, np.linspace(-1.0, -40.0, r - 2)]) @ herm(U)
+        vectors, w = hermitian_top_eigvectors(A, k, rank=r)
+        for i, screened in enumerate((False, True, True, True, False)):
+            alone = hermitian_top_eigvectors(A[i], k, rank=None if screened else r)
+            assert np.array_equal(vectors[i], alone[0]) and np.array_equal(w[i], alone[1])
+        assert_stack_matches(lambda M, j: hermitian_top_eigvectors(M, j, rank=r), A, k)
+        # a passing member does take the subspace route
+        assert not np.array_equal(vectors[0], hermitian_top_eigvectors(A[0], k)[0])
+
+    def test_every_rank_from_n_up_takes_the_same_route(self, rng):
+        A = gramian_sum(rng, 2, 40, 21, spikes=2)
+        for k in (2, 21):
+            want = hermitian_top_eigvectors(A, k, rank=21)
+            for rank in (22, 64):
+                got = hermitian_top_eigvectors(A, k, rank=rank)
+                assert all(map(np.array_equal, got, want))
+            assert not np.array_equal(want[0], hermitian_top_eigvectors(A, k)[0])
 
 
 class TestSharedMatmul:
@@ -308,6 +370,8 @@ class TestStacks:
         low = gramian_sum(rng, batch, rank, n)
         low[0] = 0.0  # a member that fails the range screen
         assert_stack_matches(lambda M, j: hermitian_top_eigvectors(M, j, rank=rank), low, 1)
+        A[0] = 0.0  # and the subspace route's screen
+        assert_stack_matches(lambda M, j: hermitian_top_eigvectors(M, j, rank=n), A, 1)
 
     def test_one_bad_member_fails_the_stack(self, rng):
         B = crandn(rng, 3, 4, 4)
@@ -343,15 +407,19 @@ class TestStacks:
             with pytest.raises(NumericalFailure, match="SVD did not converge"):
                 kernel(crandn(rng, 3, 4, 2))
         low_rank = gramian_sum(rng, 3, 2, 6)
+        full_rank = gramian_sum(rng, 3, 8, 6, spikes=1)
         monkeypatch.setattr(np.linalg, "qr", no_convergence)
         with pytest.raises(NumericalFailure, match="QR of the matrix's range did not converge"):
             hermitian_top_eigvectors(low_rank, 1, rank=2)
+        with pytest.raises(NumericalFailure, match="QR of the iterated subspace did not converge"):
+            hermitian_top_eigvectors(full_rank, 1, rank=6)
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
             top_singular_triplets(crandn(rng, 3, 2, 4), 1)
-        with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
-            hermitian_top_eigvectors(low_rank, 1, rank=2)
+        for M, rank in ((low_rank, 2), (full_rank, 6)):
+            with pytest.raises(NumericalFailure, match="eigendecomposition did not converge"):
+                hermitian_top_eigvectors(M, 1, rank=rank)
 
     def test_inverse_gramian_is_the_screened_inverse(self, rng):
         B = crandn(rng, 2, 3, 6, 4)

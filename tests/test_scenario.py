@@ -86,8 +86,11 @@ class TestSystemConfig:
             assert SystemConfig(noise_floor_dbw=floor).noise_floor_dbw == floor
         with pytest.raises(ValueError, match="noise_floor_dbw"):
             SystemConfig(noise_floor_dbw=ceiling - 1e-9)
-        # at distance 0 build_geometry's coincidence check applies instead
-        SystemConfig(ap_height_m=0.0, ue_margin_m=0.0, noise_floor_dbw=-1700.0)
+        # at distance 0 the gain has no bound, whatever the floor
+        for floor in (-1700.0, 0.0):
+            with pytest.raises(ValueError, match="ap_height_m and ue_margin_m"):
+                SystemConfig(ap_height_m=0.0, ue_margin_m=0.0, noise_floor_dbw=floor)
+        SystemConfig(ap_height_m=0.0, ue_margin_m=1.0)
 
     def test_noise_floor_scales_gains(self, rng):
         base = build_geometry(SystemConfig(noise_floor_dbw=0.0), np.random.default_rng(3))
