@@ -109,7 +109,11 @@ def _cmd_run(args) -> int:
             f"{d.degenerate_rotations} degenerate rotations",
             file=sys.stderr,
         )
-    if args.strict and d.numerical_failures:
+    ledger = json.loads(json_path.read_text())["fronthaul"]
+    failed = [method for method, phases in ledger.items() if phases and "failed" in phases]
+    for method in failed:
+        print(f"fronthaul ledger of {method} failed: {ledger[method]['failed']}", file=sys.stderr)
+    if args.strict and (d.numerical_failures or failed):
         return 1
     return 0
 
@@ -140,6 +144,9 @@ def _cmd_report(args) -> int:
     for method, phases in table.items():
         if phases is None:
             print(f"{method:<20}{'(undefined for this config)':<20}")
+            continue
+        if "failed" in phases:
+            print(f"{method:<20}(ledger block failed: {phases['failed']})")
             continue
         if not phases:
             print(f"{method:<20}{'(no chain traffic)':<20}")

@@ -25,11 +25,6 @@ class DownlinkResult:
     per_ap_tx_power: np.ndarray  # (L,), mean radiated power per symbol
 
 
-def build_local_precoders(aug: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Per-AP precoders W_l = A_l Gamma^{-1}; stacked they satisfy A^H W = I."""
-    return aug @ inverse_gramian(gamma)
-
-
 def compute_partial_precoded(x_dl: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """CPU-side q = Gamma^{-1} [x_dl; 0]: zeros in the interferer directions.
 

@@ -620,12 +620,17 @@ def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
 
 def load_table(cfg: SystemConfig, detector: str = "distributed_zf", methods=METHODS):
     """Measured per-link loads by (method, phase), formula-checked; None for
-    a method whose estimator or detection is undefined (undefined_reason)."""
+    a method whose estimator or detection is undefined (undefined_reason),
+    {"failed": reason} for one whose load_report raised NumericalFailure."""
     table = {}
     for method in methods:
         if undefined_reason(method, cfg, detector):
             table[method] = None
             continue
-        report = load_report(method, cfg, detector)
-        table[method] = {p: report.per_link_symbols(p) for p in report.phases()}
+        try:
+            report = load_report(method, cfg, detector)
+        except NumericalFailure as exc:
+            table[method] = {"failed": str(exc)}
+        else:
+            table[method] = {p: report.per_link_symbols(p) for p in report.phases()}
     return table

@@ -2,7 +2,9 @@
 
 Thin wrappers around LAPACK (through numpy.linalg) that add input
 validation and explicit failure types so callers never receive silent
-garbage. Kept singular and eigen vectors follow _fix_column_phases,
+garbage; every LAPACK call of the package goes through _lapack, which
+raises a LAPACK failure as NumericalFailure. Kept singular and eigen
+vectors follow _fix_column_phases,
 top_singular_triplets' on either of its routes; a product in which the
 phase cancels (pseudo_inverse, procrustes_rotation) uses the SVD without
 it. Every kernel also takes a stack of matrices along leading axes and
@@ -11,17 +13,19 @@ numpy's batched LAPACK runs matrix by matrix. The channel Gramian's
 invertibility screen and its inverse are one kernel, inverse_gramian,
 which distributed ZF and the downlink precoders share.
 
-Two kernels take cheaper routes than the textbook call, screen each
-matrix on its own error bound, and send a matrix that fails the screen
-to the textbook call in its own slot of the stack:
+Four routes are cheaper than the textbook call (after the arrow). Each
+screens every matrix on the error bound that its function's docstring
+states, and _refit gives a matrix that fails the screen the textbook
+call in its own slot of the stack:
 
-- top_singular_triplets: a wide M through the eigenpairs of M M^H
-  (GRAM_RTOL);
-- hermitian_top_eigvectors with `rank` < n: Rayleigh-Ritz on the range
-  of A's first `rank` columns (RANGE_RTOL);
-- hermitian_top_eigvectors with `rank` >= n: orthogonal iteration on A^2
-  and Rayleigh-Ritz, screened by the Davis-Kahan bound (SUBSPACE_STEPS,
-  SUBSPACE_RTOL).
+- top_singular_triplets, a wide M: the eigenpairs of M M^H (GRAM_RTOL)
+  -> economy_svd;
+- hermitian_top_eigvectors, k <= `rank` < n: Rayleigh-Ritz on the range
+  of A's first `rank` columns (RANGE_RTOL) -> eigh;
+- hermitian_top_eigvectors, `rank` >= n: orthogonal iteration on A^2 and
+  Rayleigh-Ritz, Davis-Kahan screen (SUBSPACE_STEPS, SUBSPACE_RTOL) -> eigh;
+- uplink.zf_filter, a tall A: its Householder QR, screened on the bounds
+  that R gives for A's singular values (PINV_RTOL) -> pseudo_inverse.
 """
 
 from __future__ import annotations
@@ -30,15 +34,9 @@ import numpy as np
 
 
 PINV_RTOL = 1e-12  # pseudo_inverse's relative cutoff, for small well-scaled matrices
-# top_singular_triplets' screen on the Gramian route: the k-th eigenvalue of
-# M M^H must exceed this fraction of the largest (sigma_k > 1e-4 sigma_1)
+# The screens of the routes listed above
 GRAM_RTOL = 1e-8
-# hermitian_top_eigvectors' screen on its rank-bounded route: the range
-# residual ||A - (A Q) Q^H||_F must stay below this fraction of ||A||_F
 RANGE_RTOL = 1e-12
-# hermitian_top_eigvectors' route for rank >= n: orthogonal iteration runs
-# SUBSPACE_STEPS steps on A^2, and a matrix passes its screen when its
-# top-k subspace is off by less than SUBSPACE_RTOL (Davis-Kahan)
 SUBSPACE_STEPS = 4
 SUBSPACE_RTOL = 1e-10
 
@@ -95,15 +93,30 @@ def _fix_column_phases(U: np.ndarray, companion: np.ndarray | None = None):
     return U * phases
 
 
+def _lapack(failure: str, routine, *args, **kwargs):
+    """routine(*args, **kwargs), a numpy.linalg call, with a LAPACK
+    failure (LinAlgError) raised as NumericalFailure(failure)."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(failure) from exc
+
+
+def _refit(doubt: np.ndarray, outputs: tuple, textbook, A: np.ndarray) -> None:
+    """Write textbook(A[doubt]), one array per entry of `outputs`, into
+    the `doubt` slots of those arrays: a screened route's per-matrix
+    fallback, which leaves every other matrix's bits as they were."""
+    if doubt.any():
+        for out, value in zip(outputs, textbook(A[doubt]), strict=True):
+            out[doubt] = value
+
+
 def _checked_svd(M, full_matrices: bool = False):
     """LAPACK SVD (U, sigma, V^H) of a finite matrix or stack, with no
     phase convention. Raises ValueError on non-finite input and
     NumericalFailure when LAPACK does not converge."""
     M = _as_finite_matrix(M, "M")
-    try:
-        return np.linalg.svd(M, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("SVD did not converge") from exc
+    return _lapack("SVD did not converge", np.linalg.svd, M, full_matrices=full_matrices)
 
 
 def economy_svd(M: np.ndarray):
@@ -143,8 +156,7 @@ def top_singular_triplets(M: np.ndarray, k: int):
     doubt = ~(w[..., -1] > GRAM_RTOL * w[..., 0])
     sigma = np.sqrt(np.where(doubt[..., None], 1.0, w))
     V = herm(M) @ U / sigma[..., None, :]
-    if doubt.any():
-        U[doubt], sigma[doubt], V[doubt] = (x[..., :k] for x in economy_svd(M[doubt]))
+    _refit(doubt, (U, sigma, V), lambda M: [x[..., :k] for x in economy_svd(M)], M)
     return U, sigma, V
 
 
@@ -208,8 +220,7 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     doubt = ~(residual < RANGE_RTOL * norm)
     U, w = _top_eigenpairs(herm(Q) @ AQ, k)
     vectors = Q @ U
-    if doubt.any():
-        vectors[doubt], w[doubt] = _top_eigenpairs(A[doubt], k)
+    _refit(doubt, (vectors, w), lambda A: _top_eigenpairs(A, k), A)
     return _fix_column_phases(vectors), w
 
 
@@ -237,26 +248,19 @@ def _subspace_iteration(A: np.ndarray, k: int):
     gap = w[..., -1] - np.sqrt(np.maximum(rest + 4 * n * np.finfo(float).eps * square, 0.0))
     doubt = ~(residual < SUBSPACE_RTOL * gap)  # so gap > 0 too
     w = w * scale[..., None]
-    if doubt.any():
-        vectors[doubt], w[doubt] = _top_eigenpairs(A[doubt], k)
+    _refit(doubt, (vectors, w), lambda A: _top_eigenpairs(A, k), A)
     return _fix_column_phases(vectors), w
 
 
 def _orthonormal_basis(X: np.ndarray, what: str) -> np.ndarray:
     """Q of the thin Householder QR of X (of every matrix of a stack)."""
-    try:
-        return np.linalg.qr(X)[0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"QR of {what} did not converge") from exc
+    return _lapack(f"QR of {what} did not converge", np.linalg.qr, X)[0]
 
 
 def _top_eigenpairs(A: np.ndarray, k: int):
     """Top-k eigenpairs of A (LAPACK eigh reads its lower triangle), with
     no phase convention."""
-    try:
-        w, v = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigendecomposition did not converge") from exc
+    w, v = _lapack("eigendecomposition did not converge", np.linalg.eigh, A)
     order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
     return np.take_along_axis(v, order[..., None, :], axis=-1), np.take_along_axis(w, order, axis=-1)
 
@@ -267,16 +271,11 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     eigenvalue exceeds 1e-10 of its largest, which is positive, else
     DegeneracyError. With gamma's condition number bounded so, the
     inverse matches an LU solve to rounding, at a fraction of the cost."""
-    try:
-        w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigenvalues of the channel Gramian did not converge") from exc
+    symmetric = 0.5 * (gamma + herm(gamma))
+    w = _lapack("eigenvalues of the channel Gramian did not converge", np.linalg.eigvalsh, symmetric)
     if np.any(w[..., -1] <= 0) or np.any(w[..., 0] <= 1e-10 * w[..., -1]):
         raise DegeneracyError("channel Gramian is numerically singular")
-    try:
-        return np.linalg.inv(gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("channel Gramian inverse failed") from exc
+    return _lapack("channel Gramian inverse failed", np.linalg.inv, gamma)
 
 
 def pseudo_inverse(M: np.ndarray) -> np.ndarray:

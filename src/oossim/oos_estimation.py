@@ -129,11 +129,9 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
 
     Per-link payload is the full (tau_p - K)^2 Hermitian Gramian, so the
     load is independent of the number of interferers. The total adds L
-    Gramians of rank at most N, and hermitian_top_eigvectors takes
-    rank = L N: when L N < tau_p - K the CPU eigensolves the total in its
-    L N-dimensional range, otherwise by orthogonal iteration screened on
-    the gap after its K_I-th eigenvalue. The returned estimate has
-    orthonormal columns.
+    Gramians of rank at most N, so hermitian_top_eigvectors takes
+    rank = L N, which picks its route (the numerics module lists them).
+    The returned estimate has orthonormal columns.
     """
     L, N = zpsi.shape[-3:-1]
     total = chain.run("oos_forward", add_gramian, hermitian_symbols, None, zpsi)

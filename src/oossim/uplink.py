@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fronthaul import Chain, add_and_forward, add_gramian, hermitian_symbols, vector_symbols
-from .numerics import PINV_RTOL, NumericalFailure, herm, inverse_gramian, pseudo_inverse
+from .numerics import PINV_RTOL, _lapack, _refit, herm, inverse_gramian, pseudo_inverse
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -135,10 +135,7 @@ def sequential_ls_covariance(aug: np.ndarray, cfg: SystemConfig, chain: Chain) -
     J = np.zeros((*aug.shape[:-3], m, m), dtype=complex)
     J[..., range(m), range(m)] = 1 / cfg.alpha
     J = chain.run(CHAIN_PHASES["sequential_ls"][0], add_gramian, hermitian_symbols, J, aug)
-    try:
-        return np.linalg.inv(J)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("sequential LS information matrix is singular") from exc
+    return _lapack("sequential LS information matrix is singular", np.linalg.inv, J)
 
 
 def accumulate_channel_gramian(aug: np.ndarray, chain: Chain) -> np.ndarray:
@@ -199,21 +196,18 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
     A = aug.reshape(*stack, L * N, m)
     if L * N < m:
         return pseudo_inverse(A)
-    try:
-        Q, R = np.linalg.qr(A)
-        pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-        # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
-        singular = ~(pivots.min(axis=-1) > PINV_RTOL * pivots.max(axis=-1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a singular R is swapped for I so that inv never sees it
-            R_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m), R))
-            cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("QR pseudo-inverse failed") from exc
+    Q, R = _lapack("QR pseudo-inverse failed", np.linalg.qr, A)
+    pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
+    singular = ~(pivots.min(axis=-1) > PINV_RTOL * pivots.max(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a singular R is swapped for I so that inv never sees it
+        R = np.where(singular[..., None, None], np.eye(m), R)
+        R_inv = _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
+        cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
     F = R_inv @ herm(Q)
     doubt = singular | ~(cond_bound * PINV_RTOL < 1)
-    if doubt.any():
-        F[doubt] = pseudo_inverse(A[doubt])
+    _refit(doubt, (F,), lambda A: (pseudo_inverse(A),), A)
     return F
 
 

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import crandn, make_cfg, unit_geometry
-from oossim.downlink import (
-    build_local_precoders,
-    compute_partial_precoded,
-    simulate_downlink,
-)
+from oossim.downlink import compute_partial_precoded, simulate_downlink
 from oossim.fronthaul import Chain
-from oossim.numerics import DegeneracyError, herm
+from oossim.numerics import DegeneracyError, herm, inverse_gramian
 from oossim.pilot_phase import (
     compute_projected_residual,
     ls_channel_estimate,
@@ -29,7 +25,7 @@ class TestLocalPrecoders:
     def test_zf_identity(self):
         cfg = make_cfg()
         _, aug, gamma = genie_setup(cfg)
-        wbar = build_local_precoders(aug, gamma)
+        wbar = aug @ inverse_gramian(gamma)
         stacked_a = aug.reshape(cfg.L * cfg.N, -1)
         stacked_w = wbar.reshape(cfg.L * cfg.N, -1)
         m = cfg.K + cfg.K_I
@@ -39,20 +35,20 @@ class TestLocalPrecoders:
         A, _ = np.linalg.qr(crandn(rng, 6, 3))
         aug = A[None]
         gamma = herm(A) @ A
-        wbar = build_local_precoders(aug, gamma)
+        wbar = aug @ inverse_gramian(gamma)
         assert np.allclose(wbar[0], A, atol=1e-10)
 
     def test_matches_central_formula(self):
         cfg = make_cfg()
         _, aug, gamma = genie_setup(cfg, seed=2)
-        wbar = build_local_precoders(aug, gamma)
+        wbar = aug @ inverse_gramian(gamma)
         stacked_a = aug.reshape(cfg.L * cfg.N, -1)
         central = stacked_a @ np.linalg.inv(herm(stacked_a) @ stacked_a)
         assert np.linalg.norm(wbar.reshape(cfg.L * cfg.N, -1) - central) < 1e-10
 
     def test_singular_gramian_rejected(self):
         with pytest.raises(DegeneracyError):
-            build_local_precoders(np.zeros((1, 2, 2)), np.zeros((2, 2)))
+            np.zeros((1, 2, 2)) @ inverse_gramian(np.zeros((2, 2)))
 
 
 class TestPartialPrecoding:
@@ -73,7 +69,7 @@ class TestPartialPrecoding:
         _, aug, gamma = genie_setup(cfg, seed=3)
         x = draw_qpsk(rng, cfg.K, 1)[:, 0]
         q = compute_partial_precoded(x, gamma)
-        wbar = build_local_precoders(aug, gamma)
+        wbar = aug @ inverse_gramian(gamma)
         padded = np.concatenate([x, np.zeros(cfg.K_I)])
         via_w = np.sum(wbar @ padded, axis=0)
         via_q = np.sum(aug @ q, axis=0)

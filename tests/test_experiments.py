@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,12 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg
 import oossim
-from oossim import cli, experiments, oos_estimation, uplink
+from oossim import cli, experiments, numerics, oos_estimation, uplink
 from oossim.cli import main
 from oossim.experiments import (
     CSV_COLUMNS,
@@ -930,6 +931,62 @@ class TestDispatch:
             load_report("seq_procrustes", SystemConfig())
 
 
+class TestScreenedRoutes:
+    """End to end, the sweep's UE estimates on the screened routes (the
+    numerics route list, and zf_filter's QR route) match those that every
+    matrix gets from the textbook call, within ROUTE_RTOL, and results.csv
+    is the same bytes."""
+
+    ROUTE_RTOL = 1e-9
+    SPECS = {
+        "paper_default": default_spec(),
+        "long_chain_seq_ls": default_spec(
+            cfg=SystemConfig(L=16),
+            snr_grid_db=(0.0,),
+            methods=("no_suppression", "seq_procrustes", "seq_gramian"),
+            detector="sequential_ls",
+        ),
+        "overloaded_dzf": overloaded_interferers_spec(detector="distributed_zf"),
+        # K_I > N with L N >= tau_p - K: orthogonal iteration for k = 5 and
+        # a 10-column zf_filter
+        "overloaded_czf_L12": overloaded_interferers_spec(cfg=SystemConfig(L=12, K_I=5)),
+    }
+
+    @staticmethod
+    def estimates(spec):
+        """results.csv and every _apply result of a sweep of `spec`."""
+        seen, apply = [], experiments._apply
+
+        def spy(*args):
+            seen.append(apply(*args))
+            return seen[-1]
+
+        with mock.patch.object(experiments, "_apply", spy):
+            return rows_to_csv(run_monte_carlo(spec).rows), seen
+
+    @staticmethod
+    def stacked_pseudo_inverse(aug):
+        *stack, L, N, m = aug.shape
+        return numerics.pseudo_inverse(aug.reshape(*stack, L * N, m))
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_matches_the_textbook_calls(self, name):
+        spec = self.SPECS[name]
+        spec = with_trials(replace(spec, cfg=replace(spec.cfg, seed=5)), 8)
+        csv_text, screened = self.estimates(spec)
+        with mock.patch.multiple(numerics, GRAM_RTOL=math.inf, RANGE_RTOL=0.0, SUBSPACE_RTOL=0.0):
+            with mock.patch.object(uplink, "zf_filter", self.stacked_pseudo_inverse):
+                textbook_csv, textbook = self.estimates(spec)
+        assert textbook_csv == csv_text
+        assert len(screened) == len(textbook) > 0
+        worst = max(
+            np.max(np.linalg.norm(a - b, axis=(-2, -1)) / np.linalg.norm(b, axis=(-2, -1)))
+            for a, b in zip(screened, textbook)
+        )
+        # a zero difference would mean the textbook switch took no effect
+        assert 0 < worst < self.ROUTE_RTOL
+
+
 class TestStageTrace:
     """The sweep's one timing record: seconds and calls per stage, fed by
     _Totals.lap."""
@@ -1019,7 +1076,63 @@ class TestBenchmarkReference:
         assert rows_to_csv(run_monte_carlo(spec).rows) == expected
 
 
+@st.composite
+def tiny_valid_specs(draw):
+    """A valid spec of a few blocks on a tiny network, in the default
+    geometry, with any detector and any defined methods."""
+    L, N, K, K_I = (draw(st.integers(lo, 3)) for lo in (1, 1, 1, 0))
+    tau_p = draw(st.integers(K + K_I, K + K_I + 2))
+    cfg = SystemConfig(
+        L=L, N=N, K=K, K_I=K_I, tau_p=tau_p, tau_c=tau_p + draw(st.integers(1, 6)),
+        oos_snr=10.0 ** draw(st.floats(-3, 8)), alpha=10.0 ** draw(st.floats(-2, 12)),
+        ap_order=tuple(draw(st.permutations(range(1, L + 1)))),
+        seed=draw(st.integers(0, 2**16)), trials=draw(st.integers(1, 4)),
+        area_side_m=draw(st.floats(50, 1000)), noise_floor_dbw=draw(st.floats(-124, -60)),
+    )
+    defined = [m for m in experiments.METHODS if experiments.undefined_reason(m, cfg) is None]
+    return ExperimentSpec(
+        cfg=cfg,
+        snr_grid_db=tuple(draw(st.lists(st.floats(-10, 10), min_size=1, max_size=2, unique=True))),
+        methods=tuple(draw(st.lists(st.sampled_from(defined), min_size=1, unique=True))),
+        detector=draw(st.sampled_from(DETECTORS)),
+    )
+
+
 class TestConfigEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=tiny_valid_specs())
+    # a channel Gramian and a sequential LS information matrix that fail
+    # on the ledger's block
+    @example(
+        spec=ExperimentSpec(
+            cfg=SystemConfig(L=2, N=2, K=2, K_I=2, tau_p=5, tau_c=9, oos_snr=1e8, trials=2),
+            detector="distributed_zf",
+        )
+    )
+    @example(
+        spec=ExperimentSpec(
+            cfg=SystemConfig(L=1, N=2, K=2, K_I=1, tau_p=4, tau_c=8, alpha=1e12, oos_snr=1e8, trials=2),
+            methods=("no_suppression", "seq_procrustes", "seq_gramian"),
+            detector="sequential_ls",
+        )
+    )
+    def test_sweep_and_load_table_never_raise(self, spec):
+        cfg, detector = spec.cfg, spec.detector
+        out = run_monte_carlo(spec)
+        table = load_table(cfg, detector, spec.methods)
+        points = [(r.method, r.snr_db) for r in out.rows] + [
+            (f[0], f[1]) for f in out.diagnostics.failures if f[2] == -1
+        ]
+        assert Counter(points) == Counter((m, s) for m in spec.methods for s in spec.snr_grid_db)
+        assert list(table) == list(spec.methods)
+        for method, phases in table.items():
+            if experiments.undefined_reason(method, cfg, detector):
+                assert phases is None
+            elif set(phases) == {"failed"}:
+                assert isinstance(phases["failed"], str)
+            else:
+                assert phases == experiments.analytic_per_link(method, cfg, detector)
+
     @settings(max_examples=25, deadline=None)
     @given(
         edge=st.sampled_from(["K_I=0", "L=1", "tau_p=K+K_I", "K_I>N"]),
@@ -1123,6 +1236,25 @@ class TestLoadTable:
         assert "L*N >= K + K_I" in reason
         assert load_table(cfg, "sequential_ls")["seq_gramian"] is not None
 
+    def test_a_numerical_failure_is_recorded_and_a_load_mismatch_raised(self, monkeypatch):
+        def fail(method, cfg, detector):
+            if method == "seq_gramian":
+                raise NumericalFailure("injected")
+            return report(method, cfg, detector)
+
+        report = experiments.load_report
+        monkeypatch.setattr(experiments, "load_report", fail)
+        table = load_table(SystemConfig())
+        assert table["seq_gramian"] == {"failed": "injected"}
+        assert table["seq_procrustes"]["oos_forward"] == 180
+
+        def mismatch(method, cfg, detector):
+            raise ChainError("injected")
+
+        monkeypatch.setattr(experiments, "load_report", mismatch)
+        with pytest.raises(ChainError):
+            load_table(SystemConfig())
+
     def test_covers_all_methods(self):
         cfg = SystemConfig()
         table = load_table(cfg)
@@ -1208,6 +1340,23 @@ class TestCli:
         assert rc == 1
         data = json.loads((tmp_path / "o" / "results.json").read_text())
         assert data["diagnostics"]["numerical_failures"] == 1
+
+    def test_a_failed_ledger_block_is_recorded_not_raised(self, tmp_path, capsys):
+        # at oos_snr = 1e8 the channel Gramian is singular on most blocks,
+        # the unscored block that each ledger runs among them
+        reason = "channel Gramian is numerically singular"
+        run = ["run", "--override", "cfg.oos_snr=1e8", "--override", "detector=distributed_zf",
+               "--trials", "4", "--out", str(tmp_path)]
+        assert main(run) == 0
+        fronthaul = json.loads((tmp_path / "results.json").read_text())["fronthaul"]
+        failed = [m for m, phases in fronthaul.items() if phases == {"failed": reason}]
+        assert failed and fronthaul["centralized_genie"] == {"channel_gramian": 49, "uplink_combine": 14}
+        err = capsys.readouterr().err
+        assert all(f"fronthaul ledger of {m} failed: {reason}" in err for m in failed)
+        assert main([*run, "--strict"]) == 1
+        capsys.readouterr()
+        assert main(["report", "--override", "cfg.oos_snr=1e8", "--detector", "distributed_zf"]) == 0
+        assert f"(ledger block failed: {reason})" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "override", ["cfg.K_I=0", "cfg.K_I=5", "cfg.L=6", "cfg.L=1", "cfg.rho=2.0"]

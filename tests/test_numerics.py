@@ -523,3 +523,43 @@ class TestLapackCalls:
         assert self.unguarded_calls(tree) == {
             ("f", "qr"), ("f", "svd"), ("f", "eigh"), ("f", "solve")
         }
+
+
+class TestOnePlaceForFailures:
+    """numerics alone handles LAPACK failures, in one except clause, and
+    one helper writes every per-matrix fallback of a screened route."""
+
+    @staticmethod
+    def modules():
+        package = Path(oossim.__file__).parent
+        return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def test_only_numerics_names_linalg_error(self):
+        naming = [
+            name
+            for name, tree in self.modules().items()
+            if any(getattr(n, "attr", getattr(n, "id", None)) == "LinAlgError" for n in ast.walk(tree))
+        ]
+        assert naming == ["numerics"]
+
+    def test_numerics_catches_linalg_error_once(self):
+        handlers = [
+            node
+            for node in ast.walk(self.modules()["numerics"])
+            if isinstance(node, ast.ExceptHandler) and TestLapackCalls.catches_linalg_error(node)
+        ]
+        assert len(handlers) == 1
+
+    def test_doubt_slots_are_written_by_one_helper(self):
+        writers = {
+            (name, function.name)
+            for name, tree in self.modules().items()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Subscript) and getattr(sub.slice, "id", None) == "doubt"
+        }
+        assert writers == {("numerics", "_refit")}
