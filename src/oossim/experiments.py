@@ -366,16 +366,22 @@ class _Totals:
     lap to the stage that just ended (a stage that raises is charged to
     the next one): draw, pilot, estimate.local_svd, estimate.<method>,
     channel_side.<detector>, apply.<detector> (forming each point's
-    received signal too) and score."""
+    received signal too) and score. A chunk's totals start their clock
+    at the last lap before them, `clock`, and add() hands theirs on, so
+    the sweep's set-up and the time between chunks go to the next draw;
+    without `clock` the clock starts now."""
 
-    def __init__(self, spec: ExperimentSpec):
+    def __init__(self, spec: ExperimentSpec, clock: float | None = None):
         shape = (len(spec.snr_grid_db), len(spec.methods))
         self.errors = np.zeros(shape, dtype=np.int64)
         self.bits = np.zeros(shape, dtype=np.int64)
         self.failures = [[] for _ in spec.snr_grid_db]  # FAILURE_KEYS tuples
         self.degenerate_rotations = 0
         self.seconds, self.calls = Counter(), Counter()
-        self.lap()
+        if clock is None:
+            self.lap()
+        else:
+            self.clock = clock
 
     def lap(self, stage: str | None = None):
         """Charge the time since the last lap to `stage`; no stage restarts the clock."""
@@ -393,6 +399,7 @@ class _Totals:
         self.degenerate_rotations += other.degenerate_rotations
         self.seconds.update(other.seconds)
         self.calls.update(other.calls)
+        self.clock = other.clock
 
 
 class _Sweep:
@@ -402,6 +409,7 @@ class _Sweep:
     the totals."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
+        self.totals = _Totals(spec)  # first, so the set-up is charged to the first draw
         cfg, n_symbols = spec.cfg, spec.cfg.tau_c - spec.cfg.tau_p
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
@@ -426,7 +434,6 @@ class _Sweep:
             if scratch is not None:
                 row.update(hx=row["y"], gs=scratch, noise=scratch)
             self.rows.append(uplink.UplinkSymbolBatch(s=s, **row))
-        self.totals = _Totals(spec)
 
     def outcome(self) -> MonteCarloOutcome:
         """One row per (SNR point, method) with surviving blocks, and the
@@ -544,13 +551,13 @@ def _run_chunk(sweep: _Sweep, blocks: range):
     """Run the sweep on the blocks `blocks` (see the module docstring)."""
     spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
-    totals = _Totals(spec)
+    totals = _Totals(spec, sweep.totals.clock)
     chunk, zpsi, est, payload = _draw(sweep, blocks, totals)
     try:
         ghats = _estimate(sweep, chunk, zpsi, methods, totals)
         _detect(sweep, chunk, est, payload, methods, ghats, points, totals)
     except NumericalFailure:
-        totals = _Totals(spec)
+        totals = _Totals(spec, totals.clock)
         for b in blocks:
             chunk, zpsi, est, payload = _draw(sweep, range(b, b + 1), totals)
             for m in methods:

@@ -61,7 +61,9 @@ def add_and_forward(acc, term):
 
 
 def add_gramian(acc, A):
-    """add_and_forward of the Gramian A^H A of an AP's slot A."""
+    """add_and_forward of the Gramian A^H A of an AP's slot A. The slot
+    is conjugated at its hop, an AP-sized temporary: conjugating a pass's
+    whole per-AP array once, before the hops, measured slower in a sweep."""
     return add_and_forward(acc, herm(A) @ A)
 
 

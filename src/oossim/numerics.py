@@ -51,7 +51,7 @@ class DegeneracyError(NumericalFailure):
 
 def herm(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose (works on batched arrays, last two axes)."""
-    return np.conj(np.swapaxes(M, -1, -2))
+    return np.conj(M.swapaxes(-1, -2))
 
 
 def shared_matmul(X: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def _as_finite_matrix(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
+    if M.size and not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -205,10 +205,11 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     if rank is not None and (int(rank) != rank or rank < 1):
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     norm = np.linalg.norm(A, axis=(-2, -1))
-    gap = np.linalg.norm(A - herm(A), axis=(-2, -1))
-    if np.any(gap > 1e-9 * np.maximum(1.0, norm)):
+    A_h = herm(A)
+    gap = np.linalg.norm(A - A_h, axis=(-2, -1))
+    if (gap > 1e-9 * np.maximum(1.0, norm)).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    A = 0.5 * (A + herm(A))
+    A = 0.5 * (A + A_h)
     if rank is None or rank < k:
         vectors, w = _top_eigenpairs(A, k)
         return _fix_column_phases(vectors), w
@@ -273,7 +274,7 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     inverse matches an LU solve to rounding, at a fraction of the cost."""
     symmetric = 0.5 * (gamma + herm(gamma))
     w = _lapack("eigenvalues of the channel Gramian did not converge", np.linalg.eigvalsh, symmetric)
-    if np.any(w[..., -1] <= 0) or np.any(w[..., 0] <= 1e-10 * w[..., -1]):
+    if (w[..., -1] <= 0).any() or (w[..., 0] <= 1e-10 * w[..., -1]).any():
         raise DegeneracyError("channel Gramian is numerically singular")
     return _lapack("channel Gramian inverse failed", np.linalg.inv, gamma)
 

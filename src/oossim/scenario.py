@@ -181,18 +181,22 @@ def crandn(rng, *shape, out=None) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with unit variance.
 
     Each generator draws the real parts, then the imaginary parts, into a
-    float (2, *shape) buffer, and the result is scaled in place: bit for
-    bit (re + 1j * im) / sqrt(2) with re and im drawn in turn. `out`, when
-    given, is filled and sets the shape; `rng` may then be one generator
-    per row of it.
+    float (2, *shape) buffer, which is scaled by 1 / sqrt(2) in place
+    before it is copied into the complex result. That is bit for bit
+    (re + 1j * im) / sqrt(2) with re and im drawn in turn: numpy divides
+    a complex number by a real c as (re + im * 0) * (1 / c), which only a
+    part drawn as exactly -0.0 (odds about 2^-53 a draw) can tell apart,
+    by the sign of its zero. `out`, when given, is filled and sets the
+    shape; `rng` may then be one generator per row of it, and a count
+    that differs from the rows raises ValueError.
     """
     z = np.empty(shape, dtype=complex) if out is None else out
     rngs, rows = ((rng,), z[None]) if isinstance(rng, np.random.Generator) else (rng, z)
     parts = np.empty((len(rows), 2, *rows.shape[1:]))
-    for r, row in zip(rngs, parts):
+    for r, row in zip(rngs, parts, strict=True):
         r.standard_normal(out=row)
+    parts *= 1 / np.sqrt(2.0)
     rows.real, rows.imag = parts[:, 0], parts[:, 1]
-    z /= np.sqrt(2.0)
     return z
 
 

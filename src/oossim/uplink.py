@@ -49,12 +49,16 @@ class DetectorState:
     xhat: np.ndarray  # (K + K_I, T)
 
 
+# The QPSK levels of bit 0 and bit 1: the bits of (1 - 2 b) / sqrt(2) as
+# numpy divides a complex number by a real one, times 1 / sqrt(2)
+_QPSK_LEVELS = np.array([1.0, -1.0]) * (1 / np.sqrt(2.0))
+
+
 def draw_qpsk(rng: np.random.Generator, K: int, T: int, out=None) -> np.ndarray:
     """Gray-mapped unit-power QPSK: bits (b1, b0) -> ((1-2b1) + i(1-2b0))/sqrt(2)."""
     b = rng.integers(0, 2, size=(2, K, T))
     x = np.empty((K, T), dtype=complex) if out is None else out
-    x.real, x.imag = 1 - 2 * b
-    x /= np.sqrt(2.0)
+    x.real, x.imag = _QPSK_LEVELS.take(b)
     return x
 
 

@@ -1006,6 +1006,14 @@ class TestStageTrace:
         traced = sum(stage["seconds"] for stage in out.stages.values())
         assert abs(traced - wall) <= 0.05 * wall
 
+    def test_every_clock_reading_closes_a_lap(self, monkeypatch):
+        # each reading of a clock that ticks once per call ends one unit,
+        # so a gap between chunks, or set-up no lap covers, would go missing
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(experiments.time, "perf_counter", lambda: float(next(ticks)))
+        out = run_monte_carlo(with_trials(tiny_spec(), 10))  # chunks 0-3, 4-7, 8-9
+        assert sum(stage["seconds"] for stage in out.stages.values()) == next(ticks) - 1
+
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_stage_names_are_the_documented_ones(self, detector):
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector=detector), 5)

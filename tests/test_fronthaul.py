@@ -199,6 +199,37 @@ class TestPerApSlots:
         assert np.allclose(got, C)
         assert np.allclose(uplink.apply_chain(y, herm(aug), got, chain, "sequential_ls"), xhat)
 
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_gramian_passes_equal_the_per_hop_sum_bit_for_bit(self, N, monkeypatch):
+        rng = np.random.default_rng(9)
+        cfg = make_cfg(L=4, N=N, ap_order=self.ORDER)
+        m = cfg.K + cfg.K_I
+        aug, zpsi = crandn(rng, 2, cfg.L, N, m), crandn(rng, 2, cfg.L, N, cfg.tau_p - cfg.K)
+
+        def per_hop_sum(x, total=None):
+            for ap in self.ORDER:
+                term = herm(x[:, ap - 1]) @ x[:, ap - 1]
+                total = term if total is None else total + term
+            return total
+
+        def same_bits(a, b):
+            return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+        chain = Chain.for_config(cfg)
+        assert same_bits(uplink.accumulate_channel_gramian(aug, chain), per_hop_sum(aug))
+        J = per_hop_sum(aug, np.eye(m) * (1 / cfg.alpha))
+        assert same_bits(uplink.sequential_ls_covariance(aug, cfg, chain), np.linalg.inv(J))
+        totals = []
+        eigvectors = oos_estimation.hermitian_top_eigvectors
+
+        def spy(A, *args, **kwargs):
+            totals.append(A)
+            return eigvectors(A, *args, **kwargs)
+
+        monkeypatch.setattr(oos_estimation, "hermitian_top_eigvectors", spy)
+        oos_estimation.run_gramian_method(zpsi, cfg, chain)
+        assert same_bits(totals[0], per_hop_sum(zpsi))
+
     def test_interferer_folds(self):
         rng = np.random.default_rng(6)
         cfg = make_cfg(L=4, ap_order=self.ORDER)

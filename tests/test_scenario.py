@@ -206,7 +206,14 @@ class TestCrandn:
             re, im = theirs.standard_normal(shape), theirs.standard_normal(shape)
             z = crandn(ours, *shape)
             assert z.shape == shape and z.dtype == complex
-            assert np.array_equal(z, (re + 1j * im) / np.sqrt(2.0))
+            want = (re + 1j * im) / np.sqrt(2.0)  # the complex divide
+            assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("generators, rows", [(2, 3), (3, 2)])
+    def test_one_generator_per_row(self, generators, rows):
+        rngs = [np.random.default_rng(seed) for seed in range(generators)]
+        with pytest.raises(ValueError):
+            crandn(rngs, rows, 2)
 
     def test_no_full_size_temporaries(self):
         rng = np.random.default_rng(0)

@@ -47,6 +47,14 @@ class TestSimulateUplink:
         assert np.allclose(dists, 0.0)
         assert np.allclose(np.abs(x), 1.0)
 
+    def test_qpsk_levels_are_the_complex_divide_bit_for_bit(self):
+        b = np.random.default_rng(3).integers(0, 2, size=(2, 4, 50))
+        want = np.empty((4, 50), dtype=complex)
+        want.real, want.imag = 1 - 2 * b
+        want /= np.sqrt(2.0)
+        x = draw_qpsk(np.random.default_rng(3), 4, 50)
+        assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
     def test_received_signal_sums_in_a_fixed_order(self, rng):
         hx, gs, noise = crandn(rng, 3, 2, 4, 9)
         rho = 0.37
