@@ -11,20 +11,28 @@ are paired comparisons. Each block is drawn from its own RNG streams, so
 every result is a pure function of (spec, seed), whatever the execution
 order or the rest of the grid.
 
-The sweep runs CHUNK_BLOCKS blocks at a time (_run_chunk), every stage
-once per chunk on the blocks stacked along a leading axis; the batched
-kernels treat each block as they would alone. So does the draw: one
-call each for the geometry and the channels, one generator per block
-(scenario), and each block's payload into the sweep's buffers (_Sweep).
+The sweep runs on the blocks stacked along a leading axis, at two
+sizes; the batched kernels treat each block as they would alone, and so
+does the draw, one generator per block (scenario). A span of up to
+SPAN_BLOCKS blocks (_run_span) is the unit of the pilot side, whose
+stages are bound by per-call overhead: the geometry is drawn in one
+call, the estimators run once (seq_gramian's pass and eigensolve, bound
+by their products, a chunk at a time) and each detection channel side
+once. Each chunk of CHUNK_BLOCKS blocks of the span draws its channels
+and runs its pilot phase into the span's arrays (_draw_pilot), and later
+draws its payload into the sweep's buffers (_draw_payload), receives it
+and detects it (_detect), so that nothing payload-sized, and no pilot
+noise, grows with the span.
+
 Everything but the received signal sqrt(rho) H x + G s + n and the
 detection apply step runs once for all SNR points, the detection
 channel side included: one call per width group (methods whose
 augmented channels have the same width), stacked over the points, and
-one for the genie, whose channels do not depend on the point. Per
-point, each channel side is applied in one call, the methods stacked
-against the one payload.
+one for the genie, whose channels do not depend on the point. Per chunk
+and point, each channel side is applied in one call to its chunk's
+blocks, the methods stacked against the one payload.
 
-If a stage of a chunk raises NumericalFailure, what the chunk did is
+If a stage of a span raises NumericalFailure, what the span did is
 dropped; each block is drawn again alone (the same bits, by the two
 rules above) and each method reruns alone, so a failure is charged to
 the method, block and, for detection, SNR point that caused it.
@@ -76,8 +84,12 @@ GENIE = "centralized_genie"
 # residual (local_svd_estimate); the sweep factorizes once for both.
 LOCAL_SVD_METHODS = ("local_processing", "seq_procrustes")
 
-# Blocks stacked into one call of every stage. Larger chunks cut more
-# per-call overhead but hold more blocks in memory at once.
+# Blocks whose pilot side (channels, pilot phase, estimators, detection
+# channel sides) is stacked into one call of each of its stages. A span
+# holds the channels and pilot residuals of its blocks, no payload.
+SPAN_BLOCKS = 16
+# Blocks of a span whose payload is stacked into one call of each
+# payload stage; the payload buffers (_Sweep) hold this many blocks.
 CHUNK_BLOCKS = 4
 
 CSV_COLUMNS = (
@@ -226,7 +238,7 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
 
 def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> LoadReport:
     """Measured per-link loads of `method` under `detector`: the log of
-    the sweep run on one block (_run_chunk), on a chain that logs every
+    the sweep run on one block (_run_span), on a chain that logs every
     link. Raises NumericalFailure if the block fails, and ChainError
     unless the log equals analytic_per_link exactly."""
     one_block = replace(cfg, rho=1.0, trials=1)
@@ -235,7 +247,7 @@ def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf"
     sweep = _Sweep(spec, chain)
     # a block no sweep of cfg scores: a failure that a run counted is not
     # raised again when the run's report replays the ledger
-    _run_chunk(sweep, range(cfg.trials, cfg.trials + 1))
+    _run_span(sweep, range(cfg.trials, cfg.trials + 1))
     failures = sweep.totals.failures[0]
     if failures:
         raise NumericalFailure(failures[0][-1])
@@ -296,14 +308,16 @@ class MonteCarloOutcome:
     stages: dict  # stage name -> {"seconds": float, "calls": int}, see _Totals
 
 
-def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
-    """SNR-invariant part of one method's augmented channels: per-AP
-    interferer channels, or None for a method that uses the UE estimates
-    alone. Degenerate rotations are counted on `counts`. `local` is
-    local_svd_estimate(zpsi, K_I) for the LOCAL_SVD_METHODS, or None where
-    that is undefined (K_I > N) or no such method runs."""
+def _interferer_channels(method, G, zpsi, cfg, chain, counts, local=None):
+    """SNR-invariant part of one method's augmented channels on a stack
+    of blocks, with residuals zpsi (B, L, N, tau_p - K): per-AP interferer
+    channels (the true ones, G, for the genie), or None for a method that
+    uses the UE estimates alone. Degenerate rotations are counted on
+    `counts`. `local` is local_svd_estimate(zpsi, K_I) for the
+    LOCAL_SVD_METHODS, or None where that is undefined (K_I > N) or no
+    such method runs."""
     if method == GENIE:
-        return block.G
+        return G
     if method == "no_suppression" or cfg.K_I == 0:
         return None
     if method == "local_processing":
@@ -313,8 +327,15 @@ def _interferer_channels(method, block, zpsi, cfg, chain, counts, local=None):
         sbar = oos_estimation.run_sequential_procrustes(zpsi, cfg, chain, counts, bases)
         return oos_estimation.estimate_oos_channels(zpsi, sbar)
     if method == "seq_gramian":
-        # orthonormal columns: Sbar (Sbar^H Sbar)^{-1} is Sbar itself
-        return shared_matmul(zpsi, oos_estimation.run_gramian_method(zpsi, cfg, chain))
+        # The pass and the CPU eigensolve are bound by their (tau_p - K)^2
+        # products, not by per-call overhead, so the blocks take them
+        # CHUNK_BLOCKS at a time: those stacks stay chunk-sized in a span.
+        # Orthonormal columns: Sbar (Sbar^H Sbar)^{-1} is Sbar itself.
+        sbar = [
+            oos_estimation.run_gramian_method(zpsi[start : start + CHUNK_BLOCKS], cfg, chain)
+            for start in range(0, len(zpsi), CHUNK_BLOCKS)
+        ]
+        return shared_matmul(zpsi, np.concatenate(sbar))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -335,17 +356,21 @@ def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
     with aug's leading axes. Each keeps the UE rows of its filter, Gramian
-    inverse or error covariance alone; the two chain detectors also carry
-    herm(aug), conjugated here once for every SNR point."""
+    inverse or error covariance alone, copied, so that a side that a
+    span's chunks share holds no whole one. The two chain detectors also
+    carry herm(aug), conjugated here once for every SNR point, and only
+    once their rows are formed, so that it is not alive during that pass."""
     K = cfg.K
     if detector == "centralized_zf":
-        return (uplink.zf_filter(aug)[..., :K, :],)
+        return (uplink.zf_filter(aug)[..., :K, :].copy(),)
     if detector == "distributed_zf":
         gamma = uplink.accumulate_channel_gramian(aug, chain)
-        return herm(aug), uplink.inverse_gramian(gamma)[..., :K, :]
-    if detector == "sequential_ls":
-        return herm(aug), uplink.sequential_ls_covariance(aug, cfg, chain)[..., :K, :]
-    raise ValueError(f"unknown detector {detector!r}")
+        rows = uplink.inverse_gramian(gamma)[..., :K, :].copy()
+    elif detector == "sequential_ls":
+        rows = uplink.sequential_ls_covariance(aug, cfg, chain)[..., :K, :].copy()
+    else:
+        raise ValueError(f"unknown detector {detector!r}")
+    return herm(aug), rows
 
 
 def _apply(detector, y, channel, chain):
@@ -357,19 +382,25 @@ def _apply(detector, y, channel, chain):
 
 
 class _Totals:
-    """What the sweep adds up, for the whole run or for one chunk: bit
+    """What the sweep adds up, for the whole run or for one span: bit
     errors and bits per (SNR point, method index), the failures per
     point, the degenerate rotations (the estimators count them here) and
     the stage trace: seconds and calls per stage name.
 
     Each stage boundary calls lap, which charges the time since the last
     lap to the stage that just ended (a stage that raises is charged to
-    the next one): draw, pilot, estimate.local_svd, estimate.<method>,
-    channel_side.<detector>, apply.<detector> (forming each point's
-    received signal too) and score. A chunk's totals start their clock
-    at the last lap before them, `clock`, and add() hands theirs on, so
-    the sweep's set-up and the time between chunks go to the next draw;
-    without `clock` the clock starts now."""
+    the next one). A span counts one call of estimate.local_svd and of
+    each estimate.<method>, and one of channel_side.<detector> per width
+    group. Each of its chunks counts two of draw (its channels, with the
+    span's geometry in the first chunk's, then its payload) and one of
+    pilot; each chunk and point, one of apply.<detector> (forming the
+    point's received signal too) and of score per width group. A rerun
+    block draws and runs its pilot phase as a span of one chunk, then
+    counts each method's estimate once and its channel side, apply and
+    score once per point. A span's totals start their clock at the last lap
+    before them, `clock`, and add() hands theirs on, so the sweep's
+    set-up and the time between spans go to the next draw; without
+    `clock` the clock starts now."""
 
     def __init__(self, spec: ExperimentSpec, clock: float | None = None):
         shape = (len(spec.snr_grid_db), len(spec.methods))
@@ -403,10 +434,10 @@ class _Totals:
 
 
 class _Sweep:
-    """What a sweep holds across its chunks: the pilot book, one config
+    """What a sweep holds across its spans: the pilot book, one config
     per SNR point, the chain (unlogged unless load_report passes a
-    logging one), the payload buffers by term, their rows per block and
-    the totals."""
+    logging one), the payload buffers of one chunk by term, their rows
+    per block and the totals."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         self.totals = _Totals(spec)  # first, so the set-up is charged to the first draw
@@ -474,33 +505,67 @@ class _Sweep:
         return MonteCarloOutcome(rows=rows, diagnostics=diagnostics, stages=stages)
 
 
-def _draw(sweep: _Sweep, blocks: range, totals: _Totals):
-    """Draw the blocks `blocks`, stacked. Returns the realization, its
-    projected residual, the pilot LS estimates of every SNR point
-    (P, B, L, N, K), and the payload by term, drawn once for all points
-    at the first point's power into the sweep's buffers."""
-    cfg = sweep.spec.cfg
+@dataclass
+class _Span:
+    """What a span's chunks share, by block of the span: the true
+    channels H (B, L, N, K) and G (B, L, N, K_I), the projected residuals
+    zpsi (B, L, N, tau_p - K) and the pilot LS estimates of every SNR
+    point, est (P, B, L, N, K)."""
+
+    blocks: range
+    H: np.ndarray
+    G: np.ndarray
+    zpsi: np.ndarray
+    est: np.ndarray
+
+
+def _draw_pilot(sweep: _Sweep, blocks: range, totals: _Totals) -> _Span:
+    """Draw the span `blocks` and run its pilot phase: the geometry in one
+    call, then the channels and the pilot phase CHUNK_BLOCKS blocks at a
+    time into the span's arrays, so that the pilot noise, interference
+    and observations exist for one chunk at a time."""
+    cfg, points, pilots = sweep.spec.cfg, sweep.points, sweep.pilots
     geo = build_geometry(cfg, [block_rng(cfg.seed, b, GEOMETRY_STREAM) for b in blocks])
-    chunk = draw_block(cfg, geo, [block_rng(cfg.seed, b, CHANNEL_STREAM) for b in blocks])
-    for i, b in enumerate(blocks):
-        block = BlockRealization(chunk.H[i], chunk.G[i], chunk.S[i], chunk.pilot_noise[i])
+    B, L, N = len(blocks), cfg.L, cfg.N
+    span = _Span(
+        blocks,
+        H=np.empty((B, L, N, cfg.K), dtype=complex),
+        G=np.empty((B, L, N, cfg.K_I), dtype=complex),
+        zpsi=np.empty((B, L, N, cfg.tau_p - cfg.K), dtype=complex),
+        est=np.empty((len(points), B, L, N, cfg.K), dtype=complex),
+    )
+    for start in range(0, B, CHUNK_BLOCKS):
+        rows = slice(start, start + CHUNK_BLOCKS)
+        betas = replace(geo, beta_ue=geo.beta_ue[rows], beta_oos=geo.beta_oos[rows])
+        rngs = [block_rng(cfg.seed, b, CHANNEL_STREAM) for b in blocks[rows]]
+        chunk = draw_block(cfg, betas, rngs)
+        span.H[rows], span.G[rows] = chunk.H, chunk.G
+        totals.lap("draw")
+        interference = pilot_phase.pilot_interference(chunk)
+        span.zpsi[rows] = pilot_phase.compute_projected_residual(interference, pilots)
+        for p, cfg_pt in enumerate(points):
+            obs = pilot_phase.simulate_pilot_rx(chunk, pilots, cfg_pt, interference)
+            span.est[p, rows] = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
+        totals.lap("pilot")
+    return span
+
+
+def _draw_payload(sweep: _Sweep, span: _Span, rows: slice, totals: _Totals) -> dict:
+    """Draw the payload of the span's blocks `rows` into the sweep's
+    buffers, once for all points at the first point's power; returns it
+    by term."""
+    cfg, blocks = sweep.spec.cfg, span.blocks[rows]
+    for out, H, G, b in zip(sweep.rows, span.H[rows], span.G[rows], blocks):
         rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
-        uplink.simulate_uplink_rx(block, sweep.points[0], rng, out=sweep.rows[i])
+        uplink.simulate_uplink_rx(BlockRealization(H, G, None, None), sweep.points[0], rng, out=out)
     totals.lap("draw")
-    interference = pilot_phase.pilot_interference(chunk)
-    zpsi = pilot_phase.compute_projected_residual(interference, sweep.pilots)
-    est = np.empty((len(sweep.points), *chunk.H.shape), dtype=complex)
-    for p, cfg_pt in enumerate(sweep.points):
-        obs = pilot_phase.simulate_pilot_rx(chunk, sweep.pilots, cfg_pt, interference)
-        est[p] = pilot_phase.ls_channel_estimate(obs, sweep.pilots, cfg_pt)
-    totals.lap("pilot")
-    return chunk, zpsi, est, {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
+    return {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
 
 
-def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
+def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals):
     """The interferer channels of the methods `methods` (indices into
-    spec.methods) on the blocks of `chunk`, in that order."""
-    spec, cfg = sweep.spec, sweep.spec.cfg
+    spec.methods) on the blocks of `span`, in that order."""
+    spec, cfg, zpsi = sweep.spec, sweep.spec.cfg, span.zpsi
     local = None
     # the local factorization is defined for 1 <= K_I <= N
     if 1 <= cfg.K_I <= cfg.N and any(spec.methods[m] in LOCAL_SVD_METHODS for m in methods):
@@ -509,36 +574,43 @@ def _estimate(sweep: _Sweep, chunk, zpsi, methods, totals: _Totals):
     ghats = []
     for m in methods:
         method = spec.methods[m]
-        ghats.append(_interferer_channels(method, chunk, zpsi, cfg, sweep.chain, totals, local))
+        ghats.append(_interferer_channels(method, span.G, zpsi, cfg, sweep.chain, totals, local))
         totals.lap(f"estimate.{method}")
     return ghats
 
 
-def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: _Totals):
-    """Detect the methods `methods` (indices into spec.methods), with
-    interferer channels `ghats`, on the blocks of `chunk` at the SNR
-    points `points` (whose pilot LS estimates `est` holds), and add their
-    bit errors to `totals`, one channel side per width group."""
+def _channel_sides(sweep: _Sweep, span: _Span, est, methods, ghats, totals: _Totals):
+    """One channel side per width group of the methods `methods` (indices
+    into spec.methods), with interferer channels `ghats`, on the blocks
+    of `span` at the SNR points whose pilot LS estimates `est` holds.
+    Returns (method indices, rows of points, channel side) per group."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
     ghat_of = dict(zip(methods, ghats))
     groups: dict[tuple, list] = {}
     for m in methods:
         method = spec.methods[m]
         groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
-    sides = []  # (method indices, rows of points, channel side)
+    sides = []
     for (width, genie), members in groups.items():
-        ue = chunk.H[None] if genie else est
+        ue = span.H[None] if genie else est
         aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
         sides.append((members, len(ue), _channel_side(detector, aug, cfg, sweep.chain)))
         totals.lap(f"channel_side.{detector}")
+    return sides
 
+
+def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals):
+    """Detect the payload `payload` of the span's blocks `rows` at the SNR
+    points `points` with the channel sides `sides` (_channel_sides), and
+    add their bit errors to `totals`."""
+    detector = sweep.spec.detector
     x, y = payload["x"], payload["y"]
     for j, p in enumerate(points):
         if "hx" in payload:  # the buffer may hold another point's y
             terms = payload["hx"], payload["gs"], payload["noise"]
             uplink.received_signal(sweep.points[p].rho, *terms, out=y)
         for members, count, side in sides:
-            channel = tuple(part[:, min(j, count - 1)] for part in side)
+            channel = tuple(part[:, min(j, count - 1), rows] for part in side)
             ue = _apply(detector, y, channel, sweep.chain)
             totals.lap(f"apply.{detector}")
             errors = uplink.count_bit_errors(ue, x)
@@ -547,28 +619,34 @@ def _detect(sweep: _Sweep, chunk, est, payload, methods, ghats, points, totals: 
             totals.lap("score")
 
 
-def _run_chunk(sweep: _Sweep, blocks: range):
-    """Run the sweep on the blocks `blocks` (see the module docstring)."""
+def _run_span(sweep: _Sweep, blocks: range):
+    """Run the sweep on the span `blocks` (see the module docstring)."""
     spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
     totals = _Totals(spec, sweep.totals.clock)
-    chunk, zpsi, est, payload = _draw(sweep, blocks, totals)
+    span = _draw_pilot(sweep, blocks, totals)
     try:
-        ghats = _estimate(sweep, chunk, zpsi, methods, totals)
-        _detect(sweep, chunk, est, payload, methods, ghats, points, totals)
+        ghats = _estimate(sweep, span, methods, totals)
+        sides = _channel_sides(sweep, span, span.est, methods, ghats, totals)
+        for start in range(0, len(blocks), CHUNK_BLOCKS):
+            rows = slice(start, start + CHUNK_BLOCKS)
+            payload = _draw_payload(sweep, span, rows, totals)
+            _detect(sweep, payload, sides, rows, points, totals)
     except NumericalFailure:
         totals = _Totals(spec, totals.clock)
         for b in blocks:
-            chunk, zpsi, est, payload = _draw(sweep, range(b, b + 1), totals)
+            span = _draw_pilot(sweep, range(b, b + 1), totals)
+            payload = _draw_payload(sweep, span, slice(None), totals)
             for m in methods:
                 failed = []
                 try:
-                    ghats = _estimate(sweep, chunk, zpsi, [m], totals)
+                    ghats = _estimate(sweep, span, [m], totals)
                 except NumericalFailure as exc:
                     failed = [(p, exc) for p in points]
                 for p in () if failed else points:
                     try:
-                        _detect(sweep, chunk, est[p : p + 1], payload, [m], ghats, [p], totals)
+                        sides = _channel_sides(sweep, span, span.est[p : p + 1], [m], ghats, totals)
+                        _detect(sweep, payload, sides, slice(None), [p], totals)
                     except NumericalFailure as exc:
                         failed.append((p, exc))
                 for p, exc in failed:
@@ -578,13 +656,13 @@ def _run_chunk(sweep: _Sweep, blocks: range):
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
-    """Run the full sweep, one chunk at a time (see the module docstring).
+    """Run the full sweep, one span at a time (see the module docstring).
     Returns one row per (method, SNR point) with surviving blocks, the
     failures in (SNR, block, method) order and the stage trace."""
     sweep = _Sweep(spec)
     trials = spec.cfg.trials
-    for start in range(0, trials, CHUNK_BLOCKS):
-        _run_chunk(sweep, range(start, min(start + CHUNK_BLOCKS, trials)))
+    for start in range(0, trials, SPAN_BLOCKS):
+        _run_span(sweep, range(start, min(start + SPAN_BLOCKS, trials)))
     return sweep.outcome()
 
 

@@ -31,6 +31,10 @@ from .numerics import (
 )
 from .scenario import SystemConfig
 
+# Matrices per call of _local_signal_basis' full SVD, whose V^H holds
+# (tau_p - K)^2 entries a matrix: 16 of 45 x 45 are 518 KB.
+FULL_SVD_MATRICES = 16
+
 
 def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     """Best rank-K_I factorization of one AP's projected residual.
@@ -60,8 +64,15 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
         return local_svd_estimate(zpsi_l, K_I)[0]
     if K_I > r:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
-    _, _, Vh = _checked_svd(zpsi_l, full_matrices=True)
-    return _fix_column_phases(herm(Vh[..., :K_I, :]))
+    # the full V^H is r x r per matrix, so a few matrices at a time keep
+    # their K_I rows (one V^H alive at a time), in the memory order that
+    # herm(Vh[..., :K_I, :]) gives them
+    stack = zpsi_l.reshape(-1, n, r)
+    rows = np.empty((len(stack), K_I, r), dtype=complex)
+    for start in range(0, len(stack), FULL_SVD_MATRICES):
+        some = slice(start, start + FULL_SVD_MATRICES)
+        np.conj(_checked_svd(stack[some], full_matrices=True)[2][..., :K_I, :], out=rows[some])
+    return _fix_column_phases(rows.reshape(*zpsi_l.shape[:-2], K_I, r).swapaxes(-1, -2))
 
 
 def procrustes_rotation(

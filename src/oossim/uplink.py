@@ -209,7 +209,9 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
         R = np.where(singular[..., None, None], np.eye(m), R)
         R_inv = _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
         cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
-    F = R_inv @ herm(Q)
+    Q_h = herm(Q)
+    del Q  # so that no more than A, Q^H and F are alive at once
+    F = R_inv @ Q_h
     doubt = singular | ~(cond_bound * PINV_RTOL < 1)
     _refit(doubt, (F,), lambda A: (pseudo_inverse(A),), A)
     return F

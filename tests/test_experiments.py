@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -153,9 +154,10 @@ def fail_gramian_detection(monkeypatch, spec, block):
 
 def gramian_channels(drawn, zpsi, cfg):
     """seq_gramian's interferer channels of the block `drawn`, by the
-    sweep's own dispatch."""
+    sweep's own dispatch (on a stack of that one block)."""
     chain, counts = Chain.for_config(cfg), RunDiagnostics()
-    return experiments._interferer_channels("seq_gramian", drawn, zpsi, cfg, chain, counts)
+    G, zpsi = drawn.G[None], zpsi[None]
+    return experiments._interferer_channels("seq_gramian", G, zpsi, cfg, chain, counts)[0]
 
 
 def fail_estimates_at(monkeypatch, spec, snr_db, block):
@@ -216,14 +218,14 @@ def sweep_record(spec):
     return csv_text, d.numerical_failures, d.degenerate_rotations, d.failures
 
 
-def chunk_records(spec, order):
-    """sweep_record of a sweep whose chunks run in the order `order`
-    gives for their count, the failures as a multiset."""
+def span_records(spec, order):
+    """sweep_record of a sweep whose spans run in the order `order` gives
+    for their count, the failures as a multiset."""
     sweep = experiments._Sweep(spec)
-    size, trials = experiments.CHUNK_BLOCKS, spec.cfg.trials
-    chunks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
-    for k in order(len(chunks)):
-        experiments._run_chunk(sweep, chunks[k])
+    size, trials = experiments.SPAN_BLOCKS, spec.cfg.trials
+    spans = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+    for k in order(len(spans)):
+        experiments._run_span(sweep, spans[k])
     out = sweep.outcome()
     d = out.diagnostics
     return rows_to_csv(out.rows), d.numerical_failures, d.degenerate_rotations, Counter(d.failures)
@@ -231,6 +233,20 @@ def chunk_records(spec, order):
 
 def with_trials(spec, trials):
     return replace(spec, cfg=replace(spec.cfg, trials=trials))
+
+
+def spans_and_chunks(trials):
+    """The blocks of each span of a sweep of `trials` blocks, and of each
+    payload chunk of those spans, in the order the sweep runs them."""
+    span, chunk = experiments.SPAN_BLOCKS, experiments.CHUNK_BLOCKS
+    spans = [min(span, trials - start) for start in range(0, trials, span)]
+    return spans, [min(chunk, n - start) for n in spans for start in range(0, n, chunk)]
+
+
+# Blocks of a sweep that spans more than one span, its last span more
+# than one chunk: SPAN_BLOCKS + 5 gives spans of 16 and 5 blocks, chunks
+# of 4, 4, 4, 4, 4 and 1
+MULTI_SPAN_TRIALS = experiments.SPAN_BLOCKS + experiments.CHUNK_BLOCKS + 1
 
 
 def count_calls(monkeypatch, module, name, calls: Counter):
@@ -445,15 +461,17 @@ class TestRunMonteCarlo:
         count_calls(monkeypatch, oos_estimation, "run_gramian_method", calls)
         count_calls(monkeypatch, oos_estimation, "local_svd_estimate", calls)
         count_calls(monkeypatch, uplink, "simulate_uplink_rx", calls)
-        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), MULTI_SPAN_TRIALS)
         run_monte_carlo(spec)
         trials = spec.cfg.trials
-        chunks = -(-trials // experiments.CHUNK_BLOCKS)
-        # local_processing and seq_procrustes share one local factorization;
-        # a chunk's geometry is drawn in one stacked call, its payload per block
+        spans, chunks = spans_and_chunks(trials)
+        assert (spans, chunks) == ([16, 5], [4, 4, 4, 4, 4, 1])
+        # local_processing and seq_procrustes share one local factorization
+        # per span; the Gramian pass and eigensolve run per chunk; a span's
+        # geometry is drawn in one stacked call, each payload per block
         assert calls == {
-            "build_geometry": chunks, "run_gramian_method": chunks,
-            "local_svd_estimate": chunks, "simulate_uplink_rx": trials,
+            "build_geometry": 2, "run_gramian_method": 6,
+            "local_svd_estimate": 2, "simulate_uplink_rx": trials,
         }
 
     def test_gramian_method_eigensolves_in_its_range(self, monkeypatch):
@@ -509,22 +527,23 @@ class TestRunMonteCarlo:
         # no_suppression detects over the K UE columns and every other
         # method over K + K_I, so the default spec has two width groups;
         # in the overloaded spec all three methods share one. A group's
-        # channel side runs once per chunk whatever the number of SNR
-        # points, and its apply step once per point. The genie, whose
-        # channel side does not depend on the point, has its own calls.
+        # channel side runs once per span whatever the number of SNR
+        # points, and its apply step once per chunk and point. The genie,
+        # whose channel side does not depend on the point, has its own calls.
+        spans, chunks = spans_and_chunks(MULTI_SPAN_TRIALS)
+        assert (len(spans), len(chunks)) == (2, 6)
         for grid in ((0.0,), (-4.0, 0.0, 4.0)):
             calls = Counter()
             with monkeypatch.context() as patch:
                 count_calls(patch, uplink, side, calls)
                 count_calls(patch, uplink, apply, calls)
-                spec = with_trials(with_payload(build(detector=detector, snr_grid_db=grid), 10), 7)
-                run_monte_carlo(spec)
-            chunks = -(-spec.cfg.trials // experiments.CHUNK_BLOCKS)
-            assert calls == {side: chunks * (groups + 1), apply: len(grid) * chunks * (groups + 1)}
+                spec = build(detector=detector, snr_grid_db=grid)
+                run_monte_carlo(with_trials(with_payload(spec, 10), MULTI_SPAN_TRIALS))
+            assert calls == {side: 2 * (groups + 1), apply: len(grid) * 6 * (groups + 1)}
 
-    def test_genie_channel_side_runs_once_per_chunk(self, monkeypatch):
+    def test_genie_channel_side_runs_once_per_span(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=("centralized_genie",))
-        spec, shapes = with_trials(spec, 7), []
+        spec, shapes = with_trials(spec, MULTI_SPAN_TRIALS), []
         original = uplink.zf_filter
 
         def spy(aug):
@@ -533,9 +552,8 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(uplink, "zf_filter", spy)
         run_monte_carlo(spec)
-        cfg, size = spec.cfg, experiments.CHUNK_BLOCKS
-        blocks = [min(size, cfg.trials - start) for start in range(0, cfg.trials, size)]
-        assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in blocks]
+        cfg = spec.cfg
+        assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in (16, 5)]
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
@@ -554,6 +572,15 @@ class TestRunMonteCarlo:
         else:
             want = uplink.detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg)).xhat
         assert np.array_equal(got, want[..., : cfg.K, :])
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_channel_side_keeps_only_the_ue_rows(self, detector):
+        # a span's chunks share the side, which must not keep the whole
+        # filter, Gramian inverse or covariance alive
+        cfg, rng = make_cfg(), np.random.default_rng(3)
+        aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
+        *_, rows = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
+        assert rows.shape[-2] == cfg.K and rows.base is None
 
     def test_eigensolver_failure_is_counted_not_raised(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector="distributed_zf")
@@ -620,9 +647,9 @@ class TestRunMonteCarlo:
         self.assert_payloads_seen(monkeypatch, spec, expected)
 
     def test_reruns_see_the_payload_simulate_uplink_rx_gives(self, monkeypatch):
-        # so do the reruns of a failed chunk, which draw each block again:
-        # in one chunk, seq_procrustes fails on block 1, so every block
-        # reruns alone, each method at each point
+        # so do the reruns of a failed span, which draw each block again:
+        # in one span (of one chunk), seq_procrustes fails on block 1, so
+        # every block reruns alone, each method at each point
         grid, methods = (-4.0, 0.0), ("seq_procrustes", GENIE)
         spec = with_trials(replace(tiny_spec(), snr_grid_db=grid, methods=methods), 3)
         assert spec.cfg.trials <= experiments.CHUNK_BLOCKS
@@ -660,14 +687,18 @@ class TestRunMonteCarlo:
 
 
 class TestChunking:
-    """Blocks run in chunks of CHUNK_BLOCKS; results must not depend on it."""
+    """Blocks run in spans of SPAN_BLOCKS, each span's payload in chunks of
+    CHUNK_BLOCKS; results must depend on neither."""
 
-    CHUNK_SIZES = (1, 4, 7)  # per block, the default, and one chunk of all 7
+    # (span, chunk): per block, the default chunk, a span with a partial
+    # chunk, and the default span, which holds all 7 blocks of the sweeps
+    SIZES = [(span, chunk) for span in (1, 4, 7, 16) for chunk in (1, 4)]
 
     def records(self, monkeypatch, spec):
         out = []
-        for size in self.CHUNK_SIZES:
-            monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
+        for span, chunk in self.SIZES:
+            monkeypatch.setattr(experiments, "SPAN_BLOCKS", span)
+            monkeypatch.setattr(experiments, "CHUNK_BLOCKS", chunk)
             out.append(sweep_record(spec))
         return out
 
@@ -684,30 +715,67 @@ class TestChunking:
         ("N", "K_I"), [(4, 0), (4, 2), (4, 5), (1, 2)], ids=["K_I0", "K_I2", "K_I5", "N1"]
     )
     def test_stacked_draw_equals_single_block_draws(self, grid, N, K_I):
-        # the golden hashes catch changed decisions, not rounding: a chunk's
-        # raw draw must equal its blocks drawn alone, bit for bit (K_I > N
-        # in the last two cases)
-        size = experiments.CHUNK_BLOCKS
+        # the golden hashes catch changed decisions, not rounding: a span's
+        # channels, residuals and pilot estimates, and each chunk's payload,
+        # must equal those of its blocks drawn alone, bit for bit (K_I > N
+        # in the last two cases). The span of 7 blocks draws a full and a
+        # partial chunk.
+        size = experiments.CHUNK_BLOCKS + 3
         cfg = make_cfg(L=5, N=N, K_I=K_I, trials=size, noise_floor_dbw=-124.0)
         spec = ExperimentSpec(cfg=cfg, snr_grid_db=grid, methods=(GENIE,))
-        sweep = experiments._Sweep(spec)
-        chunk, _, _, payload = experiments._draw(sweep, range(size), experiments._Totals(spec))
+        sweep, totals = experiments._Sweep(spec), experiments._Totals(spec)
+        span = experiments._draw_pilot(sweep, range(size), totals)
+        chunks = [slice(0, experiments.CHUNK_BLOCKS), slice(experiments.CHUNK_BLOCKS, size)]
+        payloads = []  # copied, since each chunk's draw reuses the sweep's buffers
+        for rows in chunks:
+            payload = experiments._draw_payload(sweep, span, rows, totals)
+            payloads.append({term: buf.copy() for term, buf in payload.items()})
         # on a one-point grid the sweep keeps y; otherwise the terms of y
         kept = {"x", "y"} if len(grid) == 1 else {"x", "hx", "noise"} | ({"gs"} if K_I else set())
-        assert kept <= set(payload)
+        assert all(kept <= set(payload) for payload in payloads)
+        pilots = build_pilot_book(cfg)
         for b in range(size):
             geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
             alone = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
             batch = uplink.simulate_uplink_rx(
                 alone, sweep.points[0], block_rng(cfg.seed, b, PAYLOAD_STREAM)
             )
-            for name in ("H", "G", "S", "pilot_noise"):
-                assert np.array_equal(getattr(chunk, name)[b], getattr(alone, name)), name
+            assert np.array_equal(span.H[b], alone.H) and np.array_equal(span.G[b], alone.G)
+            interference = pilot_interference(alone)
+            zpsi = compute_projected_residual(interference, pilots)
+            assert np.array_equal(span.zpsi[b], zpsi)
+            for p, cfg_pt in enumerate(sweep.points):
+                obs = simulate_pilot_rx(alone, pilots, cfg_pt, interference)
+                assert np.array_equal(span.est[p, b], ls_channel_estimate(obs, pilots, cfg_pt))
+            payload, row = payloads[b // experiments.CHUNK_BLOCKS], b % experiments.CHUNK_BLOCKS
             for term in kept:
-                assert np.array_equal(payload[term][b], getattr(batch, term)), term
+                assert np.array_equal(payload[term][row], getattr(batch, term)), term
             # and a block's y is its terms summed, each product formed per AP
             terms = alone.H @ batch.x, alone.G @ batch.s if K_I else None, batch.noise
             assert np.array_equal(batch.y, uplink.received_signal(sweep.points[0].rho, *terms))
+
+    @pytest.mark.parametrize("span", [1, 4, 7, 16])
+    def test_payload_buffers_hold_one_chunk(self, monkeypatch, span):
+        # the payload is drawn and detected a chunk at a time, so neither
+        # its buffers nor what the apply step receives grow with the span
+        monkeypatch.setattr(experiments, "SPAN_BLOCKS", span)
+        chunk, apply, seen = experiments.CHUNK_BLOCKS, experiments._apply, []
+
+        def spy(detector, y, channel, chain):
+            seen.append(len(y))
+            return apply(detector, y, channel, chain)
+
+        monkeypatch.setattr(experiments, "_apply", spy)
+        for trials in (1, 3, 7, 20):
+            for grid in ((0.0,), (-4.0, 0.0)):
+                spec = with_trials(replace(tiny_spec(), snr_grid_db=grid), trials)
+                sweep = experiments._Sweep(spec)
+                rows = min(chunk, trials)
+                assert {len(buf) for buf in sweep.payload.values()} == {rows}
+                assert len(sweep.rows) == rows
+                seen.clear()
+                run_monte_carlo(spec)
+                assert seen and max(seen) <= rows
 
     # on a one-point grid the sweep keeps no H x, G s and n terms
     @pytest.mark.parametrize("grid", [(-4.0, 0.0), (0.0,)])
@@ -804,11 +872,11 @@ class TestChunking:
 
     @pytest.mark.parametrize("size", [1, 4])
     def test_sequential_ls_solve_failure_charged_to_its_point_and_block(self, monkeypatch, size):
-        # the covariance pass runs once per chunk on every (point, block)
+        # the covariance pass runs once per span on every (point, block)
         # stacked; its failure must reach seq_gramian at 0 dB on block 5 alone
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 3.0), detector="sequential_ls")
         spec = with_trials(spec, 7)
-        monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
+        monkeypatch.setattr(experiments, "SPAN_BLOCKS", size)
         clean = run_monte_carlo(spec).rows
         fail_sequential_ls_solve(monkeypatch, spec, 0.0, block=5)
         out = run_monte_carlo(spec)
@@ -840,10 +908,10 @@ class TestChunking:
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), 7)
         fail_procrustes_fold(monkeypatch, spec.cfg, block=5)
         fail_centralized_detection(monkeypatch, spec, block=2)
-        monkeypatch.setattr(experiments, "CHUNK_BLOCKS", size)
-        in_order = chunk_records(spec, range)
-        shuffled = chunk_records(spec, lambda n: np.random.default_rng(size).permutation(n))
-        backwards = chunk_records(spec, lambda n: range(n - 1, -1, -1))
+        monkeypatch.setattr(experiments, "SPAN_BLOCKS", size)
+        in_order = span_records(spec, range)
+        shuffled = span_records(spec, lambda n: np.random.default_rng(size).permutation(n))
+        backwards = span_records(spec, lambda n: range(n - 1, -1, -1))
         assert in_order[1] == 2 * (len(spec.methods) + 1)
         assert shuffled == in_order and backwards == in_order
         csv_text, *_ = sweep_record(spec)
@@ -906,14 +974,14 @@ class TestDispatch:
         assert "apply_chain" in names
         assert [n for n in names if n.startswith("detect_")] == []
 
-    def test_load_report_runs_the_sweeps_chunk_path(self, monkeypatch):
-        calls, run_chunk = [], experiments._run_chunk
+    def test_load_report_runs_the_sweeps_span_path(self, monkeypatch):
+        calls, run_span = [], experiments._run_span
 
         def spy(sweep, blocks):
             calls.append((sweep, blocks))
-            return run_chunk(sweep, blocks)
+            return run_span(sweep, blocks)
 
-        monkeypatch.setattr(experiments, "_run_chunk", spy)
+        monkeypatch.setattr(experiments, "_run_span", spy)
         cfg = SystemConfig()
         report = load_report("seq_gramian", cfg)
         [(sweep, blocks)] = calls
@@ -1008,10 +1076,10 @@ class TestStageTrace:
 
     def test_every_clock_reading_closes_a_lap(self, monkeypatch):
         # each reading of a clock that ticks once per call ends one unit,
-        # so a gap between chunks, or set-up no lap covers, would go missing
+        # so a gap between spans, or set-up no lap covers, would go missing
         ticks = iter(range(10**6))
         monkeypatch.setattr(experiments.time, "perf_counter", lambda: float(next(ticks)))
-        out = run_monte_carlo(with_trials(tiny_spec(), 10))  # chunks 0-3, 4-7, 8-9
+        out = run_monte_carlo(with_trials(tiny_spec(), MULTI_SPAN_TRIALS))
         assert sum(stage["seconds"] for stage in out.stages.values()) == next(ticks) - 1
 
     @pytest.mark.parametrize("detector", DETECTORS)
@@ -1021,17 +1089,22 @@ class TestStageTrace:
         assert set(stages) == self.documented(spec)
         assert all(stage["calls"] > 0 and stage["seconds"] >= 0 for stage in stages.values())
 
-    def test_a_failed_chunk_charges_its_reruns_only(self, monkeypatch):
-        spec = with_trials(tiny_spec(), 10)  # chunks 0-3, 4-7, 8-9
+    def test_a_failed_span_charges_its_reruns_only(self, monkeypatch):
+        spec = with_trials(tiny_spec(), MULTI_SPAN_TRIALS)  # spans 0-15 and 16-20
         fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
         out = run_monte_carlo(spec)
         assert out.diagnostics.numerical_failures == 1
         assert set(out.stages) <= self.documented(spec)
-        # two chunks drawn once each, and the failed chunk's four blocks alone
-        assert out.stages["draw"]["calls"] == 2 + 4
-        assert out.stages["pilot"]["calls"] == 2 + 4
+        # the second span's two chunks draw their channels and their
+        # payloads once each, and the failed span's 16 blocks do alone
+        assert out.stages["draw"]["calls"] == 2 * 2 + 16 * 2
+        assert out.stages["pilot"]["calls"] == 2 + 16
+        # one estimate per span, one channel side per span and width group
+        assert out.stages["estimate.seq_gramian"]["calls"] == 1 + 16
+        assert out.stages["channel_side.centralized_zf"]["calls"] == 3 + 16 * 5 - 1
+        # three width groups (the genie's one) per chunk, one point
         per_block = len(spec.methods) * len(spec.snr_grid_db)
-        assert out.stages["score"]["calls"] == 2 * 3 + 4 * per_block - 1
+        assert out.stages["score"]["calls"] == 2 * 3 + 16 * per_block - 1
 
     def test_results_json_carries_the_trace(self, tmp_path):
         spec = replace(tiny_spec(), out_dir=tmp_path)
@@ -1053,6 +1126,43 @@ class TestStageTrace:
         ]
         assert len(laps) == 1 and clocks
         assert [n.lineno for n in clocks if id(n) not in inside] == []
+
+
+class TestMemoryCeiling:
+    """The peak of the memory that tracemalloc traces (numpy's arrays
+    included) while a sweep runs one full span, of the default spec and of
+    the long chain. Each ceiling is the peak measured when it was set
+    plus 10% headroom, so that a change that keeps span- or payload-sized
+    arrays alive longer, or adds some, fails here before it shows in the
+    benchmark's peak RSS."""
+
+    SPECS = {
+        # measured: 3153 KiB; most of it is centralized ZF's channel side
+        "default": (default_spec, 3470),
+        # measured: 2993 KiB; the span's residuals take 720 KiB of it
+        "long_chain": (
+            lambda: default_spec(
+                cfg=SystemConfig(L=16),
+                snr_grid_db=(0.0,),
+                methods=("no_suppression", "seq_procrustes", "seq_gramian"),
+                detector="sequential_ls",
+            ),
+            3290,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_one_span_stays_under_its_ceiling(self, name):
+        build, ceiling_kib = self.SPECS[name]
+        spec = with_trials(build(), experiments.SPAN_BLOCKS)
+        run_monte_carlo(spec)  # warm up
+        tracemalloc.start()
+        try:
+            run_monte_carlo(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling_kib * 1024
 
 
 class TestBenchmarkReference:
@@ -1165,7 +1275,7 @@ class TestConfigEdges:
         )
         spec = with_payload(spec, 8)
         chunked = sweep_record(spec)
-        with mock.patch.object(experiments, "CHUNK_BLOCKS", 1):
+        with mock.patch.multiple(experiments, SPAN_BLOCKS=1, CHUNK_BLOCKS=1):
             assert sweep_record(spec) == chunked
         csv_text, numerical_failures, _, failures = chunked
         rows = len(csv_text.splitlines()) - 1 if csv_text else 0

@@ -15,6 +15,7 @@ from oossim.numerics import (
     herm,
 )
 from oossim.oos_estimation import (
+    FULL_SVD_MATRICES,
     _local_signal_basis,
     centralized_oos_oracle,
     estimate_oos_channels,
@@ -238,6 +239,19 @@ class TestLocalSignalBasis:
         assert np.array_equal(got, want)
         for b in np.ndindex(zpsi.shape[:2]):
             assert np.array_equal(_local_signal_basis(zpsi[b], K_I), want[b])
+
+    def test_a_stack_of_several_svd_calls_keeps_the_one_call_bits(self, rng):
+        # a stack larger than FULL_SVD_MATRICES takes several full SVDs;
+        # its basis keeps the bits and the memory order of one call's
+        K_I, stack = 5, (5, 4)
+        assert np.prod(stack) > FULL_SVD_MATRICES
+        zpsi = crandn(rng, *stack, 4, 45)
+        Vh = np.linalg.svd(zpsi, full_matrices=True)[2]
+        want = _fix_column_phases(herm(Vh[..., :K_I, :]))
+        got = _local_signal_basis(zpsi, K_I)
+        assert got.strides == want.strides
+        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+        assert np.array_equal(*bits)
 
 
 class TestSequentialProcrustes:
