@@ -32,11 +32,12 @@ one for the genie, whose channels do not depend on the point. Per chunk
 and point, each channel side is applied in one call to its chunk's
 blocks, the methods stacked against the one payload.
 
-If a stage of a span raises NumericalFailure, what the span did is
+If a stage of a span raises NumericalFailure, the span's results are
 dropped; each block is drawn again alone (the same bits, by the two
 rules above) and each method reruns alone, so a failure is charged to
-the method, block and, for detection, SNR point that caused it.
-_Totals describes the stage trace.
+the method, block and, for detection, SNR point that caused it. The
+stage trace (_Sweep) is the sweep's one timing record: the failed
+span's calls and time stay in it, beside those of the reruns.
 """
 
 from __future__ import annotations
@@ -222,13 +223,10 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
     r = cfg.tau_p - cfg.K
     m = _augmented_width(method, cfg)
     phases: dict[str, int] = {}
-    if cfg.K_I > 0:
-        if method == "seq_procrustes":
-            phases["oos_forward"] = 2 * cfg.K_I * r
-            phases["oos_broadcast"] = 2 * cfg.K_I * r
-        elif method == "seq_gramian":
-            phases["oos_forward"] = r * r
-            phases["oos_broadcast"] = 2 * cfg.K_I * r
+    if cfg.K_I > 0 and method in ("seq_procrustes", "seq_gramian"):
+        forward, broadcast = oos_estimation.OOS_PHASES
+        phases[forward] = 2 * cfg.K_I * r if method == "seq_procrustes" else r * r
+        phases[broadcast] = 2 * cfg.K_I * r
     if detector in uplink.CHAIN_PHASES:
         per_block, per_symbol = uplink.CHAIN_PHASES[detector]
         phases[per_block] = m * m
@@ -305,7 +303,7 @@ class RunDiagnostics:
 class MonteCarloOutcome:
     rows: list[ResultRow]
     diagnostics: RunDiagnostics
-    stages: dict  # stage name -> {"seconds": float, "calls": int}, see _Totals
+    stages: dict  # stage name -> {"seconds": float, "calls": int}, see _Sweep
 
 
 def _interferer_channels(method, G, zpsi, cfg, chain, counts, local=None):
@@ -384,43 +382,14 @@ def _apply(detector, y, channel, chain):
 class _Totals:
     """What the sweep adds up, for the whole run or for one span: bit
     errors and bits per (SNR point, method index), the failures per
-    point, the degenerate rotations (the estimators count them here) and
-    the stage trace: seconds and calls per stage name.
+    point and the degenerate rotations (the estimators count them here)."""
 
-    Each stage boundary calls lap, which charges the time since the last
-    lap to the stage that just ended (a stage that raises is charged to
-    the next one). A span counts one call of estimate.local_svd and of
-    each estimate.<method>, and one of channel_side.<detector> per width
-    group. Each of its chunks counts two of draw (its channels, with the
-    span's geometry in the first chunk's, then its payload) and one of
-    pilot; each chunk and point, one of apply.<detector> (forming the
-    point's received signal too) and of score per width group. A rerun
-    block draws and runs its pilot phase as a span of one chunk, then
-    counts each method's estimate once and its channel side, apply and
-    score once per point. A span's totals start their clock at the last lap
-    before them, `clock`, and add() hands theirs on, so the sweep's
-    set-up and the time between spans go to the next draw; without
-    `clock` the clock starts now."""
-
-    def __init__(self, spec: ExperimentSpec, clock: float | None = None):
+    def __init__(self, spec: ExperimentSpec):
         shape = (len(spec.snr_grid_db), len(spec.methods))
         self.errors = np.zeros(shape, dtype=np.int64)
         self.bits = np.zeros(shape, dtype=np.int64)
         self.failures = [[] for _ in spec.snr_grid_db]  # FAILURE_KEYS tuples
         self.degenerate_rotations = 0
-        self.seconds, self.calls = Counter(), Counter()
-        if clock is None:
-            self.lap()
-        else:
-            self.clock = clock
-
-    def lap(self, stage: str | None = None):
-        """Charge the time since the last lap to `stage`; no stage restarts the clock."""
-        now = time.perf_counter()
-        if stage is not None:
-            self.seconds[stage] += now - self.clock
-            self.calls[stage] += 1
-        self.clock = now
 
     def add(self, other: _Totals):
         self.errors += other.errors
@@ -428,24 +397,36 @@ class _Totals:
         for mine, theirs in zip(self.failures, other.failures):
             mine += theirs
         self.degenerate_rotations += other.degenerate_rotations
-        self.seconds.update(other.seconds)
-        self.calls.update(other.calls)
-        self.clock = other.clock
 
 
 class _Sweep:
     """What a sweep holds across its spans: the pilot book, one config
     per SNR point, the chain (unlogged unless load_report passes a
     logging one), the payload buffers of one chunk by term, their rows
-    per block and the totals."""
+    per block, the totals and the stage trace: seconds and calls per
+    stage name, where a failed span's stay (only its totals are dropped).
+
+    Each stage boundary calls lap, which charges the time since the last
+    lap, from the sweep's making on, to the stage that just ended (a
+    stage that raises is charged to the next one). A span counts one
+    call of estimate.local_svd and of each estimate.<method>, and one of
+    channel_side.<detector> per width group. Each of its chunks counts
+    two of draw (its channels, with the span's geometry in the first
+    chunk's, then its payload) and one of pilot; each chunk and point,
+    one of apply.<detector> (forming the point's received signal too)
+    and of score per width group. A rerun block draws and runs its pilot
+    phase as a span of one chunk, then counts each method's estimate
+    once and its channel side, apply and score once per point."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
-        self.totals = _Totals(spec)  # first, so the set-up is charged to the first draw
+        self.seconds, self.calls = Counter(), Counter()
+        self.lap()
         cfg, n_symbols = spec.cfg, spec.cfg.tau_c - spec.cfg.tau_p
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
         self.chain = Chain(cfg.ap_order, log=None) if chain is None else chain
         self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
+        self.totals = _Totals(spec)
         size = min(CHUNK_BLOCKS, cfg.trials)
 
         # Rows [:B] hold a chunk of B blocks (or one rerun block); y holds
@@ -466,6 +447,14 @@ class _Sweep:
                 row.update(hx=row["y"], gs=scratch, noise=scratch)
             self.rows.append(uplink.UplinkSymbolBatch(s=s, **row))
 
+    def lap(self, stage: str | None = None):
+        """Charge the time since the last lap to `stage`; no stage restarts the clock."""
+        now = time.perf_counter()
+        if stage is not None:
+            self.seconds[stage] += now - self.clock
+            self.calls[stage] += 1
+        self.clock = now
+
     def outcome(self) -> MonteCarloOutcome:
         """One row per (SNR point, method) with surviving blocks, and the
         failures in (SNR, block, method) order of the chunks run."""
@@ -475,7 +464,7 @@ class _Sweep:
             degenerate_rotations=totals.degenerate_rotations,
         )
         loads = [
-            analytic_per_link(m, spec.cfg, spec.detector).get("oos_forward", 0)
+            analytic_per_link(m, spec.cfg, spec.detector).get(oos_estimation.OOS_PHASES[0], 0)
             for m in spec.methods
         ]
         rows: list[ResultRow] = []
@@ -499,9 +488,7 @@ class _Sweep:
                         seed=spec.cfg.seed,
                     )
                 )
-        stages = {
-            s: {"seconds": seconds, "calls": totals.calls[s]} for s, seconds in totals.seconds.items()
-        }
+        stages = {s: {"seconds": t, "calls": self.calls[s]} for s, t in self.seconds.items()}
         return MonteCarloOutcome(rows=rows, diagnostics=diagnostics, stages=stages)
 
 
@@ -519,7 +506,7 @@ class _Span:
     est: np.ndarray
 
 
-def _draw_pilot(sweep: _Sweep, blocks: range, totals: _Totals) -> _Span:
+def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
     """Draw the span `blocks` and run its pilot phase: the geometry in one
     call, then the channels and the pilot phase CHUNK_BLOCKS blocks at a
     time into the span's arrays, so that the pilot noise, interference
@@ -540,17 +527,17 @@ def _draw_pilot(sweep: _Sweep, blocks: range, totals: _Totals) -> _Span:
         rngs = [block_rng(cfg.seed, b, CHANNEL_STREAM) for b in blocks[rows]]
         chunk = draw_block(cfg, betas, rngs)
         span.H[rows], span.G[rows] = chunk.H, chunk.G
-        totals.lap("draw")
+        sweep.lap("draw")
         interference = pilot_phase.pilot_interference(chunk)
         span.zpsi[rows] = pilot_phase.compute_projected_residual(interference, pilots)
         for p, cfg_pt in enumerate(points):
             obs = pilot_phase.simulate_pilot_rx(chunk, pilots, cfg_pt, interference)
             span.est[p, rows] = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
-        totals.lap("pilot")
+        sweep.lap("pilot")
     return span
 
 
-def _draw_payload(sweep: _Sweep, span: _Span, rows: slice, totals: _Totals) -> dict:
+def _draw_payload(sweep: _Sweep, span: _Span, rows: slice) -> dict:
     """Draw the payload of the span's blocks `rows` into the sweep's
     buffers, once for all points at the first point's power; returns it
     by term."""
@@ -558,7 +545,7 @@ def _draw_payload(sweep: _Sweep, span: _Span, rows: slice, totals: _Totals) -> d
     for out, H, G, b in zip(sweep.rows, span.H[rows], span.G[rows], blocks):
         rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
         uplink.simulate_uplink_rx(BlockRealization(H, G, None, None), sweep.points[0], rng, out=out)
-    totals.lap("draw")
+    sweep.lap("draw")
     return {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
 
 
@@ -570,16 +557,16 @@ def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals):
     # the local factorization is defined for 1 <= K_I <= N
     if 1 <= cfg.K_I <= cfg.N and any(spec.methods[m] in LOCAL_SVD_METHODS for m in methods):
         local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)
-        totals.lap("estimate.local_svd")
+        sweep.lap("estimate.local_svd")
     ghats = []
     for m in methods:
         method = spec.methods[m]
         ghats.append(_interferer_channels(method, span.G, zpsi, cfg, sweep.chain, totals, local))
-        totals.lap(f"estimate.{method}")
+        sweep.lap(f"estimate.{method}")
     return ghats
 
 
-def _channel_sides(sweep: _Sweep, span: _Span, est, methods, ghats, totals: _Totals):
+def _channel_sides(sweep: _Sweep, span: _Span, est, methods, ghats):
     """One channel side per width group of the methods `methods` (indices
     into spec.methods), with interferer channels `ghats`, on the blocks
     of `span` at the SNR points whose pilot LS estimates `est` holds.
@@ -595,7 +582,7 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, methods, ghats, totals: _Tot
         ue = span.H[None] if genie else est
         aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
         sides.append((members, len(ue), _channel_side(detector, aug, cfg, sweep.chain)))
-        totals.lap(f"channel_side.{detector}")
+        sweep.lap(f"channel_side.{detector}")
     return sides
 
 
@@ -612,31 +599,31 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
         for members, count, side in sides:
             channel = tuple(part[:, min(j, count - 1), rows] for part in side)
             ue = _apply(detector, y, channel, sweep.chain)
-            totals.lap(f"apply.{detector}")
+            sweep.lap(f"apply.{detector}")
             errors = uplink.count_bit_errors(ue, x)
             totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)
             totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
-            totals.lap("score")
+            sweep.lap("score")
 
 
 def _run_span(sweep: _Sweep, blocks: range):
     """Run the sweep on the span `blocks` (see the module docstring)."""
     spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
-    totals = _Totals(spec, sweep.totals.clock)
-    span = _draw_pilot(sweep, blocks, totals)
+    totals = _Totals(spec)
+    span = _draw_pilot(sweep, blocks)
     try:
         ghats = _estimate(sweep, span, methods, totals)
-        sides = _channel_sides(sweep, span, span.est, methods, ghats, totals)
+        sides = _channel_sides(sweep, span, span.est, methods, ghats)
         for start in range(0, len(blocks), CHUNK_BLOCKS):
             rows = slice(start, start + CHUNK_BLOCKS)
-            payload = _draw_payload(sweep, span, rows, totals)
+            payload = _draw_payload(sweep, span, rows)
             _detect(sweep, payload, sides, rows, points, totals)
     except NumericalFailure:
-        totals = _Totals(spec, totals.clock)
+        totals = _Totals(spec)
         for b in blocks:
-            span = _draw_pilot(sweep, range(b, b + 1), totals)
-            payload = _draw_payload(sweep, span, slice(None), totals)
+            span = _draw_pilot(sweep, range(b, b + 1))
+            payload = _draw_payload(sweep, span, slice(None))
             for m in methods:
                 failed = []
                 try:
@@ -645,7 +632,7 @@ def _run_span(sweep: _Sweep, blocks: range):
                     failed = [(p, exc) for p in points]
                 for p in () if failed else points:
                     try:
-                        sides = _channel_sides(sweep, span, span.est[p : p + 1], [m], ghats, totals)
+                        sides = _channel_sides(sweep, span, span.est[p : p + 1], [m], ghats)
                         _detect(sweep, payload, sides, slice(None), [p], totals)
                     except NumericalFailure as exc:
                         failed.append((p, exc))

@@ -3,15 +3,16 @@
 Thin wrappers around LAPACK (through numpy.linalg) that add input
 validation and explicit failure types so callers never receive silent
 garbage; every LAPACK call of the package goes through _lapack, which
-raises a LAPACK failure as NumericalFailure. Kept singular and eigen
-vectors follow _fix_column_phases,
-top_singular_triplets' on either of its routes; a product in which the
-phase cancels (pseudo_inverse, procrustes_rotation) uses the SVD without
-it. Every kernel also takes a stack of matrices along leading axes and
-gives each matrix the result it would get alone, bit for bit, since
-numpy's batched LAPACK runs matrix by matrix. The channel Gramian's
-invertibility screen and its inverse are one kernel, inverse_gramian,
-which distributed ZF and the downlink precoders share.
+raises a LAPACK failure as NumericalFailure. economy_svd,
+hermitian_top_eigvectors and top_singular_triplets return their singular
+and eigen vectors in the phase convention of _fix_column_phases, on
+every route; a product in which the phase cancels (pseudo_inverse,
+procrustes_rotation) uses the SVD without it. Every kernel also takes a
+stack of matrices along leading axes and gives each matrix the result it
+would get alone, bit for bit, since numpy's batched LAPACK runs matrix
+by matrix. The channel Gramian's invertibility screen and its inverse
+are one kernel, inverse_gramian, which distributed ZF and the downlink
+precoders share.
 
 Four routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring
@@ -42,7 +43,10 @@ SUBSPACE_RTOL = 1e-10
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative SVD/eigen routine failed to converge."""
+    """A stage gave no trustworthy result: a LAPACK routine (SVD, eigen,
+    QR, inverse) failed to converge or met a singular matrix (_lapack), a
+    screen found a matrix that must be full rank singular
+    (DegeneracyError), or a chain fold raised either."""
 
 
 class DegeneracyError(NumericalFailure):

@@ -31,6 +31,8 @@ from .numerics import (
 )
 from .scenario import SystemConfig
 
+# Chain phases of both chain estimators, once per block: (to the CPU, its broadcast)
+OOS_PHASES = ("oos_forward", "oos_broadcast")
 # Matrices per call of _local_signal_basis' full SVD, whose V^H holds
 # (tau_p - K)^2 entries a matrix: 16 of 45 x 45 are 518 KB.
 FULL_SVD_MATRICES = 16
@@ -130,8 +132,8 @@ def run_sequential_procrustes(
     def fold(S, local):
         return local if S is None else rotate_and_average_step(S, local, diagnostics)
 
-    final = chain.run("oos_forward", fold, matrix_symbols, None, locals_)
-    chain.broadcast("oos_broadcast", final, matrix_symbols)
+    final = chain.run(OOS_PHASES[0], fold, matrix_symbols, None, locals_)
+    chain.broadcast(OOS_PHASES[1], final, matrix_symbols)
     return final
 
 
@@ -145,9 +147,9 @@ def run_gramian_method(zpsi: np.ndarray, cfg: SystemConfig, chain: Chain) -> np.
     The returned estimate has orthonormal columns.
     """
     L, N = zpsi.shape[-3:-1]
-    total = chain.run("oos_forward", add_gramian, hermitian_symbols, None, zpsi)
+    total = chain.run(OOS_PHASES[0], add_gramian, hermitian_symbols, None, zpsi)
     vectors, _ = hermitian_top_eigvectors(total, cfg.K_I, rank=L * N)
-    chain.broadcast("oos_broadcast", vectors, matrix_symbols)
+    chain.broadcast(OOS_PHASES[1], vectors, matrix_symbols)
     return vectors
 
 

@@ -191,7 +191,8 @@ def crandn(rng, *shape, out=None) -> np.ndarray:
     that differs from the rows raises ValueError.
     """
     z = np.empty(shape, dtype=complex) if out is None else out
-    rngs, rows = ((rng,), z[None]) if isinstance(rng, np.random.Generator) else (rng, z)
+    rngs, stacked = _generators(rng)
+    rows = z if stacked else z[None]
     parts = np.empty((len(rows), 2, *rows.shape[1:]))
     for r, row in zip(rngs, parts, strict=True):
         r.standard_normal(out=row)

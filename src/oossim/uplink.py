@@ -52,6 +52,8 @@ class DetectorState:
 # The QPSK levels of bit 0 and bit 1: the bits of (1 - 2 b) / sqrt(2) as
 # numpy divides a complex number by a real one, times 1 / sqrt(2)
 _QPSK_LEVELS = np.array([1.0, -1.0]) * (1 / np.sqrt(2.0))
+# The standard normal quantile of 0.975: wilson_interval's 95% level
+WILSON_Z = 1.959963984540054
 
 
 def draw_qpsk(rng: np.random.Generator, K: int, T: int, out=None) -> np.ndarray:
@@ -248,11 +250,12 @@ def _positive_parts(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(np.float64) > 0
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(errors: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
     p = errors / n
+    z = WILSON_Z
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom

@@ -723,12 +723,12 @@ class TestChunking:
         size = experiments.CHUNK_BLOCKS + 3
         cfg = make_cfg(L=5, N=N, K_I=K_I, trials=size, noise_floor_dbw=-124.0)
         spec = ExperimentSpec(cfg=cfg, snr_grid_db=grid, methods=(GENIE,))
-        sweep, totals = experiments._Sweep(spec), experiments._Totals(spec)
-        span = experiments._draw_pilot(sweep, range(size), totals)
+        sweep = experiments._Sweep(spec)
+        span = experiments._draw_pilot(sweep, range(size))
         chunks = [slice(0, experiments.CHUNK_BLOCKS), slice(experiments.CHUNK_BLOCKS, size)]
         payloads = []  # copied, since each chunk's draw reuses the sweep's buffers
         for rows in chunks:
-            payload = experiments._draw_payload(sweep, span, rows, totals)
+            payload = experiments._draw_payload(sweep, span, rows)
             payloads.append({term: buf.copy() for term, buf in payload.items()})
         # on a one-point grid the sweep keeps y; otherwise the terms of y
         kept = {"x", "y"} if len(grid) == 1 else {"x", "hx", "noise"} | ({"gs"} if K_I else set())
@@ -1057,7 +1057,7 @@ class TestScreenedRoutes:
 
 class TestStageTrace:
     """The sweep's one timing record: seconds and calls per stage, fed by
-    _Totals.lap."""
+    _Sweep.lap."""
 
     @staticmethod
     def documented(spec):
@@ -1074,13 +1074,30 @@ class TestStageTrace:
         traced = sum(stage["seconds"] for stage in out.stages.values())
         assert abs(traced - wall) <= 0.05 * wall
 
+    @staticmethod
+    def ticking_sweep(monkeypatch, spec):
+        """A sweep of `spec` on a clock that ticks once per reading: its
+        outcome, its traced seconds and the readings taken."""
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(experiments.time, "perf_counter", lambda: float(next(ticks)))
+        out = run_monte_carlo(spec)
+        return out, sum(stage["seconds"] for stage in out.stages.values()), next(ticks) - 1
+
     def test_every_clock_reading_closes_a_lap(self, monkeypatch):
         # each reading of a clock that ticks once per call ends one unit,
         # so a gap between spans, or set-up no lap covers, would go missing
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(experiments.time, "perf_counter", lambda: float(next(ticks)))
-        out = run_monte_carlo(with_trials(tiny_spec(), MULTI_SPAN_TRIALS))
-        assert sum(stage["seconds"] for stage in out.stages.values()) == next(ticks) - 1
+        spec = with_trials(tiny_spec(), MULTI_SPAN_TRIALS)
+        _, traced, readings = self.ticking_sweep(monkeypatch, spec)
+        assert traced == readings
+
+    def test_a_failed_span_keeps_its_time(self, monkeypatch):
+        # L = 1 leaves distributed ZF's channel Gramian singular, so every
+        # span fails and reruns its blocks; the time it spent before
+        # failing was spent all the same
+        spec = with_trials(default_spec(cfg=SystemConfig(L=1), detector="distributed_zf"), 6)
+        out, traced, readings = self.ticking_sweep(monkeypatch, spec)
+        assert out.diagnostics.numerical_failures == 6 * len(spec.methods) * len(spec.snr_grid_db)
+        assert traced == readings
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_stage_names_are_the_documented_ones(self, detector):
@@ -1089,17 +1106,19 @@ class TestStageTrace:
         assert set(stages) == self.documented(spec)
         assert all(stage["calls"] > 0 and stage["seconds"] >= 0 for stage in stages.values())
 
-    def test_a_failed_span_charges_its_reruns_only(self, monkeypatch):
+    def test_a_failed_span_counts_every_call_made(self, monkeypatch):
         spec = with_trials(tiny_spec(), MULTI_SPAN_TRIALS)  # spans 0-15 and 16-20
         fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
         out = run_monte_carlo(spec)
         assert out.diagnostics.numerical_failures == 1
         assert set(out.stages) <= self.documented(spec)
         # the second span's two chunks draw their channels and their
-        # payloads once each, and the failed span's 16 blocks do alone
-        assert out.stages["draw"]["calls"] == 2 * 2 + 16 * 2
-        assert out.stages["pilot"]["calls"] == 2 + 16
-        # one estimate per span, one channel side per span and width group
+        # payloads once each; the failed span's four chunks drew their
+        # channels before seq_procrustes failed, then its 16 blocks do alone
+        assert out.stages["draw"]["calls"] == 2 * 2 + 4 + 16 * 2
+        assert out.stages["pilot"]["calls"] == 2 + 4 + 16
+        # one estimate per span, one channel side per span and width group;
+        # the failed span stopped before seq_gramian and any channel side
         assert out.stages["estimate.seq_gramian"]["calls"] == 1 + 16
         assert out.stages["channel_side.centralized_zf"]["calls"] == 3 + 16 * 5 - 1
         # three width groups (the genie's one) per chunk, one point
