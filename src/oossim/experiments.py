@@ -49,7 +49,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,17 +92,6 @@ SPAN_BLOCKS = 16
 # Blocks of a span whose payload is stacked into one call of each
 # payload stage; the payload buffers (_Sweep) hold this many blocks.
 CHUNK_BLOCKS = 4
-
-CSV_COLUMNS = (
-    "method",
-    "snr_db",
-    "ber",
-    "bit_count",
-    "ci_low",
-    "ci_high",
-    "fronthaul_per_link_real_symbols",
-    "seed",
-)
 
 # Keys of a failure record in results.json: (method, SNR, block, reason).
 FAILURE_KEYS = ("method", "snr_db", "block", "reason")
@@ -165,8 +154,10 @@ class ExperimentSpec:
 
 
 def check_fields(kind: str, d: dict, cls) -> None:
-    """Raise ValueError naming the keys of `d` that are no field of the
-    dataclass `cls` (`kind` names it in the message)."""
+    """Raise ValueError unless `d` is a dict of fields of the dataclass
+    `cls`, naming any other keys (`kind` names it in the message)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must be a JSON object; got {d!r}")
     unknown = sorted(set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown {kind} fields {unknown}")
@@ -290,6 +281,10 @@ class ResultRow:
     ci_high: float
     fronthaul_per_link_real_symbols: int
     seed: int
+
+
+# The columns of results.csv: ResultRow's fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -549,38 +544,37 @@ def _draw_payload(sweep: _Sweep, span: _Span, rows: slice) -> dict:
     return {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
 
 
-def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals):
+def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
     """The interferer channels of the methods `methods` (indices into
-    spec.methods) on the blocks of `span`, in that order."""
+    spec.methods) on the blocks of `span`, by method index."""
     spec, cfg, zpsi = sweep.spec, sweep.spec.cfg, span.zpsi
     local = None
     # the local factorization is defined for 1 <= K_I <= N
     if 1 <= cfg.K_I <= cfg.N and any(spec.methods[m] in LOCAL_SVD_METHODS for m in methods):
         local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)
         sweep.lap("estimate.local_svd")
-    ghats = []
+    ghats = {}
     for m in methods:
         method = spec.methods[m]
-        ghats.append(_interferer_channels(method, span.G, zpsi, cfg, sweep.chain, totals, local))
+        ghats[m] = _interferer_channels(method, span.G, zpsi, cfg, sweep.chain, totals, local)
         sweep.lap(f"estimate.{method}")
     return ghats
 
 
-def _channel_sides(sweep: _Sweep, span: _Span, est, methods, ghats):
-    """One channel side per width group of the methods `methods` (indices
-    into spec.methods), with interferer channels `ghats`, on the blocks
-    of `span` at the SNR points whose pilot LS estimates `est` holds.
-    Returns (method indices, rows of points, channel side) per group."""
+def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
+    """One channel side per width group of the methods whose interferer
+    channels `ghats` holds (_estimate), on the blocks of `span` at the SNR
+    points whose pilot LS estimates `est` holds. Returns (method indices,
+    rows of points, channel side) per group."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
-    ghat_of = dict(zip(methods, ghats))
     groups: dict[tuple, list] = {}
-    for m in methods:
+    for m in ghats:
         method = spec.methods[m]
         groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
     sides = []
     for (width, genie), members in groups.items():
         ue = span.H[None] if genie else est
-        aug = _augmented_stack([ghat_of[m] for m in members], ue, width)
+        aug = _augmented_stack([ghats[m] for m in members], ue, width)
         sides.append((members, len(ue), _channel_side(detector, aug, cfg, sweep.chain)))
         sweep.lap(f"channel_side.{detector}")
     return sides
@@ -614,7 +608,7 @@ def _run_span(sweep: _Sweep, blocks: range):
     span = _draw_pilot(sweep, blocks)
     try:
         ghats = _estimate(sweep, span, methods, totals)
-        sides = _channel_sides(sweep, span, span.est, methods, ghats)
+        sides = _channel_sides(sweep, span, span.est, ghats)
         for start in range(0, len(blocks), CHUNK_BLOCKS):
             rows = slice(start, start + CHUNK_BLOCKS)
             payload = _draw_payload(sweep, span, rows)
@@ -632,7 +626,7 @@ def _run_span(sweep: _Sweep, blocks: range):
                     failed = [(p, exc) for p in points]
                 for p in () if failed else points:
                     try:
-                        sides = _channel_sides(sweep, span, span.est[p : p + 1], [m], ghats)
+                        sides = _channel_sides(sweep, span, span.est[p : p + 1], ghats)
                         _detect(sweep, payload, sides, slice(None), [p], totals)
                     except NumericalFailure as exc:
                         failed.append((p, exc))
@@ -654,15 +648,14 @@ def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    """Deterministic CSV: shortest round-trip float formatting, fixed columns."""
+    """Deterministic CSV under the CSV_COLUMNS header: shortest round-trip floats."""
     if not rows:
         raise ValueError("no rows to report")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        values = (getattr(r, column) for column in CSV_COLUMNS)
-        writer.writerow(repr(float(v)) if isinstance(v, float) else v for v in values)
+        writer.writerow(repr(float(v)) if isinstance(v, float) else v for v in astuple(r))
     return buf.getvalue()
 
 

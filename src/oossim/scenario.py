@@ -249,17 +249,9 @@ def build_geometry(cfg: SystemConfig, rng) -> Geometry:
 
 
 def build_pilot_book(cfg: SystemConfig) -> PilotBook:
-    """Pilot book from the unitary DFT: deterministic, exactly orthonormal."""
-    return dft_pilot_book(cfg.tau_p, cfg.K)
-
-
-def dft_pilot_book(tau_p: int, K: int) -> PilotBook:
-    """First K columns of the tau_p-point unitary DFT as pilots, the
-    remaining tau_p - K columns as the complement basis."""
-    if tau_p < 1:
-        raise ValueError("tau_p must be positive")
-    if K < 0 or K > tau_p:
-        raise ValueError("K must satisfy 0 <= K <= tau_p")
+    """Pilots from the first K columns of the tau_p-point unitary DFT, the
+    complement basis from the rest: deterministic, exactly orthonormal."""
+    tau_p, K = cfg.tau_p, cfg.K
     # The unitary DFT as scipy.linalg.dft(tau_p, scale="sqrtn") builds it,
     # op for op, so the pilots keep their bits without importing scipy.
     omegas = np.exp(-2j * np.pi * np.arange(tau_p) / tau_p).reshape(-1, 1)

@@ -315,6 +315,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=r"unknown config fields \['foo'\]"):
             ExperimentSpec.from_dict({"cfg": {"foo": 1}})
 
+    @pytest.mark.parametrize(
+        "d, kind", [([], "spec"), ("abc", "spec"), ({"cfg": None}, "config"), ({"cfg": []}, "config")]
+    )
+    def test_a_spec_or_config_that_is_no_object_is_rejected(self, d, kind):
+        with pytest.raises(ValueError, match=f"{kind} must be a JSON object"):
+            ExperimentSpec.from_dict(d)
+
     def test_default_ap_order_follows_an_overridden_L(self):
         def with_L(spec, L, **cfg):
             d = spec.to_dict()
@@ -1391,6 +1398,25 @@ class TestLoadTable:
         monkeypatch.setattr(experiments, "load_report", mismatch)
         with pytest.raises(ChainError):
             load_table(SystemConfig())
+
+    def test_a_pass_that_sends_other_than_the_formula_raises(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(cfg=make_cfg(trials=1), methods=("no_suppression",), detector="distributed_zf")
+        outcome = run_monte_carlo(spec)
+        cfg = SystemConfig()
+        formula = experiments.analytic_per_link("no_suppression", cfg, "distributed_zf")
+        measured = {**formula, "channel_gramian": formula["channel_gramian"] + 1}
+        sent = uplink.hermitian_symbols  # the channel Gramian pass sends one real more
+        monkeypatch.setattr(uplink, "hermitian_symbols", lambda M: sent(M) + 1)
+        with pytest.raises(ChainError) as raised:
+            experiments.load_report("no_suppression", cfg, "distributed_zf")
+        for part in (f"measured per-link loads {measured}", f"formula {formula}", "no_suppression", "distributed_zf"):
+            assert part in str(raised.value)
+        with pytest.raises(ChainError, match="differ from formula"):
+            load_table(cfg, "distributed_zf", ("no_suppression",))
+        out = tmp_path / "out"
+        with pytest.raises(ChainError, match="differ from formula"):
+            emit_report(outcome, replace(spec, out_dir=out))
+        assert not out.exists()
 
     def test_covers_all_methods(self):
         cfg = SystemConfig()
