@@ -18,6 +18,7 @@ from .experiments import (
     load_table,
     run_monte_carlo,
 )
+from .scenario import SystemConfig
 
 
 def _parse_value(text: str):
@@ -29,8 +30,7 @@ def _parse_value(text: str):
 
 def _cfg_of(spec_dict: dict) -> dict:
     cfg = spec_dict.setdefault("cfg", {})
-    if not isinstance(cfg, dict):
-        raise ValueError(f"cfg must be a JSON object; got {cfg!r}")
+    check_fields("cfg", cfg, SystemConfig)
     return cfg
 
 
@@ -38,8 +38,6 @@ def _override(spec_dict: dict, overrides) -> dict:
     """Apply `key=value` overrides; `cfg.` prefixes reach the system config.
     Values are JSON-parsed when possible, e.g. --override cfg.K_I=3 or
     --override methods='["seq_gramian","centralized_genie"]'."""
-    if not isinstance(spec_dict, dict):
-        raise ValueError(f"the spec must be a JSON object; got {spec_dict!r}")
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
@@ -62,6 +60,7 @@ def _spec_dict(args) -> dict:
             spec_dict = json.load(fh)
     else:
         spec_dict = default_spec().to_dict()
+    check_fields("spec", spec_dict, ExperimentSpec)
     spec_dict = _override(spec_dict, args.override)
     cfg = _cfg_of(spec_dict)
     for name in ("seed", "trials"):
@@ -95,7 +94,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 1
-    csv_path, json_path = emit_report(outcome, spec)
+    csv_path, json_path, ledger = emit_report(outcome, spec)
     print(f"wrote {csv_path} and {json_path}")
     print(f"{'method':<20}{'snr_db':>8}{'ber':>12}{'per-link':>10}")
     for r in outcome.rows:
@@ -109,7 +108,6 @@ def _cmd_run(args) -> int:
             f"{d.degenerate_rotations} degenerate rotations",
             file=sys.stderr,
         )
-    ledger = json.loads(json_path.read_text())["fronthaul"]
     failed = [method for method, phases in ledger.items() if phases and "failed" in phases]
     for method in failed:
         print(f"fronthaul ledger of {method} failed: {ledger[method]['failed']}", file=sys.stderr)
@@ -127,7 +125,6 @@ def _cmd_report(args) -> int:
         for key in (item.partition("=")[0].strip() for item in args.override or []):
             if not key.startswith("cfg."):
                 raise ValueError(f"only cfg.* overrides apply, not {key!r} (use --detector)")
-        check_fields("spec", spec_dict, ExperimentSpec)
         cfg = config_from_dict(spec_dict["cfg"])
         # the spec file's detector, as `oossim run` takes it, unless given
         detector = args.detector or (

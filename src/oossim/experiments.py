@@ -2,42 +2,10 @@
 the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
-_augmented_stack, _channel_side, _apply). load_report runs the sweep on
-one block, so the loads that it checks against the closed forms
-(analytic_per_link) are those of the sweep's own passes.
-
-All methods and SNR points at a block index share its draws, so curves
-are paired comparisons. Each block is drawn from its own RNG streams, so
-every result is a pure function of (spec, seed), whatever the execution
-order or the rest of the grid.
-
-The sweep runs on the blocks stacked along a leading axis, at two
-sizes; the batched kernels treat each block as they would alone, and so
-does the draw, one generator per block (scenario). A span of up to
-SPAN_BLOCKS blocks (_run_span) is the unit of the pilot side, whose
-stages are bound by per-call overhead: the geometry is drawn in one
-call, the estimators run once (seq_gramian's pass and eigensolve, bound
-by their products, a chunk at a time) and each detection channel side
-once. Each chunk of CHUNK_BLOCKS blocks of the span draws its channels
-and runs its pilot phase into the span's arrays (_draw_pilot), and later
-draws its payload into the sweep's buffers (_draw_payload), receives it
-and detects it (_detect), so that nothing payload-sized, and no pilot
-noise, grows with the span.
-
-Everything but the received signal sqrt(rho) H x + G s + n and the
-detection apply step runs once for all SNR points, the detection
-channel side included: one call per width group (methods whose
-augmented channels have the same width), stacked over the points, and
-one for the genie, whose channels do not depend on the point. Per chunk
-and point, each channel side is applied in one call to its chunk's
-blocks, the methods stacked against the one payload.
-
-If a stage of a span raises NumericalFailure, the span's results are
-dropped; each block is drawn again alone (the same bits, by the two
-rules above) and each method reruns alone, so a failure is charged to
-the method, block and, for detection, SNR point that caused it. The
-stage trace (_Sweep) is the sweep's one timing record: the failed
-span's calls and time stay in it, beside those of the reruns.
+_augmented_stack, _channel_side, _apply). All methods and SNR points at
+a block index share its draws, so curves are paired comparisons; each
+block draws from its own RNG streams, so every result is a pure
+function of (spec, seed). The sweep runs in spans of blocks (_run_span).
 """
 
 from __future__ import annotations
@@ -58,14 +26,17 @@ from .fronthaul import Chain, ChainError, LoadReport
 from .numerics import NumericalFailure, herm, shared_matmul
 from .scenario import (
     CHANNEL_STREAM,
+    CHUNK_BLOCKS,
     GEOMETRY_STREAM,
     PAYLOAD_STREAM,
+    SPAN_BLOCKS,
     BlockRealization,
     SystemConfig,
     block_rng,
     build_geometry,
     build_pilot_book,
     check_real,
+    check_sweep_size,
     default_ap_order,
     draw_block,
 )
@@ -85,14 +56,6 @@ GENIE = "centralized_genie"
 # residual (local_svd_estimate); the sweep factorizes once for both.
 LOCAL_SVD_METHODS = ("local_processing", "seq_procrustes")
 
-# Blocks whose pilot side (channels, pilot phase, estimators, detection
-# channel sides) is stacked into one call of each of its stages. A span
-# holds the channels and pilot residuals of its blocks, no payload.
-SPAN_BLOCKS = 16
-# Blocks of a span whose payload is stacked into one call of each
-# payload stage; the payload buffers (_Sweep) hold this many blocks.
-CHUNK_BLOCKS = 4
-
 # Keys of a failure record in results.json: (method, SNR, block, reason).
 FAILURE_KEYS = ("method", "snr_db", "block", "reason")
 
@@ -107,8 +70,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("snr_grid_db", "methods"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or not value:
+                raise ValueError(f"{name} must be a nonempty list; got {value!r}")
         for snr_db in self.snr_grid_db:
             check_real("snr_grid_db entry", snr_db)
             uplink_power(snr_db)
@@ -117,22 +81,20 @@ class ExperimentSpec:
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path; got {self.out_dir!r}")
         object.__setattr__(self, "out_dir", os.fspath(self.out_dir))  # as results.json writes it
-        if not self.methods:
-            raise ValueError("methods must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected subset of {METHODS}")
-        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
-        if repeated:
-            raise ValueError(f"methods listed more than once: {repeated}")
+        for what, values in (("methods", self.methods), ("SNR points", self.snr_grid_db)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{what} listed more than once: {repeated}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         for method in self.methods:
             reason = undefined_reason(method, self.cfg)
             if reason:
                 raise ValueError(reason)
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must be nonempty")
+        check_sweep_size(self.cfg, len(self.snr_grid_db), len(self.methods))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -226,10 +188,10 @@ def analytic_per_link(method: str, cfg: SystemConfig, detector: str = "distribut
 
 
 def load_report(method: str, cfg: SystemConfig, detector: str = "distributed_zf") -> LoadReport:
-    """Measured per-link loads of `method` under `detector`: the log of
-    the sweep run on one block (_run_span), on a chain that logs every
-    link. Raises NumericalFailure if the block fails, and ChainError
-    unless the log equals analytic_per_link exactly."""
+    """Measured per-link loads of `method` under `detector`: the log of the
+    sweep run on one block on a logging chain, so that the loads checked
+    are those of the sweep's own passes. Raises NumericalFailure if the
+    block fails, and ChainError unless the log equals analytic_per_link."""
     one_block = replace(cfg, rho=1.0, trials=1)
     spec = ExperimentSpec(one_block, snr_grid_db=(0.0,), methods=(method,), detector=detector)
     chain = Chain.for_config(cfg)
@@ -375,9 +337,7 @@ def _apply(detector, y, channel, chain):
 
 
 class _Totals:
-    """What the sweep adds up, for the whole run or for one span: bit
-    errors and bits per (SNR point, method index), the failures per
-    point and the degenerate rotations (the estimators count them here)."""
+    """What the sweep adds up, for the whole run or for one span."""
 
     def __init__(self, spec: ExperimentSpec):
         shape = (len(spec.snr_grid_db), len(spec.methods))
@@ -395,23 +355,19 @@ class _Totals:
 
 
 class _Sweep:
-    """What a sweep holds across its spans: the pilot book, one config
-    per SNR point, the chain (unlogged unless load_report passes a
-    logging one), the payload buffers of one chunk by term, their rows
-    per block, the totals and the stage trace: seconds and calls per
-    stage name, where a failed span's stay (only its totals are dropped).
+    """What a sweep holds across its spans, and its stage trace: seconds
+    and calls per stage name, which lap charges at each stage boundary.
+    Its chain does not log unless load_report passes one that does.
 
-    Each stage boundary calls lap, which charges the time since the last
-    lap, from the sweep's making on, to the stage that just ended (a
-    stage that raises is charged to the next one). A span counts one
-    call of estimate.local_svd and of each estimate.<method>, and one of
-    channel_side.<detector> per width group. Each of its chunks counts
-    two of draw (its channels, with the span's geometry in the first
-    chunk's, then its payload) and one of pilot; each chunk and point,
-    one of apply.<detector> (forming the point's received signal too)
-    and of score per width group. A rerun block draws and runs its pilot
-    phase as a span of one chunk, then counts each method's estimate
-    once and its channel side, apply and score once per point."""
+    A span counts one call of estimate.local_svd and of each
+    estimate.<method>, and one of channel_side.<detector> per width
+    group. Each of its chunks counts two of draw (its channels, with the
+    span's geometry in the first chunk's, then its payload) and one of
+    pilot; each chunk and point, one of apply.<detector> (forming the
+    point's received signal too) and of score per width group. A rerun
+    block draws and runs its pilot phase as a span of one chunk, then
+    counts each method's estimate once and its channel side, apply and
+    score once per point."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         self.seconds, self.calls = Counter(), Counter()
@@ -443,7 +399,9 @@ class _Sweep:
             self.rows.append(uplink.UplinkSymbolBatch(s=s, **row))
 
     def lap(self, stage: str | None = None):
-        """Charge the time since the last lap to `stage`; no stage restarts the clock."""
+        """Charge the time since the last lap (or the sweep's making) to
+        `stage`, which just ended; a stage that raised is charged to the
+        next one, and no stage restarts the clock."""
         now = time.perf_counter()
         if stage is not None:
             self.seconds[stage] += now - self.clock
@@ -502,10 +460,8 @@ class _Span:
 
 
 def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
-    """Draw the span `blocks` and run its pilot phase: the geometry in one
-    call, then the channels and the pilot phase CHUNK_BLOCKS blocks at a
-    time into the span's arrays, so that the pilot noise, interference
-    and observations exist for one chunk at a time."""
+    """Draw the span `blocks` and run its pilot phase, a chunk at a time
+    (_run_span), into the span's arrays."""
     cfg, points, pilots = sweep.spec.cfg, sweep.points, sweep.pilots
     geo = build_geometry(cfg, [block_rng(cfg.seed, b, GEOMETRY_STREAM) for b in blocks])
     B, L, N = len(blocks), cfg.L, cfg.N
@@ -549,7 +505,6 @@ def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
     spec.methods) on the blocks of `span`, by method index."""
     spec, cfg, zpsi = sweep.spec, sweep.spec.cfg, span.zpsi
     local = None
-    # the local factorization is defined for 1 <= K_I <= N
     if 1 <= cfg.K_I <= cfg.N and any(spec.methods[m] in LOCAL_SVD_METHODS for m in methods):
         local = oos_estimation.local_svd_estimate(zpsi, cfg.K_I)
         sweep.lap("estimate.local_svd")
@@ -565,7 +520,12 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     """One channel side per width group of the methods whose interferer
     channels `ghats` holds (_estimate), on the blocks of `span` at the SNR
     points whose pilot LS estimates `est` holds. Returns (method indices,
-    rows of points, channel side) per group."""
+    rows of points, channel side) per group.
+
+    Methods whose augmented channels have the same width (K, or K + K_I
+    with an interferer estimate) form a group, stacked along a leading
+    method axis; the genie's, whose channels do not depend on the point,
+    is a group of its own on the blocks alone and serves every point."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
     groups: dict[tuple, list] = {}
     for m in ghats:
@@ -601,7 +561,20 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
 
 
 def _run_span(sweep: _Sweep, blocks: range):
-    """Run the sweep on the span `blocks` (see the module docstring)."""
+    """Run the sweep on the span `blocks`, up to SPAN_BLOCKS blocks.
+
+    A span is the unit of the pilot side, whose stages are bound by
+    per-call overhead: one geometry draw, one call of each estimator and
+    one channel side per width group, for every SNR point. Each chunk of
+    CHUNK_BLOCKS blocks runs its pilot phase into the span's arrays, then
+    draws its payload into the sweep's buffers and detects it point by
+    point: nothing payload-sized, and no pilot noise, grows with a span.
+
+    If a stage raises NumericalFailure, the span's totals are dropped and
+    each block is drawn again alone, the same bits (its own streams and
+    the stack rule: numerics), each method rerunning alone on it, so a
+    failure is charged to its method, block and, for detection, SNR
+    point. The failed span's calls and time stay in the trace (_Sweep)."""
     spec = sweep.spec
     methods, points = range(len(spec.methods)), range(len(sweep.points))
     totals = _Totals(spec)
@@ -637,9 +610,8 @@ def _run_span(sweep: _Sweep, blocks: range):
 
 
 def run_monte_carlo(spec: ExperimentSpec) -> MonteCarloOutcome:
-    """Run the full sweep, one span at a time (see the module docstring).
-    Returns one row per (method, SNR point) with surviving blocks, the
-    failures in (SNR, block, method) order and the stage trace."""
+    """Run the full sweep, one span at a time (_run_span); returns its
+    rows, failures and stage trace (_Sweep.outcome)."""
     sweep = _Sweep(spec)
     trials = spec.cfg.trials
     for start in range(0, trials, SPAN_BLOCKS):
@@ -661,16 +633,18 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
     """Write results.csv and results.json (spec embedded) to spec.out_dir;
-    returns the paths. Both are built before either is written, so an
-    error (no rows: ValueError; a load check: ChainError) leaves the
-    directory as it was."""
+    returns their paths and the fronthaul ledger (load_table) written
+    into the JSON. Both are built before either is written, so an error
+    (no rows: ValueError; a load check: ChainError) leaves the directory
+    as it was."""
     from pathlib import Path
 
     csv_text, d = rows_to_csv(outcome.rows), outcome.diagnostics
+    ledger = load_table(spec.cfg, spec.detector, spec.methods)
     payload = {
         "spec": spec.to_dict(),
         "rows": [asdict(r) for r in outcome.rows],
-        "fronthaul": load_table(spec.cfg, spec.detector, spec.methods),
+        "fronthaul": ledger,
         "diagnostics": {**asdict(d), "failures": [dict(zip(FAILURE_KEYS, f)) for f in d.failures]},
         "stages": outcome.stages,
     }
@@ -680,7 +654,7 @@ def emit_report(outcome: MonteCarloOutcome, spec: ExperimentSpec):
     csv_path, json_path = out / "results.csv", out / "results.json"
     csv_path.write_text(csv_text)
     json_path.write_text(json_text)
-    return csv_path, json_path
+    return csv_path, json_path, ledger
 
 
 def load_table(cfg: SystemConfig, detector: str = "distributed_zf", methods=METHODS):

@@ -2,18 +2,16 @@
 
 The chain is an in-process fold over the AP visit order with
 instrumentation, not a network stack: the claims being checked are about
-symbol counts, not timing. One real symbol is one real scalar; a complex
-scalar costs 2; a Hermitian n x n matrix costs n^2 (real diagonal plus
-the complex upper triangle). Payload-phase loads (combined uplink
-vectors) are per symbol period; the other loads
-(pilot phase, channel Gramians, information matrices) are per coherence
-block. A payload may stack several blocks along leading axes; each size
-rule reads the trailing axes, so a load is still counted per block.
+symbol counts, not timing. One real symbol is one real scalar, as the
+size rules below count them. Payload-phase loads (combined uplink
+vectors) are per symbol period; the other loads (pilot phase, channel
+Gramians, information matrices) are per coherence block. A payload may
+stack several blocks along leading axes; each size rule reads the
+trailing axes, so a load is still counted per block.
 
 Chain is the one transport, and this module the only one that maps an
-AP id to an array index. It knows no method or detector: the load ledger
-(load_report, analytic_per_link) lives in experiments and is
-re-exported here.
+AP id to an array index. It knows no method or detector: the load
+ledger lives in experiments (load_report) and is re-exported here.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ def matrix_symbols(M) -> int:
 
 
 def hermitian_symbols(M) -> int:
-    """Hermitian n x n matrix: n^2 reals."""
+    """Hermitian n x n matrix: n^2 reals (real diagonal, complex upper triangle)."""
     n, m = M.shape[-2:]
     if n != m:
         raise ValueError("Hermitian payload must be square")

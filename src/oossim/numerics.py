@@ -7,17 +7,20 @@ raises a LAPACK failure as NumericalFailure. economy_svd,
 hermitian_top_eigvectors and top_singular_triplets return their singular
 and eigen vectors in the phase convention of _fix_column_phases, on
 every route; a product in which the phase cancels (pseudo_inverse,
-procrustes_rotation) uses the SVD without it. Every kernel also takes a
-stack of matrices along leading axes and gives each matrix the result it
-would get alone, bit for bit, since numpy's batched LAPACK runs matrix
-by matrix. The channel Gramian's invertibility screen and its inverse
-are one kernel, inverse_gramian, which distributed ZF and the downlink
-precoders share.
+procrustes_rotation) uses the SVD without it. The channel Gramian's
+invertibility screen and its inverse are one kernel, inverse_gramian,
+which distributed ZF and the downlink precoders share.
+
+The stack rule, which every module keeps: a function that takes leading
+stack axes (blocks, SNR points, methods) gives each member the result
+it would get alone, bit for bit. numpy's batched LAPACK runs matrix by
+matrix, a screened route refits only its doubtful slots (_refit), and
+the draws take one generator per block (scenario). So no result depends
+on how the sweep stacks its blocks.
 
 Four routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring
-states, and _refit gives a matrix that fails the screen the textbook
-call in its own slot of the stack:
+states, and a matrix that fails takes the textbook call (_refit):
 
 - top_singular_triplets, a wide M: the eigenpairs of M M^H (GRAM_RTOL)
   -> economy_svd;
@@ -146,9 +149,8 @@ def top_singular_triplets(M: np.ndarray, k: int):
     sigma_j is off by about eps w_1 / w_j relative, and the kept subspace
     and the product by about eps w_1 / (w_k - w_{k+1}). Each matrix whose
     w_k is not above GRAM_RTOL w_1, which bounds the first error by about
-    eps / GRAM_RTOL = 2.2e-8, takes the LAPACK SVD instead, in its own
-    slot of the stack: a zero or rank-deficient member gets economy_svd's
-    bits and leaves its neighbours theirs. A tall M takes the SVD.
+    eps / GRAM_RTOL = 2.2e-8, takes the LAPACK SVD instead (_refit), as
+    does a tall M.
     """
     M = _as_finite_matrix(M, "M")
     m, n = M.shape[-2:]
@@ -177,9 +179,8 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     Householder QR of A's first `rank` columns, U the eigenvectors of
     the rank x rank compression Q^H A Q, and the vectors are Q U. A
     matrix whose range residual E = A - (A Q) Q^H is not below
-    RANGE_RTOL ||A||_F (a zero matrix too) takes the full n x n eigh in
-    its own slot of the stack, so its neighbours keep their bits. A
-    passing matrix is within 2 ||E|| of its compression
+    RANGE_RTOL ||A||_F (a zero matrix too) takes the full n x n eigh
+    (_refit). A passing matrix is within 2 ||E|| of its compression
     Q Q^H A Q Q^H, so by Davis-Kahan its top-k subspace is off by about
     2 RANGE_RTOL ||A|| / (w_k - w_{k+1}) and each eigenvalue by at most
     2 RANGE_RTOL ||A||.
@@ -195,8 +196,8 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     SUBSPACE_RTOL gap: by the Davis-Kahan sin theta theorem its top-k
     subspace is then off by less than SUBSPACE_RTOL, and each Ritz value
     is within rounding of its eigenvalue. A matrix that fails (a zero
-    one, or one with w_k = w_{k+1}) takes the full eigh in its own slot
-    of the stack. Without `rank`, or with rank < k, A takes the full eigh.
+    one, or one with w_k = w_{k+1}) takes the full eigh (_refit).
+    Without `rank`, or with rank < k, A takes the full eigh.
     """
     A = _as_finite_matrix(A, "A")
     n, m = A.shape[-2:]

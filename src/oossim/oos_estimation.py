@@ -9,9 +9,8 @@ forwards the average. The Gramian pass sums residual Gramians along the
 chain and lets the CPU eigendecompose the total, which reproduces
 centralized_oos_oracle up to a unitary rotation of the columns.
 
-Every function also takes a stack of residuals along leading axes,
-(B, L, N, tau_p - K), and a chain pass then carries B chain states:
-each hop's fold runs once for all B blocks.
+On a stack of residuals (B, L, N, tau_p - K) (the stack rule:
+numerics), a chain pass carries B chain states, one fold per hop.
 """
 
 from __future__ import annotations
@@ -44,9 +43,8 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     Returns (Sbar_local, G_local): the top-K_I right singular vectors
     (orthonormal columns) and the top-K_I left singular vectors scaled by
     the singular values, so G_local @ Sbar_local^H is the optimal rank-K_I
-    approximation of zpsi_l. They come from top_singular_triplets, through
-    the N x N Gramian zpsi_l zpsi_l^H for N <= tau_p - K; its docstring
-    gives that route's screen and error bound.
+    approximation of zpsi_l, from top_singular_triplets (whose docstring
+    gives the route that N <= tau_p - K takes).
     """
     U, sigma, V = top_singular_triplets(zpsi_l, K_I)
     return V, U * sigma[..., None, :]
@@ -161,8 +159,7 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     4th ed., section 5.5), which keeps Sbar's condition number. The same
     SVD screens Sbar: one not numerically full column rank (smallest
     singular value <= 1e-9 of the largest) is a NumericalFailure. The
-    sweep calls it for seq_procrustes only: run_gramian_method's Sbar has
-    orthonormal columns, so its channels are Z_l Psi Sbar.
+    sweep calls it for seq_procrustes only (experiments._interferer_channels).
     """
     U, sigma, Vh = _checked_svd(Sbar)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):

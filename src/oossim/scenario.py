@@ -9,17 +9,17 @@ this path-loss model; build_geometry folds the floor into the gains so
 everything downstream works against unit noise.
 
 A Geometry or BlockRealization may carry a leading block axis on every
-array but ap_positions: build_geometry and draw_block draw such a stack
-from one generator per block, each block's rows bit for bit as its
-generator alone draws them. Each generator draws in a fixed order:
-geometry, UE then interferer positions; channels, H, G, S, pilot noise;
-payload (uplink.simulate_uplink_rx), QPSK bits, s, noise.
+array but ap_positions, drawn from one generator per block (the stack
+rule: numerics). Each generator draws in a fixed order: geometry, UE
+then interferer positions; channels, H, G, S, pilot noise; payload
+(uplink.simulate_uplink_rx), QPSK bits, s, noise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +32,11 @@ MAX_GAIN_DB = 1200.0
 GEOMETRY_STREAM = 0
 CHANNEL_STREAM = 1
 PAYLOAD_STREAM = 2
+
+# Blocks per span, and per chunk of a span, of the sweep (experiments._run_span)
+SPAN_BLOCKS = 16
+CHUNK_BLOCKS = 4
+MAX_SWEEP_BYTES = 2**30  # ceiling on check_sweep_size's total
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,7 @@ class SystemConfig:
                 f"noise_floor_dbw={self.noise_floor_dbw} gives {gain_db:.2f} dB over noise "
                 f"at the nearest AP-node distance, {nearest:g} m; at most {MAX_GAIN_DB:g} dB"
             )
+        check_sweep_size(self)  # before L sizes the AP order
         if not self.ap_order:
             object.__setattr__(self, "ap_order", default_ap_order(self.L))
         else:
@@ -124,9 +130,12 @@ def check_integer(name: str, value) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a real number (a bool is not)."""
+    """Raise ValueError naming `name` unless `value` is a real number (a
+    bool is not) that a float can hold."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a real number; got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} is too large for a float")
 
 
 # (field, check) by annotation, a string under postponed evaluation; the
@@ -136,6 +145,32 @@ _TYPED_FIELDS = tuple(
     for f in fields(SystemConfig)
     if f.type in ("int", "float")
 )
+
+
+def check_sweep_size(cfg: SystemConfig, points: int = 1, methods: int = 1) -> dict[str, int]:
+    """The bytes of a sweep's largest arrays alive at once, by kind, in
+    closed form for `points` SNR points and `methods` methods; ValueError
+    naming the largest if they sum to more than MAX_SWEEP_BYTES."""
+    L, N, K, K_I, tau_p, tau_c = map(int, (cfg.L, cfg.N, cfg.K, cfg.K_I, cfg.tau_p, cfg.tau_c))
+    span, chunk = min(SPAN_BLOCKS, cfg.trials), min(CHUNK_BLOCKS, cfg.trials)
+    LN, r, m, T = L * N, tau_p - K, K + K_I, tau_c - tau_p
+    sizes = {  # complex entries, 16 bytes each
+        "pilot book": 16 * tau_p * tau_p,
+        "span residuals": 16 * span * LN * r,
+        "span pilot estimates": 16 * points * span * LN * K,
+        "residual Gramians": 16 * span * r * r,  # seq_gramian's, or full local SVDs'
+        "payload buffers": 16 * 4 * chunk * LN * T,  # y, H x, G s and n
+        "augmented channels": 16 * methods * points * span * LN * m,
+        "channel Gramians": 16 * methods * points * span * m * m,
+        "detected symbols": 16 * methods * chunk * m * T,
+    }
+    total, largest = sum(sizes.values()), max(sizes, key=sizes.get)
+    if total > MAX_SWEEP_BYTES:
+        raise ValueError(
+            f"the sweep's arrays would take {total} bytes, more than {MAX_SWEEP_BYTES}; "
+            f"the largest are its {largest}, {sizes[largest]} bytes"
+        )
+    return sizes
 
 
 def default_ap_order(L: int) -> tuple[int, ...]:

@@ -10,11 +10,10 @@ two chain detectors share the Gramian fold and the apply step apply_chain:
 sequential LS starts its Gramian sum from the prior I/alpha, distributed
 ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 
-Every function here takes leading stack axes, and the augmented channels
-may carry more of them than the payload: channels (M, B, L, N, m) of M
-methods against a payload (B, L, N, T) of B blocks give (M, B, m, T)
-estimates, each bit for bit its own method's call, while the payload
-broadcasts and is never copied per method.
+The augmented channels may carry more stack axes (numerics) than the
+payload: channels (M, B, L, N, m) of M methods against a payload
+(B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
+never copied per method.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from .scenario import BlockRealization, SystemConfig, crandn
 
 @dataclass
 class UplinkSymbolBatch:
-    """Payload symbols for one block: unit-power QPSK per UE, Gaussian
-    interferer symbols, the per-AP received vectors and the terms of y
-    that do not depend on the uplink power (see simulate_uplink_rx)."""
+    """Payload symbols of one block, and the terms of y that do not depend
+    on the uplink power (simulate_uplink_rx)."""
 
     x: np.ndarray  # (K, T) unit QPSK
     s: np.ndarray | None  # (K_I, T); None where nothing reads it
@@ -194,9 +192,8 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
     means the SVD would drop one (sigma_min <= min|r_ii| <= max|r_ii| <=
     sigma_max), and ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all
     (cond(A) <= ||R||_F ||R^{-1}||_F), so both routes agree to rounding.
-    A matrix that fails the second test gets pseudo_inverse in its own
-    slot, bit for bit what it gets alone. A wide A (L N < m) goes to
-    pseudo_inverse whole.
+    A matrix that fails either test gets pseudo_inverse (numerics._refit);
+    a wide A (L N < m) goes to pseudo_inverse whole.
     """
     *stack, L, N, m = aug.shape
     A = aug.reshape(*stack, L * N, m)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg
 import oossim
-from oossim import cli, experiments, numerics, oos_estimation, uplink
+from oossim import cli, experiments, numerics, oos_estimation, scenario, uplink
 from oossim.cli import main
 from oossim.experiments import (
     CSV_COLUMNS,
@@ -289,8 +290,15 @@ class TestSpec:
     def test_duplicate_methods_rejected(self):
         with pytest.raises(ValueError, match=r"more than once: \['seq_gramian'\]"):
             ExperimentSpec(cfg=make_cfg(), methods=("seq_gramian", "no_suppression", "seq_gramian"))
-        spec = ExperimentSpec(cfg=make_cfg(), snr_grid_db=(0.0, 0.0))
-        assert spec.snr_grid_db == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "grid, repeated", [((0.0, 0.0), "[0.0]"), ((0.0, -0.0), "[0.0]"), ((-4, 3.0, -4.0), "[-4]")]
+    )
+    def test_repeated_snr_points_rejected(self, grid, repeated):
+        # -0.0 is 0.0 in dB and in power: it would run the same point twice
+        message = f"SNR points listed more than once: {repeated}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(cfg=make_cfg(), snr_grid_db=grid)
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0])
     def test_snr_points_need_a_finite_positive_power(self, snr_db):
@@ -1135,7 +1143,7 @@ class TestStageTrace:
     def test_results_json_carries_the_trace(self, tmp_path):
         spec = replace(tiny_spec(), out_dir=tmp_path)
         out = run_monte_carlo(spec)
-        _, json_path = emit_report(out, spec)
+        _, json_path, _ = emit_report(out, spec)
         assert json.loads(json_path.read_text())["stages"] == out.stages
 
     def test_perf_counter_only_in_the_lap(self):
@@ -1242,6 +1250,110 @@ def tiny_valid_specs(draw):
     )
 
 
+SIZE_FIELDS = ("L", "N", "K", "K_I", "tau_p", "tau_c")
+REAL_FIELDS = (
+    "rho", "oos_snr", "alpha", "area_side_m", "ue_margin_m", "ap_height_m", "noise_floor_dbw"
+)
+
+
+@st.composite
+def oversized_spec_dicts(draw):
+    """default_spec()'s dict with one or two fields out of range: a size
+    of 2^30 to 2^80 (tau_p and tau_c then raised so that the sizes stay
+    consistent), or a real field or SNR point too large for a float. L
+    starts at 2^63, which range() refuses at once, so that no code, with
+    or without a size check, builds an AP order of L entries here."""
+    d = default_spec().to_dict()
+    cfg = d["cfg"]
+    fields = st.sampled_from(SIZE_FIELDS + REAL_FIELDS + ("snr_grid_db",))
+    for name in draw(st.lists(fields, min_size=1, max_size=2, unique=True)):
+        if name in SIZE_FIELDS:
+            cfg[name] = draw(st.integers(2**63 if name == "L" else 2**30, 2**80))
+        elif name in REAL_FIELDS:
+            cfg[name] = draw(st.integers(2**1024, 2**1100)) * draw(st.sampled_from((1, -1)))
+        else:
+            d[name] = [-10.0, draw(st.integers(2**1024, 2**1100))]
+    cfg["tau_p"] = max(cfg["tau_p"], cfg["K"] + cfg["K_I"])
+    cfg["tau_c"] = max(cfg["tau_c"], cfg["tau_p"] + 1)
+    return d
+
+
+class TestSweepSize:
+    """A config whose sweep arrays would pass scenario.MAX_SWEEP_BYTES is
+    rejected as it is built. Nothing here allocates an array sized by the
+    rejected values."""
+
+    @pytest.mark.parametrize("n", [2**24, 2**40, 2**70])
+    @pytest.mark.parametrize(
+        "sizes, largest",
+        [
+            (lambda n: dict(N=n), "payload buffers"),
+            (lambda n: dict(tau_c=n), "payload buffers"),
+            (lambda n: dict(tau_p=n, tau_c=n + 1, K_I=0), "residual Gramians"),
+            (lambda n: dict(K=n, tau_p=n + 2, tau_c=n + 3), "channel Gramians"),
+            (lambda n: dict(K_I=n, tau_p=n + 5, tau_c=n + 6), "channel Gramians"),
+        ],
+        ids=["N", "tau_c", "tau_p", "K", "K_I"],
+    )
+    def test_a_config_the_sweep_cannot_hold_is_rejected_as_it_is_built(self, sizes, largest, n):
+        message = rf"more than {2**30}; the largest are its {largest}, \d+ bytes"
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**sizes(n))
+
+    @pytest.mark.parametrize("L", [2**63, 2**70])
+    def test_an_ap_count_the_sweep_cannot_hold_is_rejected_before_its_ap_order(self, L):
+        # L N enters every size as N does above; these L are ones that
+        # range() refuses, so the AP order is never built at this size
+        with pytest.raises(ValueError, match="the largest are its payload buffers"):
+            SystemConfig(L=L)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=oversized_spec_dicts())
+    @example(d={"cfg": {"L": 2**70}})
+    @example(d={"cfg": {"tau_p": 2**70, "tau_c": 2**70 + 1, "K_I": 0}})
+    def test_an_oversized_spec_is_rejected_as_it_is_built(self, d):
+        with pytest.raises(ValueError, match="bytes|too large for a float"):
+            ExperimentSpec.from_dict(d)
+
+    def test_the_bound_is_on_the_total(self, monkeypatch):
+        cfg = SystemConfig()
+        total = sum(scenario.check_sweep_size(cfg).values())
+        monkeypatch.setattr(scenario, "MAX_SWEEP_BYTES", total)
+        SystemConfig()
+        monkeypatch.setattr(scenario, "MAX_SWEEP_BYTES", total - 1)
+        with pytest.raises(ValueError, match=f"would take {total} bytes"):
+            SystemConfig()
+
+    def test_the_spec_checks_its_points_and_methods(self, monkeypatch):
+        spec = default_spec()
+        sizes = scenario.check_sweep_size(spec.cfg, len(spec.snr_grid_db), len(spec.methods))
+        monkeypatch.setattr(scenario, "MAX_SWEEP_BYTES", sum(sizes.values()) - 1)
+        SystemConfig()  # one point and one method fit
+        with pytest.raises(ValueError, match="the largest are its augmented channels"):
+            default_spec()
+
+    def test_the_closed_forms_are_the_sweeps_arrays(self):
+        spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0)), experiments.SPAN_BLOCKS)
+        sizes = scenario.check_sweep_size(spec.cfg, len(spec.snr_grid_db), len(spec.methods))
+        sweep = experiments._Sweep(spec)
+        span = experiments._draw_pilot(sweep, range(experiments.SPAN_BLOCKS))
+        assert sizes["pilot book"] == sweep.pilots.Phi.nbytes + sweep.pilots.Psi.nbytes
+        assert sizes["span residuals"] == span.zpsi.nbytes
+        assert sizes["span pilot estimates"] == span.est.nbytes
+        terms = ("y", "hx", "gs", "noise")
+        assert sizes["payload buffers"] == sum(sweep.payload[t].nbytes for t in terms)
+
+    def test_no_size_in_use_comes_near_the_bound(self):
+        # the benchmark's workloads, and README's commands and load-table loop
+        specs = [build() for build, _ in TestBenchmarkReference.WORKLOADS.values()]
+        specs += [default_spec(cfg=SystemConfig(L=L)) for L in (2, 4, 6, 8, 16)]
+        specs.append(default_spec(cfg=SystemConfig(K_I=3), snr_grid_db=(-6.0, -3.0, 0.0)))
+        specs.append(overloaded_interferers_spec())
+        for spec in specs:
+            sizes = scenario.check_sweep_size(spec.cfg, len(spec.snr_grid_db), len(spec.methods))
+            assert sum(sizes.values()) < scenario.MAX_SWEEP_BYTES / 100
+
+
 class TestConfigEdges:
     @settings(max_examples=100, deadline=None)
     @given(spec=tiny_valid_specs())
@@ -1318,7 +1430,7 @@ class TestEmitReport:
     def test_csv_round_trip(self, tmp_path):
         spec = replace(tiny_spec(), out_dir=tmp_path)
         out = run_monte_carlo(spec)
-        csv_path, json_path = emit_report(out, spec)
+        csv_path, json_path, _ = emit_report(out, spec)
         with open(csv_path) as fh:
             parsed = list(csv.DictReader(fh))
         assert tuple(parsed[0].keys()) == CSV_COLUMNS
@@ -1356,7 +1468,7 @@ class TestEmitReport:
         spec = replace(tiny_spec(), out_dir=tmp_path)
         fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
         out = run_monte_carlo(spec)
-        _, json_path = emit_report(out, spec)
+        _, json_path, _ = emit_report(out, spec)
         (record,) = json.loads(json_path.read_text())["diagnostics"]["failures"]
         assert record.pop("reason").startswith("injected")
         assert record == {"method": "seq_procrustes", "snr_db": 0.0, "block": 1}
@@ -1620,6 +1732,8 @@ class TestCli:
             ["report", "--override", "detectr=x"],
             ["run", "--override", "cfg.rho=5"],
             ["run", "--override", "cfg.ue_margin_m=250"],
+            ["report", "--override", f"cfg.alpha={2**1100}"],
+            ["run", "--override", f"snr_grid_db=[{2**1100}]"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
@@ -1627,6 +1741,27 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         field = argv[-1].partition("=")[0].removeprefix("cfg.")
         assert len(err.splitlines()) == 1 and field in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--override", f"cfg.L={2**70}"], "the largest are its payload buffers"),
+            (["report", "--override", f"cfg.L={2**70}"], "the largest are its payload buffers"),
+            (
+                ["run", "--override", f"cfg.tau_p={2**70}", "--override", f"cfg.tau_c={2**70 + 1}",
+                 "--override", "cfg.K_I=0"],
+                "the largest are its residual Gramians",
+            ),
+            (["run", "--override", "snr_grid_db=[0,0]"], "SNR points listed more than once: [0]"),
+        ],
+    )
+    def test_an_oversized_config_or_a_repeated_point_rejected_in_one_line(
+        self, tmp_path, capsys, argv, message
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("content", ["[1, 2]", '{"cfg": 5}', "{", None])
