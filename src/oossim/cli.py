@@ -21,11 +21,16 @@ from .experiments import (
 from .scenario import SystemConfig
 
 
-def _parse_value(text: str):
+def _parse_value(key: str, text: str):
+    """The override `key`'s value `text` as JSON, else as the text itself;
+    ValueError naming `key` if JSON fails on more than its syntax (an
+    array nested too deep, an integer of too many digits)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"override {key!r}: {exc}") from None
 
 
 def _cfg_of(spec_dict: dict) -> dict:
@@ -42,8 +47,8 @@ def _override(spec_dict: dict, overrides) -> dict:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
-        value = _parse_value(raw)
         key = key.strip()
+        value = _parse_value(key, raw)
         if key.startswith("cfg."):
             _cfg_of(spec_dict)[key[4:]] = value
         else:
@@ -57,7 +62,10 @@ def _spec_dict(args) -> dict:
     on top."""
     if args.config:
         with open(args.config) as fh:
-            spec_dict = json.load(fh)
+            try:
+                spec_dict = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
     else:
         spec_dict = default_spec().to_dict()
     check_fields("spec", spec_dict, ExperimentSpec)

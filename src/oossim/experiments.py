@@ -520,12 +520,12 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     """One channel side per width group of the methods whose interferer
     channels `ghats` holds (_estimate), on the blocks of `span` at the SNR
     points whose pilot LS estimates `est` holds. Returns (method indices,
-    rows of points, channel side) per group.
+    channel side) per group.
 
     Methods whose augmented channels have the same width (K, or K + K_I
     with an interferer estimate) form a group, stacked along a leading
     method axis; the genie's, whose channels do not depend on the point,
-    is a group of its own on the blocks alone and serves every point."""
+    is a group of its own on the blocks alone, broadcast to every point."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
     groups: dict[tuple, list] = {}
     for m in ghats:
@@ -535,7 +535,9 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     for (width, genie), members in groups.items():
         ue = span.H[None] if genie else est
         aug = _augmented_stack([ghats[m] for m in members], ue, width)
-        sides.append((members, len(ue), _channel_side(detector, aug, cfg, sweep.chain)))
+        side = _channel_side(detector, aug, cfg, sweep.chain)
+        shape = (len(members), len(est))  # a view: the genie's one point serves all
+        sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
         sweep.lap(f"channel_side.{detector}")
     return sides
 
@@ -550,8 +552,8 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
         if "hx" in payload:  # the buffer may hold another point's y
             terms = payload["hx"], payload["gs"], payload["noise"]
             uplink.received_signal(sweep.points[p].rho, *terms, out=y)
-        for members, count, side in sides:
-            channel = tuple(part[:, min(j, count - 1), rows] for part in side)
+        for members, side in sides:
+            channel = tuple(part[:, j, rows] for part in side)
             ue = _apply(detector, y, channel, sweep.chain)
             sweep.lap(f"apply.{detector}")
             errors = uplink.count_bit_errors(ue, x)

@@ -210,7 +210,11 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     if rank is not None and (int(rank) != rank or rank < 1):
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     norm = np.linalg.norm(A, axis=(-2, -1))
-    A = _hermitian_part(A, norm)
+    A_h = herm(A)
+    if (np.linalg.norm(A - A_h, axis=(-2, -1)) > 1e-9 * np.maximum(1.0, norm)).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    A = 0.5 * (A + A_h)
+    del A_h  # not alive during the eigensolve
     if rank is None or rank < k:
         vectors, w = _top_eigenpairs(A, k)
         return _fix_column_phases(vectors), w
@@ -224,20 +228,6 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     vectors = Q @ U
     _refit(doubt, (vectors, w), lambda A: _top_eigenpairs(A, k), A)
     return _fix_column_phases(vectors), w
-
-
-def _hermitian_part(A: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2, bit for bit 0.5 * (A + A^H) and C-ordered like it,
-    after a ValueError unless A is Hermitian to hermitian_top_eigvectors'
-    tolerance against its Frobenius `norm`. One array takes A - A^H for
-    that check, then the result, and A^H is dropped on return."""
-    A_h = herm(A)
-    out = np.subtract(A, A_h)
-    if (np.linalg.norm(out, axis=(-2, -1)) > 1e-9 * np.maximum(1.0, norm)).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    np.add(A, A_h, out=out)
-    out *= 0.5
-    return out
 
 
 def _subspace_iteration(A: np.ndarray, k: int):

@@ -73,8 +73,10 @@ class SystemConfig:
     noise_floor_dbw: float = DEFAULT_NOISE_FLOOR_DBW
 
     def __post_init__(self):
-        for name, check in _TYPED_FIELDS:
-            check(name, getattr(self, name))
+        checks = {"int": check_integer, "float": check_real}  # annotations are strings
+        for f in fields(self):
+            if f.type in checks:
+                checks[f.type](f.name, getattr(self, f.name))
         for name in ("L", "N", "K", "tau_p", "tau_c", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -136,15 +138,6 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number; got {value!r}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ValueError(f"{name} is too large for a float")
-
-
-# (field, check) by annotation, a string under postponed evaluation; the
-# sweep builds a config per SNR point, so the list is made once
-_TYPED_FIELDS = tuple(
-    (f.name, {"int": check_integer, "float": check_real}[f.type])
-    for f in fields(SystemConfig)
-    if f.type in ("int", "float")
-)
 
 
 def check_sweep_size(cfg: SystemConfig, points: int = 1, methods: int = 1) -> dict[str, int]:

@@ -244,6 +244,20 @@ def spans_and_chunks(trials):
     return spans, [min(chunk, n - start) for n in spans for start in range(0, n, chunk)]
 
 
+# The benchmark's three workloads, at its seed (0) and at the default
+# number of blocks
+WORKLOADS = {
+    "paper_default": default_spec(),
+    "long_chain_seq_ls": default_spec(
+        cfg=SystemConfig(L=16),
+        snr_grid_db=(0.0,),
+        methods=("no_suppression", "seq_procrustes", "seq_gramian"),
+        detector="sequential_ls",
+    ),
+    "overloaded_dzf": overloaded_interferers_spec(detector="distributed_zf"),
+}
+
+
 # Blocks of a sweep that spans more than one span, its last span more
 # than one chunk: SPAN_BLOCKS + 5 gives spans of 16 and 5 blocks, chunks
 # of 4, 4, 4, 4, 4 and 1
@@ -569,6 +583,49 @@ class TestRunMonteCarlo:
         run_monte_carlo(spec)
         cfg = spec.cfg
         assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in (16, 5)]
+
+    def test_genie_pairs_each_point_and_block_with_its_own_detection(self, monkeypatch):
+        # at every (point, block), the genie's UE estimates are centralized
+        # ZF on the block's true [H, G] and its own payload at the point's
+        # power, bit for bit, though its channel side is formed on one
+        # point per span. Block 20 fails the genie, so the second of the
+        # three spans (blocks 16-31) reruns block by block.
+        methods = ("no_suppression", GENIE, "seq_gramian")
+        spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=methods)
+        spec = with_trials(spec, 2 * experiments.SPAN_BLOCKS + experiments.CHUNK_BLOCKS + 1)
+        fail_genie_detection(monkeypatch, spec, 20)
+        genie, context, seen = methods.index(GENIE), {}, {}
+        draw_pilot, detect, apply = experiments._draw_pilot, experiments._detect, experiments._apply
+
+        def drawing(sweep, blocks):
+            context["span"] = blocks
+            return draw_pilot(sweep, blocks)
+
+        def detecting(sweep, payload, sides, rows, points, totals):
+            # _detect applies each side in turn at each point
+            calls = [(p, genie in members) for p in points for members, *_ in sides]
+            context["calls"], context["blocks"] = iter(calls), context["span"][rows]
+            return detect(sweep, payload, sides, rows, points, totals)
+
+        def applying(*args):
+            ue = apply(*args)
+            p, is_genie = next(context["calls"])
+            if is_genie:
+                seen.update(((p, b), estimates) for b, estimates in zip(context["blocks"], ue[0]))
+            return ue
+
+        monkeypatch.setattr(experiments, "_draw_pilot", drawing)
+        monkeypatch.setattr(experiments, "_detect", detecting)
+        monkeypatch.setattr(experiments, "_apply", applying)
+        run_monte_carlo(spec)
+        cfg = spec.cfg
+        assert sorted(seen) == [(p, b) for p in range(3) for b in range(cfg.trials) if b != 20]
+        for (p, b), estimates in seen.items():
+            cfg_pt = replace(cfg, rho=experiments.uplink_power(spec.snr_grid_db[p]))
+            drawn = drawn_block(cfg, b)
+            batch = uplink.simulate_uplink_rx(drawn, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM))
+            want = uplink.detect_centralized(batch, np.concatenate([drawn.H, drawn.G], axis=-1))
+            assert np.array_equal(estimates, want[: cfg.K])
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
@@ -1022,14 +1079,7 @@ class TestScreenedRoutes:
 
     ROUTE_RTOL = 1e-9
     SPECS = {
-        "paper_default": default_spec(),
-        "long_chain_seq_ls": default_spec(
-            cfg=SystemConfig(L=16),
-            snr_grid_db=(0.0,),
-            methods=("no_suppression", "seq_procrustes", "seq_gramian"),
-            detector="sequential_ls",
-        ),
-        "overloaded_dzf": overloaded_interferers_spec(detector="distributed_zf"),
+        **WORKLOADS,
         # K_I > N with L N >= tau_p - K: orthogonal iteration for k = 5 and
         # a 10-column zf_filter
         "overloaded_czf_L12": overloaded_interferers_spec(cfg=SystemConfig(L=12, K_I=5)),
@@ -1164,31 +1214,26 @@ class TestStageTrace:
 
 class TestMemoryCeiling:
     """The peak of the memory that tracemalloc traces (numpy's arrays
-    included) while a sweep runs one full span, of the default spec and of
-    the long chain. Each ceiling is the peak measured when it was set
-    plus 10% headroom, so that a change that keeps span- or payload-sized
-    arrays alive longer, or adds some, fails here before it shows in the
-    benchmark's peak RSS."""
+    included) while a sweep runs one full span of each benchmark workload.
+    Each ceiling is the peak measured when it was set plus 10% headroom,
+    so that a change that keeps span- or payload-sized arrays alive
+    longer, or adds some, fails here before it shows in the benchmark's
+    peak RSS."""
 
     SPECS = {
         # measured: 3153 KiB; most of it is centralized ZF's channel side
-        "default": (default_spec, 3470),
+        "default": (WORKLOADS["paper_default"], 3470),
         # measured: 2993 KiB; the span's residuals take 720 KiB of it
-        "long_chain": (
-            lambda: default_spec(
-                cfg=SystemConfig(L=16),
-                snr_grid_db=(0.0,),
-                methods=("no_suppression", "seq_procrustes", "seq_gramian"),
-                detector="sequential_ls",
-            ),
-            3290,
-        ),
+        "long_chain": (WORKLOADS["long_chain_seq_ls"], 3290),
+        # measured: 2503 KiB; the chunked full SVD of the local bases and
+        # herm(aug) formed after the Gramian pass hold it there
+        "overloaded_dzf": (WORKLOADS["overloaded_dzf"], 2753),
     }
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_one_span_stays_under_its_ceiling(self, name):
-        build, ceiling_kib = self.SPECS[name]
-        spec = with_trials(build(), experiments.SPAN_BLOCKS)
+        spec, ceiling_kib = self.SPECS[name]
+        spec = with_trials(spec, experiments.SPAN_BLOCKS)
         run_monte_carlo(spec)  # warm up
         tracemalloc.start()
         try:
@@ -1205,24 +1250,11 @@ class TestBenchmarkReference:
     benchmark's workloads."""
 
     REFERENCE = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
-    WORKLOADS = {
-        "paper_default": (default_spec, 10),
-        "long_chain_seq_ls": (
-            lambda: default_spec(
-                cfg=SystemConfig(L=16),
-                snr_grid_db=(0.0,),
-                methods=("no_suppression", "seq_procrustes", "seq_gramian"),
-                detector="sequential_ls",
-            ),
-            30,
-        ),
-        "overloaded_dzf": (lambda: overloaded_interferers_spec(detector="distributed_zf"), 15),
-    }
+    TRIALS = {"paper_default": 10, "long_chain_seq_ls": 30, "overloaded_dzf": 15}
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_reference_csv_bytes(self, workload):
-        build, trials = self.WORKLOADS[workload]
-        spec = with_trials(build(), trials)
+        spec = with_trials(WORKLOADS[workload], self.TRIALS[workload])
         assert spec.cfg.seed == 0
         expected = (self.REFERENCE / f"{workload}.csv").read_text()
         assert rows_to_csv(run_monte_carlo(spec).rows) == expected
@@ -1345,7 +1377,7 @@ class TestSweepSize:
 
     def test_no_size_in_use_comes_near_the_bound(self):
         # the benchmark's workloads, and README's commands and load-table loop
-        specs = [build() for build, _ in TestBenchmarkReference.WORKLOADS.values()]
+        specs = list(WORKLOADS.values())
         specs += [default_spec(cfg=SystemConfig(L=L)) for L in (2, 4, 6, 8, 16)]
         specs.append(default_spec(cfg=SystemConfig(K_I=3), snr_grid_db=(-6.0, -3.0, 0.0)))
         specs.append(overloaded_interferers_spec())
@@ -1734,6 +1766,10 @@ class TestCli:
             ["run", "--override", "cfg.ue_margin_m=250"],
             ["report", "--override", f"cfg.alpha={2**1100}"],
             ["run", "--override", f"snr_grid_db=[{2**1100}]"],
+            ["run", "--override", "cfg.L=" + "[" * 100000],
+            ["report", "--override", "cfg.L=" + "[" * 100000],
+            ["run", "--override", "cfg.rho=1" + "0" * 5000],
+            ["report", "--override", "cfg.rho=1" + "0" * 5000],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
@@ -1764,7 +1800,9 @@ class TestCli:
         assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("content", ["[1, 2]", '{"cfg": 5}', "{", None])
+    @pytest.mark.parametrize(
+        "content", ["[1, 2]", '{"cfg": 5}', "{", None, pytest.param("[" * 100000, id="deep")]
+    )
     def test_malformed_config_file_rejected_in_one_line(self, tmp_path, capsys, content):
         path = tmp_path / "spec.json"
         if content is not None:

@@ -15,7 +15,6 @@ from oossim.numerics import (
     DegeneracyError,
     NumericalFailure,
     _fix_column_phases,
-    _hermitian_part,
     economy_svd,
     herm,
     hermitian_top_eigvectors,
@@ -114,18 +113,6 @@ class TestHermitianTopEigvectors:
         A = crandn(rng, 4, 4)
         with pytest.raises(ValueError):
             hermitian_top_eigvectors(A, 2)
-
-    def test_hermitian_part_is_the_textbook_formula_bit_for_bit(self, rng):
-        # one buffer takes A - A^H for the check, then (A + A^H) / 2, with
-        # the bits and the memory order of 0.5 * (A + A^H); the zero pair
-        # checks the signs of zeros
-        B = crandn(rng, 3, 6, 6)
-        A = B @ herm(B)
-        A[..., 0, 1], A[..., 1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
-        want = 0.5 * (A + herm(A))
-        got = _hermitian_part(A, np.linalg.norm(A, axis=(-2, -1)))
-        assert got.strides == want.strides
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError):
