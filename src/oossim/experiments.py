@@ -310,14 +310,15 @@ def _augmented_stack(ghats, ue, width):
 def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
-    with aug's leading axes. Each keeps the UE rows of its filter, Gramian
-    inverse or error covariance alone, copied, so that a side that a
-    span's chunks share holds no whole one. The two chain detectors also
-    carry herm(aug), conjugated here once for every SNR point, and only
-    once their rows are formed, so that it is not alive during that pass."""
+    with aug's leading axes. Each keeps the UE rows of its filter (which
+    zf_filter forms alone), Gramian inverse or error covariance, copied,
+    so that a side that a span's chunks share holds no whole one. The two
+    chain detectors also carry herm(aug), conjugated here once for every
+    SNR point, and only once their rows are formed, so that it is not
+    alive during that pass."""
     K = cfg.K
     if detector == "centralized_zf":
-        return (uplink.zf_filter(aug)[..., :K, :].copy(),)
+        return (uplink.zf_filter(aug, K),)
     if detector == "distributed_zf":
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         rows = uplink.inverse_gramian(gamma)[..., :K, :].copy()
@@ -364,10 +365,11 @@ class _Sweep:
     group. Each of its chunks counts two of draw (its channels, with the
     span's geometry in the first chunk's, then its payload) and one of
     pilot; each chunk and point, one of apply.<detector> (forming the
-    point's received signal too) and of score per width group. A rerun
-    block draws and runs its pilot phase as a span of one chunk, then
-    counts each method's estimate once and its channel side, apply and
-    score once per point."""
+    point's received signal too) and of score per side: one per width
+    group under a chain detector, one in all under centralized ZF
+    (_channel_sides). A rerun block draws and runs its pilot phase as a
+    span of one chunk, then counts each method's estimate once and its
+    channel side, apply and score once per point."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         self.seconds, self.calls = Counter(), Counter()
@@ -524,8 +526,13 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
 
     Methods whose augmented channels have the same width (K, or K + K_I
     with an interferer estimate) form a group, stacked along a leading
-    method axis; the genie's, whose channels do not depend on the point,
-    is a group of its own on the blocks alone, broadcast to every point."""
+    method axis, and get one channel side; the genie's, whose channels do
+    not depend on the point, is a group of its own on the blocks alone,
+    broadcast to every point. A chain detector keeps one side per group,
+    (M, P, B, ...). Centralized ZF's filter rows are L N wide whatever the
+    width, so once every group's QR is done their UE rows are copied,
+    group by group, into one block-major side of every method: a filter
+    (P, B, M K, L N) that detects them all with one product per block."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
     groups: dict[tuple, list] = {}
     for m in ghats:
@@ -533,12 +540,18 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
         groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
     sides = []
     for (width, genie), members in groups.items():
+        if sides:  # the last group's lap also takes the merge below
+            sweep.lap(f"channel_side.{detector}")
         ue = span.H[None] if genie else est
         aug = _augmented_stack([ghats[m] for m in members], ue, width)
         side = _channel_side(detector, aug, cfg, sweep.chain)
         shape = (len(members), len(est))  # a view: the genie's one point serves all
         sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
-        sweep.lap(f"channel_side.{detector}")
+    if detector == "centralized_zf":  # each group's rows (M, P, B, K, L N)
+        F = np.concatenate([rows.transpose(1, 2, 0, 3, 4) for _, (rows,) in sides], axis=2)
+        P, B, M, K, LN = F.shape
+        sides = [([m for members, _ in sides for m in members], (F.reshape(P, B, M * K, LN),))]
+    sweep.lap(f"channel_side.{detector}")
     return sides
 
 
@@ -548,18 +561,29 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
     add their bit errors to `totals`."""
     detector = sweep.spec.detector
     x, y = payload["x"], payload["y"]
+    truth = uplink.positive_parts(x)  # for every point and side
     for j, p in enumerate(points):
         if "hx" in payload:  # the buffer may hold another point's y
             terms = payload["hx"], payload["gs"], payload["noise"]
             uplink.received_signal(sweep.points[p].rho, *terms, out=y)
         for members, side in sides:
-            channel = tuple(part[:, j, rows] for part in side)
-            ue = _apply(detector, y, channel, sweep.chain)
+            at = (j, rows) if detector == "centralized_zf" else (slice(None), j, rows)
+            ue = _apply(detector, y, tuple(part[at] for part in side), sweep.chain)
             sweep.lap(f"apply.{detector}")
-            errors = uplink.count_bit_errors(ue, x)
-            totals.errors[p, members] += errors.reshape(len(members), -1).sum(axis=1)
+            totals.errors[p, members] += _score(ue, truth, len(members))
             totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
             sweep.lap("score")
+
+
+def _score(ue, truth, methods: int) -> np.ndarray:
+    """The bit errors (count_bit_errors, summed) of each of `methods`
+    methods in the UE estimates `ue` of a side (_apply): (M, B, K, T),
+    or centralized ZF's block-major (B, M K, T). `truth` is
+    uplink.positive_parts of the payload symbols (B, K, T)."""
+    parts = uplink.positive_parts(ue)
+    if parts.ndim == truth.ndim:  # block-major
+        parts = parts.reshape(len(truth), methods, *truth.shape[1:]).swapaxes(0, 1)
+    return (parts != truth).sum(axis=(1, 2, 3))
 
 
 def _run_span(sweep: _Sweep, blocks: range):

@@ -16,7 +16,12 @@ stack axes (blocks, SNR points, methods) gives each member the result
 it would get alone, bit for bit. numpy's batched LAPACK runs matrix by
 matrix, a screened route refits only its doubtful slots (_refit), and
 the draws take one generator per block (scenario). So no result depends
-on how the sweep stacks its blocks.
+on how the sweep stacks its blocks. Rows stacked into one product (the
+APs' in shared_matmul, the methods' in centralized ZF's filter; see
+uplink) get the bits of their own product when each member has two or
+more rows. A member of one row (K = 1) alone is a vector-matrix product,
+which may round differently, so its bits may depend on what is stacked
+with it.
 
 Four routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring

@@ -13,7 +13,10 @@ ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 The augmented channels may carry more stack axes (numerics) than the
 payload: channels (M, B, L, N, m) of M methods against a payload
 (B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
-never copied per method.
+never copied per method. Centralized ZF's filter rows are L N wide
+whatever m, so the sweep stacks the K UE rows of its M methods
+block-major, (B, M K, L N), and apply_zf_filter detects them all with one
+product per block: (B, M K, T).
 """
 
 from __future__ import annotations
@@ -181,9 +184,12 @@ def detect_distributed_zf(
     return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
 
 
-def zf_filter(aug: np.ndarray) -> np.ndarray:
+def zf_filter(aug: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Channel side of centralized ZF: the pseudo-inverse (..., m, L N) of
-    the stacked network-wide channel matrix A (..., L N, m).
+    the stacked network-wide channel matrix A (..., L N, m), or its first
+    `rows` rows alone (..., rows, L N), formed alone and owning its data.
+    Two or more rows have the bits they have in the whole filter (the
+    stack rule, numerics).
 
     A tall A goes through one Householder QR of the whole stack, A = Q R,
     and gets F = R^{-1} Q^H, its pseudo-inverse at full column rank. Each
@@ -198,7 +204,7 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
     *stack, L, N, m = aug.shape
     A = aug.reshape(*stack, L * N, m)
     if L * N < m:
-        return pseudo_inverse(A)
+        return pseudo_inverse(A)[..., :rows, :].copy()
     Q, R = _lapack("QR pseudo-inverse failed", np.linalg.qr, A)
     pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
@@ -210,9 +216,9 @@ def zf_filter(aug: np.ndarray) -> np.ndarray:
         cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
     Q_h = herm(Q)
     del Q  # so that no more than A, Q^H and F are alive at once
-    F = R_inv @ Q_h
+    F = R_inv[..., :rows, :] @ Q_h
     doubt = singular | ~(cond_bound * PINV_RTOL < 1)
-    _refit(doubt, (F,), lambda A: (pseudo_inverse(A),), A)
+    _refit(doubt, (F,), lambda A: (pseudo_inverse(A)[..., :rows, :],), A)
     return F
 
 
@@ -238,10 +244,10 @@ def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """
     if truth.ndim > estimates.ndim or estimates.shape[estimates.ndim - truth.ndim :] != truth.shape:
         raise ValueError("estimate/truth shapes differ")
-    return (_positive_parts(estimates) != _positive_parts(truth)).sum(axis=-1)
+    return (positive_parts(estimates) != positive_parts(truth)).sum(axis=-1)
 
 
-def _positive_parts(z: np.ndarray) -> np.ndarray:
+def positive_parts(z: np.ndarray) -> np.ndarray:
     """Whether the real and the imaginary part of each entry is positive,
     interleaved along the last axis: (..., T) complex -> (..., 2T) bool."""
     return np.ascontiguousarray(z, dtype=complex).view(np.float64) > 0

@@ -123,10 +123,10 @@ def fail_zf_channel_side(monkeypatch, cfg, mark, columns):
     (a slice)."""
     original = uplink.zf_filter
 
-    def flaky(aug):
+    def flaky(aug, rows=None):
         if aug.shape[-1] == cfg.K + cfg.K_I and holds(aug[..., columns], mark):
             raise NumericalFailure("injected channel-side failure")
-        return original(aug)
+        return original(aug, rows)
 
     monkeypatch.setattr(uplink, "zf_filter", flaky)
 
@@ -272,6 +272,41 @@ def count_calls(monkeypatch, module, name, calls: Counter):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def czf_estimates(monkeypatch, spec):
+    """Run `spec` under centralized ZF and return each method's UE
+    estimates (K, T) by (method, point index, block), read through a spy
+    on _apply, whose result holds each block's rows method by method."""
+    K, context, seen = spec.cfg.K, {}, {}
+    draw_pilot, detect, apply = experiments._draw_pilot, experiments._detect, experiments._apply
+
+    def drawing(sweep, blocks):
+        context["span"] = blocks
+        return draw_pilot(sweep, blocks)
+
+    def detecting(sweep, payload, sides, rows, points, totals):
+        # _detect applies each side in turn at each point
+        context["calls"] = iter([(p, members) for p in points for members, _ in sides])
+        context["blocks"] = context["span"][rows]
+        return detect(sweep, payload, sides, rows, points, totals)
+
+    def applying(*args):
+        ue = apply(*args)  # (B, M K, T)
+        p, members = next(context["calls"])
+        for i, m in enumerate(members):
+            for b, estimates in zip(context["blocks"], ue[:, i * K : (i + 1) * K]):
+                assert (spec.methods[m], p, b) not in seen
+                seen[spec.methods[m], p, b] = estimates.copy()
+        return ue
+
+    assert spec.detector == "centralized_zf"
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_draw_pilot", drawing)
+        patch.setattr(experiments, "_detect", detecting)
+        patch.setattr(experiments, "_apply", applying)
+        run_monte_carlo(spec)
+    return seen
 
 
 class TestSpec:
@@ -543,22 +578,24 @@ class TestRunMonteCarlo:
         assert not calls
 
     @pytest.mark.parametrize(
-        ("build", "detector", "side", "apply", "groups"),
+        ("build", "detector", "side", "apply", "groups", "applies"),
         [
-            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2),
-            (overloaded_interferers_spec, "distributed_zf", "inverse_gramian", "apply_chain", 1),
-            (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_chain", 2),
+            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2, 1),
+            (overloaded_interferers_spec, "distributed_zf", "inverse_gramian", "apply_chain", 1, 2),
+            (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_chain", 2, 3),
         ],
     )
     def test_detection_runs_once_per_width_group(
-        self, monkeypatch, build, detector, side, apply, groups
+        self, monkeypatch, build, detector, side, apply, groups, applies
     ):
         # no_suppression detects over the K UE columns and every other
         # method over K + K_I, so the default spec has two width groups;
         # in the overloaded spec all three methods share one. A group's
         # channel side runs once per span whatever the number of SNR
-        # points, and its apply step once per chunk and point. The genie,
-        # whose channel side does not depend on the point, has its own calls.
+        # points. The genie, whose channel side does not depend on the
+        # point, has its own. A chain detector's groups each apply once
+        # per chunk and point; centralized ZF's, merged into one filter,
+        # apply once per chunk and point together.
         spans, chunks = spans_and_chunks(MULTI_SPAN_TRIALS)
         assert (len(spans), len(chunks)) == (2, 6)
         for grid in ((0.0,), (-4.0, 0.0, 4.0)):
@@ -568,16 +605,16 @@ class TestRunMonteCarlo:
                 count_calls(patch, uplink, apply, calls)
                 spec = build(detector=detector, snr_grid_db=grid)
                 run_monte_carlo(with_trials(with_payload(spec, 10), MULTI_SPAN_TRIALS))
-            assert calls == {side: 2 * (groups + 1), apply: len(grid) * 6 * (groups + 1)}
+            assert calls == {side: 2 * (groups + 1), apply: len(grid) * 6 * applies}
 
     def test_genie_channel_side_runs_once_per_span(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=("centralized_genie",))
         spec, shapes = with_trials(spec, MULTI_SPAN_TRIALS), []
         original = uplink.zf_filter
 
-        def spy(aug):
+        def spy(aug, rows=None):
             shapes.append(aug.shape)
-            return original(aug)
+            return original(aug, rows)
 
         monkeypatch.setattr(uplink, "zf_filter", spy)
         run_monte_carlo(spec)
@@ -594,30 +631,7 @@ class TestRunMonteCarlo:
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=methods)
         spec = with_trials(spec, 2 * experiments.SPAN_BLOCKS + experiments.CHUNK_BLOCKS + 1)
         fail_genie_detection(monkeypatch, spec, 20)
-        genie, context, seen = methods.index(GENIE), {}, {}
-        draw_pilot, detect, apply = experiments._draw_pilot, experiments._detect, experiments._apply
-
-        def drawing(sweep, blocks):
-            context["span"] = blocks
-            return draw_pilot(sweep, blocks)
-
-        def detecting(sweep, payload, sides, rows, points, totals):
-            # _detect applies each side in turn at each point
-            calls = [(p, genie in members) for p in points for members, *_ in sides]
-            context["calls"], context["blocks"] = iter(calls), context["span"][rows]
-            return detect(sweep, payload, sides, rows, points, totals)
-
-        def applying(*args):
-            ue = apply(*args)
-            p, is_genie = next(context["calls"])
-            if is_genie:
-                seen.update(((p, b), estimates) for b, estimates in zip(context["blocks"], ue[0]))
-            return ue
-
-        monkeypatch.setattr(experiments, "_draw_pilot", drawing)
-        monkeypatch.setattr(experiments, "_detect", detecting)
-        monkeypatch.setattr(experiments, "_apply", applying)
-        run_monte_carlo(spec)
+        seen = {(p, b): ue for (m, p, b), ue in czf_estimates(monkeypatch, spec).items() if m == GENIE}
         cfg = spec.cfg
         assert sorted(seen) == [(p, b) for p in range(3) for b in range(cfg.trials) if b != 20]
         for (p, b), estimates in seen.items():
@@ -626,6 +640,28 @@ class TestRunMonteCarlo:
             batch = uplink.simulate_uplink_rx(drawn, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM))
             want = uplink.detect_centralized(batch, np.concatenate([drawn.H, drawn.G], axis=-1))
             assert np.array_equal(estimates, want[: cfg.K])
+
+    def test_merged_filter_keeps_each_methods_bits(self, monkeypatch):
+        # centralized ZF detects every method of a chunk and point with one
+        # product per block; each method's UE estimates at every (point,
+        # block) are those of a sweep of that method alone, bit for bit
+        # (K >= 2: numerics' stack rule). Spans of 16 and 5 blocks, the
+        # second with a partial chunk; seq_procrustes fails on block 3, so
+        # the first span reruns block by block.
+        spec = with_trials(default_spec(snr_grid_db=(-4.0, 0.0, 4.0)), MULTI_SPAN_TRIALS)
+        assert len(spec.methods) == 5 and spec.cfg.K >= 2
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=3)
+        together = czf_estimates(monkeypatch, spec)
+        alone = {}
+        for method in spec.methods:
+            alone.update(czf_estimates(monkeypatch, replace(spec, methods=(method,))))
+        blocks = range(spec.cfg.trials)
+        keys = [(m, p, b) for m in spec.methods for p in range(3) for b in blocks]
+        assert sorted(together) == sorted(alone) == sorted(set(keys) - {
+            ("seq_procrustes", p, 3) for p in range(3)
+        })
+        for key, estimates in together.items():
+            assert np.array_equal(estimates, alone[key]), key
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
@@ -682,19 +718,21 @@ class TestRunMonteCarlo:
         order, the payloads of the (blocks, SNR point) pairs `expected`,
         each block's as simulate_uplink_rx draws it alone at that point's
         power, bit for bit."""
-        cfg, seen, truths = spec.cfg, [], []
-        apply, count = uplink.apply_zf_filter, uplink.count_bit_errors
+        cfg, seen, truths, drawn = spec.cfg, [], [], {}
+        apply, draw_payload = uplink.apply_zf_filter, experiments._draw_payload
+
+        def draw_spy(sweep, span, rows):
+            drawn.update(draw_payload(sweep, span, rows))
+            return drawn
 
         def spy(y, F):
+            # scored against the truth of the payload drawn last
             seen.append(y.copy())
+            truths.append(drawn["x"].copy())
             return apply(y, F)
 
-        def truth_spy(estimates, truth):
-            truths.append(truth.copy())
-            return count(estimates, truth)
-
+        monkeypatch.setattr(experiments, "_draw_payload", draw_spy)
         monkeypatch.setattr(uplink, "apply_zf_filter", spy)
-        monkeypatch.setattr(uplink, "count_bit_errors", truth_spy)
         run_monte_carlo(spec)
         assert len(truths) == len(seen) == len(expected)
         for x, y, (blocks, snr_db) in zip(truths, seen, expected):
@@ -756,6 +794,44 @@ class TestRunMonteCarlo:
         assert spec.cfg.K_I > spec.cfg.N
         rows = {r.method: r for r in run_monte_carlo(spec).rows}
         assert rows["seq_procrustes"].ci_low > rows["seq_gramian"].ci_high
+
+
+class TestScore:
+    """_score counts, per method, what count_bit_errors counts, from the
+    truth's positive parts formed once per chunk."""
+
+    M, B, K, T = 3, 4, 5, 20
+
+    def stacks(self, seed):
+        """Payload symbols x (B, K, T) and estimates (M, B, K, T), some of
+        them exact +-0.0 and NaN, which count as negative."""
+        rng = np.random.default_rng(seed)
+        x = np.stack([uplink.draw_qpsk(rng, self.K, self.T) for _ in range(self.B)])
+        ue = crandn(rng, self.M, self.B, self.K, self.T)
+        ue.real[0, 1, 2, :4] = [0.0, -0.0, np.nan, -np.nan]
+        ue.imag[2, 3, 0, :3] = [-0.0, np.nan, 0.0]
+        ue[1, 0] = 0.0
+        return x, ue
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block_major", [False, True], ids=["by_method", "block_major"])
+    def test_counts_what_count_bit_errors_counts(self, seed, block_major):
+        x, ue = self.stacks(seed)
+        want = [uplink.count_bit_errors(ue[m], x).sum() for m in range(self.M)]
+        if block_major:  # centralized ZF's (B, M K, T)
+            ue = np.ascontiguousarray(ue.swapaxes(0, 1)).reshape(self.B, -1, self.T)
+        got = experiments._score(ue, uplink.positive_parts(x), self.M)
+        assert got.tolist() == want
+
+    def test_zero_and_nan_estimates_count_as_negative(self):
+        x, ue = self.stacks(0)
+        # method 1 is zero on block 0: each of its positive parts is an error
+        positive = int((uplink.positive_parts(x[0])).sum())
+        assert uplink.count_bit_errors(ue[1, 0], x[0]).sum() == positive
+        for estimate in (0.0, -0.0, np.nan):
+            flat = np.full((1, 1, 1, 2), complex(estimate, estimate))
+            truth = uplink.positive_parts(np.array([[[1 + 1j, -1 - 1j]]]))
+            assert experiments._score(flat, truth, 1).tolist() == [2]
 
 
 class TestChunking:
@@ -1098,9 +1174,9 @@ class TestScreenedRoutes:
             return rows_to_csv(run_monte_carlo(spec).rows), seen
 
     @staticmethod
-    def stacked_pseudo_inverse(aug):
+    def stacked_pseudo_inverse(aug, rows=None):
         *stack, L, N, m = aug.shape
-        return numerics.pseudo_inverse(aug.reshape(*stack, L * N, m))
+        return numerics.pseudo_inverse(aug.reshape(*stack, L * N, m))[..., :rows, :]
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_matches_the_textbook_calls(self, name):
@@ -1186,9 +1262,11 @@ class TestStageTrace:
         # the failed span stopped before seq_gramian and any channel side
         assert out.stages["estimate.seq_gramian"]["calls"] == 1 + 16
         assert out.stages["channel_side.centralized_zf"]["calls"] == 3 + 16 * 5 - 1
-        # three width groups (the genie's one) per chunk, one point
+        # one merged side per chunk and point; a rerun block's methods
+        # each alone
         per_block = len(spec.methods) * len(spec.snr_grid_db)
-        assert out.stages["score"]["calls"] == 2 * 3 + 16 * per_block - 1
+        assert out.stages["score"]["calls"] == 2 * 1 + 16 * per_block - 1
+        assert out.stages["apply.centralized_zf"]["calls"] == 2 * 1 + 16 * per_block - 1
 
     def test_results_json_carries_the_trace(self, tmp_path):
         spec = replace(tiny_spec(), out_dir=tmp_path)

@@ -311,6 +311,20 @@ class TestCentralized:
             assert np.array_equal(F[i], pseudo_inverse(aug[i].reshape(16, 7)))
         assert np.allclose(F[0] @ aug[0].reshape(16, 7), np.eye(7), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(5, 4, 4, 7), (3, 1, 4, 7)], ids=["tall", "wide"])
+    def test_leading_rows_alone_are_the_filters_own(self, rng, shape):
+        # two or more rows keep their bits in the whole filter (a zero
+        # member and a duplicated column take the fallback), and the
+        # result holds no whole filter; one row is a vector-matrix
+        # product, which numerics' stack rule leaves out
+        aug = crandn(rng, *shape)
+        aug[1] = 0.0
+        aug[2, :, :, 2] = aug[2, :, :, 5]
+        F = zf_filter(aug)
+        for rows in range(2, shape[-1] + 1):
+            got = zf_filter(aug, rows)
+            assert np.array_equal(got, F[..., :rows, :]) and got.base is None
+
     def test_wide_matrix_is_the_pseudo_inverse(self, rng):
         # L N = 4 < m = 7: the SVD route, bit for bit
         aug = crandn(rng, 3, 1, 4, 7)
