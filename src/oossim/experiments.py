@@ -221,8 +221,10 @@ def default_spec(**overrides) -> ExperimentSpec:
 
 def overloaded_interferers_spec(**overrides) -> ExperimentSpec:
     """Variant with more interferers than antennas per AP (K_I > N), where
-    rotate-and-average loses ground to the Gramian pass (see
-    oos_estimation._local_signal_basis). The local method is omitted: its
+    rotate-and-average loses ground to the Gramian pass: an AP's residual
+    shows only N interferer directions, and
+    oos_estimation._local_signal_basis completes its local estimate from
+    the Householder QR of that residual. The local method is omitted: its
     estimator is undefined in this regime."""
     overrides.setdefault("cfg", SystemConfig(K_I=5))
     overrides.setdefault(

@@ -7,9 +7,10 @@ raises a LAPACK failure as NumericalFailure. economy_svd,
 hermitian_top_eigvectors and top_singular_triplets return their singular
 and eigen vectors in the phase convention of _fix_column_phases, on
 every route; a product in which the phase cancels (pseudo_inverse,
-procrustes_rotation) uses the SVD without it. The channel Gramian's
-invertibility screen and its inverse are one kernel, inverse_gramian,
-which distributed ZF and the downlink precoders share.
+procrustes_rotation) uses the SVD without it; no route takes a full
+SVD. The channel Gramian's inverse and its invertibility screen are one
+kernel, inverse_gramian, which distributed ZF and the downlink precoders
+share: the inverse comes first, and screens most matrices by itself.
 
 The stack rule, which every module keeps: a function that takes leading
 stack axes (blocks, SNR points, methods) gives each member the result
@@ -23,9 +24,10 @@ more rows. A member of one row (K = 1) alone is a vector-matrix product,
 which may round differently, so its bits may depend on what is stacked
 with it.
 
-Four routes are cheaper than the textbook call (after the arrow). Each
+Five routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring
-states, and a matrix that fails takes the textbook call (_refit):
+states, and a matrix that fails takes the textbook call (_refit, or the
+screen alone for inverse_gramian):
 
 - top_singular_triplets, a wide M: the eigenpairs of M M^H (GRAM_RTOL)
   -> economy_svd;
@@ -34,7 +36,10 @@ states, and a matrix that fails takes the textbook call (_refit):
 - hermitian_top_eigvectors, `rank` >= n: orthogonal iteration on A^2 and
   Rayleigh-Ritz, Davis-Kahan screen (SUBSPACE_STEPS, SUBSPACE_RTOL) -> eigh;
 - uplink.zf_filter, a tall A: its Householder QR, screened on the bounds
-  that R gives for A's singular values (PINV_RTOL) -> pseudo_inverse.
+  that R gives for A's singular values (PINV_RTOL) -> pseudo_inverse;
+- inverse_gramian: the bound ||gamma||_F ||gamma^{-1}||_F on the
+  condition number, from the inverse (GRAMIAN_RCOND) -> the eigvalsh
+  screen.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ GRAM_RTOL = 1e-8
 RANGE_RTOL = 1e-12
 SUBSPACE_STEPS = 4
 SUBSPACE_RTOL = 1e-10
+# inverse_gramian's screen: the smallest eigenvalue must exceed this share of the largest
+GRAMIAN_RCOND = 1e-10
 
 
 class NumericalFailure(RuntimeError):
@@ -123,12 +130,12 @@ def _refit(doubt: np.ndarray, outputs: tuple, textbook, A: np.ndarray) -> None:
             out[doubt] = value
 
 
-def _checked_svd(M, full_matrices: bool = False):
-    """LAPACK SVD (U, sigma, V^H) of a finite matrix or stack, with no
-    phase convention. Raises ValueError on non-finite input and
+def _checked_svd(M):
+    """LAPACK economy SVD (U, sigma, V^H) of a finite matrix or stack, with
+    no phase convention. Raises ValueError on non-finite input and
     NumericalFailure when LAPACK does not converge."""
     M = _as_finite_matrix(M, "M")
-    return _lapack("SVD did not converge", np.linalg.svd, M, full_matrices=full_matrices)
+    return _lapack("SVD did not converge", np.linalg.svd, M, full_matrices=False)
 
 
 def economy_svd(M: np.ndarray):
@@ -278,15 +285,51 @@ def _top_eigenpairs(A: np.ndarray, k: int):
 
 def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     """The inverse of the Hermitian PSD matrix gamma (or of every matrix of
-    a stack), once it is screened as numerically invertible: its smallest
-    eigenvalue exceeds 1e-10 of its largest, which is positive, else
-    DegeneracyError. With gamma's condition number bounded so, the
-    inverse matches an LU solve to rounding, at a fraction of the cost."""
+    a stack), np.linalg.inv's bits, once it is screened as numerically
+    invertible: the smallest eigenvalue of 0.5 (gamma + gamma^H) exceeds
+    GRAMIAN_RCOND of its largest, which is positive, else DegeneracyError.
+
+    The screen reads the inverse first. A matrix passes outright when
+    ||gamma||_F ||gamma^{-1}||_F GRAMIAN_RCOND < 1/2, from the squared
+    norms of both (an overflow or a NaN fails); only the others take the
+    eigvalsh screen. Every singular value of a passing gamma exceeds
+    1 / ||gamma^{-1}||_F > 2 GRAMIAN_RCOND ||gamma||_F. A gamma that is
+    PSD to rounding, as every sum of A^H A is, has no eigenvalue below
+    about -eps ||gamma||, so a passing one is positive definite with
+    w_min > 2 GRAMIAN_RCOND w_max. The factor 2 covers three roundings,
+    each relatively about eps times the condition number (under 5e9):
+    the computed inverse's, gamma's antihermitian part, and eigvalsh's.
+    So a pass is a pass of the eigvalsh screen, and the raise/no-raise
+    decision is that screen's alone. When the inverse fails, every
+    matrix is screened first: DegeneracyError if the screen fails, else
+    the inverse's NumericalFailure."""
+    try:
+        inverse = _lapack("channel Gramian inverse failed", np.linalg.inv, gamma)
+    except NumericalFailure:
+        _screen_gramian(gamma)
+        raise
+    squared_bound = _squared_norms(gamma) * _squared_norms(inverse)
+    doubt = ~(squared_bound < (0.5 / GRAMIAN_RCOND) ** 2)
+    if doubt.any():
+        _screen_gramian(gamma[doubt])
+    return inverse
+
+
+def _squared_norms(M: np.ndarray) -> np.ndarray:
+    """||M||_F^2 of every matrix of a stack, summed over a float view of M
+    (no complex temporary)."""
+    x = np.ascontiguousarray(M).view(float)
+    return np.einsum("...ij,...ij->...", x, x)
+
+
+def _screen_gramian(gamma: np.ndarray) -> None:
+    """inverse_gramian's eigvalsh screen: DegeneracyError unless every
+    matrix's 0.5 (gamma + gamma^H) has its smallest eigenvalue above
+    GRAMIAN_RCOND of its largest, which is positive."""
     symmetric = 0.5 * (gamma + herm(gamma))
     w = _lapack("eigenvalues of the channel Gramian did not converge", np.linalg.eigvalsh, symmetric)
-    if (w[..., -1] <= 0).any() or (w[..., 0] <= 1e-10 * w[..., -1]).any():
+    if (w[..., -1] <= 0).any() or (w[..., 0] <= GRAMIAN_RCOND * w[..., -1]).any():
         raise DegeneracyError("channel Gramian is numerically singular")
-    return _lapack("channel Gramian inverse failed", np.linalg.inv, gamma)
 
 
 def pseudo_inverse(M: np.ndarray) -> np.ndarray:

@@ -20,8 +20,10 @@ import numpy as np
 from .fronthaul import Chain, add_gramian, hermitian_symbols, matrix_symbols
 from .numerics import (
     DegeneracyError,
+    _as_finite_matrix,
     _checked_svd,
     _fix_column_phases,
+    _orthonormal_basis,
     economy_svd,
     herm,
     hermitian_top_eigvectors,
@@ -32,9 +34,6 @@ from .scenario import SystemConfig
 
 # Chain phases of both chain estimators, once per block: (to the CPU, its broadcast)
 OOS_PHASES = ("oos_forward", "oos_broadcast")
-# Matrices per call of _local_signal_basis' full SVD, whose V^H holds
-# (tau_p - K)^2 entries a matrix: 16 of 45 x 45 are 518 KB.
-FULL_SVD_MATRICES = 16
 
 
 def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
@@ -55,24 +54,32 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
 
     With more interferers than antennas the residual exposes only N signal
     directions; the remaining columns are a deterministic but uninformative
-    basis from the full SVD's null space. This is what makes the
-    rotate-and-average method degrade in that regime, while the Gramian
-    accumulation (whose rank grows with the AP count) does not.
+    completion of them. This is what makes the rotate-and-average method
+    degrade in that regime, while the Gramian accumulation (whose rank
+    grows with the AP count) does not.
+
+    For N < K_I <= r = tau_p - K the basis is the first K_I columns of the
+    complete Householder Q of zpsi_l^H (r x N), with the phase convention
+    of _fix_column_phases. They come from one thin QR of [zpsi_l^H, 0],
+    padded to K_I columns: Householder QR takes the identity as the
+    reflector of a zero column, so its Q is those columns (Golub & Van
+    Loan, Matrix Computations, 4th ed., section 5.2). The first N columns
+    span zpsi_l's row space, as its top N right singular vectors do, up to
+    a unitary change W that the Procrustes rotation and every later stage
+    absorb (they see the estimate through its column space). Where r >=
+    floor(17 N / 9), LAPACK's full SVD (gesdd) factors zpsi_l = L Q first,
+    so its null-space completion is these columns to rounding. Below that
+    bound gesdd bidiagonalizes directly, and its completion differs from
+    this one: both are valid, but this one is set by the formula above.
     """
     n, r = zpsi_l.shape[-2:]
     if K_I <= min(n, r):
         return local_svd_estimate(zpsi_l, K_I)[0]
     if K_I > r:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
-    # the full V^H is r x r per matrix, so a few matrices at a time keep
-    # their K_I rows (one V^H alive at a time), in the memory order that
-    # herm(Vh[..., :K_I, :]) gives them
-    stack = zpsi_l.reshape(-1, n, r)
-    rows = np.empty((len(stack), K_I, r), dtype=complex)
-    for start in range(0, len(stack), FULL_SVD_MATRICES):
-        some = slice(start, start + FULL_SVD_MATRICES)
-        np.conj(_checked_svd(stack[some], full_matrices=True)[2][..., :K_I, :], out=rows[some])
-    return _fix_column_phases(rows.reshape(*zpsi_l.shape[:-2], K_I, r).swapaxes(-1, -2))
+    padded = np.zeros((*zpsi_l.shape[:-2], r, K_I), dtype=complex)
+    padded[..., :n] = herm(_as_finite_matrix(zpsi_l, "zpsi_l"))
+    return _fix_column_phases(_orthonormal_basis(padded, "the local residual"))
 
 
 def procrustes_rotation(

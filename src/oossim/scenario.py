@@ -151,7 +151,7 @@ def check_sweep_size(cfg: SystemConfig, points: int = 1, methods: int = 1) -> di
         "pilot book": 16 * tau_p * tau_p,
         "span residuals": 16 * span * LN * r,
         "span pilot estimates": 16 * points * span * LN * K,
-        "residual Gramians": 16 * span * r * r,  # seq_gramian's, or full local SVDs'
+        "residual Gramians": 16 * span * r * r,  # seq_gramian's
         "payload buffers": 16 * 4 * chunk * LN * T,  # y, H x, G s and n
         "augmented channels": 16 * methods * points * span * LN * m,
         "channel Gramians": 16 * methods * points * span * m * m,

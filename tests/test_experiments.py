@@ -696,12 +696,15 @@ class TestRunMonteCarlo:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
 
+        # a failed inverse sends every Gramian to the eigvalsh screen
+        monkeypatch.setattr(np.linalg, "inv", no_convergence)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         out = run_monte_carlo(spec)
         d = out.diagnostics
         assert out.rows == []
         assert d.numerical_failures == len(spec.methods) * 2 * spec.cfg.trials
-        assert all("did not converge" in f[3] for f in d.failures if f[2] >= 0)
+        reason = "eigenvalues of the channel Gramian did not converge"
+        assert all(f[3] == reason for f in d.failures if f[2] >= 0)
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_rows_do_not_depend_on_the_other_methods(self, detector):
@@ -1149,8 +1152,9 @@ class TestDispatch:
 
 class TestScreenedRoutes:
     """End to end, the sweep's UE estimates on the screened routes (the
-    numerics route list, and zf_filter's QR route) match those that every
-    matrix gets from the textbook call, within ROUTE_RTOL, and results.csv
+    numerics route list, zf_filter's QR route and the K_I > N local
+    bases' QR) match those that every matrix gets from the textbook call
+    (a full SVD for the local bases), within ROUTE_RTOL, and results.csv
     is the same bytes."""
 
     ROUTE_RTOL = 1e-9
@@ -1178,13 +1182,25 @@ class TestScreenedRoutes:
         *stack, L, N, m = aug.shape
         return numerics.pseudo_inverse(aug.reshape(*stack, L * N, m))[..., :rows, :]
 
+    @staticmethod
+    def full_svd_basis(zpsi, K_I):
+        """oos_estimation._local_signal_basis from the full SVD: the top
+        right singular vectors, completed by the null space's."""
+        if K_I <= zpsi.shape[-2]:
+            return oos_estimation.local_svd_estimate(zpsi, K_I)[0]
+        Vh = np.linalg.svd(zpsi, full_matrices=True)[2]
+        return numerics._fix_column_phases(herm(Vh[..., :K_I, :]))
+
     @pytest.mark.parametrize("name", list(SPECS))
     def test_matches_the_textbook_calls(self, name):
         spec = self.SPECS[name]
         spec = with_trials(replace(spec, cfg=replace(spec.cfg, seed=5)), 8)
         csv_text, screened = self.estimates(spec)
         with mock.patch.multiple(numerics, GRAM_RTOL=math.inf, RANGE_RTOL=0.0, SUBSPACE_RTOL=0.0):
-            with mock.patch.object(uplink, "zf_filter", self.stacked_pseudo_inverse):
+            with (
+                mock.patch.object(uplink, "zf_filter", self.stacked_pseudo_inverse),
+                mock.patch.object(oos_estimation, "_local_signal_basis", self.full_svd_basis),
+            ):
                 textbook_csv, textbook = self.estimates(spec)
         assert textbook_csv == csv_text
         assert len(screened) == len(textbook) > 0
@@ -1194,6 +1210,19 @@ class TestScreenedRoutes:
         )
         # a zero difference would mean the textbook switch took no effect
         assert 0 < worst < self.ROUTE_RTOL
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_an_overloaded_sweep_takes_no_full_svd(self, detector):
+        svd, full = np.linalg.svd, []
+
+        def spy(a, full_matrices=True, *args, **kwargs):
+            full.append(full_matrices)
+            return svd(a, full_matrices, *args, **kwargs)
+
+        spec = with_trials(overloaded_interferers_spec(detector=detector), 2)
+        with mock.patch.object(np.linalg, "svd", spy):
+            run_monte_carlo(spec)
+        assert full and not any(full)
 
 
 class TestStageTrace:
@@ -1303,8 +1332,8 @@ class TestMemoryCeiling:
         "default": (WORKLOADS["paper_default"], 3470),
         # measured: 2993 KiB; the span's residuals take 720 KiB of it
         "long_chain": (WORKLOADS["long_chain_seq_ls"], 3290),
-        # measured: 2503 KiB; the chunked full SVD of the local bases and
-        # herm(aug) formed after the Gramian pass hold it there
+        # measured: 2503 KiB; distributed ZF's channel side holds it there,
+        # with herm(aug) formed after the Gramian pass
         "overloaded_dzf": (WORKLOADS["overloaded_dzf"], 2753),
     }
 

@@ -435,13 +435,21 @@ class TestStacks:
             raise np.linalg.LinAlgError("injected")
 
         B = crandn(rng, 3, 4, 4)
+        gamma = herm(B) @ B
+        # condition number 5e9: invertible by the eigvalsh rule, but
+        # beyond the norm bound, so the eigensolver is reached
+        gamma[1] = gramian_with_condition(rng, 4, 5e9)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-        with pytest.raises(NumericalFailure, match="did not converge"):
-            inverse_gramian(herm(B) @ B)
+        reason = "eigenvalues of the channel Gramian did not converge"
+        with pytest.raises(NumericalFailure, match=reason):
+            inverse_gramian(gamma)
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "inv", no_convergence)
         with pytest.raises(NumericalFailure, match="inverse failed"):
-            inverse_gramian(herm(B) @ B)
+            inverse_gramian(gamma)
+        gamma[2] = 0.0  # the screen's reason comes first
+        with pytest.raises(DegeneracyError, match="numerically singular"):
+            inverse_gramian(gamma)
 
     def test_hermitian_tolerance_is_per_member(self, rng):
         # a gap far below the stack's norm but above its own member's fails
@@ -451,6 +459,69 @@ class TestStacks:
         A[1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_top_eigvectors(A, 1)
+
+
+def gramian_with_condition(rng, m, condition, rows=3):
+    """A sum of `rows` Gramians A_l^H A_l (m x m), like the channel
+    Gramian's chain sum, whose eigenvalues run geometrically from 1 down
+    to 1 / condition."""
+    U = np.linalg.qr(crandn(rng, rows * m, m))[0]
+    V = np.linalg.qr(crandn(rng, m, m))[0]
+    s = condition ** (-0.5 * np.linspace(0.0, 1.0, m))
+    A = ((U * s) @ herm(V)).reshape(rows, m, m)
+    return sum(herm(a) @ a for a in A)
+
+
+class TestInverseGramian:
+    """inverse_gramian raises DegeneracyError exactly when the eigvalsh
+    rule does (smallest eigenvalue of the Hermitian part at most 1e-10 of
+    the largest, or the largest not positive), and otherwise returns
+    np.linalg.inv's bits, whether or not its norm bound clears a matrix."""
+
+    CONDITIONS = (1e6, 1e8, 1e9, 2e9, 5e9, 8e9, 1e10, 1.25e10, 2e10, 1e11, 1e12)
+
+    @staticmethod
+    def eigvalsh_rule(gamma) -> bool:
+        w = np.linalg.eigvalsh(0.5 * (gamma + herm(gamma)))
+        return bool(w[-1] > 0 and w[0] > 1e-10 * w[-1])
+
+    def members(self, rng, m):
+        members = [gramian_with_condition(rng, m, c) for c in self.CONDITIONS]
+        A = crandn(rng, 3, m)
+        A[:, -1] = 0.0  # an exactly singular Gramian: a zero row and column
+        a = crandn(rng, 1, m)
+        return [*members, herm(A) @ A, np.zeros((m, m), dtype=complex), herm(a) @ a]
+
+    @pytest.mark.parametrize("m", [2, 7, 10])
+    def test_decides_as_the_eigvalsh_rule(self, rng, m):
+        members = self.members(rng, m)
+        invertible = [self.eigvalsh_rule(g) for g in members]
+        assert any(invertible) and not all(invertible)
+        for gamma, ok in zip(members, invertible):
+            if ok:
+                assert np.array_equal(inverse_gramian(gamma), np.linalg.inv(gamma))
+            else:
+                with pytest.raises(DegeneracyError, match="numerically singular"):
+                    inverse_gramian(gamma)
+        good = np.stack([g for g, ok in zip(members, invertible) if ok])
+        assert np.array_equal(inverse_gramian(good), np.linalg.inv(good))
+        with pytest.raises(DegeneracyError, match="numerically singular"):
+            inverse_gramian(np.stack(members))
+
+    def test_eigensolver_runs_only_beyond_the_bound(self, rng, monkeypatch):
+        eigvalsh, seen = np.linalg.eigvalsh, []
+
+        def spy(a):
+            seen.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        clear = np.stack([gramian_with_condition(rng, 10, c) for c in (1e2, 1e6, 1e9)])
+        inverse_gramian(clear)
+        assert seen == []
+        near = np.stack([clear[0], gramian_with_condition(rng, 10, 5e9), clear[1]])
+        inverse_gramian(near)
+        assert seen == [(1, 10, 10)]  # the doubtful member alone
 
 
 class TestLapackCalls:

@@ -15,7 +15,6 @@ from oossim.numerics import (
     herm,
 )
 from oossim.oos_estimation import (
-    FULL_SVD_MATRICES,
     _local_signal_basis,
     centralized_oos_oracle,
     estimate_oos_channels,
@@ -183,8 +182,6 @@ class TestProcrustesRotation:
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(NumericalFailure):
             procrustes_rotation(S, S)
-        with pytest.raises(NumericalFailure):  # K_I above the rank bound: full SVD
-            _local_signal_basis(crandn(rng, 4, 2, 9), 3)
 
     def test_beats_random_unitaries(self, rng):
         S_prev = crandn(rng, 10, 3)
@@ -232,26 +229,40 @@ class TestRotateAndAverage:
 
 class TestLocalSignalBasis:
     @pytest.mark.parametrize("K_I", [5, 9])  # above N = 4: null-space completion
-    def test_is_the_phase_fixed_full_svd_basis(self, rng, K_I):
+    def test_completes_the_full_svd_basis(self, rng, K_I):
+        # r = 9 >= floor(17 N / 9) = 7: the full SVD factors zpsi = L Q
+        # first, so its completion columns are the Householder Q's
         zpsi = crandn(rng, 2, 3, 4, 9)
         got = _local_signal_basis(zpsi, K_I)
         want = _fix_column_phases(herm(np.linalg.svd(zpsi, full_matrices=True)[2])[..., :K_I])
-        assert np.array_equal(got, want)
-        for b in np.ndindex(zpsi.shape[:2]):
-            assert np.array_equal(_local_signal_basis(zpsi[b], K_I), want[b])
+        assert np.abs(got[..., 4:] - want[..., 4:]).max() < 1e-12
+        # the first N columns span the row space: the same projector
+        projector = [x[..., :4] @ herm(x[..., :4]) for x in (got, want)]
+        assert np.abs(projector[0] - projector[1]).max() < 1e-12
+        assert np.abs(herm(got) @ got - np.eye(K_I)).max() < 1e-12
 
-    def test_a_stack_of_several_svd_calls_keeps_the_one_call_bits(self, rng):
-        # a stack larger than FULL_SVD_MATRICES takes several full SVDs;
-        # its basis keeps the bits and the memory order of one call's
+    def test_a_stack_keeps_each_members_bits(self, rng):
         K_I, stack = 5, (5, 4)
-        assert np.prod(stack) > FULL_SVD_MATRICES
         zpsi = crandn(rng, *stack, 4, 45)
-        Vh = np.linalg.svd(zpsi, full_matrices=True)[2]
-        want = _fix_column_phases(herm(Vh[..., :K_I, :]))
         got = _local_signal_basis(zpsi, K_I)
-        assert got.strides == want.strides
-        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
-        assert np.array_equal(*bits)
+        for b in np.ndindex(stack):
+            alone = _local_signal_basis(zpsi[b], K_I)
+            assert np.array_equal(alone.view(np.uint64), got[b].view(np.uint64))
+
+    def test_failures_keep_their_types(self, rng, monkeypatch):
+        broken = crandn(rng, 3, 4, 9)
+        broken[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _local_signal_basis(broken, 5)
+        with pytest.raises(ValueError, match="exceeds the residual dimension"):
+            _local_signal_basis(crandn(rng, 4, 9), 10)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "qr", no_convergence)
+        with pytest.raises(NumericalFailure, match="QR of the local residual did not converge"):
+            _local_signal_basis(crandn(rng, 3, 4, 9), 5)
 
 
 class TestSequentialProcrustes:
