@@ -364,11 +364,12 @@ class _Sweep:
 
     A span counts one call of estimate.local_svd and of each
     estimate.<method>, and one of channel_side.<detector> per width
-    group. Each of its chunks counts two of draw (its channels, with the
-    span's geometry in the first chunk's, then its payload) and one of
-    pilot; each chunk and point, one of apply.<detector> (forming the
-    point's received signal too) and of score per side: one per width
-    group under a chain detector, one in all under centralized ZF
+    group under a chain detector, per method under centralized ZF. Each
+    of its chunks counts two of draw (its channels, with the span's
+    geometry in the first chunk's, then its payload) and one of pilot;
+    each chunk and point, one of apply.<detector> (forming the point's
+    received signal too) and of score per side: one per width group
+    under a chain detector, one in all under centralized ZF
     (_channel_sides). A rerun block draws and runs its pilot phase as a
     span of one chunk, then counts each method's estimate once and its
     channel side, apply and score once per point."""
@@ -521,40 +522,41 @@ def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
 
 
 def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
-    """One channel side per width group of the methods whose interferer
-    channels `ghats` holds (_estimate), on the blocks of `span` at the SNR
-    points whose pilot LS estimates `est` holds. Returns (method indices,
-    channel side) per group.
+    """The channel sides of the methods whose interferer channels `ghats`
+    holds (_estimate), on the blocks of `span` at the SNR points whose
+    pilot LS estimates `est` holds, as (method indices, side) pairs. The
+    genie's channels do not depend on the point, so its side is formed on
+    the blocks alone and serves every point.
 
-    Methods whose augmented channels have the same width (K, or K + K_I
-    with an interferer estimate) form a group, stacked along a leading
-    method axis, and get one channel side; the genie's, whose channels do
-    not depend on the point, is a group of its own on the blocks alone,
-    broadcast to every point. A chain detector keeps one side per group,
-    (M, P, B, ...). Centralized ZF's filter rows are L N wide whatever the
-    width, so once every group's QR is done their UE rows are copied,
-    group by group, into one block-major side of every method: a filter
-    (P, B, M K, L N) that detects them all with one product per block."""
+    A chain detector gets one side (M, P, B, ...) per width group: the
+    methods whose augmented channels have the same width (K, or K + K_I
+    with an interferer estimate), stacked along a leading method axis, the
+    genie in a group of its own. Centralized ZF's filter rows are L N wide
+    whatever the width, so each method gets a side alone, whose K UE rows
+    go into its slot of one block-major filter (P, B, M K, L N): no QR
+    holds more than one method's channels, and one product per block
+    detects every method."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
+    merged = detector == "centralized_zf"
     groups: dict[tuple, list] = {}
     for m in ghats:
         method = spec.methods[m]
-        groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
+        key = (_augmented_width(method, cfg), method == GENIE, m if merged else None)
+        groups.setdefault(key, []).append(m)
+    P, B, L, N, K = est.shape
+    F = np.empty((P, B, len(ghats), K, L * N), dtype=complex) if merged else None
     sides = []
-    for (width, genie), members in groups.items():
-        if sides:  # the last group's lap also takes the merge below
-            sweep.lap(f"channel_side.{detector}")
-        ue = span.H[None] if genie else est
-        aug = _augmented_stack([ghats[m] for m in members], ue, width)
+    for slot, ((width, genie, _), members) in enumerate(groups.items()):
+        aug = _augmented_stack([ghats[m] for m in members], span.H[None] if genie else est, width)
         side = _channel_side(detector, aug, cfg, sweep.chain)
-        shape = (len(members), len(est))  # a view: the genie's one point serves all
-        sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
-    if detector == "centralized_zf":  # each group's rows (M, P, B, K, L N)
-        F = np.concatenate([rows.transpose(1, 2, 0, 3, 4) for _, (rows,) in sides], axis=2)
-        P, B, M, K, LN = F.shape
-        sides = [([m for members, _ in sides for m in members], (F.reshape(P, B, M * K, LN),))]
-    sweep.lap(f"channel_side.{detector}")
-    return sides
+        if merged:
+            F[:, :, slot] = side[0][0]  # broadcasts the genie's one point
+        else:
+            shape = (len(members), P)  # a view: the genie's one point serves all
+            sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
+        del aug, side  # not alive while the next side is formed
+        sweep.lap(f"channel_side.{detector}")
+    return [(list(ghats), (F.reshape(P, B, -1, L * N),))] if merged else sides
 
 
 def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals):
@@ -593,7 +595,7 @@ def _run_span(sweep: _Sweep, blocks: range):
 
     A span is the unit of the pilot side, whose stages are bound by
     per-call overhead: one geometry draw, one call of each estimator and
-    one channel side per width group, for every SNR point. Each chunk of
+    the channel sides (_channel_sides), for every SNR point. Each chunk of
     CHUNK_BLOCKS blocks runs its pilot phase into the span's arrays, then
     draws its payload into the sweep's buffers and detects it point by
     point: nothing payload-sized, and no pilot noise, grows with a span.

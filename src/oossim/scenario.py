@@ -97,6 +97,8 @@ class SystemConfig:
         geometry = (self.area_side_m, self.ue_margin_m, self.ap_height_m, self.noise_floor_dbw)
         if not all(map(math.isfinite, geometry)):
             raise ValueError("geometry dimensions and noise_floor_dbw must be finite")
+        if not math.isfinite(4.0 * self.area_side_m):  # the perimeter _perimeter_points walks
+            raise ValueError("area_side_m is too large for a float: 4 * area_side_m overflows")
         if not (self.ap_height_m >= 0 and 0 <= self.ue_margin_m < self.area_side_m / 2):
             raise ValueError("need ap_height_m >= 0 and 0 <= ue_margin_m < area_side_m / 2")
         nearest = math.hypot(self.ap_height_m, self.ue_margin_m)

@@ -580,7 +580,7 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize(
         ("build", "detector", "side", "apply", "groups", "applies"),
         [
-            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 2, 1),
+            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 4, 1),
             (overloaded_interferers_spec, "distributed_zf", "inverse_gramian", "apply_chain", 1, 2),
             (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_chain", 2, 3),
         ],
@@ -593,9 +593,11 @@ class TestRunMonteCarlo:
         # in the overloaded spec all three methods share one. A group's
         # channel side runs once per span whatever the number of SNR
         # points. The genie, whose channel side does not depend on the
-        # point, has its own. A chain detector's groups each apply once
-        # per chunk and point; centralized ZF's, merged into one filter,
-        # apply once per chunk and point together.
+        # point, has its own. Centralized ZF forms each method's side
+        # alone, so its four other methods count as four groups. A chain
+        # detector's groups each apply once per chunk and point;
+        # centralized ZF's methods, merged into one filter, apply once per
+        # chunk and point together.
         spans, chunks = spans_and_chunks(MULTI_SPAN_TRIALS)
         assert (len(spans), len(chunks)) == (2, 6)
         for grid in ((0.0,), (-4.0, 0.0, 4.0)):
@@ -620,6 +622,33 @@ class TestRunMonteCarlo:
         run_monte_carlo(spec)
         cfg = spec.cfg
         assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in (16, 5)]
+
+    def test_centralized_zf_forms_each_methods_side_alone(self, monkeypatch):
+        # no QR holds more than one method's channels: every zf_filter call
+        # of the sweep has a leading method axis of 1, in a span and in a
+        # failed span's reruns. seq_procrustes fails on block 3, so the
+        # first span (blocks 0-15) reruns block by block, point by point;
+        # the second (16-20) forms each method's side on every point, the
+        # genie's on one.
+        spec = with_trials(default_spec(snr_grid_db=(-4.0, 0.0, 4.0)), MULTI_SPAN_TRIALS)
+        fail_procrustes_fold(monkeypatch, spec.cfg, block=3)
+        shapes, original = [], uplink.zf_filter
+
+        def spy(aug, rows=None):
+            shapes.append(aug.shape)
+            return original(aug, rows)
+
+        monkeypatch.setattr(uplink, "zf_filter", spy)
+        run_monte_carlo(spec)
+        cfg = spec.cfg
+        widths = {m: experiments._augmented_width(m, cfg) for m in spec.methods}
+        rerun = [
+            (1, 1, 1, cfg.L, cfg.N, widths[m])
+            for b in range(experiments.SPAN_BLOCKS) for m in spec.methods for _ in range(3)
+            if (m, b) != ("seq_procrustes", 3)
+        ]
+        span = [(1, 1 if m == GENIE else 3, 5, cfg.L, cfg.N, widths[m]) for m in spec.methods]
+        assert shapes == rerun + span
 
     def test_genie_pairs_each_point_and_block_with_its_own_detection(self, monkeypatch):
         # at every (point, block), the genie's UE estimates are centralized
@@ -1287,10 +1316,11 @@ class TestStageTrace:
         # channels before seq_procrustes failed, then its 16 blocks do alone
         assert out.stages["draw"]["calls"] == 2 * 2 + 4 + 16 * 2
         assert out.stages["pilot"]["calls"] == 2 + 4 + 16
-        # one estimate per span, one channel side per span and width group;
-        # the failed span stopped before seq_gramian and any channel side
+        # one estimate per span, one centralized-ZF channel side per span
+        # and method; the failed span stopped before seq_gramian and any
+        # channel side
         assert out.stages["estimate.seq_gramian"]["calls"] == 1 + 16
-        assert out.stages["channel_side.centralized_zf"]["calls"] == 3 + 16 * 5 - 1
+        assert out.stages["channel_side.centralized_zf"]["calls"] == 5 + 16 * 5 - 1
         # one merged side per chunk and point; a rerun block's methods
         # each alone
         per_block = len(spec.methods) * len(spec.snr_grid_db)
@@ -1328,8 +1358,9 @@ class TestMemoryCeiling:
     peak RSS."""
 
     SPECS = {
-        # measured: 3153 KiB; most of it is centralized ZF's channel side
-        "default": (WORKLOADS["paper_default"], 3470),
+        # measured: 2328 KiB, in centralized ZF's channel side: the span's
+        # block-major filter (614 KiB) beside one method's QR
+        "default": (WORKLOADS["paper_default"], 2561),
         # measured: 2993 KiB; the span's residuals take 720 KiB of it
         "long_chain": (WORKLOADS["long_chain_seq_ls"], 3290),
         # measured: 2503 KiB; distributed ZF's channel side holds it there,
@@ -1399,17 +1430,21 @@ REAL_FIELDS = (
 def oversized_spec_dicts(draw):
     """default_spec()'s dict with one or two fields out of range: a size
     of 2^30 to 2^80 (tau_p and tau_c then raised so that the sizes stay
-    consistent), or a real field or SNR point too large for a float. L
-    starts at 2^63, which range() refuses at once, so that no code, with
-    or without a size check, builds an AP order of L entries here."""
+    consistent), a real field or SNR point too large for a float, or a
+    float area side whose perimeter, 4 * area_side_m, is not. L starts at
+    2^63, which range() refuses at once, so that no code, with or without
+    a size check, builds an AP order of L entries here."""
     d = default_spec().to_dict()
     cfg = d["cfg"]
-    fields = st.sampled_from(SIZE_FIELDS + REAL_FIELDS + ("snr_grid_db",))
+    fields = st.sampled_from(SIZE_FIELDS + REAL_FIELDS + ("snr_grid_db", "perimeter"))
     for name in draw(st.lists(fields, min_size=1, max_size=2, unique=True)):
         if name in SIZE_FIELDS:
             cfg[name] = draw(st.integers(2**63 if name == "L" else 2**30, 2**80))
         elif name in REAL_FIELDS:
             cfg[name] = draw(st.integers(2**1024, 2**1100)) * draw(st.sampled_from((1, -1)))
+        elif name == "perimeter":
+            top = sys.float_info.max
+            cfg["area_side_m"] = draw(st.floats(top / 4, top, exclude_min=True))
         else:
             d[name] = [-10.0, draw(st.integers(2**1024, 2**1100))]
     cfg["tau_p"] = max(cfg["tau_p"], cfg["K"] + cfg["K_I"])
@@ -1450,6 +1485,7 @@ class TestSweepSize:
     @given(d=oversized_spec_dicts())
     @example(d={"cfg": {"L": 2**70}})
     @example(d={"cfg": {"tau_p": 2**70, "tau_c": 2**70 + 1, "K_I": 0}})
+    @example(d={"cfg": {"area_side_m": 5e307}})
     def test_an_oversized_spec_is_rejected_as_it_is_built(self, d):
         with pytest.raises(ValueError, match="bytes|too large for a float"):
             ExperimentSpec.from_dict(d)
@@ -1877,6 +1913,8 @@ class TestCli:
             ["report", "--override", "cfg.L=" + "[" * 100000],
             ["run", "--override", "cfg.rho=1" + "0" * 5000],
             ["report", "--override", "cfg.rho=1" + "0" * 5000],
+            ["run", "--trials", "2", "--override", "cfg.area_side_m=5e307"],
+            ["report", "--override", "cfg.area_side_m=1e308"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):
