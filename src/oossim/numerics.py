@@ -3,11 +3,7 @@
 Thin wrappers around LAPACK (through numpy.linalg) that add input
 validation and explicit failure types so callers never receive silent
 garbage; every LAPACK call of the package goes through _lapack, which
-raises a LAPACK failure as NumericalFailure. economy_svd,
-hermitian_top_eigvectors and top_singular_triplets return their singular
-and eigen vectors in the phase convention of _fix_column_phases, on
-every route; a product in which the phase cancels (pseudo_inverse,
-procrustes_rotation) uses the SVD without it; no route takes a full
+raises a LAPACK failure as NumericalFailure. No route takes a full
 SVD. The channel Gramian's inverse and its invertibility screen are one
 kernel, inverse_gramian, which distributed ZF and the downlink precoders
 share: the inverse comes first, and screens most matrices by itself.
@@ -93,25 +89,6 @@ def _as_finite_matrix(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _fix_column_phases(U: np.ndarray, companion: np.ndarray | None = None):
-    """Rotate each column of U so its largest-magnitude entry is real and >= 0.
-
-    The same per-column phase is applied to the matching column of
-    `companion`, which keeps any product U @ diag(s) @ companion^H unchanged.
-    All-zero columns are left untouched, so the convention is deterministic
-    for every input.
-    """
-    if U.shape[-2] == 0 or U.shape[-1] == 0:
-        return (U, companion) if companion is not None else U
-    rows = np.argmax(np.abs(U), axis=-2)[..., None, :]
-    pivots = np.take_along_axis(U, rows, axis=-2)
-    mags = np.abs(pivots)
-    phases = np.divide(pivots, mags, out=np.ones_like(pivots), where=mags > 0).conj()
-    if companion is not None:
-        return U * phases, companion * phases
-    return U * phases
-
-
 def _lapack(failure: str, routine, *args, **kwargs):
     """routine(*args, **kwargs), a numpy.linalg call, with a LAPACK
     failure (LinAlgError) raised as NumericalFailure(failure)."""
@@ -130,29 +107,23 @@ def _refit(doubt: np.ndarray, outputs: tuple, textbook, A: np.ndarray) -> None:
             out[doubt] = value
 
 
-def _checked_svd(M):
-    """LAPACK economy SVD (U, sigma, V^H) of a finite matrix or stack, with
-    no phase convention. Raises ValueError on non-finite input and
-    NumericalFailure when LAPACK does not converge."""
-    M = _as_finite_matrix(M, "M")
-    return _lapack("SVD did not converge", np.linalg.svd, M, full_matrices=False)
-
-
 def economy_svd(M: np.ndarray):
-    """Economy-size SVD with a deterministic phase convention.
+    """Economy-size SVD, LAPACK's factors with no phase convention.
 
     Returns (U, sigma, V) with U: m x r, sigma: length r nonincreasing,
-    V: n x r, r = min(m, n), such that M = U @ diag(sigma) @ V^H.
+    V: n x r, r = min(m, n), such that M = U @ diag(sigma) @ V^H. Raises
+    ValueError on non-finite input and NumericalFailure when LAPACK does
+    not converge.
     """
-    U, sigma, Vh = _checked_svd(M)
-    U, V = _fix_column_phases(U, herm(Vh))
-    return U, sigma, V
+    M = _as_finite_matrix(M, "M")
+    U, sigma, Vh = _lapack("SVD did not converge", np.linalg.svd, M, full_matrices=False)
+    return U, sigma, herm(Vh)
 
 
 def top_singular_triplets(M: np.ndarray, k: int):
     """The top-k triplets of economy_svd: (U, sigma, V) with U: m x k,
-    sigma: length k nonincreasing, V: n x k, in economy_svd's phase
-    convention, so U @ diag(sigma) @ V^H is the best rank-k approximation.
+    sigma: length k nonincreasing, V: n x k, with no phase convention,
+    so U @ diag(sigma) @ V^H is the best rank-k approximation.
 
     A wide or square M (m <= n) takes the cross-product route (Golub & Van
     Loan, Matrix Computations, 4th ed., section 8.6): the top-k eigenpairs
@@ -179,7 +150,8 @@ def top_singular_triplets(M: np.ndarray, k: int):
 
 
 def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
-    """Top-k eigenpairs of a Hermitian matrix, eigenvalues nonincreasing.
+    """Top-k eigenpairs of a Hermitian matrix, eigenvalues nonincreasing,
+    the eigenvectors with no phase convention on any route.
 
     A must be Hermitian to a relative Frobenius tolerance of 1e-9, each
     matrix of a stack against its own norm; it is symmetrized as
@@ -228,8 +200,7 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     A = 0.5 * (A + A_h)
     del A_h  # not alive during the eigensolve
     if rank is None or rank < k:
-        vectors, w = _top_eigenpairs(A, k)
-        return _fix_column_phases(vectors), w
+        return _top_eigenpairs(A, k)
     if rank >= n:
         return _subspace_iteration(A, k)
     Q = _orthonormal_basis(A[..., :rank], "the matrix's range")
@@ -239,7 +210,7 @@ def hermitian_top_eigvectors(A: np.ndarray, k: int, rank: int | None = None):
     U, w = _top_eigenpairs(herm(Q) @ AQ, k)
     vectors = Q @ U
     _refit(doubt, (vectors, w), lambda A: _top_eigenpairs(A, k), A)
-    return _fix_column_phases(vectors), w
+    return vectors, w
 
 
 def _subspace_iteration(A: np.ndarray, k: int):
@@ -267,7 +238,7 @@ def _subspace_iteration(A: np.ndarray, k: int):
     doubt = ~(residual < SUBSPACE_RTOL * gap)  # so gap > 0 too
     w = w * scale[..., None]
     _refit(doubt, (vectors, w), lambda A: _top_eigenpairs(A, k), A)
-    return _fix_column_phases(vectors), w
+    return vectors, w
 
 
 def _orthonormal_basis(X: np.ndarray, what: str) -> np.ndarray:
@@ -276,8 +247,7 @@ def _orthonormal_basis(X: np.ndarray, what: str) -> np.ndarray:
 
 
 def _top_eigenpairs(A: np.ndarray, k: int):
-    """Top-k eigenpairs of A (LAPACK eigh reads its lower triangle), with
-    no phase convention."""
+    """Top-k eigenpairs of A (LAPACK eigh reads its lower triangle)."""
     w, v = _lapack("eigendecomposition did not converge", np.linalg.eigh, A)
     order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
     return np.take_along_axis(v, order[..., None, :], axis=-1), np.take_along_axis(w, order, axis=-1)
@@ -291,8 +261,9 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
 
     The screen reads the inverse first. A matrix passes outright when
     ||gamma||_F ||gamma^{-1}||_F GRAMIAN_RCOND < 1/2, from the squared
-    norms of both (an overflow or a NaN fails); only the others take the
-    eigvalsh screen. Every singular value of a passing gamma exceeds
+    norms of both (a product that overflows, or is 0 times inf, fails,
+    without a warning); only the others take the eigvalsh screen. Every
+    singular value of a passing gamma exceeds
     1 / ||gamma^{-1}||_F > 2 GRAMIAN_RCOND ||gamma||_F. A gamma that is
     PSD to rounding, as every sum of A^H A is, has no eigenvalue below
     about -eps ||gamma||, so a passing one is positive definite with
@@ -308,7 +279,8 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     except NumericalFailure:
         _screen_gramian(gamma)
         raise
-    squared_bound = _squared_norms(gamma) * _squared_norms(inverse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared_bound = _squared_norms(gamma) * _squared_norms(inverse)
     doubt = ~(squared_bound < (0.5 / GRAMIAN_RCOND) ** 2)
     if doubt.any():
         _screen_gramian(gamma[doubt])
@@ -338,7 +310,7 @@ def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     Singular values at or below PINV_RTOL * sigma_max are treated as
     exactly zero.
     """
-    U, sigma, Vh = _checked_svd(M)
+    U, sigma, V = economy_svd(M)
     keep = sigma > PINV_RTOL * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
-    return (herm(Vh) * inv[..., None, :]) @ herm(U)
+    return (V * inv[..., None, :]) @ herm(U)

@@ -21,8 +21,6 @@ from .fronthaul import Chain, add_gramian, hermitian_symbols, matrix_symbols
 from .numerics import (
     DegeneracyError,
     _as_finite_matrix,
-    _checked_svd,
-    _fix_column_phases,
     _orthonormal_basis,
     economy_svd,
     herm,
@@ -44,9 +42,27 @@ def local_svd_estimate(zpsi_l: np.ndarray, K_I: int):
     the singular values, so G_local @ Sbar_local^H is the optimal rank-K_I
     approximation of zpsi_l, from top_singular_triplets (whose docstring
     gives the route that N <= tau_p - K takes).
+
+    The columns take the phase convention of _fix_column_phases:
+    local_processing stacks the APs' G_local unaligned, so their phases
+    set the column space its detector sees (without the convention its
+    0 dB BER in a 150-block default_spec() sweep moves 0.018884 ->
+    0.019831). Every other method sees the estimate up to a unitary change.
     """
     U, sigma, V = top_singular_triplets(zpsi_l, K_I)
+    U, V = _fix_column_phases(U, V)
     return V, U * sigma[..., None, :]
+
+
+def _fix_column_phases(U: np.ndarray, V: np.ndarray):
+    """Turn each column of U so its largest-magnitude entry is real and
+    >= 0, and V's matching column by the same phase, so U diag(s) V^H is
+    unchanged. An all-zero column is left as it is."""
+    rows = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(U, rows, axis=-2)
+    mags = np.abs(pivots)
+    phases = np.divide(pivots, mags, out=np.ones_like(pivots), where=mags > 0).conj()
+    return U * phases, V * phases
 
 
 def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
@@ -59,18 +75,19 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
     grows with the AP count) does not.
 
     For N < K_I <= r = tau_p - K the basis is the first K_I columns of the
-    complete Householder Q of zpsi_l^H (r x N), with the phase convention
-    of _fix_column_phases. They come from one thin QR of [zpsi_l^H, 0],
-    padded to K_I columns: Householder QR takes the identity as the
-    reflector of a zero column, so its Q is those columns (Golub & Van
-    Loan, Matrix Computations, 4th ed., section 5.2). The first N columns
-    span zpsi_l's row space, as its top N right singular vectors do, up to
-    a unitary change W that the Procrustes rotation and every later stage
-    absorb (they see the estimate through its column space). Where r >=
-    floor(17 N / 9), LAPACK's full SVD (gesdd) factors zpsi_l = L Q first,
-    so its null-space completion is these columns to rounding. Below that
-    bound gesdd bidiagonalizes directly, and its completion differs from
-    this one: both are valid, but this one is set by the formula above.
+    complete Householder Q of zpsi_l^H (r x N), with no phase convention.
+    They come from one thin QR of [zpsi_l^H, 0], padded to K_I columns:
+    Householder QR takes the identity as the reflector of a zero column,
+    so its Q is those columns (Golub & Van Loan, Matrix Computations, 4th
+    ed., section 5.2). The first N columns span zpsi_l's row space, as
+    its top N right singular vectors do, up to a unitary change W that
+    the Procrustes rotation and every later stage absorb (they see the
+    estimate through its column space). Where r >= floor(17 N / 9),
+    LAPACK's full SVD (gesdd) factors zpsi_l = L Q first, so its
+    null-space completion is these columns to rounding and column phase.
+    Below that bound gesdd bidiagonalizes directly, and its completion
+    differs from this one: both are valid, but this one is set by the
+    formula above.
     """
     n, r = zpsi_l.shape[-2:]
     if K_I <= min(n, r):
@@ -79,7 +96,7 @@ def _local_signal_basis(zpsi_l: np.ndarray, K_I: int) -> np.ndarray:
         raise ValueError(f"K_I={K_I} exceeds the residual dimension {r}")
     padded = np.zeros((*zpsi_l.shape[:-2], r, K_I), dtype=complex)
     padded[..., :n] = herm(_as_finite_matrix(zpsi_l, "zpsi_l"))
-    return _fix_column_phases(_orthonormal_basis(padded, "the local residual"))
+    return _orthonormal_basis(padded, "the local residual")
 
 
 def procrustes_rotation(
@@ -93,30 +110,23 @@ def procrustes_rotation(
     LAPACK's deterministic completion is used and the event counted on
     `diagnostics`, once per degenerate matrix of a stack.
     """
-    U, Vh = _procrustes_factors(S_prev, S_local, diagnostics)
-    return herm(Vh) @ herm(U)
-
-
-def _procrustes_factors(S_prev, S_local, diagnostics):
-    """The SVD factors U, V^H of S_local^H S_prev, Q = V U^H, with the
-    degenerate rotations counted (see procrustes_rotation)."""
     if S_prev.shape != S_local.shape:
         raise ValueError("estimates must have matching shapes")
-    U, sigma, Vh = _checked_svd(herm(S_local) @ S_prev)
+    U, sigma, V = economy_svd(herm(S_local) @ S_prev)
     if diagnostics is not None and sigma.shape[-1]:
         top = sigma[..., 0]
         degenerate = (top == 0.0) | (sigma[..., -1] <= 1e-12 * top)
         diagnostics.degenerate_rotations += int(np.count_nonzero(degenerate))
-    return U, Vh
+    return V @ herm(U)
 
 
 def rotate_and_average_step(
     S_prev: np.ndarray, S_local: np.ndarray, diagnostics=None
 ) -> np.ndarray:
-    """Align the local estimate onto the incoming one, S_local Q^H with
-    Q^H = U V^H straight from the factors, then average."""
-    U, Vh = _procrustes_factors(S_prev, S_local, diagnostics)
-    return 0.5 * (S_prev + S_local @ (U @ Vh))
+    """Align the local estimate onto the incoming one by the Procrustes
+    rotation Q, then average: (S_prev + S_local Q^H) / 2."""
+    Q = procrustes_rotation(S_prev, S_local, diagnostics)
+    return 0.5 * (S_prev + S_local @ herm(Q))
 
 
 def run_sequential_procrustes(
@@ -168,10 +178,10 @@ def estimate_oos_channels(zpsi: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
     singular value <= 1e-9 of the largest) is a NumericalFailure. The
     sweep calls it for seq_procrustes only (experiments._interferer_channels).
     """
-    U, sigma, Vh = _checked_svd(Sbar)
+    U, sigma, V = economy_svd(Sbar)
     if sigma.shape[-1] == 0 or np.any(sigma[..., -1] <= 1e-9 * sigma[..., 0]):
         raise DegeneracyError("shared-signal estimate is rank deficient")
-    return shared_matmul(zpsi, (U / sigma[..., None, :]) @ Vh)
+    return shared_matmul(zpsi, (U / sigma[..., None, :]) @ herm(V))
 
 
 def centralized_oos_oracle(zpsi: np.ndarray, K_I: int):

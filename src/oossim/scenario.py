@@ -27,6 +27,8 @@ import numpy as np
 DEFAULT_NOISE_FLOOR_DBW = -124.0
 # Ceiling on the largest large-scale gain over noise, in dB (see SystemConfig)
 MAX_GAIN_DB = 1200.0
+# Floor on the smallest one: the smallest normal float, in dB
+MIN_GAIN_DB = 10.0 * math.log10(sys.float_info.min)
 
 # Sub-stream tags for per-block reproducible RNGs.
 GEOMETRY_STREAM = 0
@@ -50,9 +52,13 @@ class SystemConfig:
     Every AP-node distance is at least hypot(ap_height_m, ue_margin_m),
     which must be positive: at distance 0 the path-loss gain has no bound.
     The largest gain over noise, path_loss_db at that distance minus
-    noise_floor_dbw, must not exceed MAX_GAIN_DB (1200 dB), so that
-    channel entries stay below about 1e60 and the Gramians the estimators
-    form stay finite.
+    noise_floor_dbw, and that gain times oos_snr must not exceed
+    MAX_GAIN_DB (1200 dB), so that channel entries and interferer signals
+    stay below about 1e60 and the Gramians the estimators form stay
+    finite. Every AP-node distance is at most far = hypot(area_side_m,
+    area_side_m, ap_height_m): 2 far^2 must be finite (the factor 2 covers
+    the rounding of build_geometry's sum of squares), and the gain over
+    noise at far at least MIN_GAIN_DB, so that it is a normal float.
     """
 
     L: int = 4
@@ -97,8 +103,6 @@ class SystemConfig:
         geometry = (self.area_side_m, self.ue_margin_m, self.ap_height_m, self.noise_floor_dbw)
         if not all(map(math.isfinite, geometry)):
             raise ValueError("geometry dimensions and noise_floor_dbw must be finite")
-        if not math.isfinite(4.0 * self.area_side_m):  # the perimeter _perimeter_points walks
-            raise ValueError("area_side_m is too large for a float: 4 * area_side_m overflows")
         if not (self.ap_height_m >= 0 and 0 <= self.ue_margin_m < self.area_side_m / 2):
             raise ValueError("need ap_height_m >= 0 and 0 <= ue_margin_m < area_side_m / 2")
         nearest = math.hypot(self.ap_height_m, self.ue_margin_m)
@@ -108,10 +112,20 @@ class SystemConfig:
                 "where the path-loss gain has no bound"
             )
         gain_db = path_loss_db(nearest) - self.noise_floor_dbw
-        if gain_db > MAX_GAIN_DB:
+        oos_db = gain_db + 10.0 * math.log10(self.oos_snr)
+        for name, db in (("noise_floor_dbw", gain_db), ("oos_snr", oos_db)):
+            if db > MAX_GAIN_DB:
+                raise ValueError(
+                    f"{name}={getattr(self, name)} gives {db:.2f} dB over noise "
+                    f"at the nearest AP-node distance, {nearest:g} m; at most {MAX_GAIN_DB:g} dB"
+                )
+        far = math.hypot(self.area_side_m, self.area_side_m, self.ap_height_m)
+        far_db = path_loss_db(far) - self.noise_floor_dbw
+        if not (math.isfinite(2.0 * far * far) and far_db >= MIN_GAIN_DB):
             raise ValueError(
-                f"noise_floor_dbw={self.noise_floor_dbw} gives {gain_db:.2f} dB over noise "
-                f"at the nearest AP-node distance, {nearest:g} m; at most {MAX_GAIN_DB:g} dB"
+                f"area_side_m, ap_height_m and noise_floor_dbw give {far_db:.2f} dB over noise "
+                f"at the farthest AP-node distance, up to {far:g} m; its square must be a "
+                f"float and its gain at least {MIN_GAIN_DB:.2f} dB"
             )
         check_sweep_size(self)  # before L sizes the AP order
         if not self.ap_order:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -1218,7 +1220,7 @@ class TestScreenedRoutes:
         if K_I <= zpsi.shape[-2]:
             return oos_estimation.local_svd_estimate(zpsi, K_I)[0]
         Vh = np.linalg.svd(zpsi, full_matrices=True)[2]
-        return numerics._fix_column_phases(herm(Vh[..., :K_I, :]))
+        return herm(Vh[..., :K_I, :])
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_matches_the_textbook_calls(self, name):
@@ -1252,6 +1254,75 @@ class TestScreenedRoutes:
         with mock.patch.object(np.linalg, "svd", spy):
             run_monte_carlo(spec)
         assert full and not any(full)
+
+
+class TestPhaseConvention:
+    """oos_estimation._fix_column_phases has one reader, local_processing,
+    which stacks the APs' local estimates as they are (local_svd_estimate).
+    Every other method sees them through a subspace or a unitary change of
+    basis, so without the convention only local_processing's rows move."""
+
+    SHAPES = {
+        "default": lambda detector: default_spec(detector=detector),
+        "L16_one_point": lambda detector: default_spec(
+            cfg=SystemConfig(L=16), snr_grid_db=(0.0,), detector=detector
+        ),
+        "overloaded": lambda detector: overloaded_interferers_spec(detector=detector),
+    }
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_only_local_processing_reads_it(self, shape, detector):
+        spec = with_trials(self.SHAPES[shape](detector), 6)
+        out = run_monte_carlo(spec)
+        with mock.patch.object(oos_estimation, "_fix_column_phases", lambda U, V: (U, V)):
+            bare = run_monte_carlo(spec)
+        assert bare.diagnostics == out.diagnostics
+
+        def rows_of(outcome, local):
+            return [r for r in outcome.rows if (r.method == "local_processing") == local]
+
+        assert rows_to_csv(rows_of(bare, local=False)) == rows_to_csv(rows_of(out, local=False))
+        # the overloaded spec has no local_processing rows to move
+        assert (rows_of(bare, local=True) != rows_of(out, local=True)) == (shape != "overloaded")
+
+
+# The (workload, seed) pairs of TestOneZfEstimator whose results differ
+# at oos_snr = 1e6
+ZF_DIFFER_AT_1E6 = {
+    ("paper_default", 0), ("paper_default", 2), ("long_chain_seq_ls", 0),
+    ("long_chain_seq_ls", 1), ("overloaded_dzf", 0), ("overloaded_dzf", 1),
+    ("overloaded_dzf", 2),
+}
+
+
+class TestOneZfEstimator:
+    """Distributed ZF, Gamma^{-1} sum_l A_l^H y_l, and centralized ZF,
+    pinv(A) y, are one estimator on the same augmented channels A, so
+    their results.csv agree wherever neither fails. At oos_snr = 1e6
+    distributed ZF's Gramian screen fails blocks that centralized ZF
+    detects, which the xfail cases pin until the screen is mended."""
+
+    CASES = [
+        pytest.param(
+            workload, seed, oos_snr,
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+            if oos_snr == 1e6 and (workload, seed) in ZF_DIFFER_AT_1E6 else (),
+        )
+        for oos_snr in (SystemConfig().oos_snr, 1e4, 1e6)
+        for workload in WORKLOADS
+        for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("workload, seed, oos_snr", CASES)
+    def test_distributed_zf_equals_centralized_zf(self, workload, seed, oos_snr):
+        spec = WORKLOADS[workload]
+        spec = replace(spec, cfg=replace(spec.cfg, trials=12, seed=seed, oos_snr=oos_snr))
+        distributed, centralized = (
+            rows_to_csv(run_monte_carlo(replace(spec, detector=detector)).rows)
+            for detector in ("distributed_zf", "centralized_zf")
+        )
+        assert distributed == centralized
 
 
 class TestStageTrace:
@@ -1426,25 +1497,85 @@ REAL_FIELDS = (
 )
 
 
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def bits_of_float(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def accepted(name: str, value: float) -> bool:
+    try:
+        SystemConfig(**{name: value})
+    except ValueError:
+        return False
+    return True
+
+
+@cache
+def accepted_bits(name: str, sign: int) -> tuple[int, int]:
+    """The bit patterns of the smallest and largest magnitude x for which
+    SystemConfig, its other fields at their defaults, accepts `name` =
+    sign * x, found by bisection from the default's magnitude (which it
+    accepts) out to the smallest subnormal and the largest float. The
+    accepted magnitudes on each side of the default form one interval."""
+    start = bits_of_float(abs(getattr(SystemConfig(), name)))
+    ends = []
+    for limit in (1, bits_of_float(sys.float_info.max)):
+        inside, outside = start, limit
+        if accepted(name, sign * float_of_bits(limit)):
+            inside = outside
+        while abs(outside - inside) > 1:
+            middle = (inside + outside) // 2
+            if accepted(name, sign * float_of_bits(middle)):
+                inside = middle
+            else:
+                outside = middle
+        ends.append(inside)
+    return ends[0], ends[1]
+
+
+# rho is not drawn: a spec holds it at 1.0 (its SNR points set the
+# uplink power), and load_table sets it to 1.0
+DRAWN_REAL_FIELDS = tuple(name for name in REAL_FIELDS if name != "rho")
+
+
+@st.composite
+def one_accepted_float_field(draw):
+    """(name, value): one float field of SystemConfig drawn log-uniformly
+    over the values it accepts with the other fields at their defaults,
+    of either sign that it accepts. Positive floats are ordered as their
+    bit patterns, whose high bits are the exponent, so a pattern drawn
+    uniformly between those of the range's ends is uniform in the
+    exponent over the whole range."""
+    name = draw(st.sampled_from(DRAWN_REAL_FIELDS))
+    magnitude = abs(getattr(SystemConfig(), name))
+    sign = draw(st.sampled_from([s for s in (1, -1) if accepted(name, s * magnitude)]))
+    return name, sign * float_of_bits(draw(st.integers(*accepted_bits(name, sign))))
+
+
 @st.composite
 def oversized_spec_dicts(draw):
     """default_spec()'s dict with one or two fields out of range: a size
     of 2^30 to 2^80 (tau_p and tau_c then raised so that the sizes stay
     consistent), a real field or SNR point too large for a float, or a
-    float area side whose perimeter, 4 * area_side_m, is not. L starts at
-    2^63, which range() refuses at once, so that no code, with or without
-    a size check, builds an AP order of L entries here."""
+    float oos_snr, area side or AP height above its bound (drawn as in
+    one_accepted_float_field). L starts at 2^63, which range() refuses at
+    once, so that no code, with or without a size check, builds an AP
+    order of L entries here."""
     d = default_spec().to_dict()
     cfg = d["cfg"]
-    fields = st.sampled_from(SIZE_FIELDS + REAL_FIELDS + ("snr_grid_db", "perimeter"))
+    fields = st.sampled_from(SIZE_FIELDS + REAL_FIELDS + ("snr_grid_db", "bound"))
     for name in draw(st.lists(fields, min_size=1, max_size=2, unique=True)):
         if name in SIZE_FIELDS:
             cfg[name] = draw(st.integers(2**63 if name == "L" else 2**30, 2**80))
         elif name in REAL_FIELDS:
             cfg[name] = draw(st.integers(2**1024, 2**1100)) * draw(st.sampled_from((1, -1)))
-        elif name == "perimeter":
-            top = sys.float_info.max
-            cfg["area_side_m"] = draw(st.floats(top / 4, top, exclude_min=True))
+        elif name == "bound":
+            field = draw(st.sampled_from(("oos_snr", "area_side_m", "ap_height_m")))
+            above = accepted_bits(field, 1)[1] + 1
+            cfg[field] = float_of_bits(draw(st.integers(above, bits_of_float(sys.float_info.max))))
         else:
             d[name] = [-10.0, draw(st.integers(2**1024, 2**1100))]
     cfg["tau_p"] = max(cfg["tau_p"], cfg["K"] + cfg["K_I"])
@@ -1486,8 +1617,11 @@ class TestSweepSize:
     @example(d={"cfg": {"L": 2**70}})
     @example(d={"cfg": {"tau_p": 2**70, "tau_c": 2**70 + 1, "K_I": 0}})
     @example(d={"cfg": {"area_side_m": 5e307}})
+    @example(d={"cfg": {"oos_snr": 1e300}})
+    @example(d={"cfg": {"ap_height_m": 1e200}})
+    @example(d={"cfg": {"area_side_m": 1e160}})
     def test_an_oversized_spec_is_rejected_as_it_is_built(self, d):
-        with pytest.raises(ValueError, match="bytes|too large for a float"):
+        with pytest.raises(ValueError, match="bytes|too large for a float|dB over noise"):
             ExperimentSpec.from_dict(d)
 
     def test_the_bound_is_on_the_total(self, monkeypatch):
@@ -1530,6 +1664,19 @@ class TestSweepSize:
 
 
 class TestConfigEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(field=one_accepted_float_field(), detector=st.sampled_from(DETECTORS))
+    @example(field=("ap_height_m", 0.0), detector="distributed_zf")
+    @example(field=("ue_margin_m", 0.0), detector="sequential_ls")
+    @example(field=("noise_floor_dbw", 0.0), detector="centralized_zf")
+    def test_an_accepted_float_field_runs_without_a_warning(self, field, detector):
+        # a one-block sweep and the load table under the suite's
+        # warnings-as-errors, where a numpy overflow raises
+        name, value = field
+        cfg = SystemConfig(trials=1, **{name: value})
+        run_monte_carlo(default_spec(cfg=cfg, detector=detector))
+        load_table(cfg, detector)
+
     @settings(max_examples=100, deadline=None)
     @given(spec=tiny_valid_specs())
     # a channel Gramian and a sequential LS information matrix that fail
@@ -1915,6 +2062,12 @@ class TestCli:
             ["report", "--override", "cfg.rho=1" + "0" * 5000],
             ["run", "--trials", "2", "--override", "cfg.area_side_m=5e307"],
             ["report", "--override", "cfg.area_side_m=1e308"],
+            ["run", "--trials", "2", "--override", "cfg.oos_snr=1e300"],
+            ["report", "--override", "cfg.oos_snr=1e300"],
+            ["run", "--trials", "2", "--override", "cfg.ap_height_m=1e200"],
+            ["report", "--override", "cfg.ap_height_m=1e200"],
+            ["run", "--trials", "2", "--override", "cfg.area_side_m=1e160"],
+            ["report", "--override", "cfg.area_side_m=1e160"],
         ],
     )
     def test_malformed_overrides_rejected_in_one_line(self, tmp_path, capsys, argv):

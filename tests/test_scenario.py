@@ -11,6 +11,7 @@ from conftest import make_cfg, unit_geometry
 from oossim.numerics import herm
 from oossim.scenario import (
     MAX_GAIN_DB,
+    MIN_GAIN_DB,
     SystemConfig,
     block_rng,
     build_geometry,
@@ -90,6 +91,28 @@ class TestSystemConfig:
             with pytest.raises(ValueError, match="ap_height_m and ue_margin_m"):
                 SystemConfig(ap_height_m=0.0, ue_margin_m=0.0, noise_floor_dbw=floor)
         SystemConfig(ap_height_m=0.0, ue_margin_m=1.0)
+
+    def test_oos_snr_bounds_the_interferers_largest_gain(self):
+        # the interferers' largest received power over noise, at the
+        # nearest AP-node distance of the defaults, is held to MAX_GAIN_DB
+        nearest_db = float(path_loss_db(math.hypot(5.0, 10.0))) + 124.0
+        ceiling = 10 ** ((MAX_GAIN_DB - nearest_db) / 10)
+        assert SystemConfig(oos_snr=0.999 * ceiling).oos_snr == 0.999 * ceiling
+        for floor, oos_snr in ((-124.0, 1.001 * ceiling), (nearest_db - 124.0 - MAX_GAIN_DB, 2.0)):
+            with pytest.raises(ValueError, match="oos_snr=.* dB over noise"):
+                SystemConfig(oos_snr=oos_snr, noise_floor_dbw=floor)
+
+    def test_the_farthest_distance_bounds_the_geometry(self):
+        # its square stays finite, and its gain over noise a normal float
+        floor = float(path_loss_db(math.hypot(500.0, 500.0, 5.0))) - MIN_GAIN_DB
+        assert SystemConfig(noise_floor_dbw=floor - 1e-9).noise_floor_dbw == floor - 1e-9
+        message = "area_side_m, ap_height_m and noise_floor_dbw give .* farthest AP-node distance"
+        for fields in (
+            dict(area_side_m=1e160), dict(ap_height_m=1e200), dict(area_side_m=5e307),
+            dict(noise_floor_dbw=floor + 1e-9), dict(area_side_m=1e100),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SystemConfig(**fields)
 
     def test_noise_floor_scales_gains(self, rng):
         base = build_geometry(SystemConfig(noise_floor_dbw=0.0), np.random.default_rng(3))
