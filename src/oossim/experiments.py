@@ -313,8 +313,10 @@ def _channel_side(detector, aug, cfg, chain):
     """What `detector` needs of the augmented channels `aug` (M, ..., L,
     N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
     with aug's leading axes. Each keeps the UE rows of its filter (which
-    zf_filter forms alone), Gramian inverse or error covariance, copied,
-    so that a side that a span's chunks share holds no whole one. The two
+    zf_filter forms alone, factoring aug whole as detect_centralized does
+    for a batch without symbols; the sweep forms centralized ZF's side in
+    _zf_side), Gramian inverse or error covariance, copied, so that a
+    side that a span's chunks share holds no whole one. The two
     chain detectors also carry herm(aug), conjugated here once for every
     SNR point, and only once their rows are formed, so that it is not
     alive during that pass."""
@@ -364,7 +366,8 @@ class _Sweep:
 
     A span counts one call of estimate.local_svd and of each
     estimate.<method>, and one of channel_side.<detector> per width
-    group under a chain detector, per method under centralized ZF. Each
+    group under a chain detector; under centralized ZF, one for the
+    methods that share the pilot LS estimates and one for the genie. Each
     of its chunks counts two of draw (its channels, with the span's
     geometry in the first chunk's, then its payload) and one of pilot;
     each chunk and point, one of apply.<detector> (forming the point's
@@ -532,31 +535,48 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     methods whose augmented channels have the same width (K, or K + K_I
     with an interferer estimate), stacked along a leading method axis, the
     genie in a group of its own. Centralized ZF's filter rows are L N wide
-    whatever the width, so each method gets a side alone, whose K UE rows
-    go into its slot of one block-major filter (P, B, M K, L N): no QR
-    holds more than one method's channels, and one product per block
-    detects every method."""
+    whatever the width, so all methods share one side, a block-major
+    filter (P, B, M K, L N) that one product per block applies
+    (_zf_side)."""
     spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
-    merged = detector == "centralized_zf"
+    if detector == "centralized_zf":
+        return [(list(ghats), (_zf_side(sweep, span, est, ghats),))]
     groups: dict[tuple, list] = {}
     for m in ghats:
         method = spec.methods[m]
-        key = (_augmented_width(method, cfg), method == GENIE, m if merged else None)
-        groups.setdefault(key, []).append(m)
-    P, B, L, N, K = est.shape
-    F = np.empty((P, B, len(ghats), K, L * N), dtype=complex) if merged else None
+        groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
+    P = len(est)
     sides = []
-    for slot, ((width, genie, _), members) in enumerate(groups.items()):
+    for (width, genie), members in groups.items():
         aug = _augmented_stack([ghats[m] for m in members], span.H[None] if genie else est, width)
         side = _channel_side(detector, aug, cfg, sweep.chain)
-        if merged:
-            F[:, :, slot] = side[0][0]  # broadcasts the genie's one point
-        else:
-            shape = (len(members), P)  # a view: the genie's one point serves all
-            sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
+        shape = (len(members), P)  # a view: the genie's one point serves all
+        sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
         del aug, side  # not alive while the next side is formed
         sweep.lap(f"channel_side.{detector}")
-    return [(list(ghats), (F.reshape(P, B, -1, L * N),))] if merged else sides
+    return sides
+
+
+def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:
+    """Centralized ZF's side of the methods of `ghats` (_channel_sides):
+    each method's K UE rows (uplink.zf_filters) in its slot of one
+    block-major filter (P, B, M K, L N). The methods but the genie share
+    the pilot LS estimates `est`, which are factored once for all of
+    them, and their rows are written into their slots; the genie's UE
+    channels are the true H, factored on the blocks alone and broadcast
+    to every point."""
+    P, B, L, N, K = est.shape
+    F = np.empty((P, B, len(ghats), K, L * N), dtype=complex)
+    slots = {m: F[:, :, slot] for slot, m in enumerate(ghats)}
+    genie = [m for m in ghats if sweep.spec.methods[m] == GENIE]
+    shared = [m for m in ghats if m not in genie]
+    if shared:
+        uplink.zf_filters(est, [ghats[m] for m in shared], K, [slots[m] for m in shared])
+        sweep.lap("channel_side.centralized_zf")
+    for m in genie:
+        slots[m][...] = uplink.zf_filters(span.H[None], [ghats[m]], K)[0]
+        sweep.lap("channel_side.centralized_zf")
+    return F.reshape(P, B, -1, L * N)
 
 
 def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals):
@@ -585,8 +605,10 @@ def _score(ue, truth, methods: int) -> np.ndarray:
     or centralized ZF's block-major (B, M K, T). `truth` is
     uplink.positive_parts of the payload symbols (B, K, T)."""
     parts = uplink.positive_parts(ue)
-    if parts.ndim == truth.ndim:  # block-major
-        parts = parts.reshape(len(truth), methods, *truth.shape[1:]).swapaxes(0, 1)
+    if parts.ndim == truth.ndim:  # block-major: compared method-major, counted per method
+        parts = parts.reshape(len(truth), methods, -1).swapaxes(0, 1)
+        wrong = parts != truth.reshape(len(truth), -1)
+        return np.array([np.count_nonzero(w) for w in wrong])
     return (parts != truth).sum(axis=(1, 2, 3))
 
 

@@ -31,8 +31,10 @@ screen alone for inverse_gramian):
   of A's first `rank` columns (RANGE_RTOL) -> eigh;
 - hermitian_top_eigvectors, `rank` >= n: orthogonal iteration on A^2 and
   Rayleigh-Ritz, Davis-Kahan screen (SUBSPACE_STEPS, SUBSPACE_RTOL) -> eigh;
-- uplink.zf_filter, a tall A: its Householder QR, screened on the bounds
-  that R gives for A's singular values (PINV_RTOL) -> pseudo_inverse;
+- uplink.zf_filters, a tall A = [E, G]: one Householder QR of the UE
+  columns E for every method that shares them and one of each method's
+  K_I-column residual, screened on the bounds that the block R gives for
+  A's singular values (PINV_RTOL) -> pseudo_inverse;
 - inverse_gramian: the bound ||gamma||_F ||gamma^{-1}||_F on the
   condition number, from the inverse (GRAMIAN_RCOND) -> the eigvalsh
   screen.
@@ -98,12 +100,14 @@ def _lapack(failure: str, routine, *args, **kwargs):
         raise NumericalFailure(failure) from exc
 
 
-def _refit(doubt: np.ndarray, outputs: tuple, textbook, A: np.ndarray) -> None:
-    """Write textbook(A[doubt]), one array per entry of `outputs`, into
-    the `doubt` slots of those arrays: a screened route's per-matrix
-    fallback, which leaves every other matrix's bits as they were."""
+def _refit(doubt: np.ndarray, outputs: tuple, textbook, *inputs: np.ndarray) -> None:
+    """Write textbook(*(x[doubt] for x in inputs)), one array per entry of
+    `outputs`, into the `doubt` slots of those arrays: a screened route's
+    per-matrix fallback, which leaves every other matrix's bits as they
+    were."""
     if doubt.any():
-        for out, value in zip(outputs, textbook(A[doubt]), strict=True):
+        values = textbook(*(x[doubt] for x in inputs))
+        for out, value in zip(outputs, values, strict=True):
             out[doubt] = value
 
 

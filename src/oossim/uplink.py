@@ -13,20 +13,31 @@ ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 The augmented channels may carry more stack axes (numerics) than the
 payload: channels (M, B, L, N, m) of M methods against a payload
 (B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
-never copied per method. Centralized ZF's filter rows are L N wide
-whatever m, so the sweep stacks the K UE rows of its M methods
+never copied per method. Centralized ZF's channel side, zf_filters,
+factors the UE columns once for every method that shares them and each
+method's interferer columns apart (a block QR). Its filter rows are L N
+wide whatever m, so the sweep stacks the K UE rows of its M methods
 block-major, (B, M K, L N), and apply_zf_filter detects them all with one
 product per block: (B, M K, T).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fronthaul import Chain, add_and_forward, add_gramian, hermitian_symbols, vector_symbols
-from .numerics import PINV_RTOL, _lapack, _refit, herm, inverse_gramian, pseudo_inverse
+from .numerics import (
+    PINV_RTOL,
+    _lapack,
+    _refit,
+    _squared_norms,
+    herm,
+    inverse_gramian,
+    pseudo_inverse,
+)
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -184,42 +195,149 @@ def detect_distributed_zf(
     return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
 
 
-def zf_filter(aug: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Channel side of centralized ZF: the pseudo-inverse (..., m, L N) of
-    the stacked network-wide channel matrix A (..., L N, m), or its first
-    `rows` rows alone (..., rows, L N), formed alone and owning its data.
-    Two or more rows have the bits they have in the whole filter (the
-    stack rule, numerics).
+def zf_filters(ue, interferers, rows=None, out=None) -> list:
+    """Channel side of centralized ZF for methods that share their UE
+    channels: for each entry of `interferers`, the first `rows` rows (all
+    by default) of the pseudo-inverse (..., rows, L N) of the stacked
+    network-wide matrix A = [E, G] (..., L N, K + K_I). E holds the UE
+    channels `ue` (..., L, N, K); G holds the entry, interferer channels
+    (..., L, N, K_I) that broadcast against ue's stack axes (one shape
+    for all entries), or None for a method that detects over E alone.
+    Written into `out`'s arrays, one per entry, when given; returns the
+    list of filters.
 
-    A tall A goes through one Householder QR of the whole stack, A = Q R,
-    and gets F = R^{-1} Q^H, its pseudo-inverse at full column rank. Each
-    matrix is screened with pseudo_inverse's rtol = PINV_RTOL on bounds
-    that R gives for A's singular values: min|r_ii| <= rtol max|r_ii|
-    means the SVD would drop one (sigma_min <= min|r_ii| <= max|r_ii| <=
-    sigma_max), and ||R||_F ||R^{-1}||_F rtol < 1 means it keeps them all
-    (cond(A) <= ||R||_F ||R^{-1}||_F), so both routes agree to rounding.
-    A matrix that fails either test gets pseudo_inverse (numerics._refit);
-    a wide A (L N < m) goes to pseudo_inverse whole.
+    E is factored once for every method by a Householder QR, E = Q1 R11,
+    and each G by one K_I-column QR of its residual, G - Q1 C = Q2 R22
+    with C = Q1^H G, so A = [Q1, Q2] R with R = [[R11, C], [0, R22]]
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 5.2). At full
+    column rank F = R^{-1} [Q1, Q2]^H: the UE rows R11^{-1} Q1^H - X Q2^H
+    with X = R11^{-1} C R22^{-1}, and the interferer rows R22^{-1} Q2^H;
+    without G, R11^{-1} Q1^H alone. Only R22 is kept of the residual's
+    QR, and Q2^H = R22^{-H} W^H from the residual W itself. The block
+    Gram-Schmidt step and that Q2 each leave [Q1, Q2] off orthonormal by
+    about eps cond(A), and F off by as much, relatively.
+
+    Each matrix is screened with pseudo_inverse's rtol = PINV_RTOL on
+    bounds that the triangular R gives for A's singular values: min|r_ii|
+    <= rtol max|r_ii| over diag(R11) and diag(R22) means the SVD would
+    drop one (sigma_min <= min|r_ii| <= max|r_ii| <= sigma_max), and
+    ||R||_F ||R^{-1}||_F rtol < 1, both norms summed over the blocks,
+    means it keeps them all (cond(A) <= ||R||_F ||R^{-1}||_F), so both
+    routes agree to rounding. A matrix that fails either test gets
+    pseudo_inverse (numerics._refit); a wide A (L N < K + K_I) goes to
+    pseudo_inverse whole.
     """
-    *stack, L, N, m = aug.shape
-    A = aug.reshape(*stack, L * N, m)
-    if L * N < m:
-        return pseudo_inverse(A)[..., :rows, :].copy()
-    Q, R = _lapack("QR pseudo-inverse failed", np.linalg.qr, A)
-    pivots = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    # a NaN pivot counts as singular, so pseudo_inverse rejects a non-finite A
-    singular = ~(pivots.min(axis=-1) > PINV_RTOL * pivots.max(axis=-1))
+    *stack, L, N, K = ue.shape
+    n = L * N
+    E = ue.reshape(*stack, n, K)
+    Gs = [
+        None if G is None or G.shape[-1] == 0 else G.reshape(*G.shape[:-3], n, G.shape[-1])
+        for G in interferers
+    ]
+    shapes = [tuple(stack) if G is None else np.broadcast_shapes(stack, G.shape[:-2]) for G in Gs]
+    widths = [K if G is None else K + G.shape[-1] for G in Gs]
+    if out is None:
+        out = [
+            np.empty((*shape, w if rows is None else min(rows, w), n), dtype=complex)
+            for shape, w in zip(shapes, widths)
+        ]
+    top = K if rows is None else min(rows, K)
+    alone = [i for i, G in enumerate(Gs) if G is None and n >= K]
+    paired = [i for i, G in enumerate(Gs) if G is not None and n >= widths[i]]
+    # an overflowing or non-finite A fails the screen without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # a singular R is swapped for I so that inv never sees it
-        R = np.where(singular[..., None, None], np.eye(m), R)
-        R_inv = _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
-        cond_bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
-    Q_h = herm(Q)
-    del Q  # so that no more than A, Q^H and F are alive at once
-    F = R_inv[..., :rows, :] @ Q_h
-    doubt = singular | ~(cond_bound * PINV_RTOL < 1)
-    _refit(doubt, (F,), lambda A: (pseudo_inverse(A)[..., :rows, :],), A)
-    return F
+        for G, F, shape, w in zip(Gs, out, shapes, widths):
+            if n < w:
+                A = E if G is None else np.concatenate(_broadcast_stack(shape, E, G), axis=-1)
+                F[...] = pseudo_inverse(A)[..., : F.shape[-2], :]
+        if not alone + paired:
+            return out
+        Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
+        Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
+        pivots = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
+        R11_inv, R11_norms = _screened_inverse(R11, pivots)
+        del R11
+        first = R11_inv[..., :top, :] @ Q1_h  # the first term, R11^{-1} Q1^H
+        if paired:
+            G = np.stack([Gs[i] for i in paired])
+            # a leading method axis, before the stack axes of ue and G
+            G = G.reshape(len(paired), *(1,) * (len(stack) - G.ndim + 3), *G.shape[1:])
+            C = Q1_h @ G
+            W_h = np.matmul(herm(C), Q1_h)  # the residual W, conjugate transposed
+            np.subtract(herm(G), W_h, out=W_h)
+        del Q1, Q1_h  # not alive during the residuals' QR
+        if paired:
+            W = W_h.swapaxes(-1, -2)  # conj(W), whose R is conj(R22)
+            R22 = np.conj(_lapack("QR pseudo-inverse failed", np.linalg.qr, W, "r"))
+            pivots22 = np.abs(np.diagonal(R22, axis1=-2, axis2=-1))
+            R22_inv, R22_norms = _screened_inverse(R22, pivots, pivots22)
+            X = R11_inv @ C @ R22_inv
+            C_norms = _squared_norms(C), _squared_norms(X)
+            doubt = _doubt((R11_norms, C_norms, R22_norms), pivots, pivots22)
+            R22_inv_h = herm(R22_inv)
+            Y = X[..., :top, :] @ R22_inv_h  # X Q2^H = Y W^H
+            del G, C, R22, X, W
+            for j, i in enumerate(paired):
+                F, r = out[i], out[i].shape[-2]
+                # formed apart, then copied: a ufunc on a strided F buffers
+                ue_rows = Y[j] @ W_h[j]
+                F[..., :top, :] = np.subtract(first, ue_rows, out=ue_rows)
+                del ue_rows
+                if r > K:
+                    np.matmul(R22_inv[j, ..., : r - K, :] @ R22_inv_h[j], W_h[j], out=F[..., K:, :])
+                _refit(
+                    doubt[j],
+                    (F,),
+                    lambda E, G: (pseudo_inverse(np.concatenate((E, G), axis=-1))[..., :r, :],),
+                    *_broadcast_stack(shapes[i], E, Gs[i]),
+                )
+        for i in alone:
+            F, r = out[i], out[i].shape[-2]
+            F[...] = first
+            _refit(_doubt((R11_norms,), pivots), (F,), lambda E: (pseudo_inverse(E)[..., :r, :],), E)
+    return out
+
+
+def _broadcast_stack(shape, *matrices):
+    """Each of `matrices` broadcast to the stack axes `shape` (views)."""
+    return [np.broadcast_to(M, (*shape, *M.shape[-2:])) for M in matrices]
+
+
+def _screened_inverse(R, *pivots):
+    """The inverse of every triangular R of a stack whose `pivots` (the
+    |r_ii| of R and of the blocks that share its screen) pass zf_filters'
+    pivot test, I for the others, so that inv never sees a singular R;
+    and the squared Frobenius norms of R and of that inverse."""
+    singular = _singular(*pivots)
+    R = np.where(singular[..., None, None], np.eye(R.shape[-1]), R)
+    R_inv = _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
+    return R_inv, (_squared_norms(R), _squared_norms(R_inv))
+
+
+def _singular(*pivots):
+    """zf_filters' pivot test on the |r_ii| of the blocks `pivots`:
+    min|r_ii| <= PINV_RTOL max|r_ii|; a NaN pivot counts as singular, so
+    pseudo_inverse rejects a non-finite A."""
+    low = functools.reduce(np.minimum, [p.min(axis=-1) for p in pivots])
+    high = functools.reduce(np.maximum, [p.max(axis=-1) for p in pivots])
+    return ~(low > PINV_RTOL * high)
+
+
+def _doubt(norms, *pivots):
+    """The matrices that fail zf_filters' screen, from the squared norms
+    (of a block, of its block of R^{-1}) of R's blocks and their pivots."""
+    bound = sum(a for a, _ in norms) * sum(b for _, b in norms)
+    return _singular(*pivots) | ~(bound * PINV_RTOL**2 < 1)
+
+
+def zf_filter(aug: np.ndarray, rows: int | None = None, ues: int | None = None) -> np.ndarray:
+    """zf_filters on one stack of augmented channels aug (..., L, N, m),
+    whose first `ues` columns (all by default) are the UE channels: the
+    first `rows` rows (..., rows, L N) of its pseudo-inverse, owning its
+    data. Two or more rows have the bits they have in the whole filter
+    (the stack rule, numerics)."""
+    K = aug.shape[-1] if ues is None else ues
+    return zf_filters(aug[..., :K], [aug[..., K:]], rows)[0]
 
 
 def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -230,8 +348,13 @@ def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseline on the stacked network-wide channel matrix."""
-    return apply_zf_filter(batch.y, zf_filter(aug))
+    """Zero-forcing baseline on the stacked network-wide channel matrix:
+    every row of zf_filter, whose UE columns are the first K of aug for
+    the K UEs of batch.x, as the sweep factors them; a batch without
+    symbols (x None) names no UEs, and all of aug's columns are factored
+    as one block."""
+    ues = None if batch.x is None else batch.x.shape[-2]
+    return apply_zf_filter(batch.y, zf_filter(aug, ues=ues))
 
 
 def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -119,18 +119,24 @@ def fail_centralized_detection(monkeypatch, spec, block):
     monkeypatch.setattr(uplink, "apply_zf_filter", flaky)
 
 
-def fail_zf_channel_side(monkeypatch, cfg, mark, columns):
-    """Make centralized ZF's channel side fail whenever its augmented
-    channels of K + K_I columns hold `mark` in their columns `columns`
-    (a slice)."""
-    original = uplink.zf_filter
+def fail_zf_channel_side(monkeypatch, ue_mark=None, interferer_mark=None):
+    """Make centralized ZF's channel side fail whenever one of its methods
+    detects over interferer channels too, its UE channels hold `ue_mark`
+    and that method's interferer channels hold `interferer_mark` (each a
+    matrix of one AP; None matches any)."""
+    original = uplink.zf_filters
 
-    def flaky(aug, rows=None):
-        if aug.shape[-1] == cfg.K + cfg.K_I and holds(aug[..., columns], mark):
+    def matches(stack, mark):
+        return mark is None or holds(stack, mark)
+
+    def flaky(ue, interferers, rows=None, out=None):
+        if matches(ue, ue_mark) and any(
+            G is not None and matches(G, interferer_mark) for G in interferers
+        ):
             raise NumericalFailure("injected channel-side failure")
-        return original(aug, rows)
+        return original(ue, interferers, rows, out)
 
-    monkeypatch.setattr(uplink, "zf_filter", flaky)
+    monkeypatch.setattr(uplink, "zf_filters", flaky)
 
 
 def fail_genie_detection(monkeypatch, spec, block):
@@ -138,8 +144,7 @@ def fail_genie_detection(monkeypatch, spec, block):
     channels hold the genie's on `block` (the true channels of the
     block's first AP), so only centralized_genie fails there."""
     drawn = drawn_block(spec.cfg, block)
-    mark = np.concatenate([drawn.H[0], drawn.G[0]], axis=-1)
-    fail_zf_channel_side(monkeypatch, spec.cfg, mark, slice(None))
+    fail_zf_channel_side(monkeypatch, drawn.H[0], drawn.G[0])
 
 
 def fail_gramian_detection(monkeypatch, spec, block):
@@ -151,8 +156,7 @@ def fail_gramian_detection(monkeypatch, spec, block):
     cfg = spec.cfg
     drawn = drawn_block(cfg, block)
     zpsi = compute_projected_residual(pilot_interference(drawn), build_pilot_book(cfg))
-    mark = gramian_channels(drawn, zpsi, cfg)[0]
-    fail_zf_channel_side(monkeypatch, cfg, mark, slice(cfg.K, None))
+    fail_zf_channel_side(monkeypatch, interferer_mark=gramian_channels(drawn, zpsi, cfg)[0])
 
 
 def gramian_channels(drawn, zpsi, cfg):
@@ -171,7 +175,7 @@ def fail_estimates_at(monkeypatch, spec, snr_db, block):
     cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
     pilots = build_pilot_book(cfg)
     mark = ls_channel_estimate(simulate_pilot_rx(drawn_block(cfg, block), pilots, cfg), pilots, cfg)
-    fail_zf_channel_side(monkeypatch, cfg, mark[0], slice(None, cfg.K))
+    fail_zf_channel_side(monkeypatch, ue_mark=mark[0])
 
 
 def fail_sequential_ls_solve(monkeypatch, spec, snr_db, block):
@@ -582,7 +586,7 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize(
         ("build", "detector", "side", "apply", "groups", "applies"),
         [
-            (default_spec, "centralized_zf", "zf_filter", "apply_zf_filter", 4, 1),
+            (default_spec, "centralized_zf", "zf_filters", "apply_zf_filter", 1, 1),
             (overloaded_interferers_spec, "distributed_zf", "inverse_gramian", "apply_chain", 1, 2),
             (default_spec, "sequential_ls", "sequential_ls_covariance", "apply_chain", 2, 3),
         ],
@@ -595,8 +599,9 @@ class TestRunMonteCarlo:
         # in the overloaded spec all three methods share one. A group's
         # channel side runs once per span whatever the number of SNR
         # points. The genie, whose channel side does not depend on the
-        # point, has its own. Centralized ZF forms each method's side
-        # alone, so its four other methods count as four groups. A chain
+        # point, has its own. Centralized ZF factors the pilot LS
+        # estimates once for its four other methods, so they count as one
+        # group whatever their widths. A chain
         # detector's groups each apply once per chunk and point;
         # centralized ZF's methods, merged into one filter, apply once per
         # chunk and point together.
@@ -614,43 +619,53 @@ class TestRunMonteCarlo:
     def test_genie_channel_side_runs_once_per_span(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=("centralized_genie",))
         spec, shapes = with_trials(spec, MULTI_SPAN_TRIALS), []
-        original = uplink.zf_filter
+        original = uplink.zf_filters
 
-        def spy(aug, rows=None):
-            shapes.append(aug.shape)
-            return original(aug, rows)
+        def spy(ue, interferers, rows=None, out=None):
+            shapes.append((ue.shape, [G.shape for G in interferers]))
+            return original(ue, interferers, rows, out)
 
-        monkeypatch.setattr(uplink, "zf_filter", spy)
+        monkeypatch.setattr(uplink, "zf_filters", spy)
         run_monte_carlo(spec)
         cfg = spec.cfg
-        assert shapes == [(1, 1, n, cfg.L, cfg.N, cfg.K + cfg.K_I) for n in (16, 5)]
+        assert shapes == [
+            ((1, n, cfg.L, cfg.N, cfg.K), [(n, cfg.L, cfg.N, cfg.K_I)]) for n in (16, 5)
+        ]
 
-    def test_centralized_zf_forms_each_methods_side_alone(self, monkeypatch):
-        # no QR holds more than one method's channels: every zf_filter call
-        # of the sweep has a leading method axis of 1, in a span and in a
-        # failed span's reruns. seq_procrustes fails on block 3, so the
-        # first span (blocks 0-15) reruns block by block, point by point;
-        # the second (16-20) forms each method's side on every point, the
-        # genie's on one.
+    def test_centralized_zf_factors_the_ue_estimates_once_per_span(self, monkeypatch):
+        # one zf_filters call per span takes the pilot LS estimates of
+        # every point and block with all methods but the genie, whose own
+        # call takes the true channels on one point; a failed span's
+        # reruns take each method alone. seq_procrustes fails on block 3,
+        # so the first span (blocks 0-15) reruns block by block, point by
+        # point; the second (16-20) does not.
         spec = with_trials(default_spec(snr_grid_db=(-4.0, 0.0, 4.0)), MULTI_SPAN_TRIALS)
         fail_procrustes_fold(monkeypatch, spec.cfg, block=3)
-        shapes, original = [], uplink.zf_filter
+        calls, original = [], uplink.zf_filters
 
-        def spy(aug, rows=None):
-            shapes.append(aug.shape)
-            return original(aug, rows)
+        def spy(ue, interferers, rows=None, out=None):
+            interferer_shapes = [None if G is None else G.shape for G in interferers]
+            calls.append((ue.shape, interferer_shapes))
+            return original(ue, interferers, rows, out)
 
-        monkeypatch.setattr(uplink, "zf_filter", spy)
+        monkeypatch.setattr(uplink, "zf_filters", spy)
         run_monte_carlo(spec)
         cfg = spec.cfg
-        widths = {m: experiments._augmented_width(m, cfg) for m in spec.methods}
+
+        def call(points, blocks, methods):
+            interferers = [
+                None if m == "no_suppression" else (blocks, cfg.L, cfg.N, cfg.K_I)
+                for m in methods
+            ]
+            return ((points, blocks, cfg.L, cfg.N, cfg.K), interferers)
+
         rerun = [
-            (1, 1, 1, cfg.L, cfg.N, widths[m])
+            call(1, 1, [m])
             for b in range(experiments.SPAN_BLOCKS) for m in spec.methods for _ in range(3)
             if (m, b) != ("seq_procrustes", 3)
         ]
-        span = [(1, 1 if m == GENIE else 3, 5, cfg.L, cfg.N, widths[m]) for m in spec.methods]
-        assert shapes == rerun + span
+        span = [call(3, 5, [m for m in spec.methods if m != GENIE]), call(1, 5, [GENIE])]
+        assert calls == rerun + span
 
     def test_genie_pairs_each_point_and_block_with_its_own_detection(self, monkeypatch):
         # at every (point, block), the genie's UE estimates are centralized
@@ -1209,9 +1224,22 @@ class TestScreenedRoutes:
             return rows_to_csv(run_monte_carlo(spec).rows), seen
 
     @staticmethod
-    def stacked_pseudo_inverse(aug, rows=None):
-        *stack, L, N, m = aug.shape
-        return numerics.pseudo_inverse(aug.reshape(*stack, L * N, m))[..., :rows, :]
+    def stacked_pseudo_inverse(ue, interferers, rows=None, out=None):
+        """uplink.zf_filters by pseudo_inverse of each [E, G], whole."""
+        *stack, L, N, K = ue.shape
+        filters = []
+        for G in interferers:
+            G = np.zeros((*ue.shape[:-1], 0)) if G is None else G
+            shape = np.broadcast_shapes(ue.shape[:-1], G.shape[:-1])
+            aug = np.concatenate(
+                [np.broadcast_to(ue, (*shape, K)), np.broadcast_to(G, (*shape, G.shape[-1]))],
+                axis=-1,
+            )
+            A = aug.reshape(*shape[:-2], L * N, aug.shape[-1])
+            filters.append(numerics.pseudo_inverse(A)[..., :rows, :])
+        for F, pinv in zip(out or (), filters):
+            F[...] = pinv
+        return filters if out is None else out
 
     @staticmethod
     def full_svd_basis(zpsi, K_I):
@@ -1229,7 +1257,7 @@ class TestScreenedRoutes:
         csv_text, screened = self.estimates(spec)
         with mock.patch.multiple(numerics, GRAM_RTOL=math.inf, RANGE_RTOL=0.0, SUBSPACE_RTOL=0.0):
             with (
-                mock.patch.object(uplink, "zf_filter", self.stacked_pseudo_inverse),
+                mock.patch.object(uplink, "zf_filters", self.stacked_pseudo_inverse),
                 mock.patch.object(oos_estimation, "_local_signal_basis", self.full_svd_basis),
             ):
                 textbook_csv, textbook = self.estimates(spec)
@@ -1285,6 +1313,79 @@ class TestPhaseConvention:
         assert rows_to_csv(rows_of(bare, local=False)) == rows_to_csv(rows_of(out, local=False))
         # the overloaded spec has no local_processing rows to move
         assert (rows_of(bare, local=True) != rows_of(out, local=True)) == (shape != "overloaded")
+
+
+class TestLiteralCentralizedZf:
+    """Centralized ZF against its definition: at every (method, point,
+    block) the sweep's UE estimates are the first K rows of
+    np.linalg.pinv of the augmented channels the sweep formed the
+    method's filter from, [E, G_hat] ([H, G] for the genie), times that
+    block's received vectors, within LITERAL_RTOL relatively."""
+
+    LITERAL_RTOL = 1e-9
+    SPECS = {
+        "paper_default": (WORKLOADS["paper_default"], 6),
+        # K_I = 5 > N = 4: a 5-column residual
+        "overloaded": (overloaded_interferers_spec(), 4),
+        # L N = 6 < K + K_I = 7: every method but no_suppression goes to
+        # pseudo_inverse whole
+        "wide": (default_spec(cfg=SystemConfig(L=1, N=6)), 4),
+        # seq_procrustes fails on block 1, so the span reruns every block
+        # alone, each method at each point
+        "rerun": (default_spec(snr_grid_db=(-4.0, 0.0)), 4),
+    }
+
+    @staticmethod
+    def literal_filters(monkeypatch, spec):
+        """Run `spec`; returns the first K rows of np.linalg.pinv of the
+        augmented channels of each (method, point index, block) that the
+        sweep handed centralized ZF's channel side, and the sweep's UE
+        estimates (czf_estimates), both by (method, point index, block)."""
+        K, span_of, filters = spec.cfg.K, {}, {}
+        draw_pilot, zf_side = experiments._draw_pilot, experiments._zf_side
+
+        def drawing(sweep, blocks):
+            span_of["blocks"] = blocks
+            return draw_pilot(sweep, blocks)
+
+        def side(sweep, span, est, ghats):
+            # a rerun passes one point of the span's estimates
+            points = range(len(est)) if len(est) == len(span.est) else [
+                next(p for p, e in enumerate(span.est) if np.array_equal(e, est[0]))
+            ]
+            for m, ghat in ghats.items():
+                for j, p in enumerate(points):
+                    for i, b in enumerate(span_of["blocks"]):
+                        E = span.H[i] if spec.methods[m] == GENIE else est[j, i]
+                        aug = E if ghat is None else np.concatenate([E, ghat[i]], axis=-1)
+                        A = aug.reshape(-1, aug.shape[-1])
+                        filters[spec.methods[m], p, b] = np.linalg.pinv(A)[:K]
+            return zf_side(sweep, span, est, ghats)
+
+        monkeypatch.setattr(experiments, "_draw_pilot", drawing)
+        monkeypatch.setattr(experiments, "_zf_side", side)
+        return filters, czf_estimates(monkeypatch, spec)
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_matches_the_pseudo_inverse(self, monkeypatch, name):
+        spec, trials = self.SPECS[name]
+        spec = with_trials(spec, trials)
+        if name == "rerun":
+            fail_procrustes_fold(monkeypatch, spec.cfg, block=1)
+        filters, seen = self.literal_filters(monkeypatch, spec)
+        blocks, points = range(spec.cfg.trials), range(len(spec.snr_grid_db))
+        every = {(m, p, b) for m in spec.methods for p in points for b in blocks}
+        failed = {("seq_procrustes", p, 1) for p in points} if name == "rerun" else set()
+        assert set(filters) == set(seen) == every - failed
+        cfg = spec.cfg
+        worst = 0.0
+        for (method, p, b), estimates in seen.items():
+            cfg_pt = replace(cfg, rho=experiments.uplink_power(spec.snr_grid_db[p]))
+            drawn = drawn_block(cfg, b)
+            batch = uplink.simulate_uplink_rx(drawn, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM))
+            want = filters[method, p, b] @ batch.y.reshape(-1, batch.y.shape[-1])
+            worst = max(worst, np.linalg.norm(estimates - want) / np.linalg.norm(want))
+        assert worst < self.LITERAL_RTOL
 
 
 # The (workload, seed) pairs of TestOneZfEstimator whose results differ
@@ -1387,11 +1488,12 @@ class TestStageTrace:
         # channels before seq_procrustes failed, then its 16 blocks do alone
         assert out.stages["draw"]["calls"] == 2 * 2 + 4 + 16 * 2
         assert out.stages["pilot"]["calls"] == 2 + 4 + 16
-        # one estimate per span, one centralized-ZF channel side per span
-        # and method; the failed span stopped before seq_gramian and any
-        # channel side
+        # one estimate per span; per span, one centralized-ZF channel side
+        # of the methods that share the pilot LS estimates and one of the
+        # genie, and one per rerun method; the failed span stopped before
+        # seq_gramian and any channel side
         assert out.stages["estimate.seq_gramian"]["calls"] == 1 + 16
-        assert out.stages["channel_side.centralized_zf"]["calls"] == 5 + 16 * 5 - 1
+        assert out.stages["channel_side.centralized_zf"]["calls"] == 2 + 16 * 5 - 1
         # one merged side per chunk and point; a rerun block's methods
         # each alone
         per_block = len(spec.methods) * len(spec.snr_grid_db)

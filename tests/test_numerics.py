@@ -285,12 +285,16 @@ class TestPseudoInverse:
         m=st.integers(1, 7), n=st.integers(1, 7), batch=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_phase_fixed_formula(self, m, n, batch, seed):
-        # the SVD's phase cancels in V diag(1/sigma) U^H, so skipping the
-        # convention moves the result by rounding only
-        M = crandn(np.random.default_rng(seed), batch, m, n)
+    def test_matches_an_independently_phased_svd(self, m, n, batch, seed):
+        # V diag(1/sigma) U^H from LAPACK's SVD with every column pair of U
+        # and V turned by its own random unit phase: the phase cancels, so
+        # the pseudo-inverse does not depend on the phases economy_svd gets
+        rng = np.random.default_rng(seed)
+        M = crandn(rng, batch, m, n)
         M[0] = 0.0
-        U, sigma, V = economy_svd(M)
+        U, sigma, Vh = np.linalg.svd(M, full_matrices=False)
+        phases = np.exp(2j * np.pi * rng.random(sigma.shape))[..., None, :]
+        U, V = U * phases, herm(Vh) * phases
         keep = sigma > 1e-12 * sigma[..., :1]
         inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
         want = (V * inv[..., None, :]) @ herm(U)

@@ -161,12 +161,14 @@ class TestProcrustesRotation:
 
     @settings(max_examples=15, deadline=None)
     @given(k=st.integers(1, 5), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_phase_fixed_formula(self, k, batch, seed):
-        # a column phase of U comes with the same phase on V and cancels in V U^H
+    def test_matches_an_independently_phased_svd(self, k, batch, seed):
+        # V U^H from LAPACK's SVD with every column pair of U and V turned
+        # by its own random unit phase, which cancels in V U^H
         rng = np.random.default_rng(seed)
         S_prev, S_local = crandn(rng, batch, 9, k), crandn(rng, batch, 9, k)
-        U, _, V = economy_svd(herm(S_local) @ S_prev)
-        want = V @ herm(U)
+        U, _, Vh = np.linalg.svd(herm(S_local) @ S_prev)
+        phases = np.exp(2j * np.pi * rng.random((batch, 1, k)))
+        want = (herm(Vh) * phases) @ herm(U * phases)
         Q = procrustes_rotation(S_prev, S_local)
         gap = np.linalg.norm(Q - want, axis=(-2, -1))
         assert np.all(gap <= 1e-14 * np.linalg.norm(want, axis=(-2, -1)))

@@ -24,6 +24,7 @@ from oossim.uplink import (
     simulate_uplink_rx,
     wilson_interval,
     zf_filter,
+    zf_filters,
 )
 
 
@@ -365,6 +366,77 @@ class TestCentralized:
             zf_filter(crandn(rng, 2, 4, 4, 7))
 
 
+class TestSharedUeColumns:
+    """zf_filters: the UE columns E factored once, each method's
+    interferer columns G by the QR of its residual (the block QR)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(1, 4),
+        N=st.integers(1, 4),
+        K=st.integers(1, 5),
+        K_I=st.integers(1, 4),
+        members=st.integers(1, 4),
+        decades=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_route_matches_the_pseudo_inverse(self, L, N, K, K_I, members, decades, seed):
+        # within kappa * eps of the SVD route, also on ill-conditioned
+        # matrices (columns scaled over `decades`) and on wide ones
+        rng = np.random.default_rng(seed)
+        aug = crandn(rng, members, L, N, K + K_I) * np.logspace(0, -decades, K + K_I)
+        F = zf_filter(aug, ues=K)
+        A = aug.reshape(members, L * N, K + K_I)
+        want = pseudo_inverse(A)
+        gap = np.linalg.norm(F - want, axis=(-2, -1))
+        kappa = np.linalg.cond(A)
+        eps = np.finfo(float).eps
+        assert np.all(gap <= 64 * kappa * eps * np.linalg.norm(want, axis=(-2, -1)))
+
+    def test_each_method_gets_the_filter_it_gets_alone(self, rng):
+        # one call for E beside three methods, into block-major slots, and
+        # each method's own call: the same bits; G broadcasts over points
+        E, Gs = crandn(rng, 3, 5, 4, 4, 5), [crandn(rng, 5, 4, 4, 2) for _ in range(2)]
+        interferers = [None, *Gs]
+        F = np.empty((3, 5, 3, 5, 16), dtype=complex)
+        out = zf_filters(E, interferers, 5, [F[:, :, i] for i in range(3)])
+        assert all(o.base is F for o in out)
+        for i, G in enumerate(interferers):
+            assert np.array_equal(F[:, :, i], zf_filters(E, [G], 5)[0])
+            aug = E if G is None else np.concatenate([E, np.broadcast_to(G, E.shape[:-1] + (2,))], -1)
+            assert np.array_equal(F[:, :, i], zf_filter(aug, 5, ues=5))
+
+    def test_a_residual_in_the_ue_span_takes_the_pseudo_inverse(self, rng, monkeypatch):
+        # G's second column lies in E's span in member 1: R22 is singular
+        # there alone, and only that member is refit; the UE-only filter
+        # of the same E keeps the QR route
+        E, G = crandn(rng, 3, 4, 4, 5), crandn(rng, 3, 4, 4, 2)
+        G[1, ..., 1] = E[1] @ crandn(rng, 5)
+        seen, original = [], uplink.pseudo_inverse
+
+        def spy(M):
+            seen.append(M.shape)
+            return original(M)
+
+        monkeypatch.setattr(uplink, "pseudo_inverse", spy)
+        alone, paired = zf_filters(E, [None, G])
+        assert seen == [(1, 16, 7)]
+        aug = np.concatenate([E, G], axis=-1)
+        assert np.array_equal(paired[1], original(aug[1].reshape(16, 7)))
+        for i in (0, 2):
+            assert np.array_equal(paired[i], zf_filter(aug[i], ues=5))
+        assert np.allclose(alone, original(E.reshape(3, 16, 5)), atol=1e-12)
+
+    def test_a_wide_method_beside_tall_ones(self, rng):
+        # L N = 6: E (5 columns) is tall, [E, G] (7) wide and whole to
+        # pseudo_inverse, bit for bit
+        E, G = crandn(rng, 2, 1, 6, 5), crandn(rng, 2, 1, 6, 2)
+        alone, paired = zf_filters(E, [None, G])
+        A = np.concatenate([E, G], axis=-1).reshape(2, 6, 7)
+        assert np.array_equal(paired, pseudo_inverse(A))
+        assert np.array_equal(alone, zf_filter(E))
+
+
 class TestBer:
     """Bit scoring as the sweep does it: per-UE counts from
     count_bit_errors, and a Wilson interval on the totals."""
@@ -491,7 +563,7 @@ class TestStackedBlocks:
         augs = np.stack([genie, genie + 0.1 * crandn(np.random.default_rng(5), *genie.shape)])
         K = cfg.K
         gamma = accumulate_channel_gramian(augs, Chain.for_config(cfg))
-        got = apply_zf_filter(stack.y, zf_filter(augs)[..., :K, :])
+        got = apply_zf_filter(stack.y, zf_filter(augs, K, ues=K))
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
         got = apply_chain(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg), "distributed_zf")
