@@ -2,10 +2,11 @@
 the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
-_augmented_stack, _channel_side, _apply). All methods and SNR points at
-a block index share its draws, so curves are paired comparisons; each
-block draws from its own RNG streams, so every result is a pure
-function of (spec, seed). The sweep runs in spans of blocks (_run_span).
+_augmented_stack, _channel_side, _zf_side, _apply). All methods and SNR
+points at a block index share its draws, so curves are paired
+comparisons; each block draws from its own RNG streams, so every result
+is a pure function of (spec, seed). The sweep runs in spans of blocks
+(_run_span).
 """
 
 from __future__ import annotations
@@ -310,19 +311,14 @@ def _augmented_stack(ghats, ue, width):
 
 
 def _channel_side(detector, aug, cfg, chain):
-    """What `detector` needs of the augmented channels `aug` (M, ..., L,
-    N, w) to estimate the K UEs, whatever the payload: a tuple of arrays
-    with aug's leading axes. Each keeps the UE rows of its filter (which
-    zf_filter forms alone, factoring aug whole as detect_centralized does
-    for a batch without symbols; the sweep forms centralized ZF's side in
-    _zf_side), Gramian inverse or error covariance, copied, so that a
-    side that a span's chunks share holds no whole one. The two
-    chain detectors also carry herm(aug), conjugated here once for every
-    SNR point, and only once their rows are formed, so that it is not
-    alive during that pass."""
+    """What the chain detector `detector` needs of the augmented channels
+    `aug` (M, ..., L, N, w) to estimate the K UEs, whatever the payload:
+    herm(aug), conjugated here once for every SNR point, and the UE rows
+    of its Gramian inverse or error covariance, copied, so that a side
+    that a span's chunks share holds no whole one. herm(aug) is formed
+    only once the rows are, so that it is not alive during that pass.
+    Centralized ZF's side is _zf_side."""
     K = cfg.K
-    if detector == "centralized_zf":
-        return (uplink.zf_filter(aug, K),)
     if detector == "distributed_zf":
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         rows = uplink.inverse_gramian(gamma)[..., :K, :].copy()
@@ -335,7 +331,8 @@ def _channel_side(detector, aug, cfg, chain):
 
 def _apply(detector, y, channel, chain):
     """The K UEs' estimates (..., K, T) from the received vectors `y` and
-    the result `channel` of _channel_side."""
+    the result `channel` of _channel_side (of _zf_side under centralized
+    ZF)."""
     if detector == "centralized_zf":
         return uplink.apply_zf_filter(y, *channel)
     return uplink.apply_chain(y, *channel, chain, detector)

@@ -23,7 +23,6 @@ product per block: (B, M K, T).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,108 +235,104 @@ def zf_filters(ue, interferers, rows=None, out=None) -> list:
     ]
     shapes = [tuple(stack) if G is None else np.broadcast_shapes(stack, G.shape[:-2]) for G in Gs]
     widths = [K if G is None else K + G.shape[-1] for G in Gs]
+    # each method's [E, G] as broadcast views, for pseudo_inverse
+    pairs = [
+        None if G is None else (np.broadcast_to(E, (*s, n, K)), np.broadcast_to(G, (*s, n, w - K)))
+        for G, s, w in zip(Gs, shapes, widths)
+    ]
     if out is None:
         out = [
             np.empty((*shape, w if rows is None else min(rows, w), n), dtype=complex)
             for shape, w in zip(shapes, widths)
         ]
-    top = K if rows is None else min(rows, K)
+    for pair, F, w in zip(pairs, out, widths):
+        if n < w:
+            A = E if pair is None else np.concatenate(pair, axis=-1)
+            F[...] = pseudo_inverse(A)[..., : F.shape[-2], :]
     alone = [i for i, G in enumerate(Gs) if G is None and n >= K]
     paired = [i for i, G in enumerate(Gs) if G is not None and n >= widths[i]]
-    # an overflowing or non-finite A fails the screen without a warning
+    if not alone + paired:
+        return out
+    top = K if rows is None else min(rows, K)
+    Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
+    Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
+    p11 = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
+    # the screen, which an overflowing or non-finite A fails without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for G, F, shape, w in zip(Gs, out, shapes, widths):
-            if n < w:
-                A = E if G is None else np.concatenate(_broadcast_stack(shape, E, G), axis=-1)
-                F[...] = pseudo_inverse(A)[..., : F.shape[-2], :]
-        if not alone + paired:
-            return out
-        Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
-        Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
-        pivots = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
-        R11_inv, R11_norms = _screened_inverse(R11, pivots)
-        del R11
-        first = R11_inv[..., :top, :] @ Q1_h  # the first term, R11^{-1} Q1^H
-        if paired:
-            G = np.stack([Gs[i] for i in paired])
-            # a leading method axis, before the stack axes of ue and G
-            G = G.reshape(len(paired), *(1,) * (len(stack) - G.ndim + 3), *G.shape[1:])
-            C = Q1_h @ G
-            W_h = np.matmul(herm(C), Q1_h)  # the residual W, conjugate transposed
-            np.subtract(herm(G), W_h, out=W_h)
-        del Q1, Q1_h  # not alive during the residuals' QR
-        if paired:
-            W = W_h.swapaxes(-1, -2)  # conj(W), whose R is conj(R22)
-            R22 = np.conj(_lapack("QR pseudo-inverse failed", np.linalg.qr, W, "r"))
-            pivots22 = np.abs(np.diagonal(R22, axis1=-2, axis2=-1))
-            R22_inv, R22_norms = _screened_inverse(R22, pivots, pivots22)
-            X = R11_inv @ C @ R22_inv
-            C_norms = _squared_norms(C), _squared_norms(X)
-            doubt = _doubt((R11_norms, C_norms, R22_norms), pivots, pivots22)
-            R22_inv_h = herm(R22_inv)
-            Y = X[..., :top, :] @ R22_inv_h  # X Q2^H = Y W^H
-            del G, C, R22, X, W
-            for j, i in enumerate(paired):
-                F, r = out[i], out[i].shape[-2]
-                # formed apart, then copied: a ufunc on a strided F buffers
-                ue_rows = Y[j] @ W_h[j]
-                F[..., :top, :] = np.subtract(first, ue_rows, out=ue_rows)
-                del ue_rows
-                if r > K:
-                    np.matmul(R22_inv[j, ..., : r - K, :] @ R22_inv_h[j], W_h[j], out=F[..., K:, :])
-                _refit(
-                    doubt[j],
-                    (F,),
-                    lambda E, G: (pseudo_inverse(np.concatenate((E, G), axis=-1))[..., :r, :],),
-                    *_broadcast_stack(shapes[i], E, Gs[i]),
-                )
-        for i in alone:
-            F, r = out[i], out[i].shape[-2]
-            F[...] = first
-            _refit(_doubt((R11_norms,), pivots), (F,), lambda E: (pseudo_inverse(E)[..., :r, :],), E)
+        singular = _singular(p11.min(axis=-1), p11.max(axis=-1))
+        R11_inv = _regular_inverse(R11, singular)
+        norms11 = _squared_norms(R11), _squared_norms(R11_inv)
+        doubt = singular | ~(norms11[0] * norms11[1] * PINV_RTOL**2 < 1)
+    del R11
+    first = R11_inv[..., :top, :] @ Q1_h  # the first term, R11^{-1} Q1^H
+    for i in alone:
+        F, r = out[i], out[i].shape[-2]
+        F[...] = first
+        _refit(doubt, (F,), lambda E: (pseudo_inverse(E)[..., :r, :],), E)
+    if not paired:
+        return out
+    G = np.stack([Gs[i] for i in paired])
+    # a leading method axis, before the stack axes of ue and G
+    G = G.reshape(len(paired), *(1,) * (len(stack) - G.ndim + 3), *G.shape[1:])
+    C = Q1_h @ G
+    W_h = np.matmul(herm(C), Q1_h)  # the residual W, conjugate transposed
+    np.subtract(herm(G), W_h, out=W_h)
+    del Q1, Q1_h, G  # not alive during the residuals' QR
+    W = W_h.swapaxes(-1, -2)  # conj(W), whose R is conj(R22)
+    R22 = np.conj(_lapack("QR pseudo-inverse failed", np.linalg.qr, W, "r"))
+    p22 = np.abs(np.diagonal(R22, axis1=-2, axis2=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the pivots of R11 and R22 together, the norms of the block R and
+        # of its block inverse [[R11^{-1}, -X], [0, R22^{-1}]]
+        low = np.minimum(p11.min(axis=-1), p22.min(axis=-1))
+        high = np.maximum(p11.max(axis=-1), p22.max(axis=-1))
+        singular = _singular(low, high)
+        R22_inv = _regular_inverse(R22, singular)
+        X = R11_inv @ C @ R22_inv
+        R_norms = norms11[0] + _squared_norms(C) + _squared_norms(R22)
+        R_inv_norms = norms11[1] + _squared_norms(X) + _squared_norms(R22_inv)
+        doubt = singular | ~(R_norms * R_inv_norms * PINV_RTOL**2 < 1)
+    R22_inv_h = herm(R22_inv)
+    Y = X[..., :top, :] @ R22_inv_h  # X Q2^H = Y W^H
+    del C, R22, X, W
+    for j, i in enumerate(paired):
+        F, r = out[i], out[i].shape[-2]
+        # formed apart, then copied: a ufunc on a strided F buffers
+        ue_rows = Y[j] @ W_h[j]
+        F[..., :top, :] = np.subtract(first, ue_rows, out=ue_rows)
+        del ue_rows
+        if r > K:  # all K_I rows formed, so that r - K = 1 keeps its bits too
+            F[..., K:, :] = (R22_inv[j] @ R22_inv_h[j] @ W_h[j])[..., : r - K, :]
+        _refit(
+            doubt[j],
+            (F,),
+            lambda E, G: (pseudo_inverse(np.concatenate((E, G), axis=-1))[..., :r, :],),
+            *pairs[i],
+        )
     return out
 
 
-def _broadcast_stack(shape, *matrices):
-    """Each of `matrices` broadcast to the stack axes `shape` (views)."""
-    return [np.broadcast_to(M, (*shape, *M.shape[-2:])) for M in matrices]
-
-
-def _screened_inverse(R, *pivots):
-    """The inverse of every triangular R of a stack whose `pivots` (the
-    |r_ii| of R and of the blocks that share its screen) pass zf_filters'
-    pivot test, I for the others, so that inv never sees a singular R;
-    and the squared Frobenius norms of R and of that inverse."""
-    singular = _singular(*pivots)
-    R = np.where(singular[..., None, None], np.eye(R.shape[-1]), R)
-    R_inv = _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
-    return R_inv, (_squared_norms(R), _squared_norms(R_inv))
-
-
-def _singular(*pivots):
-    """zf_filters' pivot test on the |r_ii| of the blocks `pivots`:
-    min|r_ii| <= PINV_RTOL max|r_ii|; a NaN pivot counts as singular, so
+def _singular(low, high):
+    """zf_filters' pivot test on the least and greatest |r_ii| of R:
+    low <= PINV_RTOL high; a NaN pivot counts as singular, so
     pseudo_inverse rejects a non-finite A."""
-    low = functools.reduce(np.minimum, [p.min(axis=-1) for p in pivots])
-    high = functools.reduce(np.maximum, [p.max(axis=-1) for p in pivots])
     return ~(low > PINV_RTOL * high)
 
 
-def _doubt(norms, *pivots):
-    """The matrices that fail zf_filters' screen, from the squared norms
-    (of a block, of its block of R^{-1}) of R's blocks and their pivots."""
-    bound = sum(a for a, _ in norms) * sum(b for _, b in norms)
-    return _singular(*pivots) | ~(bound * PINV_RTOL**2 < 1)
+def _regular_inverse(R, singular):
+    """The inverse of every triangular R of a stack, with I in place of
+    each R that `singular` marks, so that inv never sees one."""
+    R = np.where(singular[..., None, None], np.eye(R.shape[-1]), R)
+    return _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
 
 
-def zf_filter(aug: np.ndarray, rows: int | None = None, ues: int | None = None) -> np.ndarray:
-    """zf_filters on one stack of augmented channels aug (..., L, N, m),
-    whose first `ues` columns (all by default) are the UE channels: the
-    first `rows` rows (..., rows, L N) of its pseudo-inverse, owning its
-    data. Two or more rows have the bits they have in the whole filter
-    (the stack rule, numerics)."""
-    K = aug.shape[-1] if ues is None else ues
-    return zf_filters(aug[..., :K], [aug[..., K:]], rows)[0]
+def zf_filter(aug: np.ndarray, rows: int | None = None, *, ues: int) -> np.ndarray:
+    """zf_filters on one stack of augmented channels aug (..., L, N, m)
+    whose first `ues` columns are the UE channels: the first `rows` rows
+    (..., rows, L N) of its pseudo-inverse, owning its data. Two or more
+    rows have the bits they have in the whole filter (the stack rule,
+    numerics)."""
+    return zf_filters(aug[..., :ues], [aug[..., ues:]], rows)[0]
 
 
 def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -350,11 +345,8 @@ def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
     """Zero-forcing baseline on the stacked network-wide channel matrix:
     every row of zf_filter, whose UE columns are the first K of aug for
-    the K UEs of batch.x, as the sweep factors them; a batch without
-    symbols (x None) names no UEs, and all of aug's columns are factored
-    as one block."""
-    ues = None if batch.x is None else batch.x.shape[-2]
-    return apply_zf_filter(batch.y, zf_filter(aug, ues=ues))
+    the K UEs of batch.x, as the sweep factors them."""
+    return apply_zf_filter(batch.y, zf_filter(aug, ues=batch.x.shape[-2]))
 
 
 def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -60,6 +60,8 @@ from oossim.scenario import (
 )
 from oossim.uplink import UplinkSymbolBatch
 
+CHAIN_DETECTORS = [d for d in DETECTORS if d != "centralized_zf"]
+
 
 def tiny_spec(**cfg_over):
     """Three blocks at 0 dB, each with 10 payload symbols (tau_c = tau_p + 10)."""
@@ -709,7 +711,7 @@ class TestRunMonteCarlo:
         for key, estimates in together.items():
             assert np.array_equal(estimates, alone[key]), key
 
-    @pytest.mark.parametrize("detector", DETECTORS)
+    @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
         # what the sweep runs: the channel side on channels stacked over
         # methods and blocks, then the UE rows applied to one payload
@@ -718,23 +720,47 @@ class TestRunMonteCarlo:
         batch = UplinkSymbolBatch(x=None, s=None, y=crandn(rng, 3, cfg.L, cfg.N, 40))
         channel = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
         got = experiments._apply(detector, batch.y, channel, Chain.for_config(cfg))
-        if detector == "centralized_zf":
-            want = uplink.detect_centralized(batch, aug)
-        elif detector == "distributed_zf":
+        if detector == "distributed_zf":
             gamma = uplink.accumulate_channel_gramian(aug, Chain.for_config(cfg))
             want = uplink.detect_distributed_zf(batch, aug, gamma, Chain.for_config(cfg))
         else:
             want = uplink.detect_sequential_ls(batch, aug, cfg, Chain.for_config(cfg)).xhat
         assert np.array_equal(got, want[..., : cfg.K, :])
 
-    @pytest.mark.parametrize("detector", DETECTORS)
+    @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
     def test_channel_side_keeps_only_the_ue_rows(self, detector):
         # a span's chunks share the side, which must not keep the whole
-        # filter, Gramian inverse or covariance alive
+        # Gramian inverse or covariance alive
         cfg, rng = make_cfg(), np.random.default_rng(3)
         aug = crandn(rng, 2, 3, cfg.L, cfg.N, cfg.K + cfg.K_I)
         *_, rows = experiments._channel_side(detector, aug, cfg, Chain.for_config(cfg))
         assert rows.shape[-2] == cfg.K and rows.base is None
+
+    def test_zf_side_apply_equals_detect_centralized(self):
+        # what the sweep runs under centralized ZF: one block-major filter
+        # of UE rows alone (P, B, M K, L N), formed on the pilot LS
+        # estimates of two points and the genie's true H, then one product
+        # per block; each method's rows give detect_centralized on its own
+        # [E, G] ([H, G] for the genie) bit for bit
+        methods = ("no_suppression", GENIE, "seq_gramian", "seq_procrustes")
+        spec = replace(tiny_spec(), methods=methods, snr_grid_db=(-4.0, 0.0))
+        cfg, rng = spec.cfg, np.random.default_rng(3)
+        (P, B), K, n = (2, 3), cfg.K, cfg.L * cfg.N
+        H, est = crandn(rng, B, cfg.L, cfg.N, K), crandn(rng, P, B, cfg.L, cfg.N, K)
+        ghats = {0: None, **{m: crandn(rng, B, cfg.L, cfg.N, cfg.K_I) for m in (1, 2, 3)}}
+        span = experiments._Span(range(B), H, None, None, est)
+        sweep = experiments._Sweep(spec)
+        F = experiments._zf_side(sweep, span, est, ghats)
+        owner = F if F.base is None else F.base
+        assert F.shape == (P, B, len(methods) * K, n) and owner.size == F.size
+        batch = UplinkSymbolBatch(x=crandn(rng, B, K, 40), s=None, y=crandn(rng, B, cfg.L, cfg.N, 40))
+        for p in range(P):
+            got = experiments._apply("centralized_zf", batch.y, (F[p],), sweep.chain)
+            for m, ghat in ghats.items():
+                E = H if methods[m] == GENIE else est[p]
+                aug = E if ghat is None else np.concatenate([E, ghat], axis=-1)
+                want = uplink.detect_centralized(batch, aug)
+                assert np.array_equal(got[:, m * K : (m + 1) * K], want[:, :K])
 
     def test_eigensolver_failure_is_counted_not_raised(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0), detector="distributed_zf")

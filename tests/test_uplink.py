@@ -291,7 +291,7 @@ class TestCentralized:
         m = min(m, L * N)
         rng = np.random.default_rng(seed)
         aug = crandn(rng, members, L, N, m) * np.logspace(0, -decades, m)
-        F = zf_filter(aug)
+        F = zf_filter(aug, ues=m)
         A = aug.reshape(members, L * N, m)
         want = pseudo_inverse(A)
         gap = np.linalg.norm(F - want, axis=(-2, -1))
@@ -305,9 +305,9 @@ class TestCentralized:
         aug = crandn(rng, 5, 4, 4, 7)
         aug[1] = 0.0
         aug[3, :, :, 2] = aug[3, :, :, 5]
-        F = zf_filter(aug)
+        F = zf_filter(aug, ues=5)
         for i in range(len(aug)):
-            assert np.array_equal(F[i], zf_filter(aug[i]))
+            assert np.array_equal(F[i], zf_filter(aug[i], ues=5))
         for i in (1, 3):
             assert np.array_equal(F[i], pseudo_inverse(aug[i].reshape(16, 7)))
         assert np.allclose(F[0] @ aug[0].reshape(16, 7), np.eye(7), atol=1e-12)
@@ -321,15 +321,15 @@ class TestCentralized:
         aug = crandn(rng, *shape)
         aug[1] = 0.0
         aug[2, :, :, 2] = aug[2, :, :, 5]
-        F = zf_filter(aug)
+        F = zf_filter(aug, ues=5)
         for rows in range(2, shape[-1] + 1):
-            got = zf_filter(aug, rows)
+            got = zf_filter(aug, rows, ues=5)
             assert np.array_equal(got, F[..., :rows, :]) and got.base is None
 
     def test_wide_matrix_is_the_pseudo_inverse(self, rng):
         # L N = 4 < m = 7: the SVD route, bit for bit
         aug = crandn(rng, 3, 1, 4, 7)
-        assert np.array_equal(zf_filter(aug), pseudo_inverse(aug.reshape(3, 4, 7)))
+        assert np.array_equal(zf_filter(aug, ues=5), pseudo_inverse(aug.reshape(3, 4, 7)))
 
     def test_singular_values_beyond_rtol_take_the_pseudo_inverse(self, rng, monkeypatch):
         # full rank, but sigma_min / sigma_max = 1e-13 is below rtol, so
@@ -345,17 +345,17 @@ class TestCentralized:
             return pseudo_inverse(M, *args, **kwargs)
 
         monkeypatch.setattr(uplink, "pseudo_inverse", spy)
-        F = zf_filter(aug)
+        F = zf_filter(aug, ues=5)
         assert len(seen) == 1 and np.array_equal(seen[0], A[None])
         assert np.array_equal(F[1], pseudo_inverse(A))
-        assert np.array_equal(F[0], zf_filter(aug[0]))
+        assert np.array_equal(F[0], zf_filter(aug[0], ues=5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_channels_rejected(self, rng, bad):
         aug = crandn(rng, 2, 4, 4, 7)
         aug[1, 2, 0, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            zf_filter(aug)
+            zf_filter(aug, ues=5)
 
     def test_inverse_failure_is_numerical(self, rng, monkeypatch):
         def singular(*args, **kwargs):
@@ -363,7 +363,7 @@ class TestCentralized:
 
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(NumericalFailure):
-            zf_filter(crandn(rng, 2, 4, 4, 7))
+            zf_filter(crandn(rng, 2, 4, 4, 7), ues=5)
 
 
 class TestSharedUeColumns:
@@ -434,7 +434,7 @@ class TestSharedUeColumns:
         alone, paired = zf_filters(E, [None, G])
         A = np.concatenate([E, G], axis=-1).reshape(2, 6, 7)
         assert np.array_equal(paired, pseudo_inverse(A))
-        assert np.array_equal(alone, zf_filter(E))
+        assert np.array_equal(alone, zf_filter(E, ues=5))
 
 
 class TestBer:
