@@ -257,9 +257,10 @@ def zf_filters(ue, interferers, rows=None, out=None) -> list:
     Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
     Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
     p11 = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
-    # the screen, which an overflowing or non-finite A fails without a warning
+    # the screen, which an overflowing or non-finite A fails without a
+    # warning; a NaN pivot counts as singular, so pseudo_inverse rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        singular = _singular(p11.min(axis=-1), p11.max(axis=-1))
+        singular = ~(p11.min(axis=-1) > PINV_RTOL * p11.max(axis=-1))
         R11_inv = _regular_inverse(R11, singular)
         norms11 = _squared_norms(R11), _squared_norms(R11_inv)
         doubt = singular | ~(norms11[0] * norms11[1] * PINV_RTOL**2 < 1)
@@ -286,7 +287,7 @@ def zf_filters(ue, interferers, rows=None, out=None) -> list:
         # of its block inverse [[R11^{-1}, -X], [0, R22^{-1}]]
         low = np.minimum(p11.min(axis=-1), p22.min(axis=-1))
         high = np.maximum(p11.max(axis=-1), p22.max(axis=-1))
-        singular = _singular(low, high)
+        singular = ~(low > PINV_RTOL * high)
         R22_inv = _regular_inverse(R22, singular)
         X = R11_inv @ C @ R22_inv
         R_norms = norms11[0] + _squared_norms(C) + _squared_norms(R22)
@@ -310,13 +311,6 @@ def zf_filters(ue, interferers, rows=None, out=None) -> list:
             *pairs[i],
         )
     return out
-
-
-def _singular(low, high):
-    """zf_filters' pivot test on the least and greatest |r_ii| of R:
-    low <= PINV_RTOL high; a NaN pivot counts as singular, so
-    pseudo_inverse rejects a non-finite A."""
-    return ~(low > PINV_RTOL * high)
 
 
 def _regular_inverse(R, singular):
