@@ -402,7 +402,7 @@ class TestSpec:
 
 class TestRunMonteCarlo:
     def test_centralized_zf_takes_the_qr_route(self, monkeypatch):
-        # every channel side of a default sweep passes zf_filter's screen,
+        # every channel side of a default sweep passes zf_filters' screen,
         # so a silent fall back to the SVD route would show here only
         calls = Counter()
         count_calls(monkeypatch, uplink, "pseudo_inverse", calls)
@@ -1224,7 +1224,7 @@ class TestDispatch:
 
 class TestScreenedRoutes:
     """End to end, the sweep's UE estimates on the screened routes (the
-    numerics route list, zf_filter's QR route and the K_I > N local
+    numerics route list, zf_filters' block QR route and the K_I > N local
     bases' QR) match those that every matrix gets from the textbook call
     (a full SVD for the local bases), within ROUTE_RTOL, and results.csv
     is the same bytes."""
@@ -1233,7 +1233,7 @@ class TestScreenedRoutes:
     SPECS = {
         **WORKLOADS,
         # K_I > N with L N >= tau_p - K: orthogonal iteration for k = 5 and
-        # a 10-column zf_filter
+        # a 10-column [E, G] in zf_filters
         "overloaded_czf_L12": overloaded_interferers_spec(cfg=SystemConfig(L=12, K_I=5)),
     }
 
