@@ -556,22 +556,22 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
 
 def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:
     """Centralized ZF's side of the methods of `ghats` (_channel_sides):
-    each method's K UE rows (uplink.zf_filters) in its slot of one
-    block-major filter (P, B, M K, L N). The methods but the genie share
-    the pilot LS estimates `est`, which are factored once for all of
-    them, and their rows are written into their slots; the genie's UE
-    channels are the true H, factored on the blocks alone and broadcast
-    to every point."""
+    each method's K UE rows (numerics.zf_filters, through uplink) in its
+    slot of one block-major filter (P, B, M K, L N). The methods but the
+    genie share the pilot LS estimates `est`, which are factored once for
+    all of them, and their rows are written into their slots; the genie's
+    UE channels are the true H, factored on the blocks alone and
+    broadcast to every point."""
     P, B, L, N, K = est.shape
     F = np.empty((P, B, len(ghats), K, L * N), dtype=complex)
     slots = {m: F[:, :, slot] for slot, m in enumerate(ghats)}
     genie = [m for m in ghats if sweep.spec.methods[m] == GENIE]
     shared = [m for m in ghats if m not in genie]
     if shared:
-        uplink.zf_filters(est, [ghats[m] for m in shared], K, [slots[m] for m in shared])
+        uplink.zf_filters(est, [ghats[m] for m in shared], [slots[m] for m in shared])
         sweep.lap("channel_side.centralized_zf")
     for m in genie:
-        slots[m][...] = uplink.zf_filters(span.H[None], [ghats[m]], K)[0]
+        slots[m][...] = uplink.zf_filters(span.H[None], [ghats[m]])[0]
         sweep.lap("channel_side.centralized_zf")
     return F.reshape(P, B, -1, L * N)
 

@@ -14,11 +14,11 @@ it would get alone, bit for bit. numpy's batched LAPACK runs matrix by
 matrix, a screened route refits only its doubtful slots (_refit), and
 the draws take one generator per block (scenario). So no result depends
 on how the sweep stacks its blocks. Rows stacked into one product (the
-APs' in shared_matmul, the methods' in centralized ZF's filter; see
-uplink) get the bits of their own product when each member has two or
-more rows. A member of one row (K = 1) alone is a vector-matrix product,
-which may round differently, so its bits may depend on what is stacked
-with it.
+APs' in shared_matmul, the methods' zf_filters rows in centralized ZF's
+block-major filter, uplink.apply_zf_filter) get the bits of their own
+product when each member has two or more rows. A member of one row
+(K = 1) alone is a vector-matrix product, which may round differently,
+so its bits may depend on what is stacked with it.
 
 Five routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring
@@ -31,13 +31,15 @@ screen alone for inverse_gramian):
   of A's first `rank` columns (RANGE_RTOL) -> eigh;
 - hermitian_top_eigvectors, `rank` >= n: orthogonal iteration on A^2 and
   Rayleigh-Ritz, Davis-Kahan screen (SUBSPACE_STEPS, SUBSPACE_RTOL) -> eigh;
-- uplink.zf_filters, a tall A = [E, G]: one Householder QR of the UE
-  columns E for every method that shares them and one of each method's
-  K_I-column residual, screened on the bounds that the block R gives for
-  A's singular values (PINV_RTOL) -> pseudo_inverse;
+- zf_filters, the UE rows of a tall A = [E, G]'s pseudo-inverse: one
+  Householder QR of the UE columns E for every method that shares them
+  and one of each method's K_I-column residual, screened on the bounds
+  that the block R gives for A's singular values (PINV_RTOL) ->
+  pseudo_inverse;
 - inverse_gramian: the bound ||gamma||_F ||gamma^{-1}||_F on the
   condition number, from the inverse (GRAMIAN_RCOND) -> the eigvalsh
-  screen.
+  screen of the members it doubts, the one fallback (a failed inverse
+  raises DegeneracyError at once).
 """
 
 from __future__ import annotations
@@ -91,13 +93,13 @@ def _as_finite_matrix(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _lapack(failure: str, routine, *args, **kwargs):
+def _lapack(failure: str, routine, *args, error=NumericalFailure, **kwargs):
     """routine(*args, **kwargs), a numpy.linalg call, with a LAPACK
-    failure (LinAlgError) raised as NumericalFailure(failure)."""
+    failure (LinAlgError) raised as error(failure), a NumericalFailure."""
     try:
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(failure) from exc
+        raise error(failure) from exc
 
 
 def _refit(doubt: np.ndarray, outputs: tuple, textbook, *inputs: np.ndarray) -> None:
@@ -275,14 +277,12 @@ def inverse_gramian(gamma: np.ndarray) -> np.ndarray:
     each relatively about eps times the condition number (under 5e9):
     the computed inverse's, gamma's antihermitian part, and eigvalsh's.
     So a pass is a pass of the eigvalsh screen, and the raise/no-raise
-    decision is that screen's alone. When the inverse fails, every
-    matrix is screened first: DegeneracyError if the screen fails, else
-    the inverse's NumericalFailure."""
-    try:
-        inverse = _lapack("channel Gramian inverse failed", np.linalg.inv, gamma)
-    except NumericalFailure:
-        _screen_gramian(gamma)
-        raise
+    decision is that screen's alone. np.linalg.inv fails only on an
+    exactly singular matrix, which that screen fails too, so its failure
+    raises the screen's DegeneracyError at once."""
+    inverse = _lapack(
+        "channel Gramian is numerically singular", np.linalg.inv, gamma, error=DegeneracyError
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         squared_bound = _squared_norms(gamma) * _squared_norms(inverse)
     doubt = ~(squared_bound < (0.5 / GRAMIAN_RCOND) ** 2)
@@ -318,3 +318,120 @@ def pseudo_inverse(M: np.ndarray) -> np.ndarray:
     keep = sigma > PINV_RTOL * sigma[..., :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
     return (V * inv[..., None, :]) @ herm(U)
+
+
+def zf_filters(ue, interferers, out=None) -> list:
+    """Channel side of centralized ZF for methods that share their UE
+    channels: for each entry of `interferers`, the UE rows (..., K, L N),
+    the first K = ue.shape[-1], of the pseudo-inverse of the stacked
+    network-wide matrix A = [E, G] (..., L N, K + K_I). E holds the UE
+    channels `ue` (..., L, N, K); G holds the entry, interferer channels
+    (..., L, N, K_I) that broadcast against ue's stack axes (one shape
+    for all entries), or None for a method that detects over E alone.
+    Written into `out`'s arrays, one per entry, when given; returns the
+    list of filters.
+
+    E is factored once for every method by a Householder QR, E = Q1 R11,
+    and each G by one K_I-column QR of its residual, G - Q1 C = Q2 R22
+    with C = Q1^H G, so A = [Q1, Q2] R with R = [[R11, C], [0, R22]]
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 5.2). At full
+    column rank the UE rows of R^{-1} [Q1, Q2]^H are R11^{-1} Q1^H - X
+    Q2^H with X = R11^{-1} C R22^{-1}; without G, R11^{-1} Q1^H alone.
+    Only R22 is kept of the residual's QR, and Q2^H = R22^{-H} W^H from
+    the residual W itself. The block Gram-Schmidt step and that Q2 each
+    leave [Q1, Q2] off orthonormal by about eps cond(A), and the rows off
+    by as much, relatively.
+
+    Each matrix is screened with pseudo_inverse's rtol = PINV_RTOL on
+    bounds that the triangular R gives for A's singular values: min|r_ii|
+    <= rtol max|r_ii| over diag(R11) and diag(R22) means the SVD would
+    drop one (sigma_min <= min|r_ii| <= max|r_ii| <= sigma_max), and
+    ||R||_F ||R^{-1}||_F rtol < 1, both norms summed over the blocks,
+    means it keeps them all (cond(A) <= ||R||_F ||R^{-1}||_F), so both
+    routes agree to rounding. A matrix that fails either test gets
+    pseudo_inverse (_refit); a wide A (L N < K + K_I) goes to
+    pseudo_inverse whole.
+    """
+    *stack, L, N, K = ue.shape
+    n = L * N
+    E = ue.reshape(*stack, n, K)
+    Gs = [
+        None if G is None or G.shape[-1] == 0 else G.reshape(*G.shape[:-3], n, G.shape[-1])
+        for G in interferers
+    ]
+    shapes = [tuple(stack) if G is None else np.broadcast_shapes(stack, G.shape[:-2]) for G in Gs]
+    widths = [K if G is None else K + G.shape[-1] for G in Gs]
+    # each method's [E, G] as broadcast views, for pseudo_inverse
+    pairs = [
+        None if G is None else (np.broadcast_to(E, (*s, n, K)), np.broadcast_to(G, (*s, n, w - K)))
+        for G, s, w in zip(Gs, shapes, widths)
+    ]
+    if out is None:
+        out = [np.empty((*shape, K, n), dtype=complex) for shape in shapes]
+    for pair, F, w in zip(pairs, out, widths):
+        if n < w:
+            A = E if pair is None else np.concatenate(pair, axis=-1)
+            F[...] = pseudo_inverse(A)[..., :K, :]
+    alone = [i for i, G in enumerate(Gs) if G is None and n >= K]
+    paired = [i for i, G in enumerate(Gs) if G is not None and n >= widths[i]]
+    if not alone + paired:
+        return out
+    Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
+    Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
+    p11 = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
+    # the screen, which an overflowing or non-finite A fails without a
+    # warning; a NaN pivot counts as singular, so pseudo_inverse rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        singular = ~(p11.min(axis=-1) > PINV_RTOL * p11.max(axis=-1))
+        R11_inv = _regular_inverse(R11, singular)
+        norms11 = _squared_norms(R11), _squared_norms(R11_inv)
+        doubt = singular | ~(norms11[0] * norms11[1] * PINV_RTOL**2 < 1)
+    del R11
+    first = R11_inv @ Q1_h  # the first term, R11^{-1} Q1^H
+    for i in alone:
+        out[i][...] = first
+        _refit(doubt, (out[i],), lambda E: (pseudo_inverse(E),), E)
+    if not paired:
+        return out
+    G = np.stack([Gs[i] for i in paired])
+    # a leading method axis, before the stack axes of ue and G
+    G = G.reshape(len(paired), *(1,) * (len(stack) - G.ndim + 3), *G.shape[1:])
+    C = Q1_h @ G
+    W_h = np.matmul(herm(C), Q1_h)  # the residual W, conjugate transposed
+    np.subtract(herm(G), W_h, out=W_h)
+    del Q1, Q1_h, G  # not alive during the residuals' QR
+    W = W_h.swapaxes(-1, -2)  # conj(W), whose R is conj(R22)
+    R22 = np.conj(_lapack("QR pseudo-inverse failed", np.linalg.qr, W, "r"))
+    p22 = np.abs(np.diagonal(R22, axis1=-2, axis2=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the pivots of R11 and R22 together, the norms of the block R and
+        # of its block inverse [[R11^{-1}, -X], [0, R22^{-1}]]
+        low = np.minimum(p11.min(axis=-1), p22.min(axis=-1))
+        high = np.maximum(p11.max(axis=-1), p22.max(axis=-1))
+        singular = ~(low > PINV_RTOL * high)
+        R22_inv = _regular_inverse(R22, singular)
+        X = R11_inv @ C @ R22_inv
+        R_norms = norms11[0] + _squared_norms(C) + _squared_norms(R22)
+        R_inv_norms = norms11[1] + _squared_norms(X) + _squared_norms(R22_inv)
+        doubt = singular | ~(R_norms * R_inv_norms * PINV_RTOL**2 < 1)
+    Y = X @ herm(R22_inv)  # X Q2^H = Y W^H
+    del C, R22, R22_inv, X, W
+    for j, i in enumerate(paired):
+        # formed apart, then copied: a ufunc on a strided out[i] buffers
+        ue_rows = Y[j] @ W_h[j]
+        out[i][...] = np.subtract(first, ue_rows, out=ue_rows)
+        del ue_rows
+        _refit(
+            doubt[j],
+            (out[i],),
+            lambda E, G: (pseudo_inverse(np.concatenate((E, G), axis=-1))[..., :K, :],),
+            *pairs[i],
+        )
+    return out
+
+
+def _regular_inverse(R, singular):
+    """The inverse of every triangular R of a stack, with I in place of
+    each R that `singular` marks, so that inv never sees one."""
+    R = np.where(singular[..., None, None], np.eye(R.shape[-1]), R)
+    return _lapack("QR pseudo-inverse failed", np.linalg.inv, R)

@@ -13,12 +13,12 @@ ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 The augmented channels may carry more stack axes (numerics) than the
 payload: channels (M, B, L, N, m) of M methods against a payload
 (B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
-never copied per method. Centralized ZF's channel side, zf_filters,
-factors the UE columns once for every method that shares them and each
-method's interferer columns apart (a block QR). Its filter rows are L N
+never copied per method. Centralized ZF's channel side is
+numerics.zf_filters: for each method that shares the UE columns, the K
+UE rows of its augmented channels' pseudo-inverse. Those rows are L N
 wide whatever m, so the sweep stacks the K UE rows of its M methods
-block-major, (B, M K, L N), and apply_zf_filter detects them all with one
-product per block: (B, M K, T).
+block-major, (B, M K, L N), and apply_zf_filter detects them all with
+one product per block: (B, M K, T).
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fronthaul import Chain, add_and_forward, add_gramian, hermitian_symbols, vector_symbols
-from .numerics import (
-    PINV_RTOL,
-    _lapack,
-    _refit,
-    _squared_norms,
-    herm,
-    inverse_gramian,
-    pseudo_inverse,
-)
+from .numerics import _lapack, herm, inverse_gramian, zf_filters
 from .scenario import BlockRealization, SystemConfig, crandn
 
 
@@ -194,141 +186,6 @@ def detect_distributed_zf(
     return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
 
 
-def zf_filters(ue, interferers, rows=None, out=None) -> list:
-    """Channel side of centralized ZF for methods that share their UE
-    channels: for each entry of `interferers`, the first `rows` rows (all
-    by default) of the pseudo-inverse (..., rows, L N) of the stacked
-    network-wide matrix A = [E, G] (..., L N, K + K_I). E holds the UE
-    channels `ue` (..., L, N, K); G holds the entry, interferer channels
-    (..., L, N, K_I) that broadcast against ue's stack axes (one shape
-    for all entries), or None for a method that detects over E alone.
-    Written into `out`'s arrays, one per entry, when given; returns the
-    list of filters.
-
-    E is factored once for every method by a Householder QR, E = Q1 R11,
-    and each G by one K_I-column QR of its residual, G - Q1 C = Q2 R22
-    with C = Q1^H G, so A = [Q1, Q2] R with R = [[R11, C], [0, R22]]
-    (Golub & Van Loan, Matrix Computations, 4th ed., section 5.2). At full
-    column rank F = R^{-1} [Q1, Q2]^H: the UE rows R11^{-1} Q1^H - X Q2^H
-    with X = R11^{-1} C R22^{-1}, and the interferer rows R22^{-1} Q2^H;
-    without G, R11^{-1} Q1^H alone. Only R22 is kept of the residual's
-    QR, and Q2^H = R22^{-H} W^H from the residual W itself. The block
-    Gram-Schmidt step and that Q2 each leave [Q1, Q2] off orthonormal by
-    about eps cond(A), and F off by as much, relatively.
-
-    Each matrix is screened with pseudo_inverse's rtol = PINV_RTOL on
-    bounds that the triangular R gives for A's singular values: min|r_ii|
-    <= rtol max|r_ii| over diag(R11) and diag(R22) means the SVD would
-    drop one (sigma_min <= min|r_ii| <= max|r_ii| <= sigma_max), and
-    ||R||_F ||R^{-1}||_F rtol < 1, both norms summed over the blocks,
-    means it keeps them all (cond(A) <= ||R||_F ||R^{-1}||_F), so both
-    routes agree to rounding. A matrix that fails either test gets
-    pseudo_inverse (numerics._refit); a wide A (L N < K + K_I) goes to
-    pseudo_inverse whole.
-    """
-    *stack, L, N, K = ue.shape
-    n = L * N
-    E = ue.reshape(*stack, n, K)
-    Gs = [
-        None if G is None or G.shape[-1] == 0 else G.reshape(*G.shape[:-3], n, G.shape[-1])
-        for G in interferers
-    ]
-    shapes = [tuple(stack) if G is None else np.broadcast_shapes(stack, G.shape[:-2]) for G in Gs]
-    widths = [K if G is None else K + G.shape[-1] for G in Gs]
-    # each method's [E, G] as broadcast views, for pseudo_inverse
-    pairs = [
-        None if G is None else (np.broadcast_to(E, (*s, n, K)), np.broadcast_to(G, (*s, n, w - K)))
-        for G, s, w in zip(Gs, shapes, widths)
-    ]
-    if out is None:
-        out = [
-            np.empty((*shape, w if rows is None else min(rows, w), n), dtype=complex)
-            for shape, w in zip(shapes, widths)
-        ]
-    for pair, F, w in zip(pairs, out, widths):
-        if n < w:
-            A = E if pair is None else np.concatenate(pair, axis=-1)
-            F[...] = pseudo_inverse(A)[..., : F.shape[-2], :]
-    alone = [i for i, G in enumerate(Gs) if G is None and n >= K]
-    paired = [i for i, G in enumerate(Gs) if G is not None and n >= widths[i]]
-    if not alone + paired:
-        return out
-    top = K if rows is None else min(rows, K)
-    Q1, R11 = _lapack("QR pseudo-inverse failed", np.linalg.qr, E)
-    Q1_h = np.conj(Q1, out=Q1).swapaxes(-1, -2)  # Q1^H, a view
-    p11 = np.abs(np.diagonal(R11, axis1=-2, axis2=-1))
-    # the screen, which an overflowing or non-finite A fails without a
-    # warning; a NaN pivot counts as singular, so pseudo_inverse rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        singular = ~(p11.min(axis=-1) > PINV_RTOL * p11.max(axis=-1))
-        R11_inv = _regular_inverse(R11, singular)
-        norms11 = _squared_norms(R11), _squared_norms(R11_inv)
-        doubt = singular | ~(norms11[0] * norms11[1] * PINV_RTOL**2 < 1)
-    del R11
-    first = R11_inv[..., :top, :] @ Q1_h  # the first term, R11^{-1} Q1^H
-    for i in alone:
-        F, r = out[i], out[i].shape[-2]
-        F[...] = first
-        _refit(doubt, (F,), lambda E: (pseudo_inverse(E)[..., :r, :],), E)
-    if not paired:
-        return out
-    G = np.stack([Gs[i] for i in paired])
-    # a leading method axis, before the stack axes of ue and G
-    G = G.reshape(len(paired), *(1,) * (len(stack) - G.ndim + 3), *G.shape[1:])
-    C = Q1_h @ G
-    W_h = np.matmul(herm(C), Q1_h)  # the residual W, conjugate transposed
-    np.subtract(herm(G), W_h, out=W_h)
-    del Q1, Q1_h, G  # not alive during the residuals' QR
-    W = W_h.swapaxes(-1, -2)  # conj(W), whose R is conj(R22)
-    R22 = np.conj(_lapack("QR pseudo-inverse failed", np.linalg.qr, W, "r"))
-    p22 = np.abs(np.diagonal(R22, axis1=-2, axis2=-1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the pivots of R11 and R22 together, the norms of the block R and
-        # of its block inverse [[R11^{-1}, -X], [0, R22^{-1}]]
-        low = np.minimum(p11.min(axis=-1), p22.min(axis=-1))
-        high = np.maximum(p11.max(axis=-1), p22.max(axis=-1))
-        singular = ~(low > PINV_RTOL * high)
-        R22_inv = _regular_inverse(R22, singular)
-        X = R11_inv @ C @ R22_inv
-        R_norms = norms11[0] + _squared_norms(C) + _squared_norms(R22)
-        R_inv_norms = norms11[1] + _squared_norms(X) + _squared_norms(R22_inv)
-        doubt = singular | ~(R_norms * R_inv_norms * PINV_RTOL**2 < 1)
-    R22_inv_h = herm(R22_inv)
-    Y = X[..., :top, :] @ R22_inv_h  # X Q2^H = Y W^H
-    del C, R22, X, W
-    for j, i in enumerate(paired):
-        F, r = out[i], out[i].shape[-2]
-        # formed apart, then copied: a ufunc on a strided F buffers
-        ue_rows = Y[j] @ W_h[j]
-        F[..., :top, :] = np.subtract(first, ue_rows, out=ue_rows)
-        del ue_rows
-        if r > K:  # all K_I rows formed, so that r - K = 1 keeps its bits too
-            F[..., K:, :] = (R22_inv[j] @ R22_inv_h[j] @ W_h[j])[..., : r - K, :]
-        _refit(
-            doubt[j],
-            (F,),
-            lambda E, G: (pseudo_inverse(np.concatenate((E, G), axis=-1))[..., :r, :],),
-            *pairs[i],
-        )
-    return out
-
-
-def _regular_inverse(R, singular):
-    """The inverse of every triangular R of a stack, with I in place of
-    each R that `singular` marks, so that inv never sees one."""
-    R = np.where(singular[..., None, None], np.eye(R.shape[-1]), R)
-    return _lapack("QR pseudo-inverse failed", np.linalg.inv, R)
-
-
-def zf_filter(aug: np.ndarray, rows: int | None = None, *, ues: int) -> np.ndarray:
-    """zf_filters on one stack of augmented channels aug (..., L, N, m)
-    whose first `ues` columns are the UE channels: the first `rows` rows
-    (..., rows, L N) of its pseudo-inverse, owning its data. Two or more
-    rows have the bits they have in the whole filter (the stack rule,
-    numerics)."""
-    return zf_filters(aug[..., :ues], [aug[..., ues:]], rows)[0]
-
-
 def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Apply step of centralized ZF: the filter rows `F` (..., k, L N)
     times the received vectors y (..., L, N, T), stacked."""
@@ -337,10 +194,18 @@ def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def detect_centralized(batch: UplinkSymbolBatch, aug: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseline on the stacked network-wide channel matrix:
-    every row of zf_filter, whose UE columns are the first K of aug for
-    the K UEs of batch.x, as the sweep factors them."""
-    return apply_zf_filter(batch.y, zf_filter(aug, ues=batch.x.shape[-2]))
+    """Zero-forcing baseline on the stacked network-wide channel matrix A
+    = [E, G], E the first K columns of aug for the K UEs of batch.x: all K
+    + K_I rows of pinv(A) applied to batch.y. The UE rows are zf_filters'
+    of (E, G), as the sweep forms them; the interferer rows are
+    zf_filters' of (G, E), since a column permutation of A permutes the
+    rows of its pseudo-inverse alike."""
+    K = batch.x.shape[-2]
+    E, G = aug[..., :K], aug[..., K:]
+    F = zf_filters(E, [G])[0]
+    if G.shape[-1]:
+        F = np.concatenate([F, zf_filters(G, [E])[0]], axis=-2)
+    return apply_zf_filter(batch.y, F)
 
 
 def count_bit_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import crandn, make_cfg, unit_geometry
-from oossim import uplink
+from oossim import numerics, uplink
 from oossim.fronthaul import Chain
 from oossim.numerics import DegeneracyError, NumericalFailure, herm, pseudo_inverse
 from oossim.scenario import SystemConfig, build_geometry, draw_block
@@ -23,7 +23,6 @@ from oossim.uplink import (
     sequential_ls_covariance,
     simulate_uplink_rx,
     wilson_interval,
-    zf_filter,
     zf_filters,
 )
 
@@ -291,7 +290,7 @@ class TestCentralized:
         m = min(m, L * N)
         rng = np.random.default_rng(seed)
         aug = crandn(rng, members, L, N, m) * np.logspace(0, -decades, m)
-        F = zf_filter(aug, ues=m)
+        F = zf_filters(aug, [None])[0]
         A = aug.reshape(members, L * N, m)
         want = pseudo_inverse(A)
         gap = np.linalg.norm(F - want, axis=(-2, -1))
@@ -305,31 +304,37 @@ class TestCentralized:
         aug = crandn(rng, 5, 4, 4, 7)
         aug[1] = 0.0
         aug[3, :, :, 2] = aug[3, :, :, 5]
-        F = zf_filter(aug, ues=5)
+        F = zf_filters(aug[..., :5], [aug[..., 5:]])[0]
         for i in range(len(aug)):
-            assert np.array_equal(F[i], zf_filter(aug[i], ues=5))
+            assert np.array_equal(F[i], zf_filters(aug[i, ..., :5], [aug[i, ..., 5:]])[0])
         for i in (1, 3):
-            assert np.array_equal(F[i], pseudo_inverse(aug[i].reshape(16, 7)))
-        assert np.allclose(F[0] @ aug[0].reshape(16, 7), np.eye(7), atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(5, 4, 4, 7), (3, 1, 4, 7)], ids=["tall", "wide"])
-    def test_leading_rows_alone_are_the_filters_own(self, rng, shape):
-        # two or more rows keep their bits in the whole filter (a zero
-        # member and a duplicated column take the fallback), and the
-        # result holds no whole filter; one row is a vector-matrix
-        # product, which numerics' stack rule leaves out
-        aug = crandn(rng, *shape)
-        aug[1] = 0.0
-        aug[2, :, :, 2] = aug[2, :, :, 5]
-        F = zf_filter(aug, ues=5)
-        for rows in range(2, shape[-1] + 1):
-            got = zf_filter(aug, rows, ues=5)
-            assert np.array_equal(got, F[..., :rows, :]) and got.base is None
+            assert np.array_equal(F[i], pseudo_inverse(aug[i].reshape(16, 7))[:5])
+        assert np.allclose(F[0] @ aug[0].reshape(16, 7), np.eye(5, 7), atol=1e-12)
 
     def test_wide_matrix_is_the_pseudo_inverse(self, rng):
         # L N = 4 < m = 7: the SVD route, bit for bit
         aug = crandn(rng, 3, 1, 4, 7)
-        assert np.array_equal(zf_filter(aug, ues=5), pseudo_inverse(aug.reshape(3, 4, 7)))
+        F = zf_filters(aug[..., :5], [aug[..., 5:]])[0]
+        assert np.array_equal(F, pseudo_inverse(aug.reshape(3, 4, 7))[..., :5, :])
+
+    @pytest.mark.parametrize(
+        ("L", "N", "K", "K_I"),
+        [(4, 4, 5, 2), (1, 6, 5, 2), (4, 4, 5, 0), (2, 2, 2, 3)],
+        ids=["tall", "wide", "no_interferers", "more_interferers"],
+    )
+    def test_every_row_is_the_pseudo_inverse(self, rng, L, N, K, K_I):
+        # all K + K_I rows of detect_centralized against np.linalg.pinv
+        # (cut at pseudo_inverse's rtol), on full-rank members and on
+        # members the screen refits: a zero one and a duplicated column
+        aug = crandn(rng, 4, L, N, K + K_I)
+        aug[1] = 0.0
+        aug[2, ..., 1] = aug[2, ..., 0]
+        batch = UplinkSymbolBatch(np.zeros((4, K, 9), dtype=complex), None, crandn(rng, 4, L, N, 9))
+        got = detect_centralized(batch, aug)
+        A = aug.reshape(4, L * N, K + K_I)
+        want = np.linalg.pinv(A, rcond=numerics.PINV_RTOL) @ batch.y.reshape(4, L * N, 9)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_singular_values_beyond_rtol_take_the_pseudo_inverse(self, rng, monkeypatch):
         # full rank, but sigma_min / sigma_max = 1e-13 is below rtol, so
@@ -344,18 +349,18 @@ class TestCentralized:
             seen.append(M.copy())
             return pseudo_inverse(M, *args, **kwargs)
 
-        monkeypatch.setattr(uplink, "pseudo_inverse", spy)
-        F = zf_filter(aug, ues=5)
+        monkeypatch.setattr(numerics, "pseudo_inverse", spy)
+        F = zf_filters(aug[..., :5], [aug[..., 5:]])[0]
         assert len(seen) == 1 and np.array_equal(seen[0], A[None])
-        assert np.array_equal(F[1], pseudo_inverse(A))
-        assert np.array_equal(F[0], zf_filter(aug[0], ues=5))
+        assert np.array_equal(F[1], pseudo_inverse(A)[:5])
+        assert np.array_equal(F[0], zf_filters(aug[0, ..., :5], [aug[0, ..., 5:]])[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_channels_rejected(self, rng, bad):
         aug = crandn(rng, 2, 4, 4, 7)
         aug[1, 2, 0, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            zf_filter(aug, ues=5)
+            zf_filters(aug[..., :5], [aug[..., 5:]])
 
     def test_inverse_failure_is_numerical(self, rng, monkeypatch):
         def singular(*args, **kwargs):
@@ -363,7 +368,7 @@ class TestCentralized:
 
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(NumericalFailure):
-            zf_filter(crandn(rng, 2, 4, 4, 7), ues=5)
+            zf_filters(crandn(rng, 2, 4, 4, 5), [crandn(rng, 2, 4, 4, 2)])
 
 
 class TestSharedUeColumns:
@@ -385,9 +390,9 @@ class TestSharedUeColumns:
         # matrices (columns scaled over `decades`) and on wide ones
         rng = np.random.default_rng(seed)
         aug = crandn(rng, members, L, N, K + K_I) * np.logspace(0, -decades, K + K_I)
-        F = zf_filter(aug, ues=K)
+        F = zf_filters(aug[..., :K], [aug[..., K:]])[0]
         A = aug.reshape(members, L * N, K + K_I)
-        want = pseudo_inverse(A)
+        want = pseudo_inverse(A)[..., :K, :]
         gap = np.linalg.norm(F - want, axis=(-2, -1))
         kappa = np.linalg.cond(A)
         eps = np.finfo(float).eps
@@ -399,12 +404,12 @@ class TestSharedUeColumns:
         E, Gs = crandn(rng, 3, 5, 4, 4, 5), [crandn(rng, 5, 4, 4, 2) for _ in range(2)]
         interferers = [None, *Gs]
         F = np.empty((3, 5, 3, 5, 16), dtype=complex)
-        out = zf_filters(E, interferers, 5, [F[:, :, i] for i in range(3)])
+        out = zf_filters(E, interferers, [F[:, :, i] for i in range(3)])
         assert all(o.base is F for o in out)
         for i, G in enumerate(interferers):
-            assert np.array_equal(F[:, :, i], zf_filters(E, [G], 5)[0])
+            assert np.array_equal(F[:, :, i], zf_filters(E, [G])[0])
             aug = E if G is None else np.concatenate([E, np.broadcast_to(G, E.shape[:-1] + (2,))], -1)
-            assert np.array_equal(F[:, :, i], zf_filter(aug, 5, ues=5))
+            assert np.array_equal(F[:, :, i], zf_filters(aug[..., :5], [aug[..., 5:]])[0])
 
     def test_a_residual_in_the_ue_span_takes_the_pseudo_inverse(self, rng, monkeypatch):
         # G's second column lies in E's span in member 1: R22 is singular
@@ -412,19 +417,19 @@ class TestSharedUeColumns:
         # of the same E keeps the QR route
         E, G = crandn(rng, 3, 4, 4, 5), crandn(rng, 3, 4, 4, 2)
         G[1, ..., 1] = E[1] @ crandn(rng, 5)
-        seen, original = [], uplink.pseudo_inverse
+        seen, original = [], numerics.pseudo_inverse
 
         def spy(M):
             seen.append(M.shape)
             return original(M)
 
-        monkeypatch.setattr(uplink, "pseudo_inverse", spy)
+        monkeypatch.setattr(numerics, "pseudo_inverse", spy)
         alone, paired = zf_filters(E, [None, G])
         assert seen == [(1, 16, 7)]
         aug = np.concatenate([E, G], axis=-1)
-        assert np.array_equal(paired[1], original(aug[1].reshape(16, 7)))
+        assert np.array_equal(paired[1], original(aug[1].reshape(16, 7))[:5])
         for i in (0, 2):
-            assert np.array_equal(paired[i], zf_filter(aug[i], ues=5))
+            assert np.array_equal(paired[i], zf_filters(E[i], [G[i]])[0])
         assert np.allclose(alone, original(E.reshape(3, 16, 5)), atol=1e-12)
 
     def test_a_wide_method_beside_tall_ones(self, rng):
@@ -433,8 +438,8 @@ class TestSharedUeColumns:
         E, G = crandn(rng, 2, 1, 6, 5), crandn(rng, 2, 1, 6, 2)
         alone, paired = zf_filters(E, [None, G])
         A = np.concatenate([E, G], axis=-1).reshape(2, 6, 7)
-        assert np.array_equal(paired, pseudo_inverse(A))
-        assert np.array_equal(alone, zf_filter(E, ues=5))
+        assert np.array_equal(paired, pseudo_inverse(A)[..., :5, :])
+        assert np.array_equal(alone, zf_filters(E, [None])[0])
 
 
 class TestBer:
@@ -563,7 +568,7 @@ class TestStackedBlocks:
         augs = np.stack([genie, genie + 0.1 * crandn(np.random.default_rng(5), *genie.shape)])
         K = cfg.K
         gamma = accumulate_channel_gramian(augs, Chain.for_config(cfg))
-        got = apply_zf_filter(stack.y, zf_filter(augs, K, ues=K))
+        got = apply_zf_filter(stack.y, zf_filters(augs[..., :K], [augs[..., K:]])[0])
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
         got = apply_chain(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg), "distributed_zf")
