@@ -2,8 +2,8 @@
 the fronthaul load ledger, machine-readable outputs.
 
 The method and detector dispatch lives here, once (_interferer_channels,
-_augmented_stack, _channel_side, _zf_side, _apply). All methods and SNR
-points at a block index share its draws, so curves are paired
+_augmented_stack, _ue_rows, _chain_side, _zf_side, _apply). All methods
+and SNR points at a block index share its draws, so curves are paired
 comparisons; each block draws from its own RNG streams, so every result
 is a pure function of (spec, seed). The sweep runs in spans of blocks
 (_run_span).
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import oos_estimation, pilot_phase, uplink
 from .fronthaul import Chain, ChainError, LoadReport
-from .numerics import NumericalFailure, herm, shared_matmul
+from .numerics import NumericalFailure, shared_matmul
 from .scenario import (
     CHANNEL_STREAM,
     CHUNK_BLOCKS,
@@ -310,32 +310,33 @@ def _augmented_stack(ghats, ue, width):
     return aug
 
 
-def _channel_side(detector, aug, cfg, chain):
-    """What the chain detector `detector` needs of the augmented channels
-    `aug` (M, ..., L, N, w) to estimate the K UEs, whatever the payload:
-    herm(aug), conjugated here once for every SNR point, and the UE rows
-    of its Gramian inverse or error covariance, copied, so that a side
-    that a span's chunks share holds no whole one. herm(aug) is formed
-    only once the rows are, so that it is not alive during that pass.
-    Centralized ZF's side is _zf_side."""
+def _ue_rows(detector, aug, cfg, chain):
+    """The pass of the chain detector `detector` on the augmented channels
+    `aug` (M, ..., L, N, w) of M methods of one width: the UE rows of its
+    Gramian inverse or error covariance, (..., M, K, w), copied, so that a
+    side that a span's chunks share holds no whole one."""
     K = cfg.K
     if detector == "distributed_zf":
-        gamma = uplink.accumulate_channel_gramian(aug, chain)
-        rows = uplink.inverse_gramian(gamma)[..., :K, :].copy()
+        rows = uplink.inverse_gramian(uplink.accumulate_channel_gramian(aug, chain))
     elif detector == "sequential_ls":
-        rows = uplink.sequential_ls_covariance(aug, cfg, chain)[..., :K, :].copy()
+        rows = uplink.sequential_ls_covariance(aug, cfg, chain)
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    return herm(aug), rows
+    return np.moveaxis(rows[..., :K, :], 0, -3).copy()
 
 
-def _apply(detector, y, channel, chain):
-    """The K UEs' estimates (..., K, T) from the received vectors `y` and
-    the result `channel` of _channel_side (of _zf_side under centralized
-    ZF)."""
+def _apply(detector, y, side, at, chain):
+    """The K UEs' estimates, block-major (..., M K, T), from the received
+    vectors `y` and a side of _channel_sides at `at` (its point and
+    blocks)."""
     if detector == "centralized_zf":
-        return uplink.apply_zf_filter(y, *channel)
-    return uplink.apply_chain(y, *channel, chain, detector)
+        return uplink.apply_zf_filter(y, side[at])
+    W_h, groups = side
+    groups = [(columns, rows[at]) for columns, rows in groups]
+    outs = uplink.apply_chain(y, W_h[at], groups, chain, detector)
+    # one width group (as on every genie side) is the side's estimates
+    ue = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-3)
+    return ue.reshape(*ue.shape[:-3], -1, ue.shape[-1])
 
 
 class _Totals:
@@ -362,17 +363,17 @@ class _Sweep:
     Its chain does not log unless load_report passes one that does.
 
     A span counts one call of estimate.local_svd and of each
-    estimate.<method>, and one of channel_side.<detector> per width
-    group under a chain detector; under centralized ZF, one for the
+    estimate.<method>, and one of channel_side.<detector> for the
     methods that share the pilot LS estimates and one for the genie. Each
     of its chunks counts two of draw (its channels, with the span's
     geometry in the first chunk's, then its payload) and one of pilot;
     each chunk and point, one of apply.<detector> (forming the point's
-    received signal too) and of score per side: one per width group
-    under a chain detector, one in all under centralized ZF
-    (_channel_sides). A rerun block draws and runs its pilot phase as a
-    span of one chunk, then counts each method's estimate once and its
-    channel side, apply and score once per point."""
+    received signal too) and of score per side: one for the methods
+    that share the pilot LS estimates and one for the genie under a
+    chain detector, one in all under centralized ZF (_channel_sides). A
+    rerun block draws and runs its pilot phase as a span of one chunk,
+    then counts each method's estimate once and its channel side, apply
+    and score once per point."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         self.seconds, self.calls = Counter(), Counter()
@@ -524,34 +525,66 @@ def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
 def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     """The channel sides of the methods whose interferer channels `ghats`
     holds (_estimate), on the blocks of `span` at the SNR points whose
-    pilot LS estimates `est` holds, as (method indices, side) pairs. The
-    genie's channels do not depend on the point, so its side is formed on
-    the blocks alone and serves every point.
+    pilot LS estimates `est` holds, as (method indices, side) pairs; a
+    side's estimates (_apply) hold its methods' in that order. The genie's
+    channels do not depend on the point, so its side is formed on the
+    blocks alone and serves every point.
 
-    A chain detector gets one side (M, P, B, ...) per width group: the
-    methods whose augmented channels have the same width (K, or K + K_I
-    with an interferer estimate), stacked along a leading method axis, the
-    genie in a group of its own. Centralized ZF's filter rows are L N wide
-    whatever the width, so all methods share one side, a block-major
-    filter (P, B, M K, L N) that one product per block applies
-    (_zf_side)."""
-    spec, cfg, detector = sweep.spec, sweep.spec.cfg, sweep.spec.detector
+    Every method but the genie shares the UE columns `est`. Under a chain
+    detector those methods share one side (_chain_side), and the genie
+    has its own. Centralized ZF's filter rows are L N wide whatever the
+    width, so all methods share one side, a block-major filter (P, B,
+    M K, L N) that one product per block applies (_zf_side)."""
+    spec, detector = sweep.spec, sweep.spec.detector
     if detector == "centralized_zf":
-        return [(list(ghats), (_zf_side(sweep, span, est, ghats),))]
-    groups: dict[tuple, list] = {}
-    for m in ghats:
-        method = spec.methods[m]
-        groups.setdefault((_augmented_width(method, cfg), method == GENIE), []).append(m)
-    P = len(est)
-    sides = []
-    for (width, genie), members in groups.items():
-        aug = _augmented_stack([ghats[m] for m in members], span.H[None] if genie else est, width)
-        side = _channel_side(detector, aug, cfg, sweep.chain)
-        shape = (len(members), P)  # a view: the genie's one point serves all
-        sides.append((members, tuple(np.broadcast_to(a, shape + a.shape[2:]) for a in side)))
-        del aug, side  # not alive while the next side is formed
-        sweep.lap(f"channel_side.{detector}")
-    return sides
+        return [(list(ghats), _zf_side(sweep, span, est, ghats))]
+    genie = [m for m in ghats if spec.methods[m] == GENIE]
+    shared = {m: ghat for m, ghat in ghats.items() if m not in genie}
+    sides = [_chain_side(sweep, est, shared, len(est))] if shared else []
+    return sides + [_chain_side(sweep, span.H[None], {m: ghats[m]}, len(est)) for m in genie]
+
+
+def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
+    """A chain detector's side of the methods of `ghats`, which share the
+    UE channels `ue` (P, B, L, N, K), or (1, B, L, N, K) broadcast to
+    `points` points (the genie's true H), as a (method indices, side)
+    pair. The side is (herm(W), groups). W (P, B, L, N, R) holds the UE
+    columns, then each method's interferer columns in turn (R = K plus
+    their widths), and herm(W) is conjugated here once for every method
+    and point. Each width group, the methods whose augmented channels
+    have the same width w, runs its pass (_ue_rows) once on those
+    channels stacked along a method axis, which are then dropped; its
+    entry in `groups` holds the columns of W that make each member's
+    augmented channels, (M, w), and their UE rows, (P, B, M, K, w).
+    herm(W) is formed after the passes, so that it is not alive during
+    them."""
+    cfg, detector = sweep.spec.cfg, sweep.spec.detector
+    K = ue.shape[-1]
+    widths = {m: 0 if ghat is None else ghat.shape[-1] for m, ghat in ghats.items()}
+    first = dict(zip(widths, np.cumsum([K, *widths.values()])))  # each method's first in W
+    by_width: dict[int, list] = {}
+    for m, width in widths.items():
+        by_width.setdefault(width, []).append(m)
+    groups = []
+    for width, members in by_width.items():
+        aug = _augmented_stack([ghats[m] for m in members], ue, K + width)
+        rows = _ue_rows(detector, aug, cfg, sweep.chain)
+        del aug  # not alive during the next pass
+        columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
+        groups.append((np.array(columns), rows))
+    conj_W = np.empty((*ue.shape[:-1], K + sum(widths.values())), dtype=complex)
+    np.conjugate(ue, out=conj_W[..., :K])
+    for m, width in widths.items():
+        if width:
+            np.conjugate(ghats[m], out=conj_W[..., first[m] : first[m] + width])
+    W_h = conj_W.swapaxes(-1, -2)  # herm(W), a view of W's conjugate
+
+    def every_point(x):  # a view: the genie's one point serves all
+        return np.broadcast_to(x, (points, *x.shape[1:]))
+
+    side = every_point(W_h), [(c, every_point(r)) for c, r in groups]
+    sweep.lap(f"channel_side.{detector}")
+    return [m for members in by_width.values() for m in members], side
 
 
 def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:
@@ -588,8 +621,7 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
             terms = payload["hx"], payload["gs"], payload["noise"]
             uplink.received_signal(sweep.points[p].rho, *terms, out=y)
         for members, side in sides:
-            at = (j, rows) if detector == "centralized_zf" else (slice(None), j, rows)
-            ue = _apply(detector, y, tuple(part[at] for part in side), sweep.chain)
+            ue = _apply(detector, y, side, (j, rows), sweep.chain)
             sweep.lap(f"apply.{detector}")
             totals.errors[p, members] += _score(ue, truth, len(members))
             totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
@@ -598,15 +630,12 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
 
 def _score(ue, truth, methods: int) -> np.ndarray:
     """The bit errors (count_bit_errors, summed) of each of `methods`
-    methods in the UE estimates `ue` of a side (_apply): (M, B, K, T),
-    or centralized ZF's block-major (B, M K, T). `truth` is
+    methods in the block-major UE estimates `ue` (B, M K, T) of a side
+    (_apply), compared method-major and counted per method. `truth` is
     uplink.positive_parts of the payload symbols (B, K, T)."""
-    parts = uplink.positive_parts(ue)
-    if parts.ndim == truth.ndim:  # block-major: compared method-major, counted per method
-        parts = parts.reshape(len(truth), methods, -1).swapaxes(0, 1)
-        wrong = parts != truth.reshape(len(truth), -1)
-        return np.array([np.count_nonzero(w) for w in wrong])
-    return (parts != truth).sum(axis=(1, 2, 3))
+    parts = uplink.positive_parts(ue).reshape(len(truth), methods, -1).swapaxes(0, 1)
+    wrong = parts != truth.reshape(len(truth), -1)
+    return np.array([np.count_nonzero(w) for w in wrong])
 
 
 def _run_span(sweep: _Sweep, blocks: range):

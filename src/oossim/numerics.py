@@ -15,10 +15,12 @@ matrix, a screened route refits only its doubtful slots (_refit), and
 the draws take one generator per block (scenario). So no result depends
 on how the sweep stacks its blocks. Rows stacked into one product (the
 APs' in shared_matmul, the methods' zf_filters rows in centralized ZF's
-block-major filter, uplink.apply_zf_filter) get the bits of their own
-product when each member has two or more rows. A member of one row
-(K = 1) alone is a vector-matrix product, which may round differently,
-so its bits may depend on what is stacked with it.
+block-major filter, uplink.apply_zf_filter, and the methods' rows of
+herm(W), W = [E, G_1, ..., G_M], that uplink.apply_chain combines the
+payload with at each hop) get the bits of their own product when each
+member has two or more rows. A member of one row (K = 1, as
+no_suppression's herm(E)) alone is a vector-matrix product, which may
+round differently, so its bits may depend on what is stacked with it.
 
 Five routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring

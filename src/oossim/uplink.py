@@ -13,7 +13,10 @@ ZF from the first AP's term and inverts it with numerics.inverse_gramian.
 The augmented channels may carry more stack axes (numerics) than the
 payload: channels (M, B, L, N, m) of M methods against a payload
 (B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
-never copied per method. Centralized ZF's channel side is
+never copied per method. Methods that share the UE columns E share more:
+apply_chain combines the payload once with W = [E, G_1, ..., G_M], the
+UE columns and every method's interferer columns, and hands each method
+its own [E; G_i] rows of the chain sum. Centralized ZF's channel side is
 numerics.zf_filters: for each method that shares the UE columns, the K
 UE rows of its augmented channels' pseudo-inverse. Those rows are L N
 wide whatever m, so the sweep stacks the K UE rows of its M methods
@@ -157,15 +160,20 @@ def _combine_fold(acc, A_h, y_l):
     return add_and_forward(acc, A_h @ y_l)
 
 
-def apply_chain(
-    y: np.ndarray, aug_h: np.ndarray, rows: np.ndarray, chain: Chain, detector: str
-) -> np.ndarray:
+def apply_chain(y: np.ndarray, W_h: np.ndarray, groups, chain: Chain, detector: str) -> list:
     """Apply step of both chain detectors on the received vectors y (...,
-    L, N, T): each AP combines locally with A_l^H, the chain sums the
-    results once per symbol period, and the CPU applies `rows` (the rows
-    wanted of inverse_gramian or sequential_ls_covariance). aug_h =
-    herm(aug) (..., L, m, N) comes from the channel side."""
-    return rows @ chain.run(CHAIN_PHASES[detector][1], _combine_fold, vector_symbols, None, aug_h, y)
+    L, N, T). Each AP combines locally with W_l^H and the chain sums the
+    results once per symbol period: one product per hop for every method
+    whose augmented channels are columns of W (W = aug for one method).
+    W_h = herm(W) (..., L, R, N) comes from the channel side. The CPU then
+    applies each (columns, rows) pair of `groups`: `rows`, the rows wanted
+    of inverse_gramian or sequential_ls_covariance (..., k, w), times the
+    chain sum's rows `columns`, an index of its R rows (slice(None) for
+    all), (w,) for one method or (M, w) for M methods of one width, whose
+    rows then carry that method axis (..., M, k, w). Returns each pair's
+    estimates, (..., [M,] k, T)."""
+    z = chain.run(CHAIN_PHASES[detector][1], _combine_fold, vector_symbols, None, W_h, y)
+    return [rows @ z[..., columns, :] for columns, rows in groups]
 
 
 def detect_sequential_ls(
@@ -174,7 +182,8 @@ def detect_sequential_ls(
     """Recursive LS along the chain, the covariance pass then the estimate
     pass; the prior I/alpha keeps J invertible for any channels."""
     cov = sequential_ls_covariance(aug, cfg, chain)
-    return DetectorState(apply_chain(batch.y, herm(aug), cov, chain, "sequential_ls"))
+    [xhat] = apply_chain(batch.y, herm(aug), [(slice(None), cov)], chain, "sequential_ls")
+    return DetectorState(xhat)
 
 
 def detect_distributed_zf(
@@ -183,7 +192,9 @@ def detect_distributed_zf(
     """Distributed ZF, inverse_gramian then apply_chain: the (K + K_I, T)
     estimates, identical to the centralized zero-forcing solution whenever
     gamma is invertible."""
-    return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
+    rows = inverse_gramian(gamma)
+    [xhat] = apply_chain(batch.y, herm(aug), [(slice(None), rows)], chain, "distributed_zf")
+    return xhat
 
 
 def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:

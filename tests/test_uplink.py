@@ -571,13 +571,15 @@ class TestStackedBlocks:
         got = apply_zf_filter(stack.y, zf_filters(augs[..., :K], [augs[..., K:]])[0])
         assert np.array_equal(got, detect_centralized(stack, augs)[..., :K, :])
         gamma_inv = inverse_gramian(gamma)[..., :K, :]
-        got = apply_chain(stack.y, herm(augs), gamma_inv, Chain.for_config(cfg), "distributed_zf")
+        [got] = apply_chain(
+            stack.y, herm(augs), [(slice(None), gamma_inv)], Chain.for_config(cfg), "distributed_zf"
+        )
         want = detect_distributed_zf(stack, augs, gamma, Chain.for_config(cfg))[..., :K, :]
         assert np.array_equal(got, want)
         # so does sequential LS with the UE rows of its covariance; each
         # member of the (M, B) stack gets its own one-block call's UE rows
         cov = sequential_ls_covariance(augs, cfg, Chain.for_config(cfg))[..., :K, :]
-        got = apply_chain(stack.y, herm(augs), cov, Chain.for_config(cfg), "sequential_ls")
+        [got] = apply_chain(stack.y, herm(augs), [(slice(None), cov)], Chain.for_config(cfg), "sequential_ls")
         for m, aug in enumerate(augs):
             for b, (_, batch) in enumerate(drawn):
                 alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
