@@ -572,12 +572,9 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
         del aug  # not alive during the next pass
         columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
         groups.append((np.array(columns), rows))
-    conj_W = np.empty((*ue.shape[:-1], K + sum(widths.values())), dtype=complex)
-    np.conjugate(ue, out=conj_W[..., :K])
-    for m, width in widths.items():
-        if width:
-            np.conjugate(ghats[m], out=conj_W[..., first[m] : first[m] + width])
-    W_h = conj_W.swapaxes(-1, -2)  # herm(W), a view of W's conjugate
+    parts = [np.broadcast_to(g, (*ue.shape[:-1], g.shape[-1])) for g in ghats.values() if g is not None]
+    W = np.concatenate([ue, *parts], axis=-1)
+    W_h = np.conjugate(W, out=W).swapaxes(-1, -2)  # herm(W), in W's memory
 
     def every_point(x):  # a view: the genie's one point serves all
         return np.broadcast_to(x, (points, *x.shape[1:]))
