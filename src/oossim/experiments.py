@@ -572,7 +572,8 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
         del aug  # not alive during the next pass
         columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
         groups.append((np.array(columns), rows))
-    parts = [np.broadcast_to(g, (*ue.shape[:-1], g.shape[-1])) for g in ghats.values() if g is not None]
+    shape = ue.shape[:-1]
+    parts = [np.broadcast_to(g, (*shape, g.shape[-1])) for g in ghats.values() if g is not None]
     W = np.concatenate([ue, *parts], axis=-1)
     W_h = np.conjugate(W, out=W).swapaxes(-1, -2)  # herm(W), in W's memory
 

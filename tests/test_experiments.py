@@ -350,7 +350,8 @@ def point_payload(spec, p, b):
     """The received vectors (L, N, T) of block `b` at the SNR point of
     index `p`, as simulate_uplink_rx draws them alone."""
     cfg = replace(spec.cfg, rho=experiments.uplink_power(spec.snr_grid_db[p]))
-    return uplink.simulate_uplink_rx(drawn_block(cfg, b), cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM)).y
+    rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
+    return uplink.simulate_uplink_rx(drawn_block(cfg, b), cfg, rng).y
 
 
 class TestSpec:
@@ -1445,9 +1446,9 @@ class TestLiteralCentralizedZf:
         assert set(channels) == set(seen) == every - failed
         worst = 0.0
         for (method, p, b), estimates in seen.items():
-            aug = channels[method, p, b]
-            y = point_payload(spec, p, b)
-            want = np.linalg.pinv(aug.reshape(-1, aug.shape[-1]))[: spec.cfg.K] @ y.reshape(-1, y.shape[-1])
+            aug, y = channels[method, p, b], point_payload(spec, p, b)
+            filters = np.linalg.pinv(aug.reshape(-1, aug.shape[-1]))[: spec.cfg.K]
+            want = filters @ y.reshape(-1, y.shape[-1])
             worst = max(worst, np.linalg.norm(estimates - want) / np.linalg.norm(want))
         assert worst < self.LITERAL_RTOL
 
@@ -1498,7 +1499,8 @@ class TestLiteralChainDetectors:
         assert set(channels) == set(seen) == every - failed
         worst = 0.0
         for (method, p, b), estimates in seen.items():
-            want = self.literal(channels[method, p, b], point_payload(spec, p, b), spec.cfg, spec.detector)
+            y = point_payload(spec, p, b)
+            want = self.literal(channels[method, p, b], y, spec.cfg, spec.detector)
             worst = max(worst, np.linalg.norm(estimates - want) / np.linalg.norm(want))
         assert worst < self.LITERAL_RTOL
 

@@ -193,7 +193,8 @@ class TestPerApSlots:
         gamma = sum(herm(aug[:, ap - 1]) @ aug[:, ap - 1] for ap in self.ORDER)
         assert np.array_equal(uplink.accumulate_channel_gramian(aug, chain), gamma)
         combined = sum(herm(aug[:, ap - 1]) @ y[:, ap - 1] for ap in self.ORDER)
-        [got] = uplink.apply_chain(y, herm(aug), [(slice(None), np.eye(m))], chain, "distributed_zf")
+        every_row = [(slice(None), np.eye(m))]
+        [got] = uplink.apply_chain(y, herm(aug), every_row, chain, "distributed_zf")
         assert np.array_equal(got, combined)
         got = uplink.sequential_ls_covariance(aug, cfg, chain)
         assert np.allclose(got, C)
@@ -271,7 +272,8 @@ class TestChainSums:
         chain = Chain.for_config(cfg)
         gamma = uplink.accumulate_channel_gramian(aug, chain)
         gamma_copy = gamma.copy()
-        [combined] = uplink.apply_chain(y, aug_h, [(slice(None), np.eye(m))], chain, "distributed_zf")
+        every_row = [(slice(None), np.eye(m))]
+        [combined] = uplink.apply_chain(y, aug_h, every_row, chain, "distributed_zf")
         xhat = uplink.detect_distributed_zf(uplink.UplinkSymbolBatch(None, None, y), aug, gamma, chain)
         sbar = oos_estimation.run_gramian_method(zpsi, cfg, chain)
         for x, copy in zip(inputs, copies, strict=True):

@@ -579,7 +579,9 @@ class TestStackedBlocks:
         # so does sequential LS with the UE rows of its covariance; each
         # member of the (M, B) stack gets its own one-block call's UE rows
         cov = sequential_ls_covariance(augs, cfg, Chain.for_config(cfg))[..., :K, :]
-        [got] = apply_chain(stack.y, herm(augs), [(slice(None), cov)], Chain.for_config(cfg), "sequential_ls")
+        [got] = apply_chain(
+            stack.y, herm(augs), [(slice(None), cov)], Chain.for_config(cfg), "sequential_ls"
+        )
         for m, aug in enumerate(augs):
             for b, (_, batch) in enumerate(drawn):
                 alone = detect_sequential_ls(batch, aug[b], cfg, Chain.for_config(cfg))
