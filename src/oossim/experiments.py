@@ -26,14 +26,11 @@ from . import oos_estimation, pilot_phase, uplink
 from .fronthaul import Chain, ChainError, LoadReport
 from .numerics import NumericalFailure, shared_matmul
 from .scenario import (
-    CHANNEL_STREAM,
     CHUNK_BLOCKS,
-    GEOMETRY_STREAM,
-    PAYLOAD_STREAM,
     SPAN_BLOCKS,
     BlockRealization,
     SystemConfig,
-    block_rng,
+    block_generators,
     build_geometry,
     build_pilot_book,
     check_real,
@@ -336,7 +333,7 @@ def _apply(detector, y, side, at, chain):
     outs = uplink.apply_chain(y, W_h[at], groups, chain, detector)
     # one width group (as on every genie side) is the side's estimates
     ue = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-3)
-    return ue.reshape(*ue.shape[:-3], -1, ue.shape[-1])
+    return ue.reshape(*y.shape[:-3], -1, ue.shape[-1])
 
 
 class _Totals:
@@ -366,7 +363,8 @@ class _Sweep:
     estimate.<method>, and one of channel_side.<detector> for the
     methods that share the pilot LS estimates and one for the genie. Each
     of its chunks counts two of draw (its channels, with the span's
-    geometry in the first chunk's, then its payload) and one of pilot;
+    seeding and geometry in the first chunk's, then its payload) and one
+    of pilot;
     each chunk and point, one of apply.<detector> (forming the point's
     received signal too) and of score per side: one for the methods
     that share the pilot LS estimates and one for the genie under a
@@ -455,21 +453,27 @@ class _Sweep:
 class _Span:
     """What a span's chunks share, by block of the span: the true
     channels H (B, L, N, K) and G (B, L, N, K_I), the projected residuals
-    zpsi (B, L, N, tau_p - K) and the pilot LS estimates of every SNR
-    point, est (P, B, L, N, K)."""
+    zpsi (B, L, N, tau_p - K), the pilot LS estimates of every SNR point,
+    est (P, B, L, N, K), and each block's payload generator, seeded with
+    the span's other streams (_draw_pilot)."""
 
     blocks: range
     H: np.ndarray
     G: np.ndarray
     zpsi: np.ndarray
     est: np.ndarray
+    payload_rngs: list
 
 
 def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
     """Draw the span `blocks` and run its pilot phase, a chunk at a time
-    (_run_span), into the span's arrays."""
+    (_run_span), into the span's arrays. Every stream of every block of
+    the span is seeded first, in one pass (scenario.block_generators),
+    charged to the first chunk's draw; the payload generators go with
+    the span to _draw_payload."""
     cfg, points, pilots = sweep.spec.cfg, sweep.points, sweep.pilots
-    geo = build_geometry(cfg, [block_rng(cfg.seed, b, GEOMETRY_STREAM) for b in blocks])
+    geometry, channels, payload = block_generators(cfg.seed, blocks)
+    geo = build_geometry(cfg, geometry)
     B, L, N = len(blocks), cfg.L, cfg.N
     span = _Span(
         blocks,
@@ -477,12 +481,12 @@ def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
         G=np.empty((B, L, N, cfg.K_I), dtype=complex),
         zpsi=np.empty((B, L, N, cfg.tau_p - cfg.K), dtype=complex),
         est=np.empty((len(points), B, L, N, cfg.K), dtype=complex),
+        payload_rngs=payload,
     )
     for start in range(0, B, CHUNK_BLOCKS):
         rows = slice(start, start + CHUNK_BLOCKS)
         betas = replace(geo, beta_ue=geo.beta_ue[rows], beta_oos=geo.beta_oos[rows])
-        rngs = [block_rng(cfg.seed, b, CHANNEL_STREAM) for b in blocks[rows]]
-        chunk = draw_block(cfg, betas, rngs)
+        chunk = draw_block(cfg, betas, channels[rows])
         span.H[rows], span.G[rows] = chunk.H, chunk.G
         sweep.lap("draw")
         interference = pilot_phase.pilot_interference(chunk)
@@ -498,12 +502,11 @@ def _draw_payload(sweep: _Sweep, span: _Span, rows: slice) -> dict:
     """Draw the payload of the span's blocks `rows` into the sweep's
     buffers, once for all points at the first point's power; returns it
     by term."""
-    cfg, blocks = sweep.spec.cfg, span.blocks[rows]
-    for out, H, G, b in zip(sweep.rows, span.H[rows], span.G[rows], blocks):
-        rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
+    rngs = span.payload_rngs[rows]
+    for out, H, G, rng in zip(sweep.rows, span.H[rows], span.G[rows], rngs):
         uplink.simulate_uplink_rx(BlockRealization(H, G, None, None), sweep.points[0], rng, out=out)
     sweep.lap("draw")
-    return {term: buf[: len(blocks)] for term, buf in sweep.payload.items()}
+    return {term: buf[: len(rngs)] for term, buf in sweep.payload.items()}
 
 
 def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
@@ -555,9 +558,10 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
     have the same width w, runs its pass (_ue_rows) once on those
     channels stacked along a method axis, which are then dropped; its
     entry in `groups` holds the columns of W that make each member's
-    augmented channels, (M, w), and their UE rows, (P, B, M, K, w).
-    herm(W) is formed after the passes, so that it is not alive during
-    them."""
+    augmented channels, (M, w), and their UE rows, (P, B, M, K, w). A side
+    of one method, whose augmented channels are W, holds slice(None) and
+    its rows (P, B, K, w), so that apply_chain gathers nothing. herm(W) is
+    formed after the passes, so that it is not alive during them."""
     cfg, detector = sweep.spec.cfg, sweep.spec.detector
     K = ue.shape[-1]
     widths = {m: 0 if ghat is None else ghat.shape[-1] for m, ghat in ghats.items()}
@@ -570,8 +574,11 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
         aug = _augmented_stack([ghats[m] for m in members], ue, K + width)
         rows = _ue_rows(detector, aug, cfg, sweep.chain)
         del aug  # not alive during the next pass
-        columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
-        groups.append((np.array(columns), rows))
+        if len(ghats) == 1:  # all of W in order, as on every genie side: no gather
+            groups.append((slice(None), rows[..., 0, :, :]))
+        else:
+            columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
+            groups.append((np.array(columns), rows))
     shape = ue.shape[:-1]
     parts = [np.broadcast_to(g, (*shape, g.shape[-1])) for g in ghats.values() if g is not None]
     W = np.concatenate([ue, *parts], axis=-1)

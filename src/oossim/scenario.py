@@ -13,6 +13,21 @@ array but ap_positions, drawn from one generator per block (the stack
 rule: numerics). Each generator draws in a fixed order: geometry, UE
 then interferer positions; channels, H, G, S, pilot noise; payload
 (uplink.simulate_uplink_rx), QPSK bits, s, noise.
+
+Seeding. Block b of a run with seed `seed` draws from three PCG64
+streams of its own, geometry, channels and payload (STREAMS), each in
+the state of default_rng(SeedSequence((seed, b, stream))), so that every
+result is a pure function of (spec, seed) and of no span or chunk size.
+block_generators seeds every stream of a span's blocks in one pass. It
+runs numpy's SeedSequence hash (numpy/random/bit_generator.pyx: a pool
+of four 32-bit words, its hash constants and xorshift) in uint32
+arithmetic on every (block, stream) at once, on the entropy words as
+SeedSequence forms them: each integer's little-endian 32-bit words, 0
+as one word, seed then block then stream. Blocks whose indices have as
+many words are hashed together. Each PCG64 is built from its
+generate_state(4, np.uint64) words through a minimal ISeedSequence
+(_SeededWords), so its state is numpy's own and every draw keeps its
+bits, at about a quarter of default_rng's cost per generator.
 """
 
 from __future__ import annotations
@@ -21,8 +36,10 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_NOISE_FLOOR_DBW = -124.0
 # Ceiling on the largest large-scale gain over noise, in dB (see SystemConfig)
@@ -30,10 +47,20 @@ MAX_GAIN_DB = 1200.0
 # Floor on the smallest one: the smallest normal float, in dB
 MIN_GAIN_DB = 10.0 * math.log10(sys.float_info.min)
 
-# Sub-stream tags for per-block reproducible RNGs.
+# Each block's streams, in the order block_generators gives them
 GEOMETRY_STREAM = 0
 CHANNEL_STREAM = 1
 PAYLOAD_STREAM = 2
+STREAMS = (GEOMETRY_STREAM, CHANNEL_STREAM, PAYLOAD_STREAM)
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size in
+# 32-bit words, hash constants and xorshift, half a word
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 # Blocks per span, and per chunk of a span, of the sweep (experiments._run_span)
 SPAN_BLOCKS = 16
@@ -250,9 +277,95 @@ def _generators(rng):
     return ((rng,), False) if isinstance(rng, np.random.Generator) else (tuple(rng), True)
 
 
-def block_rng(seed: int, block_index: int, stream: int) -> np.random.Generator:
-    """Independent, reproducible RNG for one (block, sub-stream) pair."""
-    return np.random.default_rng(np.random.SeedSequence((seed, block_index, stream)))
+def block_generators(seed: int, blocks) -> list[list[np.random.Generator]]:
+    """The generators of the blocks `blocks` (nonnegative integers), by
+    stream: entry [stream][i] is blocks[i]'s, in the state of
+    default_rng(SeedSequence((seed, blocks[i], stream))) (module
+    docstring)."""
+    seed_words, stream_words = _words(int(seed)), [_words(s) for s in STREAMS]
+    block_words = [_words(b) for b in blocks]
+    by_count: dict[int, list[int]] = {}  # the blocks whose words are as many
+    for i, words in enumerate(block_words):
+        by_count.setdefault(len(words), []).append(i)
+    out: list[list] = [[None] * len(blocks) for _ in STREAMS]
+    for rows in by_count.values():
+        # a column of entropy words per (stream, block), stream-major
+        entropy = [[*seed_words, *block_words[i], *s] for s in stream_words for i in rows]
+        for j, words in enumerate(_seeded_words(np.array(entropy, dtype=np.uint32).T)):
+            s, i = divmod(j, len(rows))
+            out[s][rows[i]] = np.random.Generator(np.random.PCG64(_SeededWords(words)))
+    return out
+
+
+def _words(n: int) -> list[int]:
+    """n >= 0 as SeedSequence reads an integer: its 32-bit words, least
+    significant first, and 0 as one word."""
+    return [n >> k & _MASK32 for k in range(0, max(n.bit_length(), 1), 32)]
+
+
+@cache
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's running hash constant for its first n hashes, and
+    the one after each, as uint32 columns (n, 1): each hash multiplies
+    the constant by `mult`, starting from `init`."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray, h_next: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of `value` with the constant h, then h_next."""
+    v = (value ^ h) * h_next
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of the pool word x with the hashed word y."""
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+def _seeded_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) for each column of the
+    entropy words `entropy` (n, R), as C-contiguous rows (R, 4): its pool
+    mixing, then its state hash, each step on every column at once. The
+    hashes of one step use successive constants, in the order
+    SeedSequence runs them one at a time."""
+    n, pool_size = len(entropy), _POOL_SIZE
+    h, h_next = _hash_constants(_INIT_A, _MULT_A, pool_size * (pool_size + max(n - pool_size, 0)))
+    pool = np.zeros((pool_size, entropy.shape[1]), dtype=np.uint32)
+    pool[: min(n, pool_size)] = entropy[:pool_size]  # a short entropy runs on with 0
+    pool = _hashmix(pool, h[:pool_size], h_next[:pool_size])
+    at = pool_size
+    for src in range(pool_size):  # every word into every other
+        dst = [d for d in range(pool_size) if d != src]
+        c = slice(at, at + len(dst))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[c], h_next[c]))
+        at += len(dst)
+    for word in entropy[pool_size:]:  # the rest into every word
+        c = slice(at, at + pool_size)
+        pool = _mix(pool, _hashmix(word, h[c], h_next[c]))
+        at += pool_size
+    h, h_next = _hash_constants(_INIT_B, _MULT_B, 2 * pool_size)
+    state = _hashmix(np.concatenate([pool, pool]), h, h_next).astype(np.uint64)
+    # little-endian: the even word is the low half of each uint64
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+class _SeededWords(ISeedSequence):
+    """A seed sequence whose state is already hashed: the 4 uint64 words
+    (a C-contiguous row) that PCG64 asks generate_state for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _perimeter_points(side: float, L: int) -> np.ndarray:

@@ -49,11 +49,9 @@ from oossim.pilot_phase import (
     simulate_pilot_rx,
 )
 from oossim.scenario import (
-    CHANNEL_STREAM,
-    GEOMETRY_STREAM,
     PAYLOAD_STREAM,
     SystemConfig,
-    block_rng,
+    block_generators,
     build_geometry,
     build_pilot_book,
     draw_block,
@@ -98,9 +96,14 @@ def fail_procrustes_fold(monkeypatch, cfg, block=0):
     monkeypatch.setattr(oos_estimation, "rotate_and_average_step", flaky)
 
 
+def block_streams(cfg, block):
+    """Block `block`'s generators, one per stream, as the sweep seeds them."""
+    return [rngs[0] for rngs in block_generators(cfg.seed, [block])]
+
+
 def drawn_block(cfg, block):
-    geo = build_geometry(cfg, block_rng(cfg.seed, block, GEOMETRY_STREAM))
-    return draw_block(cfg, geo, block_rng(cfg.seed, block, CHANNEL_STREAM))
+    geometry, channels, _ = block_streams(cfg, block)
+    return draw_block(cfg, build_geometry(cfg, geometry), channels)
 
 
 def fail_centralized_detection(monkeypatch, spec, block):
@@ -109,7 +112,7 @@ def fail_centralized_detection(monkeypatch, spec, block):
     marks = []
     for snr_db in spec.snr_grid_db:
         cfg = replace(spec.cfg, rho=experiments.uplink_power(snr_db))
-        rng = block_rng(cfg.seed, block, PAYLOAD_STREAM)
+        rng = block_streams(cfg, block)[PAYLOAD_STREAM]
         marks.append(uplink.simulate_uplink_rx(drawn_block(cfg, block), cfg, rng).y[0])
     original = uplink.apply_zf_filter
 
@@ -350,7 +353,7 @@ def point_payload(spec, p, b):
     """The received vectors (L, N, T) of block `b` at the SNR point of
     index `p`, as simulate_uplink_rx draws them alone."""
     cfg = replace(spec.cfg, rho=experiments.uplink_power(spec.snr_grid_db[p]))
-    rng = block_rng(cfg.seed, b, PAYLOAD_STREAM)
+    rng = block_streams(cfg, b)[PAYLOAD_STREAM]
     return uplink.simulate_uplink_rx(drawn_block(cfg, b), cfg, rng).y
 
 
@@ -517,27 +520,17 @@ class TestRunMonteCarlo:
         # same bit decisions on every block
         from oossim import oos_estimation, pilot_phase, uplink
         from oossim.fronthaul import Chain
-        from oossim.scenario import (
-            CHANNEL_STREAM,
-            GEOMETRY_STREAM,
-            PAYLOAD_STREAM,
-            block_rng,
-            build_geometry,
-            build_pilot_book,
-            draw_block,
-        )
+        from oossim.scenario import build_geometry, build_pilot_book, draw_block
 
         cfg = make_cfg(trials=10)
         pilots = build_pilot_book(cfg)
         for b in range(cfg.trials):
-            geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-            block = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
+            geometry, channels, payload = block_streams(cfg, b)
+            block = draw_block(cfg, build_geometry(cfg, geometry), channels)
             obs = pilot_phase.simulate_pilot_rx(block, pilots, cfg)
             est = pilot_phase.ls_channel_estimate(obs, pilots, cfg)
             zpsi = pilot_phase.compute_projected_residual(obs, pilots)
-            batch = uplink.simulate_uplink_rx(
-                block, cfg, block_rng(cfg.seed, b, PAYLOAD_STREAM), 10
-            )
+            batch = uplink.simulate_uplink_rx(block, cfg, payload, 10)
             sbar_g = oos_estimation.run_gramian_method(zpsi, cfg, Chain.for_config(cfg))
             sbar_c, _ = oos_estimation.centralized_oos_oracle(zpsi, cfg.K_I)
             errs = []
@@ -723,7 +716,7 @@ class TestRunMonteCarlo:
         for (p, b), estimates in seen.items():
             cfg_pt = replace(cfg, rho=experiments.uplink_power(spec.snr_grid_db[p]))
             drawn = drawn_block(cfg, b)
-            batch = uplink.simulate_uplink_rx(drawn, cfg_pt, block_rng(cfg.seed, b, PAYLOAD_STREAM))
+            batch = uplink.simulate_uplink_rx(drawn, cfg_pt, block_streams(cfg, b)[PAYLOAD_STREAM])
             want = uplink.detect_centralized(batch, np.concatenate([drawn.H, drawn.G], axis=-1))
             assert np.array_equal(estimates, want[: cfg.K])
 
@@ -788,6 +781,26 @@ class TestRunMonteCarlo:
                 assert np.array_equal(got[:, i * K : (i + 1) * K], want[:, :K]), m
 
     @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
+    def test_a_one_method_side_gathers_nothing(self, detector):
+        # a side of one method (every genie side, a rerun's sides) applies
+        # its rows to the whole chain sum, and keeps its method's bits
+        rng = np.random.default_rng(5)
+        sweep, est, ghats, order, shared = self.mixed_chain_side(detector, rng)
+        cfg, (P, B), K = sweep.spec.cfg, est.shape[:2], sweep.spec.cfg.K
+        y = crandn(rng, B, cfg.L, cfg.N, 40)
+        for m in (0, 1, 3):
+            members, side = experiments._chain_side(sweep, est, {m: ghats[m]}, P)
+            [(columns, rows)] = side[1]
+            width = K + (0 if ghats[m] is None else ghats[m].shape[-1])
+            assert members == [m] and columns == slice(None)
+            assert rows.shape == (P, B, K, width)
+            i = order.index(m)
+            for p in range(P):
+                alone = experiments._apply(detector, y, side, p, sweep.chain)
+                among = experiments._apply(detector, y, shared, p, sweep.chain)
+                assert np.array_equal(alone, among[:, i * K : (i + 1) * K])
+
+    @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
     def test_channel_side_keeps_only_the_ue_rows(self, detector):
         # a span's chunks share the side, which must not keep the whole
         # Gramian inverse or covariance alive, nor more than one copy of
@@ -814,7 +827,7 @@ class TestRunMonteCarlo:
         (P, B), K, n = (2, 3), cfg.K, cfg.L * cfg.N
         H, est = crandn(rng, B, cfg.L, cfg.N, K), crandn(rng, P, B, cfg.L, cfg.N, K)
         ghats = {0: None, **{m: crandn(rng, B, cfg.L, cfg.N, cfg.K_I) for m in (1, 2, 3)}}
-        span = experiments._Span(range(B), H, None, None, est)
+        span = experiments._Span(range(B), H, None, None, est, None)
         sweep = experiments._Sweep(spec)
         F = experiments._zf_side(sweep, span, est, ghats)
         owner = F if F.base is None else F.base
@@ -889,7 +902,7 @@ class TestRunMonteCarlo:
             for i, b in enumerate(blocks):
                 alone = uplink.simulate_uplink_rx(
                     drawn_block(cfg, b), replace(cfg, rho=10.0 ** (snr_db / 10.0)),
-                    block_rng(cfg.seed, b, PAYLOAD_STREAM),
+                    block_streams(cfg, b)[PAYLOAD_STREAM],
                 )
                 assert np.array_equal(x[i], alone.x) and np.array_equal(y[i], alone.y)
 
@@ -1030,11 +1043,9 @@ class TestChunking:
         assert all(kept <= set(payload) for payload in payloads)
         pilots = build_pilot_book(cfg)
         for b in range(size):
-            geo = build_geometry(cfg, block_rng(cfg.seed, b, GEOMETRY_STREAM))
-            alone = draw_block(cfg, geo, block_rng(cfg.seed, b, CHANNEL_STREAM))
-            batch = uplink.simulate_uplink_rx(
-                alone, sweep.points[0], block_rng(cfg.seed, b, PAYLOAD_STREAM)
-            )
+            geometry, channels, payload = block_streams(cfg, b)
+            alone = draw_block(cfg, build_geometry(cfg, geometry), channels)
+            batch = uplink.simulate_uplink_rx(alone, sweep.points[0], payload)
             assert np.array_equal(span.H[b], alone.H) and np.array_equal(span.G[b], alone.G)
             interference = pilot_interference(alone)
             zpsi = compute_projected_residual(interference, pilots)
@@ -1143,7 +1154,7 @@ class TestChunking:
         spec = with_trials(replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 3.0)), 7)
         clean = run_monte_carlo(spec).rows
         cfg = replace(spec.cfg, rho=experiments.uplink_power(3.0))
-        rng = block_rng(cfg.seed, 2, PAYLOAD_STREAM)
+        rng = block_streams(cfg, 2)[PAYLOAD_STREAM]
         mark = uplink.simulate_uplink_rx(drawn_block(cfg, 2), cfg, rng).y[0]
         original = uplink.apply_zf_filter
 
@@ -1700,7 +1711,7 @@ def tiny_valid_specs(draw):
         L=L, N=N, K=K, K_I=K_I, tau_p=tau_p, tau_c=tau_p + draw(st.integers(1, 6)),
         oos_snr=10.0 ** draw(st.floats(-3, 8)), alpha=10.0 ** draw(st.floats(-2, 12)),
         ap_order=tuple(draw(st.permutations(range(1, L + 1)))),
-        seed=draw(st.integers(0, 2**16)), trials=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**70)), trials=draw(st.integers(1, 4)),
         area_side_m=draw(st.floats(50, 1000)), noise_floor_dbw=draw(st.floats(-124, -60)),
     )
     defined = [m for m in experiments.METHODS if experiments.undefined_reason(m, cfg) is None]
@@ -1931,6 +1942,17 @@ class TestConfigEdges:
                 assert isinstance(phases["failed"], str)
             else:
                 assert phases == experiments.analytic_per_link(method, cfg, detector)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=tiny_valid_specs(), span=st.integers(1, 3), chunk=st.integers(1, 3))
+    def test_results_ignore_span_and_chunk_sizes(self, spec, span, chunk):
+        # results.csv, the failure records and the degenerate-rotation
+        # count are the same at the default sizes, per block and at a
+        # drawn span and chunk size, anywhere in the valid config space
+        record = sweep_record(spec)
+        for sizes in ((1, 1), (span, chunk)):
+            with mock.patch.multiple(experiments, SPAN_BLOCKS=sizes[0], CHUNK_BLOCKS=sizes[1]):
+                assert sweep_record(spec) == record
 
     @settings(max_examples=25, deadline=None)
     @given(

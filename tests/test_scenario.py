@@ -12,8 +12,9 @@ from oossim.numerics import herm
 from oossim.scenario import (
     MAX_GAIN_DB,
     MIN_GAIN_DB,
+    STREAMS,
     SystemConfig,
-    block_rng,
+    block_generators,
     build_geometry,
     build_pilot_book,
     crandn,
@@ -293,10 +294,29 @@ class TestDrawBlock:
         )
         assert power == pytest.approx(0.5, rel=0.05)
 
-    def test_block_rng_streams_independent(self):
-        a = block_rng(1, 0, 0).standard_normal(4)
-        b = block_rng(1, 0, 1).standard_normal(4)
-        c = block_rng(1, 1, 0).standard_normal(4)
+    def test_block_streams_independent(self):
+        (a, c), (b, _), _ = block_generators(1, [0, 1])
+        a, b, c = (rng.standard_normal(4) for rng in (a, b, c))
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
-        assert np.allclose(a, block_rng(1, 0, 0).standard_normal(4))
+        assert np.allclose(a, block_generators(1, [0])[0][0].standard_normal(4))
+
+
+class TestBlockGenerators:
+    """Every generator block_generators seeds is in numpy's own state for
+    its (seed, block, stream), whatever the word counts of the seed and
+    the blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**200 - 1), more=st.lists(st.integers(0, 2**70), max_size=3))
+    @example(seed=0, more=[])
+    @example(seed=2**32 - 1, more=[5])
+    @example(seed=2**64 + 5, more=[2**64])
+    def test_every_state_is_numpys(self, seed, more):
+        blocks = [0, 2**32 - 1, 2**32, *more]
+        by_stream = block_generators(seed, blocks)
+        assert STREAMS == (0, 1, 2) and len(by_stream) == len(STREAMS)
+        for stream, rngs in zip(STREAMS, by_stream):
+            for b, rng in zip(blocks, rngs, strict=True):
+                numpys = np.random.default_rng(np.random.SeedSequence((seed, b, stream)))
+                assert rng.bit_generator.state == numpys.bit_generator.state, (b, stream)
