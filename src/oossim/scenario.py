@@ -24,10 +24,11 @@ of four 32-bit words, its hash constants and xorshift) in uint32
 arithmetic on every (block, stream) at once, on the entropy words as
 SeedSequence forms them: each integer's little-endian 32-bit words, 0
 as one word, seed then block then stream. Blocks whose indices have as
-many words are hashed together. Each PCG64 is built from its
-generate_state(4, np.uint64) words through a minimal ISeedSequence
-(_SeededWords), so its state is numpy's own and every draw keeps its
-bits, at about a quarter of default_rng's cost per generator.
+many words are hashed together (_generate_states). Each PCG64 is built
+from its generate_state(4, np.uint64) words through a minimal
+ISeedSequence (_given_state_type), so its state is numpy's own and
+every draw keeps its bits, at about a quarter of default_rng's cost
+per generator.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_NOISE_FLOOR_DBW = -124.0
 # Ceiling on the largest large-scale gain over noise, in dB (see SystemConfig)
@@ -288,12 +288,13 @@ def block_generators(seed: int, blocks) -> list[list[np.random.Generator]]:
     for i, words in enumerate(block_words):
         by_count.setdefault(len(words), []).append(i)
     out: list[list] = [[None] * len(blocks) for _ in STREAMS]
+    given_state = _given_state_type()
     for rows in by_count.values():
         # a column of entropy words per (stream, block), stream-major
         entropy = [[*seed_words, *block_words[i], *s] for s in stream_words for i in rows]
-        for j, words in enumerate(_seeded_words(np.array(entropy, dtype=np.uint32).T)):
+        for j, words in enumerate(_generate_states(np.array(entropy, dtype=np.uint32).T)):
             s, i = divmod(j, len(rows))
-            out[s][rows[i]] = np.random.Generator(np.random.PCG64(_SeededWords(words)))
+            out[s][rows[i]] = np.random.Generator(np.random.PCG64(given_state(words)))
     return out
 
 
@@ -330,7 +331,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _seeded_words(entropy: np.ndarray) -> np.ndarray:
+def _generate_states(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence.generate_state(4, np.uint64) for each column of the
     entropy words `entropy` (n, R), as C-contiguous rows (R, 4): its pool
     mixing, then its state hash, each step on every column at once. The
@@ -357,15 +358,23 @@ def _seeded_words(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
 
 
-class _SeededWords(ISeedSequence):
-    """A seed sequence whose state is already hashed: the 4 uint64 words
-    (a C-contiguous row) that PCG64 asks generate_state for."""
+@cache
+def _given_state_type() -> type:
+    """An ISeedSequence whose generate_state returns the words it is made
+    with: the 4 uint64 words (a C-contiguous row) that PCG64 asks for.
+    Made on the first call, so that numpy.random loads with a sweep's
+    first draw, as under default_rng: loaded with this module, it raised
+    the benchmark's peak RSS by about 0.25 MiB."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return GivenState
 
 
 def _perimeter_points(side: float, L: int) -> np.ndarray:
