@@ -364,7 +364,8 @@ def _given_state_type() -> type:
     with: the 4 uint64 words (a C-contiguous row) that PCG64 asks for.
     Made on the first call, so that numpy.random loads with a sweep's
     first draw, as under default_rng: loaded with this module, it raised
-    the benchmark's peak RSS by about 0.25 MiB."""
+    the peak RSS of a process running five paper_default sweeps by about
+    0.3 MiB."""
     from numpy.random.bit_generator import ISeedSequence
 
     class GivenState(ISeedSequence):
