@@ -310,30 +310,26 @@ def _augmented_stack(ghats, ue, width):
 def _ue_rows(detector, aug, cfg, chain):
     """The pass of the chain detector `detector` on the augmented channels
     `aug` (M, ..., L, N, w) of M methods of one width: the UE rows of its
-    Gramian inverse or error covariance, (..., M, K, w), copied, so that a
-    side that a span's chunks share holds no whole one."""
-    K = cfg.K
+    Gramian inverse or error covariance, (M, ..., K, w), copied, so that
+    the whole one is not kept."""
     if detector == "distributed_zf":
         rows = uplink.inverse_gramian(uplink.accumulate_channel_gramian(aug, chain))
     elif detector == "sequential_ls":
         rows = uplink.sequential_ls_covariance(aug, cfg, chain)
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    return np.moveaxis(rows[..., :K, :], 0, -3).copy()
+    return rows[..., : cfg.K, :].copy()
 
 
 def _apply(detector, y, side, at, chain):
     """The K UEs' estimates, block-major (..., M K, T), from the received
     vectors `y` and a side of _channel_sides at `at` (its point and
-    blocks)."""
+    blocks): one product per block of the side's filter, after the chain
+    pass under a chain detector."""
     if detector == "centralized_zf":
         return uplink.apply_zf_filter(y, side[at])
-    W_h, groups = side
-    groups = [(columns, rows[at]) for columns, rows in groups]
-    outs = uplink.apply_chain(y, W_h[at], groups, chain, detector)
-    # one width group (as on every genie side) is the side's estimates
-    ue = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-3)
-    return ue.reshape(*y.shape[:-3], -1, ue.shape[-1])
+    W_h, F = side
+    return uplink.apply_chain(y, W_h[at], F[at], chain, detector)
 
 
 class _Totals:
@@ -368,10 +364,13 @@ class _Sweep:
     each chunk and point, one of apply.<detector> (forming the point's
     received signal too) and of score per side: one for the methods
     that share the pilot LS estimates and one for the genie under a
-    chain detector, one in all under centralized ZF (_channel_sides). A
-    rerun block draws and runs its pilot phase as a span of one chunk,
-    then counts each method's estimate once and its channel side, apply
-    and score once per point."""
+    chain detector, one in all under centralized ZF (_channel_sides).
+    Where the genie's side is applied once per chunk (_detect), those
+    passes are charged to the chunk's first apply.<detector> lap, and its
+    own apply laps at each point only scale and sum them; the counts stay
+    as above. A rerun block draws and runs its pilot phase as a span of
+    one chunk, then counts each method's estimate once and its channel
+    side, apply and score once per point."""
 
     def __init__(self, spec: ExperimentSpec, chain: Chain | None = None):
         self.seconds, self.calls = Counter(), Counter()
@@ -531,7 +530,8 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     pilot LS estimates `est` holds, as (method indices, side) pairs; a
     side's estimates (_apply) hold its methods' in that order. The genie's
     channels do not depend on the point, so its side is formed on the
-    blocks alone and serves every point.
+    blocks alone and serves every point (under a chain detector, applied
+    once per chunk where it can be: _detect).
 
     Every method but the genie shares the UE columns `est`. Under a chain
     detector those methods share one side (_chain_side), and the genie
@@ -551,34 +551,36 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
     """A chain detector's side of the methods of `ghats`, which share the
     UE channels `ue` (P, B, L, N, K), or (1, B, L, N, K) broadcast to
     `points` points (the genie's true H), as a (method indices, side)
-    pair. The side is (herm(W), groups). W (P, B, L, N, R) holds the UE
+    pair. The side is (herm(W), F). W (P, B, L, N, R) holds the UE
     columns, then each method's interferer columns in turn (R = K plus
     their widths), and herm(W) is conjugated here once for every method
     and point. Each width group, the methods whose augmented channels
     have the same width w, runs its pass (_ue_rows) once on those
-    channels stacked along a method axis, which are then dropped; its
-    entry in `groups` holds the columns of W that make each member's
-    augmented channels, (M, w), and their UE rows, (P, B, M, K, w). A side
-    of one method, whose augmented channels are W, holds slice(None) and
-    its rows (P, B, K, w), so that apply_chain gathers nothing. herm(W) is
-    formed after the passes, so that it is not alive during them."""
+    channels stacked along a method axis, which are then dropped. F (P,
+    B, M K, R) is one block-major row filter, like centralized ZF's
+    (_zf_side): each method's K UE rows at its own columns of W, zeros
+    elsewhere, so that the chain sum takes one product per block. F and
+    herm(W) are formed after the passes, so that neither is alive during
+    them."""
     cfg, detector = sweep.spec.cfg, sweep.spec.detector
     K = ue.shape[-1]
     widths = {m: 0 if ghat is None else ghat.shape[-1] for m, ghat in ghats.items()}
     first = dict(zip(widths, np.cumsum([K, *widths.values()])))  # each method's first in W
+    R = K + sum(widths.values())
     by_width: dict[int, list] = {}
     for m, width in widths.items():
         by_width.setdefault(width, []).append(m)
-    groups = []
-    for width, members in by_width.items():
-        aug = _augmented_stack([ghats[m] for m in members], ue, K + width)
-        rows = _ue_rows(detector, aug, cfg, sweep.chain)
+    ue_rows = {}  # each method's UE rows, a view of its group's copy
+    for width, group in by_width.items():
+        aug = _augmented_stack([ghats[m] for m in group], ue, K + width)
+        ue_rows.update(zip(group, _ue_rows(detector, aug, cfg, sweep.chain)))
         del aug  # not alive during the next pass
-        if len(ghats) == 1:  # all of W in order, as on every genie side: no gather
-            groups.append((slice(None), rows[..., 0, :, :]))
-        else:
-            columns = [[*range(K), *range(first[m], first[m] + width)] for m in members]
-            groups.append((np.array(columns), rows))
+    members = list(ue_rows)
+    F = np.zeros((*ue.shape[:-3], len(members), K, R), dtype=complex)
+    for slot, m in zip(np.moveaxis(F, -3, 0), members):
+        slot[..., :K] = ue_rows[m][..., :K]
+        slot[..., first[m] : first[m] + widths[m]] = ue_rows[m][..., K:]
+    del ue_rows  # not alive while W is formed
     shape = ue.shape[:-1]
     parts = [np.broadcast_to(g, (*shape, g.shape[-1])) for g in ghats.values() if g is not None]
     W = np.concatenate([ue, *parts], axis=-1)
@@ -587,9 +589,9 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
     def every_point(x):  # a view: the genie's one point serves all
         return np.broadcast_to(x, (points, *x.shape[1:]))
 
-    side = every_point(W_h), [(c, every_point(r)) for c, r in groups]
+    side = every_point(W_h), every_point(F.reshape(*F.shape[:2], -1, R))
     sweep.lap(f"channel_side.{detector}")
-    return [m for members in by_width.values() for m in members], side
+    return members, side
 
 
 def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:
@@ -617,16 +619,34 @@ def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:
 def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals):
     """Detect the payload `payload` of the span's blocks `rows` at the SNR
     points `points` with the channel sides `sides` (_channel_sides), and
-    add their bit errors to `totals`."""
-    detector = sweep.spec.detector
+    add their bit errors to `totals`.
+
+    Under a chain detector the genie's side is formed on one point, and
+    its estimates are linear in the received vectors y = sqrt(rho) H x +
+    (G s + n). So when the payload terms are kept and there are several
+    points, that side is applied once per chunk to each part, a = F
+    sum_l herm(W_l) hx_l and b = F sum_l herm(W_l) (gs_l + n_l), with
+    gs + n summed into y's buffer first, and each point takes sqrt(rho) a
+    + b. A one-point grid or rerun applies it to each point's y."""
+    spec, detector = sweep.spec, sweep.spec.detector
     x, y = payload["x"], payload["y"]
     truth = uplink.positive_parts(x)  # for every point and side
+    parts = {}  # the genie's side index -> its (a, b)
+    if len(points) > 1 and detector != "centralized_zf":
+        for i, (members, side) in enumerate(sides):
+            if spec.methods[members[0]] == GENIE:
+                np.add(payload["gs"], payload["noise"], out=y)
+                terms = payload["hx"], y
+                parts[i] = [_apply(detector, t, side, (0, rows), sweep.chain) for t in terms]
     for j, p in enumerate(points):
+        rho = sweep.points[p].rho
         if "hx" in payload:  # the buffer may hold another point's y
-            terms = payload["hx"], payload["gs"], payload["noise"]
-            uplink.received_signal(sweep.points[p].rho, *terms, out=y)
-        for members, side in sides:
-            ue = _apply(detector, y, side, (j, rows), sweep.chain)
+            uplink.received_signal(rho, payload["hx"], payload["gs"], payload["noise"], out=y)
+        for i, (members, side) in enumerate(sides):
+            if i in parts:
+                ue = uplink.received_signal(rho, *parts[i])
+            else:
+                ue = _apply(detector, y, side, (j, rows), sweep.chain)
             sweep.lap(f"apply.{detector}")
             totals.errors[p, members] += _score(ue, truth, len(members))
             totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol

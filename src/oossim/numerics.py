@@ -21,6 +21,13 @@ payload with at each hop) get the bits of their own product when each
 member has two or more rows. A member of one row (K = 1, as
 no_suppression's herm(E)) alone is a vector-matrix product, which may
 round differently, so its bits may depend on what is stacked with it.
+The chain detectors' block-major row filter F (experiments._chain_side)
+holds each method's rows at its own columns of W and zeros elsewhere.
+Zero columns of F add exact zeros, which leave a partial sum as it was,
+so each method keeps the bits of its own rows' product wherever the BLAS
+kernel sums each output over k in order (as OpenBLAS does at these
+shapes, on one thread and on two); tests/test_experiments.py's
+test_ue_row_apply_equals_the_detectors checks it.
 
 Five routes are cheaper than the textbook call (after the arrow). Each
 screens every matrix on the error bound that its function's docstring

@@ -15,8 +15,12 @@ payload: channels (M, B, L, N, m) of M methods against a payload
 (B, L, N, T) give (M, B, m, T) estimates; the payload broadcasts and is
 never copied per method. Methods that share the UE columns E share more:
 apply_chain combines the payload once with W = [E, G_1, ..., G_M], the
-UE columns and every method's interferer columns, and hands each method
-its own [E; G_i] rows of the chain sum. Centralized ZF's channel side is
+UE columns and every method's interferer columns, and the CPU applies
+one row filter to the chain sum, each method's rows at its own [E; G_i]
+columns and zeros elsewhere (experiments._chain_side). Since the apply
+step is linear in y, a side that does not depend on the uplink power
+(the genie's) may apply it to the payload terms apart
+(experiments._detect). Centralized ZF's channel side is
 numerics.zf_filters: for each method that shares the UE columns, the K
 UE rows of its augmented channels' pseudo-inverse. Those rows are L N
 wide whatever m, so the sweep stacks the K UE rows of its M methods
@@ -160,30 +164,33 @@ def _combine_fold(acc, A_h, y_l):
     return add_and_forward(acc, A_h @ y_l)
 
 
-def apply_chain(y: np.ndarray, W_h: np.ndarray, groups, chain: Chain, detector: str) -> list:
+def apply_chain(
+    y: np.ndarray, W_h: np.ndarray, rows: np.ndarray, chain: Chain, detector: str
+) -> np.ndarray:
     """Apply step of both chain detectors on the received vectors y (...,
     L, N, T). Each AP combines locally with W_l^H and the chain sums the
     results once per symbol period: one product per hop for every method
     whose augmented channels are columns of W (W = aug for one method).
     W_h = herm(W) (..., L, R, N) comes from the channel side. The CPU then
-    applies each (columns, rows) pair of `groups`: `rows`, the rows wanted
-    of inverse_gramian or sequential_ls_covariance (..., k, w), times the
-    chain sum's rows `columns`, an index of its R rows (slice(None) for
-    all), (w,) for one method or (M, w) for M methods of one width, whose
-    rows then carry that method axis (..., M, k, w). Returns each pair's
-    estimates, (..., [M,] k, T)."""
+    applies `rows` (..., k, R) to the chain sum: the rows wanted of
+    inverse_gramian or sequential_ls_covariance, or for several methods
+    each one's UE rows at its own columns of W and zeros elsewhere
+    (experiments._chain_side). Returns the estimates, (..., k, T)."""
     z = chain.run(CHAIN_PHASES[detector][1], _combine_fold, vector_symbols, None, W_h, y)
-    return [rows @ z[..., columns, :] for columns, rows in groups]
+    return rows @ z
 
 
 def detect_sequential_ls(
     batch: UplinkSymbolBatch, aug: np.ndarray, cfg: SystemConfig, chain: Chain
 ) -> DetectorState:
     """Recursive LS along the chain, the covariance pass then the estimate
-    pass; the prior I/alpha keeps J invertible for any channels."""
+    pass. The prior I/alpha keeps J invertible for any channels in exact
+    arithmetic only. In floating point it can be lost to rounding beside
+    the Gramian's entries, and where the Gramian is singular (L N < K +
+    K_I) np.linalg.inv(J) may then raise, a NumericalFailure here; ROADMAP
+    item 12 gives a spec where it does."""
     cov = sequential_ls_covariance(aug, cfg, chain)
-    [xhat] = apply_chain(batch.y, herm(aug), [(slice(None), cov)], chain, "sequential_ls")
-    return DetectorState(xhat)
+    return DetectorState(apply_chain(batch.y, herm(aug), cov, chain, "sequential_ls"))
 
 
 def detect_distributed_zf(
@@ -192,9 +199,7 @@ def detect_distributed_zf(
     """Distributed ZF, inverse_gramian then apply_chain: the (K + K_I, T)
     estimates, identical to the centralized zero-forcing solution whenever
     gamma is invertible."""
-    rows = inverse_gramian(gamma)
-    [xhat] = apply_chain(batch.y, herm(aug), [(slice(None), rows)], chain, "distributed_zf")
-    return xhat
+    return apply_chain(batch.y, herm(aug), inverse_gramian(gamma), chain, "distributed_zf")
 
 
 def apply_zf_filter(y: np.ndarray, F: np.ndarray) -> np.ndarray:

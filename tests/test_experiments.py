@@ -287,34 +287,35 @@ def count_calls(monkeypatch, module, name, calls: Counter):
 
 def ue_estimates(monkeypatch, spec):
     """Run `spec` and return each method's UE estimates (K, T) by
-    (method, point index, block), read through a spy on _apply, whose
-    block-major result holds each block's rows method by method."""
+    (method, point index, block), read through a spy on _score, whose
+    block-major estimates hold each block's rows method by method (those
+    of the genie's per-chunk route too, which calls _apply per chunk)."""
     K, context, seen = spec.cfg.K, {}, {}
-    draw_pilot, detect, apply = experiments._draw_pilot, experiments._detect, experiments._apply
+    draw_pilot, detect, score = experiments._draw_pilot, experiments._detect, experiments._score
 
     def drawing(sweep, blocks):
         context["span"] = blocks
         return draw_pilot(sweep, blocks)
 
     def detecting(sweep, payload, sides, rows, points, totals):
-        # _detect applies each side in turn at each point
+        # _detect scores each side in turn at each point
         context["calls"] = iter([(p, members) for p in points for members, _ in sides])
         context["blocks"] = context["span"][rows]
         return detect(sweep, payload, sides, rows, points, totals)
 
-    def applying(*args):
-        ue = apply(*args)  # (B, M K, T)
+    def scoring(ue, truth, methods):  # ue (B, M K, T)
         p, members = next(context["calls"])
+        assert len(members) == methods
         for i, m in enumerate(members):
             for b, estimates in zip(context["blocks"], ue[:, i * K : (i + 1) * K]):
                 assert (spec.methods[m], p, b) not in seen
                 seen[spec.methods[m], p, b] = estimates.copy()
-        return ue
+        return score(ue, truth, methods)
 
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_draw_pilot", drawing)
         patch.setattr(experiments, "_detect", detecting)
-        patch.setattr(experiments, "_apply", applying)
+        patch.setattr(experiments, "_score", scoring)
         run_monte_carlo(spec)
     return seen
 
@@ -635,9 +636,12 @@ class TestRunMonteCarlo:
         # estimates once for its four other methods, so they count as one
         # group whatever their widths. Under a chain detector the methods
         # that share the pilot LS estimates apply once per chunk and point
-        # together, whatever their widths, and the genie once more;
-        # centralized ZF's methods, merged into one filter, apply once per
-        # chunk and point together.
+        # together, whatever their widths; the genie, the second of
+        # `applies` sides, once more per chunk and point on a one-point
+        # grid, and on a grid of several points twice per chunk (its H x
+        # and its G s + n part), whatever their number. Centralized ZF's
+        # methods, merged into one filter, apply once per chunk and point
+        # together.
         spans, chunks = spans_and_chunks(MULTI_SPAN_TRIALS)
         assert (len(spans), len(chunks)) == (2, 6)
         for grid in ((0.0,), (-4.0, 0.0, 4.0)):
@@ -647,7 +651,8 @@ class TestRunMonteCarlo:
                 count_calls(patch, uplink, apply, calls)
                 spec = build(detector=detector, snr_grid_db=grid)
                 run_monte_carlo(with_trials(with_payload(spec, 10), MULTI_SPAN_TRIALS))
-            assert calls == {side: 2 * (groups + 1), apply: len(grid) * 6 * applies}
+            per_chunk = len(grid) + (applies - 1) * min(len(grid), 2)
+            assert calls == {side: 2 * (groups + 1), apply: 6 * per_chunk}
 
     def test_genie_channel_side_runs_once_per_span(self, monkeypatch):
         spec = replace(tiny_spec(), snr_grid_db=(-4.0, 0.0, 4.0), methods=("centralized_genie",))
@@ -782,18 +787,20 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
     def test_a_one_method_side_gathers_nothing(self, detector):
-        # a side of one method (every genie side, a rerun's sides) applies
-        # its rows to the whole chain sum, and keeps its method's bits
+        # a side of one method (every genie side, a rerun's sides) has a
+        # filter of its UE rows alone, over all of W, with no zero column;
+        # it keeps its method's bits
         rng = np.random.default_rng(5)
         sweep, est, ghats, order, shared = self.mixed_chain_side(detector, rng)
         cfg, (P, B), K = sweep.spec.cfg, est.shape[:2], sweep.spec.cfg.K
         y = crandn(rng, B, cfg.L, cfg.N, 40)
         for m in (0, 1, 3):
             members, side = experiments._chain_side(sweep, est, {m: ghats[m]}, P)
-            [(columns, rows)] = side[1]
+            W_h, F = side
             width = K + (0 if ghats[m] is None else ghats[m].shape[-1])
-            assert members == [m] and columns == slice(None)
-            assert rows.shape == (P, B, K, width)
+            assert members == [m] and F.shape == (P, B, K, width)
+            assert W_h.shape == (P, B, cfg.L, width, cfg.N)
+            assert np.all(np.any(F != 0, axis=-2))
             i = order.index(m)
             for p in range(P):
                 alone = experiments._apply(detector, y, side, p, sweep.chain)
@@ -804,16 +811,28 @@ class TestRunMonteCarlo:
     def test_channel_side_keeps_only_the_ue_rows(self, detector):
         # a span's chunks share the side, which must not keep the whole
         # Gramian inverse or covariance alive, nor more than one copy of
-        # the UE and interferer channels
-        sweep, est, ghats, members, (W_h, groups) = self.mixed_chain_side(
+        # the UE and interferer channels: F holds each method's K UE rows
+        # at its columns of W and zeros elsewhere
+        sweep, est, ghats, members, (W_h, F) = self.mixed_chain_side(
             detector, np.random.default_rng(3)
         )
-        K = sweep.spec.cfg.K
-        for _, rows in groups:
-            assert rows.shape[-2] == K and rows.base.base is None and rows.base.shape == rows.shape
+        K, (P, B) = sweep.spec.cfg.K, est.shape[:2]
         width = K + sum(0 if g is None else g.shape[-1] for g in ghats.values())
+        assert F.shape == (P, B, len(members) * K, width)
         assert W_h.shape == (*est.shape[:3], width, est.shape[-2])
-        assert W_h.base.base is None and W_h.base.size == W_h.size
+        for x in (F, W_h):
+            owner = x
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.size == x.size
+        first = K
+        for m in ghats:  # W's column order
+            w = 0 if ghats[m] is None else ghats[m].shape[-1]
+            own = F[:, :, members.index(m) * K : (members.index(m) + 1) * K]
+            others = np.ones(width, dtype=bool)
+            others[:K] = others[first : first + w] = False
+            assert np.all(own[..., others] == 0) and np.all(own[..., ~others] != 0), m
+            first += w
 
     def test_zf_side_apply_equals_detect_centralized(self):
         # what the sweep runs under centralized ZF: one block-major filter
@@ -1514,6 +1533,58 @@ class TestLiteralChainDetectors:
             want = self.literal(channels[method, p, b], y, spec.cfg, spec.detector)
             worst = max(worst, np.linalg.norm(estimates - want) / np.linalg.norm(want))
         assert worst < self.LITERAL_RTOL
+
+
+class TestGenieChunkRoute:
+    """Under a chain detector the genie's side is formed on one point, and
+    on a grid of several points _detect applies it once per chunk to the
+    payload's H x and G s + n parts, then scales and sums them per point.
+    Its estimates equal _apply's on each point's own received vectors y,
+    with the genie's side formed on each block alone, within GENIE_RTOL
+    relatively; on a one-point grid the sweep takes that per-point route,
+    bit for bit."""
+
+    GENIE_RTOL = 1e-12
+    BUILDS = {"default": default_spec, "overloaded": overloaded_interferers_spec}
+    TRIALS = experiments.CHUNK_BLOCKS + 2  # a full chunk and a partial one
+
+    @staticmethod
+    def per_point(spec):
+        """The genie's UE estimates (K, T) by (point index, block), from
+        _apply on each point's y with a side formed on that block alone."""
+        cfg, sweep, want = spec.cfg, experiments._Sweep(spec), {}
+        genie = spec.methods.index(GENIE)
+        for b in range(cfg.trials):
+            drawn = drawn_block(cfg, b)
+            points = len(spec.snr_grid_db)
+            _, side = experiments._chain_side(sweep, drawn.H[None, None], {genie: drawn.G[None]}, points)
+            for p in range(points):
+                y = point_payload(spec, p, b)[None]
+                want[p, b] = experiments._apply(spec.detector, y, side, (p, slice(None)), sweep.chain)[0]
+        return want
+
+    @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_per_chunk_route_equals_per_point_apply(self, monkeypatch, build, detector):
+        spec = with_trials(self.BUILDS[build](detector=detector), self.TRIALS)
+        assert len(spec.snr_grid_db) > 1
+        seen = ue_estimates(monkeypatch, spec)
+        got = {(p, b): ue for (m, p, b), ue in seen.items() if m == GENIE}
+        want = self.per_point(spec)
+        assert sorted(got) == sorted(want)
+        worst = max(np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k]) for k in want)
+        assert worst < self.GENIE_RTOL
+
+    @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_one_point_grid_takes_the_per_point_route(self, monkeypatch, build, detector):
+        spec = with_trials(self.BUILDS[build](detector=detector, snr_grid_db=(-4.0,)), self.TRIALS)
+        seen = ue_estimates(monkeypatch, spec)
+        got = {(p, b): ue for (m, p, b), ue in seen.items() if m == GENIE}
+        want = self.per_point(spec)
+        assert sorted(got) == sorted(want)
+        for key, estimates in want.items():
+            assert np.array_equal(got[key], estimates), key
 
 
 # The (workload, seed) pairs of TestOneZfEstimator whose results differ
