@@ -543,25 +543,25 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
         return [(list(ghats), _zf_side(sweep, span, est, ghats))]
     genie = [m for m in ghats if spec.methods[m] == GENIE]
     shared = {m: ghat for m, ghat in ghats.items() if m not in genie}
-    sides = [_chain_side(sweep, est, shared, len(est))] if shared else []
-    return sides + [_chain_side(sweep, span.H[None], {m: ghats[m]}, len(est)) for m in genie]
+    sides = [_chain_side(sweep, est, shared)] if shared else []
+    return sides + [_chain_side(sweep, span.H[None], {m: ghats[m]}) for m in genie]
 
 
-def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
+def _chain_side(sweep: _Sweep, ue, ghats: dict):
     """A chain detector's side of the methods of `ghats`, which share the
-    UE channels `ue` (P, B, L, N, K), or (1, B, L, N, K) broadcast to
-    `points` points (the genie's true H), as a (method indices, side)
-    pair. The side is (herm(W), F). W (P, B, L, N, R) holds the UE
-    columns, then each method's interferer columns in turn (R = K plus
-    their widths), and herm(W) is conjugated here once for every method
-    and point. Each width group, the methods whose augmented channels
-    have the same width w, runs its pass (_ue_rows) once on those
-    channels stacked along a method axis, which are then dropped. F (P,
-    B, M K, R) is one block-major row filter, like centralized ZF's
-    (_zf_side): each method's K UE rows at its own columns of W, zeros
-    elsewhere, so that the chain sum takes one product per block. F and
-    herm(W) are formed after the passes, so that neither is alive during
-    them."""
+    UE channels `ue` (P, B, L, N, K), as a (method indices, side) pair;
+    the genie's ue is its true H on one point (1, B, L, N, K), which
+    serves every point (_detect). The side is (herm(W), F). W (P, B, L,
+    N, R) holds the UE columns, then each method's interferer columns in
+    turn (R = K plus their widths), and herm(W) is conjugated here once
+    for every method and point. Each width group, the methods whose
+    augmented channels have the same width w, runs its pass (_ue_rows)
+    once on those channels stacked along a method axis, which are then
+    dropped. F (P, B, M K, R) is one block-major row filter, like
+    centralized ZF's (_zf_side): each method's K UE rows at its own
+    columns of W, zeros elsewhere, so that the chain sum takes one
+    product per block. F and herm(W) are formed after the passes, so that
+    neither is alive during them."""
     cfg, detector = sweep.spec.cfg, sweep.spec.detector
     K = ue.shape[-1]
     widths = {m: 0 if ghat is None else ghat.shape[-1] for m, ghat in ghats.items()}
@@ -585,13 +585,8 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict, points: int):
     parts = [np.broadcast_to(g, (*shape, g.shape[-1])) for g in ghats.values() if g is not None]
     W = np.concatenate([ue, *parts], axis=-1)
     W_h = np.conjugate(W, out=W).swapaxes(-1, -2)  # herm(W), in W's memory
-
-    def every_point(x):  # a view: the genie's one point serves all
-        return np.broadcast_to(x, (points, *x.shape[1:]))
-
-    side = every_point(W_h), every_point(F.reshape(*F.shape[:2], -1, R))
     sweep.lap(f"channel_side.{detector}")
-    return members, side
+    return members, (W_h, F.reshape(*F.shape[:2], -1, R))
 
 
 def _zf_side(sweep: _Sweep, span: _Span, est, ghats: dict) -> np.ndarray:

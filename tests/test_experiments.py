@@ -761,7 +761,7 @@ class TestRunMonteCarlo:
         widths = {0: 0, 1: 1, 2: 2, 3: 5, 4: 2}
         ghats = {m: crandn(rng, B, cfg.L, cfg.N, w) if w else None for m, w in widths.items()}
         sweep = experiments._Sweep(spec)
-        return sweep, est, ghats, *experiments._chain_side(sweep, est, ghats, P)
+        return sweep, est, ghats, *experiments._chain_side(sweep, est, ghats)
 
     @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
     def test_ue_row_apply_equals_the_detectors(self, detector):
@@ -795,7 +795,7 @@ class TestRunMonteCarlo:
         cfg, (P, B), K = sweep.spec.cfg, est.shape[:2], sweep.spec.cfg.K
         y = crandn(rng, B, cfg.L, cfg.N, 40)
         for m in (0, 1, 3):
-            members, side = experiments._chain_side(sweep, est, {m: ghats[m]}, P)
+            members, side = experiments._chain_side(sweep, est, {m: ghats[m]})
             W_h, F = side
             width = K + (0 if ghats[m] is None else ghats[m].shape[-1])
             assert members == [m] and F.shape == (P, B, K, width)
@@ -1556,11 +1556,10 @@ class TestGenieChunkRoute:
         genie = spec.methods.index(GENIE)
         for b in range(cfg.trials):
             drawn = drawn_block(cfg, b)
-            points = len(spec.snr_grid_db)
-            _, side = experiments._chain_side(sweep, drawn.H[None, None], {genie: drawn.G[None]}, points)
-            for p in range(points):
+            _, side = experiments._chain_side(sweep, drawn.H[None, None], {genie: drawn.G[None]})
+            for p in range(len(spec.snr_grid_db)):
                 y = point_payload(spec, p, b)[None]
-                want[p, b] = experiments._apply(spec.detector, y, side, (p, slice(None)), sweep.chain)[0]
+                want[p, b] = experiments._apply(spec.detector, y, side, 0, sweep.chain)[0]
         return want
 
     @pytest.mark.parametrize("detector", CHAIN_DETECTORS)
