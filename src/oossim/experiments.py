@@ -310,15 +310,14 @@ def _augmented_stack(ghats, ue, width):
 def _ue_rows(detector, aug, cfg, chain):
     """The pass of the chain detector `detector` on the augmented channels
     `aug` (M, ..., L, N, w) of M methods of one width: the UE rows of its
-    Gramian inverse or error covariance, (M, ..., K, w), copied, so that
-    the whole one is not kept."""
+    Gramian inverse or error covariance, (M, ..., K, w), a view."""
     if detector == "distributed_zf":
         rows = uplink.inverse_gramian(uplink.accumulate_channel_gramian(aug, chain))
     elif detector == "sequential_ls":
         rows = uplink.sequential_ls_covariance(aug, cfg, chain)
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    return rows[..., : cfg.K, :].copy()
+    return rows[..., : cfg.K, :]
 
 
 def _apply(detector, y, side, at, chain):
@@ -570,7 +569,7 @@ def _chain_side(sweep: _Sweep, ue, ghats: dict):
     by_width: dict[int, list] = {}
     for m, width in widths.items():
         by_width.setdefault(width, []).append(m)
-    ue_rows = {}  # each method's UE rows, a view of its group's copy
+    ue_rows = {}  # each method's UE rows, a view of its group's whole ones
     for width, group in by_width.items():
         aug = _augmented_stack([ghats[m] for m in group], ue, K + width)
         ue_rows.update(zip(group, _ue_rows(detector, aug, cfg, sweep.chain)))
