@@ -352,7 +352,11 @@ class _Totals:
 class _Sweep:
     """What a sweep holds across its spans, and its stage trace: seconds
     and calls per stage name, which lap charges at each stage boundary.
-    Its chain does not log unless load_report passes one that does.
+    Its chain does not log unless load_report passes one that does. The
+    SNR points are held as their uplink powers (powers, which
+    ExperimentSpec has checked through uplink_power), and one config,
+    payload_cfg, at the first point's power draws the payload
+    (_draw_payload).
 
     A span counts one call of estimate.local_svd and of each
     estimate.<method>, and one of channel_side.<detector> for the
@@ -378,7 +382,8 @@ class _Sweep:
         self.spec = spec
         self.pilots = build_pilot_book(cfg)
         self.chain = Chain(cfg.ap_order, log=None) if chain is None else chain
-        self.points = [replace(cfg, rho=uplink_power(snr_db)) for snr_db in spec.snr_grid_db]
+        self.powers = [uplink_power(snr_db) for snr_db in spec.snr_grid_db]
+        self.payload_cfg = replace(cfg, rho=self.powers[0])
         self.totals = _Totals(spec)
         size = min(CHUNK_BLOCKS, cfg.trials)
 
@@ -388,11 +393,11 @@ class _Sweep:
         # H x, G s and n are kept and each point forms its own y.
         rx = (cfg.L, cfg.N, n_symbols)
         shapes = {"x": (cfg.K, n_symbols), "y": rx}
-        if len(self.points) > 1:
+        if len(self.powers) > 1:
             shapes.update(hx=rx, gs=rx, noise=rx)
         self.payload = {t: np.empty((size, *shape), dtype=complex) for t, shape in shapes.items()}
         s = np.empty((cfg.K_I, n_symbols), dtype=complex)
-        scratch = np.empty(rx, dtype=complex) if len(self.points) == 1 else None
+        scratch = np.empty(rx, dtype=complex) if len(self.powers) == 1 else None
         self.rows = []
         for i in range(size):
             row = {t: buf[i] for t, buf in self.payload.items()}
@@ -468,8 +473,12 @@ def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
     (_run_span), into the span's arrays. Every stream of every block of
     the span is seeded first, in one pass (scenario.block_generators),
     charged to the first chunk's draw; the payload generators go with
-    the span to _draw_payload."""
-    cfg, points, pilots = sweep.spec.cfg, sweep.points, sweep.pilots
+    the span to _draw_payload. The pilot phase's parts that do not depend
+    on the uplink power, the pilot product H Phi^H and the interference,
+    are formed once per chunk, and each point of the sweep's powers only
+    scales and sums them and writes its LS estimates into span.est
+    (pilot_phase.point_estimates)."""
+    cfg, powers, pilots = sweep.spec.cfg, sweep.powers, sweep.pilots
     geometry, channels, payload = block_generators(cfg.seed, blocks)
     geo = build_geometry(cfg, geometry)
     B, L, N = len(blocks), cfg.L, cfg.N
@@ -478,7 +487,7 @@ def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
         H=np.empty((B, L, N, cfg.K), dtype=complex),
         G=np.empty((B, L, N, cfg.K_I), dtype=complex),
         zpsi=np.empty((B, L, N, cfg.tau_p - cfg.K), dtype=complex),
-        est=np.empty((len(points), B, L, N, cfg.K), dtype=complex),
+        est=np.empty((len(powers), B, L, N, cfg.K), dtype=complex),
         payload_rngs=payload,
     )
     for start in range(0, B, CHUNK_BLOCKS):
@@ -489,9 +498,7 @@ def _draw_pilot(sweep: _Sweep, blocks: range) -> _Span:
         sweep.lap("draw")
         interference = pilot_phase.pilot_interference(chunk)
         span.zpsi[rows] = pilot_phase.compute_projected_residual(interference, pilots)
-        for p, cfg_pt in enumerate(points):
-            obs = pilot_phase.simulate_pilot_rx(chunk, pilots, cfg_pt, interference)
-            span.est[p, rows] = pilot_phase.ls_channel_estimate(obs, pilots, cfg_pt)
+        pilot_phase.point_estimates(chunk.H, interference, pilots, powers, span.est[:, rows])
         sweep.lap("pilot")
     return span
 
@@ -502,7 +509,7 @@ def _draw_payload(sweep: _Sweep, span: _Span, rows: slice) -> dict:
     by term."""
     rngs = span.payload_rngs[rows]
     for out, H, G, rng in zip(sweep.rows, span.H[rows], span.G[rows], rngs):
-        uplink.simulate_uplink_rx(BlockRealization(H, G, None, None), sweep.points[0], rng, out=out)
+        uplink.simulate_uplink_rx(BlockRealization(H, G, None, None), sweep.payload_cfg, rng, out=out)
     sweep.lap("draw")
     return {term: buf[: len(rngs)] for term, buf in sweep.payload.items()}
 
@@ -526,8 +533,10 @@ def _estimate(sweep: _Sweep, span: _Span, methods, totals: _Totals) -> dict:
 def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     """The channel sides of the methods whose interferer channels `ghats`
     holds (_estimate), on the blocks of `span` at the SNR points whose
-    pilot LS estimates `est` holds, as (method indices, side) pairs; a
-    side's estimates (_apply) hold its methods' in that order. The genie's
+    pilot LS estimates `est` holds, as (method indices, side) pairs, the
+    indices an intp array that indexes a point's row of the totals
+    (_detect); a side's estimates (_apply) hold its methods' in that
+    order, which under a chain detector need not be sorted. The genie's
     channels do not depend on the point, so its side is formed on the
     blocks alone and serves every point (under a chain detector, applied
     once per chunk where it can be: _detect).
@@ -539,11 +548,13 @@ def _channel_sides(sweep: _Sweep, span: _Span, est, ghats: dict):
     M K, L N) that one product per block applies (_zf_side)."""
     spec, detector = sweep.spec, sweep.spec.detector
     if detector == "centralized_zf":
-        return [(list(ghats), _zf_side(sweep, span, est, ghats))]
-    genie = [m for m in ghats if spec.methods[m] == GENIE]
-    shared = {m: ghat for m, ghat in ghats.items() if m not in genie}
-    sides = [_chain_side(sweep, est, shared)] if shared else []
-    return sides + [_chain_side(sweep, span.H[None], {m: ghats[m]}) for m in genie]
+        sides = [(list(ghats), _zf_side(sweep, span, est, ghats))]
+    else:
+        genie = [m for m in ghats if spec.methods[m] == GENIE]
+        shared = {m: ghat for m, ghat in ghats.items() if m not in genie}
+        sides = [_chain_side(sweep, est, shared)] if shared else []
+        sides += [_chain_side(sweep, span.H[None], {m: ghats[m]}) for m in genie]
+    return [(np.array(members, dtype=np.intp), side) for members, side in sides]
 
 
 def _chain_side(sweep: _Sweep, ue, ghats: dict):
@@ -633,7 +644,7 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
                 terms = payload["hx"], y
                 parts[i] = [_apply(detector, t, side, (0, rows), sweep.chain) for t in terms]
     for j, p in enumerate(points):
-        rho = sweep.points[p].rho
+        rho = sweep.powers[p]
         if "hx" in payload:  # the buffer may hold another point's y
             uplink.received_signal(rho, payload["hx"], payload["gs"], payload["noise"], out=y)
         for i, (members, side) in enumerate(sides):
@@ -642,8 +653,9 @@ def _detect(sweep: _Sweep, payload, sides, rows: slice, points, totals: _Totals)
             else:
                 ue = _apply(detector, y, side, (j, rows), sweep.chain)
             sweep.lap(f"apply.{detector}")
-            totals.errors[p, members] += _score(ue, truth, len(members))
-            totals.bits[p, members] += 2 * x.size  # 2 bits per QPSK symbol
+            # the point's row first: a 1-D index skips numpy's 2-D gather and scatter
+            totals.errors[p][members] += _score(ue, truth, len(members))
+            totals.bits[p][members] += 2 * x.size  # 2 bits per QPSK symbol
             sweep.lap("score")
 
 
@@ -673,7 +685,7 @@ def _run_span(sweep: _Sweep, blocks: range):
     failure is charged to its method, block and, for detection, SNR
     point. The failed span's calls and time stay in the trace (_Sweep)."""
     spec = sweep.spec
-    methods, points = range(len(spec.methods)), range(len(sweep.points))
+    methods, points = range(len(spec.methods)), range(len(sweep.powers))
     totals = _Totals(spec)
     span = _draw_pilot(sweep, blocks)
     try:

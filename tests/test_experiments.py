@@ -469,6 +469,25 @@ class TestRunMonteCarlo:
         out = run_monte_carlo(spec)
         assert len(out.rows) == len(spec.methods) * 2
 
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_rows_independent_of_method_order(self, detector):
+        # each side adds its counts at its members' indices in spec.methods;
+        # with no_suppression's narrower width group between the others and
+        # the genie first, in the middle or last, a chain detector's shared
+        # side lists members that are neither sorted nor contiguous. Every
+        # method's rows are those of its sweep alone.
+        others = ("seq_gramian", "no_suppression", "local_processing", "seq_procrustes")
+        orders = [(GENIE, *others), (*others[:2], GENIE, *others[2:]), (*others, GENIE)]
+        spec = with_trials(default_spec(detector=detector, snr_grid_db=(-6.0, 0.0)), 5)
+
+        def rows(methods):
+            out = run_monte_carlo(replace(spec, methods=methods))
+            return {(r.method, r.snr_db): rows_to_csv([r]) for r in out.rows}
+
+        alone = {key: row for m in orders[0] for key, row in rows((m,)).items()}
+        assert len(alone) == len(orders[0]) * len(spec.snr_grid_db)
+        assert all(rows(methods) == alone for methods in orders)
+
     def test_genie_noise_vanishing_gives_zero_ber(self):
         # crank the uplink power so noise is negligible
         spec = ExperimentSpec(
@@ -1061,23 +1080,24 @@ class TestChunking:
         kept = {"x", "y"} if len(grid) == 1 else {"x", "hx", "noise"} | ({"gs"} if K_I else set())
         assert all(kept <= set(payload) for payload in payloads)
         pilots = build_pilot_book(cfg)
+        points = [replace(cfg, rho=experiments.uplink_power(snr_db)) for snr_db in grid]
         for b in range(size):
             geometry, channels, payload = block_streams(cfg, b)
             alone = draw_block(cfg, build_geometry(cfg, geometry), channels)
-            batch = uplink.simulate_uplink_rx(alone, sweep.points[0], payload)
+            batch = uplink.simulate_uplink_rx(alone, points[0], payload)
             assert np.array_equal(span.H[b], alone.H) and np.array_equal(span.G[b], alone.G)
             interference = pilot_interference(alone)
             zpsi = compute_projected_residual(interference, pilots)
             assert np.array_equal(span.zpsi[b], zpsi)
-            for p, cfg_pt in enumerate(sweep.points):
-                obs = simulate_pilot_rx(alone, pilots, cfg_pt, interference)
+            for p, cfg_pt in enumerate(points):
+                obs = simulate_pilot_rx(alone, pilots, cfg_pt)
                 assert np.array_equal(span.est[p, b], ls_channel_estimate(obs, pilots, cfg_pt))
             payload, row = payloads[b // experiments.CHUNK_BLOCKS], b % experiments.CHUNK_BLOCKS
             for term in kept:
                 assert np.array_equal(payload[term][row], getattr(batch, term)), term
             # and a block's y is its terms summed, each product formed per AP
             terms = alone.H @ batch.x, alone.G @ batch.s if K_I else None, batch.noise
-            assert np.array_equal(batch.y, uplink.received_signal(sweep.points[0].rho, *terms))
+            assert np.array_equal(batch.y, uplink.received_signal(points[0].rho, *terms))
 
     @pytest.mark.parametrize("span", [1, 4, 7, 16])
     def test_payload_buffers_hold_one_chunk(self, monkeypatch, span):
